@@ -1,5 +1,7 @@
 """Exact-arithmetic engine for graded complex semisimple Lie algebras."""
 
+__version__ = "0.1.0"
+
 from .rootsystem import LieType, RootSystem, build_root_system
 from .chevalley import ChevalleyAlgebra, build_algebra
 from .grading import KacLabels, ZGrading, ZmGrading, bar_pieces, kac_labels, kac_lift_check, z_grading_from_labels, zm_from_kac
@@ -8,5 +10,3 @@ from .quaternionic import QuaternionicData, build_quaternionic, kappa_of, quater
 from .quiver import QuiverDims, QuiverHiggsTopology, toledo_invariant
 from .cayley import CayleyData, bracket_projection_test, cayley_pair
 from .amw import BoundInput, amw_lower, amw_upper, coarse_bound, quaternionic_bounds, quaternionic_coarse
-
-__version__ = "0.1.0"

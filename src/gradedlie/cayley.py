@@ -9,8 +9,10 @@ V = ad(e)^{m-1}(g_{1-m}) of g_0.  Since every ad(h)-eigenvalue lies in
 of the span of those modules and ad(e)^{m-1} is injective on g_{1-m}.
 
 The projection test decomposes [v, v'] for v, v' in V along
-c + V + (Killing-orthogonal complement in g_0); the pair (c, V) is a
-theta-pair candidate when every such bracket falls inside c.
+c + V + (orthogonal complement in g_0); the pair (c, V) is a theta-pair
+candidate when every such bracket falls inside c.  Orthogonality and the
+projection do not change when the invariant form is rescaled, so both use
+the closed-form ``normalized_form``.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import List, Optional, Sequence, Tuple
 from .chevalley import ChevalleyAlgebra
 from .grading import ZGrading
 from .linalg import RationalMatrix, Vector, independent_subset, rank, solve, vec
-from .vinberg import Sl2Triple, VinbergPair, jm_regular, vinberg_pair
+from .vinberg import Sl2Triple, VinbergPair, jm_regular, normalized_form, vinberg_pair
 
 
 @dataclass
@@ -83,11 +85,11 @@ class IsoCharacterReport:
     iso_full: bool
     chi_values: List[Q]
     chi_vanishes: bool
-    c_killing_h: List[Q]
+    c_form_h: List[Q]
 
     @property
     def all_pass(self) -> bool:
-        return self.iso_full and self.chi_vanishes and all(x == 0 for x in self.c_killing_h)
+        return self.iso_full and self.chi_vanishes and all(x == 0 for x in self.c_form_h)
 
 
 def verify_iso_and_character(cd: CayleyData) -> IsoCharacterReport:
@@ -96,13 +98,13 @@ def verify_iso_and_character(cd: CayleyData) -> IsoCharacterReport:
     low_dim = len(cd.pair.grading.piece(1 - cd.depth))
     r = rank(RationalMatrix.from_rows([list(v) for v in cd.v_basis])) if cd.v_basis else 0
     chi = [cd.pair.chi_t(c) for c in cd.c_basis]
-    bh = [alg.killing_form(c, cd.triple.h) for c in cd.c_basis]
+    bh = [normalized_form(alg, c, cd.triple.h) for c in cd.c_basis]
     return IsoCharacterReport(
         iso_rank=r,
         iso_full=(r == low_dim == len(cd.v_basis)),
         chi_values=chi,
         chi_vanishes=all(x == 0 for x in chi),
-        c_killing_h=bh,
+        c_form_h=bh,
     )
 
 
@@ -152,7 +154,7 @@ def bracket_projection_test(cd: CayleyData) -> ThetaVerdict:
     if basis and len(independent_subset(basis)) != len(basis):
         raise AssertionError("c and V overlap")
     gram = RationalMatrix.from_rows(
-        [[alg.killing_form(a, b) for b in basis] for a in basis]
+        [[normalized_form(alg, a, b) for b in basis] for a in basis]
     )
     projections = []
     witness = None
@@ -160,10 +162,10 @@ def bracket_projection_test(cd: CayleyData) -> ThetaVerdict:
         for j in range(i + 1, len(cd.v_basis)):
             x = alg.bracket(cd.v_basis[i], cd.v_basis[j])
             if basis:
-                rhs = vec([alg.killing_form(u, x) for u in basis])
+                rhs = vec([normalized_form(alg, u, x) for u in basis])
                 coeffs = solve(gram, rhs)
                 if coeffs is None:
-                    raise AssertionError("Killing form degenerate on c + V")
+                    raise AssertionError("invariant form degenerate on c + V")
             else:
                 coeffs = ()
             c_part = _combine(alg, coeffs[: cd.dim_c], cd.c_basis)

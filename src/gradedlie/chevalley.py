@@ -222,6 +222,8 @@ class ChevalleyAlgebra:
         return RationalMatrix(self.dim, self.dim, entries)
 
     # -- Killing form -----------------------------------------------------
+    # tr(ad a ad b) over the basis, O(dim^3).  Production code uses the
+    # closed form vinberg.normalized_form; this is its independent test oracle.
 
     def killing_gram(self) -> RationalMatrix:
         if self._killing_gram is None:

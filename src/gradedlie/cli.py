@@ -16,6 +16,7 @@ import sys
 from fractions import Fraction as Q
 from typing import Any, Dict, List, Optional
 
+from . import __version__
 from . import amw as amw_mod
 from .cayley import bracket_projection_test, cayley_pair, verify_iso_and_character
 from .chevalley import build_algebra
@@ -35,7 +36,7 @@ from .rootsystem import LieType
 from .vinberg import jm_regular, pair_rank, vinberg_pair
 
 SCHEMA_VERSION = 1
-VERSION = "0.1.0"
+VERSION = __version__
 
 
 class InputError(Exception):
@@ -68,13 +69,36 @@ def parse_ints(text: str) -> List[int]:
         raise InputError(f"bad integer list {text!r}") from exc
 
 
+def to_int(raw, name: str) -> int:
+    """An integer field, from a flag or the config file."""
+    if isinstance(raw, int) and not isinstance(raw, bool):
+        return raw
+    if isinstance(raw, str):
+        try:
+            return int(raw)
+        except ValueError:
+            pass
+    raise InputError(f"{name} must be an integer, got {raw!r}")
+
+
+def to_ints(raw, name: str) -> List[int]:
+    """An integer-list field: a comma-separated string or a list of integers."""
+    if isinstance(raw, str):
+        return parse_ints(raw)
+    if not isinstance(raw, list):
+        raise InputError(f"{name} must be a list of integers, got {raw!r}")
+    return [to_int(x, name) for x in raw]
+
+
 def parse_type(args) -> LieType:
     t = args.get("lie_type")
     if t is None:
         raise InputError("a Lie type is required (--type)")
+    if not isinstance(t, str):
+        raise InputError(f"lie_type must be a string, got {t!r}")
     try:
         if args.get("rank") is not None:
-            return LieType(t.upper(), int(args["rank"]))
+            return LieType(t.upper(), to_int(args["rank"], "rank"))
         return LieType.parse(t)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
@@ -108,7 +132,7 @@ def cmd_grading(args) -> Dict[str, Any]:
     labels = args.get("labels")
     if labels is None:
         raise InputError("--labels is required")
-    labels = parse_ints(labels) if isinstance(labels, str) else list(labels)
+    labels = to_ints(labels, "labels")
     try:
         zg = z_grading_from_labels(build_algebra(t), labels)
     except ValueError as exc:
@@ -127,7 +151,7 @@ def cmd_kac(args) -> Dict[str, Any]:
     raw = args.get("labels")
     if raw is None:
         raise InputError("--labels is required (p_0,...,p_r)")
-    labels = parse_ints(raw) if isinstance(raw, str) else list(raw)
+    labels = to_ints(raw, "labels")
     alg = build_algebra(t)
     try:
         kac = kac_labels(alg, labels)
@@ -151,7 +175,7 @@ def cmd_quiver(args) -> Dict[str, Any]:
     raw = args.get("dims")
     if raw is None:
         raise InputError("--dims is required")
-    dims_list = parse_ints(raw) if isinstance(raw, str) else list(raw)
+    dims_list = to_ints(raw, "dims")
     try:
         dims = QuiverDims(tuple(dims_list))
     except ValueError as exc:
@@ -177,10 +201,11 @@ def cmd_toledo(args) -> Dict[str, Any]:
     raw_dims, raw_deg = args.get("dims"), args.get("degrees")
     if raw_dims is None or raw_deg is None or args.get("genus") is None:
         raise InputError("--dims, --degrees and --genus are required")
-    ranks = parse_ints(raw_dims) if isinstance(raw_dims, str) else list(raw_dims)
-    degrees = parse_ints(raw_deg) if isinstance(raw_deg, str) else list(raw_deg)
+    ranks = to_ints(raw_dims, "dims")
+    degrees = to_ints(raw_deg, "degrees")
+    genus = to_int(args["genus"], "genus")
     try:
-        top = QuiverHiggsTopology(tuple(ranks), tuple(degrees), int(args["genus"]))
+        top = QuiverHiggsTopology(tuple(ranks), tuple(degrees), genus)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     report = make_report(
@@ -193,13 +218,13 @@ def cmd_toledo(args) -> Dict[str, Any]:
 def cmd_amw(args) -> Dict[str, Any]:
     if args.get("genus") is None:
         raise InputError("--genus is required")
-    genus = int(args["genus"])
+    genus = to_int(args["genus"], "genus")
     lam = parse_rational(str(args.get("lam") or "0"))
     inputs = {"genus": genus, "lambda": q_str(lam)}
     report = make_report("amw", inputs)
     try:
         if args.get("quaternionic"):
-            kappa = int(args.get("kappa") or 2)
+            kappa = to_int(args.get("kappa") or 2, "kappa")
             inputs["kappa"] = kappa
             if args.get("coarse"):
                 lo, hi = amw_mod.quaternionic_coarse(genus, kappa)
@@ -223,7 +248,7 @@ def cmd_amw(args) -> Dict[str, Any]:
                 zeta_pairing=parse_rational(str(args.get("zeta_pairing") or "0")),
             )
             lower = amw_mod.amw_lower(bi)
-            depth = int(args.get("depth") or 2)
+            depth = to_int(args.get("depth") or 2, "depth")
             upper = amw_mod.amw_upper(bi, depth, bool(args.get("phi_minus_zero")))
             report["results"] = {
                 "lower_bound": q_str(-lower),
@@ -236,7 +261,7 @@ def cmd_amw(args) -> Dict[str, Any]:
 
 def cmd_quaternionic(args) -> Dict[str, Any]:
     t = parse_type(args)
-    seed = int(args.get("seed") or 0)
+    seed = to_int(args.get("seed") or 0, "seed")
     qd = build_quaternionic(t)
     rp, rm = quaternionic_ranks(qd, seed)
     extremes = verify_extreme_pieces(qd, seed)
@@ -257,10 +282,10 @@ def cmd_quaternionic(args) -> Dict[str, Any]:
 
 
 def cmd_cayley(args) -> Dict[str, Any]:
-    seed = int(args.get("seed") or 0)
+    seed = to_int(args.get("seed") or 0, "seed")
     raw_dims = args.get("dims")
     if raw_dims is not None:
-        dims_list = parse_ints(raw_dims) if isinstance(raw_dims, str) else list(raw_dims)
+        dims_list = to_ints(raw_dims, "dims")
         from .quiver import labels_for_dims
 
         dims = QuiverDims(tuple(dims_list))
@@ -272,7 +297,7 @@ def cmd_cayley(args) -> Dict[str, Any]:
         raw = args.get("labels")
         if raw is None:
             raise InputError("--labels or --dims is required")
-        labels = parse_ints(raw) if isinstance(raw, str) else list(raw)
+        labels = to_ints(raw, "labels")
         inputs = {"lie_type": str(t), "labels": labels}
     try:
         zg = z_grading_from_labels(build_algebra(t), labels)
@@ -303,7 +328,7 @@ def cmd_cayley(args) -> Dict[str, Any]:
 
 
 def cmd_verify_paper(args) -> Dict[str, Any]:
-    seed = int(args.get("seed") or 0)
+    seed = to_int(args.get("seed") or 0, "seed")
     extended = bool(args.get("extended"))
     report = make_report("verify-paper", {"seed": seed, "extended": extended})
     checks = report["checks"]

@@ -3,14 +3,17 @@
 Roots are stored as integer coordinate vectors in the simple-root basis,
 ordered by Bourbaki numbering of the simple roots.  The invariant form on the
 root lattice is normalised so that the highest root has squared length 2.
+Root norms (at most two distinct values), coroot coefficients and the Gram
+matrix of the simple coroots are computed once per root system; ``norm`` and
+``coroot_coefficients`` are table lookups on roots.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import lru_cache
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 Root = Tuple[int, ...]
 
@@ -103,6 +106,10 @@ class RootSystem:
     form_star: Tuple[Tuple[Q, ...], ...]  # B* on simple roots, highest root norm 2
     highest_root: Root
     affine_marks: Tuple[int, ...]  # (n_0, n_1, ..., n_r) with n_0 = 1
+    norms: Dict[Root, Q] = field(compare=False, repr=False)  # B*(alpha, alpha) per root
+    coroots: Dict[Root, Tuple[Q, ...]] = field(compare=False, repr=False)
+    # B(h_i, h_j) = 4 (alpha_i, alpha_j) / (|alpha_i|^2 |alpha_j|^2) on simple coroots
+    coroot_gram: Tuple[Tuple[Q, ...], ...] = field(compare=False, repr=False)
 
     @property
     def rank(self) -> int:
@@ -112,35 +119,32 @@ class RootSystem:
     def dim_algebra(self) -> int:
         return self.rank + len(self.roots)
 
-    def is_root(self, v: Root) -> bool:
-        return v in self._root_set
-
-    @property
-    def _root_set(self):
-        return set(self.roots)
-
     def pairing(self, alpha: Root, j: int) -> int:
         """Integer pairing <alpha, alpha_j^vee>."""
         return sum(alpha[i] * self.cartan[i][j] for i in range(self.rank))
 
     def form_value(self, alpha: Root, beta: Root) -> Q:
         """B*(alpha, beta) for lattice vectors in simple-root coordinates."""
-        r = self.rank
-        return sum(
-            (Q(alpha[i]) * beta[j] * self.form_star[i][j] for i in range(r) for j in range(r)),
-            Q(0),
-        )
+        return _form_value(self.form_star, alpha, beta)
 
     def norm(self, alpha: Root) -> Q:
-        return self.form_value(alpha, alpha)
+        """B*(alpha, alpha) of a root."""
+        return self.norms[alpha]
 
     def coroot_coefficients(self, alpha: Root) -> Tuple[Q, ...]:
-        """Coefficients of alpha^vee in the simple coroot basis (integral for roots)."""
-        na = self.norm(alpha)
-        return tuple(Q(alpha[i]) * self.form_star[i][i] / na for i in range(self.rank))
+        """Coefficients of the coroot alpha^vee in the simple coroot basis (integral)."""
+        return self.coroots[alpha]
 
     def height(self, alpha: Root) -> int:
         return sum(alpha)
+
+
+def _form_value(form: Sequence[Sequence[Q]], alpha: Root, beta: Root) -> Q:
+    r = len(form)
+    return sum(
+        (Q(alpha[i]) * beta[j] * form[i][j] for i in range(r) for j in range(r)),
+        Q(0),
+    )
 
 
 def _reflection_closure(cartan: List[List[int]], r: int) -> List[Root]:
@@ -209,12 +213,20 @@ def build_root_system(t: LieType) -> RootSystem:
     # highest root has norm 2:  (alpha_i, alpha_j) = d_j c[i][j].
     d = _symmetrizer(cartan, r)
     form = [[d[j] * cartan[i][j] for j in range(r)] for i in range(r)]
-    hnorm = sum(
-        (Q(highest[i]) * highest[j] * form[i][j] for i in range(r) for j in range(r)),
-        Q(0),
-    )
-    scale = Q(2) / hnorm
+    scale = Q(2) / _form_value(form, highest, highest)
     form = [[x * scale for x in row] for row in form]
+
+    # Root data, computed once: norms take at most two values (long, short).
+    norms = {a: _form_value(form, a, a) for a in roots}
+    if len(set(norms.values())) > 2:
+        raise AssertionError("more than two root lengths")
+    coroots = {
+        a: tuple(Q(a[i]) * form[i][i] / norms[a] for i in range(r)) for a in roots
+    }
+    coroot_gram = tuple(
+        tuple(4 * form[i][j] / (form[i][i] * form[j][j]) for j in range(r))
+        for i in range(r)
+    )
 
     return RootSystem(
         lie_type=t,
@@ -224,6 +236,9 @@ def build_root_system(t: LieType) -> RootSystem:
         form_star=tuple(tuple(row) for row in form),
         highest_root=highest,
         affine_marks=(1,) + highest,
+        norms=norms,
+        coroots=coroots,
+        coroot_gram=coroot_gram,
     )
 
 

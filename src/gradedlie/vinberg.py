@@ -5,9 +5,11 @@ prehomogeneous G_0-space.  This module finds certified open-orbit elements,
 completes them to sl2-triples, and evaluates the Toledo character
 chi_T(x) = B(zeta, x) B*(gamma, gamma), where gamma is a longest root whose
 root space sits in degree 1.  The B*(gamma,gamma) factor makes chi_T
-independent of the chosen invariant form; both the Killing form and the
-highest-root-normalised form are implemented so tests can assert that
-independence exactly.
+independent of the chosen invariant form.  The production route is
+``normalized_form``, the form with B*(highest root, highest root) = 2 read off
+the root data in closed form, with no trace of ad.  The trace-of-ad Killing
+form (``chi_t_killing``, ``killing_dual_norm``) is kept as an independent
+oracle, so tests can assert that independence exactly.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ def regrade(zg: ZGrading, j: int) -> ZGrading:
 
 
 def killing_dual_norm(alg: ChevalleyAlgebra, gamma) -> Q:
-    """B*_K(gamma, gamma): dual norm of a root under the Killing form."""
+    """B*_K(gamma, gamma): dual norm of a root under the Killing form (test oracle)."""
     r = alg.rank
     gram = alg.killing_gram()
     cartan_block = RationalMatrix.from_rows(
@@ -51,9 +53,26 @@ def killing_dual_norm(alg: ChevalleyAlgebra, gamma) -> Q:
 
 
 def normalized_form(alg: ChevalleyAlgebra, a: Sequence, b: Sequence) -> Q:
-    """Invariant form scaled so the highest root has dual norm 2."""
-    scale = killing_dual_norm(alg, alg.rs.highest_root) / 2
-    return scale * alg.killing_form(a, b)
+    """Invariant form scaled so the highest root has dual norm 2.
+
+    On the Chevalley basis B(h_i, h_j) = 4(alpha_i, alpha_j)/(|alpha_i|^2
+    |alpha_j|^2), B(e_alpha, e_{-alpha}) = 2/|alpha|^2, and every other pair of
+    basis vectors is orthogonal.
+    """
+    rs = alg.rs
+    r = alg.rank
+    total = Q(0)
+    for i in range(r):
+        if a[i]:
+            row = rs.coroot_gram[i]
+            total += Q(a[i]) * sum((row[j] * b[j] for j in range(r) if b[j]), Q(0))
+    for i in range(r, alg.dim):
+        if a[i]:
+            alpha = rs.roots[i - r]
+            y = b[alg.root_index[tuple(-x for x in alpha)]]
+            if y:
+                total += 2 * Q(a[i]) * y / rs.norms[alpha]
+    return total
 
 
 @dataclass

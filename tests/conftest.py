@@ -1,4 +1,3 @@
-import os
 from fractions import Fraction as Q
 
 import pytest
@@ -7,10 +6,6 @@ from gradedlie.chevalley import build_algebra
 from gradedlie.grading import z_grading_from_labels
 from gradedlie.quiver import QuiverDims, labels_for_dims
 from gradedlie.rootsystem import LieType
-
-
-def run_extended() -> bool:
-    return os.environ.get("GRADEDLIE_EXTENDED") == "1"
 
 
 def chain_root(i: int, j: int, rank: int):

@@ -139,3 +139,34 @@ def test_text_format(capsys):
     assert code == 0
     assert "kappa: 2" in out
     assert "[PASS]" in out
+
+
+@pytest.mark.parametrize(
+    "field,argv",
+    [
+        ({"seed": "abc"}, ["quaternionic", "--type", "A2"]),
+        ({"seed": "abc"}, ["cayley", "--dims", "1,1,1"]),
+        ({"seed": "abc"}, ["verify-paper"]),
+        ({"genus": "x"}, ["amw"]),
+        ({"lie_type": 5}, ["grading", "--labels", "1"]),
+        ({"labels": 5}, ["grading", "--type", "A1"]),
+        ({"labels": [1, "a"]}, ["grading", "--type", "A2"]),
+    ],
+)
+def test_bad_config_field_is_input_error(tmp_path, capsys, field, argv):
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps(field))
+    code = main(["--config", str(cfg)] + argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ") and "Traceback" not in captured.err
+
+
+def test_config_integer_strings_accepted(tmp_path, capsys):
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps({"lie_type": "A2", "labels": ["1", 1]}))
+    code, report = run_json(capsys, "--config", str(cfg), "grading")
+    assert code == 0
+    assert report["inputs"]["labels"] == [1, 1]

@@ -2,8 +2,6 @@ from fractions import Fraction as Q
 
 import pytest
 
-from conftest import run_extended
-
 from gradedlie.quaternionic import (
     build_quaternionic,
     kappa_of,
@@ -114,7 +112,6 @@ def test_family_a_matches_quiver(n):
     assert orbit_toledo_rank(dims, maximal_rank_tuple(dims)) == rank_plus
 
 
-@pytest.mark.skipif(not run_extended(), reason="set GRADEDLIE_EXTENDED=1 to run E7/E8")
 @pytest.mark.parametrize("name", ["E7", "E8"])
 def test_extended_types(name):
     qd = build_quaternionic(LieType.parse(name))

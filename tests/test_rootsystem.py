@@ -60,6 +60,27 @@ def test_highest_root_norm_two(name):
     assert rs.norm(rs.highest_root) == 2
 
 
+@pytest.mark.parametrize("name", SMALL_TYPES)
+def test_norm_table_matches_form(name):
+    rs = build_root_system(LieType.parse(name))
+    assert set(rs.norms) == set(rs.roots)
+    for alpha in rs.roots:
+        assert rs.norm(alpha) == rs.form_value(alpha, alpha)
+    assert len(set(rs.norms.values())) <= 2
+
+
+@pytest.mark.parametrize("name", SMALL_TYPES)
+def test_coroot_table_pairs_roots(name):
+    # <alpha_k, alpha^vee> = 2 (alpha_k, alpha) / (alpha, alpha) on simple roots
+    rs = build_root_system(LieType.parse(name))
+    for alpha in rs.roots:
+        coeffs = rs.coroot_coefficients(alpha)
+        for k in range(rs.rank):
+            simple = tuple(int(i == k) for i in range(rs.rank))
+            lhs = sum(c * rs.pairing(simple, j) for j, c in enumerate(coeffs))
+            assert lhs == 2 * rs.form_value(simple, alpha) / rs.form_value(alpha, alpha)
+
+
 def _det(rows):
     if len(rows) == 1:
         return rows[0][0]

@@ -149,6 +149,20 @@ def test_normalized_form_highest_root():
         assert normalized_form(alg, t, t) == 2
 
 
+@pytest.mark.parametrize(
+    "name", ["A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "G2", "F4"]
+)
+def test_normalized_form_matches_scaled_killing_gram(name):
+    # closed form from root data against the trace-of-ad Gram matrix
+    alg = build_algebra(LieType.parse(name))
+    gram = alg.killing_gram()
+    scale = killing_dual_norm(alg, alg.rs.highest_root) / 2
+    basis = [alg.from_sparse({i: Q(1)}) for i in range(alg.dim)]
+    for i, a in enumerate(basis):
+        for j, b in enumerate(basis):
+            assert normalized_form(alg, a, b) == scale * gram[i, j]
+
+
 def test_killing_dual_norm_scaling(sl2):
     # dual norms under Killing scale to the normalised ones by a single factor
     alg = build_algebra(LieType.parse("C2"))
