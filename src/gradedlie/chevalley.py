@@ -207,20 +207,6 @@ class ChevalleyAlgebra:
                     out[k] = out.get(k, Q(0)) + Q(ai) * Q(bj) * c
         return self.from_sparse(out)
 
-    def ad_matrix(self, a: Sequence) -> RationalMatrix:
-        """Matrix of x -> [a, x] on the full basis."""
-        cols = []
-        for j in range(self.dim):
-            col: Sparse = {}
-            for i, ai in enumerate(a):
-                if not ai:
-                    continue
-                for k, c in self.basis_bracket(i, j).items():
-                    col[k] = col.get(k, Q(0)) + Q(ai) * c
-            cols.append(col)
-        entries = [cols[j].get(i, Q(0)) for i in range(self.dim) for j in range(self.dim)]
-        return RationalMatrix(self.dim, self.dim, entries)
-
     # -- Killing form -----------------------------------------------------
     # tr(ad a ad b) over the basis, O(dim^3).  Production code uses the
     # closed form vinberg.normalized_form; this is its independent test oracle.

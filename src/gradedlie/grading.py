@@ -15,7 +15,7 @@ needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction as Q
 from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -41,12 +41,6 @@ class ZGrading:
 
     def dims(self) -> Dict[int, int]:
         return {j: len(idx) for j, idx in sorted(self.pieces.items())}
-
-    def degree_of_basis(self, index: int) -> Optional[int]:
-        for j, idx in self.pieces.items():
-            if index in idx:
-                return j
-        return None
 
     def piece_vectors(self, j: int) -> List[Vector]:
         return [self.algebra.from_sparse({i: Q(1)}) for i in self.piece(j)]
@@ -131,13 +125,17 @@ def z_grading_from_labels(alg: ChevalleyAlgebra, p: Sequence[int]) -> ZGrading:
 
 
 def _verify_grading_element(zg: ZGrading):
+    """[zeta, e_i] = j e_i for every basis vector e_i of every piece g_j."""
     alg = zg.algebra
+    support = [(k, c) for k, c in enumerate(zg.zeta) if c]
     for j, idx in zg.pieces.items():
         for i in idx:
-            v = alg.from_sparse({i: Q(1)})
-            image = alg.bracket(zg.zeta, v)
-            expected = tuple(Q(j) * x for x in v)
-            if image != expected:
+            image: Dict[int, Q] = {}
+            for k, c in support:
+                for l, b in alg.basis_bracket(k, i).items():
+                    image[l] = image.get(l, Q(0)) + c * b
+            expected = {i: Q(j)} if j else {}
+            if {l: x for l, x in image.items() if x} != expected:
                 raise AssertionError(f"grading element eigenvalue check failed at degree {j}")
 
 

@@ -3,17 +3,17 @@
 A dimension vector (d_0, ..., d_{m-1}) with n = sum d_j splits C^n into
 blocks V_j; a degree-1 element of the corresponding sl_n grading is a chain of
 maps f_j : V_j -> V_{j+1}.  Orbits are classified by the ranks of the
-consecutive compositions, the sl2-completion h can be read off the Jordan
-strings, and the Toledo data reduces to trace arithmetic against
+consecutive compositions and enumerated from the multiplicities of the
+interval modules, the sl2-completion h can be read off the Jordan strings,
+and the Toledo data reduces to trace arithmetic against
 zeta|_{V_j} = (j - alpha) Id with alpha = (sum j d_j)/n.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .linalg import RationalMatrix, rank
 
@@ -91,32 +91,70 @@ def maximal_rank_tuple(dims: QuiverDims) -> RankTuple:
     return tuple(sorted(out.items()))
 
 
-def enumerate_orbits(dims: QuiverDims, bound: int = 1 << 22) -> List[Tuple[RankTuple, QuiverElement]]:
-    """All feasible rank tuples, each with a realizing element.
+def _interval_multiplicities(dims: QuiverDims) -> Iterator[Dict[Tuple[int, int], int]]:
+    """Every m_ij >= 0 with sum_{i <= k <= j} m_ij = d_k for each vertex k.
 
-    Exhausts 0/1-entry maps: every orbit contains a string representative whose
-    maps are partial permutation matrices, so this search is complete.
+    Intervals starting at i are chosen longest first; the length-one interval
+    [i, i] then takes whatever is left at vertex i, so every branch succeeds.
     """
-    entry_count = sum(
-        dims.dims[j + 1] * dims.dims[j] for j in range(dims.m - 1)
+    m = dims.m
+    left = list(dims.dims)
+    chosen: Dict[Tuple[int, int], int] = {}
+
+    def extend(i: int, j: int) -> Iterator[Dict[Tuple[int, int], int]]:
+        if i == m:
+            yield dict(chosen)
+            return
+        if j == i:
+            chosen[(i, i)] = left[i]
+            yield from extend(i + 1, m - 1)
+            return
+        for c in range(min(left[i : j + 1]) + 1):
+            chosen[(i, j)] = c
+            for k in range(i, j + 1):
+                left[k] -= c
+            yield from extend(i, j - 1)
+            for k in range(i, j + 1):
+                left[k] += c
+
+    return extend(0, m - 1)
+
+
+def _string_representative(dims: QuiverDims, mult: Dict[Tuple[int, int], int]) -> QuiverElement:
+    """Direct sum of strings: m_ij chains of 1-entries from V_i to V_j."""
+    entries = [[Q(0)] * (dims.dims[k + 1] * dims.dims[k]) for k in range(dims.m - 1)]
+    used = [0] * dims.m
+    for (i, j), c in sorted(mult.items()):
+        for _ in range(c):
+            for k in range(i, j):
+                entries[k][used[k + 1] * dims.dims[k] + used[k]] = Q(1)
+                used[k] += 1
+            used[j] += 1
+    return tuple(
+        RationalMatrix(dims.dims[k + 1], dims.dims[k], entries[k]) for k in range(dims.m - 1)
     )
-    if 1 << entry_count > bound:
-        raise ValueError("search space exceeds the bound")
+
+
+def enumerate_orbits(dims: QuiverDims) -> List[Tuple[RankTuple, QuiverElement]]:
+    """All orbits, sorted by rank tuple, each with a string representative.
+
+    By Gabriel's theorem the orbits of the linear A_m quiver are the
+    multiplicity vectors (m_ij) of the interval modules [i, j].  Each
+    representative is the direct sum of its strings, so its maps are partial
+    permutations; its rank tuple is computed from the maps, and no two
+    multiplicity vectors may share one.
+    """
     seen: Dict[RankTuple, QuiverElement] = {}
-    for bits in itertools.product((0, 1), repeat=entry_count):
-        maps = []
-        pos = 0
-        for j in range(dims.m - 1):
-            r_, c_ = dims.dims[j + 1], dims.dims[j]
-            maps.append(RationalMatrix(r_, c_, [Q(b) for b in bits[pos : pos + r_ * c_]]))
-            pos += r_ * c_
-        rt = rank_tuple(dims, maps)
-        if rt not in seen:
-            seen[rt] = tuple(maps)
+    for mult in _interval_multiplicities(dims):
+        rep = _string_representative(dims, mult)
+        rt = rank_tuple(dims, rep)
+        if rt in seen:
+            raise AssertionError("two interval multiplicity vectors share a rank tuple")
+        seen[rt] = rep
     return sorted(seen.items())
 
 
-def _total_matrix(dims: QuiverDims, elem: Sequence[RankTuple]) -> List[List[Q]]:
+def _total_matrix(dims: QuiverDims, elem: Sequence[RationalMatrix]) -> List[List[Q]]:
     n = dims.n
     total = [[Q(0)] * n for _ in range(n)]
     for j, f in enumerate(elem):
@@ -211,10 +249,6 @@ def orbit_toledo_rank(dims: QuiverDims, rt: RankTuple) -> Q:
                     ((Q(k) - alpha) * (2 * k - i - j) for k in range(i, j + 1)), Q(0)
                 )
     return total
-
-
-def element_toledo_rank(dims: QuiverDims, elem: Sequence[RationalMatrix]) -> Q:
-    return orbit_toledo_rank(dims, rank_tuple(dims, elem))
 
 
 def pointwise_maximality(dims: QuiverDims, elem: Sequence[RationalMatrix]) -> bool:

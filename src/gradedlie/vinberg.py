@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from .chevalley import ChevalleyAlgebra
 from .grading import ZGrading
@@ -279,10 +279,3 @@ def dual_toledo_factor(pair: VinbergPair) -> Q:
     roots = [alg.basis_root(i) for i in low]
     gamma_prime_norm = max(alg.rs.norm(a) for a in roots)
     return Q(1, 1 - m) * gamma_prime_norm / pair.gamma_norm
-
-
-def s_centralizer(pair: VinbergPair, triple: Sl2Triple) -> List[Vector]:
-    """Basis of the centralizer of s = zeta - h/2 inside g_0."""
-    alg = pair.algebra
-    g0 = [alg.from_sparse({i: Q(1)}) for i in pair.grading.piece(0)]
-    return alg.centralizer([triple.s], g0)

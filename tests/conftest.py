@@ -4,13 +4,21 @@ import pytest
 
 from gradedlie.chevalley import build_algebra
 from gradedlie.grading import z_grading_from_labels
-from gradedlie.quiver import QuiverDims, labels_for_dims
+from gradedlie.quiver import QuiverDims, dims_for_labels, labels_for_dims
 from gradedlie.rootsystem import LieType
 
 
 def chain_root(i: int, j: int, rank: int):
     """Root alpha_i + ... + alpha_{j-1} of the rank-r chain diagram, 1-indexed."""
     return tuple(int(i <= k + 1 < j) for k in range(rank))
+
+
+# every dimension vector with total n <= 5 and at least two blocks
+SMALL_DIMS = [
+    dims_for_labels([cuts >> k & 1 for k in range(n - 1)]).dims
+    for n in range(2, 6)
+    for cuts in range(1, 1 << (n - 1))
+]
 
 
 def quiver_grading(dims: QuiverDims):

@@ -4,6 +4,7 @@ import pytest
 
 from gradedlie.chevalley import build_algebra
 from gradedlie.grading import (
+    _verify_grading_element,
     bar_pieces,
     kac_labels,
     kac_lift_check,
@@ -66,6 +67,17 @@ def test_zeta_eigenvalues(name, labels):
         for i in idx:
             v = alg.from_sparse({i: Q(1)})
             assert alg.bracket(zg.zeta, v) == tuple(Q(j) * x for x in v)
+
+
+@pytest.mark.parametrize(
+    "name,labels,other", [("A2", [1, 0], [0, 1]), ("G2", [0, 1], [1, 1]), ("A3", [1, 0, 1], [1, 1, 1])]
+)
+def test_grading_element_check_rejects_other_zeta(name, labels, other):
+    alg = build_algebra(LieType.parse(name))
+    zg = z_grading_from_labels(alg, labels)
+    zg.zeta = z_grading_from_labels(alg, other).zeta
+    with pytest.raises(AssertionError):
+        _verify_grading_element(zg)
 
 
 def test_zm_a1(sl2):

@@ -1,8 +1,13 @@
+import itertools
+import json
 import random
 from fractions import Fraction as Q
 
 import pytest
 
+from conftest import SMALL_DIMS
+
+from gradedlie.cli import main
 from gradedlie.linalg import RationalMatrix
 from gradedlie.quiver import (
     QuiverDims,
@@ -11,6 +16,7 @@ from gradedlie.quiver import (
     dims_for_labels,
     enumerate_orbits,
     jordan_h,
+    jordan_strings,
     labels_for_dims,
     maximal_rank_tuple,
     orbit_toledo_rank,
@@ -89,9 +95,60 @@ def test_enumerate_orbits_certified_and_unique_maximum():
         assert tuples.count(maximal_rank_tuple(d)) == 1
 
 
-def test_enumerate_orbits_bound():
-    with pytest.raises(ValueError):
-        enumerate_orbits(QuiverDims((3, 3, 3)), bound=4)
+ORACLE_DIMS = SMALL_DIMS + [(2, 2, 2), (1, 2, 2, 1), (2, 2, 3)]
+
+
+def dims_id(dims):
+    return ",".join(map(str, dims))
+
+
+def _search_rank_tuples(d):
+    """Rank tuples of every 0/1-entry element: 2^(map entries) candidates.
+
+    Every orbit holds a string representative with partial-permutation maps,
+    so this brute-force search is complete; it is the oracle for the
+    interval-multiplicity enumeration.
+    """
+    shapes = [(d.dims[j + 1], d.dims[j]) for j in range(d.m - 1)]
+    found = set()
+    for bits in itertools.product((0, 1), repeat=sum(r * c for r, c in shapes)):
+        maps, pos = [], 0
+        for r, c in shapes:
+            maps.append(RationalMatrix(r, c, [Q(b) for b in bits[pos : pos + r * c]]))
+            pos += r * c
+        found.add(rank_tuple(d, maps))
+    return sorted(found)
+
+
+def test_oracle_dims_stay_small():
+    assert len(SMALL_DIMS) == 26
+    for dims in ORACLE_DIMS:
+        assert sum(a * b for a, b in zip(dims, dims[1:])) <= 10
+
+
+@pytest.mark.parametrize("dims", ORACLE_DIMS, ids=dims_id)
+def test_enumerate_orbits_matches_search(dims):
+    d = QuiverDims(dims)
+    assert [rt for rt, _ in enumerate_orbits(d)] == _search_rank_tuples(d)
+
+
+@pytest.mark.parametrize("dims", ORACLE_DIMS + [(4, 4, 4), (1, 2, 3, 2, 1)], ids=dims_id)
+def test_enumerate_orbits_representatives(dims):
+    d = QuiverDims(dims)
+    for rt, rep in enumerate_orbits(d):
+        assert rank_tuple(d, rep) == rt
+        strings = jordan_strings(d, rep)
+        assert sorted(k for chain in strings for k in chain) == list(range(d.n))
+
+
+def test_enumerate_orbits_444():
+    assert len(enumerate_orbits(QuiverDims((4, 4, 4)))) == 35
+
+
+def test_quiver_command_444(capsys):
+    assert main(["quiver", "--dims", "4,4,4"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert len(report["results"]["orbits"]) == 35
 
 
 def test_jordan_h_11():

@@ -3,11 +3,11 @@ from fractions import Fraction as Q
 
 import pytest
 
-from conftest import embed_quiver_element, quiver_grading
+from conftest import SMALL_DIMS, embed_quiver_element, quiver_grading
 
 from gradedlie.chevalley import build_algebra
 from gradedlie.grading import z_grading_from_labels
-from gradedlie.quiver import QuiverDims, enumerate_orbits, maximal_rank_tuple
+from gradedlie.quiver import QuiverDims, enumerate_orbits, maximal_rank_tuple, orbit_toledo_rank
 from gradedlie.rootsystem import LieType
 from gradedlie.vinberg import (
     dual_toledo_factor,
@@ -201,8 +201,10 @@ def test_gamma_choice_irrelevant():
     assert norms == {pair.gamma_norm}
 
 
-@pytest.mark.parametrize("dims", [(1, 1), (2, 1), (1, 1, 1), (2, 1, 1)])
+@pytest.mark.parametrize("dims", SMALL_DIMS)
 def test_rank_monotonicity_on_orbits(dims):
+    # the quiver side (rank tuple -> strings -> trace) against the Chevalley
+    # side (embedded element -> Toledo rank in the block grading of sl_n)
     qd = QuiverDims(dims)
     zg = quiver_grading(qd)
     pair = vinberg_pair(zg)
@@ -213,6 +215,7 @@ def test_rank_monotonicity_on_orbits(dims):
         if all(x == 0 for x in e):
             continue
         r = toledo_rank(pair, e)
+        assert r == orbit_toledo_rank(qd, rt)
         assert 0 <= r <= open_rank
         is_open = orbit_dimension(pair, e) == pair.dim_piece
         assert (r == open_rank) == is_open
