@@ -9,14 +9,19 @@ descending alpha-string through beta.  Every other constant follows from the
 Jacobi identity and the sign rules N_{beta,alpha} = -N_{alpha,beta},
 N_{-alpha,-beta} = -N_{alpha,beta}.
 
-The build verifies |N| = p+1 on every special pair and the Jacobi identity on
-basis triples (all triples through dimension 80, a seeded sample above that)
-before returning.
+The bracket table stores [b_i, b_j] for both orientations of every pair with
+a nonzero bracket, as (target, coefficient) pairs of Python ints; each
+constant is checked to be an integer as it goes in (Chevalley's theorem).
+
+The build verifies |N| = p+1 on every special pair and certifies the Jacobi
+identity on the whole table, at every dimension, before returning: ad_g is a
+derivation for each generator g in {e_1, ..., e_r, f_theta}, and iterated
+brackets of those generators reach every basis vector (see
+``ChevalleyAlgebra._verify_jacobi``).
 """
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction as Q
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -25,9 +30,8 @@ from .linalg import RationalMatrix, Vector, kernel_basis, vec
 from .rootsystem import LieType, Root, RootSystem, build_root_system
 
 Sparse = Dict[int, Q]
-
-_JACOBI_FULL_LIMIT = 80
-_JACOBI_SAMPLES = 4000
+# [b_i, b_j] as (k, c) pairs: sum of c * b_k, integer c, nonzero terms only
+Terms = Tuple[Tuple[int, int], ...]
 
 
 def _is_positive(alpha: Root) -> bool:
@@ -107,6 +111,10 @@ class StructureConstants:
             return self.rs.norm(s) / self.rs.norm(a) * (-self.value(_neg(b), s))
         return self.value(_neg(b), _neg(a))
 
+    def positive_pairs(self):
+        """((a, b), N_{a,b}) once per unordered pair of positive roots with a root sum."""
+        return self._table.items()
+
     def verify_string_lengths(self):
         """|N_{alpha,beta}| = p+1 (an integer) on every positive special pair."""
         for (a, b), n in self._table.items():
@@ -122,18 +130,19 @@ class ChevalleyAlgebra:
     (h_1..h_r, e_alpha for alpha in root order).
     """
 
-    def __init__(self, rs: RootSystem, check: bool = True, seed: int = 0):
+    def __init__(self, rs: RootSystem, check: bool = True):
         self.rs = rs
         self.rank = rs.rank
         self.dim = rs.dim_algebra
         self.root_index = {a: self.rank + i for i, a in enumerate(rs.roots)}
         self.constants = StructureConstants(rs)
-        self._brackets: Dict[Tuple[int, int], Sparse] = {}
+        # _rows[i][j] = [b_i, b_j]; absent when the bracket is zero
+        self._rows: List[Dict[int, Terms]] = [{} for _ in range(self.dim)]
         self._build_table()
         self._killing_gram: Optional[RationalMatrix] = None
         if check:
             self.constants.verify_string_lengths()
-            self._verify_jacobi(seed)
+            self._verify_jacobi()
 
     # -- basis bookkeeping ------------------------------------------------
 
@@ -164,47 +173,59 @@ class ChevalleyAlgebra:
     def _build_table(self):
         rs = self.rs
         r = self.rank
+        index = self.root_index
+        shared: Dict[Terms, Terms] = {}  # equal brackets share one tuple
+
+        def put(i: int, j: int, terms: Sequence[Tuple[int, Q]]):
+            """Store [b_i, b_j] = sum c b_k and [b_j, b_i] = -sum c b_k."""
+            for k, c in terms:
+                if c.denominator != 1:
+                    raise AssertionError(f"structure constant {c} of [{i},{j}] is not an integer")
+            ints = tuple((k, int(c)) for k, c in terms)
+            neg = tuple((k, -c) for k, c in ints)
+            self._rows[i][j] = shared.setdefault(ints, ints)
+            self._rows[j][i] = shared.setdefault(neg, neg)
+
         for j, alpha in enumerate(rs.roots):
             col = r + j
             for i in range(r):
                 c = rs.pairing(alpha, i)
                 if c:
-                    self._brackets[(i, col)] = {col: Q(c)}
-        for i, alpha in enumerate(rs.roots):
-            for j, beta in enumerate(rs.roots):
-                if j <= i:
-                    continue
-                s = _add(alpha, beta)
-                if all(x == 0 for x in s):
-                    cr = rs.coroot_coefficients(alpha)
-                    self._brackets[(r + i, r + j)] = {
-                        k: c for k, c in enumerate(cr) if c
-                    }
-                else:
-                    n = self.constants.value(alpha, beta)
-                    if n:
-                        self._brackets[(r + i, r + j)] = {self.root_index[s]: n}
+                    put(i, col, ((col, c),))
+        opp = {index[a]: index[_neg(a)] for a in rs.roots}  # e_alpha -> e_{-alpha}
+        for alpha in rs.positive_roots:
+            cr = rs.coroot_coefficients(alpha)
+            put(index[alpha], opp[index[alpha]], [(k, c) for k, c in enumerate(cr) if c])
+        # A positive pair a + b = gamma closes the zero-sum triple (a, b, -gamma).
+        # Around it N_{x,y} / |z|^2 is constant, and N_{-x,-y} = -N_{x,y}; these
+        # are the sign rules of StructureConstants.value, pair by pair.
+        norm = rs.norm
+        for (a, b), n in self.constants.positive_pairs():
+            gamma = _add(a, b)
+            ia, ib, ig = index[a], index[b], index[gamma]
+            for x, y, s, n_xy in (
+                (ia, ib, ig, n),
+                (ib, opp[ig], opp[ia], n * norm(a) / norm(gamma)),
+                (opp[ig], ia, opp[ib], n * norm(b) / norm(gamma)),
+            ):
+                put(x, y, ((s, n_xy),))
+                put(opp[x], opp[y], ((opp[s], -n_xy),))
 
-    def basis_bracket(self, i: int, j: int) -> Sparse:
-        if i == j:
-            return {}
-        if i < j:
-            return self._brackets.get((i, j), {})
-        flipped = self._brackets.get((j, i), {})
-        return {k: -c for k, c in flipped.items()}
+    def basis_bracket(self, i: int, j: int) -> Dict[int, int]:
+        return dict(self._rows[i].get(j, ()))
 
     def bracket(self, a: Sequence, b: Sequence) -> Vector:
         if len(a) != self.dim or len(b) != self.dim:
             raise ValueError("element dimension mismatch")
+        b_support = [(j, Q(bj)) for j, bj in enumerate(b) if bj]
         out: Sparse = {}
         for i, ai in enumerate(a):
             if not ai:
                 continue
-            for j, bj in enumerate(b):
-                if not bj:
-                    continue
-                for k, c in self.basis_bracket(i, j).items():
-                    out[k] = out.get(k, Q(0)) + Q(ai) * Q(bj) * c
+            row, ai = self._rows[i], Q(ai)
+            for j, bj in b_support:
+                for k, c in row.get(j, ()):
+                    out[k] = out.get(k, Q(0)) + ai * bj * c
         return self.from_sparse(out)
 
     # -- Killing form -----------------------------------------------------
@@ -215,14 +236,16 @@ class ChevalleyAlgebra:
         if self._killing_gram is None:
             n = self.dim
             entries = [Q(0)] * (n * n)
+            rows = self._rows
             for i in range(n):
                 for j in range(i, n):
-                    # tr(ad b_i ad b_j) over the basis
-                    t = Q(0)
-                    for k in range(n):
-                        inner = self.basis_bracket(j, k)
-                        for l, c in inner.items():
-                            t += c * self.basis_bracket(i, l).get(k, Q(0))
+                    # tr(ad b_i ad b_j): coefficient of b_k in [b_i, [b_j, b_k]]
+                    t = 0
+                    for k, inner in rows[j].items():
+                        for l, c in inner:
+                            for m, d in rows[i].get(l, ()):
+                                if m == k:
+                                    t += c * d
                     entries[i * n + j] = t
                     entries[j * n + i] = t
             self._killing_gram = RationalMatrix(n, n, entries)
@@ -260,33 +283,76 @@ class ChevalleyAlgebra:
 
     # -- build-time verification ------------------------------------------
 
-    def _jacobi_holds(self, i: int, j: int, k: int) -> bool:
-        acc: Sparse = {}
-        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-            inner = self.basis_bracket(b, c)
-            for l, cl in inner.items():
-                for m, cm in self.basis_bracket(a, l).items():
-                    acc[m] = acc.get(m, Q(0)) + cl * cm
-        return all(v == 0 for v in acc.values())
+    def _verify_jacobi(self):
+        """Certify the Jacobi identity on every basis triple, without sampling.
 
-    def _verify_jacobi(self, seed: int):
+        Proof.  The table is alternating (checked first), so the bracket is
+        an alternating bilinear map.  If ad_x is a derivation, the Jacobi
+        identity J(x, y, z) = 0 reads [[x, y], z] = [x, [y, z]] - [y, [x, z]],
+        that is ad_[x,y] = [ad_x, ad_y]; when ad_y is a derivation too, this
+        commutator is one.  So {x : ad_x is a derivation} is a subspace closed
+        under bracket, a subalgebra.  It contains the generators G = {e_1, ...,
+        e_r, f_theta}; once G is shown to generate g it is all of g, which is
+        the Jacobi identity everywhere.
+
+        Part 1 checks J(g, y, z) = [g, [y, z]] + [y, [z, g]] + [z, [g, y]] = 0
+        in integer arithmetic for g in G and basis y < z (J is alternating in
+        y, z).  With N(x) the basis vectors whose bracket with x is nonzero,
+        the three terms vanish unless z lies in N(y), in N(g) or in N(k) for
+        some k in the support of [g, y]; J(g, y, z) is summed for exactly those
+        z, term by term from the table rows of y, g and those k.
+
+        Part 2 is a breadth-first closure from G: whenever [g, x] for g in G
+        and a reached x is a nonzero multiple of one basis vector b_k, b_k is
+        in the generated subalgebra and is reached (h_i as [e_i, f_i] once f_i
+        is).  All ``dim`` basis vectors must be reached.
+        """
+        rows = self._rows
+        for i, row in enumerate(rows):
+            for j, terms in row.items():
+                if rows[j].get(i) != tuple((k, -c) for k, c in terms):
+                    raise AssertionError(f"bracket table is not alternating at ({i},{j})")
+        r = self.rank
+        gens = [self.root_index[tuple(int(k == i) for k in range(r))] for i in range(r)]
+        gens.append(self.root_index[_neg(self.rs.highest_root)])
         n = self.dim
-        if n <= _JACOBI_FULL_LIMIT:
-            triples = (
-                (i, j, k)
-                for i in range(n)
-                for j in range(i + 1, n)
-                for k in range(j + 1, n)
+        for g in gens:
+            row_g = rows[g]
+            for y in range(n):
+                row_y = rows[y]
+                acc: Dict[int, int] = {}  # z * n + m -> coefficient of b_m in J(g, y, z)
+                for z, inner in row_y.items():  # [g, [y, z]]
+                    if z > y:
+                        for k, c in inner:
+                            for m, d in row_g.get(k, ()):
+                                acc[z * n + m] = acc.get(z * n + m, 0) + c * d
+                for z, inner in row_g.items():  # [y, [z, g]] = -[y, [g, z]]
+                    if z > y:
+                        for k, c in inner:
+                            for m, d in row_y.get(k, ()):
+                                acc[z * n + m] = acc.get(z * n + m, 0) - c * d
+                for k, c in row_g.get(y, ()):  # [z, [g, y]] = -sum c [b_k, z]
+                    for z, inner in rows[k].items():
+                        if z > y:
+                            for m, d in inner:
+                                acc[z * n + m] = acc.get(z * n + m, 0) - c * d
+                for key, v in acc.items():
+                    if v:
+                        raise AssertionError(
+                            f"Jacobi identity fails on basis triple ({g},{y},{key // n})"
+                        )
+        reached = list(gens)
+        seen = set(gens)
+        for x in reached:
+            for g in gens:
+                terms = rows[g].get(x, ())
+                if len(terms) == 1 and terms[0][1] and terms[0][0] not in seen:
+                    seen.add(terms[0][0])
+                    reached.append(terms[0][0])
+        if len(reached) != self.dim:
+            raise AssertionError(
+                f"the generators reach only {len(reached)} of {self.dim} basis vectors"
             )
-        else:
-            rng = random.Random(seed)
-            triples = (
-                tuple(sorted(rng.sample(range(n), 3)))
-                for _ in range(_JACOBI_SAMPLES)
-            )
-        for i, j, k in triples:
-            if not self._jacobi_holds(i, j, k):
-                raise AssertionError(f"Jacobi identity fails on basis triple ({i},{j},{k})")
 
 
 @lru_cache(maxsize=None)

@@ -27,6 +27,7 @@ from .quiver import (
     QuiverHiggsTopology,
     canonical_open_element,
     enumerate_orbits,
+    labels_for_dims,
     maximal_rank_tuple,
     orbit_toledo_rank,
     quiver_jm_regular,
@@ -262,7 +263,10 @@ def cmd_amw(args) -> Dict[str, Any]:
 def cmd_quaternionic(args) -> Dict[str, Any]:
     t = parse_type(args)
     seed = to_int(args.get("seed") or 0, "seed")
-    qd = build_quaternionic(t)
+    try:
+        qd = build_quaternionic(t)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     rp, rm = quaternionic_ranks(qd, seed)
     extremes = verify_extreme_pieces(qd, seed)
     degree1_regular = jm_regular(qd.pair(1), seed).regular
@@ -286,9 +290,10 @@ def cmd_cayley(args) -> Dict[str, Any]:
     raw_dims = args.get("dims")
     if raw_dims is not None:
         dims_list = to_ints(raw_dims, "dims")
-        from .quiver import labels_for_dims
-
-        dims = QuiverDims(tuple(dims_list))
+        try:
+            dims = QuiverDims(tuple(dims_list))
+        except ValueError as exc:
+            raise InputError(str(exc)) from exc
         t = LieType("A", dims.n - 1)
         labels = list(labels_for_dims(dims))
         inputs = {"dims": dims_list}

@@ -65,6 +65,8 @@ def build_quaternionic(t: LieType) -> QuaternionicData:
     if zg.zeta != t_beta:
         raise AssertionError("grading element differs from the highest-root coroot")
     dims = zg.dims()
+    if 1 not in dims:
+        raise ValueError(f"{t} has no quaternionic grading: the highest-root grading has no degree-1 piece")
     if sorted(dims) != [-2, -1, 0, 1, 2] or dims[2] != 1 or dims[-2] != 1:
         raise AssertionError(f"unexpected piece structure {dims}")
     pair = vinberg_pair(zg)

@@ -1,11 +1,17 @@
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import settings
 
 from gradedlie.chevalley import build_algebra
 from gradedlie.grading import z_grading_from_labels
 from gradedlie.quiver import QuiverDims, dims_for_labels, labels_for_dims
 from gradedlie.rootsystem import LieType
+
+# Property tests draw the same examples on every run and write no example
+# database; CLI examples can take a second, so there is no per-example deadline.
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
+settings.load_profile("tier1")
 
 
 def chain_root(i: int, j: int, rank: int):

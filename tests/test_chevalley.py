@@ -1,11 +1,12 @@
+import copy
 import random
 from fractions import Fraction as Q
 
 import pytest
 
-from gradedlie.chevalley import build_algebra
+from gradedlie.chevalley import ChevalleyAlgebra, StructureConstants, build_algebra
 from gradedlie.linalg import rank
-from gradedlie.rootsystem import LieType
+from gradedlie.rootsystem import LieType, build_root_system
 
 BUILT_TYPES = ["A1", "A2", "A3", "B2", "B3", "C2", "C3", "D4", "G2", "F4", "E6"]
 
@@ -101,3 +102,120 @@ def test_coroot_brackets(sl3):
 def test_build_verifies(name):
     # construction runs the string-length and Jacobi checks internally
     build_algebra(LieType.parse(name))
+
+
+# -- the Jacobi certificate ------------------------------------------------
+
+
+def jacobi_holds(alg, i, j, k) -> bool:
+    """J(b_i, b_j, b_k) = 0, straight from the basis brackets (the test oracle)."""
+    acc = {}
+    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+        for l, cl in alg.basis_bracket(b, c).items():
+            for m, cm in alg.basis_bracket(a, l).items():
+                acc[m] = acc.get(m, 0) + cl * cm
+    return not any(acc.values())
+
+
+def all_triples_hold(alg) -> bool:
+    n = alg.dim
+    return all(
+        jacobi_holds(alg, i, j, k)
+        for i in range(n)
+        for j in range(i + 1, n)
+        for k in range(j + 1, n)
+    )
+
+
+def with_entry(alg, i, j, terms):
+    """A copy of alg whose table has [b_i, b_j] = terms, and [b_j, b_i] = -terms."""
+    bad = copy.copy(alg)
+    bad._rows = [dict(row) for row in alg._rows]
+    bad._rows[i][j] = tuple(terms)
+    bad._rows[j][i] = tuple((k, -c) for k, c in terms)
+    return bad
+
+
+def mutants(alg, name, count=10):
+    """Up to ten table entries, each corrupted three ways: sign, doubling, wrong target."""
+    entries = sorted((i, j) for i, row in enumerate(alg._rows) for j in row if i < j)
+    for i, j in random.Random(name).sample(entries, min(count, len(entries))):
+        (k, c), *rest = alg._rows[i][j]
+        targets = {t for t, _ in alg._rows[i][j]}
+        other = next(t % alg.dim for t in range(k + 1, k + alg.dim) if t % alg.dim not in targets)
+        for head in ((k, -c), (k, 2 * c), (other, c)):
+            yield with_entry(alg, i, j, [head] + rest)
+
+
+def certificate_passes(alg) -> bool:
+    try:
+        alg._verify_jacobi()
+    except AssertionError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("name", ["A3", "G2", "F4", "E6", "B7", "D8"])
+def test_certificate_catches_corrupted_entries(name):
+    alg = build_algebra(LieType.parse(name))
+    for bad in mutants(alg, name):
+        with pytest.raises(AssertionError):
+            bad._verify_jacobi()
+    alg._verify_jacobi()  # the copies left the cached table alone
+
+
+# in A1, flipping or doubling [e, f] only rescales f: still a Lie algebra, and both pass
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "B2", "C3", "G2"])
+def test_certificate_agrees_with_all_triples(name):
+    alg = build_algebra(LieType.parse(name))
+    assert certificate_passes(alg) and all_triples_hold(alg)
+    for bad in mutants(alg, name):
+        assert certificate_passes(bad) == all_triples_hold(bad)
+
+
+def test_certificate_needs_an_alternating_table(sl3):
+    i, j = 0, sl3.root_index[(1, 0)]
+    bad = with_entry(sl3, i, j, sl3._rows[i][j])
+    bad._rows[i][j] = tuple((k, 2 * c) for k, c in bad._rows[i][j])  # one orientation only
+    with pytest.raises(AssertionError, match="not alternating"):
+        bad._verify_jacobi()
+
+
+def test_certificate_rejects_generators_that_do_not_span(sl2):
+    # [e, f] = 0 leaves the solvable algebra h + <e, f>: Jacobi holds, h is never reached
+    e, f = sl2.root_index[(1,)], sl2.root_index[(-1,)]
+    bad = with_entry(sl2, e, f, [])
+    assert all_triples_hold(bad)
+    with pytest.raises(AssertionError, match="reach only 2 of 3"):
+        bad._verify_jacobi()
+    g2 = build_algebra(LieType.parse("G2"))
+    abelian = copy.copy(g2)
+    abelian._rows = [{} for _ in range(g2.dim)]
+    with pytest.raises(AssertionError, match="reach only 3 of 14"):
+        abelian._verify_jacobi()
+
+
+def test_non_integral_constant_is_rejected(monkeypatch):
+    rs = build_root_system(LieType.parse("B2"))
+    halves = [(pair, n / 2) for pair, n in StructureConstants(rs).positive_pairs()]
+    monkeypatch.setattr(StructureConstants, "positive_pairs", lambda self: halves)
+    with pytest.raises(AssertionError, match="not an integer"):
+        ChevalleyAlgebra(rs)
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "C3", "D4", "G2", "F4"])
+def test_table_matches_structure_constants(name):
+    alg = build_algebra(LieType.parse(name))
+    rs, r = alg.rs, alg.rank
+    for i, alpha in enumerate(rs.roots):
+        for j, beta in enumerate(rs.roots):
+            s = tuple(a + b for a, b in zip(alpha, beta))
+            if not any(s):
+                expected = {k: c for k, c in enumerate(rs.coroot_coefficients(alpha)) if c}
+            elif s in alg.root_index:
+                expected = {alg.root_index[s]: alg.constants.value(alpha, beta)}
+            else:
+                expected = {}
+            got = alg.basis_bracket(r + i, r + j)
+            assert got == expected
+            assert all(type(c) is int for c in got.values())

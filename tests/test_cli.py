@@ -170,3 +170,20 @@ def test_config_integer_strings_accepted(tmp_path, capsys):
     code, report = run_json(capsys, "--config", str(cfg), "grading")
     assert code == 0
     assert report["inputs"]["labels"] == [1, 1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cayley", "--dims", "1"],
+        ["cayley", "--dims", "0,1"],
+        ["quaternionic", "--type", "A1"],
+    ],
+)
+def test_rejected_input_is_one_line(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ")

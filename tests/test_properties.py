@@ -1,0 +1,175 @@
+"""Property tests: exact linear algebra and the CLI's exit-code contract."""
+
+import contextlib
+import io
+from fractions import Fraction as Q
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gradedlie.cli import main
+from gradedlie.linalg import (
+    RationalMatrix,
+    _bareiss_echelon,
+    _integer_rows,
+    kernel_basis,
+    rank,
+    solve,
+)
+
+entries = st.one_of(
+    st.sampled_from([Q(0), Q(1), Q(-1)]),
+    st.fractions(min_value=-4, max_value=4, max_denominator=3),
+)
+
+
+def shaped(rows: int, cols: int):
+    return st.lists(entries, min_size=rows * cols, max_size=rows * cols).map(
+        lambda xs: RationalMatrix(rows, cols, xs)
+    )
+
+
+@st.composite
+def matrices(draw, max_side: int = 5):
+    """Up to max_side x max_side, often rank-deficient (a product through a thin middle)."""
+    rows = draw(st.integers(1, max_side))
+    cols = draw(st.integers(1, max_side))
+    if draw(st.booleans()):
+        return draw(shaped(rows, cols))
+    inner = draw(st.integers(1, max(1, min(rows, cols) - 1)))
+    return draw(shaped(rows, inner)).matmul(draw(shaped(inner, cols)))
+
+
+def vectors(n: int):
+    return st.lists(entries, min_size=n, max_size=n).map(tuple)
+
+
+def transpose(m: RationalMatrix) -> RationalMatrix:
+    return RationalMatrix.from_rows([m.column(j) for j in range(m.cols)])
+
+
+def naive_pivots(m: RationalMatrix):
+    """Pivot columns of Gauss-Jordan elimination in Fraction arithmetic."""
+    rows = [list(m.row(i)) for i in range(m.rows)]
+    pivots = []
+    for c in range(m.cols):
+        r = len(pivots)
+        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c] / rows[r][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return pivots
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_solve_residual_is_zero(data):
+    m = data.draw(matrices())
+    x0 = data.draw(vectors(m.cols))
+    b = m.apply(x0)
+    x = solve(m, b)
+    assert x is not None and m.apply(x) == b
+    # an arbitrary right-hand side: solved exactly, or shown inconsistent by rank
+    b = data.draw(vectors(m.rows))
+    x = solve(m, b)
+    augmented = RationalMatrix.from_rows([list(m.row(i)) + [b[i]] for i in range(m.rows)])
+    if x is None:
+        assert rank(augmented) == rank(m) + 1
+    else:
+        assert m.apply(x) == b
+
+
+@settings(max_examples=40)
+@given(matrices())
+def test_kernel_vectors_are_annihilated(m):
+    basis = kernel_basis(m)
+    assert len(basis) == m.cols - rank(m)
+    for v in basis:
+        assert all(x == 0 for x in m.apply(v))
+    if basis:
+        assert rank(RationalMatrix.from_rows(basis)) == len(basis)
+
+
+@settings(max_examples=40)
+@given(matrices())
+def test_rank_of_transpose(m):
+    assert rank(m) == rank(transpose(m))
+
+
+@settings(max_examples=40)
+@given(matrices())
+def test_bareiss_matches_naive_elimination(m):
+    _, pivots = _bareiss_echelon(_integer_rows(m))
+    assert pivots == naive_pivots(m)
+    assert rank(m) == len(pivots)
+
+
+# -- CLI fuzz: every argv gives exit code 0, 1 or 2 and never raises ----------
+
+TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "G2", "F4"]
+FIELDS = {
+    "grading": ["type", "labels"],
+    "kac": ["type", "labels"],
+    "quiver": ["dims"],
+    "toledo": ["dims", "degrees", "genus"],
+    "amw": ["genus", "lambda", "rank-plus", "depth", "kappa"],
+    "quaternionic": ["type", "seed"],
+    "cayley": ["type", "labels", "dims", "seed"],
+}
+SWITCHES = {"amw": ["--quaternionic", "--coarse", "--phi-minus-zero"]}
+
+
+def int_list(draw, size: int, values) -> str:
+    return ",".join(str(x) for x in draw(st.lists(values, min_size=size, max_size=size)))
+
+
+@st.composite
+def argvs(draw, command: str):
+    """The subcommand with most of its fields, sized near what the type expects."""
+    lie_type = draw(st.sampled_from(TYPES))
+    rank = int(lie_type[1:])
+    n_labels = draw(st.sampled_from([rank, rank + 1, rank, rank + 1, rank - 1]))
+    n_dims = draw(st.integers(0, 4))
+    small = st.sampled_from([1, 0, 2, 1, 0, 2, -1])
+    values = {
+        "type": lie_type,
+        "labels": int_list(draw, n_labels, small),
+        "dims": int_list(draw, n_dims, small),
+        "degrees": int_list(draw, draw(st.sampled_from([n_dims, n_dims + 1])), st.integers(-2, 2)),
+        "genus": draw(st.sampled_from([2, 3, 2, 1, -1])),
+        "lambda": draw(st.sampled_from(["0", "1/2", "-3", "0", "x", "1/0"])),
+        "rank-plus": draw(st.sampled_from(["0", "4", "1/2"])),
+        "depth": draw(st.integers(-1, 3)),
+        "kappa": draw(st.integers(-1, 3)),
+        "seed": draw(st.integers(-1, 3)),
+    }
+    argv = [command]
+    for name in FIELDS[command]:
+        if draw(st.integers(0, 4)):  # a field is left out one time in five
+            argv.append(f"--{name}={values[name]}")
+    for switch in SWITCHES.get(command, []):
+        if draw(st.booleans()):
+            argv.append(switch)
+    if draw(st.booleans()):
+        argv.append("--format=text")
+    return argv
+
+
+@pytest.mark.parametrize("command", sorted(FIELDS))
+@settings(max_examples=20)
+@given(data=st.data())
+def test_cli_exit_codes(command, data):
+    argv = data.draw(argvs(command))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        (line,) = err.getvalue().splitlines()
+        assert line.startswith("error: ")
