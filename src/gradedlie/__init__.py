@@ -6,7 +6,7 @@ from .rootsystem import LieType, RootSystem, build_root_system
 from .chevalley import ChevalleyAlgebra, build_algebra
 from .grading import KacLabels, ZGrading, ZmGrading, bar_pieces, kac_labels, kac_lift_check, z_grading_from_labels, zm_from_kac
 from .vinberg import Sl2Triple, VinbergPair, generic_element, jm_regular, jm_triple, orbit_dimension, pair_rank, regrade, toledo_rank, vinberg_pair
-from .quaternionic import QuaternionicData, build_quaternionic, kappa_of, quaternionic_ranks
+from .quaternionic import QuaternionicData, build_quaternionic, quaternionic_ranks
 from .quiver import QuiverDims, QuiverHiggsTopology, toledo_invariant
 from .cayley import CayleyData, bracket_projection_test, cayley_pair
 from .amw import BoundInput, amw_lower, amw_upper, coarse_bound, quaternionic_bounds, quaternionic_coarse

@@ -39,6 +39,8 @@ def amw_lower(inp: BoundInput) -> Q:
 
 def amw_upper(inp: BoundInput, m: int, phi_minus_zero: bool) -> Optional[Q]:
     """tau_U when the depth is 2 or the back component vanishes; else None."""
+    if m < 2:
+        raise ValueError("depth must be at least 2")
     if m != 2 and not phi_minus_zero:
         return None
     g2 = 2 * inp.genus - 2

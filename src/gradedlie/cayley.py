@@ -188,13 +188,3 @@ def _combine(alg: ChevalleyAlgebra, coeffs: Sequence[Q], basis: Sequence[Vector]
                 if x:
                     out[k] += c * x
     return tuple(out)
-
-
-def scalar_stabilizer_order(dims: Sequence[int]) -> int:
-    """Order of the scalar-block stabilizer of the canonical chain element.
-
-    Block-scalar determinant-1 matrices commuting with a chain of nonzero maps
-    must use one common scalar lambda, so the group is the n-th roots of unity.
-    """
-    n = sum(dims)
-    return n

@@ -19,13 +19,13 @@ from typing import Any, Dict, List, Optional
 from . import __version__
 from . import amw as amw_mod
 from .cayley import bracket_projection_test, cayley_pair, verify_iso_and_character
+from .checks import expected_ranks, kappa_table, paper_checks, q_list, q_str, witness_222, witness_json
 from .chevalley import build_algebra
-from .grading import bar_pieces, kac_labels, kac_lift_check, z_grading_from_labels, zm_from_kac
+from .grading import kac_labels, kac_lift_check, z_grading_from_labels, zm_from_kac
 from .quaternionic import build_quaternionic, quaternionic_ranks, verify_extreme_pieces
 from .quiver import (
     QuiverDims,
     QuiverHiggsTopology,
-    canonical_open_element,
     enumerate_orbits,
     labels_for_dims,
     maximal_rank_tuple,
@@ -34,7 +34,7 @@ from .quiver import (
     toledo_invariant,
 )
 from .rootsystem import LieType
-from .vinberg import jm_regular, pair_rank, vinberg_pair
+from .vinberg import jm_regular
 
 SCHEMA_VERSION = 1
 VERSION = __version__
@@ -42,15 +42,6 @@ VERSION = __version__
 
 class InputError(Exception):
     pass
-
-
-def q_str(x) -> str:
-    q = Q(x)
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
-def q_list(xs) -> List[str]:
-    return [q_str(x) for x in xs]
 
 
 def parse_rational(text: str) -> Q:
@@ -225,7 +216,7 @@ def cmd_amw(args) -> Dict[str, Any]:
     report = make_report("amw", inputs)
     try:
         if args.get("quaternionic"):
-            kappa = to_int(args.get("kappa") or 2, "kappa")
+            kappa = to_int(args.get("kappa", 2), "kappa")
             inputs["kappa"] = kappa
             if args.get("coarse"):
                 lo, hi = amw_mod.quaternionic_coarse(genus, kappa)
@@ -249,7 +240,7 @@ def cmd_amw(args) -> Dict[str, Any]:
                 zeta_pairing=parse_rational(str(args.get("zeta_pairing") or "0")),
             )
             lower = amw_mod.amw_lower(bi)
-            depth = to_int(args.get("depth") or 2, "depth")
+            depth = to_int(args.get("depth", 2), "depth")
             upper = amw_mod.amw_upper(bi, depth, bool(args.get("phi_minus_zero")))
             report["results"] = {
                 "lower_bound": q_str(-lower),
@@ -279,8 +270,7 @@ def cmd_quaternionic(args) -> Dict[str, Any]:
         "degree1_jm_regular": degree1_regular,
         "extreme_pieces_jm_regular": extremes.both_regular,
     }
-    expected = ("1", "1") if qd.kappa == 1 else ("4", "1")
-    add_check(report, f"ranks-{t}", "quaternionic rank table", list(expected), [q_str(rp), q_str(rm)])
+    add_check(report, f"ranks-{t}", "quaternionic rank table", expected_ranks(t), [q_str(rp), q_str(rm)])
     add_check(report, f"extremes-{t}", "extreme pieces JM-regular", True, extremes.both_regular)
     return report
 
@@ -320,13 +310,7 @@ def cmd_cayley(args) -> Dict[str, Any]:
         "theta_pair_candidate": theta.candidate,
     }
     if theta.witness is not None:
-        w = theta.witness
-        report["results"]["witness"] = {
-            "pair": [w.v_index, w.v_prime_index],
-            "c_part": q_list(w.c_part),
-            "v_part": q_list(w.v_part),
-            "rest_part": q_list(w.rest_part),
-        }
+        report["results"]["witness"] = witness_json(theta.witness)
     add_check(report, "cayley-iso", "transport map invertible", True, iso.iso_full)
     add_check(report, "cayley-chi", "character vanishes on centralizer", True, iso.chi_vanishes)
     return report
@@ -336,126 +320,13 @@ def cmd_verify_paper(args) -> Dict[str, Any]:
     seed = to_int(args.get("seed") or 0, "seed")
     extended = bool(args.get("extended"))
     report = make_report("verify-paper", {"seed": seed, "extended": extended})
-    checks = report["checks"]
-
-    types = ["A2", "A3", "B3", "C2", "C3", "D4", "G2", "F4", "E6"]
-    if extended:
-        types += ["E7", "E8"]
-    kappa_table = {}
-    for name in types:
-        t = LieType.parse(name)
-        qd = build_quaternionic(t)
-        kappa_table[name] = qd.kappa
-        rp, rm = quaternionic_ranks(qd, seed)
-        expected = (Q(1), Q(1)) if qd.kappa == 1 else (Q(4), Q(1))
-        add_check(
-            report,
-            f"quaternionic-ranks-{name}",
-            "rank table for the highest-root grading",
-            [q_str(x) for x in expected],
-            [q_str(rp), q_str(rm)],
-        )
-        extremes = verify_extreme_pieces(qd, seed)
-        add_check(
-            report,
-            f"extreme-pieces-regular-{name}",
-            "one-dimensional pieces are JM-regular",
-            True,
-            extremes.both_regular,
-        )
-    report["results"]["kappa_table"] = kappa_table
-
-    for name in ("C2", "C3"):
-        qd = build_quaternionic(LieType.parse(name))
-        add_check(
-            report,
-            f"sp-degree1-not-regular-{name}",
-            "symplectic degree-1 pair is not JM-regular",
-            False,
-            jm_regular(qd.pair(1), seed).regular,
-        )
-
-    add_check(
-        report,
-        "coarse-bounds-kappa2",
-        "coarse interval at genus 2, generic type",
-        ["-8", "4"],
-        [q_str(x) for x in amw_mod.quaternionic_coarse(2, 2)],
-    )
-    add_check(
-        report,
-        "coarse-bounds-kappa1",
-        "coarse interval at genus 2, symplectic type",
-        ["-2", "2"],
-        [q_str(x) for x in amw_mod.quaternionic_coarse(2, 1)],
-    )
-
-    import random
-
-    rng = random.Random(seed)
-    two_vertex_ok = True
-    for _ in range(50):
-        p, q_, a = rng.randint(1, 6), rng.randint(1, 6), rng.randint(-5, 5)
-        tau = toledo_invariant(QuiverHiggsTopology((p, q_), (a, -a), 2))
-        if tau != 2 * Q(p * (-a) - q_ * a, p + q_):
-            two_vertex_ok = False
-    add_check(report, "quiver-toledo-two-vertex", "two-block Toledo formula", True, two_vertex_ok)
-    add_check(
-        report,
-        "quiver-toledo-111",
-        "three-block Toledo value",
-        "-4",
-        q_str(toledo_invariant(QuiverHiggsTopology((1, 1, 1), (1, 0, -1), 2))),
-    )
-
-    a2 = build_algebra(LieType.parse("A2"))
-    cd1 = cayley_pair(z_grading_from_labels(a2, [1, 1]), seed)
-    t1 = bracket_projection_test(cd1)
-    add_check(
-        report,
-        "cayley-111",
-        "one-block-chain centralizer data",
-        [0, 1, True],
-        [cd1.dim_c, cd1.dim_v, t1.candidate],
-    )
-    a5 = build_algebra(LieType.parse("A5"))
-    cd2 = cayley_pair(z_grading_from_labels(a5, [0, 1, 0, 1, 0]), seed)
-    t2 = bracket_projection_test(cd2)
-    witness_ok = (
-        t2.witness is not None
-        and any(t2.witness.c_part)
-        and any(t2.witness.v_part)
-    )
-    add_check(
-        report,
-        "cayley-222",
-        "two-block-chain data with projection witness",
-        [3, 4, False, True],
-        [cd2.dim_c, cd2.dim_v, t2.candidate, witness_ok],
-    )
-    if t2.witness is not None:
-        report["results"]["witness_222"] = {
-            "pair": [t2.witness.v_index, t2.witness.v_prime_index],
-            "c_part": q_list(t2.witness.c_part),
-            "v_part": q_list(t2.witness.v_part),
-            "rest_part": q_list(t2.witness.rest_part),
-        }
-
-    # every order-3 labelling of the rank-2 chain algebra lifts
-    all_lift = True
-    for p0 in range(4):
-        for p1 in range(4):
-            for p2 in range(4):
-                if p0 + p1 + p2 == 3:
-                    v = kac_lift_check(a2, kac_labels(a2, [p0, p1, p2]))
-                    if not v.lifts:
-                        all_lift = False
-    add_check(report, "kac-a2-all-lift", "rank-2 chain: every labelling lifts", True, all_lift)
-    g2 = build_algebra(LieType.parse("G2"))
-    v = kac_lift_check(g2, kac_labels(g2, [0, 1, 0]))
-    add_check(report, "kac-g2-no-lift", "no lift without a movable positive label", False, v.lifts)
-
-    report["checks"] = sorted(checks, key=lambda c: c["id"])
+    for row in paper_checks(extended):
+        add_check(report, row.id, row.paper_ref, row.expected, row.actual(seed))
+    report["results"]["kappa_table"] = kappa_table(extended)
+    witness = witness_222(seed)
+    if witness is not None:
+        report["results"]["witness_222"] = witness
+    report["checks"].sort(key=lambda c: c["id"])
     return report
 
 
@@ -471,6 +342,37 @@ HANDLERS = {
 }
 
 
+SWITCH = {"action": "store_true", "default": None}
+# Options of the flags that are not plain strings stored under their own name.
+FLAG_OPTIONS = {
+    "--type": {"dest": "lie_type"},
+    "--rank": {"type": int},
+    "--genus": {"type": int},
+    "--lambda": {"dest": "lam"},
+    "--depth": {"type": int},
+    "--kappa": {"type": int},
+    "--phi-minus-zero": SWITCH,
+    "--quaternionic": SWITCH,
+    "--coarse": SWITCH,
+    "--extended": SWITCH,
+    "--format": {"dest": "output_format", "choices": ["json", "text"]},
+    "--output": {"dest": "output_path"},
+    "--seed": {"type": int},
+}
+# The flags of each subcommand, in help order; every one also takes --format, --output and --seed.
+COMMAND_FLAGS = {
+    "grading": "--type --rank --labels",
+    "kac": "--type --rank --labels",
+    "quiver": "--dims",
+    "toledo": "--dims --degrees --genus",
+    "amw": "--genus --lambda --rank-plus --rank-minus --zeta-pairing --depth "
+           "--phi-minus-zero --quaternionic --kappa --coarse",
+    "quaternionic": "--type --rank",
+    "cayley": "--type --rank --labels --dims",
+    "verify-paper": "--extended",
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gradedlie",
@@ -478,63 +380,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="JSON file supplying any field; flags override")
     sub = parser.add_subparsers(dest="command")
-
-    def common(p):
-        p.add_argument("--format", dest="output_format", choices=["json", "text"])
-        p.add_argument("--output", dest="output_path")
-        p.add_argument("--seed", type=int)
-
-    p = sub.add_parser("grading")
-    p.add_argument("--type", dest="lie_type")
-    p.add_argument("--rank", type=int)
-    p.add_argument("--labels")
-    common(p)
-
-    p = sub.add_parser("kac")
-    p.add_argument("--type", dest="lie_type")
-    p.add_argument("--rank", type=int)
-    p.add_argument("--labels")
-    common(p)
-
-    p = sub.add_parser("quiver")
-    p.add_argument("--dims")
-    common(p)
-
-    p = sub.add_parser("toledo")
-    p.add_argument("--dims")
-    p.add_argument("--degrees")
-    p.add_argument("--genus", type=int)
-    common(p)
-
-    p = sub.add_parser("amw")
-    p.add_argument("--genus", type=int)
-    p.add_argument("--lambda", dest="lam")
-    p.add_argument("--rank-plus", dest="rank_plus")
-    p.add_argument("--rank-minus", dest="rank_minus")
-    p.add_argument("--zeta-pairing", dest="zeta_pairing")
-    p.add_argument("--depth", type=int)
-    p.add_argument("--phi-minus-zero", dest="phi_minus_zero", action="store_true", default=None)
-    p.add_argument("--quaternionic", action="store_true", default=None)
-    p.add_argument("--kappa", type=int)
-    p.add_argument("--coarse", action="store_true", default=None)
-    common(p)
-
-    p = sub.add_parser("quaternionic")
-    p.add_argument("--type", dest="lie_type")
-    p.add_argument("--rank", type=int)
-    common(p)
-
-    p = sub.add_parser("cayley")
-    p.add_argument("--type", dest="lie_type")
-    p.add_argument("--rank", type=int)
-    p.add_argument("--labels")
-    p.add_argument("--dims")
-    common(p)
-
-    p = sub.add_parser("verify-paper")
-    p.add_argument("--extended", action="store_true", default=None)
-    common(p)
-
+    for command, flags in COMMAND_FLAGS.items():
+        p = sub.add_parser(command)
+        for flag in flags.split() + ["--format", "--output", "--seed"]:
+            p.add_argument(flag, **FLAG_OPTIONS.get(flag, {}))
     return parser
 
 
@@ -562,14 +411,20 @@ def main(argv: Optional[List[str]] = None) -> int:
     if ns.config:
         try:
             with open(ns.config) as fh:
-                args.update(json.load(fh))
-        except (OSError, json.JSONDecodeError) as exc:
+                args = json.load(fh)
+        except (OSError, ValueError) as exc:
             print(f"error: cannot read config: {exc}", file=sys.stderr)
+            return 2
+        if not isinstance(args, dict):
+            print("error: the config must be a JSON object", file=sys.stderr)
             return 2
     for k, v in vars(ns).items():
         if k not in ("config", "command") and v is not None:
             args[k] = v
+    path = args.get("output_path")
     try:
+        if path is not None and not isinstance(path, str):
+            raise InputError(f"output_path must be a string, got {path!r}")
         report = HANDLERS[ns.command](args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -579,10 +434,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         payload = render_text(report)
     else:
         payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    path = args.get("output_path")
     if path:
-        with open(path, "w") as fh:
-            fh.write(payload)
+        try:
+            with open(path, "w") as fh:
+                fh.write(payload)
+        except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(payload)
     return 1 if failed else 0

@@ -85,11 +85,6 @@ def kappa_rule(t: LieType) -> int:
     return 2
 
 
-def kappa_of(t: LieType) -> int:
-    """kappa computed from the root system, cross-checked against the rule."""
-    return build_quaternionic(t).kappa
-
-
 def quaternionic_ranks(qd: QuaternionicData, seed: int = 0) -> Tuple[Q, Q]:
     """(rank_T(G_0, g_1), rank_T(G_0, g_{-2})), via sl2-triples on open-orbit elements."""
     rank_plus = pair_rank(qd.pair(1), seed)

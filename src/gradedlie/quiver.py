@@ -269,6 +269,8 @@ class QuiverHiggsTopology:
             raise ValueError("ranks and degrees must have equal length")
         if any(r < 1 for r in self.ranks):
             raise ValueError("ranks must be positive")
+        if sum(self.ranks) < 2:
+            raise ValueError("total rank must be at least 2")
         if sum(self.degrees) != 0:
             raise ValueError("degrees must sum to zero")
         if self.genus < 2:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from itertools import chain
 from typing import List, Optional, Sequence
 
 from .chevalley import ChevalleyAlgebra
@@ -148,11 +149,9 @@ def generic_element(pair: VinbergPair, seed: int = 0) -> Vector:
     alg = pair.algebra
     indices = pair.grading.piece(1)
     target = len(indices)
-    candidates = [tuple(Q(1) for _ in indices)]
     rng = random.Random(seed)
-    for _ in range(200):
-        candidates.append(tuple(Q(rng.choice([-3, -2, -1, 1, 2, 3])) for _ in indices))
-    for coeffs in candidates:
+    samples = (tuple(Q(rng.choice([-3, -2, -1, 1, 2, 3])) for _ in indices) for _ in range(200))
+    for coeffs in chain([tuple(Q(1) for _ in indices)], samples):
         e = alg.from_sparse(dict(zip(indices, coeffs)))
         if orbit_dimension(pair, e) == target:
             return e

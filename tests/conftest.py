@@ -1,8 +1,10 @@
 from fractions import Fraction as Q
+from functools import lru_cache
 
 import pytest
 from hypothesis import settings
 
+from gradedlie.checks import paper_checks
 from gradedlie.chevalley import build_algebra
 from gradedlie.grading import z_grading_from_labels
 from gradedlie.quiver import QuiverDims, dims_for_labels, labels_for_dims
@@ -12,6 +14,19 @@ from gradedlie.rootsystem import LieType
 # database; CLI examples can take a second, so there is no per-example deadline.
 settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
 settings.load_profile("tier1")
+
+
+PAPER_CHECKS = {row.id: row for row in paper_checks(extended=True)}
+
+
+@lru_cache(maxsize=None)
+def paper_check_actual(check_id: str):
+    """A paper-check row's value at seed 0, computed once per session."""
+    return PAPER_CHECKS[check_id].actual(0)
+
+
+def assert_paper_check(check_id: str):
+    assert paper_check_actual(check_id) == PAPER_CHECKS[check_id].expected, check_id
 
 
 def chain_root(i: int, j: int, rank: int):

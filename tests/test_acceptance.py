@@ -1,11 +1,13 @@
 """End-to-end acceptance checks.
 
-Each test pins one of the headline numeric claims or structural guarantees:
-the rank table of the highest-root grading, JM-regularity of its extreme
-pieces, the symplectic exception, the coarse bound interval, the quiver
-Toledo formulas, the centralizer/transport data of the two chain examples,
-the lifting criterion, the cross-cutting exactness properties, and agreement
-between the quiver and Chevalley pipelines.
+The paper's numeric claims are the rows of ``gradedlie.checks.paper_checks``,
+the table ``verify-paper`` runs: ``test_paper_check[<id>]`` asserts each row
+at seed 0, and ``test_1``, ``test_3``, ``test_4`` and ``test_6`` name the rows
+of the rank table, the symplectic exception, the coarse bound interval and
+the two chain examples.  The other tests check more than a row states:
+certificates of the extreme pieces, the quiver Toledo formulas re-derived
+over a wider range, the lift modes, the cross-cutting exactness properties,
+and agreement between the quiver and Chevalley pipelines.
 """
 
 import random
@@ -13,19 +15,20 @@ from fractions import Fraction as Q
 
 import pytest
 
-from conftest import embed_quiver_element, quiver_grading
+from conftest import PAPER_CHECKS, assert_paper_check, embed_quiver_element, quiver_grading
 
-from gradedlie.amw import quaternionic_coarse
-from gradedlie.cayley import bracket_projection_test, cayley_pair, verify_iso_and_character
+from gradedlie.cayley import cayley_pair, verify_iso_and_character
+from gradedlie.checks import paper_checks
 from gradedlie.chevalley import build_algebra
 from gradedlie.grading import kac_labels, kac_lift_check, z_grading_from_labels
-from gradedlie.quaternionic import build_quaternionic, quaternionic_ranks, verify_extreme_pieces
+from gradedlie.quaternionic import build_quaternionic, verify_extreme_pieces
 from gradedlie.quiver import (
     QuiverDims,
     QuiverHiggsTopology,
     dims_for_labels,
     enumerate_orbits,
     maximal_rank_tuple,
+    orbit_toledo_rank,
     quiver_jm_regular,
     toledo_invariant,
 )
@@ -42,13 +45,38 @@ from gradedlie.vinberg import (
 
 QUATERNIONIC_TYPES = ["A2", "A3", "B3", "C2", "C3", "D4", "G2", "F4", "E6"]
 
+# The ids verify-paper reported before the table existed, default and --extended.
+PER_TYPE = ("quaternionic-ranks", "extreme-pieces-regular")
+DEFAULT_IDS = {f"{kind}-{t}" for kind in PER_TYPE for t in QUATERNIONIC_TYPES} | {
+    "sp-degree1-not-regular-C2",
+    "sp-degree1-not-regular-C3",
+    "coarse-bounds-kappa1",
+    "coarse-bounds-kappa2",
+    "quiver-toledo-two-vertex",
+    "quiver-toledo-111",
+    "cayley-111",
+    "cayley-222",
+    "kac-a2-all-lift",
+    "kac-g2-no-lift",
+}
+EXTENDED_IDS = DEFAULT_IDS | {f"{kind}-{t}" for kind in PER_TYPE for t in ("E7", "E8")}
+
+
+@pytest.mark.parametrize("check_id", list(PAPER_CHECKS))
+def test_paper_check(check_id):
+    assert_paper_check(check_id)
+
+
+def test_paper_check_ids():
+    default = [row.id for row in paper_checks(extended=False)]
+    assert len(default) == len(set(default)) == 28
+    assert set(default) == DEFAULT_IDS
+    assert len(EXTENDED_IDS) == 32 and set(PAPER_CHECKS) >= EXTENDED_IDS
+
 
 @pytest.mark.parametrize("name", QUATERNIONIC_TYPES)
 def test_1_quaternionic_rank_table(name):
-    t = LieType.parse(name)
-    qd = build_quaternionic(t)
-    expected = (Q(1), Q(1)) if t.family == "C" else (Q(4), Q(1))
-    assert quaternionic_ranks(qd) == expected
+    assert_paper_check(f"quaternionic-ranks-{name}")
 
 
 @pytest.mark.parametrize("name", QUATERNIONIC_TYPES)
@@ -64,13 +92,12 @@ def test_2_extreme_pieces_jm_regular_with_certificates(name):
 
 @pytest.mark.parametrize("name", ["C2", "C3"])
 def test_3_symplectic_degree_one_not_jm_regular(name):
-    qd = build_quaternionic(LieType.parse(name))
-    assert not jm_regular(qd.pair(1)).regular
+    assert_paper_check(f"sp-degree1-not-regular-{name}")
 
 
 def test_4_coarse_bounds_at_genus_two():
-    assert quaternionic_coarse(2, 2) == (-8, 4)
-    assert quaternionic_coarse(2, 1) == (-2, 2)
+    assert_paper_check("coarse-bounds-kappa2")
+    assert_paper_check("coarse-bounds-kappa1")
 
 
 def test_5_quiver_toledo_formulas():
@@ -88,16 +115,8 @@ def test_5_quiver_toledo_formulas():
 
 
 def test_6_cayley_examples():
-    cd1 = cayley_pair(quiver_grading(QuiverDims((1, 1, 1))))
-    assert (cd1.dim_c, cd1.dim_v) == (0, 1)
-    assert bracket_projection_test(cd1).candidate
-
-    cd2 = cayley_pair(quiver_grading(QuiverDims((2, 2, 2))))
-    assert (cd2.dim_c, cd2.dim_v) == (3, 4)
-    verdict = bracket_projection_test(cd2)
-    assert not verdict.candidate
-    w = verdict.witness
-    assert w is not None and any(w.c_part) and any(w.v_part)
+    assert_paper_check("cayley-111")
+    assert_paper_check("cayley-222")
 
 
 def test_7_kac_lifting():
@@ -170,7 +189,5 @@ def test_9_embedding_consistency():
             zg = z_grading_from_labels(alg, list(labels))
             pair = vinberg_pair(zg)
             assert quiver_jm_regular(dims) == jm_regular(pair).regular
-            from gradedlie.quiver import orbit_toledo_rank
-
             quiver_rank = orbit_toledo_rank(dims, maximal_rank_tuple(dims))
             assert quiver_rank == pair_rank(pair)

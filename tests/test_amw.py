@@ -19,6 +19,9 @@ def test_input_validation():
         BoundInput(genus=2, rank_plus=Q(-1))
     with pytest.raises(ValueError):
         BoundInput(genus=2, kappa=3)
+    for depth in (0, 1):
+        with pytest.raises(ValueError):
+            amw_upper(BoundInput(genus=2), depth, True)
 
 
 def test_lower_basic():

@@ -7,7 +7,6 @@ from conftest import quiver_grading
 from gradedlie.cayley import (
     bracket_projection_test,
     cayley_pair,
-    scalar_stabilizer_order,
     verify_intertwining,
     verify_iso_and_character,
 )
@@ -106,8 +105,3 @@ def test_centralizer_commutes_with_triple():
 def test_triple_uses_twice_zeta():
     cd = _cayley((1, 1, 1))
     assert cd.triple.h == tuple(2 * x for x in cd.pair.grading.zeta)
-
-
-def test_scalar_stabilizer_order():
-    assert scalar_stabilizer_order((1, 1, 1)) == 3
-    assert scalar_stabilizer_order((2, 2, 2)) == 6

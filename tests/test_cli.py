@@ -151,6 +151,9 @@ def test_text_format(capsys):
         ({"lie_type": 5}, ["grading", "--labels", "1"]),
         ({"labels": 5}, ["grading", "--type", "A1"]),
         ({"labels": [1, "a"]}, ["grading", "--type", "A2"]),
+        ({"output_path": 7}, ["toledo", "--dims", "1,1", "--degrees=-1,1", "--genus", "2"]),
+        ({"output_path": ["r.json"]}, ["grading", "--type", "A2", "--labels", "1,1"]),
+        ([1, 2], ["grading", "--type", "A2", "--labels", "1,1"]),
     ],
 )
 def test_bad_config_field_is_input_error(tmp_path, capsys, field, argv):
@@ -178,6 +181,11 @@ def test_config_integer_strings_accepted(tmp_path, capsys):
         ["cayley", "--dims", "1"],
         ["cayley", "--dims", "0,1"],
         ["quaternionic", "--type", "A1"],
+        ["amw", "--quaternionic", "--kappa", "0", "--genus", "2", "--coarse"],
+        ["amw", "--genus", "2", "--depth", "0"],
+        ["amw", "--genus", "2", "--depth", "1"],
+        ["toledo", "--dims=", "--degrees=", "--genus=2"],
+        ["toledo", "--dims=1", "--degrees=0", "--genus=2"],
     ],
 )
 def test_rejected_input_is_one_line(capsys, argv):
@@ -187,3 +195,13 @@ def test_rejected_input_is_one_line(capsys, argv):
     assert captured.out == ""
     (line,) = captured.err.splitlines()
     assert line.startswith("error: ")
+
+
+def test_unwritable_output_is_one_line(tmp_path, capsys):
+    missing = tmp_path / "no-such-dir" / "r.json"
+    code = main(["toledo", "--dims", "1,1", "--degrees=-1,1", "--genus", "2", "--output", str(missing)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: cannot write output")

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import json
 from fractions import Fraction as Q
 
 import pytest
@@ -110,7 +111,7 @@ def test_bareiss_matches_naive_elimination(m):
     assert rank(m) == len(pivots)
 
 
-# -- CLI fuzz: every argv gives exit code 0, 1 or 2 and never raises ----------
+# -- CLI fuzz: every argv or config gives exit code 0, 1 or 2 and never raises --
 
 TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "G2", "F4"]
 FIELDS = {
@@ -123,21 +124,22 @@ FIELDS = {
     "cayley": ["type", "labels", "dims", "seed"],
 }
 SWITCHES = {"amw": ["--quaternionic", "--coarse", "--phi-minus-zero"]}
+CONFIG_KEYS = {"type": "lie_type", "lambda": "lam"}  # config keys that differ from the flag
 
 
-def int_list(draw, size: int, values) -> str:
-    return ",".join(str(x) for x in draw(st.lists(values, min_size=size, max_size=size)))
+def int_list(draw, size: int, values) -> list:
+    return draw(st.lists(values, min_size=size, max_size=size))
 
 
 @st.composite
-def argvs(draw, command: str):
-    """The subcommand with most of its fields, sized near what the type expects."""
+def field_values(draw):
+    """One value per field, sized near what the type expects; integer lists stay lists."""
     lie_type = draw(st.sampled_from(TYPES))
     rank = int(lie_type[1:])
     n_labels = draw(st.sampled_from([rank, rank + 1, rank, rank + 1, rank - 1]))
     n_dims = draw(st.integers(0, 4))
     small = st.sampled_from([1, 0, 2, 1, 0, 2, -1])
-    values = {
+    return {
         "type": lie_type,
         "labels": int_list(draw, n_labels, small),
         "dims": int_list(draw, n_dims, small),
@@ -149,10 +151,20 @@ def argvs(draw, command: str):
         "kappa": draw(st.integers(-1, 3)),
         "seed": draw(st.integers(-1, 3)),
     }
+
+
+def flag_text(value) -> str:
+    return ",".join(map(str, value)) if isinstance(value, list) else str(value)
+
+
+@st.composite
+def argvs(draw, command: str):
+    """The subcommand with most of its fields."""
+    values = draw(field_values())
     argv = [command]
     for name in FIELDS[command]:
         if draw(st.integers(0, 4)):  # a field is left out one time in five
-            argv.append(f"--{name}={values[name]}")
+            argv.append(f"--{name}={flag_text(values[name])}")
     for switch in SWITCHES.get(command, []):
         if draw(st.booleans()):
             argv.append(switch)
@@ -161,11 +173,35 @@ def argvs(draw, command: str):
     return argv
 
 
-@pytest.mark.parametrize("command", sorted(FIELDS))
-@settings(max_examples=20)
-@given(data=st.data())
-def test_cli_exit_codes(command, data):
-    argv = data.draw(argvs(command))
+# the types a JSON config can hold in place of a string
+NON_STRINGS = st.one_of(
+    st.integers(-1, 3),
+    st.sampled_from([0.0, 1.5, -2.0]),
+    st.booleans(),
+    st.none(),
+    st.lists(st.sampled_from([1, 0, 2, -1]), max_size=4),
+)
+
+
+@st.composite
+def configs(draw, command: str, unwritable: str):
+    """A config of the subcommand's fields and switches, each the drawn value, its
+    flag text, or an int, float, bool, null or list; and sometimes an output path,
+    whose only string names a file in a missing directory."""
+    values = draw(field_values())
+    switches = [switch[2:] for switch in SWITCHES.get(command, [])]
+    config = {}
+    for name in FIELDS[command] + switches:
+        value = values.get(name, True)
+        if draw(st.integers(0, 4)):
+            key = CONFIG_KEYS.get(name, name.replace("-", "_"))
+            config[key] = draw(st.one_of(st.just(value), st.just(flag_text(value)), NON_STRINGS))
+    if draw(st.booleans()):
+        config["output_path"] = draw(st.one_of(st.just(unwritable), NON_STRINGS))
+    return config
+
+
+def assert_exit_contract(argv):
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -173,3 +209,21 @@ def test_cli_exit_codes(command, data):
     if code == 2:
         (line,) = err.getvalue().splitlines()
         assert line.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", sorted(FIELDS))
+@settings(max_examples=20)
+@given(data=st.data())
+def test_cli_exit_codes(command, data):
+    assert_exit_contract(data.draw(argvs(command)))
+
+
+@pytest.mark.parametrize("command", sorted(FIELDS))
+@settings(max_examples=20)
+@given(data=st.data())
+def test_cli_config_exit_codes(command, data, tmp_path_factory):
+    folder = tmp_path_factory.getbasetemp()
+    config = data.draw(configs(command, str(folder / "no-such-dir" / "r.json")))
+    path = folder / f"fuzz-{command}.json"
+    path.write_text(json.dumps(config))
+    assert_exit_contract(["--config", str(path), command])

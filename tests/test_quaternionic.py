@@ -1,10 +1,10 @@
-from fractions import Fraction as Q
-
 import pytest
 
+from conftest import assert_paper_check
+
+from gradedlie.checks import expected_ranks, q_list
 from gradedlie.quaternionic import (
     build_quaternionic,
-    kappa_of,
     kappa_rule,
     quaternionic_labels,
     quaternionic_ranks,
@@ -57,14 +57,13 @@ def test_t_beta_norm(name):
 )
 def test_kappa(name, expected):
     t = LieType.parse(name)
-    assert kappa_of(t) == expected == kappa_rule(t)
+    assert build_quaternionic(t).kappa == expected == kappa_rule(t)
 
 
 @pytest.mark.parametrize("name", TYPE_LIST)
 def test_ranks(name):
-    qd = build_quaternionic(LieType.parse(name))
-    expected = (Q(1), Q(1)) if qd.kappa == 1 else (Q(4), Q(1))
-    assert quaternionic_ranks(qd) == expected
+    t = LieType.parse(name)
+    assert q_list(quaternionic_ranks(build_quaternionic(t))) == expected_ranks(t)
 
 
 @pytest.mark.parametrize("name", TYPE_LIST)
@@ -114,6 +113,5 @@ def test_family_a_matches_quiver(n):
 
 @pytest.mark.parametrize("name", ["E7", "E8"])
 def test_extended_types(name):
-    qd = build_quaternionic(LieType.parse(name))
-    assert quaternionic_ranks(qd) == (Q(4), Q(1))
-    assert verify_extreme_pieces(qd).both_regular
+    assert_paper_check(f"quaternionic-ranks-{name}")
+    assert_paper_check(f"extreme-pieces-regular-{name}")
