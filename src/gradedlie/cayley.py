@@ -23,7 +23,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .chevalley import ChevalleyAlgebra
 from .grading import ZGrading
-from .linalg import RationalMatrix, Vector, independent_subset, rank, solve, vec
+from .linalg import RationalMatrix, RowMatrix, Vector, independent_subset, rank, solve, vec
 from .vinberg import Sl2Triple, VinbergPair, jm_regular, normalized_form, vinberg_pair
 
 
@@ -58,25 +58,37 @@ def cayley_pair(zg: ZGrading, seed: int = 0) -> CayleyData:
     triple = Sl2Triple(h=h, e=cert.e, f=cert.f, s=alg.zero())
     triple.verify(alg)
     m = zg.depth
-    g0 = [alg.from_sparse({i: Q(1)}) for i in zg.piece(0)]
-    c_basis = alg.centralizer([triple.h, triple.e, triple.f], g0)
-    low = [alg.from_sparse({i: Q(1)}) for i in zg.piece(1 - m)]
-    v_basis = []
-    for x in low:
-        v = x
-        for _ in range(m - 1):
-            v = alg.bracket(triple.e, v)
-        v_basis.append(v)
-    if rank(RationalMatrix.from_rows([list(v) for v in v_basis])) != len(low):
+    c_basis = alg.centralizer([triple.h, triple.e, triple.f], zg.piece(0))
+    low = zg.piece(1 - m)
+    support, transport = _ad_power(alg, triple.e, low, m - 1)
+    if rank(transport) != len(low):
         raise AssertionError("transport map is not injective on the lowest piece")
+    v_basis = [
+        alg.from_sparse({k: Q(row[j]) for k, row in zip(support, transport) if row[j]})
+        for j in range(len(low))
+    ]
     # module-dimension bound: ad(e)^{2m-1} kills the lowest piece
-    for x in low:
-        v = x
-        for _ in range(2 * m - 1):
-            v = alg.bracket(triple.e, v)
-        if any(v):
-            raise AssertionError("sl2-module longer than 2m-1 detected")
+    if _ad_power(alg, triple.e, low, 2 * m - 1)[0]:
+        raise AssertionError("sl2-module longer than 2m-1 detected")
     return CayleyData(pair=pair, triple=triple, c_basis=c_basis, v_basis=v_basis, depth=m)
+
+
+def _ad_power(
+    alg: ChevalleyAlgebra, e: Sequence, domain: Sequence[int], n: int
+) -> Tuple[List[int], RowMatrix]:
+    """ad(e)^n on span(domain), over all of g: (support, rows).
+
+    Row r is the coordinate of b_{support[r]}; basis vectors outside the
+    support have zero coordinates in every image, and the support is empty
+    when ad(e)^n kills the domain.
+    """
+    support = list(domain)
+    power = RowMatrix([int(i == j) for j in range(len(domain))] for i in range(len(domain)))
+    for _ in range(n):
+        power = alg.ad_block(e, support, range(alg.dim)).matmul(power)
+        support = [k for k, row in enumerate(power) if any(row)]
+        power = RowMatrix((power[k] for k in support), len(domain))
+    return support, power
 
 
 @dataclass

@@ -13,6 +13,12 @@ The bracket table stores [b_i, b_j] for both orientations of every pair with
 a nonzero bracket, as (target, coefficient) pairs of Python ints; each
 constant is checked to be an integer as it goes in (Chevalley's theorem).
 
+Linear systems in ad_x restricted to graded pieces read the table directly
+through ``ChevalleyAlgebra.ad_block``, which walks x's support only and keeps
+Python ints when x is integral, in the manner of the sparse structure-constant
+computations of de Graaf, *Lie Algebras: Theory and Algorithms* (2000).  The
+dense ``bracket`` is element arithmetic and the oracle for ``ad_block``.
+
 The build verifies |N| = p+1 on every special pair and certifies the Jacobi
 identity on the whole table, at every dimension, before returning: ad_g is a
 derivation for each generator g in {e_1, ..., e_r, f_theta}, and iterated
@@ -26,12 +32,18 @@ from fractions import Fraction as Q
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .linalg import RationalMatrix, Vector, kernel_basis, vec
+from .linalg import RationalMatrix, RowMatrix, Vector, kernel_basis, vec
 from .rootsystem import LieType, Root, RootSystem, build_root_system
 
 Sparse = Dict[int, Q]
 # [b_i, b_j] as (k, c) pairs: sum of c * b_k, integer c, nonzero terms only
 Terms = Tuple[Tuple[int, int], ...]
+
+
+def _exact(x):
+    """A scalar as a Python int when it is integral, else as a Fraction."""
+    q = x if isinstance(x, (int, Q)) else Q(x)
+    return q.numerator if q.denominator == 1 else q
 
 
 def _is_positive(alpha: Root) -> bool:
@@ -228,6 +240,27 @@ class ChevalleyAlgebra:
                     out[k] = out.get(k, Q(0)) + ai * bj * c
         return self.from_sparse(out)
 
+    def ad_block(self, x: Sequence, domain: Sequence[int], codomain: Sequence[int]) -> RowMatrix:
+        """Matrix of b -> [x, b] from span(domain) to the codomain coordinates.
+
+        Row r, column c is the coefficient of b_{codomain[r]} in [x, b_{domain[c]}],
+        read from the table rows of x's nonzero support.  Entries are Python ints
+        when x is integral, and Fractions otherwise.
+        """
+        if len(x) != self.dim:
+            raise ValueError("element dimension mismatch")
+        support = [(self._rows[i], _exact(xi)) for i, xi in enumerate(x) if xi]
+        zero = 0 if all(type(xi) is int for _, xi in support) else Q(0)
+        row_of = {k: r for r, k in enumerate(codomain)}
+        out = RowMatrix(([zero] * len(domain) for _ in codomain), len(domain))
+        for col, d in enumerate(domain):
+            for row, xi in support:
+                for k, c in row.get(d, ()):
+                    r = row_of.get(k)
+                    if r is not None:
+                        out[r][col] += xi * c
+        return out
+
     # -- Killing form -----------------------------------------------------
     # tr(ad a ad b) over the basis, O(dim^3).  Production code uses the
     # closed form vinberg.normalized_form; this is its independent test oracle.
@@ -258,28 +291,20 @@ class ChevalleyAlgebra:
 
     # -- centralizers -----------------------------------------------------
 
-    def centralizer(self, elements: Sequence[Sequence], subspace: Sequence[Sequence]) -> List[Vector]:
-        """Basis of {u in span(subspace) : [u, s] = 0 for every s}."""
-        if not subspace:
-            return []
-        rows: List[List[Q]] = []
-        for s in elements:
-            images = [self.bracket(u, s) for u in subspace]
-            for coord in range(self.dim):
-                rows.append([im[coord] for im in images])
-        if not rows:
-            return [vec(u) for u in subspace]
-        coeff_kernel = kernel_basis(RationalMatrix.from_rows(rows))
-        out = []
-        for coeffs in coeff_kernel:
-            v: Sparse = {}
-            for c, u in zip(coeffs, subspace):
-                if c:
-                    for i, ui in enumerate(u):
-                        if ui:
-                            v[i] = v.get(i, Q(0)) + c * Q(ui)
-            out.append(self.from_sparse(v))
-        return out
+    def centralizer(self, elements: Sequence[Sequence], domain: Sequence[int]) -> List[Vector]:
+        """Basis of {u in span(b_i : i in domain) : [u, s] = 0 for every s}.
+
+        The kernel of the stacked blocks of ad_s on span(domain); [u, s] = -[s, u],
+        and neither signs nor zero rows change a kernel.
+        """
+        rows = RowMatrix(
+            (row for s in elements for row in self.ad_block(s, domain, range(self.dim)) if any(row)),
+            len(domain),
+        )
+        return [
+            self.from_sparse({i: c for i, c in zip(domain, coeffs) if c})
+            for coeffs in kernel_basis(rows)
+        ]
 
     # -- build-time verification ------------------------------------------
 

@@ -73,6 +73,15 @@ def to_int(raw, name: str) -> int:
     raise InputError(f"{name} must be an integer, got {raw!r}")
 
 
+def to_rational(raw, name: str) -> Q:
+    """A rational field: an integer, or a "p/q" or integer string."""
+    if isinstance(raw, int) and not isinstance(raw, bool):
+        return Q(raw)
+    if isinstance(raw, str):
+        return parse_rational(raw)
+    raise InputError(f"{name} must be a rational, got {raw!r}")
+
+
 def to_ints(raw, name: str) -> List[int]:
     """An integer-list field: a comma-separated string or a list of integers."""
     if isinstance(raw, str):
@@ -211,7 +220,7 @@ def cmd_amw(args) -> Dict[str, Any]:
     if args.get("genus") is None:
         raise InputError("--genus is required")
     genus = to_int(args["genus"], "genus")
-    lam = parse_rational(str(args.get("lam") or "0"))
+    lam = to_rational(args.get("lam", 0), "lambda")
     inputs = {"genus": genus, "lambda": q_str(lam)}
     report = make_report("amw", inputs)
     try:
@@ -225,8 +234,8 @@ def cmd_amw(args) -> Dict[str, Any]:
                 bi = amw_mod.BoundInput(
                     genus=genus,
                     lam=lam,
-                    rank_plus=parse_rational(str(args.get("rank_plus") or "0")),
-                    rank_minus=parse_rational(str(args.get("rank_minus") or "0")),
+                    rank_plus=to_rational(args.get("rank_plus", 0), "rank_plus"),
+                    rank_minus=to_rational(args.get("rank_minus", 0), "rank_minus"),
                     kappa=kappa,
                 )
                 lo, hi = amw_mod.quaternionic_bounds(bi)
@@ -235,9 +244,9 @@ def cmd_amw(args) -> Dict[str, Any]:
             bi = amw_mod.BoundInput(
                 genus=genus,
                 lam=lam,
-                rank_plus=parse_rational(str(args.get("rank_plus") or "0")),
-                rank_minus=parse_rational(str(args.get("rank_minus") or "0")),
-                zeta_pairing=parse_rational(str(args.get("zeta_pairing") or "0")),
+                rank_plus=to_rational(args.get("rank_plus", 0), "rank_plus"),
+                rank_minus=to_rational(args.get("rank_minus", 0), "rank_minus"),
+                zeta_pairing=to_rational(args.get("zeta_pairing", 0), "zeta_pairing"),
             )
             lower = amw_mod.amw_lower(bi)
             depth = to_int(args.get("depth", 2), "depth")
@@ -253,7 +262,7 @@ def cmd_amw(args) -> Dict[str, Any]:
 
 def cmd_quaternionic(args) -> Dict[str, Any]:
     t = parse_type(args)
-    seed = to_int(args.get("seed") or 0, "seed")
+    seed = to_int(args.get("seed", 0), "seed")
     try:
         qd = build_quaternionic(t)
     except ValueError as exc:
@@ -276,7 +285,7 @@ def cmd_quaternionic(args) -> Dict[str, Any]:
 
 
 def cmd_cayley(args) -> Dict[str, Any]:
-    seed = to_int(args.get("seed") or 0, "seed")
+    seed = to_int(args.get("seed", 0), "seed")
     raw_dims = args.get("dims")
     if raw_dims is not None:
         dims_list = to_ints(raw_dims, "dims")
@@ -317,7 +326,7 @@ def cmd_cayley(args) -> Dict[str, Any]:
 
 
 def cmd_verify_paper(args) -> Dict[str, Any]:
-    seed = to_int(args.get("seed") or 0, "seed")
+    seed = to_int(args.get("seed", 0), "seed")
     extended = bool(args.get("extended"))
     report = make_report("verify-paper", {"seed": seed, "extended": extended})
     for row in paper_checks(extended):

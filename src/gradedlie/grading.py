@@ -42,9 +42,6 @@ class ZGrading:
     def dims(self) -> Dict[int, int]:
         return {j: len(idx) for j, idx in sorted(self.pieces.items())}
 
-    def piece_vectors(self, j: int) -> List[Vector]:
-        return [self.algebra.from_sparse({i: Q(1)}) for i in self.piece(j)]
-
     def project(self, v: Sequence, j: int) -> Vector:
         keep = set(self.piece(j))
         return tuple(Q(x) if i in keep else Q(0) for i, x in enumerate(v))

@@ -1,9 +1,12 @@
 """Exact rational linear algebra.
 
-All matrix entries are ``fractions.Fraction``.  Elimination is fraction-free
+``RationalMatrix`` entries are ``fractions.Fraction``.  ``rank``,
+``kernel_basis`` and ``solve`` also take a ``RowMatrix``, a list of rows such
+as the integer blocks of ``ChevalleyAlgebra.ad_block``.  Elimination is fraction-free
 (Bareiss): rows are cleared to integers first, so intermediate entries stay
-integral and coefficient growth stays polynomial.  This matters for the
-adjoint matrices of the larger exceptional algebras, where naive rational
+integral and coefficient growth stays polynomial; a row that is already all
+Python ints is used as it is, with no denominator clearing.  This matters for
+the adjoint matrices of the larger exceptional algebras, where naive rational
 pivoting blows up.
 """
 
@@ -11,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction as Q
 from math import gcd
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 Vector = Tuple[Q, ...]
 
@@ -95,16 +98,47 @@ class RationalMatrix:
         )
 
 
-def _integer_rows(m: RationalMatrix) -> List[List[int]]:
-    """Scale each row by the lcm of denominators; row scaling preserves the row space."""
-    out = []
-    for i in range(m.rows):
-        row = m.row(i)
-        scale = 1
-        for x in row:
-            scale = scale * x.denominator // gcd(scale, x.denominator)
-        out.append([int(x * scale) for x in row])
-    return out
+class RowMatrix(list):
+    """A matrix as a list of mutable rows whose entries are Python ints or Fractions.
+
+    ``rows``, ``cols`` and ``row`` read it as they read a RationalMatrix.
+    Elimination uses a row of Python ints as it is, with no denominator
+    clearing; this is the form of ``ChevalleyAlgebra.ad_block``.
+    """
+
+    def __init__(self, rows: Iterable[Sequence] = (), cols: Optional[int] = None):
+        super().__init__(rows)
+        self.cols = cols if cols is not None else (len(self[0]) if self else 0)
+
+    @property
+    def rows(self) -> int:
+        return len(self)
+
+    def row(self, i: int) -> Sequence:
+        return self[i]
+
+    def matmul(self, other: "RowMatrix") -> "RowMatrix":
+        """Product, skipping zero entries; int entries stay ints."""
+        if self.cols != other.rows:
+            raise ValueError("dimension mismatch")
+        out = RowMatrix(cols=other.cols)
+        for row in self:
+            acc = [0] * other.cols
+            for x, other_row in zip(row, other):
+                if x:
+                    for j, y in enumerate(other_row):
+                        if y:
+                            acc[j] += x * y
+            out.append(acc)
+        return out
+
+
+Matrix = Union[RationalMatrix, RowMatrix]
+
+
+def _integer_rows(m: Matrix) -> List[List[int]]:
+    """Integer rows with the row space of m (see ``_clear_row``)."""
+    return [_clear_row(m.row(i)) for i in range(m.rows)]
 
 
 def _bareiss_echelon(rows: List[List[int]]) -> Tuple[List[List[int]], List[int]]:
@@ -129,13 +163,14 @@ def _bareiss_echelon(rows: List[List[int]]) -> Tuple[List[List[int]], List[int]]
             continue
         if piv != r:
             rows[r], rows[piv] = rows[piv], rows[r]
-        pivot = rows[r][c]
+        pivot_row = rows[r]
+        pivot = pivot_row[c]
         for i in range(r + 1, n_rows):
-            if all(x == 0 for x in rows[i]):
+            row = rows[i]
+            if not any(row):
                 continue
-            factor = rows[i][c]
-            for j in range(n_cols):
-                rows[i][j] = (rows[i][j] * pivot - factor * rows[r][j]) // prev
+            factor = row[c]
+            rows[i] = [(x * pivot - factor * y) // prev for x, y in zip(row, pivot_row)]
         prev = pivot
         pivots.append(c)
         r += 1
@@ -144,7 +179,7 @@ def _bareiss_echelon(rows: List[List[int]]) -> Tuple[List[List[int]], List[int]]
     return rows[:r], pivots
 
 
-def rank(m: RationalMatrix) -> int:
+def rank(m: Matrix) -> int:
     """Rank over the rationals."""
     _, pivots = _bareiss_echelon(_integer_rows(m))
     return len(pivots)
@@ -168,10 +203,9 @@ def _back_substitute(
     return [v if v is not None else Q(0) for v in x]
 
 
-def kernel_basis(m: RationalMatrix) -> List[Vector]:
+def kernel_basis(m: Matrix) -> List[Vector]:
     """Basis of the right null space, one vector per free column."""
-    rows = _integer_rows(m)
-    echelon, pivots = _bareiss_echelon(rows)
+    echelon, pivots = _bareiss_echelon(_integer_rows(m))
     free_cols = [c for c in range(m.cols) if c not in pivots]
     basis = []
     for f in free_cols:
@@ -181,15 +215,13 @@ def kernel_basis(m: RationalMatrix) -> List[Vector]:
     return basis
 
 
-def solve(m: RationalMatrix, b: Sequence) -> Optional[Vector]:
+def solve(m: Matrix, b: Sequence) -> Optional[Vector]:
     """Some exact solution of Mx = b, or None when the system is inconsistent."""
     if len(b) != m.rows:
         raise ValueError("right-hand side length does not match row count")
-    aug = RationalMatrix.from_rows(
-        [list(m.row(i)) + [Q(b[i])] for i in range(m.rows)]
+    echelon, pivots = _bareiss_echelon(
+        [_clear_row(list(m.row(i)) + [b[i]]) for i in range(m.rows)]
     )
-    rows = _integer_rows(aug)
-    echelon, pivots = _bareiss_echelon(rows)
     if m.cols in pivots:
         return None  # pivot in the augmented column: inconsistent
     free_values = {c: Q(0) for c in range(m.cols) if c not in pivots}
@@ -214,9 +246,15 @@ def independent_subset(vectors: Sequence[Sequence[Q]]) -> List[int]:
     return chosen
 
 
-def _clear_row(v: Sequence[Q]) -> List[int]:
+def _clear_row(v: Sequence) -> List[int]:
+    """The row scaled by the lcm of its denominators; scaling keeps the row space.
+
+    A row of Python ints is copied as it is.
+    """
+    if all(type(x) is int for x in v):
+        return list(v)
+    qs = [x if isinstance(x, (int, Q)) else Q(x) for x in v]
     scale = 1
-    for x in v:
-        q = Q(x)
-        scale = scale * q.denominator // gcd(scale, q.denominator)
-    return [int(Q(x) * scale) for x in v]
+    for x in qs:
+        scale = scale * x.denominator // gcd(scale, x.denominator)
+    return [x.numerator * (scale // x.denominator) for x in qs]

@@ -3,9 +3,12 @@
 Roots are stored as integer coordinate vectors in the simple-root basis,
 ordered by Bourbaki numbering of the simple roots.  The invariant form on the
 root lattice is normalised so that the highest root has squared length 2.
-Root norms (at most two distinct values), coroot coefficients and the Gram
-matrix of the simple coroots are computed once per root system; ``norm`` and
-``coroot_coefficients`` are table lookups on roots.
+Root norms (at most two distinct values) come from the reflection closure:
+each root has the norm of the simple root whose Weyl orbit it was reached in,
+so no root needs a form evaluation (``_form_value`` stays as the oracle).
+Norms, coroot coefficients and the Gram matrix of the simple coroots are
+computed once per root system; ``norm`` and ``coroot_coefficients`` are table
+lookups on roots.
 """
 
 from __future__ import annotations
@@ -147,23 +150,28 @@ def _form_value(form: Sequence[Sequence[Q]], alpha: Root, beta: Root) -> Q:
     )
 
 
-def _reflection_closure(cartan: List[List[int]], r: int) -> List[Root]:
+def _reflection_closure(cartan: List[List[int]], r: int) -> Tuple[List[Root], Dict[Root, int]]:
+    """All roots, sorted, and for each root the simple root its reflection chain starts from.
+
+    Each root is reached from one simple root alpha_j by simple reflections, so
+    it lies in the Weyl orbit of alpha_j and has the norm of alpha_j.
+    """
     simple = [tuple(int(i == j) for i in range(r)) for j in range(r)]
-    roots = set(simple)
+    origin = {alpha: j for j, alpha in enumerate(simple)}
     frontier = list(simple)
     while frontier:
         new = []
         for alpha in frontier:
             for j in range(r):
                 p = sum(alpha[i] * cartan[i][j] for i in range(r))
-                refl = tuple(
-                    alpha[i] - p * int(i == j) for i in range(r)
-                )
-                if refl not in roots:
-                    roots.add(refl)
+                if p == 0:
+                    continue
+                refl = alpha[:j] + (alpha[j] - p,) + alpha[j + 1 :]
+                if refl not in origin:
+                    origin[refl] = origin[alpha]
                     new.append(refl)
         frontier = new
-    return sorted(roots)
+    return sorted(origin), origin
 
 
 def _symmetrizer(cartan: List[List[int]], r: int) -> List[Q]:
@@ -188,7 +196,7 @@ def build_root_system(t: LieType) -> RootSystem:
     """Generate the full root system by reflection closure from the simple roots."""
     r = t.rank
     cartan = cartan_matrix(t)
-    roots = _reflection_closure(cartan, r)
+    roots, origin = _reflection_closure(cartan, r)
     positive = sorted(
         (a for a in roots if sum(a) > 0), key=lambda a: (sum(a), a)
     )
@@ -216,8 +224,9 @@ def build_root_system(t: LieType) -> RootSystem:
     scale = Q(2) / _form_value(form, highest, highest)
     form = [[x * scale for x in row] for row in form]
 
-    # Root data, computed once: norms take at most two values (long, short).
-    norms = {a: _form_value(form, a, a) for a in roots}
+    # Root data, computed once.  A root has the norm of the simple root its
+    # reflection chain starts from (Weyl invariance); at most two values occur.
+    norms = {a: form[j][j] for a, j in origin.items()}
     if len(set(norms.values())) > 2:
         raise AssertionError("more than two root lengths")
     coroots = {

@@ -18,11 +18,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from itertools import chain
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from .chevalley import ChevalleyAlgebra
 from .grading import ZGrading
-from .linalg import RationalMatrix, Vector, rank, solve, vec
+from .linalg import RationalMatrix, RowMatrix, Vector, rank, solve, vec
 
 
 def regrade(zg: ZGrading, j: int) -> ZGrading:
@@ -113,25 +113,11 @@ def vinberg_pair(zg: ZGrading) -> VinbergPair:
     return VinbergPair(grading=zg, gamma=gamma, gamma_norm=alg.rs.norm(gamma))
 
 
-def _restriction_matrix(
-    alg: ChevalleyAlgebra, e: Sequence, domain: Sequence[int], codomain: Sequence[int]
-) -> RationalMatrix:
-    """Matrix of x -> [x, e] from the span of `domain` basis indices."""
-    cols = []
-    for i in domain:
-        image = alg.bracket(alg.from_sparse({i: Q(1)}), e)
-        cols.append([image[k] for k in codomain])
-    return RationalMatrix.from_rows(
-        [[cols[j][i] for j in range(len(domain))] for i in range(len(codomain))]
-    )
-
-
 def orbit_dimension(pair: VinbergPair, e: Sequence) -> int:
-    """Dimension of the G_0-orbit of e: rank of x -> [x, e] on g_0."""
+    """Dimension of the G_0-orbit of e: rank of x -> [x, e] = -[e, x] on g_0."""
     _require_in_piece(pair, e)
     zg = pair.grading
-    m = _restriction_matrix(pair.algebra, e, zg.piece(0), zg.piece(1))
-    return rank(m)
+    return rank(pair.algebra.ad_block(e, zg.piece(0), zg.piece(1)))
 
 
 def _require_in_piece(pair: VinbergPair, e: Sequence):
@@ -184,34 +170,20 @@ def jm_triple(pair: VinbergPair, e: Sequence) -> Sl2Triple:
     _require_in_piece(pair, e)
     neg = zg.piece(-1)
     pos = zg.piece(1)
+    g0 = zg.piece(0)
     # Stage 1: f0 in g_{-1} with [[e, f0], e] = 2e, so h := [e, f0] has [h,e] = 2e.
-    cols = []
-    for i in neg:
-        h_cand = alg.bracket(e, alg.from_sparse({i: Q(1)}))
-        image = alg.bracket(h_cand, e)
-        cols.append([image[k] for k in pos])
-    m1 = RationalMatrix.from_rows(
-        [[cols[j][i] for j in range(len(neg))] for i in range(len(pos))]
-    )
-    c0 = solve(m1, [Q(2) * e[k] for k in pos])
+    # [[e, b], e] = -ad_e(ad_e(b)) through g_0, so solve ad_e ad_e f0 = -2e.
+    ad_neg = alg.ad_block(e, neg, g0)
+    c0 = solve(alg.ad_block(e, g0, pos).matmul(ad_neg), [-2 * e[k] for k in pos])
     if c0 is None:
         raise RuntimeError("sl2 completion system is inconsistent")
     f0 = alg.from_sparse({i: c for i, c in zip(neg, c0) if c})
     h = alg.bracket(e, f0)
     # Stage 2: f in g_{-1} with [e, f] = h and [h, f] = -2f simultaneously.
-    rows: List[List[Q]] = []
-    rhs: List[Q] = []
-    images_ef = [alg.bracket(e, alg.from_sparse({i: Q(1)})) for i in neg]
-    images_hf = [alg.bracket(h, alg.from_sparse({i: Q(1)})) for i in neg]
-    for k in zg.piece(0):
-        rows.append([im[k] for im in images_ef])
-        rhs.append(h[k])
-    for k in neg:
-        rows.append(
-            [images_hf[j][k] + (Q(2) if neg[j] == k else Q(0)) for j in range(len(neg))]
-        )
-        rhs.append(Q(0))
-    c = solve(RationalMatrix.from_rows(rows), rhs)
+    ad_h = alg.ad_block(h, neg, neg)
+    for j, row in enumerate(ad_h):
+        row[j] += 2
+    c = solve(RowMatrix(ad_neg + ad_h, len(neg)), [h[k] for k in g0] + [Q(0)] * len(neg))
     if c is None:
         raise RuntimeError("sl2 completion system is inconsistent")
     f = alg.from_sparse({i: x for i, x in zip(neg, c) if x})
@@ -246,13 +218,8 @@ def jm_regular(pair: VinbergPair, seed: int = 0) -> RegularityCertificate:
     e = generic_element(pair, seed)
     neg = zg.piece(-1)
     target = tuple(2 * x for x in zg.zeta)
-    rows = []
-    rhs = []
-    images = [alg.bracket(e, alg.from_sparse({i: Q(1)})) for i in neg]
-    for k in zg.piece(0):
-        rows.append([im[k] for im in images])
-        rhs.append(target[k])
-    c = solve(RationalMatrix.from_rows(rows), rhs) if neg else None
+    g0 = zg.piece(0)
+    c = solve(alg.ad_block(e, neg, g0), [target[k] for k in g0]) if neg else None
     if c is None:
         return RegularityCertificate(False, e, None)
     f = alg.from_sparse({i: x for i, x in zip(neg, c) if x})

@@ -76,16 +76,15 @@ def test_killing_nondegenerate(name):
 
 
 def test_centralizer_of_zero(sl2):
-    full = [sl2.from_sparse({i: Q(1)}) for i in range(sl2.dim)]
-    assert len(sl2.centralizer([sl2.zero()], full)) == sl2.dim
+    full = sl2.centralizer([sl2.zero()], range(sl2.dim))
+    assert full == [sl2.from_sparse({i: Q(1)}) for i in range(sl2.dim)]
 
 
 def test_centralizer_of_sl2_triple_is_trivial(sl2):
     h = sl2.cartan_element([1])
     e = sl2.root_vector((1,))
     f = sl2.root_vector((-1,))
-    full = [sl2.from_sparse({i: Q(1)}) for i in range(sl2.dim)]
-    assert sl2.centralizer([h, e, f], full) == []
+    assert sl2.centralizer([h, e, f], range(sl2.dim)) == []
 
 
 def test_coroot_brackets(sl3):
@@ -219,3 +218,42 @@ def test_table_matches_structure_constants(name):
             got = alg.basis_bracket(r + i, r + j)
             assert got == expected
             assert all(type(c) is int for c in got.values())
+
+
+AD_BLOCK_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "G2", "F4", "E6", "E7", "E8"]
+
+
+@pytest.mark.parametrize("name", AD_BLOCK_TYPES)
+def test_ad_block_matches_bracket_on_every_basis_pair(name):
+    """ad_block against the dense bracket, every basis pair at once.
+
+    x = sum_i B^i b_i with B above twice every table coefficient, so entry
+    (k, j) of ad_block(x) is the base-B number whose digit i is the coefficient
+    of b_k in [b_i, b_j].  Equal entries mean equal digits: the two routes
+    agree on every basis pair (i, j) and every coordinate k.
+    """
+    alg = build_algebra(LieType.parse(name))
+    n = alg.dim
+    base = 2 * max(abs(c) for row in alg._rows for terms in row.values() for _, c in terms) + 1
+    x = [base**i for i in range(n)]
+    block = alg.ad_block(x, range(n), range(n))
+    assert all(type(v) is int for row in block for v in row)
+    for j in range(n):
+        column = alg.bracket(x, alg.from_sparse({j: Q(1)}))
+        assert [row[j] for row in block] == list(column)
+
+
+@pytest.mark.parametrize("name", ["A3", "G2", "F4"])
+def test_ad_block_non_integral_and_restricted(name):
+    alg = build_algebra(LieType.parse(name))
+    n = alg.dim
+    rng = random.Random(name)
+    x = [Q(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
+    full = alg.ad_block(x, range(n), range(n))
+    assert any(type(v) is Q and v.denominator != 1 for row in full for v in row)
+    assert all(type(v) is Q for row in full for v in row)
+    for j in range(n):
+        assert [row[j] for row in full] == list(alg.bracket(x, alg.from_sparse({j: Q(1)})))
+    domain = sorted(rng.sample(range(n), n // 2))
+    codomain = sorted(rng.sample(range(n), n // 3))
+    assert alg.ad_block(x, domain, codomain) == [[full[k][j] for j in domain] for k in codomain]

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from gradedlie.cli import main, parse_rational, q_str
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(capsys, *argv):
@@ -186,9 +192,22 @@ def test_config_integer_strings_accepted(tmp_path, capsys):
         ["amw", "--genus", "2", "--depth", "1"],
         ["toledo", "--dims=", "--degrees=", "--genus=2"],
         ["toledo", "--dims=1", "--degrees=0", "--genus=2"],
+        # a leading dict is a config file: a present null, list or boolean is rejected
+        [{"seed": [], "lam": False}, "amw", "--genus", "2"],
+        [{"lam": None}, "amw", "--genus", "2"],
+        [{"rank_plus": []}, "amw", "--genus", "2"],
+        [{"rank_minus": False}, "amw", "--quaternionic", "--genus", "2"],
+        [{"zeta_pairing": None}, "amw", "--genus", "2"],
+        [{"seed": []}, "quaternionic", "--type", "A2"],
+        [{"seed": False}, "cayley", "--dims", "2,2,2"],
+        [{"seed": None}, "verify-paper"],
     ],
 )
-def test_rejected_input_is_one_line(capsys, argv):
+def test_rejected_input_is_one_line(tmp_path, capsys, argv):
+    if isinstance(argv[0], dict):
+        cfg = tmp_path / "job.json"
+        cfg.write_text(json.dumps(argv[0]))
+        argv = ["--config", str(cfg)] + argv[1:]
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 2
@@ -205,3 +224,20 @@ def test_unwritable_output_is_one_line(tmp_path, capsys):
     assert captured.out == ""
     (line,) = captured.err.splitlines()
     assert line.startswith("error: cannot write output")
+
+
+def test_absent_rational_fields_default_to_zero(capsys):
+    code, report = run_json(capsys, "amw", "--genus", "2")
+    assert code == 0
+    assert report["inputs"]["lambda"] == "0"
+
+
+def test_python_dash_m_runs_the_cli():
+    argv = ["grading", "--type", "A2", "--labels", "1,1"]
+    src = str(ROOT / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "gradedlie"] + argv, capture_output=True, text=True, env=env
+    )
+    assert done.returncode == 0
+    assert done.stdout == (ROOT / "tests" / "golden" / "grading_type_A2_labels_1_1.out").read_text()

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from gradedlie.cli import main
 from gradedlie.linalg import (
     RationalMatrix,
+    RowMatrix,
     _bareiss_echelon,
     _integer_rows,
     kernel_basis,
@@ -109,6 +110,34 @@ def test_bareiss_matches_naive_elimination(m):
     _, pivots = _bareiss_echelon(_integer_rows(m))
     assert pivots == naive_pivots(m)
     assert rank(m) == len(pivots)
+
+
+@st.composite
+def integer_rows(draw, max_side: int = 5):
+    """Python-int rows, often rank-deficient like ``matrices``."""
+    rows = draw(st.integers(1, max_side))
+    cols = draw(st.integers(1, max_side))
+    small = st.integers(-4, 4)
+    if draw(st.booleans()):
+        return draw(st.lists(st.lists(small, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    inner = draw(st.integers(1, max(1, min(rows, cols) - 1)))
+    a = draw(st.lists(st.lists(small, min_size=inner, max_size=inner), min_size=rows, max_size=rows))
+    b = draw(st.lists(st.lists(small, min_size=cols, max_size=cols), min_size=inner, max_size=inner))
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_integer_rows_agree_with_rational_matrix(data):
+    rows = RowMatrix(data.draw(integer_rows()))
+    m = RationalMatrix.from_rows(rows)
+    assert rank(rows) == rank(m)
+    assert kernel_basis(rows) == kernel_basis(m)
+    b = data.draw(vectors(len(rows)))
+    assert solve(rows, b) == solve(m, b)
+    b = m.apply(data.draw(vectors(m.cols)))
+    x = solve(rows, b)
+    assert x is not None and x == solve(m, b)
 
 
 # -- CLI fuzz: every argv or config gives exit code 0, 1 or 2 and never raises --
