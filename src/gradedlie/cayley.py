@@ -23,7 +23,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .chevalley import ChevalleyAlgebra
 from .grading import ZGrading
-from .linalg import RationalMatrix, RowMatrix, Vector, independent_subset, rank, solve, vec
+from .linalg import RationalMatrix, Vector, independent_subset, rank, solve, vec
 from .vinberg import Sl2Triple, VinbergPair, jm_regular, normalized_form, vinberg_pair
 
 
@@ -75,7 +75,7 @@ def cayley_pair(zg: ZGrading, seed: int = 0) -> CayleyData:
 
 def _ad_power(
     alg: ChevalleyAlgebra, e: Sequence, domain: Sequence[int], n: int
-) -> Tuple[List[int], RowMatrix]:
+) -> Tuple[List[int], RationalMatrix]:
     """ad(e)^n on span(domain), over all of g: (support, rows).
 
     Row r is the coordinate of b_{support[r]}; basis vectors outside the
@@ -83,19 +83,17 @@ def _ad_power(
     when ad(e)^n kills the domain.
     """
     support = list(domain)
-    power = RowMatrix([int(i == j) for j in range(len(domain))] for i in range(len(domain)))
+    power = RationalMatrix([int(i == j) for j in range(len(domain))] for i in range(len(domain)))
     for _ in range(n):
         power = alg.ad_block(e, support, range(alg.dim)).matmul(power)
         support = [k for k, row in enumerate(power) if any(row)]
-        power = RowMatrix((power[k] for k in support), len(domain))
+        power = RationalMatrix((power[k] for k in support), len(domain))
     return support, power
 
 
 @dataclass
 class IsoCharacterReport:
-    iso_rank: int
     iso_full: bool
-    chi_values: List[Q]
     chi_vanishes: bool
     c_form_h: List[Q]
 
@@ -108,14 +106,11 @@ def verify_iso_and_character(cd: CayleyData) -> IsoCharacterReport:
     """Transport-map invertibility, chi_T(c) = 0, and B(c, h) = 0 on c."""
     alg = cd.algebra
     low_dim = len(cd.pair.grading.piece(1 - cd.depth))
-    r = rank(RationalMatrix.from_rows([list(v) for v in cd.v_basis])) if cd.v_basis else 0
-    chi = [cd.pair.chi_t(c) for c in cd.c_basis]
+    r = rank(RationalMatrix(cd.v_basis))
     bh = [normalized_form(alg, c, cd.triple.h) for c in cd.c_basis]
     return IsoCharacterReport(
-        iso_rank=r,
         iso_full=(r == low_dim == len(cd.v_basis)),
-        chi_values=chi,
-        chi_vanishes=all(x == 0 for x in chi),
+        chi_vanishes=all(cd.pair.chi_t(c) == 0 for c in cd.c_basis),
         c_form_h=bh,
     )
 
@@ -156,7 +151,6 @@ class BracketProjection:
 class ThetaVerdict:
     candidate: bool
     witness: Optional[BracketProjection]
-    projections: List[BracketProjection]
 
 
 def bracket_projection_test(cd: CayleyData) -> ThetaVerdict:
@@ -165,10 +159,7 @@ def bracket_projection_test(cd: CayleyData) -> ThetaVerdict:
     basis = cd.c_basis + cd.v_basis
     if basis and len(independent_subset(basis)) != len(basis):
         raise AssertionError("c and V overlap")
-    gram = RationalMatrix.from_rows(
-        [[normalized_form(alg, a, b) for b in basis] for a in basis]
-    )
-    projections = []
+    gram = RationalMatrix([[normalized_form(alg, a, b) for b in basis] for a in basis])
     witness = None
     for i in range(len(cd.v_basis)):
         for j in range(i + 1, len(cd.v_basis)):
@@ -186,10 +177,9 @@ def bracket_projection_test(cd: CayleyData) -> ThetaVerdict:
                 Q(a) - b - c for a, b, c in zip(x, c_part, v_part)
             )
             proj = BracketProjection(i, j, c_part, v_part, rest)
-            projections.append(proj)
             if witness is None and not proj.in_c:
                 witness = proj
-    return ThetaVerdict(candidate=witness is None, witness=witness, projections=projections)
+    return ThetaVerdict(candidate=witness is None, witness=witness)
 
 
 def _combine(alg: ChevalleyAlgebra, coeffs: Sequence[Q], basis: Sequence[Vector]) -> Vector:

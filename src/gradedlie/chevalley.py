@@ -14,10 +14,12 @@ a nonzero bracket, as (target, coefficient) pairs of Python ints; each
 constant is checked to be an integer as it goes in (Chevalley's theorem).
 
 Linear systems in ad_x restricted to graded pieces read the table directly
-through ``ChevalleyAlgebra.ad_block``, which walks x's support only and keeps
-Python ints when x is integral, in the manner of the sparse structure-constant
-computations of de Graaf, *Lie Algebras: Theory and Algorithms* (2000).  The
-dense ``bracket`` is element arithmetic and the oracle for ``ad_block``.
+through ``ChevalleyAlgebra.ad_block``, which walks x's support only and returns
+a ``linalg.RationalMatrix``: a list of rows, of Python ints when x is integral.
+This follows the sparse structure-constant computations of de Graaf, *Lie
+Algebras: Theory and Algorithms* (2000).  The dense ``bracket`` is element
+arithmetic and the oracle for ``ad_block``; the Killing Gram matrix, a test
+oracle, is a ``RationalMatrix`` of int rows too.
 
 The build verifies |N| = p+1 on every special pair and certifies the Jacobi
 identity on the whole table, at every dimension, before returning: ad_g is a
@@ -32,7 +34,7 @@ from fractions import Fraction as Q
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .linalg import RationalMatrix, RowMatrix, Vector, kernel_basis, vec
+from .linalg import RationalMatrix, Vector, kernel_basis
 from .rootsystem import LieType, Root, RootSystem, build_root_system
 
 Sparse = Dict[int, Q]
@@ -240,7 +242,9 @@ class ChevalleyAlgebra:
                     out[k] = out.get(k, Q(0)) + ai * bj * c
         return self.from_sparse(out)
 
-    def ad_block(self, x: Sequence, domain: Sequence[int], codomain: Sequence[int]) -> RowMatrix:
+    def ad_block(
+        self, x: Sequence, domain: Sequence[int], codomain: Sequence[int]
+    ) -> RationalMatrix:
         """Matrix of b -> [x, b] from span(domain) to the codomain coordinates.
 
         Row r, column c is the coefficient of b_{codomain[r]} in [x, b_{domain[c]}],
@@ -252,7 +256,7 @@ class ChevalleyAlgebra:
         support = [(self._rows[i], _exact(xi)) for i, xi in enumerate(x) if xi]
         zero = 0 if all(type(xi) is int for _, xi in support) else Q(0)
         row_of = {k: r for r, k in enumerate(codomain)}
-        out = RowMatrix(([zero] * len(domain) for _ in codomain), len(domain))
+        out = RationalMatrix(([zero] * len(domain) for _ in codomain), len(domain))
         for col, d in enumerate(domain):
             for row, xi in support:
                 for k, c in row.get(d, ()):
@@ -268,7 +272,7 @@ class ChevalleyAlgebra:
     def killing_gram(self) -> RationalMatrix:
         if self._killing_gram is None:
             n = self.dim
-            entries = [Q(0)] * (n * n)
+            gram = [[0] * n for _ in range(n)]
             rows = self._rows
             for i in range(n):
                 for j in range(i, n):
@@ -279,15 +283,16 @@ class ChevalleyAlgebra:
                             for m, d in rows[i].get(l, ()):
                                 if m == k:
                                     t += c * d
-                    entries[i * n + j] = t
-                    entries[j * n + i] = t
-            self._killing_gram = RationalMatrix(n, n, entries)
+                    gram[i][j] = gram[j][i] = t
+            self._killing_gram = RationalMatrix(gram)
         return self._killing_gram
 
     def killing_form(self, a: Sequence, b: Sequence) -> Q:
         g = self.killing_gram()
-        gb = g.apply(vec(b))
-        return sum((Q(x) * y for x, y in zip(a, gb)), Q(0))
+        b_support = [(j, bj) for j, bj in enumerate(b) if bj]
+        return sum(
+            (Q(ai) * g[i][j] * bj for i, ai in enumerate(a) if ai for j, bj in b_support), Q(0)
+        )
 
     # -- centralizers -----------------------------------------------------
 
@@ -297,7 +302,7 @@ class ChevalleyAlgebra:
         The kernel of the stacked blocks of ad_s on span(domain); [u, s] = -[s, u],
         and neither signs nor zero rows change a kernel.
         """
-        rows = RowMatrix(
+        rows = RationalMatrix(
             (row for s in elements for row in self.ad_block(s, domain, range(self.dim)) if any(row)),
             len(domain),
         )

@@ -56,7 +56,7 @@ def parse_rational(text: str) -> Q:
 
 def parse_ints(text: str) -> List[int]:
     try:
-        return [int(x) for x in text.replace(" ", "").split(",") if x != ""]
+        return [int(x) for x in text.replace(" ", "").split(",")]
     except ValueError as exc:
         raise InputError(f"bad integer list {text!r}") from exc
 

@@ -87,7 +87,6 @@ class ZmGrading:
     algebra: ChevalleyAlgebra
     m: int
     pieces: Dict[int, Tuple[int, ...]]  # residue -> basis indices
-    source_labels: Optional[KacLabels] = None
 
     def dims(self) -> Dict[int, int]:
         return {j: len(idx) for j, idx in sorted(self.pieces.items())}
@@ -107,8 +106,7 @@ def z_grading_from_labels(alg: ChevalleyAlgebra, p: Sequence[int]) -> ZGrading:
         deg = sum(a * pk for a, pk in zip(alpha, p))
         pieces.setdefault(deg, []).append(idx)
     # zeta in the Cartan: alpha_k(zeta) = p_k, pairing matrix is the Cartan matrix
-    m = RationalMatrix.from_rows([[Q(c) for c in row] for row in alg.rs.cartan])
-    coeffs = solve(m, vec(p))
+    coeffs = solve(RationalMatrix(alg.rs.cartan), vec(p))
     assert coeffs is not None  # Cartan matrix is invertible
     zeta = alg.cartan_element(coeffs)
     zg = ZGrading(
@@ -152,7 +150,6 @@ def zm_from_kac(alg: ChevalleyAlgebra, kac: KacLabels) -> ZmGrading:
         algebra=alg,
         m=m,
         pieces={j: tuple(sorted(idx)) for j, idx in pieces.items()},
-        source_labels=kac,
     )
 
 
@@ -211,7 +208,6 @@ class LiftVerdict:
     lifts: bool
     mode: str  # "directly", "after automorphism", "none"
     witness: Optional[Tuple[int, ...]] = None  # relabeled vector with node 0 positive
-    automorphism: Optional[Tuple[int, ...]] = None
 
 
 def kac_lift_check(alg: ChevalleyAlgebra, kac: KacLabels) -> LiftVerdict:
@@ -232,5 +228,5 @@ def kac_lift_check(alg: ChevalleyAlgebra, kac: KacLabels) -> LiftVerdict:
             q = [0] * len(kac.labels)
             for i, target in enumerate(sigma):
                 q[target] = kac.labels[i]
-            return LiftVerdict(True, "after automorphism", tuple(q), sigma)
+            return LiftVerdict(True, "after automorphism", tuple(q))
     return LiftVerdict(False, "none")

@@ -1,20 +1,19 @@
 """Exact rational linear algebra.
 
-``RationalMatrix`` entries are ``fractions.Fraction``.  ``rank``,
-``kernel_basis`` and ``solve`` also take a ``RowMatrix``, a list of rows such
-as the integer blocks of ``ChevalleyAlgebra.ad_block``.  Elimination is fraction-free
-(Bareiss): rows are cleared to integers first, so intermediate entries stay
-integral and coefficient growth stays polynomial; a row that is already all
-Python ints is used as it is, with no denominator clearing.  This matters for
-the adjoint matrices of the larger exceptional algebras, where naive rational
-pivoting blows up.
+``RationalMatrix`` is a list of rows whose entries are Python ints or
+Fractions, such as the integer blocks of ``ChevalleyAlgebra.ad_block``.
+Elimination is fraction-free (Bareiss): rows are cleared to integers first, so
+intermediate entries stay integral and coefficient growth stays polynomial; a
+row that is already all Python ints is used as it is, with no denominator
+clearing.  This matters for the adjoint matrices of the larger exceptional
+algebras, where naive rational pivoting blows up.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction as Q
 from math import gcd
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 Vector = Tuple[Q, ...]
 
@@ -23,92 +22,18 @@ def vec(values: Sequence) -> Vector:
     return tuple(Q(v) for v in values)
 
 
-class RationalMatrix:
-    """Immutable dense matrix over the rationals, row-major."""
+class RationalMatrix(list):
+    """A matrix as a list of rows whose entries are Python ints or Fractions.
 
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, rows: int, cols: int, entries: Sequence):
-        if len(entries) != rows * cols:
-            raise ValueError("entry count does not match shape")
-        self.rows = rows
-        self.cols = cols
-        self.entries = tuple(Q(x) for x in entries)
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence]) -> "RationalMatrix":
-        r = len(rows)
-        c = len(rows[0]) if r else 0
-        flat = []
-        for row in rows:
-            if len(row) != c:
-                raise ValueError("ragged rows")
-            flat.extend(row)
-        return cls(r, c, flat)
-
-    @classmethod
-    def identity(cls, n: int) -> "RationalMatrix":
-        return cls(n, n, [Q(int(i == j)) for i in range(n) for j in range(n)])
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "RationalMatrix":
-        return cls(rows, cols, [Q(0)] * (rows * cols))
-
-    def __getitem__(self, ij: Tuple[int, int]) -> Q:
-        i, j = ij
-        return self.entries[i * self.cols + j]
-
-    def row(self, i: int) -> Vector:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def column(self, j: int) -> Vector:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RationalMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
-
-    def __repr__(self):
-        return f"RationalMatrix({self.rows}x{self.cols})"
-
-    def matmul(self, other: "RationalMatrix") -> "RationalMatrix":
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch")
-        entries = []
-        for i in range(self.rows):
-            for j in range(other.cols):
-                entries.append(
-                    sum((self[i, k] * other[k, j] for k in range(self.cols)), Q(0))
-                )
-        return RationalMatrix(self.rows, other.cols, entries)
-
-    def apply(self, v: Sequence) -> Vector:
-        if len(v) != self.cols:
-            raise ValueError("dimension mismatch")
-        return tuple(
-            sum((self[i, j] * Q(v[j]) for j in range(self.cols)), Q(0))
-            for i in range(self.rows)
-        )
-
-
-class RowMatrix(list):
-    """A matrix as a list of mutable rows whose entries are Python ints or Fractions.
-
-    ``rows``, ``cols`` and ``row`` read it as they read a RationalMatrix.
-    Elimination uses a row of Python ints as it is, with no denominator
-    clearing; this is the form of ``ChevalleyAlgebra.ad_block``.
+    ``cols`` is read from the first row, or given for a matrix with no rows;
+    every row must have that length.
     """
 
     def __init__(self, rows: Iterable[Sequence] = (), cols: Optional[int] = None):
         super().__init__(rows)
         self.cols = cols if cols is not None else (len(self[0]) if self else 0)
+        if any(len(row) != self.cols for row in self):
+            raise ValueError("ragged rows")
 
     @property
     def rows(self) -> int:
@@ -117,11 +42,11 @@ class RowMatrix(list):
     def row(self, i: int) -> Sequence:
         return self[i]
 
-    def matmul(self, other: "RowMatrix") -> "RowMatrix":
+    def matmul(self, other: "RationalMatrix") -> "RationalMatrix":
         """Product, skipping zero entries; int entries stay ints."""
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
-        out = RowMatrix(cols=other.cols)
+        out = RationalMatrix(cols=other.cols)
         for row in self:
             acc = [0] * other.cols
             for x, other_row in zip(row, other):
@@ -133,12 +58,9 @@ class RowMatrix(list):
         return out
 
 
-Matrix = Union[RationalMatrix, RowMatrix]
-
-
-def _integer_rows(m: Matrix) -> List[List[int]]:
+def _integer_rows(m: RationalMatrix) -> List[List[int]]:
     """Integer rows with the row space of m (see ``_clear_row``)."""
-    return [_clear_row(m.row(i)) for i in range(m.rows)]
+    return [_clear_row(row) for row in m]
 
 
 def _bareiss_echelon(rows: List[List[int]]) -> Tuple[List[List[int]], List[int]]:
@@ -179,7 +101,7 @@ def _bareiss_echelon(rows: List[List[int]]) -> Tuple[List[List[int]], List[int]]
     return rows[:r], pivots
 
 
-def rank(m: Matrix) -> int:
+def rank(m: RationalMatrix) -> int:
     """Rank over the rationals."""
     _, pivots = _bareiss_echelon(_integer_rows(m))
     return len(pivots)
@@ -203,7 +125,7 @@ def _back_substitute(
     return [v if v is not None else Q(0) for v in x]
 
 
-def kernel_basis(m: Matrix) -> List[Vector]:
+def kernel_basis(m: RationalMatrix) -> List[Vector]:
     """Basis of the right null space, one vector per free column."""
     echelon, pivots = _bareiss_echelon(_integer_rows(m))
     free_cols = [c for c in range(m.cols) if c not in pivots]
@@ -215,13 +137,11 @@ def kernel_basis(m: Matrix) -> List[Vector]:
     return basis
 
 
-def solve(m: Matrix, b: Sequence) -> Optional[Vector]:
+def solve(m: RationalMatrix, b: Sequence) -> Optional[Vector]:
     """Some exact solution of Mx = b, or None when the system is inconsistent."""
     if len(b) != m.rows:
         raise ValueError("right-hand side length does not match row count")
-    echelon, pivots = _bareiss_echelon(
-        [_clear_row(list(m.row(i)) + [b[i]]) for i in range(m.rows)]
-    )
+    echelon, pivots = _bareiss_echelon([_clear_row(list(row) + [x]) for row, x in zip(m, b)])
     if m.cols in pivots:
         return None  # pivot in the augmented column: inconsistent
     free_values = {c: Q(0) for c in range(m.cols) if c not in pivots}

@@ -72,15 +72,10 @@ def rank_tuple(dims: QuiverDims, elem: Sequence[RationalMatrix]) -> RankTuple:
 
 def canonical_open_element(dims: QuiverDims) -> QuiverElement:
     """Identity-block maps; realizes the maximal rank tuple."""
-    maps = []
-    for j in range(dims.m - 1):
-        rows_, cols_ = dims.dims[j + 1], dims.dims[j]
-        maps.append(
-            RationalMatrix(
-                rows_, cols_, [Q(int(a == b)) for a in range(rows_) for b in range(cols_)]
-            )
-        )
-    return tuple(maps)
+    return tuple(
+        RationalMatrix([int(a == b) for b in range(dims.dims[j])] for a in range(dims.dims[j + 1]))
+        for j in range(dims.m - 1)
+    )
 
 
 def maximal_rank_tuple(dims: QuiverDims) -> RankTuple:
@@ -122,17 +117,18 @@ def _interval_multiplicities(dims: QuiverDims) -> Iterator[Dict[Tuple[int, int],
 
 def _string_representative(dims: QuiverDims, mult: Dict[Tuple[int, int], int]) -> QuiverElement:
     """Direct sum of strings: m_ij chains of 1-entries from V_i to V_j."""
-    entries = [[Q(0)] * (dims.dims[k + 1] * dims.dims[k]) for k in range(dims.m - 1)]
+    maps = tuple(
+        RationalMatrix([0] * dims.dims[k] for _ in range(dims.dims[k + 1]))
+        for k in range(dims.m - 1)
+    )
     used = [0] * dims.m
     for (i, j), c in sorted(mult.items()):
         for _ in range(c):
             for k in range(i, j):
-                entries[k][used[k + 1] * dims.dims[k] + used[k]] = Q(1)
+                maps[k][used[k + 1]][used[k]] = 1
                 used[k] += 1
             used[j] += 1
-    return tuple(
-        RationalMatrix(dims.dims[k + 1], dims.dims[k], entries[k]) for k in range(dims.m - 1)
-    )
+    return maps
 
 
 def enumerate_orbits(dims: QuiverDims) -> List[Tuple[RankTuple, QuiverElement]]:
@@ -162,7 +158,7 @@ def _total_matrix(dims: QuiverDims, elem: Sequence[RationalMatrix]) -> List[List
         c0 = dims.block_start(j)
         for a in range(f.rows):
             for b in range(f.cols):
-                total[r0 + a][c0 + b] = f[a, b]
+                total[r0 + a][c0 + b] = f[a][b]
     return total
 
 
@@ -197,30 +193,25 @@ def jordan_strings(dims: QuiverDims, elem: Sequence[RationalMatrix]) -> List[Lis
     return strings
 
 
-def jordan_h(dims: QuiverDims, elem: Sequence[RationalMatrix]) -> RationalMatrix:
-    """Diagonal h with [h, e] = 2e: on a length-s string, h(u_t) = -(s-1-2t) u_t."""
-    n = dims.n
-    diag = [Q(0)] * n
+def jordan_h(dims: QuiverDims, elem: Sequence[RationalMatrix]) -> Tuple[Q, ...]:
+    """Diagonal of h with [h, e] = 2e: on a length-s string, h(u_t) = -(s-1-2t) u_t."""
+    diag = [Q(0)] * dims.n
     for chain in jordan_strings(dims, elem):
         s = len(chain)
         for t, idx in enumerate(chain):
             diag[idx] = Q(-(s - 1 - 2 * t))
-    return RationalMatrix(n, n, [diag[i] if i == j else Q(0) for i in range(n) for j in range(n)])
+    return tuple(diag)
 
 
-def zeta_matrix(dims: QuiverDims) -> RationalMatrix:
-    n = dims.n
-    diag = []
-    for j, d in enumerate(dims.dims):
-        diag.extend([Q(j) - dims.alpha] * d)
-    return RationalMatrix(n, n, [diag[i] if i == j else Q(0) for i in range(n) for j in range(n)])
+def zeta_matrix(dims: QuiverDims) -> Tuple[Q, ...]:
+    """Diagonal of zeta: (j - alpha) on the block V_j."""
+    return tuple(Q(j) - dims.alpha for j, d in enumerate(dims.dims) for _ in range(d))
 
 
 def quiver_jm_regular(dims: QuiverDims) -> bool:
     """True when the canonical element's h equals 2*zeta."""
     h = jordan_h(dims, canonical_open_element(dims))
-    z = zeta_matrix(dims)
-    return all(h[i, i] == 2 * z[i, i] for i in range(dims.n))
+    return all(x == 2 * z for x, z in zip(h, zeta_matrix(dims)))
 
 
 def orbit_toledo_rank(dims: QuiverDims, rt: RankTuple) -> Q:

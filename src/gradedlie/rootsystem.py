@@ -138,9 +138,6 @@ class RootSystem:
         """Coefficients of the coroot alpha^vee in the simple coroot basis (integral)."""
         return self.coroots[alpha]
 
-    def height(self, alpha: Root) -> int:
-        return sum(alpha)
-
 
 def _form_value(form: Sequence[Sequence[Q]], alpha: Root, beta: Root) -> Q:
     r = len(form)

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 from .chevalley import ChevalleyAlgebra
 from .grading import ZGrading
-from .linalg import RationalMatrix, RowMatrix, Vector, rank, solve, vec
+from .linalg import RationalMatrix, Vector, rank, solve, vec
 
 
 def regrade(zg: ZGrading, j: int) -> ZGrading:
@@ -43,10 +43,7 @@ def regrade(zg: ZGrading, j: int) -> ZGrading:
 def killing_dual_norm(alg: ChevalleyAlgebra, gamma) -> Q:
     """B*_K(gamma, gamma): dual norm of a root under the Killing form (test oracle)."""
     r = alg.rank
-    gram = alg.killing_gram()
-    cartan_block = RationalMatrix.from_rows(
-        [[gram[i, j] for j in range(r)] for i in range(r)]
-    )
+    cartan_block = RationalMatrix(row[:r] for row in alg.killing_gram()[:r])
     g = vec([alg.rs.pairing(gamma, i) for i in range(r)])
     c = solve(cartan_block, g)
     assert c is not None  # Killing form is nondegenerate on the Cartan
@@ -183,7 +180,7 @@ def jm_triple(pair: VinbergPair, e: Sequence) -> Sl2Triple:
     ad_h = alg.ad_block(h, neg, neg)
     for j, row in enumerate(ad_h):
         row[j] += 2
-    c = solve(RowMatrix(ad_neg + ad_h, len(neg)), [h[k] for k in g0] + [Q(0)] * len(neg))
+    c = solve(RationalMatrix(ad_neg + ad_h, len(neg)), [h[k] for k in g0] + [Q(0)] * len(neg))
     if c is None:
         raise RuntimeError("sl2 completion system is inconsistent")
     f = alg.from_sparse({i: x for i, x in zip(neg, c) if x})

@@ -59,11 +59,11 @@ def embed_quiver_element(zg, dims: QuiverDims, elem):
     for b, f in enumerate(elem):
         for a in range(f.rows):
             for c in range(f.cols):
-                if f[a, c]:
+                if f[a][c]:
                     i = dims.block_start(b) + c + 1
                     j = dims.block_start(b + 1) + a + 1
                     root = chain_root(i, j, alg.rank)
-                    coords[alg.root_index[root]] = Q(f[a, c])
+                    coords[alg.root_index[root]] = Q(f[a][c])
     return alg.from_sparse(coords)
 
 

@@ -192,6 +192,9 @@ def test_config_integer_strings_accepted(tmp_path, capsys):
         ["amw", "--genus", "2", "--depth", "1"],
         ["toledo", "--dims=", "--degrees=", "--genus=2"],
         ["toledo", "--dims=1", "--degrees=0", "--genus=2"],
+        # an empty item in an integer list is rejected, not dropped
+        ["grading", "--type", "A2", "--labels", "1,,1"],
+        ["quiver", "--dims", ",2,1,"],
         # a leading dict is a config file: a present null, list or boolean is rejected
         [{"seed": [], "lam": False}, "amw", "--genus", "2"],
         [{"lam": None}, "amw", "--genus", "2"],
@@ -201,6 +204,7 @@ def test_config_integer_strings_accepted(tmp_path, capsys):
         [{"seed": []}, "quaternionic", "--type", "A2"],
         [{"seed": False}, "cayley", "--dims", "2,2,2"],
         [{"seed": None}, "verify-paper"],
+        [{"labels": "1,,1"}, "grading", "--type", "A2"],
     ],
 )
 def test_rejected_input_is_one_line(tmp_path, capsys, argv):

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from gradedlie.cli import main
 from gradedlie.linalg import (
     RationalMatrix,
-    RowMatrix,
     _bareiss_echelon,
     _integer_rows,
     kernel_basis,
@@ -28,7 +27,7 @@ entries = st.one_of(
 
 def shaped(rows: int, cols: int):
     return st.lists(entries, min_size=rows * cols, max_size=rows * cols).map(
-        lambda xs: RationalMatrix(rows, cols, xs)
+        lambda xs: RationalMatrix(xs[i * cols : (i + 1) * cols] for i in range(rows))
     )
 
 
@@ -47,8 +46,16 @@ def vectors(n: int):
     return st.lists(entries, min_size=n, max_size=n).map(tuple)
 
 
+def column(m: RationalMatrix, j: int):
+    return tuple(row[j] for row in m)
+
+
+def apply(m: RationalMatrix, v):
+    return tuple(sum((x * Q(y) for x, y in zip(row, v)), Q(0)) for row in m)
+
+
 def transpose(m: RationalMatrix) -> RationalMatrix:
-    return RationalMatrix.from_rows([m.column(j) for j in range(m.cols)])
+    return RationalMatrix([column(m, j) for j in range(m.cols)])
 
 
 def naive_pivots(m: RationalMatrix):
@@ -74,17 +81,17 @@ def naive_pivots(m: RationalMatrix):
 def test_solve_residual_is_zero(data):
     m = data.draw(matrices())
     x0 = data.draw(vectors(m.cols))
-    b = m.apply(x0)
+    b = apply(m, x0)
     x = solve(m, b)
-    assert x is not None and m.apply(x) == b
+    assert x is not None and apply(m, x) == b
     # an arbitrary right-hand side: solved exactly, or shown inconsistent by rank
     b = data.draw(vectors(m.rows))
     x = solve(m, b)
-    augmented = RationalMatrix.from_rows([list(m.row(i)) + [b[i]] for i in range(m.rows)])
+    augmented = RationalMatrix([list(m.row(i)) + [b[i]] for i in range(m.rows)])
     if x is None:
         assert rank(augmented) == rank(m) + 1
     else:
-        assert m.apply(x) == b
+        assert apply(m, x) == b
 
 
 @settings(max_examples=40)
@@ -93,9 +100,9 @@ def test_kernel_vectors_are_annihilated(m):
     basis = kernel_basis(m)
     assert len(basis) == m.cols - rank(m)
     for v in basis:
-        assert all(x == 0 for x in m.apply(v))
+        assert all(x == 0 for x in apply(m, v))
     if basis:
-        assert rank(RationalMatrix.from_rows(basis)) == len(basis)
+        assert rank(RationalMatrix(basis)) == len(basis)
 
 
 @settings(max_examples=40)
@@ -129,15 +136,44 @@ def integer_rows(draw, max_side: int = 5):
 @settings(max_examples=40)
 @given(st.data())
 def test_integer_rows_agree_with_rational_matrix(data):
-    rows = RowMatrix(data.draw(integer_rows()))
-    m = RationalMatrix.from_rows(rows)
+    rows = RationalMatrix(data.draw(integer_rows()))
+    m = RationalMatrix([Q(x) for x in row] for row in rows)
     assert rank(rows) == rank(m)
     assert kernel_basis(rows) == kernel_basis(m)
     b = data.draw(vectors(len(rows)))
     assert solve(rows, b) == solve(m, b)
-    b = m.apply(data.draw(vectors(m.cols)))
+    b = apply(m, data.draw(vectors(m.cols)))
     x = solve(rows, b)
     assert x is not None and x == solve(m, b)
+
+
+def mixed_rows(draw, rows: int, cols: int):
+    """Rows of ints and Fractions, with some rows set to zero."""
+    mixed = st.one_of(st.integers(-3, 3), entries)
+    row = st.lists(mixed, min_size=cols, max_size=cols)
+    out = draw(st.lists(row, min_size=rows, max_size=rows))
+    for i in draw(st.sets(st.integers(0, max(0, rows - 1)), max_size=rows)):
+        out[i] = [0] * cols
+    return RationalMatrix(out, cols)
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_matmul_matches_naive_product(data):
+    n, k, p = (data.draw(st.integers(0, 4)) for _ in range(3))
+    a = mixed_rows(data.draw, n, k)
+    b = mixed_rows(data.draw, k, p)
+    if p and data.draw(st.booleans()):  # a zero column of b
+        j = data.draw(st.integers(0, p - 1))
+        for row in b:
+            row[j] = 0
+    product = a.matmul(b)
+    naive = [
+        [sum((Q(a[i][t]) * Q(b[t][j]) for t in range(k)), Q(0)) for j in range(p)]
+        for i in range(n)
+    ]
+    assert (product.rows, product.cols) == (n, p)
+    assert product == naive
 
 
 # -- CLI fuzz: every argv or config gives exit code 0, 1 or 2 and never raises --

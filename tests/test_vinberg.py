@@ -160,7 +160,7 @@ def test_normalized_form_matches_scaled_killing_gram(name):
     basis = [alg.from_sparse({i: Q(1)}) for i in range(alg.dim)]
     for i, a in enumerate(basis):
         for j, b in enumerate(basis):
-            assert normalized_form(alg, a, b) == scale * gram[i, j]
+            assert normalized_form(alg, a, b) == scale * gram[i][j]
 
 
 def test_killing_dual_norm_scaling(sl2):
