@@ -5,12 +5,12 @@ quaternionic, cayley) plus ``verify-paper``, which runs the full table of
 numeric cross-checks and fails loudly on any mismatch.  Reports are emitted
 as JSON (default) or text; every rational is serialized as an exact "p/q"
 string, never as a float.  A JSON config file can supply any field, with
-command-line flags taking precedence.
+command-line flags taking precedence.  The command line is read straight from
+the flag tables below, so a job pays for no parser construction.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from fractions import Fraction as Q
@@ -27,9 +27,9 @@ from .quiver import (
     QuiverDims,
     QuiverHiggsTopology,
     enumerate_orbits,
+    interval_toledo_rank,
     labels_for_dims,
     maximal_rank_tuple,
-    orbit_toledo_rank,
     quiver_jm_regular,
     toledo_invariant,
 )
@@ -44,19 +44,25 @@ class InputError(Exception):
     pass
 
 
+def _int_text(text: str) -> int:
+    """An integer written as an optional sign and ASCII digits, nothing else."""
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def parse_rational(text: str) -> Q:
+    num, slash, den = text.partition("/")
     try:
-        if "/" in text:
-            num, den = text.split("/")
-            return Q(int(num), int(den))
-        return Q(int(text))
+        return Q(_int_text(num), _int_text(den)) if slash else Q(_int_text(num))
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad rational {text!r}") from exc
 
 
 def parse_ints(text: str) -> List[int]:
     try:
-        return [int(x) for x in text.replace(" ", "").split(",")]
+        return [_int_text(x.strip(" ")) for x in text.split(",")]
     except ValueError as exc:
         raise InputError(f"bad integer list {text!r}") from exc
 
@@ -67,7 +73,7 @@ def to_int(raw, name: str) -> int:
         return raw
     if isinstance(raw, str):
         try:
-            return int(raw)
+            return _int_text(raw)
         except ValueError:
             pass
     raise InputError(f"{name} must be an integer, got {raw!r}")
@@ -182,17 +188,19 @@ def cmd_quiver(args) -> Dict[str, Any]:
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     orbits = enumerate_orbits(dims)
+    top = maximal_rank_tuple(dims)
+    keys = [f"{i},{j}" for (i, j), _ in top]
     report = make_report("quiver", {"dims": dims_list})
     report["results"] = {
         "jm_regular": quiver_jm_regular(dims),
         "alpha": q_str(dims.alpha),
         "orbits": [
             {
-                "ranks": {f"{i},{j}": r for (i, j), r in rt},
-                "toledo_rank": q_str(orbit_toledo_rank(dims, rt)),
-                "open": rt == maximal_rank_tuple(dims),
+                "ranks": dict(zip(keys, (r for _, r in rt))),
+                "toledo_rank": q_str(interval_toledo_rank(dims, mult)),
+                "open": rt == top,
             }
-            for rt, _ in orbits
+            for rt, mult in orbits
         ],
     }
     return report
@@ -351,24 +359,25 @@ HANDLERS = {
 }
 
 
-SWITCH = {"action": "store_true", "default": None}
+SWITCH = {"switch": True}  # takes no value; present means True
+INT = {"int": True}  # the value goes through to_int
 # Options of the flags that are not plain strings stored under their own name.
 FLAG_OPTIONS = {
     "--type": {"dest": "lie_type"},
-    "--rank": {"type": int},
-    "--genus": {"type": int},
+    "--rank": INT,
+    "--genus": INT,
     "--lambda": {"dest": "lam"},
-    "--depth": {"type": int},
-    "--kappa": {"type": int},
+    "--depth": INT,
+    "--kappa": INT,
     "--phi-minus-zero": SWITCH,
     "--quaternionic": SWITCH,
     "--coarse": SWITCH,
     "--extended": SWITCH,
-    "--format": {"dest": "output_format", "choices": ["json", "text"]},
+    "--format": {"dest": "output_format", "choices": ("json", "text")},
     "--output": {"dest": "output_path"},
-    "--seed": {"type": int},
+    "--seed": INT,
 }
-# The flags of each subcommand, in help order; every one also takes --format, --output and --seed.
+# The flags of each command, in usage order; every one also takes COMMON_FLAGS.
 COMMAND_FLAGS = {
     "grading": "--type --rank --labels",
     "kac": "--type --rank --labels",
@@ -380,20 +389,87 @@ COMMAND_FLAGS = {
     "cayley": "--type --rank --labels --dims",
     "verify-paper": "--extended",
 }
+COMMON_FLAGS = ["--format", "--output", "--seed"]
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="gradedlie",
-        description="Exact computations for graded complex semisimple Lie algebras",
-    )
-    parser.add_argument("--config", help="JSON file supplying any field; flags override")
-    sub = parser.add_subparsers(dest="command")
-    for command, flags in COMMAND_FLAGS.items():
-        p = sub.add_parser(command)
-        for flag in flags.split() + ["--format", "--output", "--seed"]:
-            p.add_argument(flag, **FLAG_OPTIONS.get(flag, {}))
-    return parser
+def field_name(flag: str) -> str:
+    return FLAG_OPTIONS.get(flag, {}).get("dest", flag[2:].replace("-", "_"))
+
+
+def usage() -> str:
+    """The usage listing, built from the flag tables."""
+
+    def shown(flag: str) -> str:
+        options = FLAG_OPTIONS.get(flag, {})
+        if options.get("switch"):
+            return f"[{flag}]"
+        return f"[{flag} {'|'.join(options.get('choices', [field_name(flag).upper()]))}]"
+
+    lines = [
+        "usage: gradedlie [--config PATH] COMMAND [--flag VALUE | --flag=VALUE | --switch]...",
+        "",
+        "Exact computations for graded complex semisimple Lie algebras.",
+        "",
+        "commands:",
+    ]
+    lines += [f"  {c} {' '.join(map(shown, flags.split()))}" for c, flags in COMMAND_FLAGS.items()]
+    lines += [
+        "",
+        f"every command also takes {' '.join(map(shown, COMMON_FLAGS))}",
+        "--config PATH names a JSON file supplying any field; flags override it",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def parse_argv(argv: List[str]):
+    """(config path, command, flag fields) from the command line.
+
+    The grammar is ``[--config PATH] COMMAND [--flag VALUE | --flag=VALUE |
+    --switch]...``; a flag's separate value may be any token that does not
+    start with ``--``.  The command is None when argv names none.
+    """
+
+    def flag_value(flag: str, inline: Optional[str], rest: List[str]) -> str:
+        if inline is not None:
+            return inline
+        if not rest or rest[0].startswith("--"):
+            raise InputError(f"{flag} needs a value")
+        return rest.pop(0)
+
+    rest = list(argv)
+    config = None
+    if rest and rest[0].partition("=")[0] == "--config":
+        flag, eq, inline = rest.pop(0).partition("=")
+        config = flag_value(flag, inline if eq else None, rest)
+    if not rest:
+        return config, None, {}
+    command = rest.pop(0)
+    if command not in COMMAND_FLAGS:
+        raise InputError(f"unknown command {command!r}")
+    allowed = COMMAND_FLAGS[command].split() + COMMON_FLAGS
+    fields: Dict[str, Any] = {}
+    while rest:
+        token = rest.pop(0)
+        flag, eq, inline = token.partition("=")
+        if flag == "--config":
+            raise InputError("--config goes before the command")
+        if flag not in allowed:
+            if not flag.startswith("--"):
+                raise InputError(f"unexpected argument {token!r}")
+            raise InputError(f"{command} takes no flag {flag}")
+        options = FLAG_OPTIONS.get(flag, {})
+        if options.get("switch"):
+            if eq:
+                raise InputError(f"{flag} takes no value")
+            fields[field_name(flag)] = True
+            continue
+        value = flag_value(flag, inline if eq else None, rest)
+        if options.get("int"):
+            value = to_int(value, field_name(flag))
+        elif value not in options.get("choices", (value,)):
+            raise InputError(f"{flag} must be {' or '.join(options['choices'])}, got {value!r}")
+        fields[field_name(flag)] = value
+    return config, command, fields
 
 
 def render_text(report: Dict[str, Any]) -> str:
@@ -410,31 +486,34 @@ def render_text(report: Dict[str, Any]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
-    if ns.command is None:
-        parser.print_help()
-        return 2
-    args: Dict[str, Any] = {}
-    if ns.config:
-        try:
-            with open(ns.config) as fh:
-                args = json.load(fh)
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot read config: {exc}", file=sys.stderr)
-            return 2
-        if not isinstance(args, dict):
-            print("error: the config must be a JSON object", file=sys.stderr)
-            return 2
-    for k, v in vars(ns).items():
-        if k not in ("config", "command") and v is not None:
-            args[k] = v
-    path = args.get("output_path")
+def read_config(path: Optional[str]) -> Dict[str, Any]:
+    if path is None:
+        return {}
     try:
+        with open(path) as fh:
+            config = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise InputError(f"cannot read config: {exc}") from exc
+    if not isinstance(config, dict):
+        raise InputError("the config must be a JSON object")
+    return config
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if "-h" in argv or "--help" in argv:
+        sys.stdout.write(usage())
+        return 0
+    try:
+        config, command, fields = parse_argv(argv)
+        if command is None:
+            sys.stdout.write(usage())
+            raise InputError("a command is required")
+        args = {**read_config(config), **fields}
+        path = args.get("output_path")
         if path is not None and not isinstance(path, str):
             raise InputError(f"output_path must be a string, got {path!r}")
-        report = HANDLERS[ns.command](args)
+        report = HANDLERS[command](args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -6,12 +6,15 @@ maps f_j : V_j -> V_{j+1}.  Orbits are classified by the ranks of the
 consecutive compositions and enumerated from the multiplicities of the
 interval modules, the sl2-completion h can be read off the Jordan strings,
 and the Toledo data reduces to trace arithmetic against
-zeta|_{V_j} = (j - alpha) Id with alpha = (sum j d_j)/n.
+zeta|_{V_j} = (j - alpha) Id with alpha = (sum j d_j)/n.  Rank tuples and
+Toledo ranks of orbits are closed forms in the multiplicities; a string
+representative is built only where a caller needs maps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction as Q
 from typing import Dict, Iterator, List, Sequence, Tuple
 
@@ -47,6 +50,8 @@ class QuiverDims:
 QuiverElement = Tuple[RationalMatrix, ...]  # maps f_j : V_j -> V_{j+1}
 
 RankTuple = Tuple[Tuple[Tuple[int, int], int], ...]  # sorted ((i,j) -> r_ij)
+
+Multiplicities = Dict[Tuple[int, int], int]  # (a, b) -> copies of the interval module [a, b]
 
 
 def _check_shapes(dims: QuiverDims, elem: Sequence[RationalMatrix]):
@@ -86,7 +91,7 @@ def maximal_rank_tuple(dims: QuiverDims) -> RankTuple:
     return tuple(sorted(out.items()))
 
 
-def _interval_multiplicities(dims: QuiverDims) -> Iterator[Dict[Tuple[int, int], int]]:
+def _interval_multiplicities(dims: QuiverDims) -> Iterator[Multiplicities]:
     """Every m_ij >= 0 with sum_{i <= k <= j} m_ij = d_k for each vertex k.
 
     Intervals starting at i are chosen longest first; the length-one interval
@@ -94,9 +99,9 @@ def _interval_multiplicities(dims: QuiverDims) -> Iterator[Dict[Tuple[int, int],
     """
     m = dims.m
     left = list(dims.dims)
-    chosen: Dict[Tuple[int, int], int] = {}
+    chosen: Multiplicities = {}
 
-    def extend(i: int, j: int) -> Iterator[Dict[Tuple[int, int], int]]:
+    def extend(i: int, j: int) -> Iterator[Multiplicities]:
         if i == m:
             yield dict(chosen)
             return
@@ -115,7 +120,7 @@ def _interval_multiplicities(dims: QuiverDims) -> Iterator[Dict[Tuple[int, int],
     return extend(0, m - 1)
 
 
-def _string_representative(dims: QuiverDims, mult: Dict[Tuple[int, int], int]) -> QuiverElement:
+def string_representative(dims: QuiverDims, mult: Multiplicities) -> QuiverElement:
     """Direct sum of strings: m_ij chains of 1-entries from V_i to V_j."""
     maps = tuple(
         RationalMatrix([0] * dims.dims[k] for _ in range(dims.dims[k + 1]))
@@ -131,22 +136,41 @@ def _string_representative(dims: QuiverDims, mult: Dict[Tuple[int, int], int]) -
     return maps
 
 
-def enumerate_orbits(dims: QuiverDims) -> List[Tuple[RankTuple, QuiverElement]]:
-    """All orbits, sorted by rank tuple, each with a string representative.
+def interval_rank_tuple(dims: QuiverDims, mult: Multiplicities) -> RankTuple:
+    """r_ij = sum_{a <= i, b >= j} m_ab: the strings that pass from V_i to V_j.
+
+    Row by row, r_ij = r_{i-1,j} + sum_{b >= j} m_ib, so one suffix sum per
+    vertex gives every rank.
+    """
+    m = dims.m
+    above = [0] * m  # above[j] = r_{i-1,j} while row i is filled
+    out = []
+    for i in range(m - 1):
+        tail = 0
+        row = []
+        for j in range(m - 1, i, -1):
+            tail += mult.get((i, j), 0)
+            above[j] += tail
+            row.append(((i, j), above[j]))
+        out.extend(reversed(row))
+    return tuple(out)
+
+
+def enumerate_orbits(dims: QuiverDims) -> List[Tuple[RankTuple, Multiplicities]]:
+    """All orbits, sorted by rank tuple, each with its interval multiplicities.
 
     By Gabriel's theorem the orbits of the linear A_m quiver are the
-    multiplicity vectors (m_ij) of the interval modules [i, j].  Each
-    representative is the direct sum of its strings, so its maps are partial
-    permutations; its rank tuple is computed from the maps, and no two
-    multiplicity vectors may share one.
+    multiplicity vectors (m_ij) of the interval modules [i, j].  Each rank
+    tuple is read off the multiplicities (``interval_rank_tuple``; the maps
+    of ``string_representative`` realize it), and no two multiplicity
+    vectors may share one.
     """
-    seen: Dict[RankTuple, QuiverElement] = {}
+    seen: Dict[RankTuple, Multiplicities] = {}
     for mult in _interval_multiplicities(dims):
-        rep = _string_representative(dims, mult)
-        rt = rank_tuple(dims, rep)
+        rt = interval_rank_tuple(dims, mult)
         if rt in seen:
             raise AssertionError("two interval multiplicity vectors share a rank tuple")
-        seen[rt] = rep
+        seen[rt] = mult
     return sorted(seen.items())
 
 
@@ -214,15 +238,33 @@ def quiver_jm_regular(dims: QuiverDims) -> bool:
     return all(x == 2 * z for x, z in zip(h, zeta_matrix(dims)))
 
 
+@lru_cache(maxsize=None)
+def _toledo_weights(dims: QuiverDims) -> Dict[Tuple[int, int], int]:
+    """n * tr(zeta h) on one string [a, b], for every interval.
+
+    On the string, zeta = (n k - sum_j j d_j)/n and h = 2k - a - b at vertex k.
+    """
+    n, shift = dims.n, sum(j * d for j, d in enumerate(dims.dims))
+    return {
+        (a, b): sum((n * k - shift) * (2 * k - a - b) for k in range(a, b + 1))
+        for a in range(dims.m)
+        for b in range(a, dims.m)
+    }
+
+
+def interval_toledo_rank(dims: QuiverDims, mult: Multiplicities) -> Q:
+    """rank_T of an orbit: tr(zeta h) summed over its strings."""
+    weights = _toledo_weights(dims)
+    return Q(sum(c * weights[ab] for ab, c in mult.items()), dims.n)
+
+
 def orbit_toledo_rank(dims: QuiverDims, rt: RankTuple) -> Q:
     """rank_T of an orbit from its rank tuple alone.
 
     The string multiplicities are m_ij = r_ij - r_{i-1,j} - r_{i,j+1} +
-    r_{i-1,j+1} (with r_ii = d_i and out-of-range ranks 0); the rank is
-    tr(zeta h) summed over strings.
+    r_{i-1,j+1} (with r_ii = d_i and out-of-range ranks 0).
     """
     r = dict(rt)
-    alpha = dims.alpha
 
     def rr(i: int, j: int) -> int:
         if i < 0 or j >= dims.m:
@@ -231,22 +273,12 @@ def orbit_toledo_rank(dims: QuiverDims, rt: RankTuple) -> Q:
             return dims.dims[i]
         return r[(i, j)]
 
-    total = Q(0)
-    for i in range(dims.m):
-        for j in range(i, dims.m):
-            mult = rr(i, j) - rr(i - 1, j) - rr(i, j + 1) + rr(i - 1, j + 1)
-            if mult:
-                total += mult * sum(
-                    ((Q(k) - alpha) * (2 * k - i - j) for k in range(i, j + 1)), Q(0)
-                )
-    return total
-
-
-def pointwise_maximality(dims: QuiverDims, elem: Sequence[RationalMatrix]) -> bool:
-    """Open-orbit membership test; only meaningful in the JM-regular case."""
-    if not quiver_jm_regular(dims):
-        raise ValueError("dimension vector is not JM-regular")
-    return rank_tuple(dims, elem) == maximal_rank_tuple(dims)
+    mult = {
+        (i, j): rr(i, j) - rr(i - 1, j) - rr(i, j + 1) + rr(i - 1, j + 1)
+        for i in range(dims.m)
+        for j in range(i, dims.m)
+    }
+    return interval_toledo_rank(dims, mult)
 
 
 @dataclass(frozen=True)
@@ -282,19 +314,3 @@ def labels_for_dims(dims: QuiverDims) -> Tuple[int, ...]:
     """0/1 simple-root labels of the A_{n-1} grading with these block sizes."""
     boundaries = {dims.block_start(j) for j in range(1, dims.m)}
     return tuple(int(k in boundaries) for k in range(1, dims.n))
-
-
-def dims_for_labels(labels: Sequence[int]) -> QuiverDims:
-    """Block sizes cut out by 0/1 simple-root labels of sl_n."""
-    if any(x not in (0, 1) for x in labels) or not any(labels):
-        raise ValueError("labels must be 0/1 and not all zero")
-    blocks = []
-    size = 1
-    for x in labels:
-        if x:
-            blocks.append(size)
-            size = 1
-        else:
-            size += 1
-    blocks.append(size)
-    return QuiverDims(tuple(blocks))

@@ -7,8 +7,9 @@ from hypothesis import settings
 from gradedlie.checks import paper_checks
 from gradedlie.chevalley import build_algebra
 from gradedlie.grading import z_grading_from_labels
-from gradedlie.quiver import QuiverDims, dims_for_labels, labels_for_dims
+from gradedlie.quiver import QuiverDims, labels_for_dims
 from gradedlie.rootsystem import LieType
+from oracles import dims_for_labels
 
 # Property tests draw the same examples on every run and write no example
 # database; CLI examples can take a second, so there is no per-example deadline.

@@ -16,6 +16,7 @@ from fractions import Fraction as Q
 import pytest
 
 from conftest import PAPER_CHECKS, assert_paper_check, embed_quiver_element, quiver_grading
+from oracles import dims_for_labels
 
 from gradedlie.cayley import cayley_pair, verify_iso_and_character
 from gradedlie.checks import paper_checks
@@ -25,11 +26,11 @@ from gradedlie.quaternionic import build_quaternionic, verify_extreme_pieces
 from gradedlie.quiver import (
     QuiverDims,
     QuiverHiggsTopology,
-    dims_for_labels,
     enumerate_orbits,
     maximal_rank_tuple,
     orbit_toledo_rank,
     quiver_jm_regular,
+    string_representative,
     toledo_invariant,
 )
 from gradedlie.rootsystem import LieType
@@ -170,8 +171,8 @@ def test_8_property_suites():
         zg = quiver_grading(qd)
         pair = vinberg_pair(zg)
         top_rank = pair_rank(pair)
-        for rt, elem in enumerate_orbits(qd):
-            e = embed_quiver_element(zg, qd, elem)
+        for rt, mult in enumerate_orbits(qd):
+            e = embed_quiver_element(zg, qd, string_representative(qd, mult))
             if all(x == 0 for x in e):
                 continue
             r = toledo_rank(pair, e)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from gradedlie.cli import main, parse_rational, q_str
+from gradedlie.cli import COMMAND_FLAGS, main, parse_rational, q_str, usage
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -205,6 +205,25 @@ def test_config_integer_strings_accepted(tmp_path, capsys):
         [{"seed": False}, "cayley", "--dims", "2,2,2"],
         [{"seed": None}, "verify-paper"],
         [{"labels": "1,,1"}, "grading", "--type", "A2"],
+        # an integer is an optional sign and ASCII digits, nothing else
+        ["grading", "--type", "A2", "--labels", "1_0,1"],
+        ["grading", "--type", "A2", "--labels", "1 0,1"],
+        ["quaternionic", "--type", "A2", "--seed", "\u0663"],
+        ["amw", "--genus", " 2"],
+        ["amw", "--genus", "2", "--lambda", "1/\u0662"],
+        [{"seed": "\u0663"}, "quaternionic", "--type", "A2"],
+        # usage errors: one line, never a SystemExit
+        ["quiver", "--seed", "x", "--dims", "2,2"],
+        ["quiver", "--dim", "2,2"],
+        ["quiver", "--dims"],
+        ["quiver", "--dims", "--seed", "1"],
+        ["quiver", "--format", "xml", "--dims", "2,2"],
+        ["quiver", "--dims", "2,2", "--extended"],
+        ["verify-paper", "--extended=x"],
+        ["quiver", "2,2"],
+        ["frobnicate"],
+        ["quiver", "--dims", "2,2", "--config", "job.json"],
+        ["--config"],
     ],
 )
 def test_rejected_input_is_one_line(tmp_path, capsys, argv):
@@ -245,3 +264,48 @@ def test_python_dash_m_runs_the_cli():
     )
     assert done.returncode == 0
     assert done.stdout == (ROOT / "tests" / "golden" / "grading_type_A2_labels_1_1.out").read_text()
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["quiver", "--help"], ["--config", "x", "amw", "-h"]])
+def test_help_lists_every_command(capsys, argv):
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out == usage() and captured.err == ""
+    for command, flags in COMMAND_FLAGS.items():
+        assert f"  {command} " in captured.out
+        assert all(flag in captured.out for flag in flags.split())
+
+
+def test_no_command_prints_usage(capsys):
+    assert main([]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == usage()
+    assert captured.err.splitlines() == ["error: a command is required"]
+
+
+def test_negative_list_as_separate_token(capsys):
+    code, report = run_json(capsys, "toledo", "--dims", "1,1,1", "--degrees", "-1,0,1", "--genus", "2")
+    assert code == 0
+    assert report["inputs"]["degrees"] == [-1, 0, 1]
+    assert report["results"]["tau"] == "4"
+
+
+def test_signed_integers_accepted(capsys):
+    code, report = run_json(capsys, "amw", "--genus", "+2", "--lambda", "-1/+2", "--depth=+3")
+    assert code == 0
+    assert (report["inputs"]["genus"], report["inputs"]["lambda"]) == (2, "-1/2")
+
+
+def test_quiver_job_imports_no_parser():
+    # argparse builds gettext lookups that import locale: milliseconds per job
+    script = (
+        "import sys\n"
+        "from gradedlie import cli\n"
+        "assert cli.main(['quiver', '--dims', '2,2']) == 0\n"
+        "print(sorted(m for m in ('argparse', 'locale') if m in sys.modules))\n"
+    )
+    src = str(ROOT / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradedlie.cli import main
+from gradedlie.cli import COMMAND_FLAGS, COMMON_FLAGS, FLAG_OPTIONS, main
 from gradedlie.linalg import (
     RationalMatrix,
     _bareiss_echelon,
@@ -266,7 +266,7 @@ def configs(draw, command: str, unwritable: str):
     return config
 
 
-def assert_exit_contract(argv):
+def assert_exit_contract(argv) -> int:
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -274,6 +274,7 @@ def assert_exit_contract(argv):
     if code == 2:
         (line,) = err.getvalue().splitlines()
         assert line.startswith("error: ")
+    return code
 
 
 @pytest.mark.parametrize("command", sorted(FIELDS))
@@ -292,3 +293,47 @@ def test_cli_config_exit_codes(command, data, tmp_path_factory):
     path = folder / f"fuzz-{command}.json"
     path.write_text(json.dumps(config))
     assert_exit_contract(["--config", str(path), command])
+
+
+SWITCH_FLAGS = sorted(flag for flag, options in FLAG_OPTIONS.items() if options.get("switch"))
+EVERY_FLAG = sorted({flag for flags in COMMAND_FLAGS.values() for flag in flags.split()})
+
+
+@st.composite
+def malformed_argvs(draw, command: str):
+    """A drawn argv of the command with one malformed token (or pair) put in."""
+    argv = draw(argvs(command))
+    own = COMMAND_FLAGS[command].split() + COMMON_FLAGS
+    value_flags = [flag for flag in own if not FLAG_OPTIONS.get(flag, {}).get("switch")]
+    kind = draw(st.sampled_from(
+        ["unknown", "foreign", "bare", "empty", "switch=", "command", "config", "help"]
+    ))
+    if kind == "command":
+        argv[0] = draw(st.sampled_from(["frobnicate", "Quiver", "verify_paper", "--dims", ""]))
+        return argv
+    if kind == "help":
+        tokens = [draw(st.sampled_from(["-h", "--help"]))]
+    elif kind == "unknown":
+        tokens = [draw(st.sampled_from(["--bogus", "--bogus=1", "--dim", "--typ=A2", "-x", "--"]))]
+    elif kind == "foreign":
+        foreign = [flag for flag in EVERY_FLAG if flag not in own]
+        tokens = [draw(st.sampled_from(foreign))] if foreign else ["--bogus"]
+    elif kind == "bare":
+        tokens = [draw(st.sampled_from(value_flags))]
+    elif kind == "empty":
+        tokens = [draw(st.sampled_from(value_flags)) + "="]
+    elif kind == "switch=":
+        tokens = [draw(st.sampled_from(SWITCH_FLAGS)) + "=" + draw(st.sampled_from(["x", "", "1"]))]
+    else:
+        tokens = ["--config", draw(st.sampled_from(["job.json", "", "-1"]))]
+    at = draw(st.integers(0 if kind == "help" else 1, len(argv)))
+    return argv[:at] + tokens + argv[at:]
+
+
+@pytest.mark.parametrize("command", sorted(FIELDS))
+@settings(max_examples=30)
+@given(data=st.data())
+def test_cli_malformed_argv_exit_codes(command, data):
+    # every malformed token gives a report (an empty --output is stdout) or one error line
+    argv = data.draw(malformed_argvs(command))
+    assert assert_exit_contract(argv) in (0, 2), argv

@@ -6,6 +6,7 @@ from fractions import Fraction as Q
 import pytest
 
 from conftest import SMALL_DIMS
+from oracles import dims_for_labels, pointwise_maximality
 
 from gradedlie.cli import main
 from gradedlie.linalg import RationalMatrix
@@ -13,16 +14,16 @@ from gradedlie.quiver import (
     QuiverDims,
     QuiverHiggsTopology,
     canonical_open_element,
-    dims_for_labels,
     enumerate_orbits,
+    interval_toledo_rank,
     jordan_h,
     jordan_strings,
     labels_for_dims,
     maximal_rank_tuple,
     orbit_toledo_rank,
-    pointwise_maximality,
     quiver_jm_regular,
     rank_tuple,
+    string_representative,
     toledo_invariant,
     zeta_matrix,
 )
@@ -90,8 +91,8 @@ def test_enumerate_orbits_certified_and_unique_maximum():
         orbits = enumerate_orbits(d)
         tuples = [rt for rt, _ in orbits]
         assert len(set(tuples)) == len(tuples)
-        for rt, elem in orbits:
-            assert rank_tuple(d, elem) == rt
+        for rt, mult in orbits:
+            assert rank_tuple(d, string_representative(d, mult)) == rt
         assert tuples.count(maximal_rank_tuple(d)) == 1
 
 
@@ -135,11 +136,18 @@ def test_enumerate_orbits_matches_search(dims):
 
 @pytest.mark.parametrize("dims", ORACLE_DIMS + [(4, 4, 4), (1, 2, 3, 2, 1)], ids=dims_id)
 def test_enumerate_orbits_representatives(dims):
+    # the closed forms in the multiplicities against the maps that realize them:
+    # rank tuples against composed-map ranks, Toledo ranks against tr(zeta h)
     d = QuiverDims(dims)
-    for rt, rep in enumerate_orbits(d):
+    zeta = zeta_matrix(d)
+    for rt, mult in enumerate_orbits(d):
+        rep = string_representative(d, mult)
         assert rank_tuple(d, rep) == rt
         strings = jordan_strings(d, rep)
         assert sorted(k for chain in strings for k in chain) == list(range(d.n))
+        trace = sum((z * h for z, h in zip(zeta, jordan_h(d, rep))), Q(0))
+        assert interval_toledo_rank(d, mult) == trace
+        assert orbit_toledo_rank(d, rt) == trace
 
 
 def test_enumerate_orbits_444():

@@ -7,7 +7,13 @@ from conftest import SMALL_DIMS, embed_quiver_element, quiver_grading
 
 from gradedlie.chevalley import build_algebra
 from gradedlie.grading import z_grading_from_labels
-from gradedlie.quiver import QuiverDims, enumerate_orbits, maximal_rank_tuple, orbit_toledo_rank
+from gradedlie.quiver import (
+    QuiverDims,
+    enumerate_orbits,
+    maximal_rank_tuple,
+    orbit_toledo_rank,
+    string_representative,
+)
 from gradedlie.rootsystem import LieType
 from gradedlie.vinberg import (
     dual_toledo_factor,
@@ -210,8 +216,8 @@ def test_rank_monotonicity_on_orbits(dims):
     pair = vinberg_pair(zg)
     open_rank = pair_rank(pair)
     maximal = maximal_rank_tuple(qd)
-    for rt, elem in enumerate_orbits(qd):
-        e = embed_quiver_element(zg, qd, elem)
+    for rt, mult in enumerate_orbits(qd):
+        e = embed_quiver_element(zg, qd, string_representative(qd, mult))
         if all(x == 0 for x in e):
             continue
         r = toledo_rank(pair, e)
