@@ -9,9 +9,11 @@ descending alpha-string through beta.  Every other constant follows from the
 Jacobi identity and the sign rules N_{beta,alpha} = -N_{alpha,beta},
 N_{-alpha,-beta} = -N_{alpha,beta}.
 
-The bracket table stores [b_i, b_j] for both orientations of every pair with
-a nonzero bracket, as (target, coefficient) pairs of Python ints; each
-constant is checked to be an integer as it goes in (Chevalley's theorem).
+Constants, norm ratios (of the root system's length classes) and coroots are
+Python ints by Chevalley's theorem; a division with a remainder raises
+AssertionError.  The bracket table stores [b_i, b_j] for both orientations of
+every pair with a nonzero bracket, as (target, coefficient) pairs of Python
+ints; each constant is checked to be an int as it goes in.
 
 Linear systems in ad_x restricted to graded pieces read the table directly
 through ``ChevalleyAlgebra.ad_block``, which walks x's support only and returns
@@ -30,12 +32,13 @@ brackets of those generators reach every basis vector (see
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction as Q
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .linalg import RationalMatrix, Vector, kernel_basis
-from .rootsystem import LieType, Root, RootSystem, build_root_system
+from .rootsystem import LieType, Root, RootSystem, build_root_system, exact_div
 
 Sparse = Dict[int, Q]
 # [b_i, b_j] as (k, c) pairs: sum of c * b_k, integer c, nonzero terms only
@@ -53,26 +56,24 @@ def _is_positive(alpha: Root) -> bool:
 
 
 def _neg(alpha: Root) -> Root:
-    return tuple(-x for x in alpha)
+    return tuple(map(operator.neg, alpha))
 
 
 def _add(a: Root, b: Root) -> Root:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def _sub(a: Root, b: Root) -> Root:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(operator.sub, a, b))
 
 
 class StructureConstants:
-    """N_{alpha,beta} for all root pairs with alpha+beta a root."""
+    """N_{alpha,beta} (Python ints) for all root pairs with alpha+beta a root."""
 
     def __init__(self, rs: RootSystem):
         self.rs = rs
         self._root_set = set(rs.roots)
-        # position of each positive root in the (height, coords) order
-        self._pos_order = {a: i for i, a in enumerate(rs.positive_roots)}
-        self._table: Dict[Tuple[Root, Root], Q] = {}
+        self._table: Dict[Tuple[Root, Root], int] = {}
         self._fill()
 
     def _string_down(self, alpha: Root, beta: Root) -> int:
@@ -85,33 +86,35 @@ class StructureConstants:
         return p
 
     def _fill(self):
-        rs = self.rs
-        for gamma in rs.positive_roots:
-            if sum(gamma) < 2:
-                continue
-            pairs = [
-                (a, _sub(gamma, a))
-                for a in rs.positive_roots
-                if self._pos_order[a] < self._pos_order.get(_sub(gamma, a), -1)
-            ]
-            if not pairs:
+        rs, pos, ell = self.rs, self.rs.positive_roots, self.rs.lengths
+        # A positive root as one int sum_k c_k 32^k (c_k <= 12 on a sum of two roots).
+        # Pairs a + b = gamma, a before b, come in the order of a: extraspecial first.
+        codes = [sum(c << 5 * k for k, c in enumerate(a)) for a in pos]
+        of_code = dict(zip(codes, pos))
+        pairs: Dict[Root, List[Tuple[Root, Root]]] = {}
+        for i, (a, ca) in enumerate(zip(pos, codes)):
+            for b, cb in zip(pos[i + 1 :], codes[i + 1 :]):
+                gamma = of_code.get(ca + cb)
+                if gamma is not None:
+                    pairs.setdefault(gamma, []).append((a, b))
+        for gamma in pos[rs.rank :]:  # past the simple roots
+            if gamma not in pairs:
                 raise AssertionError(f"no special pair for {gamma}")
-            pairs.sort(key=lambda ab: self._pos_order[ab[0]])
-            a1, b1 = pairs[0]  # extraspecial
-            self._table[(a1, b1)] = Q(self._string_down(a1, b1) + 1)
+            (a1, b1), *rest = pairs[gamma]  # extraspecial first
+            n1 = self._table[(a1, b1)] = self._string_down(a1, b1) + 1
             # N(-a1, gamma): mixed pair reduced by the norm-weighted cycle rule
-            n_neg = rs.norm(b1) / rs.norm(gamma) * self._table[(a1, b1)]
-            for a, b in pairs[1:]:
+            n_neg = exact_div(ell[b1] * n1, ell[gamma])
+            for a, b in rest:
                 # Jacobi on (e_{-a1}, e_a, e_b), coefficient of e_{b1}
                 t1 = self.value(b, _neg(a1)) * self.value(a, _sub(b, a1))
                 t2 = self.value(_neg(a1), a) * self.value(b, _sub(a, a1))
-                self._table[(a, b)] = -(t1 + t2) / n_neg
+                self._table[(a, b)] = exact_div(-(t1 + t2), n_neg)
 
-    def value(self, a: Root, b: Root) -> Q:
+    def value(self, a: Root, b: Root) -> int:
         """N_{a,b}; zero when a+b is not a root."""
         s = _add(a, b)
         if a not in self._root_set or b not in self._root_set or s not in self._root_set:
-            return Q(0)
+            return 0
         if _is_positive(a) and _is_positive(b):
             if (a, b) in self._table:
                 return self._table[(a, b)]
@@ -122,7 +125,7 @@ class StructureConstants:
             return -self.value(b, a)
         # a > 0, b < 0
         if _is_positive(s):
-            return self.rs.norm(s) / self.rs.norm(a) * (-self.value(_neg(b), s))
+            return exact_div(-self.rs.lengths[s] * self.value(_neg(b), s), self.rs.lengths[a])
         return self.value(_neg(b), _neg(a))
 
     def positive_pairs(self):
@@ -190,37 +193,40 @@ class ChevalleyAlgebra:
         index = self.root_index
         shared: Dict[Terms, Terms] = {}  # equal brackets share one tuple
 
-        def put(i: int, j: int, terms: Sequence[Tuple[int, Q]]):
+        def put(i: int, j: int, terms: Terms):
             """Store [b_i, b_j] = sum c b_k and [b_j, b_i] = -sum c b_k."""
             for k, c in terms:
-                if c.denominator != 1:
+                if type(c) is not int:
                     raise AssertionError(f"structure constant {c} of [{i},{j}] is not an integer")
-            ints = tuple((k, int(c)) for k, c in terms)
-            neg = tuple((k, -c) for k, c in ints)
-            self._rows[i][j] = shared.setdefault(ints, ints)
+            neg = tuple((k, -c) for k, c in terms)
+            self._rows[i][j] = shared.setdefault(terms, terms)
             self._rows[j][i] = shared.setdefault(neg, neg)
 
-        for j, alpha in enumerate(rs.roots):
-            col = r + j
-            for i in range(r):
-                c = rs.pairing(alpha, i)
+        # [h_i, e_alpha] = <alpha, alpha_i^vee> e_alpha, from the nonzero Cartan entries
+        cartan = [[(i, c) for i, c in enumerate(row) if c] for row in rs.cartan]
+        for col, alpha in enumerate(rs.roots, r):
+            pairing = [0] * r
+            for k, a in enumerate(alpha):
+                for i, c in cartan[k] if a else ():
+                    pairing[i] += a * c
+            for i, c in enumerate(pairing):
                 if c:
                     put(i, col, ((col, c),))
         opp = {index[a]: index[_neg(a)] for a in rs.roots}  # e_alpha -> e_{-alpha}
         for alpha in rs.positive_roots:
             cr = rs.coroot_coefficients(alpha)
-            put(index[alpha], opp[index[alpha]], [(k, c) for k, c in enumerate(cr) if c])
+            put(index[alpha], opp[index[alpha]], tuple((k, c) for k, c in enumerate(cr) if c))
         # A positive pair a + b = gamma closes the zero-sum triple (a, b, -gamma).
         # Around it N_{x,y} / |z|^2 is constant, and N_{-x,-y} = -N_{x,y}; these
         # are the sign rules of StructureConstants.value, pair by pair.
-        norm = rs.norm
+        ell = rs.lengths
         for (a, b), n in self.constants.positive_pairs():
             gamma = _add(a, b)
             ia, ib, ig = index[a], index[b], index[gamma]
             for x, y, s, n_xy in (
                 (ia, ib, ig, n),
-                (ib, opp[ig], opp[ia], n * norm(a) / norm(gamma)),
-                (opp[ig], ia, opp[ib], n * norm(b) / norm(gamma)),
+                (ib, opp[ig], opp[ia], exact_div(n * ell[a], ell[gamma])),
+                (opp[ig], ia, opp[ib], exact_div(n * ell[b], ell[gamma])),
             ):
                 put(x, y, ((s, n_xy),))
                 put(opp[x], opp[y], ((opp[s], -n_xy),))

@@ -464,11 +464,7 @@ def parse_argv(argv: List[str]):
             fields[field_name(flag)] = True
             continue
         value = flag_value(flag, inline if eq else None, rest)
-        if options.get("int"):
-            value = to_int(value, field_name(flag))
-        elif value not in options.get("choices", (value,)):
-            raise InputError(f"{flag} must be {' or '.join(options['choices'])}, got {value!r}")
-        fields[field_name(flag)] = value
+        fields[field_name(flag)] = to_int(value, field_name(flag)) if options.get("int") else value
     return config, command, fields
 
 
@@ -510,9 +506,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             sys.stdout.write(usage())
             raise InputError("a command is required")
         args = {**read_config(config), **fields}
+        formats = FLAG_OPTIONS["--format"]["choices"]
+        if args.get("output_format", "json") not in formats:
+            raise InputError(f"--format must be {' or '.join(formats)}, got {args['output_format']!r}")
         path = args.get("output_path")
-        if path is not None and not isinstance(path, str):
-            raise InputError(f"output_path must be a string, got {path!r}")
+        if path is not None and not (isinstance(path, str) and path):
+            raise InputError(f"output_path must be a non-empty string, got {path!r}")
         report = HANDLERS[command](args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -522,7 +521,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         payload = render_text(report)
     else:
         payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if path:
+    if path is not None:
         try:
             with open(path, "w") as fh:
                 fh.write(payload)

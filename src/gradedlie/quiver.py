@@ -258,29 +258,6 @@ def interval_toledo_rank(dims: QuiverDims, mult: Multiplicities) -> Q:
     return Q(sum(c * weights[ab] for ab, c in mult.items()), dims.n)
 
 
-def orbit_toledo_rank(dims: QuiverDims, rt: RankTuple) -> Q:
-    """rank_T of an orbit from its rank tuple alone.
-
-    The string multiplicities are m_ij = r_ij - r_{i-1,j} - r_{i,j+1} +
-    r_{i-1,j+1} (with r_ii = d_i and out-of-range ranks 0).
-    """
-    r = dict(rt)
-
-    def rr(i: int, j: int) -> int:
-        if i < 0 or j >= dims.m:
-            return 0
-        if i == j:
-            return dims.dims[i]
-        return r[(i, j)]
-
-    mult = {
-        (i, j): rr(i, j) - rr(i - 1, j) - rr(i, j + 1) + rr(i - 1, j + 1)
-        for i in range(dims.m)
-        for j in range(i, dims.m)
-    }
-    return interval_toledo_rank(dims, mult)
-
-
 @dataclass(frozen=True)
 class QuiverHiggsTopology:
     ranks: Tuple[int, ...]

@@ -3,10 +3,11 @@
 Roots are stored as integer coordinate vectors in the simple-root basis,
 ordered by Bourbaki numbering of the simple roots.  The invariant form on the
 root lattice is normalised so that the highest root has squared length 2.
-Root norms (at most two distinct values) come from the reflection closure:
-each root has the norm of the simple root whose Weyl orbit it was reached in,
-so no root needs a form evaluation (``_form_value`` stays as the oracle).
-Norms, coroot coefficients and the Gram matrix of the simple coroots are
+Root norms (Fractions, at most two values) and length classes (Python ints
+|alpha|^2 / |shortest root|^2 in {1, 2, 3}) come from the reflection closure:
+each root has those of the simple root whose Weyl orbit it was reached in, so
+no root needs a form evaluation (``_form_value`` stays as the oracle).  They,
+the integer coroot coefficients and the Gram matrix of the simple coroots are
 computed once per root system; ``norm`` and ``coroot_coefficients`` are table
 lookups on roots.
 """
@@ -110,7 +111,8 @@ class RootSystem:
     highest_root: Root
     affine_marks: Tuple[int, ...]  # (n_0, n_1, ..., n_r) with n_0 = 1
     norms: Dict[Root, Q] = field(compare=False, repr=False)  # B*(alpha, alpha) per root
-    coroots: Dict[Root, Tuple[Q, ...]] = field(compare=False, repr=False)
+    lengths: Dict[Root, int] = field(compare=False, repr=False)  # norm / shortest norm
+    coroots: Dict[Root, Tuple[int, ...]] = field(compare=False, repr=False)
     # B(h_i, h_j) = 4 (alpha_i, alpha_j) / (|alpha_i|^2 |alpha_j|^2) on simple coroots
     coroot_gram: Tuple[Tuple[Q, ...], ...] = field(compare=False, repr=False)
 
@@ -134,9 +136,17 @@ class RootSystem:
         """B*(alpha, alpha) of a root."""
         return self.norms[alpha]
 
-    def coroot_coefficients(self, alpha: Root) -> Tuple[Q, ...]:
-        """Coefficients of the coroot alpha^vee in the simple coroot basis (integral)."""
+    def coroot_coefficients(self, alpha: Root) -> Tuple[int, ...]:
+        """Coefficients of the coroot alpha^vee in the simple coroot basis."""
         return self.coroots[alpha]
+
+
+def exact_div(n, d) -> int:
+    """n / d where the quotient must be an integer; a remainder raises AssertionError."""
+    q, rem = divmod(n, d)
+    if rem:
+        raise AssertionError(f"{n}/{d} is not an integer")
+    return q
 
 
 def _form_value(form: Sequence[Sequence[Q]], alpha: Root, beta: Root) -> Q:
@@ -221,13 +231,18 @@ def build_root_system(t: LieType) -> RootSystem:
     scale = Q(2) / _form_value(form, highest, highest)
     form = [[x * scale for x in row] for row in form]
 
-    # Root data, computed once.  A root has the norm of the simple root its
-    # reflection chain starts from (Weyl invariance); at most two values occur.
+    # Root data, computed once.  A root has the norm and length class of the
+    # simple root its reflection chain starts from (Weyl invariance); at most
+    # two values occur.  alpha^vee = sum_i a_i ell(alpha_i) / ell(alpha) alpha_i^vee.
     norms = {a: form[j][j] for a, j in origin.items()}
-    if len(set(norms.values())) > 2:
+    values = set(norms.values())
+    if len(values) > 2:
         raise AssertionError("more than two root lengths")
+    ell = [exact_div(form[j][j], min(values)) for j in range(r)]
+    lengths = {a: ell[j] for a, j in origin.items()}
     coroots = {
-        a: tuple(Q(a[i]) * form[i][i] / norms[a] for i in range(r)) for a in roots
+        a: tuple(exact_div(x * ell[i], lengths[a]) if x else 0 for i, x in enumerate(a))
+        for a in roots
     }
     coroot_gram = tuple(
         tuple(4 * form[i][j] / (form[i][i] * form[j][j]) for j in range(r))
@@ -243,6 +258,7 @@ def build_root_system(t: LieType) -> RootSystem:
         highest_root=highest,
         affine_marks=(1,) + highest,
         norms=norms,
+        lengths=lengths,
         coroots=coroots,
         coroot_gram=coroot_gram,
     )

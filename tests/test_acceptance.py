@@ -16,7 +16,7 @@ from fractions import Fraction as Q
 import pytest
 
 from conftest import PAPER_CHECKS, assert_paper_check, embed_quiver_element, quiver_grading
-from oracles import dims_for_labels
+from oracles import dims_for_labels, orbit_toledo_rank
 
 from gradedlie.cayley import cayley_pair, verify_iso_and_character
 from gradedlie.checks import paper_checks
@@ -28,7 +28,6 @@ from gradedlie.quiver import (
     QuiverHiggsTopology,
     enumerate_orbits,
     maximal_rank_tuple,
-    orbit_toledo_rank,
     quiver_jm_regular,
     string_representative,
     toledo_invariant,

@@ -4,6 +4,8 @@ from fractions import Fraction as Q
 
 import pytest
 
+from oracles import FractionConstants, fraction_coroot
+
 from gradedlie.chevalley import ChevalleyAlgebra, StructureConstants, build_algebra
 from gradedlie.linalg import rank
 from gradedlie.rootsystem import LieType, build_root_system
@@ -218,6 +220,31 @@ def test_table_matches_structure_constants(name):
             got = alg.basis_bracket(r + i, r + j)
             assert got == expected
             assert all(type(c) is int for c in got.values())
+
+
+ORACLE_TYPES = (
+    [f"A{n}" for n in range(1, 9)]
+    + [f"{f}{n}" for f in "BC" for n in range(2, 9)]
+    + [f"D{n}" for n in range(4, 9)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
+
+
+@pytest.mark.parametrize("name", ORACLE_TYPES)
+def test_integer_constants_match_fraction_oracle(name):
+    """Integer constants and coroots equal the Fraction route, constant by constant."""
+    rs = build_root_system(LieType.parse(name))
+    constants, oracle = StructureConstants(rs), FractionConstants(rs)
+    table = dict(constants.positive_pairs())
+    assert table == oracle._table
+    assert all(type(n) is int for n in table.values())
+    for alpha in rs.roots:
+        coroot = rs.coroot_coefficients(alpha)
+        assert coroot == fraction_coroot(rs, alpha)
+        assert all(type(c) is int for c in coroot)
+        for beta in rs.roots:
+            n = constants.value(alpha, beta)
+            assert type(n) is int and n == oracle.value(alpha, beta)
 
 
 AD_BLOCK_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "G2", "F4", "E6", "E7", "E8"]

@@ -224,6 +224,11 @@ def test_config_integer_strings_accepted(tmp_path, capsys):
         ["frobnicate"],
         ["quiver", "--dims", "2,2", "--config", "job.json"],
         ["--config"],
+        # a config's output_format and output_path go through the checks of --format and --output
+        [{"output_format": "xml"}, "quiver", "--dims", "1,1"],
+        [{"output_format": 7}, "quiver", "--dims", "1,1"],
+        ["quiver", "--dims", "1,1", "--output", ""],
+        [{"output_path": ""}, "quiver", "--dims", "1,1"],
     ],
 )
 def test_rejected_input_is_one_line(tmp_path, capsys, argv):

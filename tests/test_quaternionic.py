@@ -1,6 +1,7 @@
 import pytest
 
 from conftest import assert_paper_check
+from oracles import orbit_toledo_rank
 
 from gradedlie.checks import expected_ranks, q_list
 from gradedlie.quaternionic import (
@@ -11,7 +12,7 @@ from gradedlie.quaternionic import (
     verify_extreme_pieces,
 )
 from gradedlie.chevalley import build_algebra
-from gradedlie.quiver import QuiverDims, maximal_rank_tuple, orbit_toledo_rank, quiver_jm_regular
+from gradedlie.quiver import QuiverDims, maximal_rank_tuple, quiver_jm_regular
 from gradedlie.rootsystem import LieType
 from gradedlie.vinberg import jm_regular, normalized_form
 

@@ -6,7 +6,7 @@ from fractions import Fraction as Q
 import pytest
 
 from conftest import SMALL_DIMS
-from oracles import dims_for_labels, pointwise_maximality
+from oracles import dims_for_labels, orbit_toledo_rank, pointwise_maximality
 
 from gradedlie.cli import main
 from gradedlie.linalg import RationalMatrix
@@ -20,7 +20,6 @@ from gradedlie.quiver import (
     jordan_strings,
     labels_for_dims,
     maximal_rank_tuple,
-    orbit_toledo_rank,
     quiver_jm_regular,
     rank_tuple,
     string_representative,

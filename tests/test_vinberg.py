@@ -4,6 +4,7 @@ from fractions import Fraction as Q
 import pytest
 
 from conftest import SMALL_DIMS, embed_quiver_element, quiver_grading
+from oracles import orbit_toledo_rank
 
 from gradedlie.chevalley import build_algebra
 from gradedlie.grading import z_grading_from_labels
@@ -11,7 +12,6 @@ from gradedlie.quiver import (
     QuiverDims,
     enumerate_orbits,
     maximal_rank_tuple,
-    orbit_toledo_rank,
     string_representative,
 )
 from gradedlie.rootsystem import LieType
