@@ -37,12 +37,13 @@ from fractions import Fraction as Q
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .linalg import RationalMatrix, Vector, kernel_basis
+from .linalg import RationalMatrix, Vector, integer_form, kernel_basis
 from .rootsystem import LieType, Root, RootSystem, build_root_system, exact_div
 
 Sparse = Dict[int, Q]
 # [b_i, b_j] as (k, c) pairs: sum of c * b_k, integer c, nonzero terms only
 Terms = Tuple[Tuple[int, int], ...]
+_ZERO = Q(0)  # the zero coordinate every vector shares
 
 
 def _exact(x):
@@ -170,16 +171,13 @@ class ChevalleyAlgebra:
         return self.rs.roots[index - self.rank]
 
     def zero(self) -> Vector:
-        return (Q(0),) * self.dim
+        return (_ZERO,) * self.dim
 
     def from_sparse(self, coords: Sparse) -> Vector:
-        return tuple(coords.get(i, Q(0)) for i in range(self.dim))
+        return tuple(coords.get(i, _ZERO) for i in range(self.dim))
 
     def cartan_element(self, coroot_coeffs: Sequence) -> Vector:
         return self.from_sparse({i: Q(c) for i, c in enumerate(coroot_coeffs)})
-
-    def root_vector(self, alpha: Root) -> Vector:
-        return self.from_sparse({self.root_index[alpha]: Q(1)})
 
     def coroot(self, alpha: Root) -> Vector:
         """h_alpha = alpha^vee expressed in the basis."""
@@ -235,18 +233,26 @@ class ChevalleyAlgebra:
         return dict(self._rows[i].get(j, ()))
 
     def bracket(self, a: Sequence, b: Sequence) -> Vector:
+        """[a, b] as Fractions, summed in Python ints over a common denominator."""
         if len(a) != self.dim or len(b) != self.dim:
             raise ValueError("element dimension mismatch")
-        b_support = [(j, Q(bj)) for j, bj in enumerate(b) if bj]
-        out: Sparse = {}
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            row, ai = self._rows[i], Q(ai)
-            for j, bj in b_support:
-                for k, c in row.get(j, ()):
-                    out[k] = out.get(k, Q(0)) + ai * bj * c
-        return self.from_sparse(out)
+        a_num, a_den = integer_form(a)
+        b_num, b_den = integer_form(b)
+        b_support = [(j, bj) for j, bj in enumerate(b_num) if bj]
+        acc: Dict[int, int] = {}
+        for row, ai in zip(self._rows, a_num):
+            for j, bj in b_support if ai else ():
+                terms = row.get(j)
+                if terms:
+                    x = ai * bj
+                    for k, c in terms:
+                        acc[k] = acc.get(k, 0) + x * c
+        out = [_ZERO] * self.dim
+        den = a_den * b_den
+        for k, v in acc.items():
+            if v:
+                out[k] = Q(v, den)
+        return tuple(out)
 
     def ad_block(
         self, x: Sequence, domain: Sequence[int], codomain: Sequence[int]

@@ -21,7 +21,7 @@ from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .chevalley import ChevalleyAlgebra
-from .linalg import RationalMatrix, Vector, solve, vec
+from .linalg import RationalMatrix, Vector, integer_form, solve, vec
 from .rootsystem import affine_cartan_matrix
 
 
@@ -41,10 +41,6 @@ class ZGrading:
 
     def dims(self) -> Dict[int, int]:
         return {j: len(idx) for j, idx in sorted(self.pieces.items())}
-
-    def project(self, v: Sequence, j: int) -> Vector:
-        keep = set(self.piece(j))
-        return tuple(Q(x) if i in keep else Q(0) for i, x in enumerate(v))
 
 
 @dataclass
@@ -120,16 +116,21 @@ def z_grading_from_labels(alg: ChevalleyAlgebra, p: Sequence[int]) -> ZGrading:
 
 
 def _verify_grading_element(zg: ZGrading):
-    """[zeta, e_i] = j e_i for every basis vector e_i of every piece g_j."""
+    """[zeta, e_i] = j e_i for every basis vector e_i of every piece g_j.
+
+    Checked in Python ints as [D zeta, e_i] = j D e_i, with D the common
+    denominator of zeta's coordinates.
+    """
     alg = zg.algebra
-    support = [(k, c) for k, c in enumerate(zg.zeta) if c]
+    num, den = integer_form(zg.zeta)
+    support = [(k, c) for k, c in enumerate(num) if c]
     for j, idx in zg.pieces.items():
         for i in idx:
-            image: Dict[int, Q] = {}
+            image: Dict[int, int] = {}
             for k, c in support:
                 for l, b in alg.basis_bracket(k, i).items():
-                    image[l] = image.get(l, Q(0)) + c * b
-            expected = {i: Q(j)} if j else {}
+                    image[l] = image.get(l, 0) + c * b
+            expected = {i: j * den} if j else {}
             if {l: x for l, x in image.items() if x} != expected:
                 raise AssertionError(f"grading element eigenvalue check failed at degree {j}")
 

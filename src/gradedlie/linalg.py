@@ -2,20 +2,24 @@
 
 ``RationalMatrix`` is a list of rows whose entries are Python ints or
 Fractions, such as the integer blocks of ``ChevalleyAlgebra.ad_block``.
-Elimination is fraction-free (Bareiss): rows are cleared to integers first, so
-intermediate entries stay integral and coefficient growth stays polynomial; a
-row that is already all Python ints is used as it is, with no denominator
-clearing.  This matters for the adjoint matrices of the larger exceptional
-algebras, where naive rational pivoting blows up.
+Elimination runs in Python ints: each row is cleared of denominators (a row
+that is already all ints is used as it is), then reduced by primitive-row
+elimination, which leaves a row with a zero in the pivot column untouched and
+divides every updated row by the gcd of its entries, so coefficients stay
+small.  Back-substitution keeps integer numerators over one common denominator
+and builds a single Fraction per coordinate at the end.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction as Q
-from math import gcd
+from itertools import islice
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 Vector = Tuple[Q, ...]
+_ZERO = Q(0)  # the zero coordinate every solution shares
 
 
 def vec(values: Sequence) -> Vector:
@@ -58,42 +62,38 @@ class RationalMatrix(list):
         return out
 
 
-def _integer_rows(m: RationalMatrix) -> List[List[int]]:
-    """Integer rows with the row space of m (see ``_clear_row``)."""
-    return [_clear_row(row) for row in m]
+def _echelon(rows: List[List[int]]) -> Tuple[List[List[int]], List[int]]:
+    """Row echelon form over the integers, and the list of pivot columns.
 
-
-def _bareiss_echelon(rows: List[List[int]]) -> Tuple[List[List[int]], List[int]]:
-    """Fraction-free row echelon form.
-
-    Returns the reduced rows and the list of pivot columns.  All divisions are
-    exact (Bareiss one-step division by the previous pivot).
+    Primitive-row elimination: a row with a zero in the pivot column is left as
+    it is; any other row becomes (p/g) row - (f/g) pivot_row, with p the pivot,
+    f the row's entry and g = gcd(p, f), and is then divided by the gcd of its
+    entries.  The pivot columns are the greedy column basis of the matrix.
+    The rows are reduced in place.
     """
     if not rows:
         return [], []
     n_rows, n_cols = len(rows), len(rows[0])
     pivots: List[int] = []
-    prev = 1
     r = 0
     for c in range(n_cols):
-        piv = None
-        for i in range(r, n_rows):
-            if rows[i][c] != 0:
-                piv = i
-                break
+        piv = next((i for i in range(r, n_rows) if rows[i][c]), None)
         if piv is None:
             continue
-        if piv != r:
-            rows[r], rows[piv] = rows[piv], rows[r]
-        pivot_row = rows[r]
-        pivot = pivot_row[c]
+        rows[r], rows[piv] = rows[piv], rows[r]
+        # rows r.. are zero left of c, so only the part right of c changes
+        pivot = rows[r][c]
+        tail = rows[r][c + 1 :]
         for i in range(r + 1, n_rows):
             row = rows[i]
-            if not any(row):
-                continue
             factor = row[c]
-            rows[i] = [(x * pivot - factor * y) // prev for x, y in zip(row, pivot_row)]
-        prev = pivot
+            if factor:
+                g = gcd(pivot, factor)
+                a, b = pivot // g, factor // g
+                new = [a * x - b * y for x, y in zip(islice(row, c + 1, None), tail)]
+                content = gcd(*new)
+                row[c] = 0
+                row[c + 1 :] = [x // content for x in new] if content > 1 else new
         pivots.append(c)
         r += 1
         if r == n_rows:
@@ -103,52 +103,56 @@ def _bareiss_echelon(rows: List[List[int]]) -> Tuple[List[List[int]], List[int]]
 
 def rank(m: RationalMatrix) -> int:
     """Rank over the rationals."""
-    _, pivots = _bareiss_echelon(_integer_rows(m))
-    return len(pivots)
+    return len(_echelon([integer_form(row)[0] for row in m])[1])
 
 
 def _back_substitute(
-    echelon: List[List[int]], pivots: List[int], rhs: List[Q], free_values: dict
-) -> List[Q]:
-    """Solve the echelon system with the given values on free columns."""
-    n_cols = len(echelon[0]) if echelon else len(free_values)
-    x: List[Optional[Q]] = [None] * n_cols
-    for c, v in free_values.items():
-        x[c] = v
+    echelon: List[List[int]], pivots: List[int], n_cols: int, rhs: List[int], free: dict
+) -> Vector:
+    """Solve the echelon system, with the given integer values on free columns.
+
+    The solution is kept as integer numerators over one common denominator,
+    the lcm of the denominators of the coordinates found so far; one Fraction
+    per nonzero coordinate is built at the end.
+    """
+    num, den = [0] * n_cols, 1
+    for c, v in free.items():
+        num[c] = v
     for r in range(len(pivots) - 1, -1, -1):
-        c = pivots[r]
-        s = rhs[r]
-        for j in range(c + 1, n_cols):
-            if echelon[r][j] != 0:
-                s -= echelon[r][j] * x[j]
-        x[c] = s / echelon[r][c]
-    return [v if v is not None else Q(0) for v in x]
+        c, row = pivots[r], echelon[r]
+        s = rhs[r] * den - sum(map(mul, islice(row, c + 1, n_cols), num[c + 1 :]))
+        # x_c = s / (den * row[c]), in lowest terms n / d
+        d = den * row[c]
+        g = gcd(s, d) if d > 0 else -gcd(s, d)
+        n, d = s // g, d // g
+        scale = d // gcd(den, d)  # the new common denominator is den * scale
+        if scale != 1:
+            num = [x * scale for x in num]
+            den *= scale
+        num[c] = n * (den // d)
+    return tuple(Q(x, den) if x else _ZERO for x in num)
 
 
 def kernel_basis(m: RationalMatrix) -> List[Vector]:
     """Basis of the right null space, one vector per free column."""
-    echelon, pivots = _bareiss_echelon(_integer_rows(m))
+    echelon, pivots = _echelon([integer_form(row)[0] for row in m])
     free_cols = [c for c in range(m.cols) if c not in pivots]
-    basis = []
-    for f in free_cols:
-        free_values = {c: Q(int(c == f)) for c in free_cols}
-        x = _back_substitute(echelon, pivots, [Q(0)] * len(pivots), free_values)
-        basis.append(tuple(x))
-    return basis
+    rhs = [0] * len(pivots)
+    return [_back_substitute(echelon, pivots, m.cols, rhs, {f: 1}) for f in free_cols]
 
 
 def solve(m: RationalMatrix, b: Sequence) -> Optional[Vector]:
-    """Some exact solution of Mx = b, or None when the system is inconsistent."""
+    """Some exact solution of Mx = b, or None when the system is inconsistent.
+
+    Free columns are set to zero, so the solution returned is unique.
+    """
     if len(b) != m.rows:
         raise ValueError("right-hand side length does not match row count")
-    echelon, pivots = _bareiss_echelon([_clear_row(list(row) + [x]) for row, x in zip(m, b)])
+    echelon, pivots = _echelon([integer_form(list(row) + [x])[0] for row, x in zip(m, b)])
     if m.cols in pivots:
         return None  # pivot in the augmented column: inconsistent
-    free_values = {c: Q(0) for c in range(m.cols) if c not in pivots}
-    rhs = [Q(echelon[r][m.cols]) for r in range(len(pivots))]
-    trimmed = [row[: m.cols] for row in echelon]
-    x = _back_substitute(trimmed, pivots, rhs, free_values)
-    return tuple(x)
+    rhs = [row[m.cols] for row in echelon]
+    return _back_substitute(echelon, pivots, m.cols, rhs, {})
 
 
 def independent_subset(vectors: Sequence[Sequence[Q]]) -> List[int]:
@@ -157,8 +161,8 @@ def independent_subset(vectors: Sequence[Sequence[Q]]) -> List[int]:
     rows: List[List[int]] = []
     current_rank = 0
     for idx, v in enumerate(vectors):
-        candidate = rows + [_clear_row(v)]
-        echelon, pivots = _bareiss_echelon([r[:] for r in candidate])
+        candidate = rows + [integer_form(v)[0]]
+        _, pivots = _echelon([r[:] for r in candidate])
         if len(pivots) > current_rank:
             rows = candidate
             current_rank = len(pivots)
@@ -166,15 +170,13 @@ def independent_subset(vectors: Sequence[Sequence[Q]]) -> List[int]:
     return chosen
 
 
-def _clear_row(v: Sequence) -> List[int]:
-    """The row scaled by the lcm of its denominators; scaling keeps the row space.
+def integer_form(v: Sequence) -> Tuple[List[int], int]:
+    """v as integer numerators over one denominator, the lcm of its denominators.
 
-    A row of Python ints is copied as it is.
+    A row of Python ints is copied as it is, over 1.
     """
     if all(type(x) is int for x in v):
-        return list(v)
+        return list(v), 1
     qs = [x if isinstance(x, (int, Q)) else Q(x) for x in v]
-    scale = 1
-    for x in qs:
-        scale = scale * x.denominator // gcd(scale, x.denominator)
-    return [x.numerator * (scale // x.denominator) for x in qs]
+    den = lcm(*[x.denominator for x in qs if type(x) is not int])
+    return [x * den if type(x) is int else x.numerator * (den // x.denominator) for x in qs], den

@@ -165,12 +165,17 @@ def _reflection_closure(cartan: List[List[int]], r: int) -> Tuple[List[Root], Di
     """
     simple = [tuple(int(i == j) for i in range(r)) for j in range(r)]
     origin = {alpha: j for j, alpha in enumerate(simple)}
+    # <alpha, alpha_j^vee> = sum_i alpha_i c[i][j], from the nonzero Cartan entries
+    cartan_rows = [[(j, c) for j, c in enumerate(row) if c] for row in cartan]
     frontier = list(simple)
     while frontier:
         new = []
         for alpha in frontier:
-            for j in range(r):
-                p = sum(alpha[i] * cartan[i][j] for i in range(r))
+            pairing = [0] * r
+            for a, row in zip(alpha, cartan_rows):
+                for j, c in row if a else ():
+                    pairing[j] += a * c
+            for j, p in enumerate(pairing):
                 if p == 0:
                     continue
                 refl = alpha[:j] + (alpha[j] - p,) + alpha[j + 1 :]
@@ -262,21 +267,6 @@ def build_root_system(t: LieType) -> RootSystem:
         coroots=coroots,
         coroot_gram=coroot_gram,
     )
-
-
-ROOT_COUNTS = {
-    "A": lambda r: r * (r + 1),
-    "B": lambda r: 2 * r * r,
-    "C": lambda r: 2 * r * r,
-    "D": lambda r: 2 * r * (r - 1),
-    "E": lambda r: {6: 72, 7: 126, 8: 240}[r],
-    "F": lambda r: 48,
-    "G": lambda r: 12,
-}
-
-
-def classical_root_count(t: LieType) -> int:
-    return ROOT_COUNTS[t.family](t.rank)
 
 
 def affine_cartan_matrix(rs: RootSystem) -> List[List[int]]:

@@ -1,9 +1,11 @@
 """Test-only helpers and oracles that no command of the package calls."""
 
 from fractions import Fraction as Q
-from typing import Dict, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from gradedlie.linalg import RationalMatrix
+from gradedlie.chevalley import ChevalleyAlgebra
+from gradedlie.grading import ZGrading
+from gradedlie.linalg import RationalMatrix, Vector, integer_form
 from gradedlie.quiver import (
     QuiverDims,
     RankTuple,
@@ -12,7 +14,7 @@ from gradedlie.quiver import (
     quiver_jm_regular,
     rank_tuple,
 )
-from gradedlie.rootsystem import Root, RootSystem
+from gradedlie.rootsystem import LieType, Root, RootSystem
 
 
 def pointwise_maximality(dims: QuiverDims, elem: Sequence[RationalMatrix]) -> bool:
@@ -137,3 +139,157 @@ class FractionConstants:
 def fraction_coroot(rs: RootSystem, alpha: Root) -> Tuple[Q, ...]:
     """alpha^vee = sum_i a_i |alpha_i|^2 / |alpha|^2 alpha_i^vee, in Fractions."""
     return tuple(Q(a) * rs.form_star[i][i] / rs.norm(alpha) for i, a in enumerate(alpha))
+
+
+# -- Bareiss elimination with a Fraction back-substitution -------------------
+
+
+def _integer_rows(m: RationalMatrix) -> List[List[int]]:
+    """Integer rows with the row space of m."""
+    return [integer_form(row)[0] for row in m]
+
+
+def _bareiss_echelon(rows: List[List[int]]) -> Tuple[List[List[int]], List[int]]:
+    """Fraction-free row echelon form and the pivot columns.
+
+    Every lower row is rebuilt at every pivot step; all divisions are exact
+    (Bareiss one-step division by the previous pivot).
+    """
+    if not rows:
+        return [], []
+    n_rows, n_cols = len(rows), len(rows[0])
+    pivots: List[int] = []
+    prev = 1
+    r = 0
+    for c in range(n_cols):
+        piv = next((i for i in range(r, n_rows) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        pivot_row = rows[r]
+        pivot = pivot_row[c]
+        for i in range(r + 1, n_rows):
+            row = rows[i]
+            if not any(row):
+                continue
+            factor = row[c]
+            rows[i] = [(x * pivot - factor * y) // prev for x, y in zip(row, pivot_row)]
+        prev = pivot
+        pivots.append(c)
+        r += 1
+        if r == n_rows:
+            break
+    return rows[:r], pivots
+
+
+def _back_substitute(
+    echelon: List[List[int]], pivots: List[int], rhs: List[Q], free_values: dict
+) -> List[Q]:
+    """Solve the echelon system in Fractions with the given values on free columns."""
+    n_cols = len(echelon[0]) if echelon else len(free_values)
+    x: List[Optional[Q]] = [None] * n_cols
+    for c, v in free_values.items():
+        x[c] = v
+    for r in range(len(pivots) - 1, -1, -1):
+        c = pivots[r]
+        s = rhs[r]
+        for j in range(c + 1, n_cols):
+            if echelon[r][j] != 0:
+                s -= echelon[r][j] * x[j]
+        x[c] = s / echelon[r][c]
+    return [v if v is not None else Q(0) for v in x]
+
+
+def bareiss_rank(m: RationalMatrix) -> int:
+    return len(_bareiss_echelon(_integer_rows(m))[1])
+
+
+def bareiss_kernel_basis(m: RationalMatrix) -> List[Vector]:
+    echelon, pivots = _bareiss_echelon(_integer_rows(m))
+    free_cols = [c for c in range(m.cols) if c not in pivots]
+    basis = []
+    for f in free_cols:
+        free_values = {c: Q(int(c == f)) for c in free_cols}
+        basis.append(tuple(_back_substitute(echelon, pivots, [Q(0)] * len(pivots), free_values)))
+    return basis
+
+
+def bareiss_solve(m: RationalMatrix, b: Sequence) -> Optional[Vector]:
+    echelon, pivots = _bareiss_echelon([integer_form(list(row) + [x])[0] for row, x in zip(m, b)])
+    if m.cols in pivots:
+        return None
+    free_values = {c: Q(0) for c in range(m.cols) if c not in pivots}
+    rhs = [Q(echelon[r][m.cols]) for r in range(len(pivots))]
+    trimmed = [row[: m.cols] for row in echelon]
+    return tuple(_back_substitute(trimmed, pivots, rhs, free_values))
+
+
+# -- dense Fraction bracket, projections, basis vectors, root counts ---------
+
+
+def fraction_bracket(alg: ChevalleyAlgebra, a: Sequence, b: Sequence) -> Vector:
+    """[a, b] accumulated coordinate by coordinate in Fractions."""
+    if len(a) != alg.dim or len(b) != alg.dim:
+        raise ValueError("element dimension mismatch")
+    b_support = [(j, Q(bj)) for j, bj in enumerate(b) if bj]
+    out: Dict[int, Q] = {}
+    for i, ai in enumerate(a):
+        if not ai:
+            continue
+        ai = Q(ai)
+        for j, bj in b_support:
+            for k, c in alg.basis_bracket(i, j).items():
+                out[k] = out.get(k, Q(0)) + ai * bj * c
+    return tuple(out.get(i, Q(0)) for i in range(alg.dim))
+
+
+def project(zg: ZGrading, v: Sequence, j: int) -> Vector:
+    """The coordinates of v in the degree-j piece; zero elsewhere."""
+    keep = set(zg.piece(j))
+    return tuple(Q(x) if i in keep else Q(0) for i, x in enumerate(v))
+
+
+def root_vector(alg: ChevalleyAlgebra, alpha: Root) -> Vector:
+    """The basis vector e_alpha."""
+    return alg.from_sparse({alg.root_index[alpha]: Q(1)})
+
+
+ROOT_COUNTS = {
+    "A": lambda r: r * (r + 1),
+    "B": lambda r: 2 * r * r,
+    "C": lambda r: 2 * r * r,
+    "D": lambda r: 2 * r * (r - 1),
+    "E": lambda r: {6: 72, 7: 126, 8: 240}[r],
+    "F": lambda r: 48,
+    "G": lambda r: 12,
+}
+
+
+def classical_root_count(t: LieType) -> int:
+    return ROOT_COUNTS[t.family](t.rank)
+
+
+# -- dense reflection closure -------------------------------------------------
+
+
+def dense_reflection_closure(cartan: List[List[int]], r: int) -> Tuple[List[Root], Dict[Root, int]]:
+    """All roots, sorted, and the simple root each reflection chain starts from.
+
+    The pairing <alpha, alpha_j^vee> is the full sum over i for every root and j.
+    """
+    simple = [tuple(int(i == j) for i in range(r)) for j in range(r)]
+    origin = {alpha: j for j, alpha in enumerate(simple)}
+    frontier = list(simple)
+    while frontier:
+        new = []
+        for alpha in frontier:
+            for j in range(r):
+                p = sum(alpha[i] * cartan[i][j] for i in range(r))
+                if p == 0:
+                    continue
+                refl = alpha[:j] + (alpha[j] - p,) + alpha[j + 1 :]
+                if refl not in origin:
+                    origin[refl] = origin[alpha]
+                    new.append(refl)
+        frontier = new
+    return sorted(origin), origin

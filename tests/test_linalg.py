@@ -3,6 +3,8 @@ from fractions import Fraction as Q
 
 import pytest
 
+from oracles import bareiss_kernel_basis, bareiss_rank, bareiss_solve
+
 from gradedlie.linalg import (
     RationalMatrix,
     independent_subset,
@@ -123,3 +125,27 @@ def test_matmul():
     a = RationalMatrix([[1, 2], [3, 4]])
     b = RationalMatrix([[0, 1], [1, 0]])
     assert a.matmul(b) == RationalMatrix([[2, 1], [4, 3]])
+
+
+def test_elimination_with_non_unit_pivots_and_zero_rows():
+    # pivots 2 and 3; row 2 has a zero in the first pivot column, row 3 is zero,
+    # row 4 is (row 1 + 2 row 2) / 4
+    m = RationalMatrix(
+        [
+            [2, 4, 0, 6, 1],
+            [0, 3, 0, 1, 0],
+            [0, 0, 0, 0, 0],
+            [Q(1, 2), Q(5, 2), 0, 2, Q(1, 4)],
+            [4, 2, 0, 3, Q(1, 2)],
+        ]
+    )
+    rows = [list(row) for row in m]
+    assert rank(m) == bareiss_rank(m) == 3
+    basis = kernel_basis(m)
+    assert basis == bareiss_kernel_basis(m) and len(basis) == 2
+    assert all(apply(m, v) == (0,) * 5 for v in basis)
+    b = [3, 0, 0, Q(3, 4), Q(9, 2)]  # M (1, 0, 0, 0, 1)
+    assert solve(m, b) == bareiss_solve(m, b) is not None
+    assert apply(m, solve(m, b)) == tuple(b)
+    assert solve(m, [1, 2, 1, 0, 0]) is bareiss_solve(m, [1, 2, 1, 0, 0]) is None
+    assert m == rows  # elimination works on copies

@@ -1,4 +1,4 @@
-"""Property tests: exact linear algebra and the CLI's exit-code contract."""
+"""Property tests: exact linear algebra, the bracket and the CLI's exit-code contract."""
 
 import contextlib
 import io
@@ -9,15 +9,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradedlie.cli import COMMAND_FLAGS, COMMON_FLAGS, FLAG_OPTIONS, main
-from gradedlie.linalg import (
-    RationalMatrix,
+from oracles import (
     _bareiss_echelon,
     _integer_rows,
-    kernel_basis,
-    rank,
-    solve,
+    bareiss_kernel_basis,
+    bareiss_rank,
+    bareiss_solve,
+    fraction_bracket,
 )
+
+from gradedlie.chevalley import build_algebra
+from gradedlie.cli import COMMAND_FLAGS, COMMON_FLAGS, FLAG_OPTIONS, main
+from gradedlie.linalg import RationalMatrix, independent_subset, kernel_basis, rank, solve
+from gradedlie.rootsystem import LieType
 
 entries = st.one_of(
     st.sampled_from([Q(0), Q(1), Q(-1)]),
@@ -174,6 +178,57 @@ def test_matmul_matches_naive_product(data):
     ]
     assert (product.rows, product.cols) == (n, p)
     assert product == naive
+
+
+def assert_matches_bareiss(m: RationalMatrix, b):
+    assert rank(m) == bareiss_rank(m)
+    basis = kernel_basis(m)
+    assert basis == bareiss_kernel_basis(m)
+    assert all(type(x) is Q for v in basis for x in v)
+    x = solve(m, b)
+    assert x == bareiss_solve(m, b)
+    assert x is None or all(type(c) is Q for c in x)
+    greedy = []  # rows that raise the rank, from the front
+    for i in range(m.rows):
+        if bareiss_rank(RationalMatrix([m[k] for k in greedy + [i]], m.cols)) > len(greedy):
+            greedy.append(i)
+    assert independent_subset(m) == greedy
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_elimination_matches_bareiss_oracle(data):
+    m = data.draw(matrices())
+    assert_matches_bareiss(m, data.draw(vectors(m.rows)))
+    assert_matches_bareiss(m, apply(m, data.draw(vectors(m.cols))))
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_elimination_matches_bareiss_oracle_on_mixed_rows(data):
+    n, k = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+    m = mixed_rows(data.draw, n, k)
+    assert_matches_bareiss(m, data.draw(vectors(n)))
+    assert_matches_bareiss(m, apply(m, data.draw(vectors(k))))
+
+
+BRACKET_TYPES = ["A2", "B3", "C3", "D4", "G2", "F4", "E6"]
+# mostly zero, then ints and Fractions with denominators up to 3
+coordinates = st.one_of(
+    st.just(0), st.just(0), st.integers(-3, 3), st.fractions(-3, 3, max_denominator=3)
+)
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_bracket_matches_fraction_oracle(data):
+    alg = build_algebra(LieType.parse(data.draw(st.sampled_from(BRACKET_TYPES))))
+    element = st.lists(coordinates, min_size=alg.dim, max_size=alg.dim)
+    a, b = data.draw(element), data.draw(element)
+    out = alg.bracket(a, b)
+    assert type(out) is tuple and len(out) == alg.dim
+    assert all(type(x) is Q for x in out)
+    assert out == fraction_bracket(alg, a, b)
 
 
 # -- CLI fuzz: every argv or config gives exit code 0, 1 or 2 and never raises --

@@ -2,11 +2,14 @@ from fractions import Fraction as Q
 
 import pytest
 
+from oracles import classical_root_count, dense_reflection_closure
+
 from gradedlie.rootsystem import (
     LieType,
+    _reflection_closure,
     affine_cartan_matrix,
     build_root_system,
-    classical_root_count,
+    cartan_matrix,
 )
 
 SMALL_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "C2", "C3", "D4", "G2", "F4", "E6"]
@@ -150,3 +153,22 @@ def test_pairing_matches_cartan(name):
             simple = tuple(int(i == j) for i in range(rs.rank))
             expected = 2 * rs.form_value(alpha, simple) / rs.norm(simple)
             assert rs.pairing(alpha, j) == expected
+
+
+CLOSURE_TYPES = (
+    [f"A{r}" for r in range(1, 9)]
+    + [f"{f}{r}" for f in "BC" for r in range(2, 9)]
+    + [f"D{r}" for r in range(4, 9)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
+
+
+@pytest.mark.parametrize("name", CLOSURE_TYPES)
+def test_sparse_reflection_closure_matches_dense(name):
+    t = LieType.parse(name)
+    cartan = cartan_matrix(t)
+    roots, origin = _reflection_closure(cartan, t.rank)
+    dense_roots, dense_origin = dense_reflection_closure(cartan, t.rank)
+    assert roots == dense_roots
+    assert origin == dense_origin
+    assert list(origin) == list(dense_origin)  # the same discovery order

@@ -12,6 +12,8 @@ from pathlib import Path
 
 import pytest
 
+from oracles import root_vector
+
 from gradedlie.chevalley import build_algebra
 from gradedlie.rootsystem import LieType
 
@@ -40,5 +42,5 @@ def test_trace_target_resolves(module, path):
 
 def test_elimination_matrices_have_shape():
     alg = build_algebra(LieType.parse("A2"))
-    block = alg.ad_block(alg.root_vector((1, 0)), range(alg.rank), range(alg.dim))
+    block = alg.ad_block(root_vector(alg, (1, 0)), range(alg.rank), range(alg.dim))
     assert tracer._cells_of_matrix(block) == alg.dim * alg.rank
