@@ -19,9 +19,9 @@ Linear systems in ad_x restricted to graded pieces read the table directly
 through ``ChevalleyAlgebra.ad_block``, which walks x's support only and returns
 a ``linalg.RationalMatrix``: a list of rows, of Python ints when x is integral.
 This follows the sparse structure-constant computations of de Graaf, *Lie
-Algebras: Theory and Algorithms* (2000).  The dense ``bracket`` is element
-arithmetic and the oracle for ``ad_block``; the Killing Gram matrix, a test
-oracle, is a ``RationalMatrix`` of int rows too.
+Algebras: Theory and Algorithms* (2000).  The dense ``bracket`` (element
+arithmetic, summed in Python ints over a common denominator) is the oracle for
+``ad_block``; the Killing Gram matrix, a test oracle, has int rows too.
 
 The build verifies |N| = p+1 on every special pair and certifies the Jacobi
 identity on the whole table, at every dimension, before returning: ad_g is a
@@ -37,19 +37,13 @@ from fractions import Fraction as Q
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .linalg import RationalMatrix, Vector, integer_form, kernel_basis
+from .linalg import RationalMatrix, Vector, integer_support, kernel_basis
 from .rootsystem import LieType, Root, RootSystem, build_root_system, exact_div
 
 Sparse = Dict[int, Q]
 # [b_i, b_j] as (k, c) pairs: sum of c * b_k, integer c, nonzero terms only
 Terms = Tuple[Tuple[int, int], ...]
 _ZERO = Q(0)  # the zero coordinate every vector shares
-
-
-def _exact(x):
-    """A scalar as a Python int when it is integral, else as a Fraction."""
-    q = x if isinstance(x, (int, Q)) else Q(x)
-    return q.numerator if q.denominator == 1 else q
 
 
 def _is_positive(alpha: Root) -> bool:
@@ -236,12 +230,12 @@ class ChevalleyAlgebra:
         """[a, b] as Fractions, summed in Python ints over a common denominator."""
         if len(a) != self.dim or len(b) != self.dim:
             raise ValueError("element dimension mismatch")
-        a_num, a_den = integer_form(a)
-        b_num, b_den = integer_form(b)
-        b_support = [(j, bj) for j, bj in enumerate(b_num) if bj]
+        a_support, a_den = integer_support(a)
+        b_support, b_den = integer_support(b)
         acc: Dict[int, int] = {}
-        for row, ai in zip(self._rows, a_num):
-            for j, bj in b_support if ai else ():
+        for i, ai in a_support:
+            row = self._rows[i]
+            for j, bj in b_support:
                 terms = row.get(j)
                 if terms:
                     x = ai * bj
@@ -265,16 +259,17 @@ class ChevalleyAlgebra:
         """
         if len(x) != self.dim:
             raise ValueError("element dimension mismatch")
-        support = [(self._rows[i], _exact(xi)) for i, xi in enumerate(x) if xi]
-        zero = 0 if all(type(xi) is int for _, xi in support) else Q(0)
+        support, den = integer_support(x)  # the block of den * x, divided at the end
         row_of = {k: r for r, k in enumerate(codomain)}
-        out = RationalMatrix(([zero] * len(domain) for _ in codomain), len(domain))
+        out = RationalMatrix(([0] * len(domain) for _ in codomain), len(domain))
         for col, d in enumerate(domain):
-            for row, xi in support:
-                for k, c in row.get(d, ()):
+            for i, xi in support:
+                for k, c in self._rows[i].get(d, ()):
                     r = row_of.get(k)
                     if r is not None:
                         out[r][col] += xi * c
+        for row in out if den != 1 else ():
+            row[:] = [Q(v, den) if v else _ZERO for v in row]
         return out
 
     # -- Killing form -----------------------------------------------------

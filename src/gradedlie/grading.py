@@ -21,7 +21,7 @@ from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .chevalley import ChevalleyAlgebra
-from .linalg import RationalMatrix, Vector, integer_form, solve, vec
+from .linalg import RationalMatrix, Vector, integer_support, solve, vec
 from .rootsystem import affine_cartan_matrix
 
 
@@ -118,12 +118,10 @@ def z_grading_from_labels(alg: ChevalleyAlgebra, p: Sequence[int]) -> ZGrading:
 def _verify_grading_element(zg: ZGrading):
     """[zeta, e_i] = j e_i for every basis vector e_i of every piece g_j.
 
-    Checked in Python ints as [D zeta, e_i] = j D e_i, with D the common
-    denominator of zeta's coordinates.
+    Checked in Python ints as [D zeta, e_i] = j D e_i, D the denominator of zeta.
     """
     alg = zg.algebra
-    num, den = integer_form(zg.zeta)
-    support = [(k, c) for k, c in enumerate(num) if c]
+    support, den = integer_support(zg.zeta)
     for j, idx in zg.pieces.items():
         for i in idx:
             image: Dict[int, int] = {}

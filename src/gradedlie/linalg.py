@@ -111,9 +111,8 @@ def _back_substitute(
 ) -> Vector:
     """Solve the echelon system, with the given integer values on free columns.
 
-    The solution is kept as integer numerators over one common denominator,
-    the lcm of the denominators of the coordinates found so far; one Fraction
-    per nonzero coordinate is built at the end.
+    Integer numerators over the lcm of the denominators found so far, then one
+    Fraction per nonzero coordinate.
     """
     num, den = [0] * n_cols, 1
     for c, v in free.items():
@@ -137,8 +136,7 @@ def kernel_basis(m: RationalMatrix) -> List[Vector]:
     """Basis of the right null space, one vector per free column."""
     echelon, pivots = _echelon([integer_form(row)[0] for row in m])
     free_cols = [c for c in range(m.cols) if c not in pivots]
-    rhs = [0] * len(pivots)
-    return [_back_substitute(echelon, pivots, m.cols, rhs, {f: 1}) for f in free_cols]
+    return [_back_substitute(echelon, pivots, m.cols, [0] * len(pivots), {f: 1}) for f in free_cols]
 
 
 def solve(m: RationalMatrix, b: Sequence) -> Optional[Vector]:
@@ -148,7 +146,10 @@ def solve(m: RationalMatrix, b: Sequence) -> Optional[Vector]:
     """
     if len(b) != m.rows:
         raise ValueError("right-hand side length does not match row count")
-    echelon, pivots = _echelon([integer_form(list(row) + [x])[0] for row, x in zip(m, b)])
+    # (row | y / b_den) with row = nums / d, scaled by d * b_den
+    b_num, b_den = integer_form(b)
+    rows = [[x * b_den for x in nums] + [y * d] for (nums, d), y in zip(map(integer_form, m), b_num)]
+    echelon, pivots = _echelon(rows)
     if m.cols in pivots:
         return None  # pivot in the augmented column: inconsistent
     rhs = [row[m.cols] for row in echelon]
@@ -168,6 +169,13 @@ def independent_subset(vectors: Sequence[Sequence[Q]]) -> List[int]:
             current_rank = len(pivots)
             chosen.append(idx)
     return chosen
+
+
+def integer_support(v: Sequence) -> Tuple[List[Tuple[int, int]], int]:
+    """The nonzero coordinates of v as (index, integer numerator) over one denominator."""
+    support = [(i, x) for i, x in enumerate(v) if x]
+    nums, den = integer_form([x for _, x in support])
+    return [(i, n) for (i, _), n in zip(support, nums)], den
 
 
 def integer_form(v: Sequence) -> Tuple[List[int], int]:
