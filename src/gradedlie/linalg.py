@@ -146,7 +146,7 @@ def solve(m: RationalMatrix, b: Sequence) -> Optional[Vector]:
     """
     if len(b) != m.rows:
         raise ValueError("right-hand side length does not match row count")
-    # (row | y / b_den) with row = nums / d, scaled by d * b_den
+    # the augmented row (nums / d | y / b_den), scaled by d * b_den to integers
     b_num, b_den = integer_form(b)
     rows = [[x * b_den for x in nums] + [y * d] for (nums, d), y in zip(map(integer_form, m), b_num)]
     echelon, pivots = _echelon(rows)
