@@ -95,43 +95,16 @@ def _ad_power(
 class IsoCharacterReport:
     iso_full: bool
     chi_vanishes: bool
-    c_form_h: List[Q]
-
-    @property
-    def all_pass(self) -> bool:
-        return self.iso_full and self.chi_vanishes and all(x == 0 for x in self.c_form_h)
 
 
 def verify_iso_and_character(cd: CayleyData) -> IsoCharacterReport:
-    """Transport-map invertibility, chi_T(c) = 0, and B(c, h) = 0 on c."""
-    alg = cd.algebra
+    """Transport-map invertibility and chi_T(c) = 0 on c."""
     low_dim = len(cd.pair.grading.piece(1 - cd.depth))
     r = rank(RationalMatrix(cd.v_basis))
-    bh = [normalized_form(alg, c, cd.triple.h) for c in cd.c_basis]
     return IsoCharacterReport(
         iso_full=(r == low_dim == len(cd.v_basis)),
         chi_vanishes=all(cd.pair.chi_t(c) == 0 for c in cd.c_basis),
-        c_form_h=bh,
     )
-
-
-def verify_intertwining(cd: CayleyData) -> bool:
-    """ad(e)^{m-1}([c, x]) = [c, ad(e)^{m-1}(x)] for all c and lowest-piece x."""
-    alg = cd.algebra
-    zg = cd.pair.grading
-    low = [alg.from_sparse({i: Q(1)}) for i in zg.piece(1 - cd.depth)]
-
-    def transport(x):
-        v = x
-        for _ in range(cd.depth - 1):
-            v = alg.bracket(cd.triple.e, v)
-        return v
-
-    for c in cd.c_basis:
-        for x in low:
-            if transport(alg.bracket(c, x)) != alg.bracket(c, transport(x)):
-                return False
-    return True
 
 
 @dataclass

@@ -21,7 +21,7 @@ from .chevalley import build_algebra
 from .grading import kac_labels, kac_lift_check, z_grading_from_labels
 from .quaternionic import build_quaternionic, kappa_rule, quaternionic_ranks, verify_extreme_pieces
 from .quiver import QuiverHiggsTopology, toledo_invariant
-from .rootsystem import LieType
+from .rootsystem import LieType, build_root_system
 from .vinberg import jm_regular
 
 QUATERNIONIC_TYPES = ("A2", "A3", "B3", "C2", "C3", "D4", "G2", "F4", "E6")
@@ -109,7 +109,7 @@ def _two_block_formula(seed: int) -> bool:
 
 
 def _a2_all_lift(seed: int) -> bool:
-    a2 = build_algebra(LieType("A", 2))
+    a2 = build_root_system(LieType("A", 2))
     return all(
         kac_lift_check(a2, kac_labels(a2, [p0, p1, 3 - p0 - p1])).lifts
         for p0 in range(4)
@@ -118,7 +118,7 @@ def _a2_all_lift(seed: int) -> bool:
 
 
 def _g2_lifts(seed: int) -> bool:
-    g2 = build_algebra(LieType("G", 2))
+    g2 = build_root_system(LieType("G", 2))
     return kac_lift_check(g2, kac_labels(g2, [0, 1, 0])).lifts
 
 

@@ -33,7 +33,7 @@ from .quiver import (
     quiver_jm_regular,
     toledo_invariant,
 )
-from .rootsystem import LieType
+from .rootsystem import LieType, build_root_system
 from .vinberg import jm_regular
 
 SCHEMA_VERSION = 1
@@ -111,6 +111,14 @@ def parse_type(args) -> LieType:
         raise InputError(str(exc)) from exc
 
 
+def simple_root_labels(raw, t: LieType) -> List[int]:
+    """One integer label per simple root of t, checked before any algebra is built."""
+    labels = to_ints(raw, "labels")
+    if len(labels) != t.rank:
+        raise InputError("one label per simple root required")
+    return labels
+
+
 def make_report(command: str, inputs: Dict[str, Any]) -> Dict[str, Any]:
     return {
         "command": command,
@@ -139,7 +147,7 @@ def cmd_grading(args) -> Dict[str, Any]:
     labels = args.get("labels")
     if labels is None:
         raise InputError("--labels is required")
-    labels = to_ints(labels, "labels")
+    labels = simple_root_labels(labels, t)
     try:
         zg = z_grading_from_labels(build_algebra(t), labels)
     except ValueError as exc:
@@ -159,13 +167,15 @@ def cmd_kac(args) -> Dict[str, Any]:
     if raw is None:
         raise InputError("--labels is required (p_0,...,p_r)")
     labels = to_ints(raw, "labels")
-    alg = build_algebra(t)
+    if len(labels) != t.rank + 1:
+        raise InputError("label count must match node count")
+    rs = build_root_system(t)
     try:
-        kac = kac_labels(alg, labels)
+        kac = kac_labels(rs, labels)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    zm = zm_from_kac(alg, kac)
-    verdict = kac_lift_check(alg, kac)
+    zm = zm_from_kac(rs, kac)
+    verdict = kac_lift_check(rs, kac)
     report = make_report("kac", {"lie_type": str(t), "labels": labels})
     report["results"] = {
         "order": kac.order,
@@ -309,7 +319,7 @@ def cmd_cayley(args) -> Dict[str, Any]:
         raw = args.get("labels")
         if raw is None:
             raise InputError("--labels or --dims is required")
-        labels = to_ints(raw, "labels")
+        labels = simple_root_labels(raw, t)
         inputs = {"lie_type": str(t), "labels": labels}
     try:
         zg = z_grading_from_labels(build_algebra(t), labels)

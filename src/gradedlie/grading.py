@@ -4,7 +4,8 @@ A Z-grading is encoded by non-negative degree labels on the simple roots: the
 root space for alpha = sum a_k alpha_k sits in degree sum a_k p_k and the
 Cartan in degree 0.  A Z/mZ-grading comes from labels p_0..p_r on the affine
 diagram (node 0 carries the lowest root), with m = sum n_k p_k over the marks
-n_k of the highest root and n_0 = 1.
+n_k of the highest root and n_0 = 1.  It and its lift verdict read only the
+root system, so they need no bracket table.
 
 The lift question — does the order-m automorphism defined by the labels come
 from a Z-grading — is decided by the node-0 label, up to a symmetry of the
@@ -22,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .chevalley import ChevalleyAlgebra
 from .linalg import RationalMatrix, Vector, integer_support, solve, vec
-from .rootsystem import affine_cartan_matrix
+from .rootsystem import RootSystem, affine_cartan_matrix
 
 
 @dataclass
@@ -80,7 +81,6 @@ class KacLabels:
 
 @dataclass
 class ZmGrading:
-    algebra: ChevalleyAlgebra
     m: int
     pieces: Dict[int, Tuple[int, ...]]  # residue -> basis indices
 
@@ -133,39 +133,21 @@ def _verify_grading_element(zg: ZGrading):
                 raise AssertionError(f"grading element eigenvalue check failed at degree {j}")
 
 
-def kac_labels(alg: ChevalleyAlgebra, labels: Sequence[int]) -> KacLabels:
-    return KacLabels(tuple(labels), alg.rs.affine_marks)
+def kac_labels(rs: RootSystem, labels: Sequence[int]) -> KacLabels:
+    return KacLabels(tuple(labels), rs.affine_marks)
 
 
-def zm_from_kac(alg: ChevalleyAlgebra, kac: KacLabels) -> ZmGrading:
-    """Z/mZ-grading of the automorphism defined by affine-diagram labels."""
+def zm_from_kac(rs: RootSystem, kac: KacLabels) -> ZmGrading:
+    """Z/mZ-grading of the automorphism defined by affine-diagram labels.
+
+    Basis indices are those of the Chevalley basis: rank + the root's position.
+    """
     m = kac.order
     p = kac.labels[1:]
-    pieces: Dict[int, List[int]] = {0: list(range(alg.rank))}
-    for alpha, idx in alg.root_index.items():
-        res = sum(a * pk for a, pk in zip(alpha, p)) % m
-        pieces.setdefault(res, []).append(idx)
-    return ZmGrading(
-        algebra=alg,
-        m=m,
-        pieces={j: tuple(sorted(idx)) for j, idx in pieces.items()},
-    )
-
-
-def bar_pieces(zg: ZGrading) -> ZmGrading:
-    """Collapse a Z-grading of depth m to its Z/mZ-grading.
-
-    The residue-j piece is g_j + g_{j-m} for 1 <= j <= m-1, and g_0 stays.
-    """
-    m = zg.depth
-    pieces: Dict[int, List[int]] = {}
-    for j, idx in zg.pieces.items():
-        pieces.setdefault(j % m, []).extend(idx)
-    return ZmGrading(
-        algebra=zg.algebra,
-        m=m,
-        pieces={j: tuple(sorted(idx)) for j, idx in pieces.items()},
-    )
+    pieces: Dict[int, List[int]] = {0: list(range(rs.rank))}
+    for idx, alpha in enumerate(rs.roots, rs.rank):
+        pieces.setdefault(sum(a * pk for a, pk in zip(alpha, p)) % m, []).append(idx)
+    return ZmGrading(m=m, pieces={j: tuple(idx) for j, idx in pieces.items()})
 
 
 def _affine_automorphisms(affine: List[List[int]]) -> List[Tuple[int, ...]]:
@@ -209,7 +191,7 @@ class LiftVerdict:
     witness: Optional[Tuple[int, ...]] = None  # relabeled vector with node 0 positive
 
 
-def kac_lift_check(alg: ChevalleyAlgebra, kac: KacLabels) -> LiftVerdict:
+def kac_lift_check(rs: RootSystem, kac: KacLabels) -> LiftVerdict:
     """Decide whether the Z/mZ-grading lifts to a Z-grading.
 
     It lifts directly iff the node-0 label is positive; otherwise a symmetry of
@@ -219,7 +201,7 @@ def kac_lift_check(alg: ChevalleyAlgebra, kac: KacLabels) -> LiftVerdict:
     """
     if kac.labels[0] > 0:
         return LiftVerdict(True, "directly")
-    affine = affine_cartan_matrix(alg.rs)
+    affine = affine_cartan_matrix(rs)
     for sigma in _affine_automorphisms(affine):
         # sigma[i] = image node; relabeled q_{sigma[i]} = p_i
         source = sigma.index(0)

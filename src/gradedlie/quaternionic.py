@@ -10,7 +10,7 @@ family C, plus B2 which is the same algebra in disguise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import lru_cache
 from typing import Dict, Tuple
@@ -46,15 +46,17 @@ class QuaternionicData:
     t_beta: tuple  # coroot of the highest root; equals the grading element
     kappa: int
     piece_dims: Dict[int, int]
+    pairs: Dict[int, VinbergPair] = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def algebra(self) -> ChevalleyAlgebra:
         return self.grading.algebra
 
     def pair(self, degree: int = 1) -> VinbergPair:
-        if degree == 1:
-            return vinberg_pair(self.grading)
-        return vinberg_pair(regrade(self.grading, degree))
+        """The pair (G_0, g_degree), built once per degree."""
+        if degree not in self.pairs:
+            self.pairs[degree] = vinberg_pair(self.grading if degree == 1 else regrade(self.grading, degree))
+        return self.pairs[degree]
 
 
 @lru_cache(maxsize=None)
@@ -74,7 +76,7 @@ def build_quaternionic(t: LieType) -> QuaternionicData:
     if kappa != kappa_rule(t):
         raise AssertionError(f"kappa = {kappa} contradicts the family rule for {t}")
     return QuaternionicData(
-        lie_type=t, grading=zg, t_beta=t_beta, kappa=kappa, piece_dims=dims
+        lie_type=t, grading=zg, t_beta=t_beta, kappa=kappa, piece_dims=dims, pairs={1: pair}
     )
 
 

@@ -4,11 +4,11 @@ A dimension vector (d_0, ..., d_{m-1}) with n = sum d_j splits C^n into
 blocks V_j; a degree-1 element of the corresponding sl_n grading is a chain of
 maps f_j : V_j -> V_{j+1}.  Orbits are classified by the ranks of the
 consecutive compositions and enumerated from the multiplicities of the
-interval modules, the sl2-completion h can be read off the Jordan strings,
-and the Toledo data reduces to trace arithmetic against
-zeta|_{V_j} = (j - alpha) Id with alpha = (sum j d_j)/n.  Rank tuples and
-Toledo ranks of orbits are closed forms in the multiplicities; a string
-representative is built only where a caller needs maps.
+interval modules, the sl2-completion h is read off the Jordan strings, and
+the Toledo data reduces to trace arithmetic against
+zeta|_{V_j} = (j - alpha) Id with alpha = (sum j d_j)/n.  Rank tuples,
+Toledo ranks of orbits and JM-regularity are closed forms in the strings'
+intervals; a string representative is built only where a caller needs maps.
 """
 
 from __future__ import annotations
@@ -73,14 +73,6 @@ def rank_tuple(dims: QuiverDims, elem: Sequence[RationalMatrix]) -> RankTuple:
             comp = elem[j - 1].matmul(comp)
             out[(i, j)] = rank(comp)
     return tuple(sorted(out.items()))
-
-
-def canonical_open_element(dims: QuiverDims) -> QuiverElement:
-    """Identity-block maps; realizes the maximal rank tuple."""
-    return tuple(
-        RationalMatrix([int(a == b) for b in range(dims.dims[j])] for a in range(dims.dims[j + 1]))
-        for j in range(dims.m - 1)
-    )
 
 
 def maximal_rank_tuple(dims: QuiverDims) -> RankTuple:
@@ -174,68 +166,25 @@ def enumerate_orbits(dims: QuiverDims) -> List[Tuple[RankTuple, Multiplicities]]
     return sorted(seen.items())
 
 
-def _total_matrix(dims: QuiverDims, elem: Sequence[RationalMatrix]) -> List[List[Q]]:
-    n = dims.n
-    total = [[Q(0)] * n for _ in range(n)]
-    for j, f in enumerate(elem):
-        r0 = dims.block_start(j + 1)
-        c0 = dims.block_start(j)
-        for a in range(f.rows):
-            for b in range(f.cols):
-                total[r0 + a][c0 + b] = f[a][b]
-    return total
-
-
-def jordan_strings(dims: QuiverDims, elem: Sequence[RationalMatrix]) -> List[List[int]]:
-    """Jordan strings of a basis-adapted element, as index chains.
-
-    Requires every map entry in {0,1} with at most one 1 per row and column
-    of the total matrix (the canonical representatives have this form).
-    """
-    _check_shapes(dims, elem)
-    total = _total_matrix(dims, elem)
-    n = dims.n
-    succ = [None] * n
-    hit_rows = set()
-    for b in range(n):
-        targets = [a for a in range(n) if total[a][b] != 0]
-        if len(targets) > 1 or any(total[a][b] != 1 for a in targets):
-            raise ValueError("element is not basis-adapted")
-        if targets:
-            a = targets[0]
-            if a in hit_rows:
-                raise ValueError("element is not basis-adapted")
-            hit_rows.add(a)
-            succ[b] = a
-    starts = [b for b in range(n) if b not in hit_rows]
-    strings = []
-    for b in starts:
-        chain = [b]
-        while succ[chain[-1]] is not None:
-            chain.append(succ[chain[-1]])
-        strings.append(chain)
-    return strings
-
-
-def jordan_h(dims: QuiverDims, elem: Sequence[RationalMatrix]) -> Tuple[Q, ...]:
-    """Diagonal of h with [h, e] = 2e: on a length-s string, h(u_t) = -(s-1-2t) u_t."""
-    diag = [Q(0)] * dims.n
-    for chain in jordan_strings(dims, elem):
-        s = len(chain)
-        for t, idx in enumerate(chain):
-            diag[idx] = Q(-(s - 1 - 2 * t))
-    return tuple(diag)
-
-
-def zeta_matrix(dims: QuiverDims) -> Tuple[Q, ...]:
-    """Diagonal of zeta: (j - alpha) on the block V_j."""
-    return tuple(Q(j) - dims.alpha for j, d in enumerate(dims.dims) for _ in range(d))
-
-
 def quiver_jm_regular(dims: QuiverDims) -> bool:
-    """True when the canonical element's h equals 2*zeta."""
-    h = jordan_h(dims, canonical_open_element(dims))
-    return all(x == 2 * z for x, z in zip(h, zeta_matrix(dims)))
+    """True when the open orbit's h equals 2*zeta.
+
+    The identity-block maps span the open orbit; their strings are the maximal
+    runs [a, b] of {k : d_k > t}, one set for each t < max d.  On a string h =
+    2k - a - b at vertex k, and 2 zeta = 2k - 2 sum_j j d_j / n, so the two
+    agree iff n (a + b) = 2 sum_j j d_j on every run.
+    """
+    n, twice = dims.n, 2 * sum(j * d for j, d in enumerate(dims.dims))
+    for t in range(max(dims.dims)):
+        start = None
+        for k, d in enumerate(dims.dims + (0,)):
+            if d > t and start is None:
+                start = k
+            elif d <= t and start is not None:
+                if n * (start + k - 1) != twice:
+                    return False
+                start = None
+    return True
 
 
 @lru_cache(maxsize=None)

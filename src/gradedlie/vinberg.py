@@ -15,10 +15,10 @@ oracle, so tests can assert that independence exactly.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from itertools import chain
-from typing import Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from .chevalley import ChevalleyAlgebra
 from .grading import ZGrading
@@ -78,10 +78,17 @@ class VinbergPair:
     grading: ZGrading
     gamma: tuple  # longest root with root space in degree 1
     gamma_norm: Q  # B*(gamma, gamma) under the highest-root normalisation
+    _open: Dict[int, Vector] = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def algebra(self) -> ChevalleyAlgebra:
         return self.grading.algebra
+
+    def open_element(self, seed: int = 0) -> Vector:
+        """``generic_element(self, seed)``, searched once per seed."""
+        if seed not in self._open:
+            self._open[seed] = generic_element(self, seed)
+        return self._open[seed]
 
     @property
     def dim_piece(self) -> int:
@@ -198,7 +205,7 @@ def toledo_rank(pair: VinbergPair, e: Sequence) -> Q:
 
 def pair_rank(pair: VinbergPair, seed: int = 0) -> Q:
     """rank_T of the pair: the Toledo rank of a certified open-orbit element."""
-    return toledo_rank(pair, generic_element(pair, seed))
+    return toledo_rank(pair, pair.open_element(seed))
 
 
 @dataclass
@@ -212,7 +219,7 @@ def jm_regular(pair: VinbergPair, seed: int = 0) -> RegularityCertificate:
     """Whether an open-orbit e completes to a triple with h = 2*zeta."""
     alg = pair.algebra
     zg = pair.grading
-    e = generic_element(pair, seed)
+    e = pair.open_element(seed)
     neg = zg.piece(-1)
     target = tuple(2 * x for x in zg.zeta)
     g0 = zg.piece(0)

@@ -3,18 +3,22 @@
 from fractions import Fraction as Q
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from gradedlie.cayley import CayleyData, verify_iso_and_character
 from gradedlie.chevalley import ChevalleyAlgebra
-from gradedlie.grading import ZGrading
+from gradedlie.grading import ZGrading, ZmGrading
 from gradedlie.linalg import RationalMatrix, Vector, integer_form
 from gradedlie.quiver import (
     QuiverDims,
+    QuiverElement,
     RankTuple,
+    _check_shapes,
     interval_toledo_rank,
     maximal_rank_tuple,
     quiver_jm_regular,
     rank_tuple,
 )
 from gradedlie.rootsystem import LieType, Root, RootSystem
+from gradedlie.vinberg import normalized_form
 
 
 def pointwise_maximality(dims: QuiverDims, elem: Sequence[RationalMatrix]) -> bool:
@@ -38,6 +42,81 @@ def dims_for_labels(labels: Sequence[int]) -> QuiverDims:
             size += 1
     blocks.append(size)
     return QuiverDims(tuple(blocks))
+
+
+# -- the Jordan-string route to quiver JM-regularity --------------------------
+
+
+def canonical_open_element(dims: QuiverDims) -> QuiverElement:
+    """Identity-block maps; realizes the maximal rank tuple."""
+    return tuple(
+        RationalMatrix([int(a == b) for b in range(dims.dims[j])] for a in range(dims.dims[j + 1]))
+        for j in range(dims.m - 1)
+    )
+
+
+def _total_matrix(dims: QuiverDims, elem: Sequence[RationalMatrix]) -> List[List[Q]]:
+    n = dims.n
+    total = [[Q(0)] * n for _ in range(n)]
+    for j, f in enumerate(elem):
+        r0 = dims.block_start(j + 1)
+        c0 = dims.block_start(j)
+        for a in range(f.rows):
+            for b in range(f.cols):
+                total[r0 + a][c0 + b] = f[a][b]
+    return total
+
+
+def jordan_strings(dims: QuiverDims, elem: Sequence[RationalMatrix]) -> List[List[int]]:
+    """Jordan strings of a basis-adapted element, as index chains.
+
+    Requires every map entry in {0,1} with at most one 1 per row and column
+    of the total matrix (the canonical representatives have this form).
+    """
+    _check_shapes(dims, elem)
+    total = _total_matrix(dims, elem)
+    n = dims.n
+    succ = [None] * n
+    hit_rows = set()
+    for b in range(n):
+        targets = [a for a in range(n) if total[a][b] != 0]
+        if len(targets) > 1 or any(total[a][b] != 1 for a in targets):
+            raise ValueError("element is not basis-adapted")
+        if targets:
+            a = targets[0]
+            if a in hit_rows:
+                raise ValueError("element is not basis-adapted")
+            hit_rows.add(a)
+            succ[b] = a
+    starts = [b for b in range(n) if b not in hit_rows]
+    strings = []
+    for b in starts:
+        chain = [b]
+        while succ[chain[-1]] is not None:
+            chain.append(succ[chain[-1]])
+        strings.append(chain)
+    return strings
+
+
+def jordan_h(dims: QuiverDims, elem: Sequence[RationalMatrix]) -> Tuple[Q, ...]:
+    """Diagonal of h with [h, e] = 2e: on a length-s string, h(u_t) = -(s-1-2t) u_t."""
+    diag = [Q(0)] * dims.n
+    for chain in jordan_strings(dims, elem):
+        s = len(chain)
+        for t, idx in enumerate(chain):
+            diag[idx] = Q(-(s - 1 - 2 * t))
+    return tuple(diag)
+
+
+def zeta_matrix(dims: QuiverDims) -> Tuple[Q, ...]:
+    """Diagonal of zeta: (j - alpha) on the block V_j."""
+    return tuple(Q(j) - dims.alpha for j, d in enumerate(dims.dims) for _ in range(d))
+
+
+def jordan_jm_regular(dims: QuiverDims) -> bool:
+    """True when the canonical element's h, read off its Jordan strings, equals 2*zeta."""
+    h = jordan_h(dims, canonical_open_element(dims))
+    return all(x == 2 * z for x, z in zip(h, zeta_matrix(dims)))
 
 
 def orbit_toledo_rank(dims: QuiverDims, rt: RankTuple) -> Q:
@@ -293,3 +372,45 @@ def dense_reflection_closure(cartan: List[List[int]], r: int) -> Tuple[List[Root
                     new.append(refl)
         frontier = new
     return sorted(origin), origin
+
+
+# -- Z/mZ collapse of a Z-grading, Cayley-side oracles -------------------------
+
+
+def bar_pieces(zg: ZGrading) -> ZmGrading:
+    """Collapse a Z-grading of depth m to its Z/mZ-grading.
+
+    The residue-j piece is g_j + g_{j-m} for 1 <= j <= m-1, and g_0 stays.
+    """
+    m = zg.depth
+    pieces: Dict[int, List[int]] = {}
+    for j, idx in zg.pieces.items():
+        pieces.setdefault(j % m, []).extend(idx)
+    return ZmGrading(m=m, pieces={j: tuple(sorted(idx)) for j, idx in pieces.items()})
+
+
+def iso_character_all_pass(cd: CayleyData) -> bool:
+    """Transport map invertible, chi_T(c) = 0 and B(c, h) = 0 for every c in the centralizer."""
+    iso = verify_iso_and_character(cd)
+    return iso.iso_full and iso.chi_vanishes and all(
+        normalized_form(cd.algebra, c, cd.triple.h) == 0 for c in cd.c_basis
+    )
+
+
+def verify_intertwining(cd: CayleyData) -> bool:
+    """ad(e)^{m-1}([c, x]) = [c, ad(e)^{m-1}(x)] for all c and lowest-piece x."""
+    alg = cd.algebra
+    zg = cd.pair.grading
+    low = [alg.from_sparse({i: Q(1)}) for i in zg.piece(1 - cd.depth)]
+
+    def transport(x):
+        v = x
+        for _ in range(cd.depth - 1):
+            v = alg.bracket(cd.triple.e, v)
+        return v
+
+    for c in cd.c_basis:
+        for x in low:
+            if transport(alg.bracket(c, x)) != alg.bracket(c, transport(x)):
+                return False
+    return True

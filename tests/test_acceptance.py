@@ -32,7 +32,7 @@ from gradedlie.quiver import (
     string_representative,
     toledo_invariant,
 )
-from gradedlie.rootsystem import LieType
+from gradedlie.rootsystem import LieType, build_root_system
 from gradedlie.vinberg import (
     generic_element,
     jm_regular,
@@ -120,7 +120,7 @@ def test_6_cayley_examples():
 
 
 def test_7_kac_lifting():
-    a2 = build_algebra(LieType.parse("A2"))
+    a2 = build_root_system(LieType.parse("A2"))
     seen_automorphism = False
     for p0 in range(4):
         for p1 in range(4 - p0):
@@ -130,7 +130,7 @@ def test_7_kac_lifting():
             assert verdict.mode in ("directly", "after automorphism")
             seen_automorphism |= verdict.mode == "after automorphism"
     assert seen_automorphism
-    g2 = build_algebra(LieType.parse("G2"))
+    g2 = build_root_system(LieType.parse("G2"))
     assert not kac_lift_check(g2, kac_labels(g2, [0, 1, 0])).lifts
 
 

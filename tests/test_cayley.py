@@ -3,13 +3,9 @@ from fractions import Fraction as Q
 import pytest
 
 from conftest import quiver_grading
+from oracles import iso_character_all_pass, verify_intertwining
 
-from gradedlie.cayley import (
-    bracket_projection_test,
-    cayley_pair,
-    verify_intertwining,
-    verify_iso_and_character,
-)
+from gradedlie.cayley import bracket_projection_test, cayley_pair
 from gradedlie.chevalley import build_algebra
 from gradedlie.grading import z_grading_from_labels
 from gradedlie.linalg import independent_subset
@@ -25,8 +21,7 @@ def test_chain_111():
     cd = _cayley((1, 1, 1))
     assert cd.dim_c == 0
     assert cd.dim_v == 1
-    report = verify_iso_and_character(cd)
-    assert report.all_pass
+    assert iso_character_all_pass(cd)
     verdict = bracket_projection_test(cd)
     assert verdict.candidate and verdict.witness is None
 
@@ -44,8 +39,7 @@ def test_chain_222():
     cd = _cayley((2, 2, 2))
     assert cd.dim_c == 3
     assert cd.dim_v == 4
-    report = verify_iso_and_character(cd)
-    assert report.all_pass
+    assert iso_character_all_pass(cd)
     verdict = bracket_projection_test(cd)
     assert not verdict.candidate
     w = verdict.witness
@@ -65,7 +59,7 @@ def test_quaternionic_a2_candidate(sl3):
     cd = cayley_pair(z_grading_from_labels(sl3, [1, 1]))
     assert cd.dim_v == 1
     assert bracket_projection_test(cd).candidate
-    assert verify_iso_and_character(cd).all_pass
+    assert iso_character_all_pass(cd)
 
 
 def test_refuses_non_regular():

@@ -314,3 +314,34 @@ def test_quiver_job_imports_no_parser():
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[]"
+
+
+def _no_build(*_args, **_kwargs):
+    raise AssertionError("built before the label count was checked")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["kac", "--type", "A60", "--labels", "1,1"], "error: label count must match node count"),
+        (["grading", "--type", "A40", "--labels", "1"], "error: one label per simple root required"),
+        (["cayley", "--type", "A40", "--labels", "1,0"], "error: one label per simple root required"),
+    ],
+    ids=["kac", "grading", "cayley"],
+)
+def test_label_count_is_checked_before_any_build(monkeypatch, capsys, argv, message):
+    monkeypatch.setattr("gradedlie.cli.build_root_system", _no_build)
+    monkeypatch.setattr("gradedlie.cli.build_algebra", _no_build)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [message]
+
+
+def test_kac_job_builds_no_chevalley_algebra(monkeypatch, capsys):
+    monkeypatch.setattr("gradedlie.chevalley.ChevalleyAlgebra.__init__", _no_build)
+    monkeypatch.setattr("gradedlie.cli.build_algebra", _no_build)  # a cached algebra would hide a build
+    code, report = run_json(capsys, "kac", "--type", "E8", "--labels", "0,0,0,0,0,0,0,0,1")
+    assert code == 0
+    assert report["results"]["lift"] == "none"

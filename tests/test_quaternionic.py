@@ -1,9 +1,13 @@
+from collections import Counter
+
 import pytest
 
 from conftest import assert_paper_check
 from oracles import orbit_toledo_rank
 
+from gradedlie import vinberg
 from gradedlie.checks import expected_ranks, q_list
+from gradedlie.cli import main
 from gradedlie.quaternionic import (
     build_quaternionic,
     kappa_rule,
@@ -116,3 +120,19 @@ def test_family_a_matches_quiver(n):
 def test_extended_types(name):
     assert_paper_check(f"quaternionic-ranks-{name}")
     assert_paper_check(f"extreme-pieces-regular-{name}")
+
+
+@pytest.mark.parametrize("name", ["F4", "C3"])
+def test_one_open_orbit_search_per_pair_and_seed(monkeypatch, capsys, name):
+    searches = Counter()
+    search = vinberg.generic_element
+
+    def spy(pair, seed=0):
+        searches[pair.grading.piece(1), seed] += 1
+        return search(pair, seed)
+
+    monkeypatch.setattr(vinberg, "generic_element", spy)
+    build_quaternionic.cache_clear()  # a cached job would search nothing
+    assert main(["quaternionic", "--type", name]) == 0
+    # the pairs of g_1, g_2 and g_{-2}, each searched once
+    assert sorted(searches.values()) == [1, 1, 1]

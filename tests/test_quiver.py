@@ -6,25 +6,31 @@ from fractions import Fraction as Q
 import pytest
 
 from conftest import SMALL_DIMS
-from oracles import dims_for_labels, orbit_toledo_rank, pointwise_maximality
+from oracles import (
+    _total_matrix,
+    canonical_open_element,
+    dims_for_labels,
+    jordan_h,
+    jordan_jm_regular,
+    jordan_strings,
+    orbit_toledo_rank,
+    pointwise_maximality,
+    zeta_matrix,
+)
 
 from gradedlie.cli import main
 from gradedlie.linalg import RationalMatrix
 from gradedlie.quiver import (
     QuiverDims,
     QuiverHiggsTopology,
-    canonical_open_element,
     enumerate_orbits,
     interval_toledo_rank,
-    jordan_h,
-    jordan_strings,
     labels_for_dims,
     maximal_rank_tuple,
     quiver_jm_regular,
     rank_tuple,
     string_representative,
     toledo_invariant,
-    zeta_matrix,
 )
 
 
@@ -183,8 +189,6 @@ def test_jordan_h_commutator():
         elem = canonical_open_element(d)
         h = jordan_h(d, elem)
         assert sum(h[i] for i in range(d.n)) == 0
-        from gradedlie.quiver import _total_matrix
-
         e = _total_matrix(d, elem)
         n = d.n
         for i in range(n):
@@ -204,6 +208,20 @@ def test_jm_regular_cases():
     assert quiver_jm_regular(QuiverDims((1, 1, 1)))
     assert quiver_jm_regular(QuiverDims((1, 3, 1)))
     assert not quiver_jm_regular(QuiverDims((2, 1)))
+
+
+def test_jm_regular_closed_form_matches_jordan_strings():
+    # every dimension vector with at most 5 vertices and entries at most 4
+    vectors = [
+        QuiverDims(dims)
+        for m in range(1, 6)
+        for dims in itertools.product(range(1, 5), repeat=m)
+        if sum(dims) >= 2
+    ]
+    assert len(vectors) == 1363
+    verdicts = [quiver_jm_regular(d) for d in vectors]
+    assert verdicts == [jordan_jm_regular(d) for d in vectors]
+    assert sum(verdicts) == 47
 
 
 def test_orbit_toledo_ranks():
