@@ -9,6 +9,8 @@ descending alpha-string through beta.  Every other constant follows from the
 Jacobi identity and the sign rules N_{beta,alpha} = -N_{alpha,beta},
 N_{-alpha,-beta} = -N_{alpha,beta}.
 
+Roots enter as their integer codes (``RootSystem.codes``), so the constants,
+the table and its certificate add, negate and compare ints, not root tuples.
 Constants, norm ratios (of the root system's length classes) and coroots are
 Python ints by Chevalley's theorem; a division with a remainder raises
 AssertionError.  The bracket table stores [b_i, b_j] for both orientations of
@@ -32,7 +34,7 @@ brackets of those generators reach every basis vector (see
 
 from __future__ import annotations
 
-import operator
+from collections import defaultdict
 from fractions import Fraction as Q
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -46,93 +48,79 @@ Terms = Tuple[Tuple[int, int], ...]
 _ZERO = Q(0)  # the zero coordinate every vector shares
 
 
-def _is_positive(alpha: Root) -> bool:
-    return sum(alpha) > 0
-
-
-def _neg(alpha: Root) -> Root:
-    return tuple(map(operator.neg, alpha))
-
-
-def _add(a: Root, b: Root) -> Root:
-    return tuple(map(operator.add, a, b))
-
-
-def _sub(a: Root, b: Root) -> Root:
-    return tuple(map(operator.sub, a, b))
-
-
 class StructureConstants:
-    """N_{alpha,beta} (Python ints) for all root pairs with alpha+beta a root."""
+    """N_{alpha,beta} (Python ints) for all root pairs with alpha+beta a root, on root codes."""
 
     def __init__(self, rs: RootSystem):
         self.rs = rs
-        self._root_set = set(rs.roots)
-        self._table: Dict[Tuple[Root, Root], int] = {}
+        self._ell = rs.lengths  # root code -> length class, and the set of root codes
+        self._table: Dict[Tuple[int, int], int] = {}  # positive codes, a before b in order
         self._fill()
 
-    def _string_down(self, alpha: Root, beta: Root) -> int:
-        """p = max k with beta - k*alpha a root."""
-        p = 0
-        cur = _sub(beta, alpha)
-        while cur in self._root_set:
-            p += 1
-            cur = _sub(cur, alpha)
+    def _string_down(self, a: int, b: int) -> int:
+        """p = max k with b - k*a a root, on codes."""
+        p, cur = 0, b - a
+        while cur in self._ell:
+            p, cur = p + 1, cur - a
         return p
 
     def _fill(self):
-        rs, pos, ell = self.rs, self.rs.positive_roots, self.rs.lengths
-        # A positive root as one int sum_k c_k 32^k (c_k <= 12 on a sum of two roots).
+        ell, table, value = self._ell, self._table, self._value
+        pos = [self.rs.codes[a] for a in self.rs.positive_roots]
         # Pairs a + b = gamma, a before b, come in the order of a: extraspecial first.
-        codes = [sum(c << 5 * k for k, c in enumerate(a)) for a in pos]
-        of_code = dict(zip(codes, pos))
-        pairs: Dict[Root, List[Tuple[Root, Root]]] = {}
-        for i, (a, ca) in enumerate(zip(pos, codes)):
-            for b, cb in zip(pos[i + 1 :], codes[i + 1 :]):
-                gamma = of_code.get(ca + cb)
-                if gamma is not None:
-                    pairs.setdefault(gamma, []).append((a, b))
-        for gamma in pos[rs.rank :]:  # past the simple roots
+        pairs: Dict[int, List[Tuple[int, int]]] = {}
+        pos_set = set(pos)
+        for i, a in enumerate(pos):
+            for gamma in pos_set.intersection(map(a.__add__, pos[i + 1 :])):
+                pairs.setdefault(gamma, []).append((a, gamma - a))
+        for gamma in pos[self.rs.rank :]:  # past the simple roots
             if gamma not in pairs:
-                raise AssertionError(f"no special pair for {gamma}")
-            (a1, b1), *rest = pairs[gamma]  # extraspecial first
-            n1 = self._table[(a1, b1)] = self._string_down(a1, b1) + 1
+                raise AssertionError(f"no special pair for {self._root(gamma)}")
+            (a1, b1), *rest = pairs[gamma]
+            n1 = table[a1, b1] = self._string_down(a1, b1) + 1
             # N(-a1, gamma): mixed pair reduced by the norm-weighted cycle rule
             n_neg = exact_div(ell[b1] * n1, ell[gamma])
             for a, b in rest:
                 # Jacobi on (e_{-a1}, e_a, e_b), coefficient of e_{b1}
-                t1 = self.value(b, _neg(a1)) * self.value(a, _sub(b, a1))
-                t2 = self.value(_neg(a1), a) * self.value(b, _sub(a, a1))
-                self._table[(a, b)] = exact_div(-(t1 + t2), n_neg)
+                t1 = value(b, -a1) * value(a, b - a1)
+                t2 = value(-a1, a) * value(b, a - a1)
+                table[a, b] = exact_div(-(t1 + t2), n_neg)
+
+    def _value(self, a: int, b: int) -> int:
+        """N_{a,b} on root codes; zero when a+b is not a root."""
+        ell, s = self._ell, a + b
+        if a not in ell or b not in ell or s not in ell:
+            return 0
+        if a > 0:
+            if b > 0:
+                n = self._table.get((a, b))
+                return -self._table[b, a] if n is None else n
+            if s > 0:  # a > 0 > b
+                return exact_div(-ell[s] * self._value(-b, s), ell[a])
+            return self._value(-b, -a)
+        if b < 0:
+            return -self._value(-a, -b)
+        return -self._value(b, a)
 
     def value(self, a: Root, b: Root) -> int:
-        """N_{a,b}; zero when a+b is not a root."""
-        s = _add(a, b)
-        if a not in self._root_set or b not in self._root_set or s not in self._root_set:
-            return 0
-        if _is_positive(a) and _is_positive(b):
-            if (a, b) in self._table:
-                return self._table[(a, b)]
-            return -self._table[(b, a)]
-        if not _is_positive(a) and not _is_positive(b):
-            return -self.value(_neg(a), _neg(b))
-        if not _is_positive(a):
-            return -self.value(b, a)
-        # a > 0, b < 0
-        if _is_positive(s):
-            return exact_div(-self.rs.lengths[s] * self.value(_neg(b), s), self.rs.lengths[a])
-        return self.value(_neg(b), _neg(a))
+        """N_{a,b} of two root tuples; zero when a+b is not a root."""
+        codes = self.rs.codes
+        return self._value(codes[a], codes[b]) if a in codes and b in codes else 0
+
+    def _root(self, code: int) -> Root:
+        return next(a for a, c in self.rs.codes.items() if c == code)
 
     def positive_pairs(self):
         """((a, b), N_{a,b}) once per unordered pair of positive roots with a root sum."""
-        return self._table.items()
+        root = {c: a for a, c in self.rs.codes.items()}
+        return [((root[a], root[b]), n) for (a, b), n in self._table.items()]
 
     def verify_string_lengths(self):
         """|N_{alpha,beta}| = p+1 (an integer) on every positive special pair."""
         for (a, b), n in self._table.items():
             p = self._string_down(a, b)
             if n.denominator != 1 or abs(n) != p + 1:
-                raise AssertionError(f"bad constant N({a},{b}) = {n}, p = {p}")
+                raise AssertionError(f"bad constant N({self._root(a)},{self._root(b)}) = {n}, p = {p}")
 
 
 class ChevalleyAlgebra:
@@ -182,17 +170,23 @@ class ChevalleyAlgebra:
     def _build_table(self):
         rs = self.rs
         r = self.rank
-        index = self.root_index
-        shared: Dict[Terms, Terms] = {}  # equal brackets share one tuple
+        rows = self._rows
+        codes = list(rs.codes.values())  # basis index r + i holds the root of code codes[i]
+        index = {c: i for i, c in enumerate(codes, r)}
+        opp = {i: index[-c] for c, i in index.items()}  # e_alpha -> e_{-alpha}
+        shared: Dict[Terms, Tuple[Terms, Terms]] = {}  # equal brackets share one tuple
 
         def put(i: int, j: int, terms: Terms):
             """Store [b_i, b_j] = sum c b_k and [b_j, b_i] = -sum c b_k."""
             for k, c in terms:
                 if type(c) is not int:
                     raise AssertionError(f"structure constant {c} of [{i},{j}] is not an integer")
-            neg = tuple((k, -c) for k, c in terms)
-            self._rows[i][j] = shared.setdefault(terms, terms)
-            self._rows[j][i] = shared.setdefault(neg, neg)
+            pair = shared.get(terms)
+            if pair is None:
+                neg = tuple((k, -c) for k, c in terms)
+                pair = shared[terms] = (terms, neg)
+                shared[neg] = (neg, terms)
+            rows[i][j], rows[j][i] = pair
 
         # [h_i, e_alpha] = <alpha, alpha_i^vee> e_alpha, from the nonzero Cartan entries
         cartan = [[(i, c) for i, c in enumerate(row) if c] for row in rs.cartan]
@@ -204,21 +198,21 @@ class ChevalleyAlgebra:
             for i, c in enumerate(pairing):
                 if c:
                     put(i, col, ((col, c),))
-        opp = {index[a]: index[_neg(a)] for a in rs.roots}  # e_alpha -> e_{-alpha}
         for alpha in rs.positive_roots:
-            cr = rs.coroot_coefficients(alpha)
-            put(index[alpha], opp[index[alpha]], tuple((k, c) for k, c in enumerate(cr) if c))
+            i = index[rs.codes[alpha]]
+            put(i, opp[i], tuple((k, c) for k, c in enumerate(rs.coroots[alpha]) if c))
         # A positive pair a + b = gamma closes the zero-sum triple (a, b, -gamma).
         # Around it N_{x,y} / |z|^2 is constant, and N_{-x,-y} = -N_{x,y}; these
         # are the sign rules of StructureConstants.value, pair by pair.
         ell = rs.lengths
         for (a, b), n in self.constants.positive_pairs():
-            gamma = _add(a, b)
-            ia, ib, ig = index[a], index[b], index[gamma]
+            ia, ib = self.root_index[a], self.root_index[b]
+            ca, cb = codes[ia - r], codes[ib - r]
+            ig = index[ca + cb]
             for x, y, s, n_xy in (
                 (ia, ib, ig, n),
-                (ib, opp[ig], opp[ia], exact_div(n * ell[a], ell[gamma])),
-                (opp[ig], ia, opp[ib], exact_div(n * ell[b], ell[gamma])),
+                (ib, opp[ig], opp[ia], exact_div(n * ell[ca], ell[ca + cb])),
+                (opp[ig], ia, opp[ib], exact_div(n * ell[cb], ell[ca + cb])),
             ):
                 put(x, y, ((s, n_xy),))
                 put(opp[x], opp[y], ((opp[s], -n_xy),))
@@ -335,9 +329,13 @@ class ChevalleyAlgebra:
         Part 1 checks J(g, y, z) = [g, [y, z]] + [y, [z, g]] + [z, [g, y]] = 0
         in integer arithmetic for g in G and basis y < z (J is alternating in
         y, z).  With N(x) the basis vectors whose bracket with x is nonzero,
-        the three terms vanish unless z lies in N(y), in N(g) or in N(k) for
-        some k in the support of [g, y]; J(g, y, z) is summed for exactly those
-        z, term by term from the table rows of y, g and those k.
+        all J(g, y, z) of one g are summed together, each term from the rows
+        where it is nonzero: [g, [y, z]] over the pairs y < z whose bracket has
+        a term c b_k with k in N(g) (the table indexed by bracket terms once);
+        [y, [z, g]] = sum c [b_k, b_y] over z in N(g), c b_k in [g, z] and
+        y < z in N(k), as [b_y, b_k] = -[b_k, b_y] on the alternating table;
+        and [z, [g, y]] = -sum c [b_k, b_z] over y in N(g), c b_k in [g, y]
+        and z > y in N(k).  A triple none of them reaches has three zero terms.
 
         Part 2 is a breadth-first closure from G: whenever [g, x] for g in G
         and a reached x is a nonzero multiple of one basis vector b_k, b_k is
@@ -345,39 +343,46 @@ class ChevalleyAlgebra:
         is).  All ``dim`` basis vectors must be reached.
         """
         rows = self._rows
+        negated: Dict[Terms, Terms] = {}  # each shared term tuple negated once
         for i, row in enumerate(rows):
             for j, terms in row.items():
-                if rows[j].get(i) != tuple((k, -c) for k, c in terms):
+                neg = negated.get(terms)
+                if neg is None:
+                    neg = negated[terms] = tuple((k, -c) for k, c in terms)
+                if rows[j].get(i) != neg:
                     raise AssertionError(f"bracket table is not alternating at ({i},{j})")
-        r = self.rank
-        gens = [self.root_index[tuple(int(k == i) for k in range(r))] for i in range(r)]
-        gens.append(self.root_index[_neg(self.rs.highest_root)])
-        n = self.dim
+        r, n = self.rank, self.dim
+        codes = list(self.rs.codes.values())
+        gen_codes = [1 << 6 * i for i in range(r)] + [-self.rs.codes[self.rs.highest_root]]
+        gens = [r + codes.index(c) for c in gen_codes]
+        # through[k]: ((y * n + z) * n, c) for y < z with c b_k a term of [b_y, b_z]
+        through: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
+        for y, row in enumerate(rows):
+            for z, inner in row.items():
+                for k, c in inner if z > y else ():
+                    through[k].append(((y * n + z) * n, c))
         for g in gens:
-            row_g = rows[g]
-            for y in range(n):
-                row_y = rows[y]
-                acc: Dict[int, int] = {}  # z * n + m -> coefficient of b_m in J(g, y, z)
-                for z, inner in row_y.items():  # [g, [y, z]]
-                    if z > y:
-                        for k, c in inner:
-                            for m, d in row_g.get(k, ()):
-                                acc[z * n + m] = acc.get(z * n + m, 0) + c * d
-                for z, inner in row_g.items():  # [y, [z, g]] = -[y, [g, z]]
-                    if z > y:
-                        for k, c in inner:
-                            for m, d in row_y.get(k, ()):
-                                acc[z * n + m] = acc.get(z * n + m, 0) - c * d
-                for k, c in row_g.get(y, ()):  # [z, [g, y]] = -sum c [b_k, z]
-                    for z, inner in rows[k].items():
-                        if z > y:
-                            for m, d in inner:
-                                acc[z * n + m] = acc.get(z * n + m, 0) - c * d
-                for key, v in acc.items():
-                    if v:
-                        raise AssertionError(
-                            f"Jacobi identity fails on basis triple ({g},{y},{key // n})"
-                        )
+            acc: Dict[int, int] = defaultdict(int)  # (y * n + z) * n + m -> b_m in J(g, y, z)
+            for k, terms in rows[g].items():  # [g, [y, z]]
+                for key, c in through[k]:
+                    for m, d in terms:
+                        acc[key + m] += c * d
+            for x, inner in rows[g].items():
+                for k, c in inner:
+                    for y, terms in rows[k].items():
+                        if y < x:  # [y, [z, g]] = c [b_k, b_y] with z = x
+                            key, f = (y * n + x) * n, c
+                        elif y > x:  # [z, [g, y]] = -c [b_k, b_z] with (y, z) = (x, y)
+                            key, f = (x * n + y) * n, -c
+                        else:
+                            continue
+                        for m, d in terms:
+                            acc[key + m] += f * d
+            if any(acc.values()):
+                key = min(key for key, v in acc.items() if v)
+                raise AssertionError(
+                    f"Jacobi identity fails on basis triple ({g},{key // n // n},{key // n % n})"
+                )
         reached = list(gens)
         seen = set(gens)
         for x in reached:

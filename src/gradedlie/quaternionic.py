@@ -29,14 +29,9 @@ from .vinberg import (
 
 
 def quaternionic_labels(alg: ChevalleyAlgebra) -> Tuple[int, ...]:
-    """Degree labels <alpha_k, beta^vee> of the highest-root grading."""
-    rs = alg.rs
-    beta = rs.highest_root
-    out = []
-    for k in range(alg.rank):
-        simple = tuple(int(i == k) for i in range(alg.rank))
-        out.append(int(2 * rs.form_value(simple, beta) / rs.norm(beta)))
-    return tuple(out)
+    """Degree labels <alpha_k, beta^vee> = sum_j beta^vee_j c[k][j] of the highest-root grading."""
+    beta_vee = alg.rs.coroot_coefficients(alg.rs.highest_root)
+    return tuple(sum(t * c for t, c in zip(beta_vee, row)) for row in alg.rs.cartan)
 
 
 @dataclass

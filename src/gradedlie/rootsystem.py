@@ -1,15 +1,18 @@
 """Root systems of the simple complex Lie algebras.
 
 Roots are stored as integer coordinate vectors in the simple-root basis,
-ordered by Bourbaki numbering of the simple roots.  The invariant form on the
-root lattice is normalised so that the highest root has squared length 2.
-Root norms (Fractions, at most two values) and length classes (Python ints
-|alpha|^2 / |shortest root|^2 in {1, 2, 3}) come from the reflection closure:
-each root has those of the simple root whose Weyl orbit it was reached in, so
-no root needs a form evaluation (``_form_value`` stays as the oracle).  They,
-the integer coroot coefficients and the Gram matrix of the simple coroots are
-computed once per root system; ``norm`` and ``coroot_coefficients`` are table
-lookups on roots.
+ordered by Bourbaki numbering of the simple roots, and as one code each,
+sum_k a_k 64^k with signed digits.  No coefficient of a root, or of a sum or
+difference of two roots, exceeds 12 in absolute value, so codes add and negate
+like the roots and have their sign: root-lattice steps after the reflection
+closure are Python-int arithmetic.  The invariant form on the root lattice is
+normalised so that the highest root has squared length 2.  Root norms
+(Fractions, at most two values) and length classes (Python ints
+|alpha|^2 / |shortest root|^2 in {1, 2, 3}, keyed by code) come from the
+reflection closure: each root has those of the simple root whose Weyl orbit it
+was reached in, so no root needs a form evaluation.  They, the integer coroot
+coefficients and the Gram matrix of the simple coroots are computed once per
+root system; ``norm`` and ``coroot_coefficients`` are table lookups on roots.
 """
 
 from __future__ import annotations
@@ -111,7 +114,8 @@ class RootSystem:
     highest_root: Root
     affine_marks: Tuple[int, ...]  # (n_0, n_1, ..., n_r) with n_0 = 1
     norms: Dict[Root, Q] = field(compare=False, repr=False)  # B*(alpha, alpha) per root
-    lengths: Dict[Root, int] = field(compare=False, repr=False)  # norm / shortest norm
+    codes: Dict[Root, int] = field(compare=False, repr=False)  # sum_k a_k 64^k, in root order
+    lengths: Dict[int, int] = field(compare=False, repr=False)  # root code -> norm / shortest norm
     coroots: Dict[Root, Tuple[int, ...]] = field(compare=False, repr=False)
     # B(h_i, h_j) = 4 (alpha_i, alpha_j) / (|alpha_i|^2 |alpha_j|^2) on simple coroots
     coroot_gram: Tuple[Tuple[Q, ...], ...] = field(compare=False, repr=False)
@@ -216,15 +220,10 @@ def build_root_system(t: LieType) -> RootSystem:
         raise AssertionError("root system not closed under negation")
 
     # Highest root: the unique root beta with beta + alpha_k never a root.
-    root_set = set(roots)
-    candidates = [
-        b
-        for b in positive
-        if all(
-            tuple(b[i] + int(i == k) for i in range(r)) not in root_set
-            for k in range(r)
-        )
-    ]
+    codes = {a: sum(x << 6 * k for k, x in enumerate(a)) for a in roots}
+    code_set = set(codes.values())
+    units = [1 << 6 * k for k in range(r)]
+    candidates = [b for b in positive if all(codes[b] + u not in code_set for u in units)]
     if len(candidates) != 1:
         raise AssertionError("highest root is not unique")
     highest = candidates[0]
@@ -244,9 +243,9 @@ def build_root_system(t: LieType) -> RootSystem:
     if len(values) > 2:
         raise AssertionError("more than two root lengths")
     ell = [exact_div(form[j][j], min(values)) for j in range(r)]
-    lengths = {a: ell[j] for a, j in origin.items()}
+    lengths = {codes[a]: ell[j] for a, j in origin.items()}
     coroots = {
-        a: tuple(exact_div(x * ell[i], lengths[a]) if x else 0 for i, x in enumerate(a))
+        a: tuple(exact_div(x * ell[i], ell[origin[a]]) if x else 0 for i, x in enumerate(a))
         for a in roots
     }
     coroot_gram = tuple(
@@ -263,6 +262,7 @@ def build_root_system(t: LieType) -> RootSystem:
         highest_root=highest,
         affine_marks=(1,) + highest,
         norms=norms,
+        codes=codes,
         lengths=lengths,
         coroots=coroots,
         coroot_gram=coroot_gram,
@@ -270,15 +270,12 @@ def build_root_system(t: LieType) -> RootSystem:
 
 
 def affine_cartan_matrix(rs: RootSystem) -> List[List[int]]:
-    """Cartan matrix on nodes 0..r with alpha_0 = -highest root."""
-    r = rs.rank
+    """Cartan matrix on nodes 0..r with alpha_0 = -highest root, in integers.
+
+    Row a holds <a, alpha_j^vee> = ``pairing(a, j)`` on the simple nodes, and
+    <a, alpha_0^vee> = -<a, beta^vee> = -sum_k beta^vee_k <a, alpha_k^vee>.
+    """
+    beta_vee = rs.coroots[rs.highest_root]
     alpha0 = tuple(-x for x in rs.highest_root)
-    nodes = [alpha0] + [tuple(int(i == j) for i in range(r)) for j in range(r)]
-    out = []
-    for a in nodes:
-        row = []
-        for b in nodes:
-            # <a, b^vee> = 2 B*(a,b) / B*(b,b)
-            row.append(int(2 * rs.form_value(a, b) / rs.norm(b)))
-        out.append(row)
-    return out
+    rows = [[rs.pairing(alpha0, j) for j in range(rs.rank)]] + [list(row) for row in rs.cartan]
+    return [[-sum(t * p for t, p in zip(beta_vee, row))] + row for row in rows]

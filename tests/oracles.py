@@ -220,6 +220,26 @@ def fraction_coroot(rs: RootSystem, alpha: Root) -> Tuple[Q, ...]:
     return tuple(Q(a) * rs.form_star[i][i] / rs.norm(alpha) for i, a in enumerate(alpha))
 
 
+# -- Form-value routes to the affine Cartan matrix and the quaternionic labels --
+
+
+def form_affine_cartan_matrix(rs: RootSystem) -> List[List[int]]:
+    """Cartan matrix on nodes 0..r with alpha_0 = -highest root, from Fraction form values."""
+    r = rs.rank
+    alpha0 = tuple(-x for x in rs.highest_root)
+    nodes = [alpha0] + [tuple(int(i == j) for i in range(r)) for j in range(r)]
+    # <a, b^vee> = 2 B*(a,b) / B*(b,b)
+    return [[int(2 * rs.form_value(a, b) / rs.norm(b)) for b in nodes] for a in nodes]
+
+
+def form_quaternionic_labels(alg: ChevalleyAlgebra) -> Tuple[int, ...]:
+    """Degree labels <alpha_k, beta^vee> = 2 B*(alpha_k, beta) / B*(beta, beta), beta the highest root."""
+    rs = alg.rs
+    beta = rs.highest_root
+    simple = [tuple(int(i == k) for i in range(alg.rank)) for k in range(alg.rank)]
+    return tuple(int(2 * rs.form_value(a, beta) / rs.norm(beta)) for a in simple)
+
+
 # -- Bareiss elimination with a Fraction back-substitution -------------------
 
 

@@ -156,7 +156,7 @@ def certificate_passes(alg) -> bool:
     return True
 
 
-@pytest.mark.parametrize("name", ["A3", "G2", "F4", "E6", "B7", "D8"])
+@pytest.mark.parametrize("name", ["A3", "G2", "F4", "E6", "B7", "D8", "A9", "E7"])
 def test_certificate_catches_corrupted_entries(name):
     alg = build_algebra(LieType.parse(name))
     for bad in mutants(alg, name):
@@ -204,7 +204,9 @@ def test_non_integral_constant_is_rejected(monkeypatch):
         ChevalleyAlgebra(rs)
 
 
-@pytest.mark.parametrize("name", ["A3", "B3", "C3", "D4", "G2", "F4"])
+@pytest.mark.parametrize(
+    "name", ["A3", "B3", "C3", "D4", "G2", "F4", "A8", "B8", "C8", "D8", "E6", "E7"]
+)
 def test_table_matches_structure_constants(name):
     alg = build_algebra(LieType.parse(name))
     rs, r = alg.rs, alg.rank

@@ -326,8 +326,12 @@ def _no_build(*_args, **_kwargs):
         (["kac", "--type", "A60", "--labels", "1,1"], "error: label count must match node count"),
         (["grading", "--type", "A40", "--labels", "1"], "error: one label per simple root required"),
         (["cayley", "--type", "A40", "--labels", "1,0"], "error: one label per simple root required"),
+        (["grading", "--type", "A30", "--labels", ",".join(["0"] * 30)], "error: labels must not all be zero"),
+        (["grading", "--type", "A30", "--labels", ",".join(["-1"] + ["0"] * 29)], "error: labels must be non-negative"),
+        (["cayley", "--type", "A30", "--labels", ",".join(["0"] * 30)], "error: labels must not all be zero"),
+        (["cayley", "--type", "A30", "--labels", ",".join(["-1"] + ["0"] * 29)], "error: labels must be non-negative"),
     ],
-    ids=["kac", "grading", "cayley"],
+    ids=["kac", "grading", "cayley", "grading-all-zero", "grading-negative", "cayley-all-zero", "cayley-negative"],
 )
 def test_label_count_is_checked_before_any_build(monkeypatch, capsys, argv, message):
     monkeypatch.setattr("gradedlie.cli.build_root_system", _no_build)
@@ -337,6 +341,29 @@ def test_label_count_is_checked_before_any_build(monkeypatch, capsys, argv, mess
     assert code == 2
     assert captured.out == ""
     assert captured.err.splitlines() == [message]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["kac", "--type", "E8", "--labels", "0,0,0,0,0,0,0,0,1"], ["quaternionic", "--type", "F4"]],
+    ids=["kac-E8-node-0-zero", "quaternionic-F4"],
+)
+def test_job_evaluates_no_form_value(monkeypatch, capsys, argv):
+    from gradedlie.quaternionic import build_quaternionic
+    from gradedlie.rootsystem import RootSystem
+
+    calls = []
+    form_value = RootSystem.form_value
+
+    def spy(self, alpha, beta):
+        calls.append((alpha, beta))
+        return form_value(self, alpha, beta)
+
+    monkeypatch.setattr(RootSystem, "form_value", spy)
+    build_quaternionic.cache_clear()  # a cached job would evaluate nothing
+    code, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert calls == []
 
 
 def test_kac_job_builds_no_chevalley_algebra(monkeypatch, capsys):

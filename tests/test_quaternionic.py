@@ -3,7 +3,7 @@ from collections import Counter
 import pytest
 
 from conftest import assert_paper_check
-from oracles import orbit_toledo_rank
+from oracles import form_quaternionic_labels, orbit_toledo_rank
 
 from gradedlie import vinberg
 from gradedlie.checks import expected_ranks, q_list
@@ -100,6 +100,23 @@ def test_labels_are_adjacency_indicators(sl3):
         for k, p in enumerate(labels):
             simple = tuple(int(i == k) for i in range(alg.rank))
             assert (p != 0) == (alg.rs.form_value(simple, beta) != 0)
+
+
+QUATERNIONIC_LABEL_TYPES = (
+    [f"A{r}" for r in range(2, 13)]
+    + [f"{f}{r}" for f in "BC" for r in range(2, 11)]
+    + [f"D{r}" for r in range(3, 11)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
+
+
+@pytest.mark.parametrize("name", QUATERNIONIC_LABEL_TYPES)
+def test_labels_match_form_oracle(name):
+    """<alpha_k, beta^vee> from the Cartan matrix and the coroot equals the form-value route."""
+    alg = build_algebra(LieType.parse(name))
+    labels = quaternionic_labels(alg)
+    assert labels == form_quaternionic_labels(alg)
+    assert all(type(p) is int for p in labels)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])

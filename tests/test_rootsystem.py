@@ -2,7 +2,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from oracles import classical_root_count, dense_reflection_closure
+from oracles import classical_root_count, dense_reflection_closure, form_affine_cartan_matrix
 
 from gradedlie.rootsystem import (
     LieType,
@@ -143,6 +143,23 @@ def test_affine_marks():
 def test_affine_cartan_matrix_a1():
     rs = build_root_system(LieType.parse("A1"))
     assert affine_cartan_matrix(rs) == [[2, -2], [-2, 2]]
+
+
+AFFINE_TYPES = (
+    [f"A{r}" for r in range(1, 13)]
+    + [f"{f}{r}" for f in "BC" for r in range(2, 11)]
+    + [f"D{r}" for r in range(3, 11)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
+
+
+@pytest.mark.parametrize("name", AFFINE_TYPES)
+def test_affine_cartan_matrix_matches_form_oracle(name):
+    """The integer affine Cartan matrix equals the one from Fraction form values."""
+    rs = build_root_system(LieType.parse(name))
+    affine = affine_cartan_matrix(rs)
+    assert affine == form_affine_cartan_matrix(rs)
+    assert all(type(c) is int for row in affine for c in row)
 
 
 @pytest.mark.parametrize("name", SMALL_TYPES)
