@@ -343,23 +343,21 @@ class ChevalleyAlgebra:
         is).  All ``dim`` basis vectors must be reached.
         """
         rows = self._rows
-        negated: Dict[Terms, Terms] = {}  # each shared term tuple negated once
-        for i, row in enumerate(rows):
-            for j, terms in row.items():
-                neg = negated.get(terms)
-                if neg is None:
-                    neg = negated[terms] = tuple((k, -c) for k, c in terms)
-                if rows[j].get(i) != neg:
-                    raise AssertionError(f"bracket table is not alternating at ({i},{j})")
         r, n = self.rank, self.dim
         codes = list(self.rs.codes.values())
         gen_codes = [1 << 6 * i for i in range(r)] + [-self.rs.codes[self.rs.highest_root]]
         gens = [r + codes.index(c) for c in gen_codes]
+        negated: Dict[Terms, Terms] = {}  # each shared term tuple negated once
         # through[k]: ((y * n + z) * n, c) for y < z with c b_k a term of [b_y, b_z]
         through: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
         for y, row in enumerate(rows):
-            for z, inner in row.items():
-                for k, c in inner if z > y else ():
+            for z, terms in row.items():
+                neg = negated.get(terms)
+                if neg is None:
+                    neg = negated[terms] = tuple((k, -c) for k, c in terms)
+                if rows[z].get(y) != neg:
+                    raise AssertionError(f"bracket table is not alternating at ({y},{z})")
+                for k, c in terms if z > y else ():
                     through[k].append(((y * n + z) * n, c))
         for g in gens:
             acc: Dict[int, int] = defaultdict(int)  # (y * n + z) * n + m -> b_m in J(g, y, z)

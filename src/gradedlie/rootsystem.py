@@ -169,23 +169,20 @@ def _reflection_closure(cartan: List[List[int]], r: int) -> Tuple[List[Root], Di
     """
     simple = [tuple(int(i == j) for i in range(r)) for j in range(r)]
     origin = {alpha: j for j, alpha in enumerate(simple)}
-    # <alpha, alpha_j^vee> = sum_i alpha_i c[i][j], from the nonzero Cartan entries
-    cartan_rows = [[(j, c) for j, c in enumerate(row) if c] for row in cartan]
-    frontier = list(simple)
+    seen = {1 << 6 * j for j in range(r)}  # root codes, as in build_root_system
+    # each root with its code and pairings <alpha, alpha_k^vee>; s_j alpha = alpha - p alpha_j
+    # has pairings <alpha, alpha_k^vee> - p c[j][k], so a tuple is built only for a new root
+    frontier = [(alpha, 1 << 6 * j, cartan[j]) for j, alpha in enumerate(simple)]
     while frontier:
         new = []
-        for alpha in frontier:
-            pairing = [0] * r
-            for a, row in zip(alpha, cartan_rows):
-                for j, c in row if a else ():
-                    pairing[j] += a * c
+        for alpha, code, pairing in frontier:
             for j, p in enumerate(pairing):
-                if p == 0:
-                    continue
-                refl = alpha[:j] + (alpha[j] - p,) + alpha[j + 1 :]
-                if refl not in origin:
+                refl_code = code - (p << 6 * j)
+                if p and refl_code not in seen:
+                    seen.add(refl_code)
+                    refl = alpha[:j] + (alpha[j] - p,) + alpha[j + 1 :]
                     origin[refl] = origin[alpha]
-                    new.append(refl)
+                    new.append((refl, refl_code, [x - p * c for x, c in zip(pairing, cartan[j])]))
         frontier = new
     return sorted(origin), origin
 
@@ -228,18 +225,19 @@ def build_root_system(t: LieType) -> RootSystem:
         raise AssertionError("highest root is not unique")
     highest = candidates[0]
 
-    # Invariant form from the symmetrised Cartan matrix, rescaled so the
-    # highest root has norm 2:  (alpha_i, alpha_j) = d_j c[i][j].
+    # Invariant form from the symmetrised Cartan matrix, rescaled so the highest
+    # root has norm 2: (alpha_i, alpha_j) = d_j c[i][j], and (beta, beta) is
+    # sum_j beta_j d_j <beta, alpha_j^vee>.  Zero entries share one Fraction.
     d = _symmetrizer(cartan, r)
-    form = [[d[j] * cartan[i][j] for j in range(r)] for i in range(r)]
-    scale = Q(2) / _form_value(form, highest, highest)
-    form = [[x * scale for x in row] for row in form]
+    pairing = [sum(b * row[j] for b, row in zip(highest, cartan)) for j in range(r)]
+    scale, zero = Q(2) / sum(b * dj * p for b, dj, p in zip(highest, d, pairing)), Q(0)
+    form = [[d[j] * scale * c if c else zero for j, c in enumerate(row)] for row in cartan]
 
     # Root data, computed once.  A root has the norm and length class of the
     # simple root its reflection chain starts from (Weyl invariance); at most
     # two values occur.  alpha^vee = sum_i a_i ell(alpha_i) / ell(alpha) alpha_i^vee.
     norms = {a: form[j][j] for a, j in origin.items()}
-    values = set(norms.values())
+    values = {form[j][j] for j in range(r)}
     if len(values) > 2:
         raise AssertionError("more than two root lengths")
     ell = [exact_div(form[j][j], min(values)) for j in range(r)]
@@ -249,8 +247,8 @@ def build_root_system(t: LieType) -> RootSystem:
         for a in roots
     }
     coroot_gram = tuple(
-        tuple(4 * form[i][j] / (form[i][i] * form[j][j]) for j in range(r))
-        for i in range(r)
+        tuple(2 * c / form[i][i] if c else zero for c in row)  # 4 (i, j) / (|i|^2 |j|^2)
+        for i, row in enumerate(cartan)
     )
 
     return RootSystem(
