@@ -199,7 +199,7 @@ class ChevalleyAlgebra:
                 if c:
                     put(i, col, ((col, c),))
         for alpha in rs.positive_roots:
-            i = index[rs.codes[alpha]]
+            i = self.root_index[alpha]
             put(i, opp[i], tuple((k, c) for k, c in enumerate(rs.coroots[alpha]) if c))
         # A positive pair a + b = gamma closes the zero-sum triple (a, b, -gamma).
         # Around it N_{x,y} / |z|^2 is constant, and N_{-x,-y} = -N_{x,y}; these
@@ -344,9 +344,8 @@ class ChevalleyAlgebra:
         """
         rows = self._rows
         r, n = self.rank, self.dim
-        codes = list(self.rs.codes.values())
-        gen_codes = [1 << 6 * i for i in range(r)] + [-self.rs.codes[self.rs.highest_root]]
-        gens = [r + codes.index(c) for c in gen_codes]
+        gens = [self.root_index[tuple(int(k == i) for k in range(r))] for i in range(r)]
+        gens.append(self.root_index[tuple(-x for x in self.rs.highest_root)])
         negated: Dict[Terms, Terms] = {}  # each shared term tuple negated once
         # through[k]: ((y * n + z) * n, c) for y < z with c b_k a term of [b_y, b_z]
         through: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
