@@ -247,7 +247,7 @@ def build_root_system(t: LieType) -> RootSystem:
         for a in roots
     }
     coroot_gram = tuple(
-        tuple(2 * c / form[i][i] if c else zero for c in row)  # 4 (i, j) / (|i|^2 |j|^2)
+        tuple(2 * c / form[i][i] if c else zero for c in row)  # form[i][j] = form[j][j] c[i][j] / 2
         for i, row in enumerate(cartan)
     )
 

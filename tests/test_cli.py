@@ -320,18 +320,25 @@ def _no_build(*_args, **_kwargs):
     raise AssertionError("built before the label count was checked")
 
 
+ZEROS_A30 = ",".join(["0"] * 30)
+NEGATIVE_A30 = ",".join(["-1"] + ["0"] * 29)
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
         (["kac", "--type", "A60", "--labels", "1,1"], "error: label count must match node count"),
         (["grading", "--type", "A40", "--labels", "1"], "error: one label per simple root required"),
         (["cayley", "--type", "A40", "--labels", "1,0"], "error: one label per simple root required"),
-        (["grading", "--type", "A30", "--labels", ",".join(["0"] * 30)], "error: labels must not all be zero"),
-        (["grading", "--type", "A30", "--labels", ",".join(["-1"] + ["0"] * 29)], "error: labels must be non-negative"),
-        (["cayley", "--type", "A30", "--labels", ",".join(["0"] * 30)], "error: labels must not all be zero"),
-        (["cayley", "--type", "A30", "--labels", ",".join(["-1"] + ["0"] * 29)], "error: labels must be non-negative"),
+        (["grading", "--type", "A30", "--labels", ZEROS_A30], "error: labels must not all be zero"),
+        (["grading", "--type", "A30", "--labels", NEGATIVE_A30], "error: labels must be non-negative"),
+        (["cayley", "--type", "A30", "--labels", ZEROS_A30], "error: labels must not all be zero"),
+        (["cayley", "--type", "A30", "--labels", NEGATIVE_A30], "error: labels must be non-negative"),
     ],
-    ids=["kac", "grading", "cayley", "grading-all-zero", "grading-negative", "cayley-all-zero", "cayley-negative"],
+    ids=[
+        "kac", "grading", "cayley",
+        "grading-all-zero", "grading-negative", "cayley-all-zero", "cayley-negative",
+    ],
 )
 def test_label_count_is_checked_before_any_build(monkeypatch, capsys, argv, message):
     monkeypatch.setattr("gradedlie.cli.build_root_system", _no_build)
