@@ -4,9 +4,11 @@ Subcommands cover the main pipelines (grading, kac, quiver, toledo, amw,
 quaternionic, cayley) plus ``verify-paper``, which runs the full table of
 numeric cross-checks and fails loudly on any mismatch.  Reports are emitted
 as JSON (default) or text; every rational is serialized as an exact "p/q"
-string, never as a float.  A JSON config file can supply any field, with
-command-line flags taking precedence.  The command line is read straight from
-the flag tables below, so a job pays for no parser construction.
+string, never as a float.  Input takes one path: ``FIELDS`` gives each flag
+its config key, parser and default, and ``COMMANDS`` each command its handler
+and flags.  Flags override a JSON config file; every value, from either, goes
+through its field's parser, and each handler receives typed values.  There is
+no ``argparse``, so a job pays for no parser construction.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import json
 import sys
 from fractions import Fraction as Q
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, NamedTuple, Optional
 
 from . import __version__
 from . import amw as amw_mod
@@ -38,6 +40,7 @@ from .vinberg import jm_regular
 
 SCHEMA_VERSION = 1
 VERSION = __version__
+FORMATS = ("json", "text")
 
 
 class InputError(Exception):
@@ -52,23 +55,8 @@ def _int_text(text: str) -> int:
     return int(text)
 
 
-def parse_rational(text: str) -> Q:
-    num, slash, den = text.partition("/")
-    try:
-        return Q(_int_text(num), _int_text(den)) if slash else Q(_int_text(num))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"bad rational {text!r}") from exc
-
-
-def parse_ints(text: str) -> List[int]:
-    try:
-        return [_int_text(x.strip(" ")) for x in text.split(",")]
-    except ValueError as exc:
-        raise InputError(f"bad integer list {text!r}") from exc
-
-
 def to_int(raw, name: str) -> int:
-    """An integer field, from a flag or the config file."""
+    """An integer field."""
     if isinstance(raw, int) and not isinstance(raw, bool):
         return raw
     if isinstance(raw, str):
@@ -83,44 +71,91 @@ def to_rational(raw, name: str) -> Q:
     """A rational field: an integer, or a "p/q" or integer string."""
     if isinstance(raw, int) and not isinstance(raw, bool):
         return Q(raw)
-    if isinstance(raw, str):
-        return parse_rational(raw)
-    raise InputError(f"{name} must be a rational, got {raw!r}")
+    if not isinstance(raw, str):
+        raise InputError(f"{name} must be a rational, got {raw!r}")
+    num, slash, den = raw.partition("/")
+    try:
+        return Q(_int_text(num), _int_text(den)) if slash else Q(_int_text(num))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"bad rational {raw!r}") from exc
 
 
 def to_ints(raw, name: str) -> List[int]:
     """An integer-list field: a comma-separated string or a list of integers."""
     if isinstance(raw, str):
-        return parse_ints(raw)
+        try:
+            return [_int_text(x.strip(" ")) for x in raw.split(",")]
+        except ValueError as exc:
+            raise InputError(f"bad integer list {raw!r}") from exc
     if not isinstance(raw, list):
         raise InputError(f"{name} must be a list of integers, got {raw!r}")
     return [to_int(x, name) for x in raw]
 
 
-def parse_type(args) -> LieType:
-    t = args.get("lie_type")
-    if t is None:
-        raise InputError("a Lie type is required (--type)")
-    if not isinstance(t, str):
-        raise InputError(f"lie_type must be a string, got {t!r}")
+def to_switch(raw, name: str) -> bool:
+    """A switch: the bare flag (True), or true or false in the config file."""
+    if not isinstance(raw, bool):
+        raise InputError(f"{name} must be true or false, got {raw!r}")
+    return raw
+
+
+def to_lie_type(raw, name: str) -> LieType:
+    if not isinstance(raw, str):
+        raise InputError(f"{name} must be a string, got {raw!r}")
     try:
-        if args.get("rank") is not None:
-            return LieType(t.upper(), to_int(args["rank"], "rank"))
-        return LieType.parse(t)
+        return LieType.parse(raw)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
 
 
-def simple_root_labels(raw, t: LieType) -> List[int]:
-    """One label per simple root of t, non-negative and not all zero, checked before any build."""
-    labels = to_ints(raw, "labels")
+def to_format(raw, name: str) -> str:
+    if raw not in FORMATS:
+        raise InputError(f"--format must be {' or '.join(FORMATS)}, got {raw!r}")
+    return raw
+
+
+def to_path(raw, name: str) -> str:
+    if not (isinstance(raw, str) and raw):
+        raise InputError(f"{name} must be a non-empty string, got {raw!r}")
+    return raw
+
+
+class Field(NamedTuple):
+    key: str  # the config key, the handler's keyword and (upper-cased) the usage name
+    parse: Callable[[Any, str], Any]  # (flag text or config value, key) -> typed value
+    default: Any = None  # what the handler receives when the field is absent
+
+
+FIELDS = {
+    "--type": Field("lie_type", to_lie_type),
+    "--labels": Field("labels", to_ints),
+    "--dims": Field("dims", to_ints),
+    "--degrees": Field("degrees", to_ints),
+    "--genus": Field("genus", to_int),
+    "--lambda": Field("lam", to_rational, Q(0)),
+    "--rank-plus": Field("rank_plus", to_rational, Q(0)),
+    "--rank-minus": Field("rank_minus", to_rational, Q(0)),
+    "--zeta-pairing": Field("zeta_pairing", to_rational, Q(0)),
+    "--depth": Field("depth", to_int, 2),
+    "--phi-minus-zero": Field("phi_minus_zero", to_switch, False),
+    "--quaternionic": Field("quaternionic", to_switch, False),
+    "--kappa": Field("kappa", to_int, 2),
+    "--coarse": Field("coarse", to_switch, False),
+    "--extended": Field("extended", to_switch, False),
+    "--format": Field("output_format", to_format, "json"),
+    "--output": Field("output_path", to_path),
+    "--seed": Field("seed", to_int, 0),
+}
+
+
+def check_labels(labels: List[int], t: LieType) -> None:
+    """One label per simple root of t, non-negative and not all zero: checked before any build."""
     if len(labels) != t.rank:
         raise InputError("one label per simple root required")
     if any(x < 0 for x in labels):
         raise InputError("labels must be non-negative")
     if not any(labels):
         raise InputError("labels must not all be zero")
-    return labels
 
 
 def make_report(command: str, inputs: Dict[str, Any]) -> Dict[str, Any]:
@@ -143,17 +178,13 @@ def add_check(report, check_id: str, ref: str, expected, actual):
     return ok
 
 
-# -- command handlers ------------------------------------------------------
+# -- command handlers: typed fields as keyword arguments ----------------------
 
 
-def cmd_grading(args) -> Dict[str, Any]:
-    t = parse_type(args)
-    labels = args.get("labels")
-    if labels is None:
-        raise InputError("--labels is required")
-    labels = simple_root_labels(labels, t)
-    zg = z_grading_from_labels(build_algebra(t), labels)
-    report = make_report("grading", {"lie_type": str(t), "labels": labels})
+def cmd_grading(lie_type: LieType, labels: List[int], **_) -> Dict[str, Any]:
+    check_labels(labels, lie_type)
+    zg = z_grading_from_labels(build_algebra(lie_type), labels)
+    report = make_report("grading", {"lie_type": str(lie_type), "labels": labels})
     report["results"] = {
         "piece_dims": {str(j): d for j, d in zg.dims().items()},
         "depth": zg.depth,
@@ -162,22 +193,17 @@ def cmd_grading(args) -> Dict[str, Any]:
     return report
 
 
-def cmd_kac(args) -> Dict[str, Any]:
-    t = parse_type(args)
-    raw = args.get("labels")
-    if raw is None:
-        raise InputError("--labels is required (p_0,...,p_r)")
-    labels = to_ints(raw, "labels")
-    if len(labels) != t.rank + 1:
+def cmd_kac(lie_type: LieType, labels: List[int], **_) -> Dict[str, Any]:
+    if len(labels) != lie_type.rank + 1:
         raise InputError("label count must match node count")
-    rs = build_root_system(t)
+    rs = build_root_system(lie_type)
     try:
         kac = kac_labels(rs, labels)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     zm = zm_from_kac(rs, kac)
     verdict = kac_lift_check(rs, kac)
-    report = make_report("kac", {"lie_type": str(t), "labels": labels})
+    report = make_report("kac", {"lie_type": str(lie_type), "labels": labels})
     report["results"] = {
         "order": kac.order,
         "residue_dims": {str(j): d for j, d in zm.dims().items()},
@@ -189,26 +215,22 @@ def cmd_kac(args) -> Dict[str, Any]:
     return report
 
 
-def cmd_quiver(args) -> Dict[str, Any]:
-    raw = args.get("dims")
-    if raw is None:
-        raise InputError("--dims is required")
-    dims_list = to_ints(raw, "dims")
+def cmd_quiver(dims: List[int], **_) -> Dict[str, Any]:
     try:
-        dims = QuiverDims(tuple(dims_list))
+        quiver = QuiverDims(tuple(dims))
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    orbits = enumerate_orbits(dims)
-    top = maximal_rank_tuple(dims)
+    orbits = enumerate_orbits(quiver)
+    top = maximal_rank_tuple(quiver)
     keys = [f"{i},{j}" for (i, j), _ in top]
-    report = make_report("quiver", {"dims": dims_list})
+    report = make_report("quiver", {"dims": dims})
     report["results"] = {
-        "jm_regular": quiver_jm_regular(dims),
-        "alpha": q_str(dims.alpha),
+        "jm_regular": quiver_jm_regular(quiver),
+        "alpha": q_str(quiver.alpha),
         "orbits": [
             {
                 "ranks": dict(zip(keys, (r for _, r in rt))),
-                "toledo_rank": q_str(interval_toledo_rank(dims, mult)),
+                "toledo_rank": q_str(interval_toledo_rank(quiver, mult)),
                 "open": rt == top,
             }
             for rt, mult in orbits
@@ -217,79 +239,55 @@ def cmd_quiver(args) -> Dict[str, Any]:
     return report
 
 
-def cmd_toledo(args) -> Dict[str, Any]:
-    raw_dims, raw_deg = args.get("dims"), args.get("degrees")
-    if raw_dims is None or raw_deg is None or args.get("genus") is None:
-        raise InputError("--dims, --degrees and --genus are required")
-    ranks = to_ints(raw_dims, "dims")
-    degrees = to_ints(raw_deg, "degrees")
-    genus = to_int(args["genus"], "genus")
+def cmd_toledo(dims: List[int], degrees: List[int], genus: int, **_) -> Dict[str, Any]:
     try:
-        top = QuiverHiggsTopology(tuple(ranks), tuple(degrees), genus)
+        top = QuiverHiggsTopology(tuple(dims), tuple(degrees), genus)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     report = make_report(
-        "toledo", {"dims": ranks, "degrees": degrees, "genus": top.genus}
+        "toledo", {"dims": dims, "degrees": degrees, "genus": top.genus}
     )
     report["results"] = {"tau": q_str(toledo_invariant(top))}
     return report
 
 
-def cmd_amw(args) -> Dict[str, Any]:
-    if args.get("genus") is None:
-        raise InputError("--genus is required")
-    genus = to_int(args["genus"], "genus")
-    lam = to_rational(args.get("lam", 0), "lambda")
+def cmd_amw(
+    genus: int, lam: Q, rank_plus: Q, rank_minus: Q, zeta_pairing: Q, depth: int,
+    phi_minus_zero: bool, quaternionic: bool, kappa: int, coarse: bool, **_,
+) -> Dict[str, Any]:
     inputs = {"genus": genus, "lambda": q_str(lam)}
     report = make_report("amw", inputs)
     try:
-        if args.get("quaternionic"):
-            kappa = to_int(args.get("kappa", 2), "kappa")
-            inputs["kappa"] = kappa
-            if args.get("coarse"):
-                lo, hi = amw_mod.quaternionic_coarse(genus, kappa)
-                inputs["coarse"] = True
-            else:
-                bi = amw_mod.BoundInput(
-                    genus=genus,
-                    lam=lam,
-                    rank_plus=to_rational(args.get("rank_plus", 0), "rank_plus"),
-                    rank_minus=to_rational(args.get("rank_minus", 0), "rank_minus"),
-                    kappa=kappa,
-                )
-                lo, hi = amw_mod.quaternionic_bounds(bi)
-            report["results"] = {"bounds": [q_str(lo), q_str(hi)]}
-        else:
-            bi = amw_mod.BoundInput(
-                genus=genus,
-                lam=lam,
-                rank_plus=to_rational(args.get("rank_plus", 0), "rank_plus"),
-                rank_minus=to_rational(args.get("rank_minus", 0), "rank_minus"),
-                zeta_pairing=to_rational(args.get("zeta_pairing", 0), "zeta_pairing"),
-            )
-            lower = amw_mod.amw_lower(bi)
-            depth = to_int(args.get("depth", 2), "depth")
-            upper = amw_mod.amw_upper(bi, depth, bool(args.get("phi_minus_zero")))
+        if not quaternionic:
+            bi = amw_mod.BoundInput(genus, lam, rank_plus, rank_minus, zeta_pairing, kappa)
+            upper = amw_mod.amw_upper(bi, depth, phi_minus_zero)
             report["results"] = {
-                "lower_bound": q_str(-lower),
+                "lower_bound": q_str(-amw_mod.amw_lower(bi)),
                 "upper_bound": q_str(upper) if upper is not None else None,
             }
+            return report
+        inputs["kappa"] = kappa
+        if coarse:
+            lo, hi = amw_mod.quaternionic_coarse(genus, kappa)
+            inputs["coarse"] = True
+        else:
+            bi = amw_mod.BoundInput(genus, lam, rank_plus, rank_minus, kappa=kappa)
+            lo, hi = amw_mod.quaternionic_bounds(bi)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
+    report["results"] = {"bounds": [q_str(lo), q_str(hi)]}
     return report
 
 
-def cmd_quaternionic(args) -> Dict[str, Any]:
-    t = parse_type(args)
-    seed = to_int(args.get("seed", 0), "seed")
+def cmd_quaternionic(lie_type: LieType, seed: int, **_) -> Dict[str, Any]:
     try:
-        qd = build_quaternionic(t)
+        qd = build_quaternionic(lie_type)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     rp, rm = quaternionic_ranks(qd, seed)
     extremes = verify_extreme_pieces(qd, seed)
     degree1_regular = jm_regular(qd.pair(1), seed).regular
-    report = make_report("quaternionic", {"lie_type": str(t), "seed": seed})
+    report = make_report("quaternionic", {"lie_type": str(lie_type), "seed": seed})
     report["results"] = {
         "piece_dims": [qd.piece_dims[j] for j in (-2, -1, 0, 1, 2)],
         "kappa": qd.kappa,
@@ -298,32 +296,30 @@ def cmd_quaternionic(args) -> Dict[str, Any]:
         "degree1_jm_regular": degree1_regular,
         "extreme_pieces_jm_regular": extremes.both_regular,
     }
-    add_check(report, f"ranks-{t}", "quaternionic rank table", expected_ranks(t), [q_str(rp), q_str(rm)])
-    add_check(report, f"extremes-{t}", "extreme pieces JM-regular", True, extremes.both_regular)
+    ranks = [q_str(rp), q_str(rm)]
+    add_check(report, f"ranks-{lie_type}", "quaternionic rank table", expected_ranks(lie_type), ranks)
+    add_check(report, f"extremes-{lie_type}", "extreme pieces JM-regular", True, extremes.both_regular)
     return report
 
 
-def cmd_cayley(args) -> Dict[str, Any]:
-    seed = to_int(args.get("seed", 0), "seed")
-    raw_dims = args.get("dims")
-    if raw_dims is not None:
-        dims_list = to_ints(raw_dims, "dims")
+def cmd_cayley(
+    lie_type: Optional[LieType], labels: Optional[List[int]], dims: Optional[List[int]], seed: int, **_
+) -> Dict[str, Any]:
+    if dims is not None:
         try:
-            dims = QuiverDims(tuple(dims_list))
+            quiver = QuiverDims(tuple(dims))
         except ValueError as exc:
             raise InputError(str(exc)) from exc
-        t = LieType("A", dims.n - 1)
-        labels = list(labels_for_dims(dims))
-        inputs = {"dims": dims_list}
+        lie_type = LieType("A", quiver.n - 1)
+        labels = list(labels_for_dims(quiver))
+        inputs = {"dims": dims}
+    elif lie_type is None or labels is None:
+        raise InputError("--dims, or --type with --labels, is required")
     else:
-        t = parse_type(args)
-        raw = args.get("labels")
-        if raw is None:
-            raise InputError("--labels or --dims is required")
-        labels = simple_root_labels(raw, t)
-        inputs = {"lie_type": str(t), "labels": labels}
+        check_labels(labels, lie_type)
+        inputs = {"lie_type": str(lie_type), "labels": labels}
     try:
-        zg = z_grading_from_labels(build_algebra(t), labels)
+        zg = z_grading_from_labels(build_algebra(lie_type), labels)
         cd = cayley_pair(zg, seed)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
@@ -344,9 +340,7 @@ def cmd_cayley(args) -> Dict[str, Any]:
     return report
 
 
-def cmd_verify_paper(args) -> Dict[str, Any]:
-    seed = to_int(args.get("seed", 0), "seed")
-    extended = bool(args.get("extended"))
+def cmd_verify_paper(seed: int, extended: bool, **_) -> Dict[str, Any]:
     report = make_report("verify-paper", {"seed": seed, "extended": extended})
     for row in paper_checks(extended):
         add_check(report, row.id, row.paper_ref, row.expected, row.actual(seed))
@@ -358,63 +352,36 @@ def cmd_verify_paper(args) -> Dict[str, Any]:
     return report
 
 
-HANDLERS = {
-    "grading": cmd_grading,
-    "kac": cmd_kac,
-    "quiver": cmd_quiver,
-    "toledo": cmd_toledo,
-    "amw": cmd_amw,
-    "quaternionic": cmd_quaternionic,
-    "cayley": cmd_cayley,
-    "verify-paper": cmd_verify_paper,
-}
-
-
-SWITCH = {"switch": True}  # takes no value; present means True
-INT = {"int": True}  # the value goes through to_int
-# Options of the flags that are not plain strings stored under their own name.
-FLAG_OPTIONS = {
-    "--type": {"dest": "lie_type"},
-    "--rank": INT,
-    "--genus": INT,
-    "--lambda": {"dest": "lam"},
-    "--depth": INT,
-    "--kappa": INT,
-    "--phi-minus-zero": SWITCH,
-    "--quaternionic": SWITCH,
-    "--coarse": SWITCH,
-    "--extended": SWITCH,
-    "--format": {"dest": "output_format", "choices": ("json", "text")},
-    "--output": {"dest": "output_path"},
-    "--seed": INT,
-}
-# The flags of each command, in usage order; every one also takes COMMON_FLAGS.
-COMMAND_FLAGS = {
-    "grading": "--type --rank --labels",
-    "kac": "--type --rank --labels",
-    "quiver": "--dims",
-    "toledo": "--dims --degrees --genus",
-    "amw": "--genus --lambda --rank-plus --rank-minus --zeta-pairing --depth "
-           "--phi-minus-zero --quaternionic --kappa --coarse",
-    "quaternionic": "--type --rank",
-    "cayley": "--type --rank --labels --dims",
-    "verify-paper": "--extended",
+# Each command's handler and flags in usage order; a flag ending in "!" is
+# required.  Every command also takes COMMON_FLAGS; ``**_`` in a handler takes
+# those it does not read.
+COMMANDS = {
+    "grading": (cmd_grading, "--type! --labels!"),
+    "kac": (cmd_kac, "--type! --labels!"),
+    "quiver": (cmd_quiver, "--dims!"),
+    "toledo": (cmd_toledo, "--dims! --degrees! --genus!"),
+    "amw": (cmd_amw, "--genus! --lambda --rank-plus --rank-minus --zeta-pairing --depth "
+                     "--phi-minus-zero --quaternionic --kappa --coarse"),
+    "quaternionic": (cmd_quaternionic, "--type!"),
+    "cayley": (cmd_cayley, "--type --labels --dims"),
+    "verify-paper": (cmd_verify_paper, "--extended"),
 }
 COMMON_FLAGS = ["--format", "--output", "--seed"]
 
 
-def field_name(flag: str) -> str:
-    return FLAG_OPTIONS.get(flag, {}).get("dest", flag[2:].replace("-", "_"))
+def command_flags(command: str) -> Dict[str, bool]:
+    """The command's flags, in usage order and the common ones last, each mapped to whether it is required."""
+    return {flag.rstrip("!"): flag.endswith("!") for flag in COMMANDS[command][1].split() + COMMON_FLAGS}
 
 
 def usage() -> str:
-    """The usage listing, built from the flag tables."""
+    """The usage listing, built from FIELDS and COMMANDS."""
 
     def shown(flag: str) -> str:
-        options = FLAG_OPTIONS.get(flag, {})
-        if options.get("switch"):
+        field = FIELDS[flag]
+        if field.parse is to_switch:
             return f"[{flag}]"
-        return f"[{flag} {'|'.join(options.get('choices', [field_name(flag).upper()]))}]"
+        return f"[{flag} {'|'.join(FORMATS) if field.parse is to_format else field.key.upper()}]"
 
     lines = [
         "usage: gradedlie [--config PATH] COMMAND [--flag VALUE | --flag=VALUE | --switch]...",
@@ -423,7 +390,8 @@ def usage() -> str:
         "",
         "commands:",
     ]
-    lines += [f"  {c} {' '.join(map(shown, flags.split()))}" for c, flags in COMMAND_FLAGS.items()]
+    for command, (_, flags) in COMMANDS.items():
+        lines.append(f"  {command} {' '.join(shown(flag.rstrip('!')) for flag in flags.split())}")
     lines += [
         "",
         f"every command also takes {' '.join(map(shown, COMMON_FLAGS))}",
@@ -433,11 +401,12 @@ def usage() -> str:
 
 
 def parse_argv(argv: List[str]):
-    """(config path, command, flag fields) from the command line.
+    """(config path, command, raw flag values by field key) from the command line.
 
     The grammar is ``[--config PATH] COMMAND [--flag VALUE | --flag=VALUE |
     --switch]...``; a flag's separate value may be any token that does not
-    start with ``--``.  The command is None when argv names none.
+    start with ``--``, and a switch's value is True.  The command is None when
+    argv names none.
     """
 
     def flag_value(flag: str, inline: Optional[str], rest: List[str]) -> str:
@@ -455,10 +424,10 @@ def parse_argv(argv: List[str]):
     if not rest:
         return config, None, {}
     command = rest.pop(0)
-    if command not in COMMAND_FLAGS:
+    if command not in COMMANDS:
         raise InputError(f"unknown command {command!r}")
-    allowed = COMMAND_FLAGS[command].split() + COMMON_FLAGS
-    fields: Dict[str, Any] = {}
+    allowed = command_flags(command)
+    flags: Dict[str, Any] = {}
     while rest:
         token = rest.pop(0)
         flag, eq, inline = token.partition("=")
@@ -468,15 +437,31 @@ def parse_argv(argv: List[str]):
             if not flag.startswith("--"):
                 raise InputError(f"unexpected argument {token!r}")
             raise InputError(f"{command} takes no flag {flag}")
-        options = FLAG_OPTIONS.get(flag, {})
-        if options.get("switch"):
+        field = FIELDS[flag]
+        if field.parse is to_switch:
             if eq:
                 raise InputError(f"{flag} takes no value")
-            fields[field_name(flag)] = True
-            continue
-        value = flag_value(flag, inline if eq else None, rest)
-        fields[field_name(flag)] = to_int(value, field_name(flag)) if options.get("int") else value
-    return config, command, fields
+            flags[field.key] = True
+        else:
+            flags[field.key] = flag_value(flag, inline if eq else None, rest)
+    return config, command, flags
+
+
+def typed_fields(command: str, config: Dict[str, Any], flags: Dict[str, Any]) -> Dict[str, Any]:
+    """Every field of the command, typed: the flags laid over the config, each
+    present value parsed by its field's parser, each absent one its default."""
+    raw = {**config, **flags}
+    own = command_flags(command)
+    unknown = sorted(raw.keys() - {FIELDS[flag].key for flag in own})
+    if unknown:
+        raise InputError(f"{command} takes no field {unknown[0]!r}")
+    values: Dict[str, Any] = {}
+    for flag, required in own.items():
+        field = FIELDS[flag]
+        if required and field.key not in raw:
+            raise InputError(f"{flag} is required")
+        values[field.key] = field.parse(raw[field.key], field.key) if field.key in raw else field.default
+    return values
 
 
 def render_text(report: Dict[str, Any]) -> str:
@@ -512,26 +497,21 @@ def main(argv: Optional[List[str]] = None) -> int:
         sys.stdout.write(usage())
         return 0
     try:
-        config, command, fields = parse_argv(argv)
+        config, command, flags = parse_argv(argv)
         if command is None:
             sys.stdout.write(usage())
             raise InputError("a command is required")
-        args = {**read_config(config), **fields}
-        formats = FLAG_OPTIONS["--format"]["choices"]
-        if args.get("output_format", "json") not in formats:
-            raise InputError(f"--format must be {' or '.join(formats)}, got {args['output_format']!r}")
-        path = args.get("output_path")
-        if path is not None and not (isinstance(path, str) and path):
-            raise InputError(f"output_path must be a non-empty string, got {path!r}")
-        report = HANDLERS[command](args)
+        fields = typed_fields(command, read_config(config), flags)
+        report = COMMANDS[command][0](**fields)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     failed = any(not c["pass"] for c in report["checks"])
-    if args.get("output_format") == "text":
+    if fields["output_format"] == "text":
         payload = render_text(report)
     else:
         payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    path = fields["output_path"]
     if path is not None:
         try:
             with open(path, "w") as fh:

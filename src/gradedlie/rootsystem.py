@@ -54,10 +54,11 @@ class LieType:
 
     @classmethod
     def parse(cls, text: str) -> "LieType":
-        text = text.strip()
-        if len(text) < 2 or text[0].upper() not in FAMILIES:
+        """A family letter, either case, followed by ASCII digits and nothing else."""
+        family, digits = text[:1].upper(), text[1:]
+        if not (family and family in FAMILIES and digits.isascii() and digits.isdigit()):
             raise ValueError(f"cannot parse Lie type {text!r}")
-        return cls(text[0].upper(), int(text[1:]))
+        return cls(family, int(digits))
 
 
 def cartan_matrix(t: LieType) -> List[List[int]]:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from gradedlie.cli import COMMAND_FLAGS, main, parse_rational, q_str, usage
+from gradedlie.cli import COMMANDS, command_flags, main, q_str, to_rational, usage
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -27,8 +27,8 @@ def test_q_str():
 
     assert q_str(Q(3)) == "3"
     assert q_str(Q(-1, 2)) == "-1/2"
-    assert parse_rational("-1/2") == Q(-1, 2)
-    assert parse_rational("4") == 4
+    assert to_rational("-1/2", "lam") == Q(-1, 2)
+    assert to_rational("4", "lam") == 4
 
 
 def test_grading_command(capsys):
@@ -39,7 +39,7 @@ def test_grading_command(capsys):
 
 
 def test_quaternionic_command(capsys):
-    code, report = run_json(capsys, "quaternionic", "--type", "A", "--rank", "2")
+    code, report = run_json(capsys, "quaternionic", "--type", "A2")
     assert code == 0
     r = report["results"]
     assert r["piece_dims"] == [1, 2, 2, 2, 1]
@@ -229,6 +229,22 @@ def test_config_integer_strings_accepted(tmp_path, capsys):
         [{"output_format": 7}, "quiver", "--dims", "1,1"],
         ["quiver", "--dims", "1,1", "--output", ""],
         [{"output_path": ""}, "quiver", "--dims", "1,1"],
+        # a switch in a config file is a JSON boolean
+        [{"phi_minus_zero": "no"}, "amw", "--genus", "2", "--depth", "3"],
+        [{"extended": "false"}, "verify-paper"],
+        [{"coarse": 1}, "amw", "--quaternionic", "--genus", "2"],
+        # a config key is a field of the command, as a flag is
+        [{"extended": True}, "quiver", "--dims", "2,2"],
+        # every field the command takes is parsed when present, read or not
+        [{"seed": "x"}, "quiver", "--dims", "2,2"],
+        ["amw", "--genus", "2", "--kappa", "5"],
+        ["cayley", "--dims", "2,2", "--type", "Q2"],
+        # a Lie type is a family letter and ASCII digits, nothing else
+        ["quaternionic", "--type", "A1_0"],
+        ["quaternionic", "--type", "A\u0663"],
+        ["quaternionic", "--type", "a+3"],
+        ["quaternionic", "--type", "E 8"],
+        ["quaternionic", "--type", "A", "--rank", "2"],
     ],
 )
 def test_rejected_input_is_one_line(tmp_path, capsys, argv):
@@ -242,6 +258,22 @@ def test_rejected_input_is_one_line(tmp_path, capsys, argv):
     assert captured.out == ""
     (line,) = captured.err.splitlines()
     assert line.startswith("error: ")
+
+
+def test_unknown_config_key_is_named(tmp_path, capsys):
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps({"lie_type": "A2", "labls": [1, 1]}))
+    assert main(["--config", str(cfg), "grading"]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and "labls" in line
+
+
+def test_config_switch_false_runs_the_default_table(tmp_path, capsys):
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps({"extended": False}))
+    code, out = run_cli(capsys, "--config", str(cfg), "verify-paper")
+    assert code == 0
+    assert out == (ROOT / "tests" / "golden" / "verify_paper.out").read_text()
 
 
 def test_unwritable_output_is_one_line(tmp_path, capsys):
@@ -276,9 +308,9 @@ def test_help_lists_every_command(capsys, argv):
     assert main(argv) == 0
     captured = capsys.readouterr()
     assert captured.out == usage() and captured.err == ""
-    for command, flags in COMMAND_FLAGS.items():
+    for command in COMMANDS:
         assert f"  {command} " in captured.out
-        assert all(flag in captured.out for flag in flags.split())
+        assert all(flag in captured.out for flag in command_flags(command))
 
 
 def test_no_command_prints_usage(capsys):

@@ -31,6 +31,16 @@ def test_invalid_types():
         LieType.parse("X4")
 
 
+@pytest.mark.parametrize("text", ["A1_0", "A\u0663", "a+3", "E 8", " A2", "A2 ", "A", "", "4A"])
+def test_parse_takes_a_family_letter_and_ascii_digits_only(text):
+    with pytest.raises(ValueError):
+        LieType.parse(text)
+
+
+def test_parse_takes_either_case():
+    assert LieType.parse("e8") == LieType.parse("E8") == LieType("E", 8)
+
+
 def test_highest_root_a2():
     rs = build_root_system(LieType.parse("A2"))
     assert rs.highest_root == (1, 1)
