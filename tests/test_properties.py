@@ -235,46 +235,71 @@ def test_bracket_matches_fraction_oracle(data):
 # -- CLI fuzz: every argv or config gives exit code 0, 1 or 2 and never raises --
 # Each command's flags, config keys and switches come from cli.FIELDS and
 # cli.COMMANDS, and each value is drawn by its field's parser, so a new field
-# is fuzzed without an edit here.
+# is fuzzed without an edit here.  A draw puts a rejected value in at most one
+# field, so about half the draws reach a handler's report.
 
 TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "G2", "F4"]
 FUZZED = sorted(c for c in COMMANDS if c != "verify-paper")  # its full check table takes seconds a run
 
 
-def int_list(size: int):
-    return st.lists(st.sampled_from([1, 0, 2, 1, 0, 2, -1]), min_size=size, max_size=size)
+# list entries by field key: labels may be 0 (a vanishing label), dims may not
+ENTRIES = {"labels": st.sampled_from([1, 0, 2, 1]), "degrees": st.integers(-2, 2)}
+
+
+def int_list(size: int, key: str):
+    return st.lists(ENTRIES.get(key, st.sampled_from([1, 2, 1])), min_size=size, max_size=size)
 
 
 @st.composite
-def field_values(draw, folder):
-    """One value per field key, drawn by the field's parser; integer lists stay
-    lists, sized near what the type (labels) or the dims (degrees) expect, and an
-    output path names a file in the folder or in a missing directory."""
+def field_values(draw, command: str, folder):
+    """Values for the command's fields, drawn by each field's parser, and the
+    key of the one field (in about half the draws) whose value its parser or
+    its range rejects, or which is left out although required; an optional
+    field is left out now and then.  Integer lists stay lists: labels are
+    sized to the type's rank (plus one for kac), degrees to the dims, and
+    degrees lie in -2..2 and sum to zero when the last one can make them."""
     lie_type = draw(st.sampled_from(TYPES))
     rank = int(lie_type[1:])
-    n_dims = draw(st.integers(0, 4))
-    sizes = {
-        "labels": draw(st.sampled_from([rank, rank + 1, rank, rank + 1, rank - 1])),
-        "dims": n_dims,
-        "degrees": draw(st.sampled_from([n_dims, n_dims + 1])),
-    }
+    n_dims = draw(st.integers(2, 4))
+    sizes = {"labels": rank + (command == "kac"), "dims": n_dims, "degrees": n_dims}
     path = folder / "r.json"
-    by_parser = {
+    accepted = {
         cli.to_lie_type: st.just(lie_type),
-        cli.to_int: st.integers(-1, 3),
-        cli.to_rational: st.sampled_from(["0", "4", "1/2", "-3", "0", "x", "1/0"]),
+        cli.to_int: st.sampled_from([2, 2, 3]),
+        cli.to_rational: st.sampled_from(["0", "4", "1/2", "1"]),
         cli.to_switch: st.booleans(),
         cli.to_format: st.sampled_from(cli.FORMATS),
-        cli.to_path: st.sampled_from([path, path, folder / "no-such-dir" / "r.json"]).map(str),
+        cli.to_path: st.just(str(path)),
     }
+    rejected = {
+        cli.to_lie_type: st.sampled_from(["A0", "E9", "X3", "A1_0", "E 8"]),
+        cli.to_int: st.sampled_from([-1, 0, 1, "x", "1_0"]),
+        cli.to_rational: st.sampled_from(["-3", "x", "1/0"]),
+        cli.to_switch: st.sampled_from(["no", 1]),
+        cli.to_format: st.just("xml"),
+        cli.to_path: st.sampled_from([str(folder / "no-such-dir" / "r.json"), ""]),
+    }
+    own = command_flags(command)
+    broken = draw(st.sampled_from([FIELDS[flag].key for flag in own])) if draw(st.booleans()) else None
     values = {}
-    for field in FIELDS.values():
-        if field.parse is cli.to_ints:
-            size = sizes[field.key] if field.key in sizes else draw(st.integers(0, 4))
-            values[field.key] = draw(int_list(size))
-        else:
-            values[field.key] = draw(by_parser[field.parse])
-    return values
+    for flag, required in own.items():
+        field = FIELDS[flag]
+        if (field.key == broken and required and draw(st.booleans())) or (
+            not required and not draw(st.integers(0, 4))
+        ):
+            continue
+        if field.parse is not cli.to_ints:
+            pools = rejected if field.key == broken else accepted
+            values[field.key] = draw(pools[field.parse])
+            continue
+        size = sizes[field.key] if field.key in sizes else draw(st.integers(1, 4))
+        value = draw(int_list(size, field.key))
+        if field.key == "degrees" and value and -2 <= sum(value[:-1]) <= 2:
+            value[-1] = -sum(value[:-1])
+        if field.key == broken:
+            value = draw(st.sampled_from([value + [-1], []]))
+        values[field.key] = value
+    return values, broken
 
 
 def flag_text(value) -> str:
@@ -283,15 +308,17 @@ def flag_text(value) -> str:
 
 @st.composite
 def argvs(draw, command: str, folder):
-    """The subcommand with most of its fields."""
-    values = draw(field_values(folder))
+    """The subcommand with the drawn fields."""
+    values, _ = draw(field_values(command, folder))
     argv = [command]
     for flag in command_flags(command):
         field = FIELDS[flag]
+        if field.key not in values:
+            continue
         if field.parse is cli.to_switch:
             if values[field.key]:
                 argv.append(flag)
-        elif draw(st.integers(0, 4)):  # a field is left out one time in five
+        else:
             argv.append(f"{flag}={flag_text(values[field.key])}")
     return argv
 
@@ -308,15 +335,21 @@ NON_STRINGS = st.one_of(
 
 @st.composite
 def configs(draw, command: str, folder):
-    """A config of the subcommand's fields, each the drawn value, its flag text,
-    or an int, float, bool, null or list."""
-    values = draw(field_values(folder))
+    """A config of the subcommand's fields, each the drawn value or its flag text
+    (a switch is the drawn bool); the field given a rejected value may instead
+    hold an int, float, bool, null or list."""
+    values, broken = draw(field_values(command, folder))
     config = {}
     for flag in command_flags(command):
-        key = FIELDS[flag].key
-        if draw(st.integers(0, 4)):
-            value = values[key]
-            config[key] = draw(st.one_of(st.just(value), st.just(flag_text(value)), NON_STRINGS))
+        field = FIELDS[flag]
+        if field.key not in values:
+            continue
+        value = values[field.key]
+        if field.key == broken:
+            value = draw(st.one_of(st.just(value), NON_STRINGS))
+        elif field.parse is not cli.to_switch:
+            value = draw(st.sampled_from([value, flag_text(value)]))
+        config[field.key] = value
     return config
 
 
