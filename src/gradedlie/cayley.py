@@ -55,7 +55,7 @@ def cayley_pair(zg: ZGrading, seed: int = 0) -> CayleyData:
     if not cert.regular:
         raise ValueError("degree-1 pair is not JM-regular; no Cayley data")
     h = tuple(2 * x for x in zg.zeta)
-    triple = Sl2Triple(h=h, e=cert.e, f=cert.f, s=alg.zero())
+    triple = Sl2Triple(h=h, e=cert.e, f=cert.f)
     triple.verify(alg)
     m = zg.depth
     c_basis = alg.centralizer([triple.h, triple.e, triple.f], zg.piece(0))

@@ -54,7 +54,8 @@ class StructureConstants:
     def __init__(self, rs: RootSystem):
         self.rs = rs
         self._ell = rs.lengths  # root code -> length class, and the set of root codes
-        self._table: Dict[Tuple[int, int], int] = {}  # positive codes, a before b in order
+        # N_{a,b} once per pair of positive codes with a root sum, a before b in order
+        self.table: Dict[Tuple[int, int], int] = {}
         self._fill()
 
     def _string_down(self, a: int, b: int) -> int:
@@ -65,7 +66,7 @@ class StructureConstants:
         return p
 
     def _fill(self):
-        ell, table, value = self._ell, self._table, self._value
+        ell, table, value = self._ell, self.table, self._value
         pos = [self.rs.codes[a] for a in self.rs.positive_roots]
         # Pairs a + b = gamma, a before b, come in the order of a: extraspecial first.
         pairs: Dict[int, List[Tuple[int, int]]] = {}
@@ -93,8 +94,8 @@ class StructureConstants:
             return 0
         if a > 0:
             if b > 0:
-                n = self._table.get((a, b))
-                return -self._table[b, a] if n is None else n
+                n = self.table.get((a, b))
+                return -self.table[b, a] if n is None else n
             if s > 0:  # a > 0 > b
                 return exact_div(-ell[s] * self._value(-b, s), ell[a])
             return self._value(-b, -a)
@@ -110,14 +111,9 @@ class StructureConstants:
     def _root(self, code: int) -> Root:
         return next(a for a, c in self.rs.codes.items() if c == code)
 
-    def positive_pairs(self):
-        """((a, b), N_{a,b}) once per unordered pair of positive roots with a root sum."""
-        root = {c: a for a, c in self.rs.codes.items()}
-        return [((root[a], root[b]), n) for (a, b), n in self._table.items()]
-
     def verify_string_lengths(self):
         """|N_{alpha,beta}| = p+1 (an integer) on every positive special pair."""
-        for (a, b), n in self._table.items():
+        for (a, b), n in self.table.items():
             p = self._string_down(a, b)
             if n.denominator != 1 or abs(n) != p + 1:
                 raise AssertionError(f"bad constant N({self._root(a)},{self._root(b)}) = {n}, p = {p}")
@@ -171,8 +167,7 @@ class ChevalleyAlgebra:
         rs = self.rs
         r = self.rank
         rows = self._rows
-        codes = list(rs.codes.values())  # basis index r + i holds the root of code codes[i]
-        index = {c: i for i, c in enumerate(codes, r)}
+        index = {c: i for i, c in enumerate(rs.codes.values(), r)}  # root code -> basis index
         opp = {i: index[-c] for c, i in index.items()}  # e_alpha -> e_{-alpha}
         shared: Dict[Terms, Tuple[Terms, Terms]] = {}  # equal brackets share one tuple
 
@@ -205,10 +200,8 @@ class ChevalleyAlgebra:
         # Around it N_{x,y} / |z|^2 is constant, and N_{-x,-y} = -N_{x,y}; these
         # are the sign rules of StructureConstants.value, pair by pair.
         ell = rs.lengths
-        for (a, b), n in self.constants.positive_pairs():
-            ia, ib = self.root_index[a], self.root_index[b]
-            ca, cb = codes[ia - r], codes[ib - r]
-            ig = index[ca + cb]
+        for (ca, cb), n in self.constants.table.items():
+            ia, ib, ig = index[ca], index[cb], index[ca + cb]
             for x, y, s, n_xy in (
                 (ia, ib, ig, n),
                 (ib, opp[ig], opp[ia], exact_div(n * ell[ca], ell[ca + cb])),

@@ -9,6 +9,10 @@ its config key, parser and default, and ``COMMANDS`` each command its handler
 and flags.  Flags override a JSON config file; every value, from either, goes
 through its field's parser, and each handler receives typed values.  There is
 no ``argparse``, so a job pays for no parser construction.
+
+Errors: a ``ValueError``, raised by a field parser, a handler or the library,
+is an input error: ``main`` prints it as one ``error:`` line and exits 2.  An
+``AssertionError`` or ``RuntimeError`` is a failed certificate and propagates.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from . import amw as amw_mod
 from .cayley import bracket_projection_test, cayley_pair, verify_iso_and_character
 from .checks import expected_ranks, kappa_table, paper_checks, q_list, q_str, witness_222, witness_json
 from .chevalley import build_algebra
-from .grading import kac_labels, kac_lift_check, z_grading_from_labels, zm_from_kac
+from .grading import check_labels, kac_labels, kac_lift_check, z_grading_from_labels, zm_from_kac
 from .quaternionic import build_quaternionic, quaternionic_ranks, verify_extreme_pieces
 from .quiver import (
     QuiverDims,
@@ -43,28 +47,20 @@ VERSION = __version__
 FORMATS = ("json", "text")
 
 
-class InputError(Exception):
-    pass
-
-
-def _int_text(text: str) -> int:
-    """An integer written as an optional sign and ASCII digits, nothing else."""
+def _int_text(text: str) -> Optional[int]:
+    """An integer written as an optional sign and ASCII digits, else None."""
     digits = text[1:] if text[:1] in ("+", "-") else text
-    if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"not an integer: {text!r}")
-    return int(text)
+    return int(text) if digits.isascii() and digits.isdigit() else None
 
 
 def to_int(raw, name: str) -> int:
     """An integer field."""
     if isinstance(raw, int) and not isinstance(raw, bool):
         return raw
-    if isinstance(raw, str):
-        try:
-            return _int_text(raw)
-        except ValueError:
-            pass
-    raise InputError(f"{name} must be an integer, got {raw!r}")
+    value = _int_text(raw) if isinstance(raw, str) else None
+    if value is None:
+        raise ValueError(f"{name} must be an integer, got {raw!r}")
+    return value
 
 
 def to_rational(raw, name: str) -> Q:
@@ -72,51 +68,48 @@ def to_rational(raw, name: str) -> Q:
     if isinstance(raw, int) and not isinstance(raw, bool):
         return Q(raw)
     if not isinstance(raw, str):
-        raise InputError(f"{name} must be a rational, got {raw!r}")
+        raise ValueError(f"{name} must be a rational, got {raw!r}")
     num, slash, den = raw.partition("/")
-    try:
-        return Q(_int_text(num), _int_text(den)) if slash else Q(_int_text(num))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"bad rational {raw!r}") from exc
+    p, q = _int_text(num), _int_text(den) if slash else 1
+    if p is None or not q:
+        raise ValueError(f"bad rational {raw!r}")
+    return Q(p, q)
 
 
 def to_ints(raw, name: str) -> List[int]:
     """An integer-list field: a comma-separated string or a list of integers."""
     if isinstance(raw, str):
-        try:
-            return [_int_text(x.strip(" ")) for x in raw.split(",")]
-        except ValueError as exc:
-            raise InputError(f"bad integer list {raw!r}") from exc
+        values = [_int_text(x.strip(" ")) for x in raw.split(",")]
+        if None in values:
+            raise ValueError(f"bad integer list {raw!r}")
+        return values
     if not isinstance(raw, list):
-        raise InputError(f"{name} must be a list of integers, got {raw!r}")
+        raise ValueError(f"{name} must be a list of integers, got {raw!r}")
     return [to_int(x, name) for x in raw]
 
 
 def to_switch(raw, name: str) -> bool:
     """A switch: the bare flag (True), or true or false in the config file."""
     if not isinstance(raw, bool):
-        raise InputError(f"{name} must be true or false, got {raw!r}")
+        raise ValueError(f"{name} must be true or false, got {raw!r}")
     return raw
 
 
 def to_lie_type(raw, name: str) -> LieType:
     if not isinstance(raw, str):
-        raise InputError(f"{name} must be a string, got {raw!r}")
-    try:
-        return LieType.parse(raw)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+        raise ValueError(f"{name} must be a string, got {raw!r}")
+    return LieType.parse(raw)
 
 
 def to_format(raw, name: str) -> str:
     if raw not in FORMATS:
-        raise InputError(f"--format must be {' or '.join(FORMATS)}, got {raw!r}")
+        raise ValueError(f"--format must be {' or '.join(FORMATS)}, got {raw!r}")
     return raw
 
 
 def to_path(raw, name: str) -> str:
     if not (isinstance(raw, str) and raw):
-        raise InputError(f"{name} must be a non-empty string, got {raw!r}")
+        raise ValueError(f"{name} must be a non-empty string, got {raw!r}")
     return raw
 
 
@@ -148,107 +141,84 @@ FIELDS = {
 }
 
 
-def check_labels(labels: List[int], t: LieType) -> None:
-    """One label per simple root of t, non-negative and not all zero: checked before any build."""
-    if len(labels) != t.rank:
-        raise InputError("one label per simple root required")
-    if any(x < 0 for x in labels):
-        raise InputError("labels must be non-negative")
-    if not any(labels):
-        raise InputError("labels must not all be zero")
-
-
-def make_report(command: str, inputs: Dict[str, Any]) -> Dict[str, Any]:
+def make_report(command: str, inputs: Dict[str, Any], results: Dict[str, Any], checks=()) -> Dict[str, Any]:
+    """The report; each check is an (id, paper reference, expected, actual) row."""
     return {
         "command": command,
         "inputs": inputs,
-        "results": {},
-        "checks": [],
+        "results": results,
+        "checks": [
+            {"id": check_id, "paper_ref": ref, "expected": expected, "actual": actual,
+             "pass": expected == actual}
+            for check_id, ref, expected, actual in checks
+        ],
         "warnings": [],
         "version": VERSION,
         "schema_version": SCHEMA_VERSION,
     }
 
 
-def add_check(report, check_id: str, ref: str, expected, actual):
-    ok = expected == actual
-    report["checks"].append(
-        {"id": check_id, "paper_ref": ref, "expected": expected, "actual": actual, "pass": ok}
-    )
-    return ok
-
-
 # -- command handlers: typed fields as keyword arguments ----------------------
 
 
 def cmd_grading(lie_type: LieType, labels: List[int], **_) -> Dict[str, Any]:
-    check_labels(labels, lie_type)
+    check_labels(labels, lie_type.rank)
     zg = z_grading_from_labels(build_algebra(lie_type), labels)
-    report = make_report("grading", {"lie_type": str(lie_type), "labels": labels})
-    report["results"] = {
-        "piece_dims": {str(j): d for j, d in zg.dims().items()},
-        "depth": zg.depth,
-        "zeta": q_list(zg.zeta),
-    }
-    return report
+    return make_report(
+        "grading",
+        {"lie_type": str(lie_type), "labels": labels},
+        {"piece_dims": {str(j): d for j, d in zg.dims().items()}, "depth": zg.depth, "zeta": q_list(zg.zeta)},
+    )
 
 
 def cmd_kac(lie_type: LieType, labels: List[int], **_) -> Dict[str, Any]:
-    if len(labels) != lie_type.rank + 1:
-        raise InputError("label count must match node count")
+    check_labels(labels, lie_type.rank, affine=True)
     rs = build_root_system(lie_type)
-    try:
-        kac = kac_labels(rs, labels)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    kac = kac_labels(rs, labels)
     zm = zm_from_kac(rs, kac)
     verdict = kac_lift_check(rs, kac)
-    report = make_report("kac", {"lie_type": str(lie_type), "labels": labels})
-    report["results"] = {
-        "order": kac.order,
-        "residue_dims": {str(j): d for j, d in zm.dims().items()},
-        "lift": verdict.mode,
-        "witness_labels": list(verdict.witness) if verdict.witness else None,
-    }
+    report = make_report(
+        "kac",
+        {"lie_type": str(lie_type), "labels": labels},
+        {
+            "order": kac.order,
+            "residue_dims": {str(j): d for j, d in zm.dims().items()},
+            "lift": verdict.mode,
+            "witness_labels": list(verdict.witness) if verdict.witness else None,
+        },
+    )
     if kac.order_warning:
         report["warnings"].append(kac.order_warning)
     return report
 
 
 def cmd_quiver(dims: List[int], **_) -> Dict[str, Any]:
-    try:
-        quiver = QuiverDims(tuple(dims))
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    quiver = QuiverDims(tuple(dims))
     orbits = enumerate_orbits(quiver)
     top = maximal_rank_tuple(quiver)
     keys = [f"{i},{j}" for (i, j), _ in top]
-    report = make_report("quiver", {"dims": dims})
-    report["results"] = {
-        "jm_regular": quiver_jm_regular(quiver),
-        "alpha": q_str(quiver.alpha),
-        "orbits": [
-            {
-                "ranks": dict(zip(keys, (r for _, r in rt))),
-                "toledo_rank": q_str(interval_toledo_rank(quiver, mult)),
-                "open": rt == top,
-            }
-            for rt, mult in orbits
-        ],
-    }
-    return report
+    return make_report(
+        "quiver",
+        {"dims": dims},
+        {
+            "jm_regular": quiver_jm_regular(quiver),
+            "alpha": q_str(quiver.alpha),
+            "orbits": [
+                {
+                    "ranks": dict(zip(keys, (r for _, r in rt))),
+                    "toledo_rank": q_str(interval_toledo_rank(quiver, mult)),
+                    "open": rt == top,
+                }
+                for rt, mult in orbits
+            ],
+        },
+    )
 
 
 def cmd_toledo(dims: List[int], degrees: List[int], genus: int, **_) -> Dict[str, Any]:
-    try:
-        top = QuiverHiggsTopology(tuple(dims), tuple(degrees), genus)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    report = make_report(
-        "toledo", {"dims": dims, "degrees": degrees, "genus": top.genus}
-    )
-    report["results"] = {"tau": q_str(toledo_invariant(top))}
-    return report
+    top = QuiverHiggsTopology(tuple(dims), tuple(degrees), genus)
+    inputs = {"dims": dims, "degrees": degrees, "genus": top.genus}
+    return make_report("toledo", inputs, {"tau": q_str(toledo_invariant(top))})
 
 
 def cmd_amw(
@@ -256,77 +226,65 @@ def cmd_amw(
     phi_minus_zero: bool, quaternionic: bool, kappa: int, coarse: bool, **_,
 ) -> Dict[str, Any]:
     inputs = {"genus": genus, "lambda": q_str(lam)}
-    report = make_report("amw", inputs)
-    try:
-        if not quaternionic:
-            bi = amw_mod.BoundInput(genus, lam, rank_plus, rank_minus, zeta_pairing, kappa)
-            upper = amw_mod.amw_upper(bi, depth, phi_minus_zero)
-            report["results"] = {
-                "lower_bound": q_str(-amw_mod.amw_lower(bi)),
-                "upper_bound": q_str(upper) if upper is not None else None,
-            }
-            return report
-        inputs["kappa"] = kappa
+    if not quaternionic:
         if coarse:
-            lo, hi = amw_mod.quaternionic_coarse(genus, kappa)
-            inputs["coarse"] = True
-        else:
-            bi = amw_mod.BoundInput(genus, lam, rank_plus, rank_minus, kappa=kappa)
-            lo, hi = amw_mod.quaternionic_bounds(bi)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    report["results"] = {"bounds": [q_str(lo), q_str(hi)]}
-    return report
+            raise ValueError("--coarse needs --quaternionic")
+        bi = amw_mod.BoundInput(genus, lam, rank_plus, rank_minus, zeta_pairing, kappa)
+        upper = amw_mod.amw_upper(bi, depth, phi_minus_zero)
+        return make_report("amw", inputs, {
+            "lower_bound": q_str(-amw_mod.amw_lower(bi)),
+            "upper_bound": q_str(upper) if upper is not None else None,
+        })
+    inputs["kappa"] = kappa
+    if coarse:
+        lo, hi = amw_mod.quaternionic_coarse(genus, kappa)
+        inputs["coarse"] = True
+    else:
+        bi = amw_mod.BoundInput(genus, lam, rank_plus, rank_minus, kappa=kappa)
+        lo, hi = amw_mod.quaternionic_bounds(bi)
+    return make_report("amw", inputs, {"bounds": [q_str(lo), q_str(hi)]})
 
 
 def cmd_quaternionic(lie_type: LieType, seed: int, **_) -> Dict[str, Any]:
-    try:
-        qd = build_quaternionic(lie_type)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    qd = build_quaternionic(lie_type)
     rp, rm = quaternionic_ranks(qd, seed)
     extremes = verify_extreme_pieces(qd, seed)
-    degree1_regular = jm_regular(qd.pair(1), seed).regular
-    report = make_report("quaternionic", {"lie_type": str(lie_type), "seed": seed})
-    report["results"] = {
-        "piece_dims": [qd.piece_dims[j] for j in (-2, -1, 0, 1, 2)],
-        "kappa": qd.kappa,
-        "rank_plus": q_str(rp),
-        "rank_minus": q_str(rm),
-        "degree1_jm_regular": degree1_regular,
-        "extreme_pieces_jm_regular": extremes.both_regular,
-    }
-    ranks = [q_str(rp), q_str(rm)]
-    add_check(report, f"ranks-{lie_type}", "quaternionic rank table", expected_ranks(lie_type), ranks)
-    add_check(report, f"extremes-{lie_type}", "extreme pieces JM-regular", True, extremes.both_regular)
-    return report
+    return make_report(
+        "quaternionic",
+        {"lie_type": str(lie_type), "seed": seed},
+        {
+            "piece_dims": [qd.piece_dims[j] for j in (-2, -1, 0, 1, 2)],
+            "kappa": qd.kappa,
+            "rank_plus": q_str(rp),
+            "rank_minus": q_str(rm),
+            "degree1_jm_regular": jm_regular(qd.pair(1), seed).regular,
+            "extreme_pieces_jm_regular": extremes.both_regular,
+        },
+        [
+            (f"ranks-{lie_type}", "quaternionic rank table", expected_ranks(lie_type), [q_str(rp), q_str(rm)]),
+            (f"extremes-{lie_type}", "extreme pieces JM-regular", True, extremes.both_regular),
+        ],
+    )
 
 
 def cmd_cayley(
     lie_type: Optional[LieType], labels: Optional[List[int]], dims: Optional[List[int]], seed: int, **_
 ) -> Dict[str, Any]:
     if dims is not None:
-        try:
-            quiver = QuiverDims(tuple(dims))
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
-        lie_type = LieType("A", quiver.n - 1)
-        labels = list(labels_for_dims(quiver))
+        if lie_type is not None or labels is not None:
+            raise ValueError("--dims goes without --type and --labels")
+        quiver = QuiverDims(tuple(dims))
+        lie_type, labels = LieType("A", quiver.n - 1), list(labels_for_dims(quiver))
         inputs = {"dims": dims}
     elif lie_type is None or labels is None:
-        raise InputError("--dims, or --type with --labels, is required")
+        raise ValueError("--dims, or --type with --labels, is required")
     else:
-        check_labels(labels, lie_type)
+        check_labels(labels, lie_type.rank)
         inputs = {"lie_type": str(lie_type), "labels": labels}
-    try:
-        zg = z_grading_from_labels(build_algebra(lie_type), labels)
-        cd = cayley_pair(zg, seed)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    cd = cayley_pair(z_grading_from_labels(build_algebra(lie_type), labels), seed)
     iso = verify_iso_and_character(cd)
     theta = bracket_projection_test(cd)
-    report = make_report("cayley", inputs)
-    report["results"] = {
+    results = {
         "dim_c": cd.dim_c,
         "dim_v": cd.dim_v,
         "iso_invertible": iso.iso_full,
@@ -334,22 +292,23 @@ def cmd_cayley(
         "theta_pair_candidate": theta.candidate,
     }
     if theta.witness is not None:
-        report["results"]["witness"] = witness_json(theta.witness)
-    add_check(report, "cayley-iso", "transport map invertible", True, iso.iso_full)
-    add_check(report, "cayley-chi", "character vanishes on centralizer", True, iso.chi_vanishes)
-    return report
+        results["witness"] = witness_json(theta.witness)
+    return make_report("cayley", inputs, results, [
+        ("cayley-iso", "transport map invertible", True, iso.iso_full),
+        ("cayley-chi", "character vanishes on centralizer", True, iso.chi_vanishes),
+    ])
 
 
 def cmd_verify_paper(seed: int, extended: bool, **_) -> Dict[str, Any]:
-    report = make_report("verify-paper", {"seed": seed, "extended": extended})
-    for row in paper_checks(extended):
-        add_check(report, row.id, row.paper_ref, row.expected, row.actual(seed))
-    report["results"]["kappa_table"] = kappa_table(extended)
+    checks = sorted(
+        ((row.id, row.paper_ref, row.expected, row.actual(seed)) for row in paper_checks(extended)),
+        key=lambda check: check[0],
+    )
+    results = {"kappa_table": kappa_table(extended)}
     witness = witness_222(seed)
     if witness is not None:
-        report["results"]["witness_222"] = witness
-    report["checks"].sort(key=lambda c: c["id"])
-    return report
+        results["witness_222"] = witness
+    return make_report("verify-paper", {"seed": seed, "extended": extended}, results, checks)
 
 
 # Each command's handler and flags in usage order; a flag ending in "!" is
@@ -413,7 +372,7 @@ def parse_argv(argv: List[str]):
         if inline is not None:
             return inline
         if not rest or rest[0].startswith("--"):
-            raise InputError(f"{flag} needs a value")
+            raise ValueError(f"{flag} needs a value")
         return rest.pop(0)
 
     rest = list(argv)
@@ -425,22 +384,22 @@ def parse_argv(argv: List[str]):
         return config, None, {}
     command = rest.pop(0)
     if command not in COMMANDS:
-        raise InputError(f"unknown command {command!r}")
+        raise ValueError(f"unknown command {command!r}")
     allowed = command_flags(command)
     flags: Dict[str, Any] = {}
     while rest:
         token = rest.pop(0)
         flag, eq, inline = token.partition("=")
         if flag == "--config":
-            raise InputError("--config goes before the command")
+            raise ValueError("--config goes before the command")
         if flag not in allowed:
             if not flag.startswith("--"):
-                raise InputError(f"unexpected argument {token!r}")
-            raise InputError(f"{command} takes no flag {flag}")
+                raise ValueError(f"unexpected argument {token!r}")
+            raise ValueError(f"{command} takes no flag {flag}")
         field = FIELDS[flag]
         if field.parse is to_switch:
             if eq:
-                raise InputError(f"{flag} takes no value")
+                raise ValueError(f"{flag} takes no value")
             flags[field.key] = True
         else:
             flags[field.key] = flag_value(flag, inline if eq else None, rest)
@@ -454,12 +413,12 @@ def typed_fields(command: str, config: Dict[str, Any], flags: Dict[str, Any]) ->
     own = command_flags(command)
     unknown = sorted(raw.keys() - {FIELDS[flag].key for flag in own})
     if unknown:
-        raise InputError(f"{command} takes no field {unknown[0]!r}")
+        raise ValueError(f"{command} takes no field {unknown[0]!r}")
     values: Dict[str, Any] = {}
     for flag, required in own.items():
         field = FIELDS[flag]
         if required and field.key not in raw:
-            raise InputError(f"{flag} is required")
+            raise ValueError(f"{flag} is required")
         values[field.key] = field.parse(raw[field.key], field.key) if field.key in raw else field.default
     return values
 
@@ -485,9 +444,9 @@ def read_config(path: Optional[str]) -> Dict[str, Any]:
         with open(path) as fh:
             config = json.load(fh)
     except (OSError, ValueError) as exc:
-        raise InputError(f"cannot read config: {exc}") from exc
+        raise ValueError(f"cannot read config: {exc}") from exc
     if not isinstance(config, dict):
-        raise InputError("the config must be a JSON object")
+        raise ValueError("the config must be a JSON object")
     return config
 
 
@@ -500,10 +459,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         config, command, flags = parse_argv(argv)
         if command is None:
             sys.stdout.write(usage())
-            raise InputError("a command is required")
+            raise ValueError("a command is required")
         fields = typed_fields(command, read_config(config), flags)
         report = COMMANDS[command][0](**fields)
-    except InputError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     failed = any(not c["pass"] for c in report["checks"])

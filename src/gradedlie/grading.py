@@ -26,6 +26,20 @@ from .linalg import RationalMatrix, Vector, integer_support, solve, vec
 from .rootsystem import RootSystem, affine_cartan_matrix
 
 
+def check_labels(labels: Sequence[int], rank: int, affine: bool = False) -> None:
+    """The label rule: one label per simple root (per affine node when ``affine``),
+    non-negative and not all zero.  It reads no algebra, so user labels are
+    checked before any build.
+    """
+    if len(labels) != rank + affine:
+        count = "label count must match node count" if affine else "one label per simple root required"
+        raise ValueError(count)
+    if any(x < 0 for x in labels):
+        raise ValueError("labels must be non-negative")
+    if not any(labels):
+        raise ValueError("labels must not all be zero")
+
+
 @dataclass
 class ZGrading:
     algebra: ChevalleyAlgebra
@@ -50,12 +64,7 @@ class KacLabels:
     marks: Tuple[int, ...]  # n_0 = 1, n_1 .. n_r
 
     def __post_init__(self):
-        if len(self.labels) != len(self.marks):
-            raise ValueError("label count must match node count")
-        if any(p < 0 for p in self.labels):
-            raise ValueError("labels must be non-negative")
-        if self.order < 1:
-            raise ValueError("labels must not all be zero")
+        check_labels(self.labels, len(self.marks) - 1, affine=True)
 
     @property
     def order(self) -> int:
@@ -91,12 +100,7 @@ class ZmGrading:
 def z_grading_from_labels(alg: ChevalleyAlgebra, p: Sequence[int]) -> ZGrading:
     """Z-grading from non-negative simple-root degree labels."""
     r = alg.rank
-    if len(p) != r:
-        raise ValueError("one label per simple root required")
-    if any(x < 0 for x in p):
-        raise ValueError("labels must be non-negative")
-    if all(x == 0 for x in p):
-        raise ValueError("labels must not all be zero")
+    check_labels(p, r)
     pieces: Dict[int, List[int]] = {0: list(range(r))}
     for alpha, idx in alg.root_index.items():
         deg = sum(a * pk for a, pk in zip(alpha, p))

@@ -153,7 +153,6 @@ class Sl2Triple:
     h: Vector
     e: Vector
     f: Vector
-    s: Vector  # zeta - h/2
 
     def verify(self, alg: ChevalleyAlgebra):
         assert alg.bracket(self.h, self.e) == tuple(2 * x for x in self.e)
@@ -191,8 +190,7 @@ def jm_triple(pair: VinbergPair, e: Sequence) -> Sl2Triple:
     if c is None:
         raise RuntimeError("sl2 completion system is inconsistent")
     f = alg.from_sparse({i: x for i, x in zip(neg, c) if x})
-    s = tuple(z - hx / 2 for z, hx in zip(zg.zeta, h))
-    triple = Sl2Triple(h=h, e=tuple(Q(x) for x in e), f=f, s=s)
+    triple = Sl2Triple(h=h, e=tuple(Q(x) for x in e), f=f)
     triple.verify(alg)
     return triple
 

@@ -198,8 +198,8 @@ def test_certificate_rejects_generators_that_do_not_span(sl2):
 
 def test_non_integral_constant_is_rejected(monkeypatch):
     rs = build_root_system(LieType.parse("B2"))
-    halves = [(pair, n / 2) for pair, n in StructureConstants(rs).positive_pairs()]
-    monkeypatch.setattr(StructureConstants, "positive_pairs", lambda self: halves)
+    halves = {pair: n / 2 for pair, n in StructureConstants(rs).table.items()}
+    monkeypatch.setattr(StructureConstants, "_fill", lambda self: self.table.update(halves))
     with pytest.raises(AssertionError, match="not an integer"):
         ChevalleyAlgebra(rs)
 
@@ -237,7 +237,8 @@ def test_integer_constants_match_fraction_oracle(name):
     """Integer constants and coroots equal the Fraction route, constant by constant."""
     rs = build_root_system(LieType.parse(name))
     constants, oracle = StructureConstants(rs), FractionConstants(rs)
-    table = dict(constants.positive_pairs())
+    root = {c: a for a, c in rs.codes.items()}
+    table = {(root[a], root[b]): n for (a, b), n in constants.table.items()}
     assert table == oracle._table
     assert all(type(n) is int for n in table.values())
     for alpha in rs.roots:

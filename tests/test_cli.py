@@ -245,6 +245,14 @@ def test_config_integer_strings_accepted(tmp_path, capsys):
         ["quaternionic", "--type", "a+3"],
         ["quaternionic", "--type", "E 8"],
         ["quaternionic", "--type", "A", "--rank", "2"],
+        # a valid flag that the chosen mode would not read
+        ["amw", "--genus", "2", "--coarse", "--kappa", "1"],
+        ["cayley", "--dims", "2,2", "--type", "A5", "--labels", "1,0,0,0,0"],
+        ["cayley", "--dims", "2,2", "--labels", "1"],
+        # a library ValueError is an input error
+        ["cayley", "--type", "C3", "--labels", "1,0,0"],
+        ["quiver", "--dims", "1"],
+        ["toledo", "--dims", "1,1", "--degrees", "1,-1", "--genus", "1"],
     ],
 )
 def test_rejected_input_is_one_line(tmp_path, capsys, argv):
@@ -354,6 +362,8 @@ def _no_build(*_args, **_kwargs):
 
 ZEROS_A30 = ",".join(["0"] * 30)
 NEGATIVE_A30 = ",".join(["-1"] + ["0"] * 29)
+ZEROS_A61 = ",".join(["0"] * 61)  # A60 has 61 affine nodes
+NEGATIVE_A61 = ",".join(["1"] * 60 + ["-1"])
 
 
 @pytest.mark.parametrize(
@@ -366,10 +376,13 @@ NEGATIVE_A30 = ",".join(["-1"] + ["0"] * 29)
         (["grading", "--type", "A30", "--labels", NEGATIVE_A30], "error: labels must be non-negative"),
         (["cayley", "--type", "A30", "--labels", ZEROS_A30], "error: labels must not all be zero"),
         (["cayley", "--type", "A30", "--labels", NEGATIVE_A30], "error: labels must be non-negative"),
+        (["kac", "--type", "A60", "--labels", ZEROS_A61], "error: labels must not all be zero"),
+        (["kac", "--type", "A60", "--labels", NEGATIVE_A61], "error: labels must be non-negative"),
     ],
     ids=[
         "kac", "grading", "cayley",
         "grading-all-zero", "grading-negative", "cayley-all-zero", "cayley-negative",
+        "kac-all-zero", "kac-negative",
     ],
 )
 def test_label_count_is_checked_before_any_build(monkeypatch, capsys, argv, message):

@@ -255,7 +255,9 @@ def field_values(draw, command: str, folder):
     """Values for the command's fields, drawn by each field's parser, and the
     key of the one field (in about half the draws) whose value its parser or
     its range rejects, or which is left out although required; an optional
-    field is left out now and then.  Integer lists stay lists: labels are
+    field is left out now and then.  A draw keeps to one mode of cayley
+    (--dims, or --type with --labels) and of amw (no --coarse without
+    --quaternionic).  Integer lists stay lists: labels are
     sized to the type's rank (plus one for kac), degrees to the dims, and
     degrees lie in -2..2 and sum to zero when the last one can make them."""
     lie_type = draw(st.sampled_from(TYPES))
@@ -299,6 +301,12 @@ def field_values(draw, command: str, folder):
         if field.key == broken:
             value = draw(st.sampled_from([value + [-1], []]))
         values[field.key] = value
+    if command == "cayley":
+        # the --dims mode four times in five, as often as --dims is present
+        for key in draw(st.sampled_from([("lie_type", "labels")] * 4 + [("dims",)])):
+            values.pop(key, None)
+    if not values.get("quaternionic"):
+        values.pop("coarse", None)
     return values, broken
 
 
