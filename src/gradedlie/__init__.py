@@ -9,4 +9,4 @@ from .vinberg import Sl2Triple, VinbergPair, generic_element, jm_regular, jm_tri
 from .quaternionic import QuaternionicData, build_quaternionic, quaternionic_ranks
 from .quiver import QuiverDims, QuiverHiggsTopology, toledo_invariant
 from .cayley import CayleyData, bracket_projection_test, cayley_pair
-from .amw import BoundInput, amw_lower, amw_upper, coarse_bound, quaternionic_bounds, quaternionic_coarse
+from .amw import RANK_TABLE, BoundInput, amw_lower, amw_upper, coarse_interval, quaternionic_interval, tau

@@ -15,7 +15,7 @@ from fractions import Fraction as Q
 from functools import lru_cache
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
-from .amw import quaternionic_coarse
+from .amw import RANK_TABLE, BoundInput, coarse_interval
 from .cayley import BracketProjection, bracket_projection_test, cayley_pair
 from .chevalley import build_algebra
 from .grading import kac_labels, kac_lift_check, z_grading_from_labels
@@ -57,7 +57,7 @@ class PaperCheck(NamedTuple):
 
 def expected_ranks(t: LieType) -> List[str]:
     """(rank_T(G_0, g_1), rank_T(G_0, g_{-2})) of the highest-root grading."""
-    return ["1", "1"] if kappa_rule(t) == 1 else ["4", "1"]
+    return q_list(RANK_TABLE[kappa_rule(t)])
 
 
 def quaternionic_types(extended: bool) -> Tuple[str, ...]:
@@ -127,9 +127,9 @@ def paper_checks(extended: bool) -> List[PaperCheck]:
     rows = [row for name in quaternionic_types(extended) for row in _quaternionic_rows(name)]
     return rows + [
         PaperCheck("coarse-bounds-kappa2", "coarse interval at genus 2, generic type",
-                   ["-8", "4"], lambda seed: q_list(quaternionic_coarse(2, 2))),
+                   ["-8", "4"], lambda seed: q_list(coarse_interval(BoundInput(2, kappa=2)))),
         PaperCheck("coarse-bounds-kappa1", "coarse interval at genus 2, symplectic type",
-                   ["-2", "2"], lambda seed: q_list(quaternionic_coarse(2, 1))),
+                   ["-2", "2"], lambda seed: q_list(coarse_interval(BoundInput(2, kappa=1)))),
         PaperCheck("quiver-toledo-two-vertex", "two-block Toledo formula", True, _two_block_formula),
         PaperCheck("quiver-toledo-111", "three-block Toledo value", "-4",
                    lambda seed: q_str(toledo_invariant(QuiverHiggsTopology((1, 1, 1), (1, 0, -1), 2)))),

@@ -5,10 +5,11 @@ quaternionic, cayley) plus ``verify-paper``, which runs the full table of
 numeric cross-checks and fails loudly on any mismatch.  Reports are emitted
 as JSON (default) or text; every rational is serialized as an exact "p/q"
 string, never as a float.  Input takes one path: ``FIELDS`` gives each flag
-its config key, parser and default, and ``COMMANDS`` each command its handler
-and flags.  Flags override a JSON config file; every value, from either, goes
-through its field's parser, and each handler receives typed values.  There is
-no ``argparse``, so a job pays for no parser construction.
+its config key, parser and default (None where the library states it), and
+``COMMANDS`` each command its handler and flags.  Flags override a JSON
+config file; every value, from either, goes through its field's parser, and
+each handler receives typed values.  There is no ``argparse``, so a job pays
+for no parser construction.
 
 Errors: a ``ValueError``, raised by a field parser, a handler or the library,
 is an input error: ``main`` prints it as one ``error:`` line and exits 2.  An
@@ -125,14 +126,14 @@ FIELDS = {
     "--dims": Field("dims", to_ints),
     "--degrees": Field("degrees", to_ints),
     "--genus": Field("genus", to_int),
-    "--lambda": Field("lam", to_rational, Q(0)),
-    "--rank-plus": Field("rank_plus", to_rational, Q(0)),
-    "--rank-minus": Field("rank_minus", to_rational, Q(0)),
-    "--zeta-pairing": Field("zeta_pairing", to_rational, Q(0)),
-    "--depth": Field("depth", to_int, 2),
+    "--lambda": Field("lam", to_rational),
+    "--rank-plus": Field("rank_plus", to_rational),
+    "--rank-minus": Field("rank_minus", to_rational),
+    "--zeta-pairing": Field("zeta_pairing", to_rational),
+    "--depth": Field("depth", to_int),
     "--phi-minus-zero": Field("phi_minus_zero", to_switch, False),
     "--quaternionic": Field("quaternionic", to_switch, False),
-    "--kappa": Field("kappa", to_int, 2),
+    "--kappa": Field("kappa", to_int),
     "--coarse": Field("coarse", to_switch, False),
     "--extended": Field("extended", to_switch, False),
     "--format": Field("output_format", to_format, "json"),
@@ -221,27 +222,43 @@ def cmd_toledo(dims: List[int], degrees: List[int], genus: int, **_) -> Dict[str
     return make_report("toledo", inputs, {"tau": q_str(toledo_invariant(top))})
 
 
+# the amw flags that each mode does not read; a given one exits 2
+AMW_UNREAD = {
+    None: ("--coarse", "--kappa"),
+    "--quaternionic": ("--zeta-pairing", "--depth", "--phi-minus-zero"),
+    "--coarse": ("--zeta-pairing", "--depth", "--phi-minus-zero", "--lambda", "--rank-plus", "--rank-minus"),
+}
+
+
+def present(**values) -> Dict[str, Any]:
+    """The keyword arguments that are not None: an absent field takes the library's default."""
+    return {key: value for key, value in values.items() if value is not None}
+
+
 def cmd_amw(
-    genus: int, lam: Q, rank_plus: Q, rank_minus: Q, zeta_pairing: Q, depth: int,
-    phi_minus_zero: bool, quaternionic: bool, kappa: int, coarse: bool, **_,
+    genus: int, lam: Optional[Q], rank_plus: Optional[Q], rank_minus: Optional[Q], zeta_pairing: Optional[Q],
+    depth: Optional[int], phi_minus_zero: bool, quaternionic: bool, kappa: Optional[int], coarse: bool, **_,
 ) -> Dict[str, Any]:
-    inputs = {"genus": genus, "lambda": q_str(lam)}
-    if not quaternionic:
-        if coarse:
-            raise ValueError("--coarse needs --quaternionic")
-        bi = amw_mod.BoundInput(genus, lam, rank_plus, rank_minus, zeta_pairing, kappa)
-        upper = amw_mod.amw_upper(bi, depth, phi_minus_zero)
+    mode = ("--coarse" if coarse else "--quaternionic") if quaternionic else None
+    flags = {"--lambda": lam, "--rank-plus": rank_plus, "--rank-minus": rank_minus, "--zeta-pairing": zeta_pairing,
+             "--depth": depth, "--phi-minus-zero": phi_minus_zero or None, "--kappa": kappa, "--coarse": coarse or None}
+    unread = [flag for flag in AMW_UNREAD[mode] if flags[flag] is not None]
+    if unread:
+        raise ValueError(f"{unread[0]} needs --quaternionic" if mode is None else f"{mode} does not read {unread[0]}")
+    bi = amw_mod.BoundInput(genus, **present(
+        lam=lam, rank_plus=rank_plus, rank_minus=rank_minus, zeta_pairing=zeta_pairing, kappa=kappa
+    ))
+    inputs = {"genus": genus, "lambda": q_str(bi.lam)}
+    if mode is None:
+        upper = amw_mod.amw_upper(bi, **present(m=depth), phi_minus_zero=phi_minus_zero)
         return make_report("amw", inputs, {
             "lower_bound": q_str(-amw_mod.amw_lower(bi)),
             "upper_bound": q_str(upper) if upper is not None else None,
         })
-    inputs["kappa"] = kappa
+    inputs["kappa"] = bi.kappa
     if coarse:
-        lo, hi = amw_mod.quaternionic_coarse(genus, kappa)
         inputs["coarse"] = True
-    else:
-        bi = amw_mod.BoundInput(genus, lam, rank_plus, rank_minus, kappa=kappa)
-        lo, hi = amw_mod.quaternionic_bounds(bi)
+    lo, hi = (amw_mod.coarse_interval if coarse else amw_mod.quaternionic_interval)(bi)
     return make_report("amw", inputs, {"bounds": [q_str(lo), q_str(hi)]})
 
 
@@ -274,6 +291,8 @@ def cmd_cayley(
         if lie_type is not None or labels is not None:
             raise ValueError("--dims goes without --type and --labels")
         quiver = QuiverDims(tuple(dims))
+        if quiver.m < 2:
+            raise ValueError("--dims needs at least two blocks")
         lie_type, labels = LieType("A", quiver.n - 1), list(labels_for_dims(quiver))
         inputs = {"dims": dims}
     elif lie_type is None or labels is None:

@@ -8,7 +8,7 @@ interval modules, the sl2-completion h is read off the Jordan strings, and
 the Toledo data reduces to trace arithmetic against
 zeta|_{V_j} = (j - alpha) Id with alpha = (sum j d_j)/n.  Rank tuples,
 Toledo ranks of orbits and JM-regularity are closed forms in the strings'
-intervals; a string representative is built only where a caller needs maps.
+intervals, so no orbit representative is built.
 """
 
 from __future__ import annotations
@@ -112,22 +112,6 @@ def _interval_multiplicities(dims: QuiverDims) -> Iterator[Multiplicities]:
     return extend(0, m - 1)
 
 
-def string_representative(dims: QuiverDims, mult: Multiplicities) -> QuiverElement:
-    """Direct sum of strings: m_ij chains of 1-entries from V_i to V_j."""
-    maps = tuple(
-        RationalMatrix([0] * dims.dims[k] for _ in range(dims.dims[k + 1]))
-        for k in range(dims.m - 1)
-    )
-    used = [0] * dims.m
-    for (i, j), c in sorted(mult.items()):
-        for _ in range(c):
-            for k in range(i, j):
-                maps[k][used[k + 1]][used[k]] = 1
-                used[k] += 1
-            used[j] += 1
-    return maps
-
-
 def interval_rank_tuple(dims: QuiverDims, mult: Multiplicities) -> RankTuple:
     """r_ij = sum_{a <= i, b >= j} m_ab: the strings that pass from V_i to V_j.
 
@@ -153,9 +137,8 @@ def enumerate_orbits(dims: QuiverDims) -> List[Tuple[RankTuple, Multiplicities]]
 
     By Gabriel's theorem the orbits of the linear A_m quiver are the
     multiplicity vectors (m_ij) of the interval modules [i, j].  Each rank
-    tuple is read off the multiplicities (``interval_rank_tuple``; the maps
-    of ``string_representative`` realize it), and no two multiplicity
-    vectors may share one.
+    tuple is read off the multiplicities (``interval_rank_tuple``), and no
+    two multiplicity vectors may share one.
     """
     seen: Dict[RankTuple, Multiplicities] = {}
     for mult in _interval_multiplicities(dims):

@@ -8,8 +8,8 @@ root space sits in degree 1.  The B*(gamma,gamma) factor makes chi_T
 independent of the chosen invariant form.  The production route is
 ``normalized_form``, the form with B*(highest root, highest root) = 2 read off
 the root data in closed form, with no trace of ad.  The trace-of-ad Killing
-form (``chi_t_killing``, ``killing_dual_norm``) is kept as an independent
-oracle, so tests can assert that independence exactly.
+form's dual norm (``killing_dual_norm``) is kept as an independent oracle, so
+tests can assert that independence exactly.
 """
 
 from __future__ import annotations
@@ -96,11 +96,6 @@ class VinbergPair:
 
     def chi_t(self, x: Sequence) -> Q:
         return normalized_form(self.algebra, self.grading.zeta, x) * self.gamma_norm
-
-    def chi_t_killing(self, x: Sequence) -> Q:
-        """chi_T evaluated with the raw Killing form and its own dual norm."""
-        alg = self.algebra
-        return alg.killing_form(self.grading.zeta, x) * killing_dual_norm(alg, self.gamma)
 
     def zeta_pairing(self) -> Q:
         return self.chi_t(self.grading.zeta)

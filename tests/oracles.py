@@ -8,6 +8,7 @@ from gradedlie.chevalley import ChevalleyAlgebra
 from gradedlie.grading import ZGrading, ZmGrading
 from gradedlie.linalg import RationalMatrix, Vector, integer_form
 from gradedlie.quiver import (
+    Multiplicities,
     QuiverDims,
     QuiverElement,
     RankTuple,
@@ -18,7 +19,7 @@ from gradedlie.quiver import (
     rank_tuple,
 )
 from gradedlie.rootsystem import LieType, Root, RootSystem
-from gradedlie.vinberg import normalized_form
+from gradedlie.vinberg import VinbergPair, killing_dual_norm, normalized_form
 
 
 def pointwise_maximality(dims: QuiverDims, elem: Sequence[RationalMatrix]) -> bool:
@@ -45,6 +46,22 @@ def dims_for_labels(labels: Sequence[int]) -> QuiverDims:
 
 
 # -- the Jordan-string route to quiver JM-regularity --------------------------
+
+
+def string_representative(dims: QuiverDims, mult: Multiplicities) -> QuiverElement:
+    """Direct sum of strings: m_ij chains of 1-entries from V_i to V_j."""
+    maps = tuple(
+        RationalMatrix([0] * dims.dims[k] for _ in range(dims.dims[k + 1]))
+        for k in range(dims.m - 1)
+    )
+    used = [0] * dims.m
+    for (i, j), c in sorted(mult.items()):
+        for _ in range(c):
+            for k in range(i, j):
+                maps[k][used[k + 1]][used[k]] = 1
+                used[k] += 1
+            used[j] += 1
+    return maps
 
 
 def canonical_open_element(dims: QuiverDims) -> QuiverElement:
@@ -218,6 +235,26 @@ class FractionConstants:
 def fraction_coroot(rs: RootSystem, alpha: Root) -> Tuple[Q, ...]:
     """alpha^vee = sum_i a_i |alpha_i|^2 / |alpha|^2 alpha_i^vee, in Fractions."""
     return tuple(Q(a) * rs.form_star[i][i] / rs.norm(alpha) for i, a in enumerate(alpha))
+
+
+# -- the trace-of-ad Killing form route to chi_T ------------------------------
+
+
+def chi_t_killing(pair: VinbergPair, x: Sequence) -> Q:
+    """chi_T evaluated with the raw Killing form and its own dual norm."""
+    alg = pair.algebra
+    return alg.killing_form(pair.grading.zeta, x) * killing_dual_norm(alg, pair.gamma)
+
+
+# -- closed-form quaternionic bounds --------------------------------------------
+
+
+def quaternionic_bounds(genus: int, lam: Q, rank_plus: Q, rank_minus: Q, kappa: int) -> Tuple[Q, Q]:
+    """(-tau_L, tau_U) for the five-piece grading, with pairing 2*kappa, written out."""
+    g2 = 2 * genus - 2
+    tau_l = rank_plus * g2 + lam * (2 * kappa - rank_plus)
+    tau_u = kappa * rank_minus * g2 + lam * (2 * kappa - kappa * rank_minus)
+    return -tau_l, tau_u
 
 
 # -- Form-value routes to the affine Cartan matrix and the quaternionic labels --

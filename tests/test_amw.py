@@ -1,14 +1,16 @@
+import itertools
 from fractions import Fraction as Q
 
 import pytest
+
+from oracles import quaternionic_bounds
 
 from gradedlie.amw import (
     BoundInput,
     amw_lower,
     amw_upper,
-    coarse_bound,
-    quaternionic_bounds,
-    quaternionic_coarse,
+    coarse_interval,
+    quaternionic_interval,
 )
 
 
@@ -53,24 +55,40 @@ def test_upper_trivial():
 
 
 def test_coarse():
-    assert coarse_bound(2, Q(4)) == -8
-    assert coarse_bound(2, Q(0)) == 0
-    assert coarse_bound(3, Q(1)) == -4
+    # the crude lower bound -(2g-2) rank_T(G_0, g_1) <= tau is -tau_L at lambda = 0
+    assert -amw_lower(BoundInput(genus=2, rank_plus=Q(4))) == -8
+    assert -amw_lower(BoundInput(genus=2, rank_plus=Q(0))) == 0
+    assert -amw_lower(BoundInput(genus=3, rank_plus=Q(1))) == -4
     with pytest.raises(ValueError):
-        coarse_bound(1, Q(1))
+        BoundInput(genus=1, rank_plus=Q(1))
+
+
+def coarse(genus: int, kappa: int):
+    return coarse_interval(BoundInput(genus=genus, kappa=kappa))
 
 
 def test_quaternionic_coarse_endpoints():
-    assert quaternionic_coarse(2, 2) == (-8, 4)
-    assert quaternionic_coarse(2, 1) == (-2, 2)
+    assert coarse(2, 2) == (-8, 4)
+    assert coarse(2, 1) == (-2, 2)
     g = 5
-    assert quaternionic_coarse(g, 2) == (-4 * (2 * g - 2), 2 * (2 * g - 2))
-    assert quaternionic_coarse(g, 1) == (-(2 * g - 2), 2 * g - 2)
+    assert coarse(g, 2) == (-4 * (2 * g - 2), 2 * (2 * g - 2))
+    assert coarse(g, 1) == (-(2 * g - 2), 2 * g - 2)
 
 
 def test_quaternionic_bounds_trivial():
     bi = BoundInput(genus=2)
-    assert quaternionic_bounds(bi) == (0, 0)
+    assert quaternionic_interval(bi) == (0, 0)
+
+
+HALVES = [Q(k, 2) for k in range(-4, 5)]
+
+
+def test_quaternionic_interval_matches_closed_form():
+    # the general bounds at pairing 2*kappa and rank_minus scaled by kappa
+    ranks = [x for x in HALVES if x >= 0]
+    for g, lam, rank_plus, rank_minus, kappa in itertools.product(range(2, 6), HALVES, ranks, ranks, (1, 2)):
+        bi = BoundInput(g, lam, rank_plus, rank_minus, kappa=kappa)
+        assert quaternionic_interval(bi) == quaternionic_bounds(g, lam, rank_plus, rank_minus, kappa), bi
 
 
 def test_lower_monotone_in_rank_plus():

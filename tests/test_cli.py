@@ -253,9 +253,28 @@ def test_config_integer_strings_accepted(tmp_path, capsys):
         ["cayley", "--type", "C3", "--labels", "1,0,0"],
         ["quiver", "--dims", "1"],
         ["toledo", "--dims", "1,1", "--degrees", "1,-1", "--genus", "1"],
+        # a valid flag that the chosen mode would not read, even at the library's default
+        ["amw", "--quaternionic", "--genus", "2", "--depth", "3", "--zeta-pairing", "5", "--phi-minus-zero"],
+        ["amw", "--quaternionic", "--genus", "2", "--depth", "2"],
+        ["amw", "--quaternionic", "--genus", "2", "--zeta-pairing", "4"],
+        ["amw", "--quaternionic", "--genus", "2", "--phi-minus-zero"],
+        ["amw", "--quaternionic", "--coarse", "--genus", "2", "--lambda", "1/2", "--rank-plus", "3"],
+        ["amw", "--quaternionic", "--coarse", "--genus", "2", "--lambda", "0"],
+        ["amw", "--quaternionic", "--coarse", "--genus", "2", "--rank-minus", "1"],
+        ["amw", "--genus", "2", "--kappa", "1"],
+        ["amw", "--genus", "2", "--kappa", "2"],
+        [{"depth": 3}, "amw", "--quaternionic", "--genus", "2"],
+        [{"zeta_pairing": "5"}, "amw", "--quaternionic", "--genus", "2"],
+        [{"phi_minus_zero": True}, "amw", "--quaternionic", "--genus", "2"],
+        [{"lam": "1/2", "rank_plus": 3}, "amw", "--quaternionic", "--coarse", "--genus", "2"],
+        [{"rank_minus": 0}, "amw", "--quaternionic", "--coarse", "--genus", "2"],
+        [{"kappa": 1}, "amw", "--genus", "2"],
+        # a one-block dimension vector has no degree-1 piece
+        ["cayley", "--dims", "3"],
     ],
 )
 def test_rejected_input_is_one_line(tmp_path, capsys, argv):
+    expected = REJECTED_LINES.get(" ".join(map(str, argv)))
     if isinstance(argv[0], dict):
         cfg = tmp_path / "job.json"
         cfg.write_text(json.dumps(argv[0]))
@@ -266,6 +285,17 @@ def test_rejected_input_is_one_line(tmp_path, capsys, argv):
     assert captured.out == ""
     (line,) = captured.err.splitlines()
     assert line.startswith("error: ")
+    if expected is not None:
+        assert line == expected
+
+
+# the whole error line of a rejected argv whose message is itself under test
+REJECTED_LINES = {
+    "cayley --dims 3": "error: --dims needs at least two blocks",
+    "amw --quaternionic --genus 2 --depth 2": "error: --quaternionic does not read --depth",
+    "amw --quaternionic --coarse --genus 2 --lambda 0": "error: --coarse does not read --lambda",
+    "amw --genus 2 --kappa 2": "error: --kappa needs --quaternionic",
+}
 
 
 def test_unknown_config_key_is_named(tmp_path, capsys):

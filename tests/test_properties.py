@@ -250,16 +250,28 @@ def int_list(size: int, key: str):
     return st.lists(ENTRIES.get(key, st.sampled_from([1, 2, 1])), min_size=size, max_size=size)
 
 
+# the flags each mode of a command leaves out, and the optional flags it needs
+# (a needed switch is on): a draw keeps to one mode, so that a report is in reach
+MODES = {
+    "cayley": [({"--type", "--labels"}, {"--dims"})] * 4 + [({"--dims"}, {"--type", "--labels"})],
+    "amw": [
+        ({*cli.AMW_UNREAD[None], "--quaternionic"}, set()),
+        ({*cli.AMW_UNREAD["--quaternionic"], "--coarse"}, {"--quaternionic"}),
+        (set(cli.AMW_UNREAD["--coarse"]), {"--quaternionic", "--coarse"}),
+    ],
+}
+
+
 @st.composite
 def field_values(draw, command: str, folder):
-    """Values for the command's fields, drawn by each field's parser, and the
-    key of the one field (in about half the draws) whose value its parser or
-    its range rejects, or which is left out although required; an optional
-    field is left out now and then.  A draw keeps to one mode of cayley
-    (--dims, or --type with --labels) and of amw (no --coarse without
-    --quaternionic).  Integer lists stay lists: labels are
-    sized to the type's rank (plus one for kac), degrees to the dims, and
-    degrees lie in -2..2 and sum to zero when the last one can make them."""
+    """Values for the fields of one mode of the command, drawn by each field's
+    parser, and the key of the one field (in about half the draws) whose value
+    its parser or its range rejects, or which is left out although required;
+    an optional field the mode does not need is left out now and then.
+    cayley's --dims mode is drawn four times in five.  Integer lists stay
+    lists: labels are sized to the type's rank (plus one for kac), degrees to
+    the dims, and degrees lie in -2..2 and sum to zero when the last one can
+    make them."""
     lie_type = draw(st.sampled_from(TYPES))
     rank = int(lie_type[1:])
     n_dims = draw(st.integers(2, 4))
@@ -281,7 +293,9 @@ def field_values(draw, command: str, folder):
         cli.to_format: st.just("xml"),
         cli.to_path: st.sampled_from([str(folder / "no-such-dir" / "r.json"), ""]),
     }
-    own = command_flags(command)
+    left_out, needed = draw(st.sampled_from(MODES[command])) if command in MODES else (set(), set())
+    own = {flag: required or flag in needed for flag, required in command_flags(command).items()
+           if flag not in left_out}
     broken = draw(st.sampled_from([FIELDS[flag].key for flag in own])) if draw(st.booleans()) else None
     values = {}
     for flag, required in own.items():
@@ -290,23 +304,19 @@ def field_values(draw, command: str, folder):
             not required and not draw(st.integers(0, 4))
         ):
             continue
-        if field.parse is not cli.to_ints:
+        if field.parse is cli.to_switch and flag in needed and field.key != broken:
+            values[field.key] = True
+        elif field.parse is not cli.to_ints:
             pools = rejected if field.key == broken else accepted
             values[field.key] = draw(pools[field.parse])
-            continue
-        size = sizes[field.key] if field.key in sizes else draw(st.integers(1, 4))
-        value = draw(int_list(size, field.key))
-        if field.key == "degrees" and value and -2 <= sum(value[:-1]) <= 2:
-            value[-1] = -sum(value[:-1])
-        if field.key == broken:
-            value = draw(st.sampled_from([value + [-1], []]))
-        values[field.key] = value
-    if command == "cayley":
-        # the --dims mode four times in five, as often as --dims is present
-        for key in draw(st.sampled_from([("lie_type", "labels")] * 4 + [("dims",)])):
-            values.pop(key, None)
-    if not values.get("quaternionic"):
-        values.pop("coarse", None)
+        else:
+            size = sizes[field.key] if field.key in sizes else draw(st.integers(1, 4))
+            value = draw(int_list(size, field.key))
+            if field.key == "degrees" and value and -2 <= sum(value[:-1]) <= 2:
+                value[-1] = -sum(value[:-1])
+            if field.key == broken:
+                value = draw(st.sampled_from([value + [-1], []]))
+            values[field.key] = value
     return values, broken
 
 

@@ -15,6 +15,7 @@ from oracles import (
     jordan_strings,
     orbit_toledo_rank,
     pointwise_maximality,
+    string_representative,
     zeta_matrix,
 )
 
@@ -29,7 +30,6 @@ from gradedlie.quiver import (
     maximal_rank_tuple,
     quiver_jm_regular,
     rank_tuple,
-    string_representative,
     toledo_invariant,
 )
 
