@@ -13,17 +13,22 @@ c + V + (orthogonal complement in g_0); the pair (c, V) is a theta-pair
 candidate when every such bracket falls inside c.  Orthogonality and the
 projection do not change when the invariant form is rescaled, so both use
 the closed-form ``normalized_form``.
+
+c, V, the triple and each projection's parts are ``chevalley.Element``s: the
+parts are sums of scaled basis elements, and the remainder is the bracket
+minus both, all in integer numerators over one denominator.  Rank checks read
+an element's dense coordinates; reports read them through ``dense``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction as Q
+from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
-from .chevalley import ChevalleyAlgebra
+from .chevalley import ChevalleyAlgebra, Element
 from .grading import ZGrading
-from .linalg import RationalMatrix, Vector, independent_subset, rank, solve, vec
+from .linalg import RationalMatrix, independent_subset, rank, solve
 from .vinberg import Sl2Triple, VinbergPair, jm_regular, normalized_form, vinberg_pair
 
 
@@ -31,8 +36,8 @@ from .vinberg import Sl2Triple, VinbergPair, jm_regular, normalized_form, vinber
 class CayleyData:
     pair: VinbergPair
     triple: Sl2Triple  # h = 2*zeta
-    c_basis: List[Vector]
-    v_basis: List[Vector]  # images ad(e)^{m-1} of the g_{1-m} basis
+    c_basis: List[Element]
+    v_basis: List[Element]  # images ad(e)^{m-1} of the g_{1-m} basis
     depth: int
 
     @property
@@ -54,8 +59,7 @@ def cayley_pair(zg: ZGrading, seed: int = 0) -> CayleyData:
     cert = jm_regular(pair, seed)
     if not cert.regular:
         raise ValueError("degree-1 pair is not JM-regular; no Cayley data")
-    h = tuple(2 * x for x in zg.zeta)
-    triple = Sl2Triple(h=h, e=cert.e, f=cert.f)
+    triple = Sl2Triple(h=2 * zg.zeta, e=cert.e, f=cert.f)
     triple.verify(alg)
     m = zg.depth
     c_basis = alg.centralizer([triple.h, triple.e, triple.f], zg.piece(0))
@@ -63,10 +67,7 @@ def cayley_pair(zg: ZGrading, seed: int = 0) -> CayleyData:
     support, transport = _ad_power(alg, triple.e, low, m - 1)
     if rank(transport) != len(low):
         raise AssertionError("transport map is not injective on the lowest piece")
-    v_basis = [
-        alg.from_sparse({k: Q(row[j]) for k, row in zip(support, transport) if row[j]})
-        for j in range(len(low))
-    ]
+    v_basis = [Element.of({k: row[j] for k, row in zip(support, transport)}) for j in range(len(low))]
     # module-dimension bound: ad(e)^{2m-1} kills the lowest piece
     if _ad_power(alg, triple.e, low, 2 * m - 1)[0]:
         raise AssertionError("sl2-module longer than 2m-1 detected")
@@ -74,7 +75,7 @@ def cayley_pair(zg: ZGrading, seed: int = 0) -> CayleyData:
 
 
 def _ad_power(
-    alg: ChevalleyAlgebra, e: Sequence, domain: Sequence[int], n: int
+    alg: ChevalleyAlgebra, e: Element, domain: Sequence[int], n: int
 ) -> Tuple[List[int], RationalMatrix]:
     """ad(e)^n on span(domain), over all of g: (support, rows).
 
@@ -100,7 +101,8 @@ class IsoCharacterReport:
 def verify_iso_and_character(cd: CayleyData) -> IsoCharacterReport:
     """Transport-map invertibility and chi_T(c) = 0 on c."""
     low_dim = len(cd.pair.grading.piece(1 - cd.depth))
-    r = rank(RationalMatrix(cd.v_basis))
+    dim = cd.algebra.dim
+    r = rank(RationalMatrix((v.dense(dim) for v in cd.v_basis), dim))
     return IsoCharacterReport(
         iso_full=(r == low_dim == len(cd.v_basis)),
         chi_vanishes=all(cd.pair.chi_t(c) == 0 for c in cd.c_basis),
@@ -111,13 +113,13 @@ def verify_iso_and_character(cd: CayleyData) -> IsoCharacterReport:
 class BracketProjection:
     v_index: int
     v_prime_index: int
-    c_part: Vector
-    v_part: Vector
-    rest_part: Vector
+    c_part: Element
+    v_part: Element
+    rest_part: Element
 
     @property
     def in_c(self) -> bool:
-        return not any(self.v_part) and not any(self.rest_part)
+        return not self.v_part and not self.rest_part
 
 
 @dataclass
@@ -130,36 +132,19 @@ def bracket_projection_test(cd: CayleyData) -> ThetaVerdict:
     """Decompose every [v, v'] over c + V + orthogonal complement in g_0."""
     alg = cd.algebra
     basis = cd.c_basis + cd.v_basis
-    if basis and len(independent_subset(basis)) != len(basis):
+    if basis and len(independent_subset([b.dense(alg.dim) for b in basis])) != len(basis):
         raise AssertionError("c and V overlap")
     gram = RationalMatrix([[normalized_form(alg, a, b) for b in basis] for a in basis])
     witness = None
     for i in range(len(cd.v_basis)):
         for j in range(i + 1, len(cd.v_basis)):
             x = alg.bracket(cd.v_basis[i], cd.v_basis[j])
-            if basis:
-                rhs = vec([normalized_form(alg, u, x) for u in basis])
-                coeffs = solve(gram, rhs)
-                if coeffs is None:
-                    raise AssertionError("invariant form degenerate on c + V")
-            else:
-                coeffs = ()
-            c_part = _combine(alg, coeffs[: cd.dim_c], cd.c_basis)
-            v_part = _combine(alg, coeffs[cd.dim_c :], cd.v_basis)
-            rest = tuple(
-                Q(a) - b - c for a, b, c in zip(x, c_part, v_part)
-            )
-            proj = BracketProjection(i, j, c_part, v_part, rest)
+            coeffs = solve(gram, [normalized_form(alg, u, x) for u in basis]) if basis else ()
+            if coeffs is None:
+                raise AssertionError("invariant form degenerate on c + V")
+            c_part = sum(map(mul, coeffs[: cd.dim_c], cd.c_basis), Element())
+            v_part = sum(map(mul, coeffs[cd.dim_c :], cd.v_basis), Element())
+            proj = BracketProjection(i, j, c_part, v_part, x - c_part - v_part)
             if witness is None and not proj.in_c:
                 witness = proj
     return ThetaVerdict(candidate=witness is None, witness=witness)
-
-
-def _combine(alg: ChevalleyAlgebra, coeffs: Sequence[Q], basis: Sequence[Vector]) -> Vector:
-    out = [Q(0)] * alg.dim
-    for c, b in zip(coeffs, basis):
-        if c:
-            for k, x in enumerate(b):
-                if x:
-                    out[k] += c * x
-    return tuple(out)

@@ -39,12 +39,13 @@ def q_list(xs) -> List[str]:
     return [q_str(x) for x in xs]
 
 
-def witness_json(w: BracketProjection) -> Dict[str, Any]:
+def witness_json(w: BracketProjection, dim: int) -> Dict[str, Any]:
+    """The witness with every part as its ``dim`` coordinates."""
     return {
         "pair": [w.v_index, w.v_prime_index],
-        "c_part": q_list(w.c_part),
-        "v_part": q_list(w.v_part),
-        "rest_part": q_list(w.rest_part),
+        "c_part": q_list(w.c_part.dense(dim)),
+        "v_part": q_list(w.v_part.dense(dim)),
+        "rest_part": q_list(w.rest_part.dense(dim)),
     }
 
 
@@ -69,17 +70,18 @@ def kappa_table(extended: bool) -> Dict[str, int]:
 
 
 @lru_cache(maxsize=2)  # one seed's two chain examples: the cayley-222 row and witness_222 share a run
-def _chain_example(labels: Tuple[int, ...], seed: int) -> Tuple[tuple, Optional[BracketProjection]]:
-    """(dim c, dim V, theta-pair verdict, whether the witness has nonzero c- and V-parts), witness."""
+def _chain_example(labels: Tuple[int, ...], seed: int) -> Tuple[tuple, Optional[Dict[str, Any]]]:
+    """(dim c, dim V, theta-pair verdict, whether the witness has nonzero c- and V-parts),
+    and the witness as JSON."""
     cd = cayley_pair(z_grading_from_labels(build_algebra(LieType("A", len(labels))), list(labels)), seed)
     theta = bracket_projection_test(cd)
     w = theta.witness
-    return (cd.dim_c, cd.dim_v, theta.candidate, w is not None and any(w.c_part) and any(w.v_part)), w
+    summary = (cd.dim_c, cd.dim_v, theta.candidate, w is not None and bool(w.c_part) and bool(w.v_part))
+    return summary, None if w is None else witness_json(w, cd.algebra.dim)
 
 
 def witness_222(seed: int) -> Optional[Dict[str, Any]]:
-    w = _chain_example(CHAIN_222, seed)[1]
-    return None if w is None else witness_json(w)
+    return _chain_example(CHAIN_222, seed)[1]
 
 
 def _quaternionic_rows(name: str) -> List[PaperCheck]:

@@ -17,12 +17,15 @@ AssertionError.  The bracket table stores [b_i, b_j] for both orientations of
 every pair with a nonzero bracket, as (target, coefficient) pairs of Python
 ints; each constant is checked to be an int as it goes in.
 
-Linear systems in ad_x restricted to graded pieces read the table directly
-through ``ChevalleyAlgebra.ad_block``, which walks x's support only and returns
-a ``linalg.RationalMatrix``: a list of rows, of Python ints when x is integral.
+An element of g is an ``Element``: a map from basis index to a nonzero
+integer numerator over one positive denominator, in lowest terms, so equal
+elements have equal fields.  ``bracket`` walks the two supports and sums in
+Python ints over the product of the denominators; linear systems in ad_x
+restricted to graded pieces read the table directly through
+``ChevalleyAlgebra.ad_block``, which walks x's support only and returns a
+``linalg.RationalMatrix``: a list of rows, of Python ints when x is integral.
 This follows the sparse structure-constant computations of de Graaf, *Lie
-Algebras: Theory and Algorithms* (2000).  The dense ``bracket`` (element
-arithmetic, summed in Python ints over a common denominator) is the oracle for
+Algebras: Theory and Algorithms* (2000).  ``bracket`` is the oracle for
 ``ad_block``; the Killing Gram matrix, a test oracle, has int rows too.
 
 The build verifies |N| = p+1 on every special pair and certifies the Jacobi
@@ -36,16 +39,84 @@ from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction as Q
-from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import cached_property, lru_cache
+from math import gcd, lcm
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .linalg import RationalMatrix, Vector, integer_support, kernel_basis
+from .linalg import RationalMatrix, kernel_basis
 from .rootsystem import LieType, Root, RootSystem, build_root_system, exact_div
 
-Sparse = Dict[int, Q]
+Rational = Union[int, Q]
 # [b_i, b_j] as (k, c) pairs: sum of c * b_k, integer c, nonzero terms only
 Terms = Tuple[Tuple[int, int], ...]
-_ZERO = Q(0)  # the zero coordinate every vector shares
+_ZERO = Q(0)  # the zero entry every Fraction block shares
+
+
+class Element:
+    """An element of g: basis index -> nonzero integer numerator, over one
+    positive denominator, kept in lowest terms, so ``==`` compares structure.
+
+    No method changes ``num`` or ``den`` after construction.  Coordinates read
+    back as ints when the denominator is 1 and as Fractions otherwise.
+    """
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: Optional[Mapping[int, int]] = None, den: int = 1):
+        """From integer numerators over a positive integer denominator."""
+        num = {i: n for i, n in num.items() if n} if num else {}
+        g = gcd(den, *num.values())
+        if g > 1:
+            num, den = {i: n // g for i, n in num.items()}, den // g
+        self.num, self.den = num, den
+
+    @classmethod
+    def of(cls, coords: Mapping[int, Rational]) -> "Element":
+        """From exact coordinates, ints or Fractions, over the lcm of their denominators."""
+        den = lcm(*(x.denominator for x in coords.values() if x))
+        return cls({i: x.numerator * (den // x.denominator) for i, x in coords.items() if x}, den)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Element):
+            return NotImplemented
+        return self.den == other.den and self.num == other.num
+
+    def __bool__(self) -> bool:
+        return bool(self.num)
+
+    def __repr__(self) -> str:
+        return f"Element({self.num}, {self.den})"
+
+    __iter__ = None  # indexing reads one coordinate; there is no end to iterate to
+
+    def __getitem__(self, i: int) -> Rational:
+        n = self.num.get(i, 0)
+        return n if self.den == 1 else Q(n, self.den)
+
+    def dense(self, dim: int) -> Tuple[Rational, ...]:
+        """All ``dim`` coordinates, for reports and rank checks."""
+        return tuple(self[i] for i in range(dim))
+
+    def __mul__(self, c: Rational) -> "Element":
+        if not isinstance(c, (int, Q)):
+            return NotImplemented
+        p = c.numerator
+        return Element({i: n * p for i, n in self.num.items()}, self.den * c.denominator)
+
+    __rmul__ = __mul__
+
+    def __add__(self, other: "Element") -> "Element":
+        if not isinstance(other, Element):
+            return NotImplemented
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        acc = {i: n * a for i, n in self.num.items()}
+        for i, n in other.num.items():
+            acc[i] = acc.get(i, 0) + n * b
+        return Element(acc, den)
+
+    def __sub__(self, other: "Element") -> "Element":
+        return self + -1 * other if isinstance(other, Element) else NotImplemented
 
 
 class StructureConstants:
@@ -122,7 +193,7 @@ class StructureConstants:
 class ChevalleyAlgebra:
     """Simple Lie algebra with exact rational structure constants.
 
-    Elements are coordinate vectors of length ``dim`` in the basis
+    Elements are ``Element``s on the basis indices 0..dim-1 of
     (h_1..h_r, e_alpha for alpha in root order).
     """
 
@@ -148,16 +219,19 @@ class ChevalleyAlgebra:
             return None
         return self.rs.roots[index - self.rank]
 
-    def zero(self) -> Vector:
-        return (_ZERO,) * self.dim
+    def zero(self) -> Element:
+        return Element()
 
-    def from_sparse(self, coords: Sparse) -> Vector:
-        return tuple(coords.get(i, _ZERO) for i in range(self.dim))
+    def from_sparse(self, coords: Mapping[int, Rational]) -> Element:
+        """The element with the given coordinates (ints or Fractions) on basis indices."""
+        if any(not 0 <= i < self.dim for i in coords):
+            raise ValueError("basis index out of range")
+        return Element.of(coords)
 
-    def cartan_element(self, coroot_coeffs: Sequence) -> Vector:
-        return self.from_sparse({i: Q(c) for i, c in enumerate(coroot_coeffs)})
+    def cartan_element(self, coroot_coeffs: Sequence[Rational]) -> Element:
+        return self.from_sparse(dict(enumerate(coroot_coeffs)))
 
-    def coroot(self, alpha: Root) -> Vector:
+    def coroot(self, alpha: Root) -> Element:
         """h_alpha = alpha^vee expressed in the basis."""
         return self.cartan_element(self.rs.coroot_coefficients(alpha))
 
@@ -213,14 +287,11 @@ class ChevalleyAlgebra:
     def basis_bracket(self, i: int, j: int) -> Dict[int, int]:
         return dict(self._rows[i].get(j, ()))
 
-    def bracket(self, a: Sequence, b: Sequence) -> Vector:
-        """[a, b] as Fractions, summed in Python ints over a common denominator."""
-        if len(a) != self.dim or len(b) != self.dim:
-            raise ValueError("element dimension mismatch")
-        a_support, a_den = integer_support(a)
-        b_support, b_den = integer_support(b)
+    def bracket(self, a: Element, b: Element) -> Element:
+        """[a, b], summed in Python ints over the product of the denominators."""
         acc: Dict[int, int] = {}
-        for i, ai in a_support:
+        b_support = b.num.items()
+        for i, ai in a.num.items():
             row = self._rows[i]
             for j, bj in b_support:
                 terms = row.get(j)
@@ -228,15 +299,10 @@ class ChevalleyAlgebra:
                     x = ai * bj
                     for k, c in terms:
                         acc[k] = acc.get(k, 0) + x * c
-        out = [_ZERO] * self.dim
-        den = a_den * b_den
-        for k, v in acc.items():
-            if v:
-                out[k] = Q(v, den)
-        return tuple(out)
+        return Element(acc, a.den * b.den)
 
     def ad_block(
-        self, x: Sequence, domain: Sequence[int], codomain: Sequence[int]
+        self, x: Element, domain: Sequence[int], codomain: Sequence[int]
     ) -> RationalMatrix:
         """Matrix of b -> [x, b] from span(domain) to the codomain coordinates.
 
@@ -244,9 +310,7 @@ class ChevalleyAlgebra:
         read from the table rows of x's nonzero support.  Entries are Python ints
         when x is integral, and Fractions otherwise.
         """
-        if len(x) != self.dim:
-            raise ValueError("element dimension mismatch")
-        support, den = integer_support(x)  # the block of den * x, divided at the end
+        support, den = x.num.items(), x.den  # the block of den * x, divided at the end
         row_of = {k: r for r, k in enumerate(codomain)}
         out = RationalMatrix(([0] * len(domain) for _ in codomain), len(domain))
         for col, d in enumerate(domain):
@@ -259,9 +323,26 @@ class ChevalleyAlgebra:
             row[:] = [Q(v, den) if v else _ZERO for v in row]
         return out
 
-    # -- Killing form -----------------------------------------------------
-    # tr(ad a ad b) over the basis, O(dim^3).  Production code uses the
-    # closed form vinberg.normalized_form; this is its independent test oracle.
+    # -- invariant forms --------------------------------------------------
+
+    @cached_property
+    def form_table(self) -> Tuple[List[Terms], int]:
+        """(rows, D) of the form B with B*(highest root, highest root) = 2:
+        rows[i] lists (j, D B(b_i, b_j)) over the j with B(b_i, b_j) != 0, and D
+        is the least common denominator of those values.
+
+        B(h_i, h_j) = 4(alpha_i, alpha_j)/(|alpha_i|^2 |alpha_j|^2) is the coroot
+        Gram entry, B(e_alpha, e_{-alpha}) = 2/|alpha|^2, and every other pair of
+        basis vectors is orthogonal.
+        """
+        rs = self.rs
+        values = [[(j, x) for j, x in enumerate(row) if x] for row in rs.coroot_gram]
+        values += [[(self.root_index[tuple(-x for x in a)], 2 / rs.norms[a])] for a in rs.roots]
+        den = lcm(*(Q(x).denominator for row in values for _, x in row))
+        return [tuple((j, int(x * den)) for j, x in row) for row in values], den
+
+    # The Killing form tr(ad a ad b) over the basis, O(dim^3).  Production code
+    # uses the closed form above; this is its independent test oracle.
 
     def killing_gram(self) -> RationalMatrix:
         if self._killing_gram is None:
@@ -281,16 +362,14 @@ class ChevalleyAlgebra:
             self._killing_gram = RationalMatrix(gram)
         return self._killing_gram
 
-    def killing_form(self, a: Sequence, b: Sequence) -> Q:
+    def killing_form(self, a: Element, b: Element) -> Q:
         g = self.killing_gram()
-        b_support = [(j, bj) for j, bj in enumerate(b) if bj]
-        return sum(
-            (Q(ai) * g[i][j] * bj for i, ai in enumerate(a) if ai for j, bj in b_support), Q(0)
-        )
+        total = sum(ai * g[i][j] * bj for i, ai in a.num.items() for j, bj in b.num.items())
+        return Q(total, a.den * b.den)
 
     # -- centralizers -----------------------------------------------------
 
-    def centralizer(self, elements: Sequence[Sequence], domain: Sequence[int]) -> List[Vector]:
+    def centralizer(self, elements: Sequence[Element], domain: Sequence[int]) -> List[Element]:
         """Basis of {u in span(b_i : i in domain) : [u, s] = 0 for every s}.
 
         The kernel of the stacked blocks of ad_s on span(domain); [u, s] = -[s, u],
@@ -301,8 +380,7 @@ class ChevalleyAlgebra:
             len(domain),
         )
         return [
-            self.from_sparse({i: c for i, c in zip(domain, coeffs) if c})
-            for coeffs in kernel_basis(rows)
+            Element.of(dict(zip(domain, coeffs))) for coeffs in kernel_basis(rows)
         ]
 
     # -- build-time verification ------------------------------------------

@@ -168,7 +168,7 @@ def cmd_grading(lie_type: LieType, labels: List[int], **_) -> Dict[str, Any]:
     return make_report(
         "grading",
         {"lie_type": str(lie_type), "labels": labels},
-        {"piece_dims": {str(j): d for j, d in zg.dims().items()}, "depth": zg.depth, "zeta": q_list(zg.zeta)},
+        {"piece_dims": {str(j): d for j, d in zg.dims().items()}, "depth": zg.depth, "zeta": q_list(zg.zeta.dense(zg.algebra.dim))},
     )
 
 
@@ -311,7 +311,7 @@ def cmd_cayley(
         "theta_pair_candidate": theta.candidate,
     }
     if theta.witness is not None:
-        results["witness"] = witness_json(theta.witness)
+        results["witness"] = witness_json(theta.witness, cd.algebra.dim)
     return make_report("cayley", inputs, results, [
         ("cayley-iso", "transport map invertible", True, iso.iso_full),
         ("cayley-chi", "character vanishes on centralizer", True, iso.chi_vanishes),

@@ -21,8 +21,8 @@ from fractions import Fraction as Q
 from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .chevalley import ChevalleyAlgebra
-from .linalg import RationalMatrix, Vector, integer_support, solve, vec
+from .chevalley import ChevalleyAlgebra, Element
+from .linalg import RationalMatrix, solve, vec
 from .rootsystem import RootSystem, affine_cartan_matrix
 
 
@@ -45,7 +45,7 @@ class ZGrading:
     algebra: ChevalleyAlgebra
     labels: Optional[Tuple[Q, ...]]  # None for regraded/derived gradings
     pieces: Dict[int, Tuple[int, ...]]  # degree -> basis indices
-    zeta: Vector
+    zeta: Element
 
     @property
     def depth(self) -> int:
@@ -107,7 +107,8 @@ def z_grading_from_labels(alg: ChevalleyAlgebra, p: Sequence[int]) -> ZGrading:
         pieces.setdefault(deg, []).append(idx)
     # zeta in the Cartan: alpha_k(zeta) = p_k, pairing matrix is the Cartan matrix
     coeffs = solve(RationalMatrix(alg.rs.cartan), vec(p))
-    assert coeffs is not None  # Cartan matrix is invertible
+    if coeffs is None:
+        raise AssertionError("the Cartan matrix is singular")
     zeta = alg.cartan_element(coeffs)
     zg = ZGrading(
         algebra=alg,
@@ -125,7 +126,7 @@ def _verify_grading_element(zg: ZGrading):
     Checked in Python ints as [D zeta, e_i] = j D e_i, D the denominator of zeta.
     """
     alg = zg.algebra
-    support, den = integer_support(zg.zeta)
+    support, den = zg.zeta.num.items(), zg.zeta.den
     for j, idx in zg.pieces.items():
         for i in idx:
             image: Dict[int, int] = {}

@@ -1,7 +1,10 @@
 """Exact rational linear algebra.
 
 ``RationalMatrix`` is a list of rows whose entries are Python ints or
-Fractions, such as the integer blocks of ``ChevalleyAlgebra.ad_block``.
+Fractions, such as the integer blocks of ``ChevalleyAlgebra.ad_block``; a
+vector is a sequence of the same.  Elements of a Lie algebra are not vectors
+here: they are sparse ``chevalley.Element``s, and enter a matrix as blocks or
+as their dense coordinates.
 Elimination runs in Python ints: each row is cleared of denominators (a row
 that is already all ints is used as it is), then reduced by primitive-row
 elimination, which leaves a row with a zero in the pivot column untouched and
@@ -169,13 +172,6 @@ def independent_subset(vectors: Sequence[Sequence[Q]]) -> List[int]:
             current_rank = len(pivots)
             chosen.append(idx)
     return chosen
-
-
-def integer_support(v: Sequence) -> Tuple[List[Tuple[int, int]], int]:
-    """The nonzero coordinates of v as (index, integer numerator) over one denominator."""
-    support = [(i, x) for i, x in enumerate(v) if x]
-    nums, den = integer_form([x for _, x in support])
-    return [(i, n) for (i, _), n in zip(support, nums)], den
 
 
 def integer_form(v: Sequence) -> Tuple[List[int], int]:

@@ -15,7 +15,7 @@ from fractions import Fraction as Q
 from functools import lru_cache
 from typing import Dict, Tuple
 
-from .chevalley import ChevalleyAlgebra, build_algebra
+from .chevalley import ChevalleyAlgebra, Element, build_algebra
 from .grading import ZGrading, z_grading_from_labels
 from .rootsystem import LieType
 from .vinberg import (
@@ -38,7 +38,7 @@ def quaternionic_labels(alg: ChevalleyAlgebra) -> Tuple[int, ...]:
 class QuaternionicData:
     lie_type: LieType
     grading: ZGrading
-    t_beta: tuple  # coroot of the highest root; equals the grading element
+    t_beta: Element  # coroot of the highest root; equals the grading element
     kappa: int
     piece_dims: Dict[int, int]
     pairs: Dict[int, VinbergPair] = field(default_factory=dict, compare=False, repr=False)

@@ -7,9 +7,17 @@ chi_T(x) = B(zeta, x) B*(gamma, gamma), where gamma is a longest root whose
 root space sits in degree 1.  The B*(gamma,gamma) factor makes chi_T
 independent of the chosen invariant form.  The production route is
 ``normalized_form``, the form with B*(highest root, highest root) = 2 read off
-the root data in closed form, with no trace of ad.  The trace-of-ad Killing
-form's dual norm (``killing_dual_norm``) is kept as an independent oracle, so
-tests can assert that independence exactly.
+the root data in closed form, with no trace of ad: an integer table
+D B(b_i, b_j) (``ChevalleyAlgebra.form_table``), built once per algebra and
+summed over the sparse supports.  The trace-of-ad Killing form's dual norm
+(``killing_dual_norm``) is kept as an independent oracle, so tests can assert
+that independence exactly.
+
+Elements are ``chevalley.Element``s (sparse integer numerators over one
+denominator): open-orbit samples are built from ints, a solution of a linear
+system becomes one element, and every sl2 relation is compared structurally.
+A failed certificate raises AssertionError explicitly, so ``python -O`` keeps
+every check.
 """
 
 from __future__ import annotations
@@ -18,11 +26,11 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from itertools import chain
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional
 
-from .chevalley import ChevalleyAlgebra
+from .chevalley import ChevalleyAlgebra, Element
 from .grading import ZGrading
-from .linalg import RationalMatrix, Vector, rank, solve, vec
+from .linalg import RationalMatrix, rank, solve, vec
 
 
 def regrade(zg: ZGrading, j: int) -> ZGrading:
@@ -36,8 +44,7 @@ def regrade(zg: ZGrading, j: int) -> ZGrading:
     pieces = {
         deg // j: idx for deg, idx in zg.pieces.items() if deg % j == 0
     }
-    zeta = tuple(x / j for x in zg.zeta)
-    return ZGrading(algebra=zg.algebra, labels=None, pieces=pieces, zeta=zeta)
+    return ZGrading(algebra=zg.algebra, labels=None, pieces=pieces, zeta=zg.zeta * Q(1, j))
 
 
 def killing_dual_norm(alg: ChevalleyAlgebra, gamma) -> Q:
@@ -46,31 +53,26 @@ def killing_dual_norm(alg: ChevalleyAlgebra, gamma) -> Q:
     cartan_block = RationalMatrix(row[:r] for row in alg.killing_gram()[:r])
     g = vec([alg.rs.pairing(gamma, i) for i in range(r)])
     c = solve(cartan_block, g)
-    assert c is not None  # Killing form is nondegenerate on the Cartan
+    if c is None:
+        raise AssertionError("the Killing form is degenerate on the Cartan")
     return sum((x * y for x, y in zip(g, c)), Q(0))
 
 
-def normalized_form(alg: ChevalleyAlgebra, a: Sequence, b: Sequence) -> Q:
+def normalized_form(alg: ChevalleyAlgebra, a: Element, b: Element) -> Q:
     """Invariant form scaled so the highest root has dual norm 2.
 
-    On the Chevalley basis B(h_i, h_j) = 4(alpha_i, alpha_j)/(|alpha_i|^2
-    |alpha_j|^2), B(e_alpha, e_{-alpha}) = 2/|alpha|^2, and every other pair of
-    basis vectors is orthogonal.
+    Summed in Python ints over the supports of a and b with the integer table
+    ``alg.form_table``; one Fraction per call.
     """
-    rs = alg.rs
-    r = alg.rank
-    total = Q(0)
-    for i in range(r):
-        if a[i]:
-            row = rs.coroot_gram[i]
-            total += Q(a[i]) * sum((row[j] * b[j] for j in range(r) if b[j]), Q(0))
-    for i in range(r, alg.dim):
-        if a[i]:
-            alpha = rs.roots[i - r]
-            y = b[alg.root_index[tuple(-x for x in alpha)]]
-            if y:
-                total += 2 * Q(a[i]) * y / rs.norms[alpha]
-    return total
+    rows, den = alg.form_table
+    b_num = b.num
+    total = 0
+    for i, ai in a.num.items():
+        for j, t in rows[i]:
+            bj = b_num.get(j)
+            if bj:
+                total += ai * t * bj
+    return Q(total, den * a.den * b.den)
 
 
 @dataclass
@@ -78,13 +80,13 @@ class VinbergPair:
     grading: ZGrading
     gamma: tuple  # longest root with root space in degree 1
     gamma_norm: Q  # B*(gamma, gamma) under the highest-root normalisation
-    _open: Dict[int, Vector] = field(default_factory=dict, compare=False, repr=False)
+    _open: Dict[int, Element] = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def algebra(self) -> ChevalleyAlgebra:
         return self.grading.algebra
 
-    def open_element(self, seed: int = 0) -> Vector:
+    def open_element(self, seed: int = 0) -> Element:
         """``generic_element(self, seed)``, searched once per seed."""
         if seed not in self._open:
             self._open[seed] = generic_element(self, seed)
@@ -94,7 +96,7 @@ class VinbergPair:
     def dim_piece(self) -> int:
         return len(self.grading.piece(1))
 
-    def chi_t(self, x: Sequence) -> Q:
+    def chi_t(self, x: Element) -> Q:
         return normalized_form(self.algebra, self.grading.zeta, x) * self.gamma_norm
 
     def zeta_pairing(self) -> Q:
@@ -112,32 +114,31 @@ def vinberg_pair(zg: ZGrading) -> VinbergPair:
     return VinbergPair(grading=zg, gamma=gamma, gamma_norm=alg.rs.norm(gamma))
 
 
-def orbit_dimension(pair: VinbergPair, e: Sequence) -> int:
+def orbit_dimension(pair: VinbergPair, e: Element) -> int:
     """Dimension of the G_0-orbit of e: rank of x -> [x, e] = -[e, x] on g_0."""
     _require_in_piece(pair, e)
     zg = pair.grading
     return rank(pair.algebra.ad_block(e, zg.piece(0), zg.piece(1)))
 
 
-def _require_in_piece(pair: VinbergPair, e: Sequence):
+def _require_in_piece(pair: VinbergPair, e: Element):
     keep = set(pair.grading.piece(1))
-    if any(x and i not in keep for i, x in enumerate(e)):
+    if any(i not in keep for i in e.num):
         raise ValueError("element does not lie in the degree-1 piece")
 
 
-def generic_element(pair: VinbergPair, seed: int = 0) -> Vector:
+def generic_element(pair: VinbergPair, seed: int = 0) -> Element:
     """Certified open-orbit element of the degree-1 piece.
 
     Deterministic per seed: the all-ones vector is tried first, then seeded
     small-integer samples, each certified by the orbit-dimension check.
     """
-    alg = pair.algebra
     indices = pair.grading.piece(1)
     target = len(indices)
     rng = random.Random(seed)
-    samples = (tuple(Q(rng.choice([-3, -2, -1, 1, 2, 3])) for _ in indices) for _ in range(200))
-    for coeffs in chain([tuple(Q(1) for _ in indices)], samples):
-        e = alg.from_sparse(dict(zip(indices, coeffs)))
+    samples = ([rng.choice([-3, -2, -1, 1, 2, 3]) for _ in indices] for _ in range(200))
+    for coeffs in chain([[1] * target], samples):
+        e = Element(dict(zip(indices, coeffs)))
         if orbit_dimension(pair, e) == target:
             return e
     raise RuntimeError("no open-orbit element found; the pair data is inconsistent")
@@ -145,17 +146,23 @@ def generic_element(pair: VinbergPair, seed: int = 0) -> Vector:
 
 @dataclass
 class Sl2Triple:
-    h: Vector
-    e: Vector
-    f: Vector
+    h: Element
+    e: Element
+    f: Element
 
     def verify(self, alg: ChevalleyAlgebra):
-        assert alg.bracket(self.h, self.e) == tuple(2 * x for x in self.e)
-        assert alg.bracket(self.h, self.f) == tuple(-2 * x for x in self.f)
-        assert alg.bracket(self.e, self.f) == self.h
+        """[h, e] = 2e, [h, f] = -2f and [e, f] = h, exactly; a failure raises AssertionError."""
+        h, e, f = self.h, self.e, self.f
+        for name, lhs, rhs in (
+            ("[h, e] = 2e", alg.bracket(h, e), 2 * e),
+            ("[h, f] = -2f", alg.bracket(h, f), -2 * f),
+            ("[e, f] = h", alg.bracket(e, f), h),
+        ):
+            if lhs != rhs:
+                raise AssertionError(f"sl2 relation {name} fails")
 
 
-def jm_triple(pair: VinbergPair, e: Sequence) -> Sl2Triple:
+def jm_triple(pair: VinbergPair, e: Element) -> Sl2Triple:
     """Complete a nonzero degree-1 element to an sl2-triple (h, e, f).
 
     h lands in degree 0 and f in degree -1; all three bracket relations are
@@ -163,7 +170,7 @@ def jm_triple(pair: VinbergPair, e: Sequence) -> Sl2Triple:
     """
     alg = pair.algebra
     zg = pair.grading
-    if all(x == 0 for x in e):
+    if not e:
         raise ValueError("cannot complete the zero element")
     _require_in_piece(pair, e)
     neg = zg.piece(-1)
@@ -175,22 +182,21 @@ def jm_triple(pair: VinbergPair, e: Sequence) -> Sl2Triple:
     c0 = solve(alg.ad_block(e, g0, pos).matmul(ad_neg), [-2 * e[k] for k in pos])
     if c0 is None:
         raise RuntimeError("sl2 completion system is inconsistent")
-    f0 = alg.from_sparse({i: c for i, c in zip(neg, c0) if c})
+    f0 = Element.of(dict(zip(neg, c0)))
     h = alg.bracket(e, f0)
     # Stage 2: f in g_{-1} with [e, f] = h and [h, f] = -2f simultaneously.
     ad_h = alg.ad_block(h, neg, neg)
     for j, row in enumerate(ad_h):
         row[j] += 2
-    c = solve(RationalMatrix(ad_neg + ad_h, len(neg)), [h[k] for k in g0] + [Q(0)] * len(neg))
+    c = solve(RationalMatrix(ad_neg + ad_h, len(neg)), [h[k] for k in g0] + [0] * len(neg))
     if c is None:
         raise RuntimeError("sl2 completion system is inconsistent")
-    f = alg.from_sparse({i: x for i, x in zip(neg, c) if x})
-    triple = Sl2Triple(h=h, e=tuple(Q(x) for x in e), f=f)
+    triple = Sl2Triple(h=h, e=e, f=Element.of(dict(zip(neg, c))))
     triple.verify(alg)
     return triple
 
 
-def toledo_rank(pair: VinbergPair, e: Sequence) -> Q:
+def toledo_rank(pair: VinbergPair, e: Element) -> Q:
     """rank_T(e) = chi_T(h)/2 for the triple through e."""
     triple = jm_triple(pair, e)
     return pair.chi_t(triple.h) / 2
@@ -204,8 +210,8 @@ def pair_rank(pair: VinbergPair, seed: int = 0) -> Q:
 @dataclass
 class RegularityCertificate:
     regular: bool
-    e: Vector
-    f: Optional[Vector]  # solves [e, f] = 2*zeta when regular
+    e: Element
+    f: Optional[Element]  # solves [e, f] = 2*zeta when regular
 
 
 def jm_regular(pair: VinbergPair, seed: int = 0) -> RegularityCertificate:
@@ -214,12 +220,12 @@ def jm_regular(pair: VinbergPair, seed: int = 0) -> RegularityCertificate:
     zg = pair.grading
     e = pair.open_element(seed)
     neg = zg.piece(-1)
-    target = tuple(2 * x for x in zg.zeta)
+    target = 2 * zg.zeta
     g0 = zg.piece(0)
     c = solve(alg.ad_block(e, neg, g0), [target[k] for k in g0]) if neg else None
     if c is None:
         return RegularityCertificate(False, e, None)
-    f = alg.from_sparse({i: x for i, x in zip(neg, c) if x})
+    f = Element.of(dict(zip(neg, c)))
     if alg.bracket(e, f) != target:
         return RegularityCertificate(False, e, None)
     return RegularityCertificate(True, e, f)

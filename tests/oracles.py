@@ -1,10 +1,11 @@
 """Test-only helpers and oracles that no command of the package calls."""
 
 from fractions import Fraction as Q
+from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from gradedlie.cayley import CayleyData, verify_iso_and_character
-from gradedlie.chevalley import ChevalleyAlgebra
+from gradedlie.chevalley import ChevalleyAlgebra, Element
 from gradedlie.grading import ZGrading, ZmGrading
 from gradedlie.linalg import RationalMatrix, Vector, integer_form
 from gradedlie.quiver import (
@@ -240,7 +241,7 @@ def fraction_coroot(rs: RootSystem, alpha: Root) -> Tuple[Q, ...]:
 # -- the trace-of-ad Killing form route to chi_T ------------------------------
 
 
-def chi_t_killing(pair: VinbergPair, x: Sequence) -> Q:
+def chi_t_killing(pair: VinbergPair, x: Element) -> Q:
     """chi_T evaluated with the raw Killing form and its own dual norm."""
     alg = pair.algebra
     return alg.killing_form(pair.grading.zeta, x) * killing_dual_norm(alg, pair.gamma)
@@ -360,7 +361,7 @@ def bareiss_solve(m: RationalMatrix, b: Sequence) -> Optional[Vector]:
     return tuple(_back_substitute(trimmed, pivots, rhs, free_values))
 
 
-# -- dense Fraction bracket, projections, basis vectors, root counts ---------
+# -- dense Fraction bracket and form, projections, basis vectors, root counts --
 
 
 def fraction_bracket(alg: ChevalleyAlgebra, a: Sequence, b: Sequence) -> Vector:
@@ -379,13 +380,44 @@ def fraction_bracket(alg: ChevalleyAlgebra, a: Sequence, b: Sequence) -> Vector:
     return tuple(out.get(i, Q(0)) for i in range(alg.dim))
 
 
-def project(zg: ZGrading, v: Sequence, j: int) -> Vector:
+def is_normalised(x: Element) -> bool:
+    """Integer numerators, none zero, over a positive denominator, in lowest terms."""
+    return (
+        type(x.den) is int and x.den > 0
+        and all(type(n) is int and n for n in x.num.values())
+        and gcd(x.den, *x.num.values()) == 1
+    )
+
+
+def fraction_normalized_form(alg: ChevalleyAlgebra, a: Sequence, b: Sequence) -> Q:
+    """The highest-root-normalised form on dense coordinates, summed in Fractions.
+
+    B(h_i, h_j) is the coroot Gram entry, B(e_alpha, e_{-alpha}) = 2/|alpha|^2,
+    and every other pair of basis vectors is orthogonal.
+    """
+    rs = alg.rs
+    r = alg.rank
+    total = Q(0)
+    for i in range(r):
+        if a[i]:
+            row = rs.coroot_gram[i]
+            total += Q(a[i]) * sum((row[j] * b[j] for j in range(r) if b[j]), Q(0))
+    for i in range(r, alg.dim):
+        if a[i]:
+            alpha = rs.roots[i - r]
+            y = b[alg.root_index[tuple(-x for x in alpha)]]
+            if y:
+                total += 2 * Q(a[i]) * y / rs.norms[alpha]
+    return total
+
+
+def project(zg: ZGrading, v: Element, j: int) -> Element:
     """The coordinates of v in the degree-j piece; zero elsewhere."""
     keep = set(zg.piece(j))
-    return tuple(Q(x) if i in keep else Q(0) for i, x in enumerate(v))
+    return Element({i: n for i, n in v.num.items() if i in keep}, v.den)
 
 
-def root_vector(alg: ChevalleyAlgebra, alpha: Root) -> Vector:
+def root_vector(alg: ChevalleyAlgebra, alpha: Root) -> Element:
     """The basis vector e_alpha."""
     return alg.from_sparse({alg.root_index[alpha]: Q(1)})
 

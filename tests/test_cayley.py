@@ -30,7 +30,7 @@ def test_chain_111_v_spans_expected_line(sl3):
     # V is spanned by a Cartan direction proportional to diag(1, -2, 1)
     cd = _cayley((1, 1, 1))
     (v,) = cd.v_basis
-    assert all(x == 0 for x in v[2:])
+    assert all(x == 0 for x in v.dense(sl3.dim)[2:])
     # diag(t, -2t, t) in simple-coroot coordinates is (t, -t)
     assert v[0] == -v[1] != 0
 
@@ -43,7 +43,7 @@ def test_chain_222():
     verdict = bracket_projection_test(cd)
     assert not verdict.candidate
     w = verdict.witness
-    assert any(w.c_part) and any(w.v_part)
+    assert w.c_part and w.v_part
 
 
 def test_hermitian_sl2():
@@ -80,7 +80,7 @@ def test_c_orthogonal_to_h_and_disjoint_from_v(dims):
     for c in cd.c_basis:
         assert alg.killing_form(c, cd.triple.h) == 0
     basis = cd.c_basis + cd.v_basis
-    assert len(independent_subset(basis)) == len(basis)
+    assert len(independent_subset([b.dense(alg.dim) for b in basis])) == len(basis)
 
 
 @pytest.mark.parametrize("dims", [(1, 1, 1), (2, 2, 2), (1, 2, 1)])
@@ -93,9 +93,9 @@ def test_centralizer_commutes_with_triple():
     alg = cd.algebra
     for c in cd.c_basis:
         for s in (cd.triple.h, cd.triple.e, cd.triple.f):
-            assert all(x == 0 for x in alg.bracket(c, s))
+            assert not alg.bracket(c, s)
 
 
 def test_triple_uses_twice_zeta():
     cd = _cayley((1, 1, 1))
-    assert cd.triple.h == tuple(2 * x for x in cd.pair.grading.zeta)
+    assert cd.triple.h == 2 * cd.pair.grading.zeta

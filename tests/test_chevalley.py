@@ -17,8 +17,8 @@ def test_sl2_relations(sl2):
     h = sl2.cartan_element([1])
     e = root_vector(sl2, (1,))
     f = root_vector(sl2, (-1,))
-    assert sl2.bracket(h, e) == tuple(2 * x for x in e)
-    assert sl2.bracket(h, f) == tuple(-2 * x for x in f)
+    assert sl2.bracket(h, e) == 2 * e
+    assert sl2.bracket(h, f) == -2 * f
     assert sl2.bracket(e, f) == h
 
 
@@ -32,12 +32,12 @@ def test_dimensions(name, dim):
 def test_bracket_antisymmetry(sl3):
     rng = random.Random(3)
     for _ in range(10):
-        x = tuple(Q(rng.randint(-3, 3)) for _ in range(sl3.dim))
-        assert all(v == 0 for v in sl3.bracket(x, x))
+        x = sl3.from_sparse({i: rng.randint(-3, 3) for i in range(sl3.dim)})
+        assert all(v == 0 for v in sl3.bracket(x, x).dense(sl3.dim))
 
 
 def test_simple_root_bracket_unit(sl3):
-    out = sl3.bracket(root_vector(sl3, (1, 0)), root_vector(sl3, (0, 1)))
+    out = sl3.bracket(root_vector(sl3, (1, 0)), root_vector(sl3, (0, 1))).dense(sl3.dim)
     idx = sl3.root_index[(1, 1)]
     assert out[idx] in (Q(1), Q(-1))
     assert all(v == 0 for i, v in enumerate(out) if i != idx)
@@ -64,7 +64,7 @@ def test_killing_invariance(name):
     rng = random.Random(5)
     for _ in range(100):
         x, y, z = (
-            tuple(Q(rng.randint(-2, 2)) for _ in range(alg.dim)) for _ in range(3)
+            alg.from_sparse({i: rng.randint(-2, 2) for i in range(alg.dim)}) for _ in range(3)
         )
         lhs = alg.killing_form(alg.bracket(x, y), z)
         rhs = alg.killing_form(y, alg.bracket(x, z))
@@ -96,7 +96,7 @@ def test_coroot_brackets(sl3):
         f = root_vector(sl3, tuple(-x for x in alpha))
         h = sl3.bracket(e, f)
         assert h == sl3.coroot(alpha)
-        assert sl3.bracket(h, e) == tuple(2 * x for x in e)
+        assert sl3.bracket(h, e) == 2 * e
 
 
 @pytest.mark.parametrize("name", BUILT_TYPES)
@@ -265,12 +265,12 @@ def test_ad_block_matches_bracket_on_every_basis_pair(name):
     alg = build_algebra(LieType.parse(name))
     n = alg.dim
     base = 2 * max(abs(c) for row in alg._rows for terms in row.values() for _, c in terms) + 1
-    x = [base**i for i in range(n)]
+    x = alg.from_sparse({i: base**i for i in range(n)})
     block = alg.ad_block(x, range(n), range(n))
     assert all(type(v) is int for row in block for v in row)
     for j in range(n):
         column = alg.bracket(x, alg.from_sparse({j: Q(1)}))
-        assert [row[j] for row in block] == list(column)
+        assert [row[j] for row in block] == list(column.dense(n))
 
 
 @pytest.mark.parametrize("name", ["A3", "G2", "F4"])
@@ -278,12 +278,12 @@ def test_ad_block_non_integral_and_restricted(name):
     alg = build_algebra(LieType.parse(name))
     n = alg.dim
     rng = random.Random(name)
-    x = [Q(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
+    x = alg.from_sparse({i: Q(rng.randint(-5, 5), rng.randint(1, 4)) for i in range(n)})
     full = alg.ad_block(x, range(n), range(n))
     assert any(type(v) is Q and v.denominator != 1 for row in full for v in row)
     assert all(type(v) is Q for row in full for v in row)
     for j in range(n):
-        assert [row[j] for row in full] == list(alg.bracket(x, alg.from_sparse({j: Q(1)})))
+        assert [row[j] for row in full] == list(alg.bracket(x, alg.from_sparse({j: Q(1)})).dense(n))
     domain = sorted(rng.sample(range(n), n // 2))
     codomain = sorted(rng.sample(range(n), n // 3))
     assert alg.ad_block(x, domain, codomain) == [[full[k][j] for j in domain] for k in codomain]

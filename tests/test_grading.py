@@ -67,7 +67,7 @@ def test_zeta_eigenvalues(name, labels):
     for j, idx in zg.pieces.items():
         for i in idx:
             v = alg.from_sparse({i: Q(1)})
-            assert alg.bracket(zg.zeta, v) == tuple(Q(j) * x for x in v)
+            assert alg.bracket(zg.zeta, v) == j * v
 
 
 @pytest.mark.parametrize(

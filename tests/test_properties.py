@@ -16,12 +16,14 @@ from oracles import (
     bareiss_rank,
     bareiss_solve,
     fraction_bracket,
+    is_normalised,
 )
 
-from gradedlie.chevalley import build_algebra
+from gradedlie.chevalley import Element, build_algebra
 from gradedlie import cli
 from gradedlie.cli import COMMANDS, FIELDS, command_flags, main
 from gradedlie.linalg import RationalMatrix, independent_subset, kernel_basis, rank, solve
+from gradedlie.quiver import QuiverDims, labels_for_dims
 from gradedlie.rootsystem import LieType
 
 entries = st.one_of(
@@ -226,10 +228,10 @@ def test_bracket_matches_fraction_oracle(data):
     alg = build_algebra(LieType.parse(data.draw(st.sampled_from(BRACKET_TYPES))))
     element = st.lists(coordinates, min_size=alg.dim, max_size=alg.dim)
     a, b = data.draw(element), data.draw(element)
-    out = alg.bracket(a, b)
-    assert type(out) is tuple and len(out) == alg.dim
-    assert all(type(x) is Q for x in out)
-    assert out == fraction_bracket(alg, a, b)
+    out = alg.bracket(alg.from_sparse(dict(enumerate(a))), alg.from_sparse(dict(enumerate(b))))
+    assert type(out) is Element and is_normalised(out)
+    assert all(0 <= i < alg.dim for i in out.num)
+    assert out.dense(alg.dim) == fraction_bracket(alg, a, b)
 
 
 # -- CLI fuzz: every argv or config gives exit code 0, 1 or 2 and never raises --
@@ -250,6 +252,11 @@ def int_list(size: int, key: str):
     return st.lists(ENTRIES.get(key, st.sampled_from([1, 2, 1])), min_size=size, max_size=size)
 
 
+# (accepted, rejected) draws of each integer field whose range is not "at least 2"
+INT_POOLS = {"kappa": ([1, 2], [0, 3, "x"]), "seed": ([0, 1, 3], ["x", "1_0"])}
+# dimension vectors whose block grading has Cayley data (a JM-regular degree-1 pair)
+CAYLEY_DIMS = [(1, 1), (2, 2), (1, 1, 1), (1, 2, 1), (2, 2, 2), (1, 1, 1, 1), (1, 2, 2, 1)]
+
 # the flags each mode of a command leaves out, and the optional flags it needs
 # (a needed switch is on): a draw keeps to one mode, so that a report is in reach
 MODES = {
@@ -268,11 +275,18 @@ def field_values(draw, command: str, folder):
     parser, and the key of the one field (in about half the draws) whose value
     its parser or its range rejects, or which is left out although required;
     an optional field the mode does not need is left out now and then.
-    cayley's --dims mode is drawn four times in five.  Integer lists stay
-    lists: labels are sized to the type's rank (plus one for kac), degrees to
-    the dims, and degrees lie in -2..2 and sum to zero when the last one can
-    make them."""
-    lie_type = draw(st.sampled_from(TYPES))
+    cayley's --dims mode is drawn four times in five; its --type --labels mode
+    draws the block grading of a dimension vector with Cayley data.  Integer
+    lists stay lists: labels are sized to the type's rank (plus one for kac),
+    degrees to the dims, and degrees lie in -2..2 and sum to zero when the last
+    one can make them."""
+    left_out, needed = draw(st.sampled_from(MODES[command])) if command in MODES else (set(), set())
+    block_labels = None
+    if command == "cayley" and "--dims" in left_out:
+        dims = QuiverDims(draw(st.sampled_from(CAYLEY_DIMS)))
+        lie_type, block_labels = f"A{dims.n - 1}", list(labels_for_dims(dims))
+    else:
+        lie_type = draw(st.sampled_from(TYPES))
     rank = int(lie_type[1:])
     n_dims = draw(st.integers(2, 4))
     sizes = {"labels": rank + (command == "kac"), "dims": n_dims, "degrees": n_dims}
@@ -293,7 +307,6 @@ def field_values(draw, command: str, folder):
         cli.to_format: st.just("xml"),
         cli.to_path: st.sampled_from([str(folder / "no-such-dir" / "r.json"), ""]),
     }
-    left_out, needed = draw(st.sampled_from(MODES[command])) if command in MODES else (set(), set())
     own = {flag: required or flag in needed for flag, required in command_flags(command).items()
            if flag not in left_out}
     broken = draw(st.sampled_from([FIELDS[flag].key for flag in own])) if draw(st.booleans()) else None
@@ -306,12 +319,14 @@ def field_values(draw, command: str, folder):
             continue
         if field.parse is cli.to_switch and flag in needed and field.key != broken:
             values[field.key] = True
+        elif field.key in INT_POOLS:
+            values[field.key] = draw(st.sampled_from(INT_POOLS[field.key][field.key == broken]))
         elif field.parse is not cli.to_ints:
             pools = rejected if field.key == broken else accepted
             values[field.key] = draw(pools[field.parse])
         else:
             size = sizes[field.key] if field.key in sizes else draw(st.integers(1, 4))
-            value = draw(int_list(size, field.key))
+            value = block_labels if field.key == "labels" and block_labels else draw(int_list(size, field.key))
             if field.key == "degrees" and value and -2 <= sum(value[:-1]) <= 2:
                 value[-1] = -sum(value[:-1])
             if field.key == broken:

@@ -1,10 +1,23 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 
 from conftest import SMALL_DIMS, embed_quiver_element, quiver_grading
-from oracles import chi_t_killing, orbit_toledo_rank, project, root_vector, string_representative
+from oracles import (
+    chi_t_killing,
+    fraction_bracket,
+    fraction_normalized_form,
+    is_normalised,
+    orbit_toledo_rank,
+    project,
+    root_vector,
+    string_representative,
+)
 
 from gradedlie.chevalley import build_algebra
 from gradedlie.grading import z_grading_from_labels
@@ -45,7 +58,7 @@ def test_regrade_minus_two(sl3):
     assert rg.dims() == {-1: 1, 0: 2, 1: 1}
     assert rg.depth == 2
     assert rg.piece(1) == zg.piece(-2)
-    assert rg.zeta == tuple(-x / 2 for x in zg.zeta)
+    assert rg.zeta.dense(sl3.dim) == tuple(-x / 2 for x in zg.zeta.dense(sl3.dim))
 
 
 def test_regrade_zero_rejected(sl3):
@@ -67,9 +80,7 @@ def test_orbit_dimension_zero(sl3):
 def test_orbit_dimension_open_and_degenerate(sl3):
     pair = _pair("A2", [1, 1])
     alg = pair.algebra
-    e_open = tuple(
-        a + b for a, b in zip(root_vector(alg, (1, 0)), root_vector(alg, (0, 1)))
-    )
+    e_open = root_vector(alg, (1, 0)) + root_vector(alg, (0, 1))
     assert orbit_dimension(pair, e_open) == 2 == pair.dim_piece
     assert orbit_dimension(pair, root_vector(alg, (1, 0))) == 1
 
@@ -96,7 +107,7 @@ def test_jm_triple_sl2(sl2):
     triple = jm_triple(pair, e)
     assert triple.h == sl2.cartan_element([1])
     assert triple.f == root_vector(sl2, (-1,))
-    assert triple.h == tuple(2 * x for x in pair.grading.zeta)
+    assert triple.h == 2 * pair.grading.zeta
 
 
 def test_jm_triple_relations_many():
@@ -120,7 +131,7 @@ def test_open_triple_has_h_twice_zeta():
     pair = _pair("A2", [1, 1])
     e = generic_element(pair, 0)
     triple = jm_triple(pair, e)
-    assert triple.h == tuple(2 * x for x in pair.grading.zeta)
+    assert triple.h == 2 * pair.grading.zeta
 
 
 def test_chi_t_is_a_character():
@@ -142,7 +153,7 @@ def test_chi_t_form_independence(name, labels):
     alg = pair.algebra
     rng = random.Random(9)
     for _ in range(50):
-        x = tuple(Q(rng.randint(-3, 3)) for _ in range(alg.dim))
+        x = alg.from_sparse({i: rng.randint(-3, 3) for i in range(alg.dim)})
         assert pair.chi_t(x) == chi_t_killing(pair, x)
 
 
@@ -165,6 +176,47 @@ def test_normalized_form_matches_scaled_killing_gram(name):
     for i, a in enumerate(basis):
         for j, b in enumerate(basis):
             assert normalized_form(alg, a, b) == scale * gram[i][j]
+
+
+@pytest.mark.parametrize("name", ["A2", "G2", "B3", "C3", "D4", "F4"])
+def test_form_and_bracket_match_fraction_oracles(name):
+    """The integer-table form and the sparse bracket against the dense Fraction
+    routes, on elements with negative and non-integral coordinates."""
+    alg = build_algebra(LieType.parse(name))
+    rng = random.Random(name)
+
+    def draw():
+        support = rng.sample(range(alg.dim), rng.randint(1, alg.dim // 2))
+        return alg.from_sparse({i: Q(rng.randint(-6, 6), rng.randint(1, 6)) for i in support})
+
+    for _ in range(40):
+        a, b = draw(), draw()
+        assert is_normalised(a) and is_normalised(b)
+        dense_a, dense_b = a.dense(alg.dim), b.dense(alg.dim)
+        assert normalized_form(alg, a, b) == fraction_normalized_form(alg, dense_a, dense_b)
+        out = alg.bracket(a, b)
+        assert is_normalised(out)
+        assert out.dense(alg.dim) == fraction_bracket(alg, dense_a, dense_b)
+        assert normalized_form(alg, out, a) == fraction_normalized_form(alg, out.dense(alg.dim), dense_a)
+
+
+def test_sl2_certificate_survives_python_dash_o():
+    """Under ``python -O`` a triple with one wrong f coordinate still raises AssertionError."""
+    script = (
+        "from gradedlie import LieType, build_algebra\n"
+        "from gradedlie.vinberg import Sl2Triple\n"
+        "alg = build_algebra(LieType.parse('A1'))\n"
+        "h, e, f = alg.coroot((1,)), alg.from_sparse({1: 1}), alg.from_sparse({2: 2})\n"
+        "try:\n"
+        "    Sl2Triple(h=h, e=e, f=f).verify(alg)\n"
+        "except AssertionError as exc:\n"
+        "    print('AssertionError', exc)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    run = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.startswith("AssertionError sl2 relation")
 
 
 def test_killing_dual_norm_scaling(sl2):
@@ -216,7 +268,7 @@ def test_rank_monotonicity_on_orbits(dims):
     maximal = maximal_rank_tuple(qd)
     for rt, mult in enumerate_orbits(qd):
         e = embed_quiver_element(zg, qd, string_representative(qd, mult))
-        if all(x == 0 for x in e):
+        if not e:
             continue
         r = toledo_rank(pair, e)
         assert r == orbit_toledo_rank(qd, rt)
