@@ -336,10 +336,12 @@ class ChevalleyAlgebra:
         basis vectors is orthogonal.
         """
         rs = self.rs
+        pairing = {n: 2 / n for n in set(rs.norms.values())}  # one per root length
+        index = {c: i for i, c in enumerate(rs.codes.values(), self.rank)}  # code -> basis index
         values = [[(j, x) for j, x in enumerate(row) if x] for row in rs.coroot_gram]
-        values += [[(self.root_index[tuple(-x for x in a)], 2 / rs.norms[a])] for a in rs.roots]
-        den = lcm(*(Q(x).denominator for row in values for _, x in row))
-        return [tuple((j, int(x * den)) for j, x in row) for row in values], den
+        values += [[(index[-c], pairing[rs.norms[a]])] for a, c in rs.codes.items()]
+        den = lcm(*(x.denominator for row in values for _, x in row))
+        return [tuple((j, x.numerator * (den // x.denominator)) for j, x in row) for row in values], den
 
     # The Killing form tr(ad a ad b) over the basis, O(dim^3).  Production code
     # uses the closed form above; this is its independent test oracle.
