@@ -164,11 +164,13 @@ def make_report(command: str, inputs: Dict[str, Any], results: Dict[str, Any], c
 
 def cmd_grading(lie_type: LieType, labels: List[int], **_) -> Dict[str, Any]:
     check_labels(labels, lie_type.rank)
-    zg = z_grading_from_labels(build_algebra(lie_type), labels)
+    alg = build_algebra(lie_type)
+    zg = z_grading_from_labels(alg, labels)
     return make_report(
         "grading",
         {"lie_type": str(lie_type), "labels": labels},
-        {"piece_dims": {str(j): d for j, d in zg.dims().items()}, "depth": zg.depth, "zeta": q_list(zg.zeta.dense(zg.algebra.dim))},
+        {"piece_dims": {str(j): d for j, d in zg.dims().items()}, "depth": zg.depth,
+         "zeta": q_list(zg.zeta.dense(alg.dim))},
     )
 
 

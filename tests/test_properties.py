@@ -326,7 +326,10 @@ def field_values(draw, command: str, folder):
             values[field.key] = draw(pools[field.parse])
         else:
             size = sizes[field.key] if field.key in sizes else draw(st.integers(1, 4))
-            value = block_labels if field.key == "labels" and block_labels else draw(int_list(size, field.key))
+            if field.key == "labels" and block_labels:
+                value = block_labels
+            else:
+                value = draw(int_list(size, field.key))
             if field.key == "degrees" and value and -2 <= sum(value[:-1]) <= 2:
                 value[-1] = -sum(value[:-1])
             if field.key == broken:
