@@ -67,7 +67,7 @@ def cayley_pair(zg: ZGrading, seed: int = 0) -> CayleyData:
     support, transport = _ad_power(alg, triple.e, low, m - 1)
     if rank(transport) != len(low):
         raise AssertionError("transport map is not injective on the lowest piece")
-    v_basis = [Element.of({k: row[j] for k, row in zip(support, transport)}) for j in range(len(low))]
+    v_basis = [alg.from_sparse({k: row[j] for k, row in zip(support, transport)}) for j in range(len(low))]
     # module-dimension bound: ad(e)^{2m-1} kills the lowest piece
     if _ad_power(alg, triple.e, low, 2 * m - 1)[0]:
         raise AssertionError("sl2-module longer than 2m-1 detected")

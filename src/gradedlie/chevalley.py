@@ -70,12 +70,6 @@ class Element:
             num, den = {i: n // g for i, n in num.items()}, den // g
         self.num, self.den = num, den
 
-    @classmethod
-    def of(cls, coords: Mapping[int, Rational]) -> "Element":
-        """From exact coordinates, ints or Fractions, over the lcm of their denominators."""
-        den = lcm(*(x.denominator for x in coords.values() if x))
-        return cls({i: x.numerator * (den // x.denominator) for i, x in coords.items() if x}, den)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Element):
             return NotImplemented
@@ -223,10 +217,12 @@ class ChevalleyAlgebra:
         return Element()
 
     def from_sparse(self, coords: Mapping[int, Rational]) -> Element:
-        """The element with the given coordinates (ints or Fractions) on basis indices."""
+        """The element with the given coordinates (ints or Fractions) on basis indices,
+        over the lcm of their denominators."""
         if any(not 0 <= i < self.dim for i in coords):
             raise ValueError("basis index out of range")
-        return Element.of(coords)
+        den = lcm(*(x.denominator for x in coords.values() if x))
+        return Element({i: x.numerator * (den // x.denominator) for i, x in coords.items() if x}, den)
 
     def cartan_element(self, coroot_coeffs: Sequence[Rational]) -> Element:
         return self.from_sparse(dict(enumerate(coroot_coeffs)))
@@ -382,7 +378,7 @@ class ChevalleyAlgebra:
             len(domain),
         )
         return [
-            Element.of(dict(zip(domain, coeffs))) for coeffs in kernel_basis(rows)
+            self.from_sparse(dict(zip(domain, coeffs))) for coeffs in kernel_basis(rows)
         ]
 
     # -- build-time verification ------------------------------------------

@@ -182,7 +182,7 @@ def jm_triple(pair: VinbergPair, e: Element) -> Sl2Triple:
     c0 = solve(alg.ad_block(e, g0, pos).matmul(ad_neg), [-2 * e[k] for k in pos])
     if c0 is None:
         raise RuntimeError("sl2 completion system is inconsistent")
-    f0 = Element.of(dict(zip(neg, c0)))
+    f0 = alg.from_sparse(dict(zip(neg, c0)))
     h = alg.bracket(e, f0)
     # Stage 2: f in g_{-1} with [e, f] = h and [h, f] = -2f simultaneously.
     ad_h = alg.ad_block(h, neg, neg)
@@ -191,7 +191,7 @@ def jm_triple(pair: VinbergPair, e: Element) -> Sl2Triple:
     c = solve(RationalMatrix(ad_neg + ad_h, len(neg)), [h[k] for k in g0] + [0] * len(neg))
     if c is None:
         raise RuntimeError("sl2 completion system is inconsistent")
-    triple = Sl2Triple(h=h, e=e, f=Element.of(dict(zip(neg, c))))
+    triple = Sl2Triple(h=h, e=e, f=alg.from_sparse(dict(zip(neg, c))))
     triple.verify(alg)
     return triple
 
@@ -225,7 +225,7 @@ def jm_regular(pair: VinbergPair, seed: int = 0) -> RegularityCertificate:
     c = solve(alg.ad_block(e, neg, g0), [target[k] for k in g0]) if neg else None
     if c is None:
         return RegularityCertificate(False, e, None)
-    f = Element.of(dict(zip(neg, c)))
+    f = alg.from_sparse(dict(zip(neg, c)))
     if alg.bracket(e, f) != target:
         return RegularityCertificate(False, e, None)
     return RegularityCertificate(True, e, f)

@@ -206,9 +206,9 @@ def test_sl2_certificate_survives_python_dash_o():
         "from gradedlie import LieType, build_algebra\n"
         "from gradedlie.vinberg import Sl2Triple\n"
         "alg = build_algebra(LieType.parse('A1'))\n"
-        "h, e, f = alg.coroot((1,)), alg.from_sparse({1: 1}), alg.from_sparse({2: 2})\n"
+        "e, f = (alg.from_sparse({alg.root_index[a]: c}) for a, c in (((1,), 1), ((-1,), 2)))\n"
         "try:\n"
-        "    Sl2Triple(h=h, e=e, f=f).verify(alg)\n"
+        "    Sl2Triple(h=alg.coroot((1,)), e=e, f=f).verify(alg)\n"
         "except AssertionError as exc:\n"
         "    print('AssertionError', exc)\n"
     )
@@ -216,7 +216,7 @@ def test_sl2_certificate_survives_python_dash_o():
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
     run = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.startswith("AssertionError sl2 relation")
+    assert run.stdout == "AssertionError sl2 relation [e, f] = h fails\n"
 
 
 def test_killing_dual_norm_scaling(sl2):
