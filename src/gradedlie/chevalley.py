@@ -112,6 +112,13 @@ class Element:
     def __sub__(self, other: "Element") -> "Element":
         return self + -1 * other if isinstance(other, Element) else NotImplemented
 
+    @classmethod
+    def of(cls, coords: Mapping[int, Rational]) -> "Element":
+        """The element with the given coordinates (ints or Fractions), over the lcm of
+        their denominators."""
+        den = lcm(*(x.denominator for x in coords.values() if x))
+        return cls({i: x.numerator * (den // x.denominator) for i, x in coords.items() if x}, den)
+
 
 class StructureConstants:
     """N_{alpha,beta} (Python ints) for all root pairs with alpha+beta a root, on root codes."""
@@ -217,12 +224,10 @@ class ChevalleyAlgebra:
         return Element()
 
     def from_sparse(self, coords: Mapping[int, Rational]) -> Element:
-        """The element with the given coordinates (ints or Fractions) on basis indices,
-        over the lcm of their denominators."""
+        """``Element.of`` the coordinates, whose indices must be basis indices."""
         if any(not 0 <= i < self.dim for i in coords):
             raise ValueError("basis index out of range")
-        den = lcm(*(x.denominator for x in coords.values() if x))
-        return Element({i: x.numerator * (den // x.denominator) for i, x in coords.items() if x}, den)
+        return Element.of(coords)
 
     def cartan_element(self, coroot_coeffs: Sequence[Rational]) -> Element:
         return self.from_sparse(dict(enumerate(coroot_coeffs)))

@@ -28,7 +28,7 @@ from . import amw as amw_mod
 from .cayley import bracket_projection_test, cayley_pair, verify_iso_and_character
 from .checks import expected_ranks, kappa_table, paper_checks, q_list, q_str, witness_222, witness_json
 from .chevalley import build_algebra
-from .grading import check_labels, kac_labels, kac_lift_check, z_grading_from_labels, zm_from_kac
+from .grading import check_labels, kac_labels, kac_lift_check, root_grading, z_grading_from_labels, zm_from_kac
 from .quaternionic import build_quaternionic, quaternionic_ranks, verify_extreme_pieces
 from .quiver import (
     QuiverDims,
@@ -164,13 +164,13 @@ def make_report(command: str, inputs: Dict[str, Any], results: Dict[str, Any], c
 
 def cmd_grading(lie_type: LieType, labels: List[int], **_) -> Dict[str, Any]:
     check_labels(labels, lie_type.rank)
-    alg = build_algebra(lie_type)
-    zg = z_grading_from_labels(alg, labels)
+    rs = build_root_system(lie_type)
+    g = root_grading(rs, labels)
     return make_report(
         "grading",
         {"lie_type": str(lie_type), "labels": labels},
-        {"piece_dims": {str(j): d for j, d in zg.dims().items()}, "depth": zg.depth,
-         "zeta": q_list(zg.zeta.dense(alg.dim))},
+        {"piece_dims": {str(j): d for j, d in g.dims().items()}, "depth": g.depth,
+         "zeta": q_list(g.zeta.dense(rs.dim_algebra))},
     )
 
 

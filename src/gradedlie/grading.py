@@ -2,10 +2,17 @@
 
 A Z-grading is encoded by non-negative degree labels on the simple roots: the
 root space for alpha = sum a_k alpha_k sits in degree sum a_k p_k and the
-Cartan in degree 0.  A Z/mZ-grading comes from labels p_0..p_r on the affine
+Cartan in degree 0.  Its grading element zeta lies in the Cartan, with
+alpha_k(zeta) = p_k.  A Z/mZ-grading comes from labels p_0..p_r on the affine
 diagram (node 0 carries the lowest root), with m = sum n_k p_k over the marks
-n_k of the highest root and n_0 = 1.  It and its lift verdict read only the
-root system, so they need no bracket table.
+n_k of the highest root and n_0 = 1.
+
+Both read only the root system, so neither needs a bracket table:
+``root_grading`` gives a Z-grading's pieces and zeta and certifies
+alpha(zeta) = deg alpha on every root (ad zeta acts on g_alpha by alpha(zeta)),
+and ``zm_from_kac`` gives a Z/mZ-grading's pieces; the pieces of both come from
+one loop over the roots.  ``z_grading_from_labels`` puts the root-level grading
+on an algebra and checks ad zeta once more on the bracket table.
 
 The lift question — does the order-m automorphism defined by the labels come
 from a Z-grading — is decided by the node-0 label, up to a symmetry of the
@@ -41,8 +48,9 @@ def check_labels(labels: Sequence[int], rank: int, affine: bool = False) -> None
 
 
 @dataclass
-class ZGrading:
-    algebra: ChevalleyAlgebra
+class RootGrading:
+    """A Z-grading as root data: degree -> basis indices, and its grading element."""
+
     labels: Optional[Tuple[Q, ...]]  # None for regraded/derived gradings
     pieces: Dict[int, Tuple[int, ...]]  # degree -> basis indices
     zeta: Element
@@ -56,6 +64,13 @@ class ZGrading:
 
     def dims(self) -> Dict[int, int]:
         return {j: len(idx) for j, idx in sorted(self.pieces.items())}
+
+
+@dataclass
+class ZGrading(RootGrading):
+    """A Z-grading on a Chevalley algebra."""
+
+    algebra: ChevalleyAlgebra
 
 
 @dataclass
@@ -97,25 +112,56 @@ class ZmGrading:
         return {j: len(idx) for j, idx in sorted(self.pieces.items())}
 
 
-def z_grading_from_labels(alg: ChevalleyAlgebra, p: Sequence[int]) -> ZGrading:
-    """Z-grading from non-negative simple-root degree labels."""
-    r = alg.rank
-    check_labels(p, r)
-    pieces: Dict[int, List[int]] = {0: list(range(r))}
-    for alpha, idx in alg.root_index.items():
+def _pieces(rs: RootSystem, p: Sequence[int], m: int = 0) -> Dict[int, Tuple[int, ...]]:
+    """Degree (mod m when m > 0) -> basis indices: the Cartan in degree 0, then
+    the root at position i as basis index rank + i in degree sum a_k p_k."""
+    pieces: Dict[int, List[int]] = {0: list(range(rs.rank))}
+    for idx, alpha in enumerate(rs.roots, rs.rank):
         deg = sum(a * pk for a, pk in zip(alpha, p))
-        pieces.setdefault(deg, []).append(idx)
+        pieces.setdefault(deg % m if m else deg, []).append(idx)
+    return {j: tuple(idx) for j, idx in pieces.items()}
+
+
+def root_grading(rs: RootSystem, p: Sequence[int]) -> RootGrading:
+    """Z-grading from non-negative simple-root degree labels, from the root system alone."""
+    check_labels(p, rs.rank)
     # zeta in the Cartan: alpha_k(zeta) = p_k, pairing matrix is the Cartan matrix
-    coeffs = solve(RationalMatrix(alg.rs.cartan), vec(p))
+    coeffs = solve(RationalMatrix(rs.cartan), vec(p))
     if coeffs is None:
         raise AssertionError("the Cartan matrix is singular")
-    zeta = alg.cartan_element(coeffs)
-    zg = ZGrading(
-        algebra=alg,
-        labels=tuple(Q(x) for x in p),
-        pieces={j: tuple(sorted(idx)) for j, idx in pieces.items()},
-        zeta=zeta,
-    )
+    zeta = Element.of(dict(enumerate(coeffs)))
+    g = RootGrading(labels=tuple(Q(x) for x in p), pieces=_pieces(rs, p), zeta=zeta)
+    _verify_root_grading(rs, g)
+    return g
+
+
+def _verify_root_grading(rs: RootSystem, g: RootGrading):
+    """alpha(zeta) = j for every root alpha of every piece g_j, and the pieces hold
+    each basis index once with the Cartan in degree 0.
+
+    Checked in Python ints as alpha(D zeta) = j D, D the denominator of zeta.  It
+    raises AssertionError itself, so it also runs under ``python -O``.
+    """
+    r = rs.rank
+    num, den = g.zeta.num, g.zeta.den
+    if any(i >= r for i in num):
+        raise AssertionError("the grading element is not in the Cartan")
+    if sorted(i for idx in g.pieces.values() for i in idx) != list(range(rs.dim_algebra)):
+        raise AssertionError("the pieces do not hold each basis index once")
+    # alpha_k(D zeta) = sum_i n_i <alpha_k, alpha_i^vee> for each simple root alpha_k
+    simple = [sum(n * rs.cartan[k][i] for i, n in num.items()) for k in range(r)]
+    for j, idx in g.pieces.items():
+        for i in idx:
+            value = sum(a * s for a, s in zip(rs.roots[i - r], simple)) if i >= r else 0
+            if value != j * den:
+                raise AssertionError(f"grading element eigenvalue check failed at degree {j}")
+
+
+def z_grading_from_labels(alg: ChevalleyAlgebra, p: Sequence[int]) -> ZGrading:
+    """Z-grading from non-negative simple-root degree labels, on the algebra: the
+    root-level grading, with ad zeta checked once more on the bracket table."""
+    g = root_grading(alg.rs, p)
+    zg = ZGrading(labels=g.labels, pieces=g.pieces, zeta=g.zeta, algebra=alg)
     _verify_grading_element(zg)
     return zg
 
@@ -147,12 +193,7 @@ def zm_from_kac(rs: RootSystem, kac: KacLabels) -> ZmGrading:
 
     Basis indices are those of the Chevalley basis: rank + the root's position.
     """
-    m = kac.order
-    p = kac.labels[1:]
-    pieces: Dict[int, List[int]] = {0: list(range(rs.rank))}
-    for idx, alpha in enumerate(rs.roots, rs.rank):
-        pieces.setdefault(sum(a * pk for a, pk in zip(alpha, p)) % m, []).append(idx)
-    return ZmGrading(m=m, pieces={j: tuple(idx) for j, idx in pieces.items()})
+    return ZmGrading(m=kac.order, pieces=_pieces(rs, kac.labels[1:], kac.order))
 
 
 def _affine_automorphisms(affine: List[List[int]]) -> List[Tuple[int, ...]]:

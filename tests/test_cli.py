@@ -454,3 +454,14 @@ def test_kac_job_builds_no_chevalley_algebra(monkeypatch, capsys):
     code, report = run_json(capsys, "kac", "--type", "E8", "--labels", "0,0,0,0,0,0,0,0,1")
     assert code == 0
     assert report["results"]["lift"] == "none"
+
+
+def test_grading_job_builds_no_chevalley_algebra(monkeypatch, capsys):
+    monkeypatch.setattr("gradedlie.chevalley.ChevalleyAlgebra.__init__", _no_build)
+    monkeypatch.setattr("gradedlie.cli.build_algebra", _no_build)  # a cached algebra would hide a build
+    a20 = ",".join(["1"] + ["0"] * 18 + ["1"])  # the README's A20 line
+    for lie_type, labels in (("E8", "0,0,0,0,0,0,0,1"), ("A20", a20)):
+        code, report = run_json(capsys, "grading", "--type", lie_type, "--labels", labels)
+        assert code == 0
+        assert report["results"]["depth"] == 3
+        assert report["results"]["piece_dims"]["2"] == 1  # the highest root alone

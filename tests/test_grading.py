@@ -1,14 +1,22 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction as Q
+from itertools import product
+from pathlib import Path
 
 import pytest
 
 from gradedlie.chevalley import build_algebra
+from gradedlie.linalg import RationalMatrix, solve, vec
 from oracles import bar_pieces
 
 from gradedlie.grading import (
     _verify_grading_element,
+    _verify_root_grading,
     kac_labels,
     kac_lift_check,
+    root_grading,
     z_grading_from_labels,
     zm_from_kac,
 )
@@ -79,6 +87,109 @@ def test_grading_element_check_rejects_other_zeta(name, labels, other):
     zg.zeta = z_grading_from_labels(alg, other).zeta
     with pytest.raises(AssertionError):
         _verify_grading_element(zg)
+
+
+@pytest.mark.parametrize(
+    "name", ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "G2", "F4"]
+)
+def test_root_level_grading_matches_the_bracket_table(name):
+    """Second route on every 0/1 label vector: zeta solved from ad h_i on the simple
+    root vectors, as the bracket table gives it, and the pieces read off as the
+    eigenvalues of ad zeta on every basis vector, against ``root_grading``."""
+    alg = build_algebra(LieType.parse(name))
+    r = alg.rank
+    simple = [alg.root_index[tuple(int(k == l) for l in range(r))] for k in range(r)]
+    ad_simple = RationalMatrix([[alg.basis_bracket(i, e).get(e, 0) for i in range(r)] for e in simple])
+    basis = [alg.from_sparse({i: 1}) for i in range(alg.dim)]
+    for labels in product((0, 1), repeat=r):
+        if not any(labels):
+            continue
+        zeta = alg.cartan_element(solve(ad_simple, vec(labels)))
+        pieces = {}
+        for i, b in enumerate(basis):
+            eigenvalue = alg.bracket(zeta, b)[i]
+            assert alg.bracket(zeta, b) == eigenvalue * b
+            pieces.setdefault(eigenvalue, []).append(i)
+        g = root_grading(alg.rs, labels)
+        assert g.pieces == {j: tuple(idx) for j, idx in pieces.items()}, labels
+        assert g.zeta.dense(alg.dim) == zeta.dense(alg.dim), labels
+        zg = z_grading_from_labels(alg, labels)
+        assert (zg.pieces, zg.zeta) == (g.pieces, g.zeta)
+        _verify_grading_element(zg)
+
+
+@pytest.mark.parametrize(
+    "name,labels,other", [("A2", [1, 0], [0, 1]), ("G2", [0, 1], [1, 1]), ("A3", [1, 0, 1], [1, 1, 1])]
+)
+def test_root_grading_check_rejects_other_zeta(name, labels, other):
+    rs = build_root_system(LieType.parse(name))
+    g = root_grading(rs, labels)
+    g.zeta = root_grading(rs, other).zeta
+    with pytest.raises(AssertionError):
+        _verify_root_grading(rs, g)
+
+
+def test_root_grading_check_survives_python_dash_o():
+    """Under ``python -O`` a zeta taken from other labels still raises AssertionError."""
+    script = (
+        "from gradedlie import LieType, build_root_system, root_grading\n"
+        "from gradedlie.grading import _verify_root_grading\n"
+        "rs = build_root_system(LieType.parse('A2'))\n"
+        "g = root_grading(rs, [1, 0])\n"
+        "g.zeta = root_grading(rs, [0, 1]).zeta\n"
+        "try:\n"
+        "    _verify_root_grading(rs, g)\n"
+        "except AssertionError as exc:\n"
+        "    print('AssertionError', exc)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    run = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.startswith("AssertionError grading element eigenvalue check failed")
+
+
+def test_root_grading_check_rejects_moved_or_missing_roots():
+    rs = build_root_system(LieType.parse("B3"))
+    g = root_grading(rs, [0, 1, 0])
+    pieces = dict(g.pieces)
+    g.pieces = {**pieces, 1: pieces[1][1:], 2: pieces[2] + pieces[1][:1]}  # a degree-1 root in degree 2
+    with pytest.raises(AssertionError):
+        _verify_root_grading(rs, g)
+    g.pieces = {**pieces, 1: pieces[1][1:]}  # a degree-1 root in no piece
+    with pytest.raises(AssertionError):
+        _verify_root_grading(rs, g)
+
+
+# Dynkin diagram automorphisms, as node -> image node (0-based, Bourbaki numbering)
+DIAGRAM_AUTOMORPHISMS = {
+    "A2": (1, 0),
+    "A3": (2, 1, 0),
+    "A4": (3, 2, 1, 0),
+    "A5": (4, 3, 2, 1, 0),
+    "D4": (2, 1, 3, 0),  # triality: 1 -> 3 -> 4 -> 1, the centre 2 fixed
+    "E6": (5, 1, 4, 3, 2, 0),  # 1 <-> 6, 3 <-> 5
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIAGRAM_AUTOMORPHISMS))
+def test_labels_moved_by_a_diagram_automorphism(name):
+    """Metamorphic: on labels in {0, 1, 2}, moving the labels by a diagram
+    automorphism keeps the piece dims and moves zeta's coroot coefficients the
+    same way."""
+    rs = build_root_system(LieType.parse(name))
+    sigma = DIAGRAM_AUTOMORPHISMS[name]
+    r = rs.rank
+    assert all(rs.cartan[sigma[i]][sigma[j]] == rs.cartan[i][j] for i in range(r) for j in range(r))
+    for labels in product((0, 1, 2), repeat=r):
+        if not any(labels):
+            continue
+        moved = [0] * r
+        for i, target in enumerate(sigma):
+            moved[target] = labels[i]
+        g, h = root_grading(rs, labels), root_grading(rs, moved)
+        assert h.dims() == g.dims(), labels
+        assert [h.zeta[sigma[i]] for i in range(r)] == [g.zeta[i] for i in range(r)], labels
 
 
 def test_zm_a1(sl2):

@@ -275,8 +275,9 @@ def field_values(draw, command: str, folder):
     parser, and the key of the one field (in about half the draws) whose value
     its parser or its range rejects, or which is left out although required;
     an optional field the mode does not need is left out now and then.
-    cayley's --dims mode is drawn four times in five; its --type --labels mode
-    draws the block grading of a dimension vector with Cayley data.  Integer
+    cayley's --dims mode is drawn four times in five and draws an unbroken
+    --dims from the dimension vectors with Cayley data; its --type --labels mode
+    draws the block grading of one of them.  Integer
     lists stay lists: labels are sized to the type's rank (plus one for kac),
     degrees to the dims, and degrees lie in -2..2 and sum to zero when the last
     one can make them."""
@@ -328,6 +329,8 @@ def field_values(draw, command: str, folder):
             size = sizes[field.key] if field.key in sizes else draw(st.integers(1, 4))
             if field.key == "labels" and block_labels:
                 value = block_labels
+            elif command == "cayley" and field.key == "dims" and field.key != broken:
+                value = list(draw(st.sampled_from(CAYLEY_DIMS)))
             else:
                 value = draw(int_list(size, field.key))
             if field.key == "degrees" and value and -2 <= sum(value[:-1]) <= 2:
