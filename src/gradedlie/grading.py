@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from math import gcd
+from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .chevalley import ChevalleyAlgebra, Element
@@ -117,7 +118,7 @@ def _pieces(rs: RootSystem, p: Sequence[int], m: int = 0) -> Dict[int, Tuple[int
     the root at position i as basis index rank + i in degree sum a_k p_k."""
     pieces: Dict[int, List[int]] = {0: list(range(rs.rank))}
     for idx, alpha in enumerate(rs.roots, rs.rank):
-        deg = sum(a * pk for a, pk in zip(alpha, p))
+        deg = sum(map(mul, alpha, p))
         pieces.setdefault(deg % m if m else deg, []).append(idx)
     return {j: tuple(idx) for j, idx in pieces.items()}
 
@@ -152,7 +153,7 @@ def _verify_root_grading(rs: RootSystem, g: RootGrading):
     simple = [sum(n * rs.cartan[k][i] for i, n in num.items()) for k in range(r)]
     for j, idx in g.pieces.items():
         for i in idx:
-            value = sum(a * s for a, s in zip(rs.roots[i - r], simple)) if i >= r else 0
+            value = sum(map(mul, rs.roots[i - r], simple)) if i >= r else 0
             if value != j * den:
                 raise AssertionError(f"grading element eigenvalue check failed at degree {j}")
 

@@ -276,11 +276,11 @@ def field_values(draw, command: str, folder):
     its parser or its range rejects, or which is left out although required;
     an optional field the mode does not need is left out now and then.
     cayley's --dims mode is drawn four times in five and draws an unbroken
-    --dims from the dimension vectors with Cayley data; its --type --labels mode
-    draws the block grading of one of them.  Integer
-    lists stay lists: labels are sized to the type's rank (plus one for kac),
-    degrees to the dims, and degrees lie in -2..2 and sum to zero when the last
-    one can make them."""
+    --dims from the dimension vectors with Cayley data; its --type --labels
+    mode draws the block grading of one of them.  Integer lists stay lists:
+    labels are sized to the type's rank (plus one for kac), degrees to the
+    dims, and degrees lie in -2..2 and sum to zero when the last one can make
+    them."""
     left_out, needed = draw(st.sampled_from(MODES[command])) if command in MODES else (set(), set())
     block_labels = None
     if command == "cayley" and "--dims" in left_out:
