@@ -5,9 +5,9 @@ the root-system enumeration order.  Structure constants N_{alpha,beta} are
 fixed by the extraspecial-pair convention: positive roots are ordered by
 (height, coordinates), the extraspecial pair of a sum gamma is the one with
 smallest first member, and its constant is +(p+1) where p is the length of the
-descending alpha-string through beta.  Every other constant follows from the
-Jacobi identity and the sign rules N_{beta,alpha} = -N_{alpha,beta},
-N_{-alpha,-beta} = -N_{alpha,beta}.
+descending alpha-string through beta.  The other positive-pair constants follow
+from the Jacobi identity in height order, and ``StructureConstants._set`` writes
+each into the bracket table once, with the eleven constants its sign rules fix.
 
 Roots enter as their integer codes (``RootSystem.codes``), so the constants,
 the table and its certificate add, negate and compare ints, not root tuples.
@@ -121,11 +121,15 @@ class Element:
 
 
 class StructureConstants:
-    """N_{alpha,beta} (Python ints) for all root pairs with alpha+beta a root, on root codes."""
+    """N_{alpha,beta} (Python ints) for all root pairs with alpha+beta a root, on root codes,
+    written into ``rows``: rows[i][j] = [b_i, b_j] on basis indices, absent when zero."""
 
     def __init__(self, rs: RootSystem):
         self.rs = rs
         self._ell = rs.lengths  # root code -> length class, and the set of root codes
+        self.index = {c: i for i, c in enumerate(rs.codes.values(), rs.rank)}  # root code -> basis index
+        self.rows: List[Dict[int, Terms]] = [{} for _ in range(rs.dim_algebra)]
+        self._shared: Dict[Terms, Tuple[Terms, Terms]] = {}  # equal brackets share one tuple
         # N_{a,b} once per pair of positive codes with a root sum, a before b in order
         self.table: Dict[Tuple[int, int], int] = {}
         self._fill()
@@ -138,7 +142,7 @@ class StructureConstants:
         return p
 
     def _fill(self):
-        ell, table, value = self._ell, self.table, self._value
+        value = self._value
         pos = [self.rs.codes[a] for a in self.rs.positive_roots]
         # Pairs a + b = gamma, a before b, come in the order of a: extraspecial first.
         pairs: Dict[int, List[Tuple[int, int]]] = {}
@@ -146,34 +150,53 @@ class StructureConstants:
         for i, a in enumerate(pos):
             for gamma in pos_set.intersection(map(a.__add__, pos[i + 1 :])):
                 pairs.setdefault(gamma, []).append((a, gamma - a))
+        # In height order, every constant read below sums to a lower root: it is written.
         for gamma in pos[self.rs.rank :]:  # past the simple roots
             if gamma not in pairs:
                 raise AssertionError(f"no special pair for {self._root(gamma)}")
             (a1, b1), *rest = pairs[gamma]
-            n1 = table[a1, b1] = self._string_down(a1, b1) + 1
-            # N(-a1, gamma): mixed pair reduced by the norm-weighted cycle rule
-            n_neg = exact_div(ell[b1] * n1, ell[gamma])
+            self._set(a1, b1, self._string_down(a1, b1) + 1)
+            n_neg = value(-a1, gamma)  # written with the extraspecial pair
             for a, b in rest:
                 # Jacobi on (e_{-a1}, e_a, e_b), coefficient of e_{b1}
                 t1 = value(b, -a1) * value(a, b - a1)
                 t2 = value(-a1, a) * value(b, a - a1)
-                table[a, b] = exact_div(-(t1 + t2), n_neg)
+                self._set(a, b, exact_div(-(t1 + t2), n_neg))
+
+    def _set(self, a: int, b: int, n: int):
+        """Write N_{a,b} = n of a positive pair and the eleven constants it fixes (Carter
+        1972, 4.1): N_{x,y} / |z|^2 is one value on the rotations (x, y, z) of the
+        zero-sum triple (a, b, -a-b), N_{y,x} = -N_{x,y} and N_{-x,-y} = -N_{x,y}."""
+        ell, index, put = self._ell, self.index, self._put
+        self.table[a, b] = n
+        c = -a - b
+        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+            n_xy = exact_div(n * ell[z], ell[c])
+            put(index[x], index[y], ((index[-z], n_xy),))
+            put(index[-x], index[-y], ((index[z], -n_xy),))
+
+    def _put(self, i: int, j: int, terms: Terms):
+        """Store [b_i, b_j] = sum c b_k and [b_j, b_i] = -sum c b_k."""
+        for k, c in terms:
+            if type(c) is not int:
+                raise AssertionError(f"structure constant {c} of [{i},{j}] is not an integer")
+        shared, rows = self._shared, self.rows
+        pair = shared.get(terms)
+        if pair is None:
+            neg = tuple((k, -c) for k, c in terms)
+            pair = shared[terms] = (terms, neg)
+            shared[neg] = (neg, terms)
+        rows[i][j], rows[j][i] = pair
 
     def _value(self, a: int, b: int) -> int:
-        """N_{a,b} on root codes; zero when a+b is not a root."""
-        ell, s = self._ell, a + b
-        if a not in ell or b not in ell or s not in ell:
+        """N_{a,b} on root codes, read from the rows; zero when a+b is not a root."""
+        ell = self._ell
+        if a not in ell or b not in ell or a + b not in ell:
             return 0
-        if a > 0:
-            if b > 0:
-                n = self.table.get((a, b))
-                return -self.table[b, a] if n is None else n
-            if s > 0:  # a > 0 > b
-                return exact_div(-ell[s] * self._value(-b, s), ell[a])
-            return self._value(-b, -a)
-        if b < 0:
-            return -self._value(-a, -b)
-        return -self._value(b, a)
+        terms = self.rows[self.index[a]].get(self.index[b])
+        if terms is None:
+            raise AssertionError(f"N({self._root(a)},{self._root(b)}) is read before it is written")
+        return terms[0][1]
 
     def value(self, a: Root, b: Root) -> int:
         """N_{a,b} of two root tuples; zero when a+b is not a root."""
@@ -198,19 +221,18 @@ class ChevalleyAlgebra:
     (h_1..h_r, e_alpha for alpha in root order).
     """
 
-    def __init__(self, rs: RootSystem, check: bool = True):
+    def __init__(self, rs: RootSystem):
         self.rs = rs
         self.rank = rs.rank
         self.dim = rs.dim_algebra
         self.root_index = {a: self.rank + i for i, a in enumerate(rs.roots)}
         self.constants = StructureConstants(rs)
         # _rows[i][j] = [b_i, b_j]; absent when the bracket is zero
-        self._rows: List[Dict[int, Terms]] = [{} for _ in range(self.dim)]
+        self._rows = self.constants.rows
         self._build_table()
         self._killing_gram: Optional[RationalMatrix] = None
-        if check:
-            self.constants.verify_string_lengths()
-            self._verify_jacobi()
+        self.constants.verify_string_lengths()
+        self._verify_jacobi()
 
     # -- basis bookkeeping ------------------------------------------------
 
@@ -239,25 +261,9 @@ class ChevalleyAlgebra:
     # -- bracket ----------------------------------------------------------
 
     def _build_table(self):
-        rs = self.rs
-        r = self.rank
-        rows = self._rows
-        index = {c: i for i, c in enumerate(rs.codes.values(), r)}  # root code -> basis index
-        opp = {i: index[-c] for c, i in index.items()}  # e_alpha -> e_{-alpha}
-        shared: Dict[Terms, Tuple[Terms, Terms]] = {}  # equal brackets share one tuple
-
-        def put(i: int, j: int, terms: Terms):
-            """Store [b_i, b_j] = sum c b_k and [b_j, b_i] = -sum c b_k."""
-            for k, c in terms:
-                if type(c) is not int:
-                    raise AssertionError(f"structure constant {c} of [{i},{j}] is not an integer")
-            pair = shared.get(terms)
-            if pair is None:
-                neg = tuple((k, -c) for k, c in terms)
-                pair = shared[terms] = (terms, neg)
-                shared[neg] = (neg, terms)
-            rows[i][j], rows[j][i] = pair
-
+        """Add the Cartan and coroot entries to the rows, which hold every root pair."""
+        rs, r = self.rs, self.rank
+        index, put = self.constants.index, self.constants._put
         # [h_i, e_alpha] = <alpha, alpha_i^vee> e_alpha, from the nonzero Cartan entries
         cartan = [[(i, c) for i, c in enumerate(row) if c] for row in rs.cartan]
         for col, alpha in enumerate(rs.roots, r):
@@ -268,22 +274,10 @@ class ChevalleyAlgebra:
             for i, c in enumerate(pairing):
                 if c:
                     put(i, col, ((col, c),))
-        for alpha in rs.positive_roots:
-            i = self.root_index[alpha]
-            put(i, opp[i], tuple((k, c) for k, c in enumerate(rs.coroots[alpha]) if c))
-        # A positive pair a + b = gamma closes the zero-sum triple (a, b, -gamma).
-        # Around it N_{x,y} / |z|^2 is constant, and N_{-x,-y} = -N_{x,y}; these
-        # are the sign rules of StructureConstants.value, pair by pair.
-        ell = rs.lengths
-        for (ca, cb), n in self.constants.table.items():
-            ia, ib, ig = index[ca], index[cb], index[ca + cb]
-            for x, y, s, n_xy in (
-                (ia, ib, ig, n),
-                (ib, opp[ig], opp[ia], exact_div(n * ell[ca], ell[ca + cb])),
-                (opp[ig], ia, opp[ib], exact_div(n * ell[cb], ell[ca + cb])),
-            ):
-                put(x, y, ((s, n_xy),))
-                put(opp[x], opp[y], ((opp[s], -n_xy),))
+        for alpha in rs.positive_roots:  # [e_alpha, e_-alpha] = h_alpha
+            coroot = tuple((k, c) for k, c in enumerate(rs.coroots[alpha]) if c)
+            put(self.root_index[alpha], index[-rs.codes[alpha]], coroot)
+        self.constants._shared.clear()  # the table is complete
 
     def basis_bracket(self, i: int, j: int) -> Dict[int, int]:
         return dict(self._rows[i].get(j, ()))
@@ -338,7 +332,7 @@ class ChevalleyAlgebra:
         """
         rs = self.rs
         pairing = {n: 2 / n for n in set(rs.norms.values())}  # one per root length
-        index = {c: i for i, c in enumerate(rs.codes.values(), self.rank)}  # code -> basis index
+        index = self.constants.index
         values = [[(j, x) for j, x in enumerate(row) if x] for row in rs.coroot_gram]
         values += [[(index[-c], pairing[rs.norms[a]])] for a, c in rs.codes.items()]
         den = lcm(*(x.denominator for row in values for _, x in row))

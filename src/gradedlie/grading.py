@@ -24,7 +24,6 @@ needed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction as Q
 from math import gcd
 from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -52,7 +51,6 @@ def check_labels(labels: Sequence[int], rank: int, affine: bool = False) -> None
 class RootGrading:
     """A Z-grading as root data: degree -> basis indices, and its grading element."""
 
-    labels: Optional[Tuple[Q, ...]]  # None for regraded/derived gradings
     pieces: Dict[int, Tuple[int, ...]]  # degree -> basis indices
     zeta: Element
 
@@ -109,8 +107,7 @@ class ZmGrading:
     m: int
     pieces: Dict[int, Tuple[int, ...]]  # residue -> basis indices
 
-    def dims(self) -> Dict[int, int]:
-        return {j: len(idx) for j, idx in sorted(self.pieces.items())}
+    dims = RootGrading.dims  # degree -> piece dimension, the same rule
 
 
 def _pieces(rs: RootSystem, p: Sequence[int], m: int = 0) -> Dict[int, Tuple[int, ...]]:
@@ -131,7 +128,7 @@ def root_grading(rs: RootSystem, p: Sequence[int]) -> RootGrading:
     if coeffs is None:
         raise AssertionError("the Cartan matrix is singular")
     zeta = Element.of(dict(enumerate(coeffs)))
-    g = RootGrading(labels=tuple(Q(x) for x in p), pieces=_pieces(rs, p), zeta=zeta)
+    g = RootGrading(pieces=_pieces(rs, p), zeta=zeta)
     _verify_root_grading(rs, g)
     return g
 
@@ -162,7 +159,7 @@ def z_grading_from_labels(alg: ChevalleyAlgebra, p: Sequence[int]) -> ZGrading:
     """Z-grading from non-negative simple-root degree labels, on the algebra: the
     root-level grading, with ad zeta checked once more on the bracket table."""
     g = root_grading(alg.rs, p)
-    zg = ZGrading(labels=g.labels, pieces=g.pieces, zeta=g.zeta, algebra=alg)
+    zg = ZGrading(pieces=g.pieces, zeta=g.zeta, algebra=alg)
     _verify_grading_element(zg)
     return zg
 

@@ -160,18 +160,10 @@ def solve(m: RationalMatrix, b: Sequence) -> Optional[Vector]:
 
 
 def independent_subset(vectors: Sequence[Sequence[Q]]) -> List[int]:
-    """Indices of a maximal linearly independent subset, greedily from the front."""
-    chosen: List[int] = []
-    rows: List[List[int]] = []
-    current_rank = 0
-    for idx, v in enumerate(vectors):
-        candidate = rows + [integer_form(v)[0]]
-        _, pivots = _echelon([r[:] for r in candidate])
-        if len(pivots) > current_rank:
-            rows = candidate
-            current_rank = len(pivots)
-            chosen.append(idx)
-    return chosen
+    """Indices of a maximal linearly independent subset, greedily from the front:
+    the pivot columns of the matrix with the vectors as its columns."""
+    columns = [integer_form(v)[0] for v in vectors]
+    return _echelon([list(row) for row in zip(*columns)])[1]
 
 
 def integer_form(v: Sequence) -> Tuple[List[int], int]:

@@ -15,7 +15,7 @@ from fractions import Fraction as Q
 from functools import lru_cache
 from typing import Dict, Tuple
 
-from .chevalley import ChevalleyAlgebra, Element, build_algebra
+from .chevalley import ChevalleyAlgebra, build_algebra
 from .grading import ZGrading, z_grading_from_labels
 from .rootsystem import LieType
 from .vinberg import (
@@ -36,9 +36,7 @@ def quaternionic_labels(alg: ChevalleyAlgebra) -> Tuple[int, ...]:
 
 @dataclass
 class QuaternionicData:
-    lie_type: LieType
-    grading: ZGrading
-    t_beta: Element  # coroot of the highest root; equals the grading element
+    grading: ZGrading  # its grading element is the coroot of the highest root
     kappa: int
     piece_dims: Dict[int, int]
     pairs: Dict[int, VinbergPair] = field(default_factory=dict, compare=False, repr=False)
@@ -58,8 +56,7 @@ class QuaternionicData:
 def build_quaternionic(t: LieType) -> QuaternionicData:
     alg = build_algebra(t)
     zg = z_grading_from_labels(alg, list(quaternionic_labels(alg)))
-    t_beta = alg.coroot(alg.rs.highest_root)
-    if zg.zeta != t_beta:
+    if zg.zeta != alg.coroot(alg.rs.highest_root):
         raise AssertionError("grading element differs from the highest-root coroot")
     dims = zg.dims()
     if 1 not in dims:
@@ -70,9 +67,7 @@ def build_quaternionic(t: LieType) -> QuaternionicData:
     kappa = int(pair.gamma_norm)
     if kappa != kappa_rule(t):
         raise AssertionError(f"kappa = {kappa} contradicts the family rule for {t}")
-    return QuaternionicData(
-        lie_type=t, grading=zg, t_beta=t_beta, kappa=kappa, piece_dims=dims, pairs={1: pair}
-    )
+    return QuaternionicData(grading=zg, kappa=kappa, piece_dims=dims, pairs={1: pair})
 
 
 def kappa_rule(t: LieType) -> int:

@@ -44,7 +44,7 @@ def regrade(zg: ZGrading, j: int) -> ZGrading:
     pieces = {
         deg // j: idx for deg, idx in zg.pieces.items() if deg % j == 0
     }
-    return ZGrading(algebra=zg.algebra, labels=None, pieces=pieces, zeta=zg.zeta * Q(1, j))
+    return ZGrading(algebra=zg.algebra, pieces=pieces, zeta=zg.zeta * Q(1, j))
 
 
 def killing_dual_norm(alg: ChevalleyAlgebra, gamma) -> Q:

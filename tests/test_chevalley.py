@@ -1,6 +1,11 @@
 import copy
+import dataclasses
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 
@@ -198,10 +203,43 @@ def test_certificate_rejects_generators_that_do_not_span(sl2):
 
 def test_non_integral_constant_is_rejected(monkeypatch):
     rs = build_root_system(LieType.parse("B2"))
-    halves = {pair: n / 2 for pair, n in StructureConstants(rs).table.items()}
-    monkeypatch.setattr(StructureConstants, "_fill", lambda self: self.table.update(halves))
+    halves = [(pair, Q(n, 2)) for pair, n in StructureConstants(rs).table.items()]
+    monkeypatch.setattr(StructureConstants, "_fill", lambda self: [self._set(a, b, n) for (a, b), n in halves])
     with pytest.raises(AssertionError, match="not an integer"):
         ChevalleyAlgebra(rs)
+
+
+def test_non_integral_constant_is_rejected_under_python_dash_o():
+    """Under ``python -O`` a half-integer constant through ``_set`` still raises AssertionError."""
+    script = (
+        "from fractions import Fraction\n"
+        "from gradedlie import LieType, build_root_system\n"
+        "from gradedlie.chevalley import ChevalleyAlgebra, StructureConstants\n"
+        "rs = build_root_system(LieType.parse('B2'))\n"
+        "halves = [(pair, Fraction(n, 2)) for pair, n in StructureConstants(rs).table.items()]\n"
+        "StructureConstants._fill = lambda self: [self._set(a, b, n) for (a, b), n in halves]\n"
+        "try:\n"
+        "    ChevalleyAlgebra(rs)\n"
+        "except AssertionError as exc:\n"
+        "    print('AssertionError', exc)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    run = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.startswith("AssertionError") and run.stdout.endswith("is not an integer\n")
+
+
+@pytest.mark.parametrize("name", ["D4", "F4"])
+def test_fill_out_of_height_order_raises(name):
+    """With the non-simple positive roots reversed, the highest root comes first, and
+    the constants its other pairs read are not written yet: the read raises and
+    is never taken as 0."""
+    rs = build_root_system(LieType.parse(name))
+    pos, r = rs.positive_roots, rs.rank
+    reversed_order = dataclasses.replace(rs, positive_roots=pos[:r] + pos[r:][::-1])
+    with pytest.raises(AssertionError, match="is read before it is written"):
+        StructureConstants(reversed_order)
 
 
 @pytest.mark.parametrize(

@@ -54,7 +54,7 @@ def test_grading_element_is_highest_coroot(name):
 @pytest.mark.parametrize("name", TYPE_LIST)
 def test_t_beta_norm(name):
     qd = build_quaternionic(LieType.parse(name))
-    assert normalized_form(qd.algebra, qd.t_beta, qd.t_beta) == 2
+    assert normalized_form(qd.algebra, qd.grading.zeta, qd.grading.zeta) == 2
 
 
 @pytest.mark.parametrize(
