@@ -139,11 +139,14 @@ def bracket_projection_test(cd: CayleyData) -> ThetaVerdict:
     for i in range(len(cd.v_basis)):
         for j in range(i + 1, len(cd.v_basis)):
             x = alg.bracket(cd.v_basis[i], cd.v_basis[j])
-            coeffs = solve(gram, [normalized_form(alg, u, x) for u in basis]) if basis else ()
+            coeffs = solve(gram, [normalized_form(alg, u, x) for u in basis])
             if coeffs is None:
                 raise AssertionError("invariant form degenerate on c + V")
-            c_part = sum(map(mul, coeffs[: cd.dim_c], cd.c_basis), Element())
-            v_part = sum(map(mul, coeffs[cd.dim_c :], cd.v_basis), Element())
+            # integer combinations of the basis, each divided once by the denominator
+            num, den = coeffs
+            c_sum = sum(map(mul, num[: cd.dim_c], cd.c_basis), Element())
+            v_sum = sum(map(mul, num[cd.dim_c :], cd.v_basis), Element())
+            c_part, v_part = Element(c_sum.num, c_sum.den * den), Element(v_sum.num, v_sum.den * den)
             proj = BracketProjection(i, j, c_part, v_part, x - c_part - v_part)
             if witness is None and not proj.in_c:
                 witness = proj

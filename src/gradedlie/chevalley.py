@@ -376,9 +376,7 @@ class ChevalleyAlgebra:
             (row for s in elements for row in self.ad_block(s, domain, range(self.dim)) if any(row)),
             len(domain),
         )
-        return [
-            self.from_sparse(dict(zip(domain, coeffs))) for coeffs in kernel_basis(rows)
-        ]
+        return [Element(dict(zip(domain, num)), den) for num, den in kernel_basis(rows)]
 
     # -- build-time verification ------------------------------------------
 

@@ -272,7 +272,7 @@ def cmd_quaternionic(lie_type: LieType, seed: int, **_) -> Dict[str, Any]:
         "quaternionic",
         {"lie_type": str(lie_type), "seed": seed},
         {
-            "piece_dims": [qd.piece_dims[j] for j in (-2, -1, 0, 1, 2)],
+            "piece_dims": [d for _, d in sorted(qd.grading.dims().items())],  # degrees -2..2
             "kappa": qd.kappa,
             "rank_plus": q_str(rp),
             "rank_minus": q_str(rm),

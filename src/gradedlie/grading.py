@@ -29,7 +29,7 @@ from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .chevalley import ChevalleyAlgebra, Element
-from .linalg import RationalMatrix, solve, vec
+from .linalg import RationalMatrix, solve
 from .rootsystem import RootSystem, affine_cartan_matrix
 
 
@@ -124,10 +124,11 @@ def root_grading(rs: RootSystem, p: Sequence[int]) -> RootGrading:
     """Z-grading from non-negative simple-root degree labels, from the root system alone."""
     check_labels(p, rs.rank)
     # zeta in the Cartan: alpha_k(zeta) = p_k, pairing matrix is the Cartan matrix
-    coeffs = solve(RationalMatrix(rs.cartan), vec(p))
+    coeffs = solve(RationalMatrix(rs.cartan), p)
     if coeffs is None:
         raise AssertionError("the Cartan matrix is singular")
-    zeta = Element.of(dict(enumerate(coeffs)))
+    num, den = coeffs
+    zeta = Element(dict(enumerate(num)), den)
     g = RootGrading(pieces=_pieces(rs, p), zeta=zeta)
     _verify_root_grading(rs, g)
     return g

@@ -9,24 +9,20 @@ Elimination runs in Python ints: each row is cleared of denominators (a row
 that is already all ints is used as it is), then reduced by primitive-row
 elimination, which leaves a row with a zero in the pivot column untouched and
 divides every updated row by the gcd of its entries, so coefficients stay
-small.  Back-substitution keeps integer numerators over one common denominator
-and builds a single Fraction per coordinate at the end.
+small.  A solution is a ``Solution``: Python-int numerators over one positive
+int denominator, in lowest terms, which is how ``chevalley.Element`` stores
+coordinates; no Fraction is built.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction as Q
 from itertools import islice
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-Vector = Tuple[Q, ...]
-_ZERO = Q(0)  # the zero coordinate every solution shares
-
-
-def vec(values: Sequence) -> Vector:
-    return tuple(Q(v) for v in values)
+# integer numerators, one per column, over a positive denominator, in lowest terms
+Solution = Tuple[List[int], int]
 
 
 class RationalMatrix(list):
@@ -45,9 +41,6 @@ class RationalMatrix(list):
     @property
     def rows(self) -> int:
         return len(self)
-
-    def row(self, i: int) -> Sequence:
-        return self[i]
 
     def matmul(self, other: "RationalMatrix") -> "RationalMatrix":
         """Product, skipping zero entries; int entries stay ints."""
@@ -111,11 +104,11 @@ def rank(m: RationalMatrix) -> int:
 
 def _back_substitute(
     echelon: List[List[int]], pivots: List[int], n_cols: int, rhs: List[int], free: dict
-) -> Vector:
+) -> Solution:
     """Solve the echelon system, with the given integer values on free columns.
 
-    Integer numerators over the lcm of the denominators found so far, then one
-    Fraction per nonzero coordinate.
+    Integer numerators over the lcm of the denominators found so far; each
+    coordinate's own denominator is in lowest terms, so their lcm is too.
     """
     num, den = [0] * n_cols, 1
     for c, v in free.items():
@@ -132,17 +125,17 @@ def _back_substitute(
             num = [x * scale for x in num]
             den *= scale
         num[c] = n * (den // d)
-    return tuple(Q(x, den) if x else _ZERO for x in num)
+    return num, den
 
 
-def kernel_basis(m: RationalMatrix) -> List[Vector]:
+def kernel_basis(m: RationalMatrix) -> List[Solution]:
     """Basis of the right null space, one vector per free column."""
     echelon, pivots = _echelon([integer_form(row)[0] for row in m])
     free_cols = [c for c in range(m.cols) if c not in pivots]
     return [_back_substitute(echelon, pivots, m.cols, [0] * len(pivots), {f: 1}) for f in free_cols]
 
 
-def solve(m: RationalMatrix, b: Sequence) -> Optional[Vector]:
+def solve(m: RationalMatrix, b: Sequence) -> Optional[Solution]:
     """Some exact solution of Mx = b, or None when the system is inconsistent.
 
     Free columns are set to zero, so the solution returned is unique.
@@ -159,7 +152,7 @@ def solve(m: RationalMatrix, b: Sequence) -> Optional[Vector]:
     return _back_substitute(echelon, pivots, m.cols, rhs, {})
 
 
-def independent_subset(vectors: Sequence[Sequence[Q]]) -> List[int]:
+def independent_subset(vectors: Sequence[Sequence]) -> List[int]:
     """Indices of a maximal linearly independent subset, greedily from the front:
     the pivot columns of the matrix with the vectors as its columns."""
     columns = [integer_form(v)[0] for v in vectors]
@@ -173,6 +166,5 @@ def integer_form(v: Sequence) -> Tuple[List[int], int]:
     """
     if all(type(x) is int for x in v):
         return list(v), 1
-    qs = [x if isinstance(x, (int, Q)) else Q(x) for x in v]
-    den = lcm(*[x.denominator for x in qs if type(x) is not int])
-    return [x * den if type(x) is int else x.numerator * (den // x.denominator) for x in qs], den
+    den = lcm(*[x.denominator for x in v if type(x) is not int])
+    return [x * den if type(x) is int else x.numerator * (den // x.denominator) for x in v], den

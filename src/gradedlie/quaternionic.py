@@ -38,7 +38,6 @@ def quaternionic_labels(alg: ChevalleyAlgebra) -> Tuple[int, ...]:
 class QuaternionicData:
     grading: ZGrading  # its grading element is the coroot of the highest root
     kappa: int
-    piece_dims: Dict[int, int]
     pairs: Dict[int, VinbergPair] = field(default_factory=dict, compare=False, repr=False)
 
     @property
@@ -67,7 +66,7 @@ def build_quaternionic(t: LieType) -> QuaternionicData:
     kappa = int(pair.gamma_norm)
     if kappa != kappa_rule(t):
         raise AssertionError(f"kappa = {kappa} contradicts the family rule for {t}")
-    return QuaternionicData(grading=zg, kappa=kappa, piece_dims=dims, pairs={1: pair})
+    return QuaternionicData(grading=zg, kappa=kappa, pairs={1: pair})
 
 
 def kappa_rule(t: LieType) -> int:

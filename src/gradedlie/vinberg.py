@@ -26,11 +26,12 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from itertools import chain
+from operator import mul
 from typing import Dict, Optional
 
 from .chevalley import ChevalleyAlgebra, Element
 from .grading import ZGrading
-from .linalg import RationalMatrix, rank, solve, vec
+from .linalg import RationalMatrix, rank, solve
 
 
 def regrade(zg: ZGrading, j: int) -> ZGrading:
@@ -51,11 +52,12 @@ def killing_dual_norm(alg: ChevalleyAlgebra, gamma) -> Q:
     """B*_K(gamma, gamma): dual norm of a root under the Killing form (test oracle)."""
     r = alg.rank
     cartan_block = RationalMatrix(row[:r] for row in alg.killing_gram()[:r])
-    g = vec([alg.rs.pairing(gamma, i) for i in range(r)])
+    g = [alg.rs.pairing(gamma, i) for i in range(r)]
     c = solve(cartan_block, g)
     if c is None:
         raise AssertionError("the Killing form is degenerate on the Cartan")
-    return sum((x * y for x, y in zip(g, c)), Q(0))
+    num, den = c
+    return Q(sum(map(mul, g, num)), den)
 
 
 def normalized_form(alg: ChevalleyAlgebra, a: Element, b: Element) -> Q:
@@ -182,7 +184,8 @@ def jm_triple(pair: VinbergPair, e: Element) -> Sl2Triple:
     c0 = solve(alg.ad_block(e, g0, pos).matmul(ad_neg), [-2 * e[k] for k in pos])
     if c0 is None:
         raise RuntimeError("sl2 completion system is inconsistent")
-    f0 = alg.from_sparse(dict(zip(neg, c0)))
+    num, den = c0
+    f0 = Element(dict(zip(neg, num)), den)
     h = alg.bracket(e, f0)
     # Stage 2: f in g_{-1} with [e, f] = h and [h, f] = -2f simultaneously.
     ad_h = alg.ad_block(h, neg, neg)
@@ -191,7 +194,8 @@ def jm_triple(pair: VinbergPair, e: Element) -> Sl2Triple:
     c = solve(RationalMatrix(ad_neg + ad_h, len(neg)), [h[k] for k in g0] + [0] * len(neg))
     if c is None:
         raise RuntimeError("sl2 completion system is inconsistent")
-    triple = Sl2Triple(h=h, e=e, f=alg.from_sparse(dict(zip(neg, c))))
+    num, den = c
+    triple = Sl2Triple(h=h, e=e, f=Element(dict(zip(neg, num)), den))
     triple.verify(alg)
     return triple
 
@@ -225,7 +229,8 @@ def jm_regular(pair: VinbergPair, seed: int = 0) -> RegularityCertificate:
     c = solve(alg.ad_block(e, neg, g0), [target[k] for k in g0]) if neg else None
     if c is None:
         return RegularityCertificate(False, e, None)
-    f = alg.from_sparse(dict(zip(neg, c)))
+    num, den = c
+    f = Element(dict(zip(neg, num)), den)
     if alg.bracket(e, f) != target:
         return RegularityCertificate(False, e, None)
     return RegularityCertificate(True, e, f)

@@ -7,7 +7,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from gradedlie.cayley import CayleyData, verify_iso_and_character
 from gradedlie.chevalley import ChevalleyAlgebra, Element
 from gradedlie.grading import ZGrading, ZmGrading
-from gradedlie.linalg import RationalMatrix, Vector, integer_form
+from gradedlie.linalg import RationalMatrix, Solution, integer_form
 from gradedlie.quiver import (
     Multiplicities,
     QuiverDims,
@@ -21,6 +21,21 @@ from gradedlie.quiver import (
 )
 from gradedlie.rootsystem import LieType, Root, RootSystem
 from gradedlie.vinberg import VinbergPair, killing_dual_norm, normalized_form
+
+Vector = Tuple[Q, ...]
+
+
+def vec(values: Sequence) -> Vector:
+    return tuple(Q(v) for v in values)
+
+
+def fractions_of(solution: Optional[Solution]) -> Optional[Vector]:
+    """A ``linalg`` solution, integer numerators over one denominator, as Fractions;
+    None (an inconsistent system) stays None."""
+    if solution is None:
+        return None
+    num, den = solution
+    return tuple(Q(n, den) for n in num)
 
 
 def pointwise_maximality(dims: QuiverDims, elem: Sequence[RationalMatrix]) -> bool:

@@ -8,8 +8,8 @@ from pathlib import Path
 import pytest
 
 from gradedlie.chevalley import build_algebra
-from gradedlie.linalg import RationalMatrix, solve, vec
-from oracles import bar_pieces
+from gradedlie.linalg import RationalMatrix, solve
+from oracles import bar_pieces, fractions_of
 
 from gradedlie.grading import (
     _verify_grading_element,
@@ -104,7 +104,7 @@ def test_root_level_grading_matches_the_bracket_table(name):
     for labels in product((0, 1), repeat=r):
         if not any(labels):
             continue
-        zeta = alg.cartan_element(solve(ad_simple, vec(labels)))
+        zeta = alg.cartan_element(fractions_of(solve(ad_simple, labels)))
         pieces = {}
         for i, b in enumerate(basis):
             image = alg.bracket(zeta, b)

@@ -1,9 +1,14 @@
-"""Property tests: exact linear algebra, the bracket and the CLI's exit-code contract."""
+"""Property tests: exact linear algebra, the bracket and the CLI's exit-code contract,
+and the repo's pytest settings reporting a failing property test."""
 
 import contextlib
 import io
 import json
+import subprocess
+import sys
 from fractions import Fraction as Q
+from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +21,7 @@ from oracles import (
     bareiss_rank,
     bareiss_solve,
     fraction_bracket,
+    fractions_of,
     is_normalised,
 )
 
@@ -67,7 +73,7 @@ def transpose(m: RationalMatrix) -> RationalMatrix:
 
 def naive_pivots(m: RationalMatrix):
     """Pivot columns of Gauss-Jordan elimination in Fraction arithmetic."""
-    rows = [list(m.row(i)) for i in range(m.rows)]
+    rows = [list(row) for row in m]
     pivots = []
     for c in range(m.cols):
         r = len(pivots)
@@ -89,12 +95,12 @@ def test_solve_residual_is_zero(data):
     m = data.draw(matrices())
     x0 = data.draw(vectors(m.cols))
     b = apply(m, x0)
-    x = solve(m, b)
+    x = fractions_of(solve(m, b))
     assert x is not None and apply(m, x) == b
     # an arbitrary right-hand side: solved exactly, or shown inconsistent by rank
     b = data.draw(vectors(m.rows))
-    x = solve(m, b)
-    augmented = RationalMatrix([list(m.row(i)) + [b[i]] for i in range(m.rows)])
+    x = fractions_of(solve(m, b))
+    augmented = RationalMatrix([list(m[i]) + [b[i]] for i in range(m.rows)])
     if x is None:
         assert rank(augmented) == rank(m) + 1
     else:
@@ -104,7 +110,7 @@ def test_solve_residual_is_zero(data):
 @settings(max_examples=40)
 @given(matrices())
 def test_kernel_vectors_are_annihilated(m):
-    basis = kernel_basis(m)
+    basis = [fractions_of(v) for v in kernel_basis(m)]
     assert len(basis) == m.cols - rank(m)
     for v in basis:
         assert all(x == 0 for x in apply(m, v))
@@ -183,14 +189,24 @@ def test_matmul_matches_naive_product(data):
     assert product == naive
 
 
+def assert_lowest_terms(solution):
+    """Python-int numerators over a positive Python-int denominator, in lowest terms."""
+    num, den = solution
+    assert type(den) is int and all(type(n) is int for n in num)
+    assert den > 0
+    assert gcd(den, *num) == 1
+
+
 def assert_matches_bareiss(m: RationalMatrix, b):
     assert rank(m) == bareiss_rank(m)
     basis = kernel_basis(m)
-    assert basis == bareiss_kernel_basis(m)
-    assert all(type(x) is Q for v in basis for x in v)
+    assert [fractions_of(v) for v in basis] == bareiss_kernel_basis(m)
+    for v in basis:
+        assert_lowest_terms(v)
     x = solve(m, b)
-    assert x == bareiss_solve(m, b)
-    assert x is None or all(type(c) is Q for c in x)
+    assert fractions_of(x) == bareiss_solve(m, b)
+    if x is not None:
+        assert_lowest_terms(x)
     greedy = []  # rows that raise the rank, from the front
     for i in range(m.rows):
         if bareiss_rank(RationalMatrix([m[k] for k in greedy + [i]], m.cols)) > len(greedy):
@@ -462,3 +478,32 @@ def test_cli_malformed_argv_exit_codes(command, data, tmp_path_factory):
     # every malformed token gives a report or one error line
     argv = data.draw(malformed_argvs(command, tmp_path_factory.getbasetemp()))
     assert assert_exit_contract(argv) in (0, 2), argv
+
+
+# -- a failing property test is reported under the repo's pytest settings ----
+# On a failure the hypothesis plugin imports libcst to suggest a patch, and that
+# import warns; with filterwarnings = ["error"] alone the warning ended the session
+# with INTERNALERROR and lost the falsifying example.
+
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+FAILING_PROPERTY = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(x):
+    assert x < 0
+"""
+
+
+def test_failing_property_test_reports_its_falsifying_example(tmp_path):
+    (tmp_path / "test_fails.py").write_text(FAILING_PROPERTY)
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(PYPROJECT),
+         "--rootdir", str(tmp_path), "test_fails.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    out = run.stdout + run.stderr
+    assert run.returncode == 1, out
+    assert "1 failed" in out and "INTERNALERROR" not in out, out
+    assert "Falsifying example: test_fails(" in out, out

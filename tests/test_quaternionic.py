@@ -26,7 +26,7 @@ TYPE_LIST = ["A2", "A3", "B3", "C2", "C3", "D4", "G2", "F4", "E6"]
 @pytest.mark.parametrize("name", TYPE_LIST)
 def test_piece_structure(name):
     qd = build_quaternionic(LieType.parse(name))
-    dims = qd.piece_dims
+    dims = qd.grading.dims()
     assert sorted(dims) == [-2, -1, 0, 1, 2]
     assert dims[2] == dims[-2] == 1
     assert dims[1] == dims[-1]
@@ -34,14 +34,14 @@ def test_piece_structure(name):
 
 
 def test_a2_piece_dims(sl3):
-    assert build_quaternionic(LieType.parse("A2")).piece_dims == {
+    assert build_quaternionic(LieType.parse("A2")).grading.dims() == {
         -2: 1, -1: 2, 0: 2, 1: 2, 2: 1
     }
 
 
 def test_c2_piece_dims():
     qd = build_quaternionic(LieType.parse("C2"))
-    assert list(qd.piece_dims[j] for j in (-2, -1, 0, 1, 2)) == [1, 2, 4, 2, 1]
+    assert list(qd.grading.dims()[j] for j in (-2, -1, 0, 1, 2)) == [1, 2, 4, 2, 1]
 
 
 @pytest.mark.parametrize("name", TYPE_LIST)
@@ -126,8 +126,8 @@ def test_family_a_matches_quiver(n):
     qd = build_quaternionic(LieType.parse(f"A{n-1}"))
     dims = QuiverDims((1, n - 2, 1))
     assert quiver_jm_regular(dims)
-    assert quiver_grading(dims).dims() == qd.piece_dims
-    assert [qd.piece_dims[j] for j in (-1, 1)] == [2 * (n - 2)] * 2
+    assert quiver_grading(dims).dims() == qd.grading.dims()
+    assert [qd.grading.dims()[j] for j in (-1, 1)] == [2 * (n - 2)] * 2
     # Toledo ranks agree between the two constructions
     rank_plus, _ = quaternionic_ranks(qd)
     assert orbit_toledo_rank(dims, maximal_rank_tuple(dims)) == rank_plus

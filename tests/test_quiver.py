@@ -69,7 +69,7 @@ def test_canonical_element_shapes():
     d = QuiverDims((1, 2, 1))
     f0, f1 = canonical_open_element(d)
     assert (f0.rows, f0.cols) == (2, 1) and tuple(row[0] for row in f0) == (Q(1), Q(0))
-    assert (f1.rows, f1.cols) == (1, 2) and tuple(f1.row(0)) == (Q(1), Q(0))
+    assert (f1.rows, f1.cols) == (1, 2) and tuple(f1[0]) == (Q(1), Q(0))
 
 
 def test_enumerate_orbits_11():
