@@ -12,12 +12,12 @@ The projection test decomposes [v, v'] for v, v' in V along
 c + V + (orthogonal complement in g_0); the pair (c, V) is a theta-pair
 candidate when every such bracket falls inside c.  Orthogonality and the
 projection do not change when the invariant form is rescaled, so both use
-the closed-form ``normalized_form``.
+the integer sums of ``vinberg.form_numerator``.
 
 c, V, the triple and each projection's parts are ``chevalley.Element``s: the
-parts are sums of scaled basis elements, and the remainder is the bracket
+parts are sums of scaled basis numerators, and the remainder is the bracket
 minus both, all in integer numerators over one denominator.  Rank checks read
-an element's dense coordinates; reports read them through ``dense``.
+an element's numerators (``dense_num``); reports read ``dense``.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import List, Optional, Sequence, Tuple
 from .chevalley import ChevalleyAlgebra, Element
 from .grading import ZGrading
 from .linalg import RationalMatrix, independent_subset, rank, solve
-from .vinberg import Sl2Triple, VinbergPair, jm_regular, normalized_form, vinberg_pair
+from .vinberg import Sl2Triple, VinbergPair, form_numerator, jm_regular, vinberg_pair
 
 
 @dataclass
@@ -67,7 +67,8 @@ def cayley_pair(zg: ZGrading, seed: int = 0) -> CayleyData:
     support, transport = _ad_power(alg, triple.e, low, m - 1)
     if rank(transport) != len(low):
         raise AssertionError("transport map is not injective on the lowest piece")
-    v_basis = [alg.from_sparse({k: row[j] for k, row in zip(support, transport)}) for j in range(len(low))]
+    den = triple.e.den ** (m - 1)  # transport = (e.den ad_e)^{m-1}
+    v_basis = [Element({k: row[j] for k, row in zip(support, transport)}, den) for j in range(len(low))]
     # module-dimension bound: ad(e)^{2m-1} kills the lowest piece
     if _ad_power(alg, triple.e, low, 2 * m - 1)[0]:
         raise AssertionError("sl2-module longer than 2m-1 detected")
@@ -77,7 +78,7 @@ def cayley_pair(zg: ZGrading, seed: int = 0) -> CayleyData:
 def _ad_power(
     alg: ChevalleyAlgebra, e: Element, domain: Sequence[int], n: int
 ) -> Tuple[List[int], RationalMatrix]:
-    """ad(e)^n on span(domain), over all of g: (support, rows).
+    """(e.den ad(e))^n on span(domain), over all of g: (support, integer rows).
 
     Row r is the coordinate of b_{support[r]}; basis vectors outside the
     support have zero coordinates in every image, and the support is empty
@@ -99,13 +100,13 @@ class IsoCharacterReport:
 
 
 def verify_iso_and_character(cd: CayleyData) -> IsoCharacterReport:
-    """Transport-map invertibility and chi_T(c) = 0 on c."""
+    """Transport-map invertibility and chi_T(c) = 0 on c, read off B(zeta, c)."""
     low_dim = len(cd.pair.grading.piece(1 - cd.depth))
     dim = cd.algebra.dim
-    r = rank(RationalMatrix((v.dense(dim) for v in cd.v_basis), dim))
+    r = rank(RationalMatrix((v.dense_num(dim) for v in cd.v_basis), dim))
     return IsoCharacterReport(
         iso_full=(r == low_dim == len(cd.v_basis)),
-        chi_vanishes=all(cd.pair.chi_t(c) == 0 for c in cd.c_basis),
+        chi_vanishes=all(form_numerator(cd.algebra, cd.pair.grading.zeta, c) == 0 for c in cd.c_basis),
     )
 
 
@@ -132,21 +133,22 @@ def bracket_projection_test(cd: CayleyData) -> ThetaVerdict:
     """Decompose every [v, v'] over c + V + orthogonal complement in g_0."""
     alg = cd.algebra
     basis = cd.c_basis + cd.v_basis
-    if basis and len(independent_subset([b.dense(alg.dim) for b in basis])) != len(basis):
+    if basis and len(independent_subset([b.dense_num(alg.dim) for b in basis])) != len(basis):
         raise AssertionError("c and V overlap")
-    gram = RationalMatrix([[normalized_form(alg, a, b) for b in basis] for a in basis])
+    gram = RationalMatrix([[form_numerator(alg, a, b) for b in basis] for a in basis])
+    numerators = [Element(b.num) for b in basis]
     witness = None
     for i in range(len(cd.v_basis)):
         for j in range(i + 1, len(cd.v_basis)):
             x = alg.bracket(cd.v_basis[i], cd.v_basis[j])
-            coeffs = solve(gram, [normalized_form(alg, u, x) for u in basis])
+            coeffs = solve(gram, [form_numerator(alg, u, x) for u in basis])
             if coeffs is None:
                 raise AssertionError("invariant form degenerate on c + V")
-            # integer combinations of the basis, each divided once by the denominator
+            # the part along b is y_b b.num / x.den, each sum divided once
             num, den = coeffs
-            c_sum = sum(map(mul, num[: cd.dim_c], cd.c_basis), Element())
-            v_sum = sum(map(mul, num[cd.dim_c :], cd.v_basis), Element())
-            c_part, v_part = Element(c_sum.num, c_sum.den * den), Element(v_sum.num, v_sum.den * den)
+            c_sum = sum(map(mul, num[: cd.dim_c], numerators[: cd.dim_c]), Element())
+            v_sum = sum(map(mul, num[cd.dim_c :], numerators[cd.dim_c :]), Element())
+            c_part, v_part = Element(c_sum.num, den * x.den), Element(v_sum.num, den * x.den)
             proj = BracketProjection(i, j, c_part, v_part, x - c_part - v_part)
             if witness is None and not proj.in_c:
                 witness = proj

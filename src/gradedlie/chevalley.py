@@ -22,8 +22,8 @@ integer numerator over one positive denominator, in lowest terms, so equal
 elements have equal fields.  ``bracket`` walks the two supports and sums in
 Python ints over the product of the denominators; linear systems in ad_x
 restricted to graded pieces read the table directly through
-``ChevalleyAlgebra.ad_block``, which walks x's support only and returns a
-``linalg.RationalMatrix``: a list of rows, of Python ints when x is integral.
+``ChevalleyAlgebra.ad_block``, which walks x's support only and returns the
+int rows of ``x.den * x``'s block, a ``linalg.RationalMatrix``; callers scale.
 This follows the sparse structure-constant computations of de Graaf, *Lie
 Algebras: Theory and Algorithms* (2000).  ``bracket`` is the oracle for
 ``ad_block``; the Killing Gram matrix, a test oracle, has int rows too.
@@ -49,7 +49,6 @@ from .rootsystem import LieType, Root, RootSystem, build_root_system, exact_div
 Rational = Union[int, Q]
 # [b_i, b_j] as (k, c) pairs: sum of c * b_k, integer c, nonzero terms only
 Terms = Tuple[Tuple[int, int], ...]
-_ZERO = Q(0)  # the zero entry every Fraction block shares
 
 
 class Element:
@@ -88,8 +87,12 @@ class Element:
         return n if self.den == 1 else Q(n, self.den)
 
     def dense(self, dim: int) -> Tuple[Rational, ...]:
-        """All ``dim`` coordinates, for reports and rank checks."""
+        """All ``dim`` coordinates, for reports."""
         return tuple(self[i] for i in range(dim))
+
+    def dense_num(self, dim: int) -> List[int]:
+        """``dense`` times ``den``: all ``dim`` integer numerators, for rank checks."""
+        return [self.num.get(i, 0) for i in range(dim)]
 
     def __mul__(self, c: Rational) -> "Element":
         if not isinstance(c, (int, Q)):
@@ -299,13 +302,10 @@ class ChevalleyAlgebra:
     def ad_block(
         self, x: Element, domain: Sequence[int], codomain: Sequence[int]
     ) -> RationalMatrix:
-        """Matrix of b -> [x, b] from span(domain) to the codomain coordinates.
-
-        Row r, column c is the coefficient of b_{codomain[r]} in [x, b_{domain[c]}],
-        read from the table rows of x's nonzero support.  Entries are Python ints
-        when x is integral, and Fractions otherwise.
-        """
-        support, den = x.num.items(), x.den  # the block of den * x, divided at the end
+        """Integer matrix of b -> [x.den * x, b] from span(domain) to the codomain
+        coordinates: row r, column c is the coefficient of b_{codomain[r]} in
+        [x.den * x, b_{domain[c]}], read from the table rows of x's support."""
+        support = x.num.items()
         row_of = {k: r for r, k in enumerate(codomain)}
         out = RationalMatrix(([0] * len(domain) for _ in codomain), len(domain))
         for col, d in enumerate(domain):
@@ -314,8 +314,6 @@ class ChevalleyAlgebra:
                     r = row_of.get(k)
                     if r is not None:
                         out[r][col] += xi * c
-        for row in out if den != 1 else ():
-            row[:] = [Q(v, den) if v else _ZERO for v in row]
         return out
 
     # -- invariant forms --------------------------------------------------
@@ -369,8 +367,8 @@ class ChevalleyAlgebra:
     def centralizer(self, elements: Sequence[Element], domain: Sequence[int]) -> List[Element]:
         """Basis of {u in span(b_i : i in domain) : [u, s] = 0 for every s}.
 
-        The kernel of the stacked blocks of ad_s on span(domain); [u, s] = -[s, u],
-        and neither signs nor zero rows change a kernel.
+        The kernel of the stacked blocks of s.den ad_s on span(domain); [u, s] =
+        -[s, u], and neither signs, nonzero scales nor zero rows change a kernel.
         """
         rows = RationalMatrix(
             (row for s in elements for row in self.ad_block(s, domain, range(self.dim)) if any(row)),

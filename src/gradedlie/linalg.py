@@ -1,23 +1,22 @@
-"""Exact rational linear algebra.
+"""Exact linear algebra over the rationals, on matrices of Python ints.
 
-``RationalMatrix`` is a list of rows whose entries are Python ints or
-Fractions, such as the integer blocks of ``ChevalleyAlgebra.ad_block``; a
-vector is a sequence of the same.  Elements of a Lie algebra are not vectors
-here: they are sparse ``chevalley.Element``s, and enter a matrix as blocks or
-as their dense coordinates.
-Elimination runs in Python ints: each row is cleared of denominators (a row
-that is already all ints is used as it is), then reduced by primitive-row
-elimination, which leaves a row with a zero in the pivot column untouched and
-divides every updated row by the gcd of its entries, so coefficients stay
-small.  A solution is a ``Solution``: Python-int numerators over one positive
-int denominator, in lowest terms, which is how ``chevalley.Element`` stores
+``RationalMatrix`` is a list of rows of Python ints, such as the blocks of
+``ChevalleyAlgebra.ad_block``; a vector is a sequence of ints.  Callers scale
+rational data to integers (a row's scale changes no rank or kernel; a system's
+goes into its solution's denominator).  The name stays because
+``bench/tracer.py`` binds ``RationalMatrix.matmul``.  Elimination copies its
+rows through one gate, which raises TypeError on an entry that is not a Python
+int, then reduces them by primitive-row elimination: a row with a zero in the
+pivot column is left untouched, and every updated row is divided by the gcd
+of its entries.  A solution is a ``Solution``: Python-int numerators over one
+positive int denominator, in lowest terms, as ``chevalley.Element`` stores
 coordinates; no Fraction is built.
 """
 
 from __future__ import annotations
 
 from itertools import islice
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -26,7 +25,7 @@ Solution = Tuple[List[int], int]
 
 
 class RationalMatrix(list):
-    """A matrix as a list of rows whose entries are Python ints or Fractions.
+    """A matrix as a list of rows of Python ints.
 
     ``cols`` is read from the first row, or given for a matrix with no rows;
     every row must have that length.
@@ -43,7 +42,7 @@ class RationalMatrix(list):
         return len(self)
 
     def matmul(self, other: "RationalMatrix") -> "RationalMatrix":
-        """Product, skipping zero entries; int entries stay ints."""
+        """Product, skipping zero entries."""
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
         out = RationalMatrix(cols=other.cols)
@@ -56,6 +55,15 @@ class RationalMatrix(list):
                             acc[j] += x * y
             out.append(acc)
         return out
+
+
+def _int_rows(rows: Iterable[Sequence]) -> List[List[int]]:
+    """Copies of the rows for elimination; the gate for entries that are not Python ints."""
+    out = [list(row) for row in rows]
+    for row in out:
+        if not set(map(type, row)) <= {int}:
+            raise TypeError("linalg entries must be Python ints")
+    return out
 
 
 def _echelon(rows: List[List[int]]) -> Tuple[List[List[int]], List[int]]:
@@ -99,7 +107,7 @@ def _echelon(rows: List[List[int]]) -> Tuple[List[List[int]], List[int]]:
 
 def rank(m: RationalMatrix) -> int:
     """Rank over the rationals."""
-    return len(_echelon([integer_form(row)[0] for row in m])[1])
+    return len(_echelon(_int_rows(m))[1])
 
 
 def _back_substitute(
@@ -130,7 +138,7 @@ def _back_substitute(
 
 def kernel_basis(m: RationalMatrix) -> List[Solution]:
     """Basis of the right null space, one vector per free column."""
-    echelon, pivots = _echelon([integer_form(row)[0] for row in m])
+    echelon, pivots = _echelon(_int_rows(m))
     free_cols = [c for c in range(m.cols) if c not in pivots]
     return [_back_substitute(echelon, pivots, m.cols, [0] * len(pivots), {f: 1}) for f in free_cols]
 
@@ -142,10 +150,7 @@ def solve(m: RationalMatrix, b: Sequence) -> Optional[Solution]:
     """
     if len(b) != m.rows:
         raise ValueError("right-hand side length does not match row count")
-    # the augmented row (nums / d | y / b_den), scaled by d * b_den to integers
-    b_num, b_den = integer_form(b)
-    rows = [[x * b_den for x in nums] + [y * d] for (nums, d), y in zip(map(integer_form, m), b_num)]
-    echelon, pivots = _echelon(rows)
+    echelon, pivots = _echelon(_int_rows([*row, y] for row, y in zip(m, b)))
     if m.cols in pivots:
         return None  # pivot in the augmented column: inconsistent
     rhs = [row[m.cols] for row in echelon]
@@ -155,16 +160,5 @@ def solve(m: RationalMatrix, b: Sequence) -> Optional[Solution]:
 def independent_subset(vectors: Sequence[Sequence]) -> List[int]:
     """Indices of a maximal linearly independent subset, greedily from the front:
     the pivot columns of the matrix with the vectors as its columns."""
-    columns = [integer_form(v)[0] for v in vectors]
-    return _echelon([list(row) for row in zip(*columns)])[1]
+    return _echelon(_int_rows(zip(*vectors)))[1]
 
-
-def integer_form(v: Sequence) -> Tuple[List[int], int]:
-    """v as integer numerators over one denominator, the lcm of its denominators.
-
-    A row of Python ints is copied as it is, over 1.
-    """
-    if all(type(x) is int for x in v):
-        return list(v), 1
-    den = lcm(*[x.denominator for x in v if type(x) is not int])
-    return [x * den if type(x) is int else x.numerator * (den // x.denominator) for x in v], den

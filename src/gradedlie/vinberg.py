@@ -14,8 +14,8 @@ summed over the sparse supports.  The trace-of-ad Killing form's dual norm
 that independence exactly.
 
 Elements are ``chevalley.Element``s (sparse integer numerators over one
-denominator): open-orbit samples are built from ints, a solution of a linear
-system becomes one element, and every sl2 relation is compared structurally.
+denominator): open-orbit samples are built from ints, linear systems run on
+integer ``ad_block``s, and every sl2 relation is compared structurally.
 A failed certificate raises AssertionError explicitly, so ``python -O`` keeps
 every check.
 """
@@ -60,13 +60,9 @@ def killing_dual_norm(alg: ChevalleyAlgebra, gamma) -> Q:
     return Q(sum(map(mul, g, num)), den)
 
 
-def normalized_form(alg: ChevalleyAlgebra, a: Element, b: Element) -> Q:
-    """Invariant form scaled so the highest root has dual norm 2.
-
-    Summed in Python ints over the supports of a and b with the integer table
-    ``alg.form_table``; one Fraction per call.
-    """
-    rows, den = alg.form_table
+def form_numerator(alg: ChevalleyAlgebra, a: Element, b: Element) -> int:
+    """D a.den b.den B(a, b), D = ``alg.form_table[1]``: the table summed over numerators."""
+    rows = alg.form_table[0]
     b_num = b.num
     total = 0
     for i, ai in a.num.items():
@@ -74,7 +70,12 @@ def normalized_form(alg: ChevalleyAlgebra, a: Element, b: Element) -> Q:
             bj = b_num.get(j)
             if bj:
                 total += ai * t * bj
-    return Q(total, den * a.den * b.den)
+    return total
+
+
+def normalized_form(alg: ChevalleyAlgebra, a: Element, b: Element) -> Q:
+    """Invariant form scaled so the highest root has dual norm 2; one Fraction per call."""
+    return Q(form_numerator(alg, a, b), alg.form_table[1] * a.den * b.den)
 
 
 @dataclass
@@ -179,23 +180,23 @@ def jm_triple(pair: VinbergPair, e: Element) -> Sl2Triple:
     pos = zg.piece(1)
     g0 = zg.piece(0)
     # Stage 1: f0 in g_{-1} with [[e, f0], e] = 2e, so h := [e, f0] has [h,e] = 2e.
-    # [[e, b], e] = -ad_e(ad_e(b)) through g_0, so solve ad_e ad_e f0 = -2e.
+    # [[e, b], e] = -ad_e(ad_e(b)) through g_0, so solve ad_e ad_e f0 = -2e (for f0 / e.den).
     ad_neg = alg.ad_block(e, neg, g0)
-    c0 = solve(alg.ad_block(e, g0, pos).matmul(ad_neg), [-2 * e[k] for k in pos])
+    c0 = solve(alg.ad_block(e, g0, pos).matmul(ad_neg), [-2 * e.num.get(k, 0) for k in pos])
     if c0 is None:
         raise RuntimeError("sl2 completion system is inconsistent")
     num, den = c0
-    f0 = Element(dict(zip(neg, num)), den)
+    f0 = Element({k: n * e.den for k, n in zip(neg, num)}, den)
     h = alg.bracket(e, f0)
-    # Stage 2: f in g_{-1} with [e, f] = h and [h, f] = -2f simultaneously.
+    # Stage 2: f in g_{-1} with [e, f] = h and [h, f] = -2f; solve for f h.den / e.den.
     ad_h = alg.ad_block(h, neg, neg)
     for j, row in enumerate(ad_h):
-        row[j] += 2
-    c = solve(RationalMatrix(ad_neg + ad_h, len(neg)), [h[k] for k in g0] + [0] * len(neg))
+        row[j] += 2 * h.den
+    c = solve(RationalMatrix(ad_neg + ad_h, len(neg)), [h.num.get(k, 0) for k in g0] + [0] * len(neg))
     if c is None:
         raise RuntimeError("sl2 completion system is inconsistent")
     num, den = c
-    triple = Sl2Triple(h=h, e=e, f=Element(dict(zip(neg, num)), den))
+    triple = Sl2Triple(h=h, e=e, f=Element({k: n * e.den for k, n in zip(neg, num)}, den * h.den))
     triple.verify(alg)
     return triple
 
@@ -226,11 +227,12 @@ def jm_regular(pair: VinbergPair, seed: int = 0) -> RegularityCertificate:
     neg = zg.piece(-1)
     target = 2 * zg.zeta
     g0 = zg.piece(0)
-    c = solve(alg.ad_block(e, neg, g0), [target[k] for k in g0]) if neg else None
+    # solve for f target.den / e.den in the integer block
+    c = solve(alg.ad_block(e, neg, g0), [target.num.get(k, 0) for k in g0]) if neg else None
     if c is None:
         return RegularityCertificate(False, e, None)
     num, den = c
-    f = Element(dict(zip(neg, num)), den)
+    f = Element({k: n * e.den for k, n in zip(neg, num)}, den * target.den)
     if alg.bracket(e, f) != target:
         return RegularityCertificate(False, e, None)
     return RegularityCertificate(True, e, f)

@@ -7,7 +7,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from gradedlie.cayley import CayleyData, verify_iso_and_character
 from gradedlie.chevalley import ChevalleyAlgebra, Element
 from gradedlie.grading import ZGrading, ZmGrading
-from gradedlie.linalg import RationalMatrix, Solution, integer_form
+from gradedlie.linalg import RationalMatrix, Solution
 from gradedlie.quiver import (
     Multiplicities,
     QuiverDims,
@@ -296,16 +296,12 @@ def form_quaternionic_labels(alg: ChevalleyAlgebra) -> Tuple[int, ...]:
 # -- Bareiss elimination with a Fraction back-substitution -------------------
 
 
-def _integer_rows(m: RationalMatrix) -> List[List[int]]:
-    """Integer rows with the row space of m."""
-    return [integer_form(row)[0] for row in m]
-
-
 def _bareiss_echelon(rows: List[List[int]]) -> Tuple[List[List[int]], List[int]]:
     """Fraction-free row echelon form and the pivot columns.
 
     Every lower row is rebuilt at every pivot step; all divisions are exact
-    (Bareiss one-step division by the previous pivot).
+    (Bareiss one-step division by the previous pivot).  The int rows are read as
+    they are: the list is reordered and refilled, and no row list is changed.
     """
     if not rows:
         return [], []
@@ -353,11 +349,11 @@ def _back_substitute(
 
 
 def bareiss_rank(m: RationalMatrix) -> int:
-    return len(_bareiss_echelon(_integer_rows(m))[1])
+    return len(_bareiss_echelon(list(m))[1])
 
 
 def bareiss_kernel_basis(m: RationalMatrix) -> List[Vector]:
-    echelon, pivots = _bareiss_echelon(_integer_rows(m))
+    echelon, pivots = _bareiss_echelon(list(m))
     free_cols = [c for c in range(m.cols) if c not in pivots]
     basis = []
     for f in free_cols:
@@ -367,7 +363,7 @@ def bareiss_kernel_basis(m: RationalMatrix) -> List[Vector]:
 
 
 def bareiss_solve(m: RationalMatrix, b: Sequence) -> Optional[Vector]:
-    echelon, pivots = _bareiss_echelon([integer_form(list(row) + [x])[0] for row, x in zip(m, b)])
+    echelon, pivots = _bareiss_echelon([[*row, x] for row, x in zip(m, b)])
     if m.cols in pivots:
         return None
     free_values = {c: Q(0) for c in range(m.cols) if c not in pivots}

@@ -1,3 +1,5 @@
+import fractions
+import sys
 from fractions import Fraction as Q
 
 import pytest
@@ -5,7 +7,7 @@ import pytest
 from conftest import quiver_grading
 from oracles import iso_character_all_pass, verify_intertwining
 
-from gradedlie.cayley import bracket_projection_test, cayley_pair
+from gradedlie.cayley import bracket_projection_test, cayley_pair, verify_iso_and_character
 from gradedlie.chevalley import build_algebra
 from gradedlie.grading import z_grading_from_labels
 from gradedlie.linalg import independent_subset
@@ -80,7 +82,30 @@ def test_c_orthogonal_to_h_and_disjoint_from_v(dims):
     for c in cd.c_basis:
         assert alg.killing_form(c, cd.triple.h) == 0
     basis = cd.c_basis + cd.v_basis
-    assert len(independent_subset([b.dense(alg.dim) for b in basis])) == len(basis)
+    assert len(independent_subset([b.dense_num(alg.dim) for b in basis])) == len(basis)
+
+
+def test_checks_build_no_fraction(monkeypatch):
+    """The injectivity, character, overlap and projection checks run on integer
+    numerators: not one Fraction is built, counted at Fraction.__new__."""
+    cd = _cayley((2, 2, 2))
+    callers = []
+    new = Q.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        frame = sys._getframe(1)
+        while frame.f_code.co_filename == fractions.__file__:
+            frame = frame.f_back
+        callers.append(f"{frame.f_code.co_filename}:{frame.f_lineno} {frame.f_code.co_name}")
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Q, "__new__", staticmethod(counting_new))
+    iso = verify_iso_and_character(cd)
+    verdict = bracket_projection_test(cd)
+    assert callers == []
+    assert iso.iso_full and iso.chi_vanishes and not verdict.candidate
+    Q(1, 2)
+    assert len(callers) == 1  # the counter sees a Fraction built here
 
 
 @pytest.mark.parametrize("dims", [(1, 1, 1), (2, 2, 2), (1, 2, 1)])

@@ -9,10 +9,13 @@ from pathlib import Path
 
 import pytest
 
+from conftest import quiver_grading
 from oracles import FractionConstants, fraction_coroot, root_vector
 
+from gradedlie.cayley import cayley_pair
 from gradedlie.chevalley import ChevalleyAlgebra, StructureConstants, build_algebra
 from gradedlie.linalg import rank
+from gradedlie.quiver import QuiverDims
 from gradedlie.rootsystem import LieType, build_root_system
 
 BUILT_TYPES = ["A1", "A2", "A3", "B2", "B3", "C2", "C3", "D4", "G2", "F4", "E6"]
@@ -313,15 +316,32 @@ def test_ad_block_matches_bracket_on_every_basis_pair(name):
 
 @pytest.mark.parametrize("name", ["A3", "G2", "F4"])
 def test_ad_block_non_integral_and_restricted(name):
+    """ad_block(x) is the integer block of x.den * x, and restricts entrywise."""
     alg = build_algebra(LieType.parse(name))
     n = alg.dim
     rng = random.Random(name)
     x = alg.from_sparse({i: Q(rng.randint(-5, 5), rng.randint(1, 4)) for i in range(n)})
+    assert x.den > 1
     full = alg.ad_block(x, range(n), range(n))
-    assert any(type(v) is Q and v.denominator != 1 for row in full for v in row)
-    assert all(type(v) is Q for row in full for v in row)
+    assert all(type(v) is int for row in full for v in row)
     for j in range(n):
-        assert [row[j] for row in full] == list(alg.bracket(x, alg.from_sparse({j: Q(1)})).dense(n))
+        column = alg.bracket(x, alg.from_sparse({j: Q(1)})).dense(n)
+        assert [row[j] for row in full] == [x.den * v for v in column]
     domain = sorted(rng.sample(range(n), n // 2))
     codomain = sorted(rng.sample(range(n), n // 3))
     assert alg.ad_block(x, domain, codomain) == [[full[k][j] for j in domain] for k in codomain]
+
+
+def test_centralizer_unchanged_by_rational_scaling(sl2):
+    """Each block is scaled by its element's denominator, and no nonzero scale
+    changes a kernel: the centralizer of [h/3, 2e/5, f] is that of [h, e, f]."""
+    sl2_triple = (sl2.cartan_element([1]), root_vector(sl2, (1,)), root_vector(sl2, (-1,)))
+    cd = cayley_pair(quiver_grading(QuiverDims((2, 2, 2))))
+    cayley_triple = (cd.triple.h, cd.triple.e, cd.triple.f)
+    for alg, domain, (h, e, f) in [
+        (sl2, range(sl2.dim), sl2_triple),
+        (cd.algebra, cd.pair.grading.piece(0), cayley_triple),
+    ]:
+        centralizer = alg.centralizer([h, e, f], domain)
+        assert alg.centralizer([h * Q(1, 3), e * Q(2, 5), f], domain) == centralizer
+        assert alg.centralizer([h * Q(1, 3)], domain) == alg.centralizer([h], domain) != []

@@ -8,16 +8,17 @@ from oracles import bareiss_kernel_basis, bareiss_rank, bareiss_solve, fractions
 from gradedlie.linalg import RationalMatrix, independent_subset, kernel_basis, rank, solve
 
 
-def identity(n):
-    return RationalMatrix([Q(int(i == j)) for j in range(n)] for i in range(n))
+def identity(n, scale=1):
+    return RationalMatrix([scale * int(i == j) for j in range(n)] for i in range(n))
 
 
 def zeros(rows, cols):
-    return RationalMatrix([Q(0)] * cols for _ in range(rows))
+    return RationalMatrix([0] * cols for _ in range(rows))
 
 
 def apply(m, v):
-    return tuple(sum((x * Q(y) for x, y in zip(row, v)), Q(0)) for row in m)
+    """Mv, in ints for an int vector and in Fractions for a Fraction one."""
+    return tuple(sum(x * y for x, y in zip(row, v)) for row in m)
 
 
 def test_rank_identity():
@@ -57,8 +58,9 @@ def test_solve_inconsistent():
 
 
 def test_solve_identity():
-    b = vec([3, Q(1, 2), -7])
-    assert fractions_of(solve(identity(3), b)) == b
+    b = [3, 1, -7]
+    assert fractions_of(solve(identity(3), b)) == vec(b)
+    assert fractions_of(solve(identity(3, 2), b)) == (Q(3, 2), Q(1, 2), Q(-7, 2))
 
 
 def test_solve_dimension_mismatch():
@@ -74,9 +76,7 @@ def test_ragged_rows_rejected():
 
 
 def _random_matrix(rng, rows, cols):
-    return RationalMatrix(
-        [Q(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(cols)] for _ in range(rows)
-    )
+    return RationalMatrix([rng.randint(-12, 12) for _ in range(cols)] for _ in range(rows))
 
 
 def test_kernel_vectors_annihilate():
@@ -98,17 +98,17 @@ def test_solve_exactness_and_inconsistency_witness():
     rng = random.Random(13)
     for _ in range(25):
         m = _random_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
-        b = vec([Q(rng.randint(-3, 3)) for _ in range(m.rows)])
+        b = [rng.randint(-3, 3) for _ in range(m.rows)]
         x = fractions_of(solve(m, b))
         if x is not None:
-            assert apply(m, x) == b
+            assert apply(m, x) == tuple(b)
         else:
             aug = RationalMatrix([list(m[i]) + [b[i]] for i in range(m.rows)])
             assert rank(aug) > rank(m)
 
 
 def test_independent_subset():
-    vs = [vec([1, 0]), vec([2, 0]), vec([0, 1]), vec([1, 1])]
+    vs = [[1, 0], [2, 0], [0, 1], [1, 1]]
     assert independent_subset(vs) == [0, 2]
 
 
@@ -120,14 +120,14 @@ def test_matmul():
 
 def test_elimination_with_non_unit_pivots_and_zero_rows():
     # pivots 2 and 3; row 2 has a zero in the first pivot column, row 3 is zero,
-    # row 4 is (row 1 + 2 row 2) / 4
+    # row 4 is row 1 + 2 row 2
     m = RationalMatrix(
         [
             [2, 4, 0, 6, 1],
             [0, 3, 0, 1, 0],
             [0, 0, 0, 0, 0],
-            [Q(1, 2), Q(5, 2), 0, 2, Q(1, 4)],
-            [4, 2, 0, 3, Q(1, 2)],
+            [2, 10, 0, 8, 1],
+            [8, 4, 0, 6, 1],
         ]
     )
     rows = [list(row) for row in m]
@@ -135,7 +135,7 @@ def test_elimination_with_non_unit_pivots_and_zero_rows():
     basis = [fractions_of(v) for v in kernel_basis(m)]
     assert basis == bareiss_kernel_basis(m) and len(basis) == 2
     assert all(apply(m, v) == (0,) * 5 for v in basis)
-    b = [3, 0, 0, Q(3, 4), Q(9, 2)]  # M (1, 0, 0, 0, 1)
+    b = [3, 0, 0, 3, 9]  # M (1, 0, 0, 0, 1)
     assert fractions_of(solve(m, b)) == bareiss_solve(m, b) is not None
     assert apply(m, fractions_of(solve(m, b))) == tuple(b)
     assert solve(m, [1, 2, 1, 0, 0]) is bareiss_solve(m, [1, 2, 1, 0, 0]) is None

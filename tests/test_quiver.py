@@ -120,7 +120,7 @@ def _search_rank_tuples(d):
     for bits in itertools.product((0, 1), repeat=sum(r * c for r, c in shapes)):
         maps, pos = [], 0
         for r, c in shapes:
-            flat = [Q(b) for b in bits[pos : pos + r * c]]
+            flat = bits[pos : pos + r * c]
             maps.append(RationalMatrix(flat[a * c : (a + 1) * c] for a in range(r)))
             pos += r * c
         found.add(rank_tuple(d, maps))

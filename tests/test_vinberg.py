@@ -119,6 +119,10 @@ def test_jm_triple_relations_many():
         # h in degree 0, f in degree -1
         assert project(pair.grading, triple.h, 0) == triple.h
         assert project(pair.grading, triple.f, -1) == triple.f
+        # a non-integral e: the triple through c e is (h, c e, f / c) exactly
+        for c in (Q(1, 2), Q(-3, 2), Q(2, 3)):
+            scaled = jm_triple(pair, c * e)
+            assert (scaled.h, scaled.e, scaled.f) == (triple.h, c * e, triple.f * (1 / c))
 
 
 def test_jm_triple_rejects_zero(sl3):
@@ -240,6 +244,17 @@ def test_jm_regular_implies_rank_equals_pairing():
         cert = jm_regular(pair)
         assert cert.regular
         assert toledo_rank(pair, cert.e) == pair.zeta_pairing()
+
+
+def test_jm_regular_scales_with_a_non_integral_open_element():
+    """With c e as the open-orbit element, the certificate is f / c exactly."""
+    for name, labels in [("A2", [1, 1]), ("A3", [1, 0, 1]), ("G2", [0, 1])]:
+        cert = jm_regular(_pair(name, labels))
+        for c in (Q(1, 2), Q(-3, 2), Q(2, 3)):
+            pair = _pair(name, labels)
+            pair._open[0] = c * cert.e  # the element that seed 0 would search for
+            scaled = jm_regular(pair)
+            assert scaled.regular and (scaled.e, scaled.f) == (c * cert.e, cert.f * (1 / c))
 
 
 def test_dual_toledo_factor_values():
