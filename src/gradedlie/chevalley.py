@@ -210,10 +210,10 @@ class StructureConstants:
         return next(a for a, c in self.rs.codes.items() if c == code)
 
     def verify_string_lengths(self):
-        """|N_{alpha,beta}| = p+1 (an integer) on every positive special pair."""
+        """|N_{alpha,beta}| = p+1 on every positive special pair."""
         for (a, b), n in self.table.items():
             p = self._string_down(a, b)
-            if n.denominator != 1 or abs(n) != p + 1:
+            if abs(n) != p + 1:
                 raise AssertionError(f"bad constant N({self._root(a)},{self._root(b)}) = {n}, p = {p}")
 
 
@@ -244,9 +244,6 @@ class ChevalleyAlgebra:
         if index < self.rank:
             return None
         return self.rs.roots[index - self.rank]
-
-    def zero(self) -> Element:
-        return Element()
 
     def from_sparse(self, coords: Mapping[int, Rational]) -> Element:
         """``Element.of`` the coordinates, whose indices must be basis indices."""
@@ -319,22 +316,23 @@ class ChevalleyAlgebra:
     # -- invariant forms --------------------------------------------------
 
     @cached_property
-    def form_table(self) -> Tuple[List[Terms], int]:
-        """(rows, D) of the form B with B*(highest root, highest root) = 2:
-        rows[i] lists (j, D B(b_i, b_j)) over the j with B(b_i, b_j) != 0, and D
-        is the least common denominator of those values.
+    def form_table(self) -> List[Terms]:
+        """Rows of the form B with B*(highest root, highest root) = 2, in Python ints:
+        rows[i] lists (j, B(b_i, b_j)) over the j with B(b_i, b_j) != 0.
 
-        B(h_i, h_j) = 4(alpha_i, alpha_j)/(|alpha_i|^2 |alpha_j|^2) is the coroot
-        Gram entry, B(e_alpha, e_{-alpha}) = 2/|alpha|^2, and every other pair of
-        basis vectors is orthogonal.
+        With ell the root length classes and L that of the long roots,
+        B(h_i, h_j) = L c_ij / ell(alpha_i) on simple coroots, B(e_alpha, e_{-alpha})
+        = L / ell(alpha), and every other pair of basis vectors is orthogonal; each
+        value is certified an integer.
         """
-        rs = self.rs
-        pairing = {n: 2 / n for n in set(rs.norms.values())}  # one per root length
-        index = self.constants.index
-        values = [[(j, x) for j, x in enumerate(row) if x] for row in rs.coroot_gram]
-        values += [[(index[-c], pairing[rs.norms[a]])] for a, c in rs.codes.items()]
-        den = lcm(*(x.denominator for row in values for _, x in row))
-        return [tuple((j, x.numerator * (den // x.denominator)) for j, x in row) for row in values], den
+        rs, r, index = self.rs, self.rank, self.constants.index
+        L, ell = rs.long_class, rs.lengths
+        simple = [rs.length_class(tuple(int(k == i) for k in range(r))) for i in range(r)]
+        rows = [
+            tuple((j, exact_div(L * c, ell_i)) for j, c in enumerate(row) if c)
+            for row, ell_i in zip(rs.cartan, simple)
+        ]
+        return rows + [((index[-c], exact_div(L, ell[c])),) for c in rs.codes.values()]
 
     # The Killing form tr(ad a ad b) over the basis, O(dim^3).  Production code
     # uses the closed form above; this is its independent test oracle.

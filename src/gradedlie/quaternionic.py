@@ -3,7 +3,8 @@
 The coroot T of the highest root beta grades the algebra by ad-eigenvalues
 -2..2, with one-dimensional extreme pieces spanned by the root spaces of
 +-beta.  The constant kappa is the squared length of a longest degree-1 root
-under the B*(beta,beta) = 2 normalisation: 2 for most types, 1 when every
+gamma under the B*(beta,beta) = 2 normalisation, 2 ell(gamma) / L in length
+classes, certified an integer: 2 for most types, 1 when every
 degree-1 root is short.  That happens exactly for the symplectic algebras —
 family C, plus B2 which is the same algebra in disguise.
 """
@@ -17,7 +18,7 @@ from typing import Dict, Tuple
 
 from .chevalley import ChevalleyAlgebra, build_algebra
 from .grading import ZGrading, z_grading_from_labels
-from .rootsystem import LieType
+from .rootsystem import LieType, exact_div
 from .vinberg import (
     RegularityCertificate,
     VinbergPair,
@@ -63,7 +64,7 @@ def build_quaternionic(t: LieType) -> QuaternionicData:
     if sorted(dims) != [-2, -1, 0, 1, 2] or dims[2] != 1 or dims[-2] != 1:
         raise AssertionError(f"unexpected piece structure {dims}")
     pair = vinberg_pair(zg)
-    kappa = int(pair.gamma_norm)
+    kappa = exact_div(2 * alg.rs.length_class(pair.gamma), alg.rs.long_class)  # B*(gamma, gamma)
     if kappa != kappa_rule(t):
         raise AssertionError(f"kappa = {kappa} contradicts the family rule for {t}")
     return QuaternionicData(grading=zg, kappa=kappa, pairs={1: pair})

@@ -5,14 +5,16 @@ ordered by Bourbaki numbering of the simple roots, and as one code each,
 sum_k a_k 64^k with signed digits.  No coefficient of a root, or of a sum or
 difference of two roots, exceeds 12 in absolute value, so codes add and negate
 like the roots and have their sign: root-lattice steps after the reflection
-closure are Python-int arithmetic.  The invariant form on the root lattice is
-normalised so that the highest root has squared length 2.  Root norms
-(Fractions, at most two values) and length classes (Python ints
-|alpha|^2 / |shortest root|^2 in {1, 2, 3}, keyed by code) come from the
-reflection closure: each root has those of the simple root whose Weyl orbit it
-was reached in, so no root needs a form evaluation.  They, the integer coroot
-coefficients and the Gram matrix of the simple coroots are computed once per
-root system; ``norm`` and ``coroot_coefficients`` are table lookups on roots.
+closure are Python-int arithmetic.  Root lengths are integer length classes
+ell(alpha) = |alpha|^2 / |shortest root|^2 in {1, 2, 3}, keyed by code, and L,
+the class of the long roots; the highest root is long (certified).  They come
+from the reflection closure: each root has the class of the simple root whose
+Weyl orbit it was reached in, so no root needs a form evaluation.  The
+invariant form, normalised so that the highest root has squared length 2, is
+read off them: (alpha_i, alpha_j) = c_ij ell_j / L, so a root's norm is
+2 ell(alpha) / L, and ``form_value`` and ``norm`` build one Fraction each.  The
+classes and the integer coroot coefficients are computed once per root system;
+``coroot_coefficients`` is a table lookup on roots.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import lru_cache
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 Root = Tuple[int, ...]
 
@@ -111,15 +113,12 @@ class RootSystem:
     cartan: Tuple[Tuple[int, ...], ...]
     roots: Tuple[Root, ...]
     positive_roots: Tuple[Root, ...]
-    form_star: Tuple[Tuple[Q, ...], ...]  # B* on simple roots, highest root norm 2
     highest_root: Root
     affine_marks: Tuple[int, ...]  # (n_0, n_1, ..., n_r) with n_0 = 1
-    norms: Dict[Root, Q] = field(compare=False, repr=False)  # B*(alpha, alpha) per root
+    long_class: int  # L, the length class of the long roots and of the highest root
     codes: Dict[Root, int] = field(compare=False, repr=False)  # sum_k a_k 64^k, in root order
     lengths: Dict[int, int] = field(compare=False, repr=False)  # root code -> norm / shortest norm
     coroots: Dict[Root, Tuple[int, ...]] = field(compare=False, repr=False)
-    # B(h_i, h_j) = 4 (alpha_i, alpha_j) / (|alpha_i|^2 |alpha_j|^2) on simple coroots
-    coroot_gram: Tuple[Tuple[Q, ...], ...] = field(compare=False, repr=False)
 
     @property
     def rank(self) -> int:
@@ -133,13 +132,19 @@ class RootSystem:
         """Integer pairing <alpha, alpha_j^vee>."""
         return sum(alpha[i] * self.cartan[i][j] for i in range(self.rank))
 
+    def length_class(self, alpha: Root) -> int:
+        """ell(alpha) = |alpha|^2 / |shortest root|^2 of a root."""
+        return self.lengths[self.codes[alpha]]
+
     def form_value(self, alpha: Root, beta: Root) -> Q:
-        """B*(alpha, beta) for lattice vectors in simple-root coordinates."""
-        return _form_value(self.form_star, alpha, beta)
+        """B*(alpha, beta) = sum_ij alpha_i beta_j c_ij ell_j / L for lattice vectors in
+        simple-root coordinates (simple root j has code 64^j)."""
+        total = sum(b * self.lengths[1 << 6 * j] * self.pairing(alpha, j) for j, b in enumerate(beta) if b)
+        return Q(total, self.long_class)
 
     def norm(self, alpha: Root) -> Q:
-        """B*(alpha, alpha) of a root."""
-        return self.norms[alpha]
+        """B*(alpha, alpha) = 2 ell(alpha) / L of a root."""
+        return Q(2 * self.length_class(alpha), self.long_class)
 
     def coroot_coefficients(self, alpha: Root) -> Tuple[int, ...]:
         """Coefficients of the coroot alpha^vee in the simple coroot basis."""
@@ -152,14 +157,6 @@ def exact_div(n, d) -> int:
     if rem:
         raise AssertionError(f"{n}/{d} is not an integer")
     return q
-
-
-def _form_value(form: Sequence[Sequence[Q]], alpha: Root, beta: Root) -> Q:
-    r = len(form)
-    return sum(
-        (Q(alpha[i]) * beta[j] * form[i][j] for i in range(r) for j in range(r)),
-        Q(0),
-    )
 
 
 def _reflection_closure(cartan: List[List[int]], r: int) -> Tuple[List[Root], Dict[Root, int]]:
@@ -226,45 +223,34 @@ def build_root_system(t: LieType) -> RootSystem:
         raise AssertionError("highest root is not unique")
     highest = candidates[0]
 
-    # Invariant form from the symmetrised Cartan matrix, rescaled so the highest
-    # root has norm 2: (alpha_i, alpha_j) = d_j c[i][j], and (beta, beta) is
-    # sum_j beta_j d_j <beta, alpha_j^vee>.  Zero entries share one Fraction.
+    # Length classes, computed once.  A root has the class of the simple root its
+    # reflection chain starts from (Weyl invariance); at most two values occur, and
+    # the symmetrizer d_j is proportional to |alpha_j|^2.
+    # alpha^vee = sum_i a_i ell(alpha_i) / ell(alpha) alpha_i^vee.
     d = _symmetrizer(cartan, r)
-    pairing = [sum(b * row[j] for b, row in zip(highest, cartan)) for j in range(r)]
-    scale, zero = Q(2) / sum(b * dj * p for b, dj, p in zip(highest, d, pairing)), Q(0)
-    form = [[d[j] * scale * c if c else zero for j, c in enumerate(row)] for row in cartan]
-
-    # Root data, computed once.  A root has the norm and length class of the
-    # simple root its reflection chain starts from (Weyl invariance); at most
-    # two values occur.  alpha^vee = sum_i a_i ell(alpha_i) / ell(alpha) alpha_i^vee.
-    norms = {a: form[j][j] for a, j in origin.items()}
-    values = {form[j][j] for j in range(r)}
-    if len(values) > 2:
+    if len(set(d)) > 2:
         raise AssertionError("more than two root lengths")
-    ell = [exact_div(form[j][j], min(values)) for j in range(r)]
+    ell = [exact_div(dj, min(d)) for dj in d]
+    long_class = max(ell)
     lengths = {codes[a]: ell[j] for a, j in origin.items()}
+    if lengths[codes[highest]] != long_class:
+        raise AssertionError("the highest root is not long")
     coroots = {
         a: tuple(exact_div(x * ell[i], ell[origin[a]]) if x else 0 for i, x in enumerate(a))
         for a in roots
     }
-    coroot_gram = tuple(
-        tuple(2 * c / form[i][i] if c else zero for c in row)  # form[i][j] = form[j][j] c[i][j] / 2
-        for i, row in enumerate(cartan)
-    )
 
     return RootSystem(
         lie_type=t,
         cartan=tuple(tuple(row) for row in cartan),
         roots=tuple(roots),
         positive_roots=tuple(positive),
-        form_star=tuple(tuple(row) for row in form),
         highest_root=highest,
         affine_marks=(1,) + highest,
-        norms=norms,
+        long_class=long_class,
         codes=codes,
         lengths=lengths,
         coroots=coroots,
-        coroot_gram=coroot_gram,
     )
 
 

@@ -7,11 +7,12 @@ chi_T(x) = B(zeta, x) B*(gamma, gamma), where gamma is a longest root whose
 root space sits in degree 1.  The B*(gamma,gamma) factor makes chi_T
 independent of the chosen invariant form.  The production route is
 ``normalized_form``, the form with B*(highest root, highest root) = 2 read off
-the root data in closed form, with no trace of ad: an integer table
-D B(b_i, b_j) (``ChevalleyAlgebra.form_table``), built once per algebra and
-summed over the sparse supports.  The trace-of-ad Killing form's dual norm
-(``killing_dual_norm``) is kept as an independent oracle, so tests can assert
-that independence exactly.
+the root length classes in closed form, with no trace of ad: an integer table
+of B(b_i, b_j) (``ChevalleyAlgebra.form_table``), built once per algebra and
+summed over the sparse supports.  gamma is chosen, and B*(gamma, gamma) and the
+dual factor are read, by the integer length classes.  The trace-of-ad Killing
+form's dual norm (``killing_dual_norm``) is kept as an independent oracle, so
+tests can assert that independence exactly.
 
 Elements are ``chevalley.Element``s (sparse integer numerators over one
 denominator): open-orbit samples are built from ints, linear systems run on
@@ -61,8 +62,8 @@ def killing_dual_norm(alg: ChevalleyAlgebra, gamma) -> Q:
 
 
 def form_numerator(alg: ChevalleyAlgebra, a: Element, b: Element) -> int:
-    """D a.den b.den B(a, b), D = ``alg.form_table[1]``: the table summed over numerators."""
-    rows = alg.form_table[0]
+    """a.den b.den B(a, b): ``alg.form_table`` summed over numerators."""
+    rows = alg.form_table
     b_num = b.num
     total = 0
     for i, ai in a.num.items():
@@ -75,7 +76,7 @@ def form_numerator(alg: ChevalleyAlgebra, a: Element, b: Element) -> int:
 
 def normalized_form(alg: ChevalleyAlgebra, a: Element, b: Element) -> Q:
     """Invariant form scaled so the highest root has dual norm 2; one Fraction per call."""
-    return Q(form_numerator(alg, a, b), alg.form_table[1] * a.den * b.den)
+    return Q(form_numerator(alg, a, b), a.den * b.den)
 
 
 @dataclass
@@ -95,10 +96,6 @@ class VinbergPair:
             self._open[seed] = generic_element(self, seed)
         return self._open[seed]
 
-    @property
-    def dim_piece(self) -> int:
-        return len(self.grading.piece(1))
-
     def chi_t(self, x: Element) -> Q:
         return normalized_form(self.algebra, self.grading.zeta, x) * self.gamma_norm
 
@@ -111,9 +108,7 @@ def vinberg_pair(zg: ZGrading) -> VinbergPair:
     degree_one = zg.piece(1)
     if not degree_one:
         raise ValueError("grading has no degree-1 piece")
-    roots = [alg.basis_root(i) for i in degree_one]
-    best = max(alg.rs.norm(a) for a in roots)
-    gamma = next(a for a in roots if alg.rs.norm(a) == best)
+    gamma = max((alg.basis_root(i) for i in degree_one), key=alg.rs.length_class)  # the first longest
     return VinbergPair(grading=zg, gamma=gamma, gamma_norm=alg.rs.norm(gamma))
 
 
@@ -241,8 +236,8 @@ def jm_regular(pair: VinbergPair, seed: int = 0) -> RegularityCertificate:
 def dual_toledo_factor(pair: VinbergPair) -> Q:
     """Ratio between the Toledo data of (G_0, g_1) and of (G_0, g_{1-m}).
 
-    Equals 1/(1-m) * B*(gamma', gamma')/B*(gamma, gamma) with gamma' a longest
-    root in the lowest piece; always negative.
+    Equals 1/(1-m) * B*(gamma', gamma')/B*(gamma, gamma) = ell(gamma') / ((1-m) ell(gamma))
+    with gamma' a longest root in the lowest piece and ell the length class; always negative.
     """
     zg = pair.grading
     m = zg.depth
@@ -252,6 +247,5 @@ def dual_toledo_factor(pair: VinbergPair) -> Q:
     if not low:
         raise ValueError("lowest piece is empty")
     alg = pair.algebra
-    roots = [alg.basis_root(i) for i in low]
-    gamma_prime_norm = max(alg.rs.norm(a) for a in roots)
-    return Q(1, 1 - m) * gamma_prime_norm / pair.gamma_norm
+    ell_prime = max(alg.rs.length_class(alg.basis_root(i)) for i in low)
+    return Q(ell_prime, (1 - m) * alg.rs.length_class(pair.gamma))

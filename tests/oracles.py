@@ -249,8 +249,10 @@ class FractionConstants:
 
 
 def fraction_coroot(rs: RootSystem, alpha: Root) -> Tuple[Q, ...]:
-    """alpha^vee = sum_i a_i |alpha_i|^2 / |alpha|^2 alpha_i^vee, in Fractions."""
-    return tuple(Q(a) * rs.form_star[i][i] / rs.norm(alpha) for i, a in enumerate(alpha))
+    """alpha^vee = sum_i a_i |alpha_i|^2 / |alpha|^2 alpha_i^vee, in Fractions of form values."""
+    simple = [tuple(int(i == j) for i in range(rs.rank)) for j in range(rs.rank)]
+    norm = rs.form_value(alpha, alpha)
+    return tuple(a * rs.form_value(s, s) / norm for s, a in zip(simple, alpha))
 
 
 # -- the trace-of-ad Killing form route to chi_T ------------------------------
@@ -401,24 +403,27 @@ def is_normalised(x: Element) -> bool:
 
 
 def fraction_normalized_form(alg: ChevalleyAlgebra, a: Sequence, b: Sequence) -> Q:
-    """The highest-root-normalised form on dense coordinates, summed in Fractions.
+    """The highest-root-normalised form on dense coordinates, summed in Fractions of form values.
 
-    B(h_i, h_j) is the coroot Gram entry, B(e_alpha, e_{-alpha}) = 2/|alpha|^2,
-    and every other pair of basis vectors is orthogonal.
+    B(h_i, h_j) = 4 (alpha_i, alpha_j) / (|alpha_i|^2 |alpha_j|^2) on simple
+    coroots, B(e_alpha, e_{-alpha}) = 2/|alpha|^2, and every other pair of basis
+    vectors is orthogonal.
     """
     rs = alg.rs
     r = alg.rank
+    simple = [tuple(int(i == j) for i in range(r)) for j in range(r)]
     total = Q(0)
     for i in range(r):
-        if a[i]:
-            row = rs.coroot_gram[i]
-            total += Q(a[i]) * sum((row[j] * b[j] for j in range(r) if b[j]), Q(0))
+        for j in range(r):
+            if a[i] and b[j]:
+                s, t = simple[i], simple[j]
+                total += 4 * Q(a[i]) * b[j] * rs.form_value(s, t) / (rs.form_value(s, s) * rs.form_value(t, t))
     for i in range(r, alg.dim):
         if a[i]:
             alpha = rs.roots[i - r]
             y = b[alg.root_index[tuple(-x for x in alpha)]]
             if y:
-                total += 2 * Q(a[i]) * y / rs.norms[alpha]
+                total += 2 * Q(a[i]) * y / rs.form_value(alpha, alpha)
     return total
 
 

@@ -174,7 +174,7 @@ def test_8_property_suites():
                 continue
             r = toledo_rank(pair, e)
             assert 0 <= r <= top_rank
-            assert (r == top_rank) == (orbit_dimension(pair, e) == pair.dim_piece)
+            assert (r == top_rank) == (orbit_dimension(pair, e) == len(pair.grading.piece(1)))
 
 
 def test_9_embedding_consistency():

@@ -13,10 +13,11 @@ from conftest import quiver_grading
 from oracles import FractionConstants, fraction_coroot, root_vector
 
 from gradedlie.cayley import cayley_pair
-from gradedlie.chevalley import ChevalleyAlgebra, StructureConstants, build_algebra
+from gradedlie.chevalley import ChevalleyAlgebra, Element, StructureConstants, build_algebra
 from gradedlie.linalg import rank
 from gradedlie.quiver import QuiverDims
 from gradedlie.rootsystem import LieType, build_root_system
+from gradedlie.vinberg import normalized_form
 
 BUILT_TYPES = ["A1", "A2", "A3", "B2", "B3", "C2", "C3", "D4", "G2", "F4", "E6"]
 
@@ -86,7 +87,7 @@ def test_killing_nondegenerate(name):
 
 
 def test_centralizer_of_zero(sl2):
-    full = sl2.centralizer([sl2.zero()], range(sl2.dim))
+    full = sl2.centralizer([Element()], range(sl2.dim))
     assert full == [sl2.from_sparse({i: Q(1)}) for i in range(sl2.dim)]
 
 
@@ -292,6 +293,19 @@ def test_integer_constants_match_fraction_oracle(name):
 
 
 AD_BLOCK_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "G2", "F4", "E6", "E7", "E8"]
+
+
+@pytest.mark.parametrize("name", AD_BLOCK_TYPES + ["C2"])
+def test_form_table_is_an_integer_symmetric_table(name):
+    """Every form_table entry is a nonzero Python int, B(b_i, b_j) = B(b_j, b_i), and
+    the coroot of the highest root has B(theta^vee, theta^vee) = 4 / B*(theta, theta) = 2."""
+    alg = build_algebra(LieType.parse(name))
+    assert len(alg.form_table) == alg.dim
+    entries = {(i, j): t for i, row in enumerate(alg.form_table) for j, t in row}
+    assert all(type(t) is int and t for t in entries.values())
+    assert all(entries.get((j, i)) == t for (i, j), t in entries.items())
+    theta_vee = alg.coroot(alg.rs.highest_root)
+    assert normalized_form(alg, theta_vee, theta_vee) == 2
 
 
 @pytest.mark.parametrize("name", AD_BLOCK_TYPES)

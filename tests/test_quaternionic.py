@@ -5,7 +5,7 @@ import pytest
 from conftest import assert_paper_check
 from oracles import form_quaternionic_labels, orbit_toledo_rank
 
-from gradedlie import vinberg
+from gradedlie import quaternionic, vinberg
 from gradedlie.checks import expected_ranks, q_list
 from gradedlie.cli import main
 from gradedlie.quaternionic import (
@@ -49,6 +49,20 @@ def test_grading_element_is_highest_coroot(name):
     qd = build_quaternionic(LieType.parse(name))
     alg = qd.algebra
     assert qd.grading.zeta == alg.coroot(alg.rs.highest_root)
+
+
+def test_non_integral_kappa_raises_where_it_arises(monkeypatch):
+    """A short gamma of G2 has B*(gamma, gamma) = 2/3: kappa refuses it, not truncated to 0."""
+    pair_of = quaternionic.vinberg_pair
+
+    def short_gamma(zg):
+        pair = pair_of(zg)
+        pair.gamma = next(a for a in zg.algebra.rs.roots if zg.algebra.rs.length_class(a) == 1)
+        return pair
+
+    monkeypatch.setattr(quaternionic, "vinberg_pair", short_gamma)
+    with pytest.raises(AssertionError, match="2/3 is not an integer"):
+        build_quaternionic.__wrapped__(LieType.parse("G2"))
 
 
 @pytest.mark.parametrize("name", TYPE_LIST)

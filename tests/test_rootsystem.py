@@ -4,6 +4,7 @@ import pytest
 
 from oracles import classical_root_count, dense_reflection_closure, form_affine_cartan_matrix
 
+from gradedlie import rootsystem
 from gradedlie.rootsystem import (
     LieType,
     _reflection_closure,
@@ -75,12 +76,12 @@ def test_highest_root_norm_two(name):
 
 @pytest.mark.parametrize("name", SMALL_TYPES + ["A20", "B8", "C8", "D8", "E8"])
 def test_norm_table_matches_form(name):
-    """Norms read from the reflection closure agree with the form on every root."""
+    """Norms read from the length classes agree with the form on every root."""
     rs = build_root_system(LieType.parse(name))
-    assert set(rs.norms) == set(rs.roots)
+    assert set(rs.lengths) == set(rs.codes.values())
     for alpha in rs.roots:
         assert rs.norm(alpha) == rs.form_value(alpha, alpha)
-    assert len(set(rs.norms.values())) <= 2
+    assert len({rs.norm(alpha) for alpha in rs.roots}) <= 2
 
 
 @pytest.mark.parametrize("name", SMALL_TYPES)
@@ -110,12 +111,23 @@ def _det(rows):
 def test_form_symmetric_positive_definite(name):
     rs = build_root_system(LieType.parse(name))
     r = rs.rank
+    simple = [tuple(int(i == j) for i in range(r)) for j in range(r)]
+    form = [[rs.form_value(a, b) for b in simple] for a in simple]
     for i in range(r):
         for j in range(r):
-            assert rs.form_star[i][j] == rs.form_star[j][i]
+            assert form[i][j] == form[j][i]
     # Sylvester: all leading principal minors strictly positive
     for k in range(1, r + 1):
-        assert _det([list(row[:k]) for row in rs.form_star[:k]]) > 0
+        assert _det([list(row[:k]) for row in form[:k]]) > 0
+
+
+@pytest.mark.parametrize("name", ["B3", "C3"])
+def test_swapped_length_classes_fail_the_build(monkeypatch, name):
+    """With the long and short classes swapped, the highest root is short: the build refuses."""
+    symmetrizer = rootsystem._symmetrizer
+    monkeypatch.setattr(rootsystem, "_symmetrizer", lambda cartan, r: [1 / d for d in symmetrizer(cartan, r)])
+    with pytest.raises(AssertionError, match="highest root is not long"):
+        build_root_system.__wrapped__(LieType.parse(name))
 
 
 def test_short_root_norms():
