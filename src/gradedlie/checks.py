@@ -19,7 +19,7 @@ from .amw import RANK_TABLE, BoundInput, coarse_interval
 from .cayley import BracketProjection, bracket_projection_test, cayley_pair
 from .chevalley import build_algebra
 from .grading import kac_labels, kac_lift_check, z_grading_from_labels
-from .quaternionic import build_quaternionic, kappa_rule, quaternionic_ranks, verify_extreme_pieces
+from .quaternionic import build_quaternionic, extremes_regular, kappa_rule, quaternionic_ranks
 from .quiver import QuiverHiggsTopology, toledo_invariant
 from .rootsystem import LieType, build_root_system
 from .vinberg import jm_regular
@@ -91,12 +91,12 @@ def _quaternionic_rows(name: str) -> List[PaperCheck]:
         PaperCheck(f"quaternionic-ranks-{name}", "rank table for the highest-root grading", expected_ranks(t),
                    lambda seed: q_list(quaternionic_ranks(build_quaternionic(t), seed))),
         PaperCheck(f"extreme-pieces-regular-{name}", "one-dimensional pieces are JM-regular", True,
-                   lambda seed: verify_extreme_pieces(build_quaternionic(t), seed).both_regular),
+                   lambda seed: extremes_regular(build_quaternionic(t), seed)),
     ]
     if kappa_rule(t) == 1:
         rows.append(PaperCheck(
             f"sp-degree1-not-regular-{name}", "symplectic degree-1 pair is not JM-regular", False,
-            lambda seed: jm_regular(build_quaternionic(t).pair(1), seed).regular,
+            lambda seed: jm_regular(build_quaternionic(t).pairs[1], seed).regular,
         ))
     return rows
 

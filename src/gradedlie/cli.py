@@ -29,7 +29,7 @@ from .cayley import bracket_projection_test, cayley_pair, verify_iso_and_charact
 from .checks import expected_ranks, kappa_table, paper_checks, q_list, q_str, witness_222, witness_json
 from .chevalley import build_algebra
 from .grading import check_labels, kac_labels, kac_lift_check, root_grading, z_grading_from_labels, zm_from_kac
-from .quaternionic import build_quaternionic, quaternionic_ranks, verify_extreme_pieces
+from .quaternionic import build_quaternionic, extremes_regular, quaternionic_ranks
 from .quiver import (
     QuiverDims,
     QuiverHiggsTopology,
@@ -267,21 +267,21 @@ def cmd_amw(
 def cmd_quaternionic(lie_type: LieType, seed: int, **_) -> Dict[str, Any]:
     qd = build_quaternionic(lie_type)
     rp, rm = quaternionic_ranks(qd, seed)
-    extremes = verify_extreme_pieces(qd, seed)
+    extremes = extremes_regular(qd, seed)
     return make_report(
         "quaternionic",
         {"lie_type": str(lie_type), "seed": seed},
         {
-            "piece_dims": [d for _, d in sorted(qd.grading.dims().items())],  # degrees -2..2
+            "piece_dims": list(qd.grading.dims().values()),  # degrees -2..2
             "kappa": qd.kappa,
             "rank_plus": q_str(rp),
             "rank_minus": q_str(rm),
-            "degree1_jm_regular": jm_regular(qd.pair(1), seed).regular,
-            "extreme_pieces_jm_regular": extremes.both_regular,
+            "degree1_jm_regular": jm_regular(qd.pairs[1], seed).regular,
+            "extreme_pieces_jm_regular": extremes,
         },
         [
             (f"ranks-{lie_type}", "quaternionic rank table", expected_ranks(lie_type), [q_str(rp), q_str(rm)]),
-            (f"extremes-{lie_type}", "extreme pieces JM-regular", True, extremes.both_regular),
+            (f"extremes-{lie_type}", "extreme pieces JM-regular", True, extremes),
         ],
     )
 

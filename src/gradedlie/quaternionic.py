@@ -7,26 +7,21 @@ gamma under the B*(beta,beta) = 2 normalisation, 2 ell(gamma) / L in length
 classes, certified an integer: 2 for most types, 1 when every
 degree-1 root is short.  That happens exactly for the symplectic algebras —
 family C, plus B2 which is the same algebra in disguise.
+
+The build also makes the pairs (G_0, g_j), j = 1, 2, -2, that the Toledo
+ranks and the extreme-piece JM-regularity read; each is searched once per seed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import lru_cache
-from typing import Dict, Tuple
+from typing import Dict, NamedTuple, Tuple
 
 from .chevalley import ChevalleyAlgebra, build_algebra
 from .grading import ZGrading, z_grading_from_labels
 from .rootsystem import LieType, exact_div
-from .vinberg import (
-    RegularityCertificate,
-    VinbergPair,
-    jm_regular,
-    pair_rank,
-    regrade,
-    vinberg_pair,
-)
+from .vinberg import VinbergPair, jm_regular, pair_rank, regrade, vinberg_pair
 
 
 def quaternionic_labels(alg: ChevalleyAlgebra) -> Tuple[int, ...]:
@@ -35,21 +30,10 @@ def quaternionic_labels(alg: ChevalleyAlgebra) -> Tuple[int, ...]:
     return tuple(sum(t * c for t, c in zip(beta_vee, row)) for row in alg.rs.cartan)
 
 
-@dataclass
-class QuaternionicData:
+class QuaternionicData(NamedTuple):
     grading: ZGrading  # its grading element is the coroot of the highest root
     kappa: int
-    pairs: Dict[int, VinbergPair] = field(default_factory=dict, compare=False, repr=False)
-
-    @property
-    def algebra(self) -> ChevalleyAlgebra:
-        return self.grading.algebra
-
-    def pair(self, degree: int = 1) -> VinbergPair:
-        """The pair (G_0, g_degree), built once per degree."""
-        if degree not in self.pairs:
-            self.pairs[degree] = vinberg_pair(self.grading if degree == 1 else regrade(self.grading, degree))
-        return self.pairs[degree]
+    pairs: Dict[int, VinbergPair]  # (G_0, g_j) for j = 1, 2, -2
 
 
 @lru_cache(maxsize=None)
@@ -63,11 +47,11 @@ def build_quaternionic(t: LieType) -> QuaternionicData:
         raise ValueError(f"{t} has no quaternionic grading: the highest-root grading has no degree-1 piece")
     if sorted(dims) != [-2, -1, 0, 1, 2] or dims[2] != 1 or dims[-2] != 1:
         raise AssertionError(f"unexpected piece structure {dims}")
-    pair = vinberg_pair(zg)
-    kappa = exact_div(2 * alg.rs.length_class(pair.gamma), alg.rs.long_class)  # B*(gamma, gamma)
+    pairs = {j: vinberg_pair(zg if j == 1 else regrade(zg, j)) for j in (1, 2, -2)}
+    kappa = exact_div(2 * alg.rs.length_class(pairs[1].gamma), alg.rs.long_class)  # B*(gamma, gamma)
     if kappa != kappa_rule(t):
         raise AssertionError(f"kappa = {kappa} contradicts the family rule for {t}")
-    return QuaternionicData(grading=zg, kappa=kappa, pairs={1: pair})
+    return QuaternionicData(grading=zg, kappa=kappa, pairs=pairs)
 
 
 def kappa_rule(t: LieType) -> int:
@@ -79,24 +63,9 @@ def kappa_rule(t: LieType) -> int:
 
 def quaternionic_ranks(qd: QuaternionicData, seed: int = 0) -> Tuple[Q, Q]:
     """(rank_T(G_0, g_1), rank_T(G_0, g_{-2})), via sl2-triples on open-orbit elements."""
-    rank_plus = pair_rank(qd.pair(1), seed)
-    rank_minus = pair_rank(qd.pair(-2), seed)
-    return rank_plus, rank_minus
+    return pair_rank(qd.pairs[1], seed), pair_rank(qd.pairs[-2], seed)
 
 
-@dataclass
-class ExtremePieceReport:
-    plus: RegularityCertificate
-    minus: RegularityCertificate
-
-    @property
-    def both_regular(self) -> bool:
-        return self.plus.regular and self.minus.regular
-
-
-def verify_extreme_pieces(qd: QuaternionicData, seed: int = 0) -> ExtremePieceReport:
-    """JM-regularity certificates for the pairs (G_0, g_2) and (G_0, g_{-2})."""
-    return ExtremePieceReport(
-        plus=jm_regular(qd.pair(2), seed),
-        minus=jm_regular(qd.pair(-2), seed),
-    )
+def extremes_regular(qd: QuaternionicData, seed: int = 0) -> bool:
+    """Whether the pairs (G_0, g_2) and (G_0, g_{-2}) are both JM-regular."""
+    return jm_regular(qd.pairs[2], seed).regular and jm_regular(qd.pairs[-2], seed).regular

@@ -83,7 +83,6 @@ def normalized_form(alg: ChevalleyAlgebra, a: Element, b: Element) -> Q:
 class VinbergPair:
     grading: ZGrading
     gamma: tuple  # longest root with root space in degree 1
-    gamma_norm: Q  # B*(gamma, gamma) under the highest-root normalisation
     _open: Dict[int, Element] = field(default_factory=dict, compare=False, repr=False)
 
     @property
@@ -97,7 +96,7 @@ class VinbergPair:
         return self._open[seed]
 
     def chi_t(self, x: Element) -> Q:
-        return normalized_form(self.algebra, self.grading.zeta, x) * self.gamma_norm
+        return normalized_form(self.algebra, self.grading.zeta, x) * self.algebra.rs.norm(self.gamma)
 
     def zeta_pairing(self) -> Q:
         return self.chi_t(self.grading.zeta)
@@ -109,7 +108,7 @@ def vinberg_pair(zg: ZGrading) -> VinbergPair:
     if not degree_one:
         raise ValueError("grading has no degree-1 piece")
     gamma = max((alg.basis_root(i) for i in degree_one), key=alg.rs.length_class)  # the first longest
-    return VinbergPair(grading=zg, gamma=gamma, gamma_norm=alg.rs.norm(gamma))
+    return VinbergPair(grading=zg, gamma=gamma)
 
 
 def orbit_dimension(pair: VinbergPair, e: Element) -> int:

@@ -22,7 +22,7 @@ from gradedlie.cayley import cayley_pair, verify_iso_and_character
 from gradedlie.checks import paper_checks
 from gradedlie.chevalley import build_algebra
 from gradedlie.grading import kac_labels, kac_lift_check, z_grading_from_labels
-from gradedlie.quaternionic import build_quaternionic, verify_extreme_pieces
+from gradedlie.quaternionic import build_quaternionic, extremes_regular
 from gradedlie.quiver import (
     QuiverDims,
     QuiverHiggsTopology,
@@ -81,10 +81,11 @@ def test_1_quaternionic_rank_table(name):
 @pytest.mark.parametrize("name", QUATERNIONIC_TYPES)
 def test_2_extreme_pieces_jm_regular_with_certificates(name):
     qd = build_quaternionic(LieType.parse(name))
-    report = verify_extreme_pieces(qd)
-    assert report.plus.regular and report.minus.regular
-    alg = qd.algebra
-    for cert, pair in ((report.plus, qd.pair(2)), (report.minus, qd.pair(-2))):
+    assert extremes_regular(qd)
+    alg = qd.grading.algebra
+    for pair in (qd.pairs[2], qd.pairs[-2]):
+        cert = jm_regular(pair)
+        assert cert.regular
         assert alg.bracket(cert.e, cert.f) == 2 * pair.grading.zeta
 
 

@@ -1,3 +1,4 @@
+import ast
 import copy
 import dataclasses
 import os
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import gradedlie
 from conftest import quiver_grading
 from oracles import FractionConstants, fraction_coroot, root_vector
 
@@ -232,6 +234,18 @@ def test_non_integral_constant_is_rejected_under_python_dash_o():
     run = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env)
     assert run.returncode == 0, run.stderr
     assert run.stdout.startswith("AssertionError") and run.stdout.endswith("is not an integer\n")
+
+
+def test_no_assert_statement_in_src():
+    """Every certificate raises AssertionError itself, so ``python -O`` strips none of them."""
+    package = Path(gradedlie.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 @pytest.mark.parametrize("name", ["D4", "F4"])

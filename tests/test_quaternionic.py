@@ -5,15 +5,15 @@ import pytest
 from conftest import assert_paper_check
 from oracles import form_quaternionic_labels, orbit_toledo_rank
 
-from gradedlie import quaternionic, vinberg
+from gradedlie import checks, quaternionic, vinberg
 from gradedlie.checks import expected_ranks, q_list
 from gradedlie.cli import main
 from gradedlie.quaternionic import (
     build_quaternionic,
+    extremes_regular,
     kappa_rule,
     quaternionic_labels,
     quaternionic_ranks,
-    verify_extreme_pieces,
 )
 from gradedlie.chevalley import build_algebra
 from gradedlie.quiver import QuiverDims, maximal_rank_tuple, quiver_jm_regular
@@ -30,7 +30,7 @@ def test_piece_structure(name):
     assert sorted(dims) == [-2, -1, 0, 1, 2]
     assert dims[2] == dims[-2] == 1
     assert dims[1] == dims[-1]
-    assert sum(dims.values()) == qd.algebra.dim
+    assert sum(dims.values()) == qd.grading.algebra.dim
 
 
 def test_a2_piece_dims(sl3):
@@ -47,7 +47,7 @@ def test_c2_piece_dims():
 @pytest.mark.parametrize("name", TYPE_LIST)
 def test_grading_element_is_highest_coroot(name):
     qd = build_quaternionic(LieType.parse(name))
-    alg = qd.algebra
+    alg = qd.grading.algebra
     assert qd.grading.zeta == alg.coroot(alg.rs.highest_root)
 
 
@@ -66,9 +66,18 @@ def test_non_integral_kappa_raises_where_it_arises(monkeypatch):
 
 
 @pytest.mark.parametrize("name", TYPE_LIST)
+def test_pairs_built_with_the_grading(name):
+    qd = build_quaternionic(LieType.parse(name))
+    assert set(qd.pairs) == {1, 2, -2}
+    for j, pair in qd.pairs.items():
+        assert pair.grading.piece(1) == qd.grading.piece(j)
+    assert [len(qd.pairs[j].grading.piece(1)) for j in (2, -2)] == [1, 1]
+
+
+@pytest.mark.parametrize("name", TYPE_LIST)
 def test_t_beta_norm(name):
     qd = build_quaternionic(LieType.parse(name))
-    assert normalized_form(qd.algebra, qd.grading.zeta, qd.grading.zeta) == 2
+    assert normalized_form(qd.grading.algebra, qd.grading.zeta, qd.grading.zeta) == 2
 
 
 @pytest.mark.parametrize(
@@ -88,21 +97,21 @@ def test_ranks(name):
 @pytest.mark.parametrize("name", TYPE_LIST)
 def test_extreme_pieces_jm_regular(name):
     qd = build_quaternionic(LieType.parse(name))
-    report = verify_extreme_pieces(qd)
-    assert report.both_regular
-    assert report.plus.f is not None and report.minus.f is not None
+    plus, minus = jm_regular(qd.pairs[2]), jm_regular(qd.pairs[-2])
+    assert plus.regular and minus.regular and extremes_regular(qd)
+    assert plus.f is not None and minus.f is not None
 
 
 @pytest.mark.parametrize("name", ["C2", "C3"])
 def test_symplectic_degree_one_not_regular(name):
     qd = build_quaternionic(LieType.parse(name))
-    assert not jm_regular(qd.pair(1)).regular
+    assert not jm_regular(qd.pairs[1]).regular
 
 
 @pytest.mark.parametrize("name", ["A2", "A3", "B3", "D4", "G2", "F4", "E6"])
 def test_non_symplectic_degree_one_regular(name):
     qd = build_quaternionic(LieType.parse(name))
-    assert jm_regular(qd.pair(1)).regular
+    assert jm_regular(qd.pairs[1]).regular
 
 
 def test_labels_are_adjacency_indicators(sl3):
@@ -167,3 +176,23 @@ def test_one_open_orbit_search_per_pair_and_seed(monkeypatch, capsys, name):
     assert main(["quaternionic", "--type", name]) == 0
     # the pairs of g_1, g_2 and g_{-2}, each searched once
     assert sorted(searches.values()) == [1, 1, 1]
+
+
+@pytest.mark.parametrize("argv", [["verify-paper"], ["verify-paper", "--extended", "--seed", "3"]])
+def test_verify_paper_searches_each_pair_once_per_seed(monkeypatch, capsys, argv):
+    searches = Counter()
+    searched = []  # keeps every pair alive, so that no id is reused
+    search = vinberg.generic_element
+
+    def spy(pair, seed=0):
+        searched.append(pair)
+        searches[id(pair), seed] += 1
+        return search(pair, seed)
+
+    monkeypatch.setattr(vinberg, "generic_element", spy)
+    build_quaternionic.cache_clear()  # cached pairs would search nothing
+    checks._chain_example.cache_clear()
+    assert main(argv) == 0
+    assert set(searches.values()) == {1}
+    # three pairs per quaternionic type, one per chain example
+    assert len(searches) == 3 * len(checks.quaternionic_types("--extended" in argv)) + 2

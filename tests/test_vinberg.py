@@ -269,7 +269,7 @@ def test_gamma_choice_irrelevant():
     pair = _pair("A2", [1, 1])
     alg = pair.algebra
     norms = {alg.rs.norm(alg.basis_root(i)) for i in pair.grading.piece(1)}
-    assert norms == {pair.gamma_norm}
+    assert norms == {alg.rs.norm(pair.gamma)}
 
 
 @pytest.mark.parametrize("dims", SMALL_DIMS)
