@@ -1,12 +1,13 @@
 """Centralizer and transported-subspace data for JM-regular gradings.
 
-For a depth-m grading whose degree-1 pair is JM-regular, fix a triple
-(h, e, f) with h = 2*zeta and e in the open orbit.  The data of interest is
-the centralizer c of the triple inside g_0 and the subspace
+For a depth-m grading whose degree-1 pair is JM-regular, the triple (h, e, f)
+is ``vinberg.complete_triple`` at h = 2*zeta for the open-orbit e.  The data
+of interest is the centralizer c of the triple inside g_0 and the subspace
 V = ad(e)^{m-1}(g_{1-m}) of g_0.  Since every ad(h)-eigenvalue lies in
 [2(1-m), 2(m-1)], each vector of g_{1-m} is a lowest-weight vector of a
 (2m-1)-dimensional irreducible sl2-module, so V is exactly the degree-0 slice
-of the span of those modules and ad(e)^{m-1} is injective on g_{1-m}.
+of the span of those modules and ad(e)^{m-1} is injective on g_{1-m}.  One
+chain of ad(e) powers on g_{1-m} gives the transport and the module bound.
 
 The projection test decomposes [v, v'] for v, v' in V along
 c + V + (orthogonal complement in g_0); the pair (c, V) is a theta-pair
@@ -24,12 +25,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import mul
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .chevalley import ChevalleyAlgebra, Element
 from .grading import ZGrading
 from .linalg import RationalMatrix, independent_subset, rank, solve
-from .vinberg import Sl2Triple, VinbergPair, form_numerator, jm_regular, vinberg_pair
+from .vinberg import Sl2Triple, VinbergPair, complete_triple, form_numerator, vinberg_pair
 
 
 @dataclass
@@ -56,41 +57,39 @@ class CayleyData:
 def cayley_pair(zg: ZGrading, seed: int = 0) -> CayleyData:
     alg = zg.algebra
     pair = vinberg_pair(zg)
-    cert = jm_regular(pair, seed)
-    if not cert.regular:
+    triple = complete_triple(pair, pair.open_element(seed), 2 * zg.zeta)
+    if triple is None:
         raise ValueError("degree-1 pair is not JM-regular; no Cayley data")
-    triple = Sl2Triple(h=2 * zg.zeta, e=cert.e, f=cert.f)
-    triple.verify(alg)
     m = zg.depth
     c_basis = alg.centralizer([triple.h, triple.e, triple.f], zg.piece(0))
     low = zg.piece(1 - m)
-    support, transport = _ad_power(alg, triple.e, low, m - 1)
-    if rank(transport) != len(low):
+    powers = list(_ad_powers(alg, triple.e, low))  # finite: ad(e) raises the degree by one
+    if len(powers) > 2 * m - 1:  # module-dimension bound: ad(e)^{2m-1} kills the lowest piece
+        raise AssertionError("sl2-module longer than 2m-1 detected")
+    if len(powers) < m or rank(powers[m - 1][1]) != len(low):
         raise AssertionError("transport map is not injective on the lowest piece")
+    support, transport = powers[m - 1]
     den = triple.e.den ** (m - 1)  # transport = (e.den ad_e)^{m-1}
     v_basis = [Element({k: row[j] for k, row in zip(support, transport)}, den) for j in range(len(low))]
-    # module-dimension bound: ad(e)^{2m-1} kills the lowest piece
-    if _ad_power(alg, triple.e, low, 2 * m - 1)[0]:
-        raise AssertionError("sl2-module longer than 2m-1 detected")
     return CayleyData(pair=pair, triple=triple, c_basis=c_basis, v_basis=v_basis, depth=m)
 
 
-def _ad_power(
-    alg: ChevalleyAlgebra, e: Element, domain: Sequence[int], n: int
-) -> Tuple[List[int], RationalMatrix]:
-    """(e.den ad(e))^n on span(domain), over all of g: (support, integer rows).
+def _ad_powers(
+    alg: ChevalleyAlgebra, e: Element, domain: Sequence[int]
+) -> Iterator[Tuple[List[int], RationalMatrix]]:
+    """(e.den ad(e))^n on span(domain), over all of g, for n = 0, 1, ... while it
+    is nonzero, each one ``ad_block`` step from the last: (support, integer rows).
 
     Row r is the coordinate of b_{support[r]}; basis vectors outside the
-    support have zero coordinates in every image, and the support is empty
-    when ad(e)^n kills the domain.
+    support have zero coordinates in every image.
     """
     support = list(domain)
     power = RationalMatrix([int(i == j) for j in range(len(domain))] for i in range(len(domain)))
-    for _ in range(n):
+    while support:
+        yield support, power
         power = alg.ad_block(e, support, range(alg.dim)).matmul(power)
         support = [k for k, row in enumerate(power) if any(row)]
         power = RationalMatrix((power[k] for k in support), len(domain))
-    return support, power
 
 
 @dataclass

@@ -2,17 +2,17 @@
 
 For a Z-grading with grading element zeta, the degree-1 piece is a
 prehomogeneous G_0-space.  This module finds certified open-orbit elements,
-completes them to sl2-triples, and evaluates the Toledo character
-chi_T(x) = B(zeta, x) B*(gamma, gamma), where gamma is a longest root whose
-root space sits in degree 1.  The B*(gamma,gamma) factor makes chi_T
-independent of the chosen invariant form.  The production route is
-``normalized_form``, the form with B*(highest root, highest root) = 2 read off
-the root length classes in closed form, with no trace of ad: an integer table
-of B(b_i, b_j) (``ChevalleyAlgebra.form_table``), built once per algebra and
-summed over the sparse supports.  gamma is chosen, and B*(gamma, gamma) and the
-dual factor are read, by the integer length classes.  The trace-of-ad Killing
-form's dual norm (``killing_dual_norm``) is kept as an independent oracle, so
-tests can assert that independence exactly.
+completes them to sl2-triples by one verified solve (``complete_triple``, for
+the Toledo rank, JM-regularity and the Cayley data), and evaluates the Toledo
+character chi_T(x) = B(zeta, x) B*(gamma, gamma), where gamma is a longest
+root in degree 1; that factor makes chi_T independent of the invariant form.
+The production route is ``normalized_form``, the form with B*(highest root,
+highest root) = 2 read off the root length classes in closed form, with no
+trace of ad: an integer table of B(b_i, b_j) (``ChevalleyAlgebra.form_table``),
+built once per algebra and summed over the sparse supports.  gamma is chosen,
+and B*(gamma, gamma) and the dual factor are read, by the integer length
+classes.  The trace-of-ad Killing form's dual norm (``killing_dual_norm``) is
+kept as an independent oracle, so tests can assert that independence exactly.
 
 Elements are ``chevalley.Element``s (sparse integer numerators over one
 denominator): open-orbit samples are built from ints, linear systems run on
@@ -170,25 +170,37 @@ def jm_triple(pair: VinbergPair, e: Element) -> Sl2Triple:
     if not e:
         raise ValueError("cannot complete the zero element")
     _require_in_piece(pair, e)
-    neg = zg.piece(-1)
-    pos = zg.piece(1)
-    g0 = zg.piece(0)
+    neg, g0, pos = zg.piece(-1), zg.piece(0), zg.piece(1)
     # Stage 1: f0 in g_{-1} with [[e, f0], e] = 2e, so h := [e, f0] has [h,e] = 2e.
     # [[e, b], e] = -ad_e(ad_e(b)) through g_0, so solve ad_e ad_e f0 = -2e (for f0 / e.den).
-    ad_neg = alg.ad_block(e, neg, g0)
-    c0 = solve(alg.ad_block(e, g0, pos).matmul(ad_neg), [-2 * e.num.get(k, 0) for k in pos])
+    c0 = solve(alg.ad_block(e, g0, pos).matmul(alg.ad_block(e, neg, g0)), [-2 * e.num.get(k, 0) for k in pos])
     if c0 is None:
         raise RuntimeError("sl2 completion system is inconsistent")
     num, den = c0
     f0 = Element({k: n * e.den for k, n in zip(neg, num)}, den)
-    h = alg.bracket(e, f0)
-    # Stage 2: f in g_{-1} with [e, f] = h and [h, f] = -2f; solve for f h.den / e.den.
+    # Stage 2: f in g_{-1} with [e, f] = h and [h, f] = -2f.
+    triple = complete_triple(pair, e, alg.bracket(e, f0))
+    if triple is None:
+        raise RuntimeError("sl2 completion system is inconsistent")
+    return triple
+
+
+def complete_triple(pair: VinbergPair, e: Element, h: Element) -> Optional[Sl2Triple]:
+    """The verified sl2-triple (h, e, f) with f in degree -1, or None when there is no such f.
+
+    Contract: h lies in degree 0 and [h, e] = 2e, as 2*zeta does by the grading
+    and ``jm_triple``'s stage-1 h by construction.  Solves e.den ad_e: g_{-1} -> g_0
+    stacked over h.den (ad_h + 2) on g_{-1} (zero rows at h = 2*zeta) for f h.den / e.den.
+    """
+    alg = pair.algebra
+    neg, g0 = pair.grading.piece(-1), pair.grading.piece(0)
     ad_h = alg.ad_block(h, neg, neg)
     for j, row in enumerate(ad_h):
         row[j] += 2 * h.den
-    c = solve(RationalMatrix(ad_neg + ad_h, len(neg)), [h.num.get(k, 0) for k in g0] + [0] * len(neg))
+    rows = RationalMatrix(alg.ad_block(e, neg, g0) + ad_h, len(neg))
+    c = solve(rows, [h.num.get(k, 0) for k in g0] + [0] * len(neg))
     if c is None:
-        raise RuntimeError("sl2 completion system is inconsistent")
+        return None
     num, den = c
     triple = Sl2Triple(h=h, e=e, f=Element({k: n * e.den for k, n in zip(neg, num)}, den * h.den))
     triple.verify(alg)
@@ -197,8 +209,7 @@ def jm_triple(pair: VinbergPair, e: Element) -> Sl2Triple:
 
 def toledo_rank(pair: VinbergPair, e: Element) -> Q:
     """rank_T(e) = chi_T(h)/2 for the triple through e."""
-    triple = jm_triple(pair, e)
-    return pair.chi_t(triple.h) / 2
+    return pair.chi_t(jm_triple(pair, e).h) / 2
 
 
 def pair_rank(pair: VinbergPair, seed: int = 0) -> Q:
@@ -210,26 +221,14 @@ def pair_rank(pair: VinbergPair, seed: int = 0) -> Q:
 class RegularityCertificate:
     regular: bool
     e: Element
-    f: Optional[Element]  # solves [e, f] = 2*zeta when regular
+    f: Optional[Element]  # completes the verified triple (2*zeta, e, f) when regular
 
 
 def jm_regular(pair: VinbergPair, seed: int = 0) -> RegularityCertificate:
     """Whether an open-orbit e completes to a triple with h = 2*zeta."""
-    alg = pair.algebra
-    zg = pair.grading
     e = pair.open_element(seed)
-    neg = zg.piece(-1)
-    target = 2 * zg.zeta
-    g0 = zg.piece(0)
-    # solve for f target.den / e.den in the integer block
-    c = solve(alg.ad_block(e, neg, g0), [target.num.get(k, 0) for k in g0]) if neg else None
-    if c is None:
-        return RegularityCertificate(False, e, None)
-    num, den = c
-    f = Element({k: n * e.den for k, n in zip(neg, num)}, den * target.den)
-    if alg.bracket(e, f) != target:
-        return RegularityCertificate(False, e, None)
-    return RegularityCertificate(True, e, f)
+    triple = complete_triple(pair, e, 2 * pair.grading.zeta)
+    return RegularityCertificate(triple is not None, e, triple.f if triple else None)
 
 
 def dual_toledo_factor(pair: VinbergPair) -> Q:

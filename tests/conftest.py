@@ -35,6 +35,10 @@ def chain_root(i: int, j: int, rank: int):
     return tuple(int(i <= k + 1 < j) for k in range(rank))
 
 
+# types whose highest-root (quaternionic) gradings the tests build
+TYPE_LIST = ["A2", "A3", "B3", "C2", "C3", "D4", "G2", "F4", "E6"]
+
+
 # every dimension vector with total n <= 5 and at least two blocks
 SMALL_DIMS = [
     dims_for_labels([cuts >> k & 1 for k in range(n - 1)]).dims

@@ -7,7 +7,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from gradedlie.cayley import CayleyData, verify_iso_and_character
 from gradedlie.chevalley import ChevalleyAlgebra, Element
 from gradedlie.grading import ZGrading, ZmGrading
-from gradedlie.linalg import RationalMatrix, Solution
+from gradedlie.linalg import RationalMatrix, Solution, solve
 from gradedlie.quiver import (
     Multiplicities,
     QuiverDims,
@@ -262,6 +262,29 @@ def chi_t_killing(pair: VinbergPair, x: Element) -> Q:
     """chi_T evaluated with the raw Killing form and its own dual norm."""
     alg = pair.algebra
     return alg.killing_form(pair.grading.zeta, x) * killing_dual_norm(alg, pair.gamma)
+
+
+# -- the block-solve route to JM-regularity --------------------------------------
+
+
+def block_jm_regular(pair: VinbergPair, seed: int = 0) -> Tuple[bool, Optional[Element]]:
+    """(regular, f) from the block solve [e, f] = 2 zeta alone, f in g_{-1}, with
+    e the pair's open-orbit element and f checked on that one relation."""
+    alg = pair.algebra
+    zg = pair.grading
+    e = pair.open_element(seed)
+    neg = zg.piece(-1)
+    target = 2 * zg.zeta
+    g0 = zg.piece(0)
+    # solve for f target.den / e.den in the integer block
+    c = solve(alg.ad_block(e, neg, g0), [target.num.get(k, 0) for k in g0])
+    if c is None:
+        return False, None
+    num, den = c
+    f = Element({k: n * e.den for k, n in zip(neg, num)}, den * target.den)
+    if alg.bracket(e, f) != target:
+        return False, None
+    return True, f
 
 
 # -- closed-form quaternionic bounds --------------------------------------------

@@ -7,10 +7,10 @@ import pytest
 from conftest import quiver_grading
 from oracles import iso_character_all_pass, verify_intertwining
 
-from gradedlie.cayley import bracket_projection_test, cayley_pair, verify_iso_and_character
+from gradedlie.cayley import _ad_powers, bracket_projection_test, cayley_pair, verify_iso_and_character
 from gradedlie.chevalley import build_algebra
 from gradedlie.grading import z_grading_from_labels
-from gradedlie.linalg import independent_subset
+from gradedlie.linalg import independent_subset, rank
 from gradedlie.quiver import QuiverDims
 from gradedlie.rootsystem import LieType
 
@@ -73,6 +73,17 @@ def test_refuses_non_regular():
 def test_dim_v_equals_lowest_piece(dims):
     cd = _cayley(dims)
     assert cd.dim_v == len(cd.pair.grading.piece(1 - cd.depth))
+
+
+@pytest.mark.parametrize("dims", [(1, 1), (1, 1, 1), (2, 2, 2), (1, 2, 1), (1, 3, 1)])
+def test_ad_powers_chain_spans_the_modules(dims):
+    """Each lowest-piece vector starts a (2m-1)-dimensional module, so the chain of
+    ad(e) powers has 2m-1 terms, each injective on the lowest piece."""
+    cd = _cayley(dims)
+    low = cd.pair.grading.piece(1 - cd.depth)
+    powers = list(_ad_powers(cd.algebra, cd.triple.e, low))
+    assert len(powers) == 2 * cd.depth - 1
+    assert all(rank(rows) == len(low) for _, rows in powers)
 
 
 @pytest.mark.parametrize("dims", [(1, 1, 1), (2, 2, 2), (1, 2, 1)])

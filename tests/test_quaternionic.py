@@ -2,7 +2,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import assert_paper_check
+from conftest import TYPE_LIST, assert_paper_check
 from oracles import form_quaternionic_labels, orbit_toledo_rank
 
 from gradedlie import checks, quaternionic, vinberg
@@ -19,8 +19,6 @@ from gradedlie.chevalley import build_algebra
 from gradedlie.quiver import QuiverDims, maximal_rank_tuple, quiver_jm_regular
 from gradedlie.rootsystem import LieType
 from gradedlie.vinberg import jm_regular, normalized_form
-
-TYPE_LIST = ["A2", "A3", "B3", "C2", "C3", "D4", "G2", "F4", "E6"]
 
 
 @pytest.mark.parametrize("name", TYPE_LIST)

@@ -3,12 +3,14 @@ import random
 import subprocess
 import sys
 from fractions import Fraction as Q
+from itertools import product
 from pathlib import Path
 
 import pytest
 
-from conftest import SMALL_DIMS, embed_quiver_element, quiver_grading
+from conftest import SMALL_DIMS, TYPE_LIST, embed_quiver_element, quiver_grading
 from oracles import (
+    block_jm_regular,
     chi_t_killing,
     fraction_bracket,
     fraction_normalized_form,
@@ -19,8 +21,11 @@ from oracles import (
     string_representative,
 )
 
+from gradedlie import vinberg
 from gradedlie.chevalley import Element, build_algebra
 from gradedlie.grading import z_grading_from_labels
+from gradedlie.linalg import solve
+from gradedlie.quaternionic import build_quaternionic
 from gradedlie.quiver import (
     QuiverDims,
     enumerate_orbits,
@@ -28,6 +33,7 @@ from gradedlie.quiver import (
 )
 from gradedlie.rootsystem import LieType
 from gradedlie.vinberg import (
+    complete_triple,
     dual_toledo_factor,
     generic_element,
     jm_regular,
@@ -232,6 +238,60 @@ def test_killing_dual_norm_scaling(sl2):
         assert killing_dual_norm(alg, alpha) == scale * alg.rs.norm(alpha)
 
 
+@pytest.mark.parametrize("name,labels", [("C2", [1, 0]), ("C3", [1, 0, 0]), ("G2", [1, 0])])
+def test_complete_triple_at_twice_zeta_inconsistent(name, labels):
+    pair = _pair(name, labels)
+    assert complete_triple(pair, pair.open_element(0), 2 * pair.grading.zeta) is None
+
+
+@pytest.mark.parametrize("name,labels", [("A2", [1, 1]), ("A5", [0, 1, 0, 1, 0])])
+def test_complete_triple_at_twice_zeta_verified(name, labels):
+    pair = _pair(name, labels)
+    e, two_zeta = pair.open_element(0), 2 * pair.grading.zeta
+    triple = complete_triple(pair, e, two_zeta)
+    assert (triple.h, triple.e) == (two_zeta, e)
+    assert project(pair.grading, triple.f, -1) == triple.f
+    triple.verify(pair.algebra)  # all three relations
+
+
+def test_complete_triple_verifies_its_solution(monkeypatch):
+    """A solution off by one coordinate raises AssertionError instead of returning."""
+    real_solve = vinberg.solve
+
+    def off_by_one(m, b):
+        num, den = real_solve(m, b)
+        return [num[0] + den] + num[1:], den
+
+    monkeypatch.setattr(vinberg, "solve", off_by_one)
+    pair = _pair("A2", [1, 1])
+    with pytest.raises(AssertionError, match="sl2 relation"):
+        complete_triple(pair, pair.open_element(0), 2 * pair.grading.zeta)
+
+
+def test_complete_triple_picks_f_in_the_minus_two_eigenspace():
+    """For this non-open e of B3 (0,1,0), [e, f] = h leaves a kernel in g_{-1}, and
+    its solution with free coordinates zero fails [h, f] = -2f; the (ad_h + 2)
+    rows of the stacked system pick the f of the triple."""
+    pair = _pair("B3", [0, 1, 0])
+    alg, zg = pair.algebra, pair.grading
+    e = root_vector(alg, (0, 1, 1)) - 2 * root_vector(alg, (1, 1, 1)) - root_vector(alg, (1, 1, 2))
+    assert orbit_dimension(pair, e) < len(zg.piece(1))
+    triple = jm_triple(pair, e)
+    neg, g0 = zg.piece(-1), zg.piece(0)
+    num, den = solve(alg.ad_block(e, neg, g0), [triple.h.num.get(k, 0) for k in g0])
+    f_plain = Element({k: n * e.den for k, n in zip(neg, num)}, den * triple.h.den)
+    assert alg.bracket(e, f_plain) == triple.h
+    assert alg.bracket(triple.h, f_plain) != -2 * f_plain
+    assert complete_triple(pair, e, triple.h) == triple
+
+
+def test_jm_triple_raises_when_completion_fails(monkeypatch):
+    monkeypatch.setattr(vinberg, "complete_triple", lambda pair, e, h: None)
+    pair = _pair("A2", [1, 1])
+    with pytest.raises(RuntimeError, match="sl2 completion system is inconsistent"):
+        jm_triple(pair, pair.open_element(0))
+
+
 def test_jm_regular_examples():
     assert jm_regular(_pair("A2", [1, 1])).regular
     assert not jm_regular(_pair("C2", [1, 0])).regular
@@ -255,6 +315,42 @@ def test_jm_regular_scales_with_a_non_integral_open_element():
             pair._open[0] = c * cert.e  # the element that seed 0 would search for
             scaled = jm_regular(pair)
             assert scaled.regular and (scaled.e, scaled.f) == (c * cert.e, cert.f * (1 / c))
+
+
+CENSUS = ["A2", "A3", "A4", "B2", "B3", "C3", "D4", "G2", "F4"]
+
+
+def census_pairs(name):
+    """The degree-1 pairs of every grading of the type with labels in {0, 1, 2} and g_1 != 0."""
+    alg = build_algebra(LieType.parse(name))
+    for labels in product((0, 1, 2), repeat=alg.rank):
+        if 1 in labels:  # a degree-1 root has one simple root of label 1
+            yield labels, vinberg_pair(z_grading_from_labels(alg, list(labels)))
+
+
+@pytest.mark.parametrize("name", CENSUS)
+def test_jm_verdict_is_h_equal_to_twice_zeta(name):
+    """Second route: triples through e with h in g_0 are conjugate under the
+    centralizer of e in G_0, and zeta is central in g_0, so the pair is
+    JM-regular iff the stage-1 triple already has h = 2 zeta."""
+    for labels, pair in census_pairs(name):
+        for seed in (0, 1):
+            h = jm_triple(pair, pair.open_element(seed)).h
+            assert (h == 2 * pair.grading.zeta) == jm_regular(pair, seed).regular, (labels, seed)
+
+
+@pytest.mark.parametrize("name", CENSUS + [f"quaternionic-{t}" for t in TYPE_LIST])
+def test_jm_regular_matches_block_solve(name):
+    """The stacked completion against the block solve of [e, f] = 2 zeta: same verdict, same f."""
+    if name.startswith("quaternionic-"):
+        qd = build_quaternionic(LieType.parse(name.partition("-")[2]))
+        cases = qd.pairs.items()
+    else:
+        cases = census_pairs(name)
+    for key, pair in cases:
+        for seed in (0, 1):
+            cert = jm_regular(pair, seed)
+            assert (cert.regular, cert.f) == block_jm_regular(pair, seed), (key, seed)
 
 
 def test_dual_toledo_factor_values():
