@@ -9,7 +9,7 @@ degree-1 root is short.  That happens exactly for the symplectic algebras —
 family C, plus B2 which is the same algebra in disguise.
 
 The build also makes the pairs (G_0, g_j), j = 1, 2, -2, that the Toledo
-ranks and the extreme-piece JM-regularity read; each is searched once per seed.
+ranks and the extreme-piece JM-regularity read; each is searched once, for a root set.
 """
 
 from __future__ import annotations

@@ -1,10 +1,11 @@
 """Analysis of the G_0-action on a graded piece.
 
 For a Z-grading with grading element zeta, the degree-1 piece is a
-prehomogeneous G_0-space.  This module finds certified open-orbit elements,
-completes them to sl2-triples by one verified solve (``complete_triple``, for
-the Toledo rank, JM-regularity and the Cayley data), and evaluates the Toledo
-character chi_T(x) = B(zeta, x) B*(gamma, gamma), where gamma is a longest
+prehomogeneous G_0-space.  This module finds certified open-orbit elements:
+sums of root vectors with an explicit sl2-triple (``root_set_triple``), else
+dense samples completed by one verified solve (``complete_triple``, which also
+decides JM-regularity off a root set).  It evaluates the Toledo character
+chi_T(x) = B(zeta, x) B*(gamma, gamma), where gamma is a longest
 root in degree 1; that factor makes chi_T independent of the invariant form.
 The production route is ``normalized_form``, the form with B*(highest root,
 highest root) = 2 read off the root length classes in closed form, with no
@@ -26,6 +27,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
+from functools import cached_property
 from itertools import chain
 from operator import mul
 from typing import Dict, Optional
@@ -95,6 +97,11 @@ class VinbergPair:
             self._open[seed] = generic_element(self, seed)
         return self._open[seed]
 
+    @cached_property
+    def root_triple(self) -> Optional[Sl2Triple]:
+        """``root_set_triple(self)``, searched once per pair."""
+        return root_set_triple(self)
+
     def chi_t(self, x: Element) -> Q:
         return normalized_form(self.algebra, self.grading.zeta, x) * self.algebra.rs.norm(self.gamma)
 
@@ -147,8 +154,9 @@ class Sl2Triple:
     e: Element
     f: Element
 
-    def verify(self, alg: ChevalleyAlgebra):
-        """[h, e] = 2e, [h, f] = -2f and [e, f] = h, exactly; a failure raises AssertionError."""
+    def verify(self, alg: ChevalleyAlgebra) -> "Sl2Triple":
+        """[h, e] = 2e, [h, f] = -2f and [e, f] = h, exactly, then the triple; a failure
+        raises AssertionError."""
         h, e, f = self.h, self.e, self.f
         for name, lhs, rhs in (
             ("[h, e] = 2e", alg.bracket(h, e), 2 * e),
@@ -157,6 +165,7 @@ class Sl2Triple:
         ):
             if lhs != rhs:
                 raise AssertionError(f"sl2 relation {name} fails")
+        return self
 
 
 def jm_triple(pair: VinbergPair, e: Element) -> Sl2Triple:
@@ -190,21 +199,49 @@ def complete_triple(pair: VinbergPair, e: Element, h: Element) -> Optional[Sl2Tr
 
     Contract: h lies in degree 0 and [h, e] = 2e, as 2*zeta does by the grading
     and ``jm_triple``'s stage-1 h by construction.  Solves e.den ad_e: g_{-1} -> g_0
-    stacked over h.den (ad_h + 2) on g_{-1} (zero rows at h = 2*zeta) for f h.den / e.den.
+    stacked over the nonzero rows of h.den (ad_h + 2) on g_{-1} for f h.den / e.den.
     """
     alg = pair.algebra
     neg, g0 = pair.grading.piece(-1), pair.grading.piece(0)
     ad_h = alg.ad_block(h, neg, neg)
     for j, row in enumerate(ad_h):
         row[j] += 2 * h.den
-    rows = RationalMatrix(alg.ad_block(e, neg, g0) + ad_h, len(neg))
-    c = solve(rows, [h.num.get(k, 0) for k in g0] + [0] * len(neg))
+    rows = RationalMatrix(alg.ad_block(e, neg, g0) + [row for row in ad_h if any(row)], len(neg))
+    c = solve(rows, [h.num.get(k, 0) for k in g0] + [0] * (len(rows) - len(g0)))
     if c is None:
         return None
     num, den = c
-    triple = Sl2Triple(h=h, e=e, f=Element({k: n * e.den for k, n in zip(neg, num)}, den * h.den))
-    triple.verify(alg)
-    return triple
+    return Sl2Triple(h=h, e=e, f=Element({k: n * e.den for k, n in zip(neg, num)}, den * h.den)).verify(alg)
+
+
+def root_set_triple(pair: VinbergPair) -> Optional[Sl2Triple]:
+    """The verified triple (h, e, f) with e = sum of e_beta over a set S of degree-1 roots
+    in an open orbit, no beta - beta' a root; None when greedy passes (highest root first,
+    each starting one root later) find no S.  S is independent: its roots lie in one degree
+    with pairwise products <= 0.  So sum_beta c_beta <beta', beta^vee> = 2 on S has one
+    solution, h = sum c_beta h_beta and f = sum c_beta e_{-beta}."""
+    alg, rs = pair.algebra, pair.algebra.rs
+    roots = sorted(map(alg.basis_root, pair.grading.piece(1)), key=lambda a: (sum(a), a), reverse=True)
+    target = len(roots)
+    for start in range(target):
+        chosen, dim = [], 0
+        for beta in roots[start:] + roots[:start]:
+            if dim < target and all(rs.codes[beta] - rs.codes[b] not in rs.lengths for b in chosen):
+                e = Element({alg.root_index[b]: 1 for b in chosen + [beta]})
+                d = orbit_dimension(pair, e)
+                if d > dim:
+                    chosen, dim, e_s = chosen + [beta], d, e
+        if dim == target:
+            break
+    else:
+        return None
+    coroots = [rs.coroots[b] for b in chosen]
+    pairings = [[rs.pairing(b, j) for j in range(alg.rank)] for b in chosen]  # <beta', alpha_j^vee>
+    # nonsingular, as S is independent
+    num, den = solve(RationalMatrix([sum(map(mul, v, p)) for v in coroots] for p in pairings), [2] * len(chosen))
+    h = Element({k: sum(n * v[k] for n, v in zip(num, coroots)) for k in range(alg.rank)}, den)
+    f = Element({alg.root_index[tuple(-x for x in b)]: n for b, n in zip(chosen, num)}, den)
+    return Sl2Triple(h=h, e=e_s, f=f).verify(alg)
 
 
 def toledo_rank(pair: VinbergPair, e: Element) -> Q:
@@ -213,8 +250,8 @@ def toledo_rank(pair: VinbergPair, e: Element) -> Q:
 
 
 def pair_rank(pair: VinbergPair, seed: int = 0) -> Q:
-    """rank_T of the pair: the Toledo rank of a certified open-orbit element."""
-    return toledo_rank(pair, pair.open_element(seed))
+    """rank_T of the pair: chi_T(h)/2 on the root-set triple, else on the seed's open-orbit element."""
+    return pair.chi_t((pair.root_triple or jm_triple(pair, pair.open_element(seed))).h) / 2
 
 
 @dataclass
@@ -225,9 +262,12 @@ class RegularityCertificate:
 
 
 def jm_regular(pair: VinbergPair, seed: int = 0) -> RegularityCertificate:
-    """Whether an open-orbit e completes to a triple with h = 2*zeta."""
-    e = pair.open_element(seed)
-    triple = complete_triple(pair, e, 2 * pair.grading.zeta)
+    """Whether an open-orbit e completes to a triple with h = 2*zeta: yes when the root-set
+    h is 2*zeta (G_0^e fixes zeta and conjugates such triples), else the completion decides."""
+    triple = pair.root_triple
+    e = triple.e if triple else pair.open_element(seed)
+    if not triple or triple.h != 2 * pair.grading.zeta:
+        triple = complete_triple(pair, e, 2 * pair.grading.zeta)
     return RegularityCertificate(triple is not None, e, triple.f if triple else None)
 
 

@@ -267,12 +267,11 @@ def chi_t_killing(pair: VinbergPair, x: Element) -> Q:
 # -- the block-solve route to JM-regularity --------------------------------------
 
 
-def block_jm_regular(pair: VinbergPair, seed: int = 0) -> Tuple[bool, Optional[Element]]:
+def block_jm_regular(pair: VinbergPair, e: Element) -> Tuple[bool, Optional[Element]]:
     """(regular, f) from the block solve [e, f] = 2 zeta alone, f in g_{-1}, with
-    e the pair's open-orbit element and f checked on that one relation."""
+    e an open-orbit element of the pair and f checked on that one relation."""
     alg = pair.algebra
     zg = pair.grading
-    e = pair.open_element(seed)
     neg = zg.piece(-1)
     target = 2 * zg.zeta
     g0 = zg.piece(0)

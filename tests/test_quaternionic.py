@@ -160,37 +160,59 @@ def test_extended_types(name):
     assert_paper_check(f"extreme-pieces-regular-{name}")
 
 
+def _spy_searches(monkeypatch, key):
+    """Count the open-orbit searches of both routes by ``key(pair)``: the root-set
+    search under "root set", the dense one under its seed."""
+    searches = Counter()
+    root_set, dense = vinberg.root_set_triple, vinberg.generic_element
+
+    def root_set_spy(pair):
+        searches[key(pair), "root set"] += 1
+        return root_set(pair)
+
+    def dense_spy(pair, seed=0):
+        searches[key(pair), seed] += 1
+        return dense(pair, seed)
+
+    monkeypatch.setattr(vinberg, "root_set_triple", root_set_spy)
+    monkeypatch.setattr(vinberg, "generic_element", dense_spy)
+    return searches
+
+
 @pytest.mark.parametrize("name", ["F4", "C3"])
 def test_one_open_orbit_search_per_pair_and_seed(monkeypatch, capsys, name):
-    searches = Counter()
-    search = vinberg.generic_element
-
-    def spy(pair, seed=0):
-        searches[pair.grading.piece(1), seed] += 1
-        return search(pair, seed)
-
-    monkeypatch.setattr(vinberg, "generic_element", spy)
+    searches = _spy_searches(monkeypatch, lambda pair: pair.grading.piece(1))
     build_quaternionic.cache_clear()  # a cached job would search nothing
     assert main(["quaternionic", "--type", name]) == 0
     # the pairs of g_1, g_2 and g_{-2}, each searched once
     assert sorted(searches.values()) == [1, 1, 1]
+    assert len({piece for piece, _ in searches}) == 3
+
+
+@pytest.mark.parametrize("name", TYPE_LIST)
+def test_quaternionic_pairs_take_the_root_set_route(monkeypatch, name):
+    """The pairs of degrees 1, 2 and -2 find a root set S, so the ranks and verdicts
+    run no dense open-orbit search."""
+
+    def dense_spy(pair, seed=0):
+        raise AssertionError(f"dense open-orbit search on {name}")
+
+    monkeypatch.setattr(vinberg, "generic_element", dense_spy)
+    zg = build_quaternionic(LieType.parse(name)).grading
+    for j in (1, 2, -2):
+        pair = vinberg.vinberg_pair(vinberg.regrade(zg, j))  # a fresh pair: nothing cached
+        assert vinberg.root_set_triple(pair) is not None, j
+        vinberg.pair_rank(pair, 3)
+        assert jm_regular(pair, 3).e == pair.root_triple.e, j
 
 
 @pytest.mark.parametrize("argv", [["verify-paper"], ["verify-paper", "--extended", "--seed", "3"]])
 def test_verify_paper_searches_each_pair_once_per_seed(monkeypatch, capsys, argv):
-    searches = Counter()
     searched = []  # keeps every pair alive, so that no id is reused
-    search = vinberg.generic_element
-
-    def spy(pair, seed=0):
-        searched.append(pair)
-        searches[id(pair), seed] += 1
-        return search(pair, seed)
-
-    monkeypatch.setattr(vinberg, "generic_element", spy)
+    searches = _spy_searches(monkeypatch, lambda pair: searched.append(pair) or id(pair))
     build_quaternionic.cache_clear()  # cached pairs would search nothing
     checks._chain_example.cache_clear()
     assert main(argv) == 0
     assert set(searches.values()) == {1}
     # three pairs per quaternionic type, one per chain example
-    assert len(searches) == 3 * len(checks.quaternionic_types("--extended" in argv)) + 2
+    assert len({pair for pair, _ in searches}) == 3 * len(checks.quaternionic_types("--extended" in argv)) + 2

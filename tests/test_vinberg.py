@@ -4,6 +4,7 @@ import subprocess
 import sys
 from fractions import Fraction as Q
 from itertools import product
+from operator import sub
 from pathlib import Path
 
 import pytest
@@ -24,7 +25,7 @@ from oracles import (
 from gradedlie import vinberg
 from gradedlie.chevalley import Element, build_algebra
 from gradedlie.grading import z_grading_from_labels
-from gradedlie.linalg import solve
+from gradedlie.linalg import RationalMatrix, rank, solve
 from gradedlie.quaternionic import build_quaternionic
 from gradedlie.quiver import (
     QuiverDims,
@@ -43,6 +44,7 @@ from gradedlie.vinberg import (
     orbit_dimension,
     pair_rank,
     regrade,
+    root_set_triple,
     toledo_rank,
     vinberg_pair,
 )
@@ -307,14 +309,13 @@ def test_jm_regular_implies_rank_equals_pairing():
 
 
 def test_jm_regular_scales_with_a_non_integral_open_element():
-    """With c e as the open-orbit element, the certificate is f / c exactly."""
+    """With c e as the open-orbit element, the completion at 2 zeta is f / c exactly."""
     for name, labels in [("A2", [1, 1]), ("A3", [1, 0, 1]), ("G2", [0, 1])]:
-        cert = jm_regular(_pair(name, labels))
+        pair = _pair(name, labels)
+        cert = jm_regular(pair)
         for c in (Q(1, 2), Q(-3, 2), Q(2, 3)):
-            pair = _pair(name, labels)
-            pair._open[0] = c * cert.e  # the element that seed 0 would search for
-            scaled = jm_regular(pair)
-            assert scaled.regular and (scaled.e, scaled.f) == (c * cert.e, cert.f * (1 / c))
+            scaled = complete_triple(pair, c * cert.e, 2 * pair.grading.zeta)
+            assert cert.regular and (scaled.e, scaled.f) == (c * cert.e, cert.f * (1 / c))
 
 
 CENSUS = ["A2", "A3", "A4", "B2", "B3", "C3", "D4", "G2", "F4"]
@@ -350,7 +351,56 @@ def test_jm_regular_matches_block_solve(name):
     for key, pair in cases:
         for seed in (0, 1):
             cert = jm_regular(pair, seed)
-            assert (cert.regular, cert.f) == block_jm_regular(pair, seed), (key, seed)
+            assert (cert.regular, cert.f) == block_jm_regular(pair, cert.e), (key, seed)
+
+
+@pytest.mark.parametrize("name", CENSUS)
+def test_root_set_triple_is_explicit(name):
+    """Wherever the search finds S, e is the unit sum over S, S is linearly independent
+    and difference-free, e has an open orbit, and h and f carry one set of c_beta."""
+    found = 0
+    for labels, pair in census_pairs(name):
+        triple = root_set_triple(pair)
+        if triple is None:
+            continue
+        found += 1
+        alg = pair.algebra
+        roots = [alg.basis_root(i) for i in triple.e.num]
+        assert set(triple.e.num.values()) == {1} and triple.e.den == 1, labels
+        assert rank(RationalMatrix(roots)) == len(roots), labels
+        assert not any(tuple(map(sub, a, b)) in alg.root_index for a in roots for b in roots), labels
+        assert orbit_dimension(pair, triple.e) == len(pair.grading.piece(1)), labels
+        c = {a: triple.f[alg.root_index[tuple(-x for x in a)]] for a in roots}
+        assert len(triple.f.num) == len(roots), labels
+        assert triple.h == sum((c[a] * alg.coroot(a) for a in roots), Element()), labels
+        triple.verify(alg)
+    assert found
+
+
+@pytest.mark.parametrize("name", CENSUS)
+def test_root_set_route_matches_the_dense_route(name):
+    """Second route: wherever S exists, chi_T(h_S)/2 is the Toledo rank of the seed-0
+    open-orbit element, and h_S = 2 zeta iff that element completes at 2 zeta."""
+    for labels, pair in census_pairs(name):
+        triple = root_set_triple(pair)
+        if triple is None:
+            continue
+        e, two_zeta = pair.open_element(0), 2 * pair.grading.zeta
+        assert pair_rank(pair) == pair.chi_t(triple.h) / 2 == toledo_rank(pair, e), labels
+        dense_regular = complete_triple(pair, e, two_zeta) is not None
+        assert jm_regular(pair).regular == (triple.h == two_zeta) == dense_regular, labels
+
+
+def test_no_root_set_falls_back_to_the_dense_route():
+    """D4 (1,0,1,1) has no open difference-free root set at any size."""
+    pair = _pair("D4", [1, 0, 1, 1])
+    assert root_set_triple(pair) is None
+    for seed in (0, 1):
+        e = pair.open_element(seed)
+        cert = jm_regular(pair, seed)
+        assert cert.e == e
+        assert (cert.regular, cert.f) == block_jm_regular(pair, e)
+        assert pair_rank(pair, seed) == pair.chi_t(jm_triple(pair, e).h) / 2
 
 
 def test_dual_toledo_factor_values():
