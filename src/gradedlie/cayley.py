@@ -30,7 +30,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 from .chevalley import ChevalleyAlgebra, Element
 from .grading import ZGrading
 from .linalg import RationalMatrix, independent_subset, rank, solve
-from .vinberg import Sl2Triple, VinbergPair, complete_triple, form_numerator, vinberg_pair
+from .vinberg import Sl2Triple, VinbergPair, complete_triple, form_numerator, generic_element, vinberg_pair
 
 
 @dataclass
@@ -57,7 +57,7 @@ class CayleyData:
 def cayley_pair(zg: ZGrading, seed: int = 0) -> CayleyData:
     alg = zg.algebra
     pair = vinberg_pair(zg)
-    triple = complete_triple(pair, pair.open_element(seed), 2 * zg.zeta)
+    triple = complete_triple(pair, generic_element(pair, seed), 2 * zg.zeta)
     if triple is None:
         raise ValueError("degree-1 pair is not JM-regular; no Cayley data")
     m = zg.depth

@@ -96,7 +96,7 @@ def _quaternionic_rows(name: str) -> List[PaperCheck]:
     if kappa_rule(t) == 1:
         rows.append(PaperCheck(
             f"sp-degree1-not-regular-{name}", "symplectic degree-1 pair is not JM-regular", False,
-            lambda seed: jm_regular(build_quaternionic(t).pairs[1], seed).regular,
+            lambda seed: jm_regular(build_quaternionic(t).pairs[1], seed),
         ))
     return rows
 

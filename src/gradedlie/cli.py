@@ -276,7 +276,7 @@ def cmd_quaternionic(lie_type: LieType, seed: int, **_) -> Dict[str, Any]:
             "kappa": qd.kappa,
             "rank_plus": q_str(rp),
             "rank_minus": q_str(rm),
-            "degree1_jm_regular": jm_regular(qd.pairs[1], seed).regular,
+            "degree1_jm_regular": jm_regular(qd.pairs[1], seed),
             "extreme_pieces_jm_regular": extremes,
         },
         [

@@ -68,4 +68,4 @@ def quaternionic_ranks(qd: QuaternionicData, seed: int = 0) -> Tuple[Q, Q]:
 
 def extremes_regular(qd: QuaternionicData, seed: int = 0) -> bool:
     """Whether the pairs (G_0, g_2) and (G_0, g_{-2}) are both JM-regular."""
-    return jm_regular(qd.pairs[2], seed).regular and jm_regular(qd.pairs[-2], seed).regular
+    return jm_regular(qd.pairs[2], seed) and jm_regular(qd.pairs[-2], seed)

@@ -1,11 +1,11 @@
 """Analysis of the G_0-action on a graded piece.
 
 For a Z-grading with grading element zeta, the degree-1 piece is a
-prehomogeneous G_0-space.  This module finds certified open-orbit elements:
-sums of root vectors with an explicit sl2-triple (``root_set_triple``), else
-dense samples completed by one verified solve (``complete_triple``, which also
-decides JM-regularity off a root set).  It evaluates the Toledo character
-chi_T(x) = B(zeta, x) B*(gamma, gamma), where gamma is a longest
+prehomogeneous G_0-space.  Each pair has one verified sl2-triple through an
+open-orbit e (``VinbergPair.triple``): a root-set triple (``root_set_triple``)
+or a dense e that ``jm_triple`` completes.  The Toledo rank and JM-regularity
+are read off it, and it witnesses both verdicts.  It evaluates the Toledo
+character chi_T(x) = B(zeta, x) B*(gamma, gamma), where gamma is a longest
 root in degree 1; that factor makes chi_T independent of the invariant form.
 The production route is ``normalized_form``, the form with B*(highest root,
 highest root) = 2 read off the root length classes in closed form, with no
@@ -27,7 +27,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
-from functools import cached_property
 from itertools import chain
 from operator import mul
 from typing import Dict, Optional
@@ -85,22 +84,22 @@ def normalized_form(alg: ChevalleyAlgebra, a: Element, b: Element) -> Q:
 class VinbergPair:
     grading: ZGrading
     gamma: tuple  # longest root with root space in degree 1
-    _open: Dict[int, Element] = field(default_factory=dict, compare=False, repr=False)
+    _triples: Dict[Optional[int], Optional[Sl2Triple]] = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def algebra(self) -> ChevalleyAlgebra:
         return self.grading.algebra
 
-    def open_element(self, seed: int = 0) -> Element:
-        """``generic_element(self, seed)``, searched once per seed."""
-        if seed not in self._open:
-            self._open[seed] = generic_element(self, seed)
-        return self._open[seed]
-
-    @cached_property
-    def root_triple(self) -> Optional[Sl2Triple]:
-        """``root_set_triple(self)``, searched once per pair."""
-        return root_set_triple(self)
+    def triple(self, seed: int = 0) -> Sl2Triple:
+        """The verified triple through an open-orbit e, cached in ``_triples``: ``root_set_triple``
+        under None, searched once per pair, else ``jm_triple`` on ``generic_element`` per seed."""
+        if None not in self._triples:
+            self._triples[None] = root_set_triple(self)
+        if self._triples[None]:
+            return self._triples[None]
+        if seed not in self._triples:
+            self._triples[seed] = jm_triple(self, generic_element(self, seed))
+        return self._triples[seed]
 
     def chi_t(self, x: Element) -> Q:
         return normalized_form(self.algebra, self.grading.zeta, x) * self.algebra.rs.norm(self.gamma)
@@ -244,31 +243,15 @@ def root_set_triple(pair: VinbergPair) -> Optional[Sl2Triple]:
     return Sl2Triple(h=h, e=e_s, f=f).verify(alg)
 
 
-def toledo_rank(pair: VinbergPair, e: Element) -> Q:
-    """rank_T(e) = chi_T(h)/2 for the triple through e."""
-    return pair.chi_t(jm_triple(pair, e).h) / 2
-
-
 def pair_rank(pair: VinbergPair, seed: int = 0) -> Q:
-    """rank_T of the pair: chi_T(h)/2 on the root-set triple, else on the seed's open-orbit element."""
-    return pair.chi_t((pair.root_triple or jm_triple(pair, pair.open_element(seed))).h) / 2
+    """rank_T of the pair: chi_T(h)/2 on its triple."""
+    return pair.chi_t(pair.triple(seed).h) / 2
 
 
-@dataclass
-class RegularityCertificate:
-    regular: bool
-    e: Element
-    f: Optional[Element]  # completes the verified triple (2*zeta, e, f) when regular
-
-
-def jm_regular(pair: VinbergPair, seed: int = 0) -> RegularityCertificate:
-    """Whether an open-orbit e completes to a triple with h = 2*zeta: yes when the root-set
-    h is 2*zeta (G_0^e fixes zeta and conjugates such triples), else the completion decides."""
-    triple = pair.root_triple
-    e = triple.e if triple else pair.open_element(seed)
-    if not triple or triple.h != 2 * pair.grading.zeta:
-        triple = complete_triple(pair, e, 2 * pair.grading.zeta)
-    return RegularityCertificate(triple is not None, e, triple.f if triple else None)
+def jm_regular(pair: VinbergPair, seed: int = 0) -> bool:
+    """Whether the pair's triple has h = 2*zeta.  Triples through e with h in g_0 are conjugate
+    under G_0^e, which fixes zeta, so that one triple decides and witnesses either verdict."""
+    return pair.triple(seed).h == 2 * pair.grading.zeta
 
 
 def dual_toledo_factor(pair: VinbergPair) -> Q:

@@ -20,7 +20,7 @@ from gradedlie.quiver import (
     rank_tuple,
 )
 from gradedlie.rootsystem import LieType, Root, RootSystem
-from gradedlie.vinberg import VinbergPair, killing_dual_norm, normalized_form
+from gradedlie.vinberg import VinbergPair, jm_triple, killing_dual_norm, normalized_form
 
 Vector = Tuple[Q, ...]
 
@@ -262,6 +262,14 @@ def chi_t_killing(pair: VinbergPair, x: Element) -> Q:
     """chi_T evaluated with the raw Killing form and its own dual norm."""
     alg = pair.algebra
     return alg.killing_form(pair.grading.zeta, x) * killing_dual_norm(alg, pair.gamma)
+
+
+# -- the Toledo rank of any degree-1 element ----------------------------------
+
+
+def toledo_rank(pair: VinbergPair, e: Element) -> Q:
+    """rank_T(e) = chi_T(h)/2 for the triple through any nonzero degree-1 e."""
+    return pair.chi_t(jm_triple(pair, e).h) / 2
 
 
 # -- the block-solve route to JM-regularity --------------------------------------

