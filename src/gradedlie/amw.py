@@ -11,7 +11,6 @@ interval is the quaternionic one at lambda = 0 and the ranks of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction as Q
 from typing import Optional, Tuple
 
@@ -19,22 +18,28 @@ from typing import Optional, Tuple
 RANK_TABLE = {2: (Q(4), Q(1)), 1: (Q(1), Q(1))}
 
 
-@dataclass(frozen=True)
 class BoundInput:
-    genus: int
-    lam: Q = Q(0)
-    rank_plus: Q = Q(0)
-    rank_minus: Q = Q(0)
-    zeta_pairing: Q = Q(0)  # B*(gamma,gamma) B(zeta,zeta)
-    kappa: int = 2
+    """The inputs of ``tau``, each validated; ``replace`` builds a changed copy the same way."""
 
-    def __post_init__(self):
-        if self.genus < 2:
+    __slots__ = ("genus", "lam", "rank_plus", "rank_minus", "zeta_pairing", "kappa")
+
+    def __init__(
+        self, genus: int, lam: Q = Q(0), rank_plus: Q = Q(0), rank_minus: Q = Q(0),
+        zeta_pairing: Q = Q(0),  # B*(gamma,gamma) B(zeta,zeta)
+        kappa: int = 2,
+    ):
+        if genus < 2:
             raise ValueError("genus must be at least 2")
-        if self.rank_plus < 0 or self.rank_minus < 0:
+        if rank_plus < 0 or rank_minus < 0:
             raise ValueError("ranks must be non-negative")
-        if self.kappa not in RANK_TABLE:
+        if kappa not in RANK_TABLE:
             raise ValueError("kappa must be 1 or 2")
+        self.genus, self.lam, self.rank_plus, self.rank_minus = genus, lam, rank_plus, rank_minus
+        self.zeta_pairing, self.kappa = zeta_pairing, kappa
+
+    def replace(self, **changes) -> "BoundInput":
+        """A copy with the given fields changed, through the same checks."""
+        return BoundInput(**{**{name: getattr(self, name) for name in self.__slots__}, **changes})
 
 
 def tau(inp: BoundInput, rank: Q) -> Q:
@@ -58,11 +63,11 @@ def amw_upper(inp: BoundInput, m: int = 2, phi_minus_zero: bool = False) -> Opti
 
 def quaternionic_interval(inp: BoundInput) -> Tuple[Q, Q]:
     """(-tau_L, tau_U) for the five-piece grading: pairing 2*kappa, rank_minus scaled by kappa."""
-    q = replace(inp, zeta_pairing=Q(2 * inp.kappa), rank_minus=inp.kappa * inp.rank_minus)
+    q = inp.replace(zeta_pairing=Q(2 * inp.kappa), rank_minus=inp.kappa * inp.rank_minus)
     return -tau(q, q.rank_plus), tau(q, q.rank_minus)
 
 
 def coarse_interval(inp: BoundInput) -> Tuple[Q, Q]:
     """The quaternionic interval at lambda = 0 and the rank table's ranks."""
     rank_plus, rank_minus = RANK_TABLE[inp.kappa]
-    return quaternionic_interval(replace(inp, lam=Q(0), rank_plus=rank_plus, rank_minus=rank_minus))
+    return quaternionic_interval(inp.replace(lam=Q(0), rank_plus=rank_plus, rank_minus=rank_minus))

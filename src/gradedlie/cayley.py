@@ -23,7 +23,6 @@ an element's numerators (``dense_num``); reports read ``dense``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
 from typing import Iterator, List, Optional, Sequence, Tuple
 
@@ -33,13 +32,15 @@ from .linalg import RationalMatrix, independent_subset, rank, solve
 from .vinberg import Sl2Triple, VinbergPair, complete_triple, form_numerator, generic_element, vinberg_pair
 
 
-@dataclass
 class CayleyData:
-    pair: VinbergPair
-    triple: Sl2Triple  # h = 2*zeta
-    c_basis: List[Element]
-    v_basis: List[Element]  # images ad(e)^{m-1} of the g_{1-m} basis
-    depth: int
+    """The pair, its triple at h = 2*zeta, bases of c and V, and the depth m."""
+
+    __slots__ = ("pair", "triple", "c_basis", "v_basis", "depth")
+
+    def __init__(self, pair: VinbergPair, triple: Sl2Triple, c_basis: List[Element], v_basis: List[Element], depth: int):
+        self.pair, self.triple, self.depth = pair, triple, depth
+        self.c_basis = c_basis
+        self.v_basis = v_basis  # images ad(e)^{m-1} of the g_{1-m} basis
 
     @property
     def algebra(self) -> ChevalleyAlgebra:
@@ -92,10 +93,11 @@ def _ad_powers(
         power = RationalMatrix((power[k] for k in support), len(domain))
 
 
-@dataclass
 class IsoCharacterReport:
-    iso_full: bool
-    chi_vanishes: bool
+    __slots__ = ("iso_full", "chi_vanishes")
+
+    def __init__(self, iso_full: bool, chi_vanishes: bool):
+        self.iso_full, self.chi_vanishes = iso_full, chi_vanishes
 
 
 def verify_iso_and_character(cd: CayleyData) -> IsoCharacterReport:
@@ -107,23 +109,25 @@ def verify_iso_and_character(cd: CayleyData) -> IsoCharacterReport:
     )
 
 
-@dataclass
 class BracketProjection:
-    v_index: int
-    v_prime_index: int
-    c_part: Element
-    v_part: Element
-    rest_part: Element
+    """[v_i, v_j] split into its parts along c, along V and in the orthogonal complement."""
+
+    __slots__ = ("v_index", "v_prime_index", "c_part", "v_part", "rest_part")
+
+    def __init__(self, v_index: int, v_prime_index: int, c_part: Element, v_part: Element, rest_part: Element):
+        self.v_index, self.v_prime_index = v_index, v_prime_index
+        self.c_part, self.v_part, self.rest_part = c_part, v_part, rest_part
 
     @property
     def in_c(self) -> bool:
         return not self.v_part and not self.rest_part
 
 
-@dataclass
 class ThetaVerdict:
-    candidate: bool
-    witness: Optional[BracketProjection]
+    __slots__ = ("candidate", "witness")
+
+    def __init__(self, candidate: bool, witness: Optional[BracketProjection]):
+        self.candidate, self.witness = candidate, witness
 
 
 def bracket_projection_test(cd: CayleyData) -> ThetaVerdict:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction as Q
 from functools import lru_cache
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .amw import RANK_TABLE, BoundInput, coarse_interval
 from .cayley import BracketProjection, bracket_projection_test, cayley_pair
@@ -49,11 +49,14 @@ def witness_json(w: BracketProjection, dim: int) -> Dict[str, Any]:
     }
 
 
-class PaperCheck(NamedTuple):
-    id: str
-    paper_ref: str
-    expected: Any
-    actual: Callable[[int], Any]  # seed -> JSON-ready value
+class PaperCheck:
+    """A row of the paper-check table."""
+
+    __slots__ = ("id", "paper_ref", "expected", "actual")
+
+    def __init__(self, id: str, paper_ref: str, expected: Any, actual: Callable[[int], Any]):
+        self.id, self.paper_ref, self.expected = id, paper_ref, expected
+        self.actual = actual  # seed -> JSON-ready value
 
 
 def expected_ranks(t: LieType) -> List[str]:

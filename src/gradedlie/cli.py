@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import sys
 from fractions import Fraction as Q
-from typing import Any, Callable, Dict, List, NamedTuple, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from . import __version__
 from . import amw as amw_mod
@@ -31,12 +31,14 @@ from .chevalley import build_algebra
 from .grading import check_labels, kac_labels, kac_lift_check, root_grading, z_grading_from_labels, zm_from_kac
 from .quaternionic import build_quaternionic, extremes_regular, quaternionic_ranks
 from .quiver import (
+    ORBIT_BOUND,
     QuiverDims,
     QuiverHiggsTopology,
     enumerate_orbits,
     interval_toledo_rank,
     labels_for_dims,
     maximal_rank_tuple,
+    orbit_count,
     quiver_jm_regular,
     toledo_invariant,
 )
@@ -114,10 +116,15 @@ def to_path(raw, name: str) -> str:
     return raw
 
 
-class Field(NamedTuple):
-    key: str  # the config key, the handler's keyword and (upper-cased) the usage name
-    parse: Callable[[Any, str], Any]  # (flag text or config value, key) -> typed value
-    default: Any = None  # what the handler receives when the field is absent
+class Field:
+    """How one flag reaches its handler."""
+
+    __slots__ = ("key", "parse", "default")
+
+    def __init__(self, key: str, parse: Callable[[Any, str], Any], default: Any = None):
+        self.key = key  # the config key, the handler's keyword and (upper-cased) the usage name
+        self.parse = parse  # (flag text or config value, key) -> typed value
+        self.default = default  # what the handler receives when the field is absent
 
 
 FIELDS = {
@@ -197,6 +204,9 @@ def cmd_kac(lie_type: LieType, labels: List[int], **_) -> Dict[str, Any]:
 
 def cmd_quiver(dims: List[int], **_) -> Dict[str, Any]:
     quiver = QuiverDims(tuple(dims))
+    count = orbit_count(quiver)
+    if count > ORBIT_BOUND:
+        raise ValueError(f"the dimension vector has at least {count} orbits; a report lists at most {ORBIT_BOUND}")
     orbits = enumerate_orbits(quiver)
     top = maximal_rank_tuple(quiver)
     keys = [f"{i},{j}" for (i, j), _ in top]

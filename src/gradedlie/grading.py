@@ -23,7 +23,6 @@ needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -47,12 +46,14 @@ def check_labels(labels: Sequence[int], rank: int, affine: bool = False) -> None
         raise ValueError("labels must not all be zero")
 
 
-@dataclass
 class RootGrading:
     """A Z-grading as root data: degree -> basis indices, and its grading element."""
 
-    pieces: Dict[int, Tuple[int, ...]]  # degree -> basis indices
-    zeta: Element
+    __slots__ = ("pieces", "zeta")
+
+    def __init__(self, pieces: Dict[int, Tuple[int, ...]], zeta: Element):
+        self.pieces = pieces  # degree -> basis indices
+        self.zeta = zeta
 
     @property
     def depth(self) -> int:
@@ -65,20 +66,25 @@ class RootGrading:
         return {j: len(idx) for j, idx in sorted(self.pieces.items())}
 
 
-@dataclass
 class ZGrading(RootGrading):
     """A Z-grading on a Chevalley algebra."""
 
-    algebra: ChevalleyAlgebra
+    __slots__ = ("algebra",)
+
+    def __init__(self, pieces: Dict[int, Tuple[int, ...]], zeta: Element, algebra: ChevalleyAlgebra):
+        super().__init__(pieces, zeta)
+        self.algebra = algebra
 
 
-@dataclass
 class KacLabels:
-    labels: Tuple[int, ...]  # p_0 .. p_r
-    marks: Tuple[int, ...]  # n_0 = 1, n_1 .. n_r
+    """Affine-diagram labels with the marks of their nodes, checked by the label rule."""
 
-    def __post_init__(self):
-        check_labels(self.labels, len(self.marks) - 1, affine=True)
+    __slots__ = ("labels", "marks")
+
+    def __init__(self, labels: Tuple[int, ...], marks: Tuple[int, ...]):
+        check_labels(labels, len(marks) - 1, affine=True)
+        self.labels = labels  # p_0 .. p_r
+        self.marks = marks  # n_0 = 1, n_1 .. n_r
 
     @property
     def order(self) -> int:
@@ -102,10 +108,13 @@ class KacLabels:
         return None
 
 
-@dataclass
 class ZmGrading:
-    m: int
-    pieces: Dict[int, Tuple[int, ...]]  # residue -> basis indices
+    """A Z/mZ-grading: residue -> basis indices."""
+
+    __slots__ = ("m", "pieces")
+
+    def __init__(self, m: int, pieces: Dict[int, Tuple[int, ...]]):
+        self.m, self.pieces = m, pieces
 
     dims = RootGrading.dims  # degree -> piece dimension, the same rule
 
@@ -229,11 +238,15 @@ def _affine_automorphisms(affine: List[List[int]]) -> List[Tuple[int, ...]]:
     return results
 
 
-@dataclass
 class LiftVerdict:
-    lifts: bool
-    mode: str  # "directly", "after automorphism", "none"
-    witness: Optional[Tuple[int, ...]] = None  # relabeled vector with node 0 positive
+    """Whether a Z/mZ-grading lifts, how, and the relabeled witness of a lift after automorphism."""
+
+    __slots__ = ("lifts", "mode", "witness")
+
+    def __init__(self, lifts: bool, mode: str, witness: Optional[Tuple[int, ...]] = None):
+        self.lifts = lifts
+        self.mode = mode  # "directly", "after automorphism", "none"
+        self.witness = witness  # relabeled vector with node 0 positive
 
 
 def kac_lift_check(rs: RootSystem, kac: KacLabels) -> LiftVerdict:

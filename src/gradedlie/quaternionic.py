@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction as Q
 from functools import lru_cache
-from typing import Dict, NamedTuple, Tuple
+from typing import Dict, Tuple
 
 from .chevalley import ChevalleyAlgebra, build_algebra
 from .grading import ZGrading, z_grading_from_labels
@@ -30,10 +30,15 @@ def quaternionic_labels(alg: ChevalleyAlgebra) -> Tuple[int, ...]:
     return tuple(sum(t * c for t, c in zip(beta_vee, row)) for row in alg.rs.cartan)
 
 
-class QuaternionicData(NamedTuple):
-    grading: ZGrading  # its grading element is the coroot of the highest root
-    kappa: int
-    pairs: Dict[int, VinbergPair]  # (G_0, g_j) for j = 1, 2, -2
+class QuaternionicData:
+    """The highest-root grading, kappa and the pairs of degrees 1, 2 and -2."""
+
+    __slots__ = ("grading", "kappa", "pairs")
+
+    def __init__(self, grading: ZGrading, kappa: int, pairs: Dict[int, VinbergPair]):
+        self.grading = grading  # its grading element is the coroot of the highest root
+        self.kappa = kappa
+        self.pairs = pairs  # (G_0, g_j) for j = 1, 2, -2
 
 
 @lru_cache(maxsize=None)

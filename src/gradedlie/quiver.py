@@ -13,7 +13,6 @@ intervals, so no orbit representative is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction as Q
 from typing import Dict, Iterator, List, Sequence, Tuple
@@ -21,15 +20,29 @@ from typing import Dict, Iterator, List, Sequence, Tuple
 from .linalg import RationalMatrix, rank
 
 
-@dataclass(frozen=True)
 class QuiverDims:
-    dims: Tuple[int, ...]
+    """A dimension vector: positive entries with total at least 2.  Equal vectors
+    hash alike, so a vector keys the per-vector cache of ``_toledo_weights``."""
 
-    def __post_init__(self):
-        if len(self.dims) < 1 or any(d < 1 for d in self.dims):
+    __slots__ = ("dims",)
+
+    def __init__(self, dims: Tuple[int, ...]):
+        if len(dims) < 1 or any(d < 1 for d in dims):
             raise ValueError("dimensions must be positive")
+        self.dims = dims
         if self.n < 2:
             raise ValueError("total dimension must be at least 2")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, QuiverDims):
+            return NotImplemented
+        return self.dims == other.dims
+
+    def __hash__(self) -> int:
+        return hash(self.dims)
+
+    def __repr__(self):
+        return f"QuiverDims(dims={self.dims!r})"
 
     @property
     def m(self) -> int:
@@ -112,6 +125,59 @@ def _interval_multiplicities(dims: QuiverDims) -> Iterator[Multiplicities]:
     return extend(0, m - 1)
 
 
+# The most orbits one quiver report lists; ``cli.cmd_quiver`` refuses a vector past it.
+ORBIT_BOUND = 50_000
+
+
+def orbit_count(dims: QuiverDims) -> int:
+    """The number of orbits, len(enumerate_orbits(dims)), by dynamic programming over
+    the vertices; no orbit is built.  The count is exact up to ``ORBIT_BOUND``; past
+    it, counting stops and returns the part counted so far, a lower bound above
+    ``ORBIT_BOUND``, so no vector costs more than ``ORBIT_BOUND`` choices at each of at
+    most 16 vertices (below).
+
+    After vertex k the state is the multiset of the c_a > 0, the numbers of strings
+    that start at a <= k and go on to vertex k+1, with the number of choices of the
+    m_ab (b <= k) that lead to it.  At vertex k+1, d_{k+1} - sum c strings start, and
+    each start keeps 0..c_a of its strings going, at most d_{k+2} in all and none past
+    the last vertex.  Keeping none is always allowed, so every choice extends to at
+    least one orbit, and each adds at least 1 to the part counted at its vertex: that
+    part bounds the count from below.  Later vertices cannot tell two starts apart, so
+    the multiset is the whole state.
+
+    Keeping no string or one at each vertex gives 2^(k+1) choices through vertex k when
+    a vertex follows, so counting passes ``ORBIT_BOUND`` < 2^16 by vertex 15 of any
+    vector with 17 or more vertices.  The count also grows with d: d + e_k adds a
+    string [k, k] to every orbit of d, so count(d + e_k) >= count(d), and m vertices
+    carry at least the 2^(m-1) orbits of m ones.  A vector within ``ORBIT_BOUND`` thus
+    has at most 16 vertices, and ``_interval_multiplicities`` nests at most
+    16 * 17 / 2 = 136 generators; 44 vertices, the first to nest 990 and reach the
+    interpreter's recursion limit, have at least 2^43 orbits.
+    """
+    sizes = dims.dims + (0,)
+    states: Dict[Tuple[int, ...], int] = {(): 1}
+    for k in range(dims.m):
+        after: Dict[Tuple[int, ...], int] = {}
+        counted = 0
+        for going, count in states.items():
+            for kept in _kept(going + (sizes[k] - sum(going),), sizes[k + 1]):
+                after[kept] = after.get(kept, 0) + count
+                counted += count
+                if counted > ORBIT_BOUND:
+                    return counted
+        states = after
+    return states[()]
+
+
+def _kept(counts: Tuple[int, ...], cap: int, kept: Tuple[int, ...] = ()) -> Iterator[Tuple[int, ...]]:
+    """Every choice of 0 <= x_i <= counts[i] with sum x_i <= cap, as the sorted positive x_i."""
+    if not counts:
+        yield tuple(sorted(kept))
+        return
+    for x in range(min(counts[0], cap) + 1):
+        yield from _kept(counts[1:], cap - x, kept + (x,) if x else kept)
+
+
 def interval_rank_tuple(dims: QuiverDims, mult: Multiplicities) -> RankTuple:
     """r_ij = sum_{a <= i, b >= j} m_ab: the strings that pass from V_i to V_j.
 
@@ -190,23 +256,23 @@ def interval_toledo_rank(dims: QuiverDims, mult: Multiplicities) -> Q:
     return Q(sum(c * weights[ab] for ab, c in mult.items()), dims.n)
 
 
-@dataclass(frozen=True)
 class QuiverHiggsTopology:
-    ranks: Tuple[int, ...]
-    degrees: Tuple[int, ...]
-    genus: int
+    """Ranks and degrees of the bundles E_j, and the genus of the curve."""
 
-    def __post_init__(self):
-        if len(self.ranks) != len(self.degrees):
+    __slots__ = ("ranks", "degrees", "genus")
+
+    def __init__(self, ranks: Tuple[int, ...], degrees: Tuple[int, ...], genus: int):
+        if len(ranks) != len(degrees):
             raise ValueError("ranks and degrees must have equal length")
-        if any(r < 1 for r in self.ranks):
+        if any(r < 1 for r in ranks):
             raise ValueError("ranks must be positive")
-        if sum(self.ranks) < 2:
+        if sum(ranks) < 2:
             raise ValueError("total rank must be at least 2")
-        if sum(self.degrees) != 0:
+        if sum(degrees) != 0:
             raise ValueError("degrees must sum to zero")
-        if self.genus < 2:
+        if genus < 2:
             raise ValueError("genus must be at least 2")
+        self.ranks, self.degrees, self.genus = ranks, degrees, genus
 
 
 def toledo_invariant(top: QuiverHiggsTopology) -> Q:

@@ -19,7 +19,6 @@ classes and the integer coroot coefficients are computed once per root system;
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import lru_cache
 from typing import Dict, List, Tuple
@@ -39,17 +38,30 @@ _RANK_RANGE = {
 }
 
 
-@dataclass(frozen=True, order=True)
 class LieType:
-    family: str
-    rank: int
+    """A family letter and a rank in the family's range.  Equal types hash alike, so
+    a type keys the per-type caches (``build_root_system``, ``build_algebra``)."""
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-        lo, hi = _RANK_RANGE[self.family]
-        if self.rank < lo or (hi is not None and self.rank > hi):
-            raise ValueError(f"invalid rank {self.rank} for family {self.family}")
+    __slots__ = ("family", "rank")
+
+    def __init__(self, family: str, rank: int):
+        if family not in _RANK_RANGE:  # one letter: "" and "AB" are substrings of FAMILIES, not keys
+            raise ValueError(f"unknown family {family!r}")
+        lo, hi = _RANK_RANGE[family]
+        if rank < lo or (hi is not None and rank > hi):
+            raise ValueError(f"invalid rank {rank} for family {family}")
+        self.family, self.rank = family, rank
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, LieType):
+            return NotImplemented
+        return self.family == other.family and self.rank == other.rank
+
+    def __hash__(self) -> int:
+        return hash((self.family, self.rank))
+
+    def __repr__(self):
+        return f"LieType(family={self.family!r}, rank={self.rank!r})"
 
     def __str__(self):
         return f"{self.family}{self.rank}"
@@ -107,18 +119,30 @@ def cartan_matrix(t: LieType) -> List[List[int]]:
     return c
 
 
-@dataclass(frozen=True)
 class RootSystem:
-    lie_type: LieType
-    cartan: Tuple[Tuple[int, ...], ...]
-    roots: Tuple[Root, ...]
-    positive_roots: Tuple[Root, ...]
-    highest_root: Root
-    affine_marks: Tuple[int, ...]  # (n_0, n_1, ..., n_r) with n_0 = 1
-    long_class: int  # L, the length class of the long roots and of the highest root
-    codes: Dict[Root, int] = field(compare=False, repr=False)  # sum_k a_k 64^k, in root order
-    lengths: Dict[int, int] = field(compare=False, repr=False)  # root code -> norm / shortest norm
-    coroots: Dict[Root, Tuple[int, ...]] = field(compare=False, repr=False)
+    """The roots of one type, with their codes, length classes and coroots."""
+
+    __slots__ = (
+        "lie_type", "cartan", "roots", "positive_roots", "highest_root", "affine_marks", "long_class",
+        "codes", "lengths", "coroots",
+    )
+
+    def __init__(
+        self,
+        lie_type: LieType,
+        cartan: Tuple[Tuple[int, ...], ...],
+        roots: Tuple[Root, ...],
+        positive_roots: Tuple[Root, ...],
+        highest_root: Root,
+        affine_marks: Tuple[int, ...],  # (n_0, n_1, ..., n_r) with n_0 = 1
+        long_class: int,  # L, the length class of the long roots and of the highest root
+        codes: Dict[Root, int],  # sum_k a_k 64^k, in root order
+        lengths: Dict[int, int],  # root code -> norm / shortest norm
+        coroots: Dict[Root, Tuple[int, ...]],
+    ):
+        self.lie_type, self.cartan, self.roots, self.positive_roots = lie_type, cartan, roots, positive_roots
+        self.highest_root, self.affine_marks, self.long_class = highest_root, affine_marks, long_class
+        self.codes, self.lengths, self.coroots = codes, lengths, coroots
 
     @property
     def rank(self) -> int:

@@ -25,7 +25,6 @@ every check.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from itertools import chain
 from operator import mul
@@ -80,11 +79,15 @@ def normalized_form(alg: ChevalleyAlgebra, a: Element, b: Element) -> Q:
     return Q(form_numerator(alg, a, b), a.den * b.den)
 
 
-@dataclass
 class VinbergPair:
-    grading: ZGrading
-    gamma: tuple  # longest root with root space in degree 1
-    _triples: Dict[Optional[int], Optional[Sl2Triple]] = field(default_factory=dict, compare=False, repr=False)
+    """The pair (G_0, g_1) of a grading, with gamma, and its verified triples once found."""
+
+    __slots__ = ("grading", "gamma", "_triples")
+
+    def __init__(self, grading: ZGrading, gamma: tuple):
+        self.grading = grading
+        self.gamma = gamma  # longest root with root space in degree 1
+        self._triples: Dict[Optional[int], Optional[Sl2Triple]] = {}
 
     @property
     def algebra(self) -> ChevalleyAlgebra:
@@ -147,11 +150,18 @@ def generic_element(pair: VinbergPair, seed: int = 0) -> Element:
     raise RuntimeError("no open-orbit element found; the pair data is inconsistent")
 
 
-@dataclass
 class Sl2Triple:
-    h: Element
-    e: Element
-    f: Element
+    """(h, e, f); ``verify`` certifies the sl2 relations.  Equal triples have equal elements."""
+
+    __slots__ = ("h", "e", "f")
+
+    def __init__(self, h: Element, e: Element, f: Element):
+        self.h, self.e, self.f = h, e, f
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sl2Triple):
+            return NotImplemented
+        return self.h == other.h and self.e == other.e and self.f == other.f
 
     def verify(self, alg: ChevalleyAlgebra) -> "Sl2Triple":
         """[h, e] = 2e, [h, f] = -2f and [e, f] = h, exactly, then the triple; a failure

@@ -5,6 +5,7 @@ import pytest
 
 from oracles import quaternionic_bounds
 
+from gradedlie import amw
 from gradedlie.amw import (
     BoundInput,
     amw_lower,
@@ -24,6 +25,19 @@ def test_input_validation():
     for depth in (0, 1):
         with pytest.raises(ValueError):
             amw_upper(BoundInput(genus=2), depth, True)
+
+
+def test_replace_checks_like_construction(monkeypatch):
+    """A replaced input goes through the constructor's checks, so the intervals'
+    replaced inputs cannot carry a negative rank."""
+    bi = BoundInput(genus=3, lam=Q(1, 2), rank_minus=Q(1), kappa=1)
+    moved = bi.replace(rank_plus=Q(4))
+    assert [getattr(moved, name) for name in BoundInput.__slots__] == [3, Q(1, 2), 4, 1, 0, 1]
+    with pytest.raises(ValueError, match="^ranks must be non-negative$"):
+        bi.replace(rank_minus=Q(-1))
+    monkeypatch.setitem(amw.RANK_TABLE, 2, (Q(-1), Q(1)))
+    with pytest.raises(ValueError, match="^ranks must be non-negative$"):
+        coarse_interval(BoundInput(genus=2))
 
 
 def test_lower_basic():

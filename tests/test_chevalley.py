@@ -1,8 +1,8 @@
 import ast
 import copy
-import dataclasses
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction as Q
@@ -14,11 +14,12 @@ import gradedlie
 from conftest import quiver_grading
 from oracles import FractionConstants, fraction_coroot, root_vector
 
+from gradedlie import chevalley
 from gradedlie.cayley import cayley_pair
 from gradedlie.chevalley import ChevalleyAlgebra, Element, StructureConstants, build_algebra
 from gradedlie.linalg import rank
 from gradedlie.quiver import QuiverDims
-from gradedlie.rootsystem import LieType, build_root_system
+from gradedlie.rootsystem import LieType, RootSystem, build_root_system
 from gradedlie.vinberg import normalized_form
 
 BUILT_TYPES = ["A1", "A2", "A3", "B2", "B3", "C2", "C3", "D4", "G2", "F4", "E6"]
@@ -248,6 +249,39 @@ def test_no_assert_statement_in_src():
     assert found == []
 
 
+def _generates_record_code(node) -> bool:
+    """An import of ``dataclasses``, ``typing.NamedTuple`` or ``collections.namedtuple``."""
+    if isinstance(node, ast.Import):
+        return any(a.name.partition(".")[0] == "dataclasses" for a in node.names)
+    if isinstance(node, ast.ImportFrom):
+        names = {a.name for a in node.names}
+        return (
+            node.module == "dataclasses"
+            or node.module == "typing" and "NamedTuple" in names
+            or node.module == "collections" and "namedtuple" in names
+        )
+    return False
+
+
+def test_no_dataclasses_in_src():
+    """Records are classes with ``__slots__`` and a written ``__init__``: importing the CLI
+    generates no code (a dataclass or a NamedTuple compiles methods or annotations as it is
+    defined) and loads neither ``dataclasses`` nor ``inspect``."""
+    package = Path(gradedlie.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if _generates_record_code(node)
+    ]
+    assert found == []
+
+
+def rebuilt(rs: RootSystem, **changes) -> RootSystem:
+    """A copy of a root system with some fields changed, built by its constructor."""
+    return RootSystem(**{**{name: getattr(rs, name) for name in RootSystem.__slots__}, **changes})
+
+
 @pytest.mark.parametrize("name", ["D4", "F4"])
 def test_fill_out_of_height_order_raises(name):
     """With the non-simple positive roots reversed, the highest root comes first, and
@@ -255,9 +289,35 @@ def test_fill_out_of_height_order_raises(name):
     is never taken as 0."""
     rs = build_root_system(LieType.parse(name))
     pos, r = rs.positive_roots, rs.rank
-    reversed_order = dataclasses.replace(rs, positive_roots=pos[:r] + pos[r:][::-1])
+    reversed_order = rebuilt(rs, positive_roots=pos[:r] + pos[r:][::-1])
     with pytest.raises(AssertionError, match="is read before it is written"):
         StructureConstants(reversed_order)
+
+
+def test_root_without_a_pair_raises():
+    """With a simple root of A2 moved past the highest root, the fill meets it as a
+    non-simple root, and no pair of earlier positive roots sums to it."""
+    rs = build_root_system(LieType.parse("A2"))
+    simple, moved, theta = rs.positive_roots
+    with pytest.raises(AssertionError, match=rf"^no special pair for {re.escape(str(moved))}$"):
+        StructureConstants(rebuilt(rs, positive_roots=(simple, theta, moved)))
+
+
+def test_fractional_constant_is_refused(monkeypatch):
+    """A constant that reaches the table as a Fraction, even a whole one, is refused."""
+    monkeypatch.setattr(chevalley, "exact_div", Q)
+    with pytest.raises(AssertionError, match=r"^structure constant -?\d+ of \[\d+,\d+\] is not an integer$"):
+        StructureConstants(build_root_system(LieType.parse("A2")))
+
+
+@pytest.mark.parametrize("name", ["B3", "G2"])
+def test_doubled_constant_fails_the_string_check(name):
+    constants = StructureConstants(build_root_system(LieType.parse(name)))
+    constants.verify_string_lengths()
+    pair = max(constants.table, key=lambda ab: abs(constants.table[ab]))
+    constants.table[pair] *= 2
+    with pytest.raises(AssertionError, match=r"^bad constant N\(\(.*\),\(.*\)\) = -?\d+, p = [1-3]$"):
+        constants.verify_string_lengths()
 
 
 @pytest.mark.parametrize(

@@ -372,12 +372,13 @@ def test_signed_integers_accepted(capsys):
 
 
 def test_quiver_job_imports_no_parser():
-    # argparse builds gettext lookups that import locale: milliseconds per job
+    # argparse builds gettext lookups that import locale: milliseconds per job;
+    # dataclasses, with inspect, is as much again before a record is defined
     script = (
         "import sys\n"
         "from gradedlie import cli\n"
         "assert cli.main(['quiver', '--dims', '2,2']) == 0\n"
-        "print(sorted(m for m in ('argparse', 'locale') if m in sys.modules))\n"
+        "print(sorted(m for m in ('argparse', 'locale', 'dataclasses', 'inspect') if m in sys.modules))\n"
     )
     src = str(ROOT / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import time
 from fractions import Fraction as Q
 
 import pytest
@@ -22,12 +23,15 @@ from oracles import (
 from gradedlie.cli import main
 from gradedlie.linalg import RationalMatrix
 from gradedlie.quiver import (
+    ORBIT_BOUND,
     QuiverDims,
     QuiverHiggsTopology,
+    _toledo_weights,
     enumerate_orbits,
     interval_toledo_rank,
     labels_for_dims,
     maximal_rank_tuple,
+    orbit_count,
     quiver_jm_regular,
     rank_tuple,
     toledo_invariant,
@@ -163,6 +167,54 @@ def test_quiver_command_444(capsys):
     assert main(["quiver", "--dims", "4,4,4"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert len(report["results"]["orbits"]) == 35
+
+
+@pytest.mark.parametrize("dims", SMALL_DIMS + [(2, 2, 2), (3, 3, 3), (1, 2, 3, 2, 1)], ids=dims_id)
+def test_orbit_count_matches_enumeration(dims):
+    d = QuiverDims(dims)
+    assert orbit_count(d) == len(enumerate_orbits(d))
+
+
+# every vector of a golden report, the README, the benchmark pools and the ROADMAP's timings
+LISTED_DIMS = [
+    (2, 1, 1), (1, 2, 3, 2, 1), (2, 2), (2, 4), (4, 2), (2, 2, 2), (1, 2, 2, 1), (2, 2, 3), (3, 2, 2),
+    (1, 1, 2, 2, 1, 1), (2, 3, 2), (4, 4, 4), (3, 4, 3), (2, 4, 4), (5, 5),
+    (3, 4, 5, 4, 3), (1, 2, 3, 4, 3, 2, 1), (2, 3, 4, 5, 4, 3), (1, 2, 3, 4, 4, 3, 2, 1),
+]
+
+
+def test_orbit_bound_admits_every_listed_vector():
+    counts = {dims: orbit_count(QuiverDims(dims)) for dims in LISTED_DIMS}
+    assert counts[(1, 2, 3, 4, 4, 3, 2, 1)] == 41757
+    assert max(counts.values()) <= ORBIT_BOUND < 2**16
+
+
+def test_orbit_count_stops_past_the_bound():
+    """Through vertex 15 of 17 or more ones the part counted is 2^16, so counting stops there;
+    a vector of huge entries stops as soon as its partial count passes the bound."""
+    assert orbit_count(QuiverDims((1,) * 17)) == orbit_count(QuiverDims((1,) * 46)) == 2**16
+    assert ORBIT_BOUND < orbit_count(QuiverDims((10**9,) * 3)) <= 2 * ORBIT_BOUND
+
+
+@pytest.mark.parametrize("ones", [40, 46])
+def test_quiver_command_refuses_past_the_bound(capsys, ones):
+    start = time.perf_counter()
+    code = main(["quiver", "--dims", ",".join(["1"] * ones)])
+    elapsed = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err == "error: the dimension vector has at least 65536 orbits; a report lists at most 50000\n"
+    assert elapsed < 1
+
+
+def test_equal_vectors_share_one_cache_entry():
+    """A dimension vector is a cache key by value: a second, equal vector hits the first one's entry."""
+    first = _toledo_weights(QuiverDims((2, 3, 2)))
+    hits = _toledo_weights.cache_info().hits
+    assert QuiverDims((2, 3, 2)) == QuiverDims(tuple([2, 3, 2]))
+    assert hash(QuiverDims((2, 3, 2))) == hash(QuiverDims(tuple([2, 3, 2])))
+    assert _toledo_weights(QuiverDims(tuple([2, 3, 2]))) is first
+    assert _toledo_weights.cache_info().hits == hits + 1
 
 
 def test_jordan_h_11():

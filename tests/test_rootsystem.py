@@ -32,6 +32,12 @@ def test_invalid_types():
         LieType.parse("X4")
 
 
+@pytest.mark.parametrize("family", ["", "AB", "a", "X"])
+def test_unknown_family_is_a_value_error(family):
+    with pytest.raises(ValueError, match=f"^unknown family {family!r}$"):
+        LieType(family, 3)
+
+
 @pytest.mark.parametrize("text", ["A1_0", "A\u0663", "a+3", "E 8", " A2", "A2 ", "A", "", "4A"])
 def test_parse_takes_a_family_letter_and_ascii_digits_only(text):
     with pytest.raises(ValueError):
@@ -128,6 +134,52 @@ def test_swapped_length_classes_fail_the_build(monkeypatch, name):
     monkeypatch.setattr(rootsystem, "_symmetrizer", lambda cartan, r: [1 / d for d in symmetrizer(cartan, r)])
     with pytest.raises(AssertionError, match="highest root is not long"):
         build_root_system.__wrapped__(LieType.parse(name))
+
+
+def _closure_without(drop):
+    """``_reflection_closure`` with the roots that ``drop(roots)`` names left out."""
+    closure = rootsystem._reflection_closure
+
+    def patched(cartan, r):
+        roots, origin = closure(cartan, r)
+        gone = set(drop(roots))
+        return [a for a in roots if a not in gone], {a: j for a, j in origin.items() if a not in gone}
+
+    return patched
+
+
+def test_missing_negative_root_fails_the_build(monkeypatch):
+    monkeypatch.setattr(rootsystem, "_reflection_closure", _closure_without(lambda roots: [min(roots)]))
+    with pytest.raises(AssertionError, match="^root system not closed under negation$"):
+        build_root_system.__wrapped__(LieType.parse("B3"))
+
+
+def test_missing_highest_root_fails_the_build(monkeypatch):
+    """Without +-theta, every root just below theta has no root above it."""
+
+    def theta_pair(roots):
+        theta = max(roots, key=sum)
+        return [theta, tuple(-x for x in theta)]
+
+    monkeypatch.setattr(rootsystem, "_reflection_closure", _closure_without(theta_pair))
+    with pytest.raises(AssertionError, match="^highest root is not unique$"):
+        build_root_system.__wrapped__(LieType.parse("A3"))
+
+
+def test_three_root_lengths_fail_the_build(monkeypatch):
+    monkeypatch.setattr(rootsystem, "_symmetrizer", lambda cartan, r: [Q(k + 1) for k in range(r)])
+    with pytest.raises(AssertionError, match="^more than two root lengths$"):
+        build_root_system.__wrapped__(LieType.parse("A3"))
+
+
+def test_equal_types_share_one_cache_entry():
+    """A type is a cache key by value: a second, equal type hits the first one's entry."""
+    first = build_root_system(LieType("F", 4))
+    hits = build_root_system.cache_info().hits
+    assert LieType.parse("f4") == LieType("F", 4)
+    assert hash(LieType.parse("f4")) == hash(LieType("F", 4))
+    assert build_root_system(LieType.parse("f4")) is first
+    assert build_root_system.cache_info().hits == hits + 1
 
 
 def test_short_root_norms():
