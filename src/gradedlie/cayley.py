@@ -7,13 +7,16 @@ V = ad(e)^{m-1}(g_{1-m}) of g_0.  Since every ad(h)-eigenvalue lies in
 [2(1-m), 2(m-1)], each vector of g_{1-m} is a lowest-weight vector of a
 (2m-1)-dimensional irreducible sl2-module, so V is exactly the degree-0 slice
 of the span of those modules and ad(e)^{m-1} is injective on g_{1-m}.  One
-chain of ad(e) powers on g_{1-m} gives the transport and the module bound.
+chain of ad(e) powers on g_{1-m} gives the transport and the module bound;
+``cayley_pair`` raises unless the transport has rank dim g_{1-m}, so every
+``CayleyData`` maps g_{1-m} onto V invertibly.  ``CayleyData.chi_vanishes``
+says whether the character chi_T vanishes on c.
 
 The projection test decomposes [v, v'] for v, v' in V along
-c + V + (orthogonal complement in g_0); the pair (c, V) is a theta-pair
-candidate when every such bracket falls inside c.  Orthogonality and the
-projection do not change when the invariant form is rescaled, so both use
-the integer sums of ``vinberg.form_numerator``.
+c + V + (orthogonal complement in g_0), and returns the first projection
+that is not inside c; the pair (c, V) is a theta-pair candidate when there
+is none.  Orthogonality and the projection do not change when the invariant
+form is rescaled, so both use the integer sums of ``vinberg.form_numerator``.
 
 c, V, the triple and each projection's parts are ``chevalley.Element``s: the
 parts are sums of scaled basis numerators, and the remainder is the bracket
@@ -54,6 +57,11 @@ class CayleyData:
     def dim_v(self) -> int:
         return len(self.v_basis)
 
+    @property
+    def chi_vanishes(self) -> bool:
+        """chi_T(c) = 0 on the centralizer, read off B(zeta, c)."""
+        return all(form_numerator(self.algebra, self.pair.grading.zeta, c) == 0 for c in self.c_basis)
+
 
 def cayley_pair(zg: ZGrading, seed: int = 0) -> CayleyData:
     alg = zg.algebra
@@ -93,22 +101,6 @@ def _ad_powers(
         power = RationalMatrix((power[k] for k in support), len(domain))
 
 
-class IsoCharacterReport:
-    __slots__ = ("iso_full", "chi_vanishes")
-
-    def __init__(self, iso_full: bool, chi_vanishes: bool):
-        self.iso_full, self.chi_vanishes = iso_full, chi_vanishes
-
-
-def verify_iso_and_character(cd: CayleyData) -> IsoCharacterReport:
-    """Transport-map invertibility and chi_T(c) = 0 on c, read off B(zeta, c)."""
-    # cayley_pair certified the rank dim g_{1-m} of the transport, whose columns are V
-    return IsoCharacterReport(
-        iso_full=len(cd.v_basis) == len(cd.pair.grading.piece(1 - cd.depth)),
-        chi_vanishes=all(form_numerator(cd.algebra, cd.pair.grading.zeta, c) == 0 for c in cd.c_basis),
-    )
-
-
 class BracketProjection:
     """[v_i, v_j] split into its parts along c, along V and in the orthogonal complement."""
 
@@ -118,20 +110,10 @@ class BracketProjection:
         self.v_index, self.v_prime_index = v_index, v_prime_index
         self.c_part, self.v_part, self.rest_part = c_part, v_part, rest_part
 
-    @property
-    def in_c(self) -> bool:
-        return not self.v_part and not self.rest_part
 
-
-class ThetaVerdict:
-    __slots__ = ("candidate", "witness")
-
-    def __init__(self, candidate: bool, witness: Optional[BracketProjection]):
-        self.candidate, self.witness = candidate, witness
-
-
-def bracket_projection_test(cd: CayleyData) -> ThetaVerdict:
-    """Decompose every [v, v'] over c + V + orthogonal complement in g_0."""
+def bracket_projection_test(cd: CayleyData) -> Optional[BracketProjection]:
+    """Decompose every [v, v'] over c + V + orthogonal complement in g_0; the first
+    projection that is not inside c, or None when (c, V) is a theta-pair candidate."""
     alg = cd.algebra
     basis = cd.c_basis + cd.v_basis
     if basis and len(independent_subset([b.dense_num(alg.dim) for b in basis])) != len(basis):
@@ -151,6 +133,6 @@ def bracket_projection_test(cd: CayleyData) -> ThetaVerdict:
             v_sum = sum(map(mul, num[cd.dim_c :], numerators[cd.dim_c :]), Element())
             c_part, v_part = Element(c_sum.num, den * x.den), Element(v_sum.num, den * x.den)
             proj = BracketProjection(i, j, c_part, v_part, x - c_part - v_part)
-            if witness is None and not proj.in_c:
+            if witness is None and (proj.v_part or proj.rest_part):
                 witness = proj
-    return ThetaVerdict(candidate=witness is None, witness=witness)
+    return witness

@@ -77,9 +77,8 @@ def _chain_example(labels: Tuple[int, ...], seed: int) -> Tuple[tuple, Optional[
     """(dim c, dim V, theta-pair verdict, whether the witness has nonzero c- and V-parts),
     and the witness as JSON."""
     cd = cayley_pair(z_grading_from_labels(build_algebra(LieType("A", len(labels))), list(labels)), seed)
-    theta = bracket_projection_test(cd)
-    w = theta.witness
-    summary = (cd.dim_c, cd.dim_v, theta.candidate, w is not None and bool(w.c_part) and bool(w.v_part))
+    w = bracket_projection_test(cd)
+    summary = (cd.dim_c, cd.dim_v, w is None, w is not None and bool(w.c_part) and bool(w.v_part))
     return summary, None if w is None else witness_json(w, cd.algebra.dim)
 
 

@@ -7,7 +7,8 @@ import pytest
 from conftest import quiver_grading
 from oracles import iso_character_all_pass, verify_intertwining
 
-from gradedlie.cayley import _ad_powers, bracket_projection_test, cayley_pair, verify_iso_and_character
+from gradedlie import cayley
+from gradedlie.cayley import _ad_powers, bracket_projection_test, cayley_pair
 from gradedlie.chevalley import build_algebra
 from gradedlie.grading import z_grading_from_labels
 from gradedlie.linalg import independent_subset, rank
@@ -24,8 +25,7 @@ def test_chain_111():
     assert cd.dim_c == 0
     assert cd.dim_v == 1
     assert iso_character_all_pass(cd)
-    verdict = bracket_projection_test(cd)
-    assert verdict.candidate and verdict.witness is None
+    assert bracket_projection_test(cd) is None
 
 
 def test_chain_111_v_spans_expected_line(sl3):
@@ -42,9 +42,8 @@ def test_chain_222():
     assert cd.dim_c == 3
     assert cd.dim_v == 4
     assert iso_character_all_pass(cd)
-    verdict = bracket_projection_test(cd)
-    assert not verdict.candidate
-    w = verdict.witness
+    w = bracket_projection_test(cd)
+    assert w is not None
     assert w.c_part and w.v_part
 
 
@@ -54,13 +53,13 @@ def test_hermitian_sl2():
     assert cd.depth == 2
     assert cd.dim_c == 0
     assert cd.dim_v == 1
-    assert bracket_projection_test(cd).candidate
+    assert bracket_projection_test(cd) is None
 
 
 def test_quaternionic_a2_candidate(sl3):
     cd = cayley_pair(z_grading_from_labels(sl3, [1, 1]))
     assert cd.dim_v == 1
-    assert bracket_projection_test(cd).candidate
+    assert bracket_projection_test(cd) is None
     assert iso_character_all_pass(cd)
 
 
@@ -111,10 +110,11 @@ def test_checks_build_no_fraction(monkeypatch):
         return new(cls, *args, **kwargs)
 
     monkeypatch.setattr(Q, "__new__", staticmethod(counting_new))
-    iso = verify_iso_and_character(cd)
-    verdict = bracket_projection_test(cd)
+    injective = rank([v.dense_num(cd.algebra.dim) for v in cd.v_basis]) == cd.dim_v
+    chi_vanishes = cd.chi_vanishes
+    witness = bracket_projection_test(cd)
     assert callers == []
-    assert iso.iso_full and iso.chi_vanishes and not verdict.candidate
+    assert injective and chi_vanishes and witness is not None
     Q(1, 2)
     assert len(callers) == 1  # the counter sees a Fraction built here
 
@@ -135,3 +135,48 @@ def test_centralizer_commutes_with_triple():
 def test_triple_uses_twice_zeta():
     cd = _cayley((1, 1, 1))
     assert cd.triple.h == 2 * cd.pair.grading.zeta
+
+
+# Each certificate in ``cayley``, provoked by a wrong input: each test fails once
+# the raise it provokes is removed.
+
+
+def test_module_longer_than_2m_minus_1_fails_the_bound(monkeypatch):
+    """A chain of ad(e) powers with one term past ad(e)^{2m-2}."""
+    powers = cayley._ad_powers
+
+    def one_power_too_many(alg, e, domain):
+        chain = list(powers(alg, e, domain))
+        return chain + chain[-1:]
+
+    monkeypatch.setattr(cayley, "_ad_powers", one_power_too_many)
+    with pytest.raises(AssertionError, match="^sl2-module longer than 2m-1 detected$"):
+        _cayley((1, 1, 1))
+
+
+@pytest.mark.parametrize("fault", ["rank one short", "chain stops before ad(e)^(m-1)"])
+def test_transport_that_is_not_injective_is_refused(monkeypatch, fault):
+    """The check behind the report's ``iso_invertible``: a transport of rank below
+    dim g_{1-m}, or no ad(e)^{m-1} at all, raises."""
+    if fault == "rank one short":
+        monkeypatch.setattr(cayley, "rank", lambda rows: rank(rows) - 1)
+    else:
+        powers = cayley._ad_powers
+        monkeypatch.setattr(cayley, "_ad_powers", lambda alg, e, domain: list(powers(alg, e, domain))[:1])
+    with pytest.raises(AssertionError, match="^transport map is not injective on the lowest piece$"):
+        _cayley((2, 2, 2))
+
+
+def test_c_sharing_a_vector_with_v_is_refused():
+    cd = _cayley((2, 2, 2))
+    cd.c_basis = cd.c_basis + cd.v_basis[:1]
+    with pytest.raises(AssertionError, match="^c and V overlap$"):
+        bracket_projection_test(cd)
+
+
+def test_degenerate_form_on_c_plus_v_is_refused(monkeypatch):
+    """A Gram system on c + V with no solution."""
+    cd = _cayley((2, 2, 2))
+    monkeypatch.setattr(cayley, "solve", lambda gram, rhs: None)
+    with pytest.raises(AssertionError, match="^invariant form degenerate on c \\+ V$"):
+        bracket_projection_test(cd)

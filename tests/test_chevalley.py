@@ -5,6 +5,7 @@ import random
 import re
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction as Q
 from pathlib import Path
 
@@ -172,7 +173,7 @@ def certificate_passes(alg) -> bool:
 def test_certificate_catches_corrupted_entries(name):
     alg = build_algebra(LieType.parse(name))
     for bad in mutants(alg, name):
-        with pytest.raises(AssertionError):
+        with pytest.raises(AssertionError, match=r"^Jacobi identity fails on basis triple \(\d+,\d+,\d+\)$"):
             bad._verify_jacobi()
     alg._verify_jacobi()  # the copies left the cached table alone
 
@@ -247,6 +248,109 @@ def test_no_assert_statement_in_src():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+# Every certificate in src/, as (module, function, message), and the tests that
+# provoke it, one per raise site in source order.  An f-string's fields read "{}".
+CERTIFICATE_TESTS = {
+    ("cayley", "cayley_pair", "sl2-module longer than 2m-1 detected"):
+        ["test_cayley.py::test_module_longer_than_2m_minus_1_fails_the_bound"],
+    ("cayley", "cayley_pair", "transport map is not injective on the lowest piece"):
+        ["test_cayley.py::test_transport_that_is_not_injective_is_refused"],
+    ("cayley", "bracket_projection_test", "c and V overlap"):
+        ["test_cayley.py::test_c_sharing_a_vector_with_v_is_refused"],
+    ("cayley", "bracket_projection_test", "invariant form degenerate on c + V"):
+        ["test_cayley.py::test_degenerate_form_on_c_plus_v_is_refused"],
+    ("chevalley", "StructureConstants._fill", "no special pair for {}"):
+        ["test_chevalley.py::test_root_without_a_pair_raises"],
+    ("chevalley", "StructureConstants._put", "structure constant {} of [{},{}] is not an integer"):
+        ["test_chevalley.py::test_fractional_constant_is_refused"],
+    ("chevalley", "StructureConstants._value", "N({},{}) is read before it is written"):
+        ["test_chevalley.py::test_fill_out_of_height_order_raises"],
+    ("chevalley", "StructureConstants.verify_string_lengths", "bad constant N({},{}) = {}, p = {}"):
+        ["test_chevalley.py::test_doubled_constant_fails_the_string_check"],
+    ("chevalley", "ChevalleyAlgebra._verify_jacobi", "bracket table is not alternating at ({},{})"):
+        ["test_chevalley.py::test_certificate_needs_an_alternating_table"],
+    ("chevalley", "ChevalleyAlgebra._verify_jacobi", "Jacobi identity fails on basis triple ({},{},{})"):
+        ["test_chevalley.py::test_certificate_catches_corrupted_entries"],
+    ("chevalley", "ChevalleyAlgebra._verify_jacobi", "the generators reach only {} of {} basis vectors"):
+        ["test_chevalley.py::test_certificate_rejects_generators_that_do_not_span"],
+    ("grading", "root_grading", "the Cartan matrix is singular"):
+        ["test_grading.py::test_singular_cartan_matrix_is_refused"],
+    ("grading", "_verify_root_grading", "the grading element is not in the Cartan"):
+        ["test_grading.py::test_grading_element_off_the_cartan_is_refused"],
+    ("grading", "_verify_root_grading", "the pieces do not hold each basis index once"):
+        ["test_grading.py::test_root_grading_check_rejects_moved_or_missing_roots"],
+    ("grading", "_verify_root_grading", "grading element eigenvalue check failed at degree {}"):
+        ["test_grading.py::test_root_grading_check_rejects_other_zeta"],
+    ("grading", "_verify_grading_element", "grading element eigenvalue check failed at degree {}"):
+        ["test_grading.py::test_grading_element_check_rejects_other_zeta"],
+    ("quaternionic", "build_quaternionic", "grading element differs from the highest-root coroot"):
+        ["test_quaternionic.py::test_grading_element_other_than_the_highest_coroot_is_refused"],
+    ("quaternionic", "build_quaternionic", "unexpected piece structure {}"):
+        ["test_quaternionic.py::test_two_dimensional_extreme_piece_is_refused"],
+    ("quaternionic", "build_quaternionic", "kappa = {} contradicts the family rule for {}"):
+        ["test_quaternionic.py::test_kappa_against_the_wrong_family_rule_is_refused"],
+    ("quiver", "enumerate_orbits", "two interval multiplicity vectors share a rank tuple"):
+        ["test_quiver.py::test_rank_tuples_that_collide_are_refused"],
+    ("rootsystem", "exact_div", "{}/{} is not an integer"):
+        ["test_quaternionic.py::test_non_integral_kappa_raises_where_it_arises"],
+    ("rootsystem", "build_root_system", "root system not closed under negation"):
+        ["test_rootsystem.py::test_missing_negative_root_fails_the_build"],
+    ("rootsystem", "build_root_system", "highest root is not unique"):
+        ["test_rootsystem.py::test_missing_highest_root_fails_the_build"],
+    ("rootsystem", "build_root_system", "more than two root lengths"):
+        ["test_rootsystem.py::test_three_root_lengths_fail_the_build"],
+    ("rootsystem", "build_root_system", "the highest root is not long"):
+        ["test_rootsystem.py::test_swapped_length_classes_fail_the_build"],
+    ("vinberg", "killing_dual_norm", "the Killing form is degenerate on the Cartan"):
+        ["test_vinberg.py::test_killing_dual_norm_raises_on_a_degenerate_form"],
+    ("vinberg", "generic_element", "no open-orbit element found; the pair data is inconsistent"):
+        ["test_vinberg.py::test_generic_element_raises_when_no_sample_is_open"],
+    ("vinberg", "Sl2Triple.verify", "sl2 relation {} fails"):
+        ["test_vinberg.py::test_complete_triple_verifies_its_solution"],
+    ("vinberg", "jm_triple", "sl2 completion system is inconsistent"): [
+        "test_vinberg.py::test_jm_triple_raises_when_stage_one_is_inconsistent",
+        "test_vinberg.py::test_jm_triple_raises_when_completion_fails",
+    ],
+}
+
+
+def _certificate_sites(node, scope=()):
+    """(function, message) of each ``raise AssertionError(...)`` or ``raise
+    RuntimeError(...)`` under node, the function qualified by its class."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            yield from _certificate_sites(child, scope + (child.name,))
+        elif isinstance(child, ast.Raise) and child.exc is not None:
+            exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+            if getattr(exc, "id", None) in ("AssertionError", "RuntimeError"):
+                message = child.exc.args[0] if isinstance(child.exc, ast.Call) else ast.Constant("")
+                parts = message.values if isinstance(message, ast.JoinedStr) else [message]
+                yield ".".join(scope), "".join(p.value if isinstance(p, ast.Constant) else "{}" for p in parts)
+        else:
+            yield from _certificate_sites(child, scope)
+
+
+def test_every_certificate_has_a_provoking_test():
+    """Each raise site in src/ is listed with a test that makes it fire, and each
+    listed site and test still exists."""
+    package = Path(gradedlie.__file__).parent
+    sites = Counter(
+        (path.stem, *site)
+        for path in sorted(package.glob("*.py"))
+        for site in _certificate_sites(ast.parse(path.read_text()))
+    )
+    listed = Counter({site: len(tests) for site, tests in CERTIFICATE_TESTS.items()})
+    assert sites - listed == Counter(), "certificate sites with no provoking test"
+    assert listed - sites == Counter(), "listed sites that are gone from src/"
+    defined = {}
+    for test_id in sorted({t for tests in CERTIFICATE_TESTS.values() for t in tests}):
+        file, name = test_id.split("::")
+        if file not in defined:
+            tree = ast.parse((Path(__file__).parent / file).read_text())
+            defined[file] = {n.name for n in tree.body if isinstance(n, ast.FunctionDef)}
+        assert name in defined[file], test_id
 
 
 def _generates_record_code(node) -> bool:

@@ -1,3 +1,4 @@
+import copy
 import os
 import subprocess
 import sys
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from gradedlie.chevalley import build_algebra
+from gradedlie.chevalley import Element, build_algebra
 from gradedlie.linalg import RationalMatrix, solve
 from oracles import bar_pieces, fractions_of
 
@@ -85,7 +86,7 @@ def test_grading_element_check_rejects_other_zeta(name, labels, other):
     alg = build_algebra(LieType.parse(name))
     zg = z_grading_from_labels(alg, labels)
     zg.zeta = z_grading_from_labels(alg, other).zeta
-    with pytest.raises(AssertionError):
+    with pytest.raises(AssertionError, match=r"^grading element eigenvalue check failed at degree -?\d+$"):
         _verify_grading_element(zg)
 
 
@@ -126,7 +127,7 @@ def test_root_grading_check_rejects_other_zeta(name, labels, other):
     rs = build_root_system(LieType.parse(name))
     g = root_grading(rs, labels)
     g.zeta = root_grading(rs, other).zeta
-    with pytest.raises(AssertionError):
+    with pytest.raises(AssertionError, match=r"^grading element eigenvalue check failed at degree -?\d+$"):
         _verify_root_grading(rs, g)
 
 
@@ -155,10 +156,26 @@ def test_root_grading_check_rejects_moved_or_missing_roots():
     g = root_grading(rs, [0, 1, 0])
     pieces = dict(g.pieces)
     g.pieces = {**pieces, 1: pieces[1][1:], 2: pieces[2] + pieces[1][:1]}  # a degree-1 root in degree 2
-    with pytest.raises(AssertionError):
+    with pytest.raises(AssertionError, match="^grading element eigenvalue check failed at degree 2$"):
         _verify_root_grading(rs, g)
     g.pieces = {**pieces, 1: pieces[1][1:]}  # a degree-1 root in no piece
-    with pytest.raises(AssertionError):
+    with pytest.raises(AssertionError, match="^the pieces do not hold each basis index once$"):
+        _verify_root_grading(rs, g)
+
+
+def test_singular_cartan_matrix_is_refused():
+    """The affine A1 Cartan matrix has determinant 0: no grading element solves it."""
+    rs = copy.copy(build_root_system(LieType.parse("A2")))
+    rs.cartan = ((2, -2), (-2, 2))
+    with pytest.raises(AssertionError, match="^the Cartan matrix is singular$"):
+        root_grading(rs, [1, 0])
+
+
+def test_grading_element_off_the_cartan_is_refused():
+    rs = build_root_system(LieType.parse("A2"))
+    g = root_grading(rs, [1, 0])
+    g.zeta = Element({rs.rank: 1})  # a root vector
+    with pytest.raises(AssertionError, match="^the grading element is not in the Cartan$"):
         _verify_root_grading(rs, g)
 
 

@@ -16,6 +16,7 @@ from gradedlie.quaternionic import (
     quaternionic_ranks,
 )
 from gradedlie.chevalley import build_algebra
+from gradedlie.grading import ZGrading
 from gradedlie.quiver import QuiverDims, maximal_rank_tuple, quiver_jm_regular
 from gradedlie.rootsystem import LieType
 from gradedlie.vinberg import jm_regular, normalized_form
@@ -61,6 +62,26 @@ def test_non_integral_kappa_raises_where_it_arises(monkeypatch):
     monkeypatch.setattr(quaternionic, "vinberg_pair", short_gamma)
     with pytest.raises(AssertionError, match="2/3 is not an integer"):
         build_quaternionic.__wrapped__(LieType.parse("G2"))
+
+
+def test_grading_element_other_than_the_highest_coroot_is_refused(monkeypatch):
+    """Labels (1, 1, 1) on A3, where the highest root gives (1, 0, 1)."""
+    monkeypatch.setattr(quaternionic, "quaternionic_labels", lambda alg: (1, 1, 1))
+    with pytest.raises(AssertionError, match="^grading element differs from the highest-root coroot$"):
+        build_quaternionic.__wrapped__(LieType.parse("A3"))
+
+
+def test_two_dimensional_extreme_piece_is_refused(monkeypatch):
+    dims = ZGrading.dims
+    monkeypatch.setattr(ZGrading, "dims", lambda self: {**dims(self), 2: 2})
+    with pytest.raises(AssertionError, match=r"^unexpected piece structure \{.*2: 2.*\}$"):
+        build_quaternionic.__wrapped__(LieType.parse("A3"))
+
+
+def test_kappa_against_the_wrong_family_rule_is_refused(monkeypatch):
+    monkeypatch.setattr(quaternionic, "kappa_rule", lambda t: 1)
+    with pytest.raises(AssertionError, match="^kappa = 2 contradicts the family rule for A3$"):
+        build_quaternionic.__wrapped__(LieType.parse("A3"))
 
 
 @pytest.mark.parametrize("name", TYPE_LIST)

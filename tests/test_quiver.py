@@ -5,6 +5,8 @@ import time
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import SMALL_DIMS
 from oracles import (
@@ -20,6 +22,7 @@ from oracles import (
     zeta_matrix,
 )
 
+from gradedlie import quiver
 from gradedlie.cli import main
 from gradedlie.linalg import RationalMatrix
 from gradedlie.quiver import (
@@ -173,6 +176,21 @@ def test_quiver_command_444(capsys):
 def test_orbit_count_matches_enumeration(dims):
     d = QuiverDims(dims)
     assert orbit_count(d) == len(enumerate_orbits(d))
+
+
+@settings(derandomize=True)
+@given(st.lists(st.integers(1, 3), min_size=1, max_size=5).filter(lambda dims: sum(dims) >= 2))
+def test_orbit_count_matches_enumeration_on_drawn_vectors(dims):
+    d = QuiverDims(tuple(dims))
+    assert orbit_count(d) == len(enumerate_orbits(d))
+
+
+def test_rank_tuples_that_collide_are_refused(monkeypatch):
+    """Without r_01 a rank tuple of 1,1,1 cannot tell [0,1] + [2,2] from [0,0] + [1,1] + [2,2]."""
+    ranks = quiver.interval_rank_tuple
+    monkeypatch.setattr(quiver, "interval_rank_tuple", lambda dims, mult: ranks(dims, mult)[1:])
+    with pytest.raises(AssertionError, match="^two interval multiplicity vectors share a rank tuple$"):
+        enumerate_orbits(QuiverDims((1, 1, 1)))
 
 
 # every vector of a golden report, the README, the benchmark pools and the ROADMAP's timings
