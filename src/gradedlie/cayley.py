@@ -112,27 +112,27 @@ class BracketProjection:
 
 
 def bracket_projection_test(cd: CayleyData) -> Optional[BracketProjection]:
-    """Decompose every [v, v'] over c + V + orthogonal complement in g_0; the first
-    projection that is not inside c, or None when (c, V) is a theta-pair candidate."""
+    """Decompose each [v, v'] in turn over c + V + orthogonal complement in g_0; the first
+    projection that is not inside c, or None when (c, V) is a theta-pair candidate.
+    The decomposition is unique only where the form is nondegenerate on c + V, so a
+    singular Gram raises AssertionError before any bracket is taken."""
     alg = cd.algebra
     basis = cd.c_basis + cd.v_basis
     if basis and len(independent_subset([b.dense_num(alg.dim) for b in basis])) != len(basis):
         raise AssertionError("c and V overlap")
     gram = RationalMatrix([[form_numerator(alg, a, b) for b in basis] for a in basis])
+    if rank(gram) != len(basis):
+        raise AssertionError("invariant form degenerate on c + V")
     numerators = [Element(b.num) for b in basis]
-    witness = None
     for i in range(len(cd.v_basis)):
         for j in range(i + 1, len(cd.v_basis)):
             x = alg.bracket(cd.v_basis[i], cd.v_basis[j])
-            coeffs = solve(gram, [form_numerator(alg, u, x) for u in basis])
-            if coeffs is None:
-                raise AssertionError("invariant form degenerate on c + V")
-            # the part along b is y_b b.num / x.den, each sum divided once
-            num, den = coeffs
+            # one solution, as the Gram is nonsingular; the part along b is y_b b.num / x.den
+            num, den = solve(gram, [form_numerator(alg, u, x) for u in basis])
             c_sum = sum(map(mul, num[: cd.dim_c], numerators[: cd.dim_c]), Element())
             v_sum = sum(map(mul, num[cd.dim_c :], numerators[cd.dim_c :]), Element())
             c_part, v_part = Element(c_sum.num, den * x.den), Element(v_sum.num, den * x.den)
             proj = BracketProjection(i, j, c_part, v_part, x - c_part - v_part)
-            if witness is None and (proj.v_part or proj.rest_part):
-                witness = proj
-    return witness
+            if proj.v_part or proj.rest_part:
+                return proj
+    return None

@@ -91,14 +91,14 @@ def _quaternionic_rows(name: str) -> List[PaperCheck]:
     t = LieType.parse(name)
     rows = [
         PaperCheck(f"quaternionic-ranks-{name}", "rank table for the highest-root grading", expected_ranks(t),
-                   lambda seed: q_list(quaternionic_ranks(build_quaternionic(t), seed))),
+                   lambda seed: q_list(quaternionic_ranks(build_quaternionic(t)))),
         PaperCheck(f"extreme-pieces-regular-{name}", "one-dimensional pieces are JM-regular", True,
-                   lambda seed: extremes_regular(build_quaternionic(t), seed)),
+                   lambda seed: extremes_regular(build_quaternionic(t))),
     ]
     if kappa_rule(t) == 1:
         rows.append(PaperCheck(
             f"sp-degree1-not-regular-{name}", "symplectic degree-1 pair is not JM-regular", False,
-            lambda seed: jm_regular(build_quaternionic(t).pairs[1], seed),
+            lambda seed: jm_regular(build_quaternionic(t).pairs[1]),
         ))
     return rows
 

@@ -256,7 +256,7 @@ class ChevalleyAlgebra:
 
     def coroot(self, alpha: Root) -> Element:
         """h_alpha = alpha^vee expressed in the basis."""
-        return self.cartan_element(self.rs.coroot_coefficients(alpha))
+        return self.cartan_element(self.rs.coroots[alpha])
 
     # -- bracket ----------------------------------------------------------
 

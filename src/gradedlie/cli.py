@@ -276,17 +276,17 @@ def cmd_amw(
 
 def cmd_quaternionic(lie_type: LieType, seed: int, **_) -> Dict[str, Any]:
     qd = build_quaternionic(lie_type)
-    rp, rm = quaternionic_ranks(qd, seed)
-    extremes = extremes_regular(qd, seed)
+    rp, rm = quaternionic_ranks(qd)
+    extremes = extremes_regular(qd)
     return make_report(
         "quaternionic",
-        {"lie_type": str(lie_type), "seed": seed},
+        {"lie_type": str(lie_type), "seed": seed},  # no value reads the seed; echoed to keep the report bytes
         {
             "piece_dims": list(qd.grading.dims().values()),  # degrees -2..2
             "kappa": qd.kappa,
             "rank_plus": q_str(rp),
             "rank_minus": q_str(rm),
-            "degree1_jm_regular": jm_regular(qd.pairs[1], seed),
+            "degree1_jm_regular": jm_regular(qd.pairs[1]),
             "extreme_pieces_jm_regular": extremes,
         },
         [

@@ -26,7 +26,7 @@ from .vinberg import VinbergPair, jm_regular, pair_rank, regrade, vinberg_pair
 
 def quaternionic_labels(alg: ChevalleyAlgebra) -> Tuple[int, ...]:
     """Degree labels <alpha_k, beta^vee> = sum_j beta^vee_j c[k][j] of the highest-root grading."""
-    beta_vee = alg.rs.coroot_coefficients(alg.rs.highest_root)
+    beta_vee = alg.rs.coroots[alg.rs.highest_root]
     return tuple(sum(t * c for t, c in zip(beta_vee, row)) for row in alg.rs.cartan)
 
 
@@ -66,11 +66,11 @@ def kappa_rule(t: LieType) -> int:
     return 2
 
 
-def quaternionic_ranks(qd: QuaternionicData, seed: int = 0) -> Tuple[Q, Q]:
+def quaternionic_ranks(qd: QuaternionicData) -> Tuple[Q, Q]:
     """(rank_T(G_0, g_1), rank_T(G_0, g_{-2})), via sl2-triples on open-orbit elements."""
-    return pair_rank(qd.pairs[1], seed), pair_rank(qd.pairs[-2], seed)
+    return pair_rank(qd.pairs[1]), pair_rank(qd.pairs[-2])
 
 
-def extremes_regular(qd: QuaternionicData, seed: int = 0) -> bool:
+def extremes_regular(qd: QuaternionicData) -> bool:
     """Whether the pairs (G_0, g_2) and (G_0, g_{-2}) are both JM-regular."""
-    return jm_regular(qd.pairs[2], seed) and jm_regular(qd.pairs[-2], seed)
+    return jm_regular(qd.pairs[2]) and jm_regular(qd.pairs[-2])

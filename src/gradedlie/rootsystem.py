@@ -14,7 +14,8 @@ invariant form, normalised so that the highest root has squared length 2, is
 read off them: (alpha_i, alpha_j) = c_ij ell_j / L, so a root's norm is
 2 ell(alpha) / L, and ``form_value`` and ``norm`` build one Fraction each.  The
 classes and the integer coroot coefficients are computed once per root system;
-``coroot_coefficients`` is a table lookup on roots.
+``coroots`` maps each root alpha to the coefficients of alpha^vee in the simple
+coroot basis.
 """
 
 from __future__ import annotations
@@ -169,10 +170,6 @@ class RootSystem:
     def norm(self, alpha: Root) -> Q:
         """B*(alpha, alpha) = 2 ell(alpha) / L of a root."""
         return Q(2 * self.length_class(alpha), self.long_class)
-
-    def coroot_coefficients(self, alpha: Root) -> Tuple[int, ...]:
-        """Coefficients of the coroot alpha^vee in the simple coroot basis."""
-        return self.coroots[alpha]
 
 
 def exact_div(n, d) -> int:

@@ -2,9 +2,11 @@
 
 For a Z-grading with grading element zeta, the degree-1 piece is a
 prehomogeneous G_0-space.  Each pair has one verified sl2-triple through an
-open-orbit e (``VinbergPair.triple``): a root-set triple (``root_set_triple``)
-or a dense e that ``jm_triple`` completes.  The Toledo rank and JM-regularity
-are read off it, and it witnesses both verdicts.  It evaluates the Toledo
+open-orbit e (``VinbergPair.triple``), found once: a root-set triple
+(``root_set_triple``), or else the default dense e of ``generic_element``,
+which ``jm_triple`` completes.  The Toledo rank and JM-regularity are
+invariants of the pair, so they are read off that one triple, and it
+witnesses both verdicts.  It evaluates the Toledo
 character chi_T(x) = B(zeta, x) B*(gamma, gamma), where gamma is a longest
 root in degree 1; that factor makes chi_T independent of the invariant form.
 The production route is ``normalized_form``, the form with B*(highest root,
@@ -28,7 +30,7 @@ import random
 from fractions import Fraction as Q
 from itertools import chain
 from operator import mul
-from typing import Dict, Optional
+from typing import Optional
 
 from .chevalley import ChevalleyAlgebra, Element
 from .grading import ZGrading
@@ -80,29 +82,26 @@ def normalized_form(alg: ChevalleyAlgebra, a: Element, b: Element) -> Q:
 
 
 class VinbergPair:
-    """The pair (G_0, g_1) of a grading, with gamma, and its verified triples once found."""
+    """The pair (G_0, g_1) of a grading, with gamma, and its verified triple once found."""
 
-    __slots__ = ("grading", "gamma", "_triples")
+    __slots__ = ("grading", "gamma", "_triple")
 
     def __init__(self, grading: ZGrading, gamma: tuple):
         self.grading = grading
         self.gamma = gamma  # longest root with root space in degree 1
-        self._triples: Dict[Optional[int], Optional[Sl2Triple]] = {}
+        self._triple: Optional[Sl2Triple] = None
 
     @property
     def algebra(self) -> ChevalleyAlgebra:
         return self.grading.algebra
 
-    def triple(self, seed: int = 0) -> Sl2Triple:
-        """The verified triple through an open-orbit e, cached in ``_triples``: ``root_set_triple``
-        under None, searched once per pair, else ``jm_triple`` on ``generic_element`` per seed."""
-        if None not in self._triples:
-            self._triples[None] = root_set_triple(self)
-        if self._triples[None]:
-            return self._triples[None]
-        if seed not in self._triples:
-            self._triples[seed] = jm_triple(self, generic_element(self, seed))
-        return self._triples[seed]
+    def triple(self) -> Sl2Triple:
+        """The verified triple through an open-orbit e, found once and cached in ``_triple``:
+        ``root_set_triple``, else ``jm_triple`` on ``generic_element(self)``.  Which open-orbit
+        e it takes changes neither the Toledo rank nor the JM verdict (see ``jm_regular``)."""
+        if self._triple is None:
+            self._triple = root_set_triple(self) or jm_triple(self, generic_element(self))
+        return self._triple
 
     def chi_t(self, x: Element) -> Q:
         return normalized_form(self.algebra, self.grading.zeta, x) * self.algebra.rs.norm(self.gamma)
@@ -253,15 +252,15 @@ def root_set_triple(pair: VinbergPair) -> Optional[Sl2Triple]:
     return Sl2Triple(h=h, e=e_s, f=f).verify(alg)
 
 
-def pair_rank(pair: VinbergPair, seed: int = 0) -> Q:
+def pair_rank(pair: VinbergPair) -> Q:
     """rank_T of the pair: chi_T(h)/2 on its triple."""
-    return pair.chi_t(pair.triple(seed).h) / 2
+    return pair.chi_t(pair.triple().h) / 2
 
 
-def jm_regular(pair: VinbergPair, seed: int = 0) -> bool:
+def jm_regular(pair: VinbergPair) -> bool:
     """Whether the pair's triple has h = 2*zeta.  Triples through e with h in g_0 are conjugate
     under G_0^e, which fixes zeta, so that one triple decides and witnesses either verdict."""
-    return pair.triple(seed).h == 2 * pair.grading.zeta
+    return pair.triple().h == 2 * pair.grading.zeta
 
 
 def dual_toledo_factor(pair: VinbergPair) -> Q:

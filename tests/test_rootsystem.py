@@ -95,7 +95,7 @@ def test_coroot_table_pairs_roots(name):
     # <alpha_k, alpha^vee> = 2 (alpha_k, alpha) / (alpha, alpha) on simple roots
     rs = build_root_system(LieType.parse(name))
     for alpha in rs.roots:
-        coeffs = rs.coroot_coefficients(alpha)
+        coeffs = rs.coroots[alpha]
         for k in range(rs.rank):
             simple = tuple(int(i == k) for i in range(rs.rank))
             lhs = sum(c * rs.pairing(simple, j) for j, c in enumerate(coeffs))
@@ -195,7 +195,7 @@ def test_short_root_norms():
 def test_coroot_coefficients_integral(name):
     rs = build_root_system(LieType.parse(name))
     for alpha in rs.roots:
-        for c in rs.coroot_coefficients(alpha):
+        for c in rs.coroots[alpha]:
             assert c.denominator == 1
 
 

@@ -333,31 +333,35 @@ def census_pairs(name):
 def test_jm_verdict_is_h_equal_to_twice_zeta(name):
     """Second route: triples through e with h in g_0 are conjugate under the
     centralizer of e in G_0, and zeta is central in g_0, so the pair is
-    JM-regular iff the stage-1 triple already has h = 2 zeta."""
+    JM-regular iff the stage-1 triple already has h = 2 zeta.  Open-orbit
+    elements are G_0-conjugate, so the dense e of every seed gives the verdict
+    and the Toledo rank of the pair's one triple."""
     for labels, pair in census_pairs(name):
         for seed in (0, 1):
             h = jm_triple(pair, generic_element(pair, seed)).h
-            assert (h == 2 * pair.grading.zeta) == jm_regular(pair, seed), (labels, seed)
+            assert (h == 2 * pair.grading.zeta) == jm_regular(pair), (labels, seed)
+            assert pair.chi_t(h) / 2 == pair_rank(pair), (labels, seed)
 
 
 @pytest.mark.parametrize("name", CENSUS + [f"quaternionic-{t}" for t in TYPE_LIST])
 def test_jm_regular_matches_block_solve(name):
     """The pair's triple against the block solve of [e, f] = 2 zeta: same verdict, and the
     same f when regular.  A negative verdict's witness is the triple itself: it verifies,
-    its e has an open orbit, and its h is not 2 zeta."""
+    its e has an open orbit, and its h is not 2 zeta.  The block solve on the dense e of
+    seeds 0 and 1 gives the same verdict."""
     if name.startswith("quaternionic-"):
         qd = build_quaternionic(LieType.parse(name.partition("-")[2]))
         cases = qd.pairs.items()
     else:
         cases = census_pairs(name)
     for key, pair in cases:
+        t, regular = pair.triple(), jm_regular(pair)
+        assert (regular, t.f if regular else None) == block_jm_regular(pair, t.e), key
+        if not regular:
+            assert t.verify(pair.algebra).h != 2 * pair.grading.zeta, key
+            assert orbit_dimension(pair, t.e) == len(pair.grading.piece(1)), key
         for seed in (0, 1):
-            t = pair.triple(seed)
-            regular = jm_regular(pair, seed)
-            assert (regular, t.f if regular else None) == block_jm_regular(pair, t.e), (key, seed)
-            if not regular:
-                assert t.verify(pair.algebra).h != 2 * pair.grading.zeta, (key, seed)
-                assert orbit_dimension(pair, t.e) == len(pair.grading.piece(1)), (key, seed)
+            assert block_jm_regular(pair, generic_element(pair, seed))[0] == regular, (key, seed)
 
 
 @pytest.mark.parametrize("name", CENSUS)
@@ -398,16 +402,17 @@ def test_root_set_route_matches_the_dense_route(name):
 
 
 def test_no_root_set_falls_back_to_the_dense_route():
-    """D4 (1,0,1,1) has no open difference-free root set at any size."""
+    """D4 (1,0,1,1) has no open difference-free root set at any size, so the pair's
+    triple completes the default dense e; the dense e of seeds 0 and 1 agree with it."""
     pair = _pair("D4", [1, 0, 1, 1])
     assert root_set_triple(pair) is None
+    t, regular = pair.triple(), jm_regular(pair)
+    assert t.e == generic_element(pair)
+    assert (regular, t.f if regular else None) == block_jm_regular(pair, t.e)
     for seed in (0, 1):
         e = generic_element(pair, seed)
-        t = pair.triple(seed)
-        regular = jm_regular(pair, seed)
-        assert t.e == e
-        assert (regular, t.f if regular else None) == block_jm_regular(pair, e)
-        assert pair_rank(pair, seed) == pair.chi_t(jm_triple(pair, e).h) / 2
+        assert block_jm_regular(pair, e)[0] == regular, seed
+        assert pair_rank(pair) == toledo_rank(pair, e), seed
 
 
 def _count_calls(monkeypatch, names):
@@ -425,19 +430,18 @@ def _count_calls(monkeypatch, names):
 
 
 def test_triple_searches_the_root_set_once_and_densely_once_per_seed(monkeypatch):
-    """Ranks and verdicts at two seeds, twice over: D4 (1,0,1,1) has no root set, so each
-    seed takes one dense search and one completion; A2 (1,1) has one and never searches densely."""
+    """Ranks and verdicts, asked twice: D4 (1,0,1,1) has no root set, so the pair takes one
+    dense search and one completion in all; A2 (1,1) has one and never searches densely."""
     calls = _count_calls(monkeypatch, ["root_set_triple", "generic_element", "jm_triple"])
     for name, labels, expected in [
-        ("D4", [1, 0, 1, 1], {"root_set_triple": 1, "generic_element": 2, "jm_triple": 2}),
+        ("D4", [1, 0, 1, 1], {"root_set_triple": 1, "generic_element": 1, "jm_triple": 1}),
         ("A2", [1, 1], {"root_set_triple": 1}),
     ]:
         calls.clear()
         pair = _pair(name, labels)
         for _ in range(2):
-            for seed in (0, 1):
-                pair_rank(pair, seed)
-                jm_regular(pair, seed)
+            pair_rank(pair)
+            jm_regular(pair)
         assert dict(calls) == expected, name
 
 
