@@ -4,8 +4,8 @@ Each row states one numeric claim of the paper once: an id, where the claim
 comes from, its expected value, and a function from seed to the computed,
 JSON-ready value.  ``verify-paper`` runs the table and the acceptance tests
 are parametrized over it.  Expected values are literals or follow from
-``kappa_rule``; none is read off the value under test.  Rationals are
-serialized as exact "p/q" strings.
+``kappa_rule`` and the literature's ``RANK_TABLE``; none is read off the
+value under test.  Rationals are serialized as exact "p/q" strings.
 """
 
 from __future__ import annotations
@@ -15,11 +15,10 @@ from fractions import Fraction as Q
 from functools import lru_cache
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from .amw import RANK_TABLE, BoundInput, coarse_interval
 from .cayley import BracketProjection, bracket_projection_test, cayley_pair
 from .chevalley import build_algebra
 from .grading import kac_labels, kac_lift_check, z_grading_from_labels
-from .quaternionic import build_quaternionic, extremes_regular, kappa_rule, quaternionic_ranks
+from .quaternionic import amw_interval, build_quaternionic, extremes_regular, kappa_rule, quaternionic_ranks
 from .quiver import QuiverHiggsTopology, toledo_invariant
 from .rootsystem import LieType, build_root_system
 from .vinberg import jm_regular
@@ -28,6 +27,8 @@ QUATERNIONIC_TYPES = ("A2", "A3", "B3", "C2", "C3", "D4", "G2", "F4", "E6")
 EXTENDED_TYPES = ("E7", "E8")
 CHAIN_111 = (1, 1)  # A2 labels of the dimension vector (1, 1, 1)
 CHAIN_222 = (0, 1, 0, 1, 0)  # A5 labels of (2, 2, 2)
+# kappa -> (rank_T(G_0, g_1), rank_T(G_0, g_{-2})) of the highest-root grading, from the literature
+RANK_TABLE = {2: (Q(4), Q(1)), 1: (Q(1), Q(1))}
 
 
 def q_str(x) -> str:
@@ -131,9 +132,9 @@ def paper_checks(extended: bool) -> List[PaperCheck]:
     rows = [row for name in quaternionic_types(extended) for row in _quaternionic_rows(name)]
     return rows + [
         PaperCheck("coarse-bounds-kappa2", "coarse interval at genus 2, generic type",
-                   ["-8", "4"], lambda seed: q_list(coarse_interval(BoundInput(2, kappa=2)))),
+                   ["-8", "4"], lambda seed: q_list(amw_interval(build_quaternionic(LieType("E", 6)), 2))),
         PaperCheck("coarse-bounds-kappa1", "coarse interval at genus 2, symplectic type",
-                   ["-2", "2"], lambda seed: q_list(coarse_interval(BoundInput(2, kappa=1)))),
+                   ["-2", "2"], lambda seed: q_list(amw_interval(build_quaternionic(LieType("C", 3)), 2))),
         PaperCheck("quiver-toledo-two-vertex", "two-block Toledo formula", True, _two_block_formula),
         PaperCheck("quiver-toledo-111", "three-block Toledo value", "-4",
                    lambda seed: q_str(toledo_invariant(QuiverHiggsTopology((1, 1, 1), (1, 0, -1), 2)))),

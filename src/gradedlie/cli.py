@@ -29,7 +29,7 @@ from .cayley import bracket_projection_test, cayley_pair
 from .checks import expected_ranks, kappa_table, paper_checks, q_list, q_str, witness_222, witness_json
 from .chevalley import build_algebra
 from .grading import check_labels, kac_labels, kac_lift_check, root_grading, z_grading_from_labels, zm_from_kac
-from .quaternionic import build_quaternionic, extremes_regular, quaternionic_ranks
+from .quaternionic import amw_interval, build_quaternionic, extremes_regular, quaternionic_ranks
 from .quiver import (
     ORBIT_BOUND,
     QuiverDims,
@@ -140,8 +140,6 @@ FIELDS = {
     "--depth": Field("depth", to_int),
     "--phi-minus-zero": Field("phi_minus_zero", to_switch, False),
     "--quaternionic": Field("quaternionic", to_switch, False),
-    "--kappa": Field("kappa", to_int),
-    "--coarse": Field("coarse", to_switch, False),
     "--extended": Field("extended", to_switch, False),
     "--format": Field("output_format", to_format, "json"),
     "--output": Field("output_path", to_path),
@@ -236,9 +234,8 @@ def cmd_toledo(dims: List[int], degrees: List[int], genus: int, **_) -> Dict[str
 
 # the amw flags that each mode does not read; a given one exits 2
 AMW_UNREAD = {
-    None: ("--coarse", "--kappa"),
-    "--quaternionic": ("--zeta-pairing", "--depth", "--phi-minus-zero"),
-    "--coarse": ("--zeta-pairing", "--depth", "--phi-minus-zero", "--lambda", "--rank-plus", "--rank-minus"),
+    None: ("--type",),
+    "--quaternionic": ("--rank-plus", "--rank-minus", "--zeta-pairing", "--depth", "--phi-minus-zero"),
 }
 
 
@@ -249,16 +246,16 @@ def present(**values) -> Dict[str, Any]:
 
 def cmd_amw(
     genus: int, lam: Optional[Q], rank_plus: Optional[Q], rank_minus: Optional[Q], zeta_pairing: Optional[Q],
-    depth: Optional[int], phi_minus_zero: bool, quaternionic: bool, kappa: Optional[int], coarse: bool, **_,
+    depth: Optional[int], phi_minus_zero: bool, quaternionic: bool, lie_type: Optional[LieType], **_,
 ) -> Dict[str, Any]:
-    mode = ("--coarse" if coarse else "--quaternionic") if quaternionic else None
-    flags = {"--lambda": lam, "--rank-plus": rank_plus, "--rank-minus": rank_minus, "--zeta-pairing": zeta_pairing,
-             "--depth": depth, "--phi-minus-zero": phi_minus_zero or None, "--kappa": kappa, "--coarse": coarse or None}
+    mode = "--quaternionic" if quaternionic else None
+    flags = {"--type": lie_type, "--rank-plus": rank_plus, "--rank-minus": rank_minus, "--zeta-pairing": zeta_pairing,
+             "--depth": depth, "--phi-minus-zero": phi_minus_zero or None}
     unread = [flag for flag in AMW_UNREAD[mode] if flags[flag] is not None]
     if unread:
         raise ValueError(f"{unread[0]} needs --quaternionic" if mode is None else f"{mode} does not read {unread[0]}")
     bi = amw_mod.BoundInput(genus, **present(
-        lam=lam, rank_plus=rank_plus, rank_minus=rank_minus, zeta_pairing=zeta_pairing, kappa=kappa
+        lam=lam, rank_plus=rank_plus, rank_minus=rank_minus, zeta_pairing=zeta_pairing
     ))
     inputs = {"genus": genus, "lambda": q_str(bi.lam)}
     if mode is None:
@@ -267,11 +264,11 @@ def cmd_amw(
             "lower_bound": q_str(-amw_mod.amw_lower(bi)),
             "upper_bound": q_str(upper) if upper is not None else None,
         })
-    inputs["kappa"] = bi.kappa
-    if coarse:
-        inputs["coarse"] = True
-    lo, hi = (amw_mod.coarse_interval if coarse else amw_mod.quaternionic_interval)(bi)
-    return make_report("amw", inputs, {"bounds": [q_str(lo), q_str(hi)]})
+    if lie_type is None:
+        raise ValueError("--quaternionic needs --type")
+    qd = build_quaternionic(lie_type)
+    inputs["lie_type"] = str(lie_type)
+    return make_report("amw", inputs, {"bounds": q_list(amw_interval(qd, genus, bi.lam)), "kappa": qd.kappa})
 
 
 def cmd_quaternionic(lie_type: LieType, seed: int, **_) -> Dict[str, Any]:
@@ -280,7 +277,8 @@ def cmd_quaternionic(lie_type: LieType, seed: int, **_) -> Dict[str, Any]:
     extremes = extremes_regular(qd)
     return make_report(
         "quaternionic",
-        {"lie_type": str(lie_type), "seed": seed},  # no value reads the seed; echoed to keep the report bytes
+        # no value reads the seed: it is echoed because the reference digests in bench/references.json pin it
+        {"lie_type": str(lie_type), "seed": seed},
         {
             "piece_dims": list(qd.grading.dims().values()),  # degrees -2..2
             "kappa": qd.kappa,
@@ -343,19 +341,20 @@ def cmd_verify_paper(seed: int, extended: bool, **_) -> Dict[str, Any]:
 
 # Each command's handler and flags in usage order; a flag ending in "!" is
 # required.  Every command also takes COMMON_FLAGS; ``**_`` in a handler takes
-# those it does not read.
+# those it does not read.  Only the commands whose report reads or echoes the
+# seed take --seed.
 COMMANDS = {
     "grading": (cmd_grading, "--type! --labels!"),
     "kac": (cmd_kac, "--type! --labels!"),
     "quiver": (cmd_quiver, "--dims!"),
     "toledo": (cmd_toledo, "--dims! --degrees! --genus!"),
     "amw": (cmd_amw, "--genus! --lambda --rank-plus --rank-minus --zeta-pairing --depth "
-                     "--phi-minus-zero --quaternionic --kappa --coarse"),
-    "quaternionic": (cmd_quaternionic, "--type!"),
-    "cayley": (cmd_cayley, "--type --labels --dims"),
-    "verify-paper": (cmd_verify_paper, "--extended"),
+                     "--phi-minus-zero --quaternionic --type"),
+    "quaternionic": (cmd_quaternionic, "--type! --seed"),
+    "cayley": (cmd_cayley, "--type --labels --dims --seed"),
+    "verify-paper": (cmd_verify_paper, "--extended --seed"),
 }
-COMMON_FLAGS = ["--format", "--output", "--seed"]
+COMMON_FLAGS = ["--format", "--output"]
 
 
 def command_flags(command: str) -> Dict[str, bool]:

@@ -10,6 +10,9 @@ family C, plus B2 which is the same algebra in disguise.
 
 The build also makes the pairs (G_0, g_j), j = 1, 2, -2, that the Toledo
 ranks and the extreme-piece JM-regularity read; each is searched once, for a root set.
+The AMW interval of the depth-3 pair (G_0, g_1 + g_{-2}) is ``amw.tau`` on
+that computed data alone: the zeta-pairing of the degree-1 pair, its two Toledo
+ranks and its dual factor.
 """
 
 from __future__ import annotations
@@ -18,10 +21,11 @@ from fractions import Fraction as Q
 from functools import lru_cache
 from typing import Dict, Tuple
 
+from .amw import BoundInput, tau
 from .chevalley import ChevalleyAlgebra, build_algebra
 from .grading import ZGrading, z_grading_from_labels
 from .rootsystem import LieType, exact_div
-from .vinberg import VinbergPair, jm_regular, pair_rank, regrade, vinberg_pair
+from .vinberg import VinbergPair, dual_toledo_factor, jm_regular, pair_rank, regrade, vinberg_pair
 
 
 def quaternionic_labels(alg: ChevalleyAlgebra) -> Tuple[int, ...]:
@@ -57,6 +61,14 @@ def build_quaternionic(t: LieType) -> QuaternionicData:
     if kappa != kappa_rule(t):
         raise AssertionError(f"kappa = {kappa} contradicts the family rule for {t}")
     return QuaternionicData(grading=zg, kappa=kappa, pairs=pairs)
+
+
+def amw_interval(qd: QuaternionicData, genus: int, lam: Q = Q(0)) -> Tuple[Q, Q]:
+    """(-tau(r_+), tau(-r_-/d)) at the degree-1 pair's zeta-pairing, with d its dual Toledo factor."""
+    rank_plus, rank_minus = quaternionic_ranks(qd)
+    pair = qd.pairs[1]
+    bi = BoundInput(genus, lam, rank_plus, -rank_minus / dual_toledo_factor(pair), pair.zeta_pairing())
+    return -tau(bi, bi.rank_plus), tau(bi, bi.rank_minus)
 
 
 def kappa_rule(t: LieType) -> int:

@@ -5,14 +5,10 @@ import pytest
 
 from oracles import quaternionic_bounds
 
-from gradedlie import amw
-from gradedlie.amw import (
-    BoundInput,
-    amw_lower,
-    amw_upper,
-    coarse_interval,
-    quaternionic_interval,
-)
+from gradedlie import quaternionic
+from gradedlie.amw import BoundInput, amw_lower, amw_upper
+from gradedlie.quaternionic import amw_interval, build_quaternionic
+from gradedlie.rootsystem import LieType
 
 
 def test_input_validation():
@@ -20,24 +16,9 @@ def test_input_validation():
         BoundInput(genus=1)
     with pytest.raises(ValueError):
         BoundInput(genus=2, rank_plus=Q(-1))
-    with pytest.raises(ValueError):
-        BoundInput(genus=2, kappa=3)
     for depth in (0, 1):
         with pytest.raises(ValueError):
             amw_upper(BoundInput(genus=2), depth, True)
-
-
-def test_replace_checks_like_construction(monkeypatch):
-    """A replaced input goes through the constructor's checks, so the intervals'
-    replaced inputs cannot carry a negative rank."""
-    bi = BoundInput(genus=3, lam=Q(1, 2), rank_minus=Q(1), kappa=1)
-    moved = bi.replace(rank_plus=Q(4))
-    assert [getattr(moved, name) for name in BoundInput.__slots__] == [3, Q(1, 2), 4, 1, 0, 1]
-    with pytest.raises(ValueError, match="^ranks must be non-negative$"):
-        bi.replace(rank_minus=Q(-1))
-    monkeypatch.setitem(amw.RANK_TABLE, 2, (Q(-1), Q(1)))
-    with pytest.raises(ValueError, match="^ranks must be non-negative$"):
-        coarse_interval(BoundInput(genus=2))
 
 
 def test_lower_basic():
@@ -77,32 +58,39 @@ def test_coarse():
         BoundInput(genus=1, rank_plus=Q(1))
 
 
-def coarse(genus: int, kappa: int):
-    return coarse_interval(BoundInput(genus=genus, kappa=kappa))
+def coarse(genus: int, name: str):
+    """The interval at lambda = 0 of a type with kappa 2 (E6) or 1 (C3)."""
+    return amw_interval(build_quaternionic(LieType.parse(name)), genus)
 
 
 def test_quaternionic_coarse_endpoints():
-    assert coarse(2, 2) == (-8, 4)
-    assert coarse(2, 1) == (-2, 2)
+    assert coarse(2, "E6") == (-8, 4)
+    assert coarse(2, "C3") == (-2, 2)
     g = 5
-    assert coarse(g, 2) == (-4 * (2 * g - 2), 2 * (2 * g - 2))
-    assert coarse(g, 1) == (-(2 * g - 2), 2 * g - 2)
+    assert coarse(g, "E6") == (-4 * (2 * g - 2), 2 * (2 * g - 2))
+    assert coarse(g, "C3") == (-(2 * g - 2), 2 * g - 2)
 
 
-def test_quaternionic_bounds_trivial():
-    bi = BoundInput(genus=2)
-    assert quaternionic_interval(bi) == (0, 0)
+def test_quaternionic_bounds_trivial(monkeypatch):
+    # zero Toledo ranks at lambda = 0 give the zero interval, whatever the pairing
+    monkeypatch.setattr(quaternionic, "quaternionic_ranks", lambda qd: (Q(0), Q(0)))
+    for name in ("E6", "C3"):
+        assert amw_interval(build_quaternionic(LieType.parse(name)), 2) == (0, 0)
 
 
 HALVES = [Q(k, 2) for k in range(-4, 5)]
 
 
-def test_quaternionic_interval_matches_closed_form():
-    # the general bounds at pairing 2*kappa and rank_minus scaled by kappa
+def test_quaternionic_interval_matches_closed_form(monkeypatch):
+    # at any Toledo ranks, a type's pairing and dual factor give the closed form at its kappa
     ranks = [x for x in HALVES if x >= 0]
-    for g, lam, rank_plus, rank_minus, kappa in itertools.product(range(2, 6), HALVES, ranks, ranks, (1, 2)):
-        bi = BoundInput(g, lam, rank_plus, rank_minus, kappa=kappa)
-        assert quaternionic_interval(bi) == quaternionic_bounds(g, lam, rank_plus, rank_minus, kappa), bi
+    for name, kappa in (("A2", 2), ("C2", 1)):
+        qd = build_quaternionic(LieType.parse(name))
+        for rank_plus, rank_minus in itertools.product(ranks, ranks):
+            monkeypatch.setattr(quaternionic, "quaternionic_ranks", lambda qd: (rank_plus, rank_minus))
+            for g, lam in itertools.product(range(2, 6), HALVES):
+                expected = quaternionic_bounds(g, lam, rank_plus, rank_minus, kappa)
+                assert amw_interval(qd, g, lam) == expected, (name, g, lam, rank_plus, rank_minus)
 
 
 def test_lower_monotone_in_rank_plus():

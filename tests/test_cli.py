@@ -56,11 +56,11 @@ def test_toledo_command(capsys):
 
 
 def test_amw_quaternionic_coarse(capsys):
-    code, report = run_json(
-        capsys, "amw", "--quaternionic", "--kappa", "1", "--genus", "2", "--coarse"
-    )
+    # C3 at lambda = 0: the symplectic coarse interval, from the type's computed pair
+    code, report = run_json(capsys, "amw", "--quaternionic", "--type", "C3", "--genus", "2")
     assert code == 0
-    assert report["results"]["bounds"] == ["-2", "2"]
+    assert report["inputs"] == {"genus": 2, "lambda": "0", "lie_type": "C3"}
+    assert report["results"] == {"bounds": ["-2", "2"], "kappa": 1}
 
 
 def test_amw_upper_absent(capsys):
@@ -187,7 +187,7 @@ def test_config_integer_strings_accepted(tmp_path, capsys):
         ["cayley", "--dims", "1"],
         ["cayley", "--dims", "0,1"],
         ["quaternionic", "--type", "A1"],
-        ["amw", "--quaternionic", "--kappa", "0", "--genus", "2", "--coarse"],
+        ["amw", "--quaternionic", "--type", "A1", "--genus", "2"],
         ["amw", "--genus", "2", "--depth", "0"],
         ["amw", "--genus", "2", "--depth", "1"],
         ["toledo", "--dims=", "--degrees=", "--genus=2"],
@@ -235,9 +235,11 @@ def test_config_integer_strings_accepted(tmp_path, capsys):
         [{"coarse": 1}, "amw", "--quaternionic", "--genus", "2"],
         # a config key is a field of the command, as a flag is
         [{"extended": True}, "quiver", "--dims", "2,2"],
-        # every field the command takes is parsed when present, read or not
+        # only the commands that read or echo the seed take one
         [{"seed": "x"}, "quiver", "--dims", "2,2"],
+        # amw takes no --kappa or --coarse: kappa is computed from --type
         ["amw", "--genus", "2", "--kappa", "5"],
+        # every field the command takes is parsed when present, read or not
         ["cayley", "--dims", "2,2", "--type", "Q2"],
         # a Lie type is a family letter and ASCII digits, nothing else
         ["quaternionic", "--type", "A1_0"],
@@ -246,7 +248,7 @@ def test_config_integer_strings_accepted(tmp_path, capsys):
         ["quaternionic", "--type", "E 8"],
         ["quaternionic", "--type", "A", "--rank", "2"],
         # a valid flag that the chosen mode would not read
-        ["amw", "--genus", "2", "--coarse", "--kappa", "1"],
+        ["amw", "--genus", "2", "--type", "E6"],
         ["cayley", "--dims", "2,2", "--type", "A5", "--labels", "1,0,0,0,0"],
         ["cayley", "--dims", "2,2", "--labels", "1"],
         # a library ValueError is an input error
@@ -258,16 +260,16 @@ def test_config_integer_strings_accepted(tmp_path, capsys):
         ["amw", "--quaternionic", "--genus", "2", "--depth", "2"],
         ["amw", "--quaternionic", "--genus", "2", "--zeta-pairing", "4"],
         ["amw", "--quaternionic", "--genus", "2", "--phi-minus-zero"],
-        ["amw", "--quaternionic", "--coarse", "--genus", "2", "--lambda", "1/2", "--rank-plus", "3"],
+        ["amw", "--quaternionic", "--type", "E6", "--genus", "2", "--lambda", "1/2", "--rank-plus", "3"],
         ["amw", "--quaternionic", "--coarse", "--genus", "2", "--lambda", "0"],
-        ["amw", "--quaternionic", "--coarse", "--genus", "2", "--rank-minus", "1"],
-        ["amw", "--genus", "2", "--kappa", "1"],
+        ["amw", "--quaternionic", "--type", "C3", "--genus", "2", "--rank-minus", "1"],
+        ["amw", "--quaternionic", "--genus", "2"],
         ["amw", "--genus", "2", "--kappa", "2"],
         [{"depth": 3}, "amw", "--quaternionic", "--genus", "2"],
         [{"zeta_pairing": "5"}, "amw", "--quaternionic", "--genus", "2"],
         [{"phi_minus_zero": True}, "amw", "--quaternionic", "--genus", "2"],
-        [{"lam": "1/2", "rank_plus": 3}, "amw", "--quaternionic", "--coarse", "--genus", "2"],
-        [{"rank_minus": 0}, "amw", "--quaternionic", "--coarse", "--genus", "2"],
+        [{"lam": "1/2", "rank_plus": 3}, "amw", "--quaternionic", "--type", "E6", "--genus", "2"],
+        [{"rank_minus": 0}, "amw", "--quaternionic", "--type", "E6", "--genus", "2"],
         [{"kappa": 1}, "amw", "--genus", "2"],
         # a one-block dimension vector has no degree-1 piece
         ["cayley", "--dims", "3"],
@@ -293,9 +295,23 @@ def test_rejected_input_is_one_line(tmp_path, capsys, argv):
 REJECTED_LINES = {
     "cayley --dims 3": "error: --dims needs at least two blocks",
     "amw --quaternionic --genus 2 --depth 2": "error: --quaternionic does not read --depth",
-    "amw --quaternionic --coarse --genus 2 --lambda 0": "error: --coarse does not read --lambda",
-    "amw --genus 2 --kappa 2": "error: --kappa needs --quaternionic",
+    "amw --quaternionic --coarse --genus 2 --lambda 0": "error: amw takes no flag --coarse",
+    "amw --genus 2 --kappa 2": "error: amw takes no flag --kappa",
+    "amw --genus 2 --type E6": "error: --type needs --quaternionic",
+    "amw --quaternionic --genus 2": "error: --quaternionic needs --type",
+    "amw --quaternionic --type C3 --genus 2 --rank-minus 1": "error: --quaternionic does not read --rank-minus",
+    "{'rank_minus': 0} amw --quaternionic --type E6 --genus 2": "error: --quaternionic does not read --rank-minus",
 }
+
+
+@pytest.mark.parametrize("command", ["amw", "grading", "kac", "quiver", "toledo"])
+def test_seedless_command_rejects_a_seed(capsys, command):
+    # only cayley, quaternionic and verify-paper have a report that reads or echoes the seed
+    code = main([command, "--seed", "0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {command} takes no flag --seed"]
 
 
 def test_unknown_config_key_is_named(tmp_path, capsys):

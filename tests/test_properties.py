@@ -258,7 +258,7 @@ def int_list(size: int, key: str):
 
 
 # (accepted, rejected) draws of each integer field whose range is not "at least 2"
-INT_POOLS = {"kappa": ([1, 2], [0, 3, "x"]), "seed": ([0, 1, 3], ["x", "1_0"])}
+INT_POOLS = {"seed": ([0, 1, 3], ["x", "1_0"])}
 # dimension vectors whose block grading has Cayley data (a JM-regular degree-1 pair)
 CAYLEY_DIMS = [(1, 1), (2, 2), (1, 1, 1), (1, 2, 1), (2, 2, 2), (1, 1, 1, 1), (1, 2, 2, 1)]
 
@@ -268,8 +268,7 @@ MODES = {
     "cayley": [({"--type", "--labels"}, {"--dims"})] * 4 + [({"--dims"}, {"--type", "--labels"})],
     "amw": [
         ({*cli.AMW_UNREAD[None], "--quaternionic"}, set()),
-        ({*cli.AMW_UNREAD["--quaternionic"], "--coarse"}, {"--quaternionic"}),
-        (set(cli.AMW_UNREAD["--coarse"]), {"--quaternionic", "--coarse"}),
+        (set(cli.AMW_UNREAD["--quaternionic"]), {"--quaternionic", "--type"}),
     ],
 }
 
@@ -285,7 +284,8 @@ def field_values(draw, command: str, folder):
     mode draws the block grading of one of them.  Integer lists stay lists:
     labels are sized to the type's rank (plus one for kac), degrees to the
     dims, and degrees lie in -2..2 and sum to zero when the last one can make
-    them."""
+    them.  Dims have 2 to 4 entries, or in one draw in four 17 to 24, which is
+    past ``quiver.ORBIT_BOUND`` whatever the entries."""
     left_out, needed = draw(st.sampled_from(MODES[command])) if command in MODES else (set(), set())
     block_labels = None
     if command == "cayley" and "--dims" in left_out:
@@ -294,7 +294,7 @@ def field_values(draw, command: str, folder):
     else:
         lie_type = draw(st.sampled_from(TYPES))
     rank = int(lie_type[1:])
-    n_dims = draw(st.integers(2, 4))
+    n_dims = draw(st.integers(2, 4)) if draw(st.integers(0, 3)) else draw(st.integers(17, 24))
     sizes = {"labels": rank + (command == "kac"), "dims": n_dims, "degrees": n_dims}
     path = folder / "r.json"
     accepted = {

@@ -1,14 +1,16 @@
 from collections import Counter
+from fractions import Fraction as Q
 
 import pytest
 
 from conftest import TYPE_LIST, assert_paper_check
-from oracles import form_quaternionic_labels, orbit_toledo_rank
+from oracles import form_quaternionic_labels, orbit_toledo_rank, quaternionic_bounds
 
 from gradedlie import cayley, checks, quaternionic, vinberg
-from gradedlie.checks import expected_ranks, q_list
+from gradedlie.checks import QUATERNIONIC_TYPES, expected_ranks, q_list
 from gradedlie.cli import main
 from gradedlie.quaternionic import (
+    amw_interval,
     build_quaternionic,
     extremes_regular,
     kappa_rule,
@@ -19,7 +21,7 @@ from gradedlie.chevalley import build_algebra
 from gradedlie.grading import ZGrading
 from gradedlie.quiver import QuiverDims, maximal_rank_tuple, quiver_jm_regular
 from gradedlie.rootsystem import LieType
-from gradedlie.vinberg import jm_regular, normalized_form
+from gradedlie.vinberg import dual_toledo_factor, jm_regular, normalized_form
 
 
 @pytest.mark.parametrize("name", TYPE_LIST)
@@ -111,6 +113,30 @@ def test_kappa(name, expected):
 def test_ranks(name):
     t = LieType.parse(name)
     assert q_list(quaternionic_ranks(build_quaternionic(t))) == expected_ranks(t)
+
+
+IDENTITY_TYPES = (
+    list(QUATERNIONIC_TYPES)
+    + ["A4", "A6", "A7", "A8"]
+    + [f"{family}{rank}" for family in "BC" for rank in range(5, 9)]
+    + ["D6", "D7", "D8"]
+)
+
+
+@pytest.mark.parametrize("name", IDENTITY_TYPES)
+def test_amw_interval_is_the_kappa_formula(name):
+    """The interval from the computed pair equals the closed form at the computed kappa:
+    zeta-pairing 2 kappa, dual factor -1/kappa, and the rank table's ranks."""
+    t = LieType.parse(name)
+    qd = build_quaternionic(t)
+    kappa = qd.kappa
+    assert qd.pairs[1].zeta_pairing() == 2 * kappa
+    assert dual_toledo_factor(qd.pairs[1]) == Q(-1, kappa)
+    ranks = quaternionic_ranks(qd)
+    assert q_list(ranks) == expected_ranks(t)
+    for genus in range(2, 6):
+        for lam in (Q(0), Q(1, 2)):
+            assert amw_interval(qd, genus, lam) == quaternionic_bounds(genus, lam, *ranks, kappa), (genus, lam)
 
 
 @pytest.mark.parametrize("name", TYPE_LIST)
