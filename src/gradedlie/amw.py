@@ -1,49 +1,33 @@
 """Bound arithmetic for the Toledo invariant.
 
 One formula, ``tau``: r (2g - 2) + lambda (zeta_pairing - r) at a Toledo
-rank r.  The general bounds read -tau_L <= tau with tau_L its value at
-rank_plus and, when the depth is 2 or the back component vanishes,
-tau <= tau_U with tau_U its value at rank_minus.  Each default of a bound
-input is stated here.
+rank r, with zeta_pairing = B*(gamma,gamma) B(zeta,zeta).  One function,
+``bounds``, reads -tau_L <= tau <= tau_U off it: tau_L is its value at
+rank_plus, tau_U its value at rank_minus.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction as Q
-from typing import Optional
+from typing import Tuple
 
 
-class BoundInput:
-    """The inputs of ``tau``, each validated."""
-
-    __slots__ = ("genus", "lam", "rank_plus", "rank_minus", "zeta_pairing")
-
-    def __init__(
-        self, genus: int, lam: Q = Q(0), rank_plus: Q = Q(0), rank_minus: Q = Q(0),
-        zeta_pairing: Q = Q(0),  # B*(gamma,gamma) B(zeta,zeta)
-    ):
-        if genus < 2:
-            raise ValueError("genus must be at least 2")
-        if rank_plus < 0 or rank_minus < 0:
-            raise ValueError("ranks must be non-negative")
-        self.genus, self.lam, self.rank_plus, self.rank_minus = genus, lam, rank_plus, rank_minus
-        self.zeta_pairing = zeta_pairing
-
-
-def tau(inp: BoundInput, rank: Q) -> Q:
+def tau(genus: int, lam: Q, zeta_pairing: Q, rank: Q) -> Q:
     """r (2g-2) + lambda (zeta_pairing - r) at the Toledo rank r."""
-    return rank * (2 * inp.genus - 2) + inp.lam * (inp.zeta_pairing - rank)
+    return rank * (2 * genus - 2) + lam * (zeta_pairing - rank)
 
 
-def amw_lower(inp: BoundInput) -> Q:
-    """tau_L; the bound reads -tau_L <= tau."""
-    return tau(inp, inp.rank_plus)
+def bounds(genus: int, lam: Q, zeta_pairing: Q, rank_plus: Q, rank_minus: Q) -> Tuple[Q, Q]:
+    """(-tau_L, tau_U), with the genus and the ranks checked.
 
-
-def amw_upper(inp: BoundInput, m: int = 2, phi_minus_zero: bool = False) -> Optional[Q]:
-    """tau_U when the depth is 2 or the back component vanishes; else None."""
-    if m < 2:
-        raise ValueError("depth must be at least 2")
-    if m != 2 and not phi_minus_zero:
-        return None
-    return tau(inp, inp.rank_minus)
+    Whether tau_U bounds tau is the caller's to decide, and the two callers
+    decide differently at depth 3: ``cli.cmd_amw`` drops it unless the depth
+    is 2 or ``--phi-minus-zero`` is given, while
+    ``quaternionic.amw_interval``, on the depth-3 pair (G_0, g_1 + g_{-2}),
+    always keeps it.  Which rule the paper supports is open.
+    """
+    if genus < 2:
+        raise ValueError("genus must be at least 2")
+    if rank_plus < 0 or rank_minus < 0:
+        raise ValueError("ranks must be non-negative")
+    return -tau(genus, lam, zeta_pairing, rank_plus), tau(genus, lam, zeta_pairing, rank_minus)

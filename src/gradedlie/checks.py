@@ -18,7 +18,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from .cayley import BracketProjection, bracket_projection_test, cayley_pair
 from .chevalley import build_algebra
 from .grading import kac_labels, kac_lift_check, z_grading_from_labels
-from .quaternionic import amw_interval, build_quaternionic, extremes_regular, kappa_rule, quaternionic_ranks
+from .quaternionic import amw_interval, build_quaternionic, extremes_regular, kappa, kappa_rule, quaternionic_ranks
 from .quiver import QuiverHiggsTopology, toledo_invariant
 from .rootsystem import LieType, build_root_system
 from .vinberg import jm_regular
@@ -70,7 +70,7 @@ def quaternionic_types(extended: bool) -> Tuple[str, ...]:
 
 
 def kappa_table(extended: bool) -> Dict[str, int]:
-    return {name: build_quaternionic(LieType.parse(name)).kappa for name in quaternionic_types(extended)}
+    return {name: kappa(build_quaternionic(LieType.parse(name))[1]) for name in quaternionic_types(extended)}
 
 
 @lru_cache(maxsize=2)  # one seed's two chain examples: the cayley-222 row and witness_222 share a run
@@ -99,7 +99,7 @@ def _quaternionic_rows(name: str) -> List[PaperCheck]:
     if kappa_rule(t) == 1:
         rows.append(PaperCheck(
             f"sp-degree1-not-regular-{name}", "symplectic degree-1 pair is not JM-regular", False,
-            lambda seed: jm_regular(build_quaternionic(t).pairs[1]),
+            lambda seed: jm_regular(build_quaternionic(t)[1]),
         ))
     return rows
 

@@ -5,11 +5,11 @@ quaternionic, cayley) plus ``verify-paper``, which runs the full table of
 numeric cross-checks and fails loudly on any mismatch.  Reports are emitted
 as JSON (default) or text; every rational is serialized as an exact "p/q"
 string, never as a float.  Input takes one path: ``FIELDS`` gives each flag
-its config key, parser and default (None where the library states it), and
-``COMMANDS`` each command its handler and flags.  Flags override a JSON
-config file; every value, from either, goes through its field's parser, and
-each handler receives typed values.  There is no ``argparse``, so a job pays
-for no parser construction.
+its config key, parser and default (None where the handler must tell an
+absent value from a given one), and ``COMMANDS`` each command its handler
+and flags.  Flags override a JSON config file; every value, from either,
+goes through its field's parser, and each handler receives typed values.
+There is no ``argparse``, so a job pays for no parser construction.
 
 Errors: a ``ValueError``, raised by a field parser, a handler or the library,
 is an input error: ``main`` prints it as one ``error:`` line and exits 2.  An
@@ -24,12 +24,12 @@ from fractions import Fraction as Q
 from typing import Any, Callable, Dict, List, Optional
 
 from . import __version__
-from . import amw as amw_mod
+from .amw import bounds as amw_bounds
 from .cayley import bracket_projection_test, cayley_pair
 from .checks import expected_ranks, kappa_table, paper_checks, q_list, q_str, witness_222, witness_json
 from .chevalley import build_algebra
 from .grading import check_labels, kac_labels, kac_lift_check, root_grading, z_grading_from_labels, zm_from_kac
-from .quaternionic import amw_interval, build_quaternionic, extremes_regular, quaternionic_ranks
+from .quaternionic import amw_interval, build_quaternionic, extremes_regular, kappa, quaternionic_ranks
 from .quiver import (
     ORBIT_BOUND,
     QuiverDims,
@@ -133,13 +133,12 @@ FIELDS = {
     "--dims": Field("dims", to_ints),
     "--degrees": Field("degrees", to_ints),
     "--genus": Field("genus", to_int),
-    "--lambda": Field("lam", to_rational),
+    "--lambda": Field("lam", to_rational, Q(0)),
     "--rank-plus": Field("rank_plus", to_rational),
     "--rank-minus": Field("rank_minus", to_rational),
     "--zeta-pairing": Field("zeta_pairing", to_rational),
     "--depth": Field("depth", to_int),
     "--phi-minus-zero": Field("phi_minus_zero", to_switch, False),
-    "--quaternionic": Field("quaternionic", to_switch, False),
     "--extended": Field("extended", to_switch, False),
     "--format": Field("output_format", to_format, "json"),
     "--output": Field("output_path", to_path),
@@ -232,59 +231,48 @@ def cmd_toledo(dims: List[int], degrees: List[int], genus: int, **_) -> Dict[str
     return make_report("toledo", inputs, {"tau": q_str(toledo_invariant(top))})
 
 
-# the amw flags that each mode does not read; a given one exits 2
-AMW_UNREAD = {
-    None: ("--type",),
-    "--quaternionic": ("--rank-plus", "--rank-minus", "--zeta-pairing", "--depth", "--phi-minus-zero"),
-}
-
-
-def present(**values) -> Dict[str, Any]:
-    """The keyword arguments that are not None: an absent field takes the library's default."""
-    return {key: value for key, value in values.items() if value is not None}
+# the amw flags that --type computes: given with it, each exits 2
+AMW_UNREAD = ("--rank-plus", "--rank-minus", "--zeta-pairing", "--depth", "--phi-minus-zero")
 
 
 def cmd_amw(
-    genus: int, lam: Optional[Q], rank_plus: Optional[Q], rank_minus: Optional[Q], zeta_pairing: Optional[Q],
-    depth: Optional[int], phi_minus_zero: bool, quaternionic: bool, lie_type: Optional[LieType], **_,
+    genus: int, lam: Q, rank_plus: Optional[Q], rank_minus: Optional[Q], zeta_pairing: Optional[Q],
+    depth: Optional[int], phi_minus_zero: bool, lie_type: Optional[LieType], **_,
 ) -> Dict[str, Any]:
-    mode = "--quaternionic" if quaternionic else None
-    flags = {"--type": lie_type, "--rank-plus": rank_plus, "--rank-minus": rank_minus, "--zeta-pairing": zeta_pairing,
-             "--depth": depth, "--phi-minus-zero": phi_minus_zero or None}
-    unread = [flag for flag in AMW_UNREAD[mode] if flags[flag] is not None]
-    if unread:
-        raise ValueError(f"{unread[0]} needs --quaternionic" if mode is None else f"{mode} does not read {unread[0]}")
-    bi = amw_mod.BoundInput(genus, **present(
-        lam=lam, rank_plus=rank_plus, rank_minus=rank_minus, zeta_pairing=zeta_pairing
-    ))
-    inputs = {"genus": genus, "lambda": q_str(bi.lam)}
-    if mode is None:
-        upper = amw_mod.amw_upper(bi, **present(m=depth), phi_minus_zero=phi_minus_zero)
+    inputs = {"genus": genus, "lambda": q_str(lam)}
+    if lie_type is None:  # typed inputs: an absent rank or pairing is 0, an absent depth 2
+        depth = 2 if depth is None else depth
+        lower, upper = amw_bounds(genus, lam, zeta_pairing or Q(0), rank_plus or Q(0), rank_minus or Q(0))
+        if depth < 2:
+            raise ValueError("depth must be at least 2")
         return make_report("amw", inputs, {
-            "lower_bound": q_str(-amw_mod.amw_lower(bi)),
-            "upper_bound": q_str(upper) if upper is not None else None,
+            "lower_bound": q_str(lower),
+            # tau_U only at depth 2 or when the back component vanishes
+            "upper_bound": q_str(upper) if depth == 2 or phi_minus_zero else None,
         })
-    if lie_type is None:
-        raise ValueError("--quaternionic needs --type")
-    qd = build_quaternionic(lie_type)
+    given = (rank_plus, rank_minus, zeta_pairing, depth, phi_minus_zero or None)
+    unread = [flag for flag, value in zip(AMW_UNREAD, given) if value is not None]
+    if unread:
+        raise ValueError(f"--type does not read {unread[0]}")
+    pairs = build_quaternionic(lie_type)
     inputs["lie_type"] = str(lie_type)
-    return make_report("amw", inputs, {"bounds": q_list(amw_interval(qd, genus, bi.lam)), "kappa": qd.kappa})
+    return make_report("amw", inputs, {"bounds": q_list(amw_interval(pairs, genus, lam)), "kappa": kappa(pairs[1])})
 
 
 def cmd_quaternionic(lie_type: LieType, seed: int, **_) -> Dict[str, Any]:
-    qd = build_quaternionic(lie_type)
-    rp, rm = quaternionic_ranks(qd)
-    extremes = extremes_regular(qd)
+    pairs = build_quaternionic(lie_type)
+    rp, rm = quaternionic_ranks(pairs)
+    extremes = extremes_regular(pairs)
     return make_report(
         "quaternionic",
         # no value reads the seed: it is echoed because the reference digests in bench/references.json pin it
         {"lie_type": str(lie_type), "seed": seed},
         {
-            "piece_dims": list(qd.grading.dims().values()),  # degrees -2..2
-            "kappa": qd.kappa,
+            "piece_dims": list(pairs[1].grading.dims().values()),  # degrees -2..2
+            "kappa": kappa(pairs[1]),
             "rank_plus": q_str(rp),
             "rank_minus": q_str(rm),
-            "degree1_jm_regular": jm_regular(qd.pairs[1]),
+            "degree1_jm_regular": jm_regular(pairs[1]),
             "extreme_pieces_jm_regular": extremes,
         },
         [
@@ -348,8 +336,7 @@ COMMANDS = {
     "kac": (cmd_kac, "--type! --labels!"),
     "quiver": (cmd_quiver, "--dims!"),
     "toledo": (cmd_toledo, "--dims! --degrees! --genus!"),
-    "amw": (cmd_amw, "--genus! --lambda --rank-plus --rank-minus --zeta-pairing --depth "
-                     "--phi-minus-zero --quaternionic --type"),
+    "amw": (cmd_amw, "--genus! --lambda --rank-plus --rank-minus --zeta-pairing --depth --phi-minus-zero --type"),
     "quaternionic": (cmd_quaternionic, "--type! --seed"),
     "cayley": (cmd_cayley, "--type --labels --dims --seed"),
     "verify-paper": (cmd_verify_paper, "--extended --seed"),

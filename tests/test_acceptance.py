@@ -80,10 +80,10 @@ def test_1_quaternionic_rank_table(name):
 
 @pytest.mark.parametrize("name", QUATERNIONIC_TYPES)
 def test_2_extreme_pieces_jm_regular_with_certificates(name):
-    qd = build_quaternionic(LieType.parse(name))
-    assert extremes_regular(qd)
-    alg = qd.grading.algebra
-    for pair in (qd.pairs[2], qd.pairs[-2]):
+    pairs = build_quaternionic(LieType.parse(name))
+    assert extremes_regular(pairs)
+    alg = pairs[1].grading.algebra
+    for pair in (pairs[2], pairs[-2]):
         assert jm_regular(pair)
         t = pair.triple()
         assert alg.bracket(t.e, t.f) == 2 * pair.grading.zeta
@@ -190,3 +190,15 @@ def test_9_embedding_consistency():
             assert quiver_jm_regular(dims) == jm_regular(pair)
             quiver_rank = orbit_toledo_rank(dims, maximal_rank_tuple(dims))
             assert quiver_rank == pair_rank(pair)
+
+
+@pytest.mark.parametrize("rank", range(4, 9), ids="A{}".format)
+def test_every_0_1_grading_of_sl_n_agrees_with_its_quiver(rank):
+    # test_9's two routes on every 0/1 label vector of A4-A8
+    alg = build_algebra(LieType("A", rank))
+    for bits in range(1, 1 << rank):
+        labels = tuple((bits >> k) & 1 for k in range(rank))
+        dims = dims_for_labels(labels)
+        pair = vinberg_pair(z_grading_from_labels(alg, list(labels)))
+        assert quiver_jm_regular(dims) == jm_regular(pair), labels
+        assert orbit_toledo_rank(dims, maximal_rank_tuple(dims)) == pair_rank(pair), labels

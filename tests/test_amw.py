@@ -6,56 +6,63 @@ import pytest
 from oracles import quaternionic_bounds
 
 from gradedlie import quaternionic
-from gradedlie.amw import BoundInput, amw_lower, amw_upper
+from gradedlie.amw import bounds
+from gradedlie.cli import cmd_amw
 from gradedlie.quaternionic import amw_interval, build_quaternionic
 from gradedlie.rootsystem import LieType
 
 
+def reported_upper(rank_minus, depth, phi_minus_zero=False):
+    """The tau_U that the typed mode of ``amw`` reports at genus 2 and lambda 0."""
+    return cmd_amw(2, Q(0), None, rank_minus, None, depth, phi_minus_zero, None)["results"]["upper_bound"]
+
+
 def test_input_validation():
-    with pytest.raises(ValueError):
-        BoundInput(genus=1)
-    with pytest.raises(ValueError):
-        BoundInput(genus=2, rank_plus=Q(-1))
+    with pytest.raises(ValueError, match="^genus must be at least 2$"):
+        bounds(1, Q(0), Q(0), Q(0), Q(0))
+    with pytest.raises(ValueError, match="^ranks must be non-negative$"):
+        bounds(2, Q(0), Q(0), Q(-1), Q(0))
+    with pytest.raises(ValueError, match="^ranks must be non-negative$"):
+        bounds(2, Q(0), Q(0), Q(0), Q(-1))
     for depth in (0, 1):
-        with pytest.raises(ValueError):
-            amw_upper(BoundInput(genus=2), depth, True)
+        with pytest.raises(ValueError, match="^depth must be at least 2$"):
+            reported_upper(None, depth, True)
 
 
 def test_lower_basic():
-    assert amw_lower(BoundInput(genus=2, rank_plus=Q(4))) == 8
+    assert bounds(2, Q(0), Q(0), Q(4), Q(0))[0] == -8
 
 
 def test_lower_trivial():
-    assert amw_lower(BoundInput(genus=2)) == 0
+    assert bounds(2, Q(0), Q(0), Q(0), Q(0))[0] == 0
 
 
 def test_lower_with_lambda():
-    bi = BoundInput(genus=2, lam=Q(1), rank_plus=Q(4), zeta_pairing=Q(4))
-    assert amw_lower(bi) == 8
+    assert bounds(2, Q(1), Q(4), Q(4), Q(0))[0] == -8
 
 
 def test_upper_depth_two():
-    bi = BoundInput(genus=2, rank_minus=Q(1))
-    assert amw_upper(bi, 2, False) == 2
+    assert bounds(2, Q(0), Q(0), Q(0), Q(1))[1] == 2
+    assert reported_upper(Q(1), 2) == reported_upper(Q(1), None) == "2"
 
 
 def test_upper_absent_outside_regime():
-    bi = BoundInput(genus=2, rank_minus=Q(1))
-    assert amw_upper(bi, 3, False) is None
-    assert amw_upper(bi, 3, True) == 2
+    assert reported_upper(Q(1), 3) is None
+    assert reported_upper(Q(1), 3, True) == "2"
 
 
 def test_upper_trivial():
-    assert amw_upper(BoundInput(genus=2), 2, False) == 0
+    assert bounds(2, Q(0), Q(0), Q(0), Q(0))[1] == 0
+    assert reported_upper(None, 2) == "0"
 
 
 def test_coarse():
     # the crude lower bound -(2g-2) rank_T(G_0, g_1) <= tau is -tau_L at lambda = 0
-    assert -amw_lower(BoundInput(genus=2, rank_plus=Q(4))) == -8
-    assert -amw_lower(BoundInput(genus=2, rank_plus=Q(0))) == 0
-    assert -amw_lower(BoundInput(genus=3, rank_plus=Q(1))) == -4
+    assert bounds(2, Q(0), Q(0), Q(4), Q(0))[0] == -8
+    assert bounds(2, Q(0), Q(0), Q(0), Q(0))[0] == 0
+    assert bounds(3, Q(0), Q(0), Q(1), Q(0))[0] == -4
     with pytest.raises(ValueError):
-        BoundInput(genus=1, rank_plus=Q(1))
+        bounds(1, Q(0), Q(0), Q(1), Q(0))
 
 
 def coarse(genus: int, name: str):
@@ -73,7 +80,7 @@ def test_quaternionic_coarse_endpoints():
 
 def test_quaternionic_bounds_trivial(monkeypatch):
     # zero Toledo ranks at lambda = 0 give the zero interval, whatever the pairing
-    monkeypatch.setattr(quaternionic, "quaternionic_ranks", lambda qd: (Q(0), Q(0)))
+    monkeypatch.setattr(quaternionic, "quaternionic_ranks", lambda pairs: (Q(0), Q(0)))
     for name in ("E6", "C3"):
         assert amw_interval(build_quaternionic(LieType.parse(name)), 2) == (0, 0)
 
@@ -85,12 +92,12 @@ def test_quaternionic_interval_matches_closed_form(monkeypatch):
     # at any Toledo ranks, a type's pairing and dual factor give the closed form at its kappa
     ranks = [x for x in HALVES if x >= 0]
     for name, kappa in (("A2", 2), ("C2", 1)):
-        qd = build_quaternionic(LieType.parse(name))
+        pairs = build_quaternionic(LieType.parse(name))
         for rank_plus, rank_minus in itertools.product(ranks, ranks):
-            monkeypatch.setattr(quaternionic, "quaternionic_ranks", lambda qd: (rank_plus, rank_minus))
+            monkeypatch.setattr(quaternionic, "quaternionic_ranks", lambda pairs: (rank_plus, rank_minus))
             for g, lam in itertools.product(range(2, 6), HALVES):
                 expected = quaternionic_bounds(g, lam, rank_plus, rank_minus, kappa)
-                assert amw_interval(qd, g, lam) == expected, (name, g, lam, rank_plus, rank_minus)
+                assert amw_interval(pairs, g, lam) == expected, (name, g, lam, rank_plus, rank_minus)
 
 
 def test_lower_monotone_in_rank_plus():
@@ -101,7 +108,7 @@ def test_lower_monotone_in_rank_plus():
                 continue
             prev = None
             for rp in range(0, 6):
-                v = amw_lower(BoundInput(genus=g, lam=lam, rank_plus=Q(rp), zeta_pairing=Q(4)))
+                v = -bounds(g, lam, Q(4), Q(rp), Q(0))[0]  # tau_L
                 if prev is not None:
                     assert v >= prev
                 prev = v
@@ -112,8 +119,8 @@ def test_two_block_values_fill_depth_two_interval():
     # (a, -a) with |a| <= 1 land inside it, hitting both endpoints
     from gradedlie.quiver import QuiverHiggsTopology, toledo_invariant
 
-    lower = -amw_lower(BoundInput(genus=2, rank_plus=Q(1)))
-    upper = amw_upper(BoundInput(genus=2, rank_minus=Q(1)), 2, False)
+    lower, upper = bounds(2, Q(0), Q(0), Q(1), Q(1))
+    assert reported_upper(Q(1), 2) == str(upper)
     assert (lower, upper) == (-2, 2)
     values = {
         toledo_invariant(QuiverHiggsTopology((1, 1), (a, -a), 2)) for a in (-1, 0, 1)

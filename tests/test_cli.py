@@ -57,7 +57,7 @@ def test_toledo_command(capsys):
 
 def test_amw_quaternionic_coarse(capsys):
     # C3 at lambda = 0: the symplectic coarse interval, from the type's computed pair
-    code, report = run_json(capsys, "amw", "--quaternionic", "--type", "C3", "--genus", "2")
+    code, report = run_json(capsys, "amw", "--type", "C3", "--genus", "2")
     assert code == 0
     assert report["inputs"] == {"genus": 2, "lambda": "0", "lie_type": "C3"}
     assert report["results"] == {"bounds": ["-2", "2"], "kappa": 1}
@@ -187,7 +187,7 @@ def test_config_integer_strings_accepted(tmp_path, capsys):
         ["cayley", "--dims", "1"],
         ["cayley", "--dims", "0,1"],
         ["quaternionic", "--type", "A1"],
-        ["amw", "--quaternionic", "--type", "A1", "--genus", "2"],
+        ["amw", "--type", "A1", "--genus", "2"],
         ["amw", "--genus", "2", "--depth", "0"],
         ["amw", "--genus", "2", "--depth", "1"],
         ["toledo", "--dims=", "--degrees=", "--genus=2"],
@@ -199,7 +199,7 @@ def test_config_integer_strings_accepted(tmp_path, capsys):
         [{"seed": [], "lam": False}, "amw", "--genus", "2"],
         [{"lam": None}, "amw", "--genus", "2"],
         [{"rank_plus": []}, "amw", "--genus", "2"],
-        [{"rank_minus": False}, "amw", "--quaternionic", "--genus", "2"],
+        [{"rank_minus": False}, "amw", "--genus", "2"],
         [{"zeta_pairing": None}, "amw", "--genus", "2"],
         [{"seed": []}, "quaternionic", "--type", "A2"],
         [{"seed": False}, "cayley", "--dims", "2,2,2"],
@@ -232,7 +232,7 @@ def test_config_integer_strings_accepted(tmp_path, capsys):
         # a switch in a config file is a JSON boolean
         [{"phi_minus_zero": "no"}, "amw", "--genus", "2", "--depth", "3"],
         [{"extended": "false"}, "verify-paper"],
-        [{"coarse": 1}, "amw", "--quaternionic", "--genus", "2"],
+        [{"phi_minus_zero": 1}, "amw", "--genus", "2"],
         # a config key is a field of the command, as a flag is
         [{"extended": True}, "quiver", "--dims", "2,2"],
         # only the commands that read or echo the seed take one
@@ -248,7 +248,7 @@ def test_config_integer_strings_accepted(tmp_path, capsys):
         ["quaternionic", "--type", "E 8"],
         ["quaternionic", "--type", "A", "--rank", "2"],
         # a valid flag that the chosen mode would not read
-        ["amw", "--genus", "2", "--type", "E6"],
+        ["amw", "--genus", "2", "--type", "E6", "--depth", "3"],
         ["cayley", "--dims", "2,2", "--type", "A5", "--labels", "1,0,0,0,0"],
         ["cayley", "--dims", "2,2", "--labels", "1"],
         # a library ValueError is an input error
@@ -256,23 +256,27 @@ def test_config_integer_strings_accepted(tmp_path, capsys):
         ["quiver", "--dims", "1"],
         ["toledo", "--dims", "1,1", "--degrees", "1,-1", "--genus", "1"],
         # a valid flag that the chosen mode would not read, even at the library's default
-        ["amw", "--quaternionic", "--genus", "2", "--depth", "3", "--zeta-pairing", "5", "--phi-minus-zero"],
-        ["amw", "--quaternionic", "--genus", "2", "--depth", "2"],
-        ["amw", "--quaternionic", "--genus", "2", "--zeta-pairing", "4"],
-        ["amw", "--quaternionic", "--genus", "2", "--phi-minus-zero"],
-        ["amw", "--quaternionic", "--type", "E6", "--genus", "2", "--lambda", "1/2", "--rank-plus", "3"],
-        ["amw", "--quaternionic", "--coarse", "--genus", "2", "--lambda", "0"],
-        ["amw", "--quaternionic", "--type", "C3", "--genus", "2", "--rank-minus", "1"],
-        ["amw", "--quaternionic", "--genus", "2"],
+        ["amw", "--type", "E6", "--genus", "2", "--depth", "3", "--zeta-pairing", "5", "--phi-minus-zero"],
+        ["amw", "--type", "E6", "--genus", "2", "--depth", "2"],
+        ["amw", "--type", "E6", "--genus", "2", "--zeta-pairing", "4"],
+        ["amw", "--type", "E6", "--genus", "2", "--phi-minus-zero"],
+        ["amw", "--type", "E6", "--genus", "2", "--lambda", "1/2", "--rank-plus", "3"],
+        ["amw", "--type", "E6", "--coarse", "--genus", "2", "--lambda", "0"],
+        ["amw", "--type", "C3", "--genus", "2", "--rank-minus", "1"],
+        # --type alone picks the computed mode: there is no --quaternionic switch
+        ["amw", "--quaternionic", "--type", "E6", "--genus", "3"],
         ["amw", "--genus", "2", "--kappa", "2"],
-        [{"depth": 3}, "amw", "--quaternionic", "--genus", "2"],
-        [{"zeta_pairing": "5"}, "amw", "--quaternionic", "--genus", "2"],
-        [{"phi_minus_zero": True}, "amw", "--quaternionic", "--genus", "2"],
-        [{"lam": "1/2", "rank_plus": 3}, "amw", "--quaternionic", "--type", "E6", "--genus", "2"],
-        [{"rank_minus": 0}, "amw", "--quaternionic", "--type", "E6", "--genus", "2"],
+        [{"depth": 3}, "amw", "--type", "E6", "--genus", "2"],
+        [{"zeta_pairing": "5"}, "amw", "--type", "E6", "--genus", "2"],
+        [{"phi_minus_zero": True}, "amw", "--type", "E6", "--genus", "2"],
+        [{"lam": "1/2", "rank_plus": 3}, "amw", "--type", "E6", "--genus", "2"],
+        [{"rank_minus": 0}, "amw", "--type", "E6", "--genus", "2"],
         [{"kappa": 1}, "amw", "--genus", "2"],
         # a one-block dimension vector has no degree-1 piece
         ["cayley", "--dims", "3"],
+        [{"quaternionic": True}, "amw", "--type", "E6", "--genus", "3"],
+        # r_- is checked where the typed mode reports no tau_U too
+        ["amw", "--genus", "2", "--rank-minus", "-1", "--depth", "3"],
     ],
 )
 def test_rejected_input_is_one_line(tmp_path, capsys, argv):
@@ -294,13 +298,15 @@ def test_rejected_input_is_one_line(tmp_path, capsys, argv):
 # the whole error line of a rejected argv whose message is itself under test
 REJECTED_LINES = {
     "cayley --dims 3": "error: --dims needs at least two blocks",
-    "amw --quaternionic --genus 2 --depth 2": "error: --quaternionic does not read --depth",
-    "amw --quaternionic --coarse --genus 2 --lambda 0": "error: amw takes no flag --coarse",
+    "amw --type E6 --genus 2 --depth 2": "error: --type does not read --depth",
+    "amw --type E6 --coarse --genus 2 --lambda 0": "error: amw takes no flag --coarse",
     "amw --genus 2 --kappa 2": "error: amw takes no flag --kappa",
-    "amw --genus 2 --type E6": "error: --type needs --quaternionic",
-    "amw --quaternionic --genus 2": "error: --quaternionic needs --type",
-    "amw --quaternionic --type C3 --genus 2 --rank-minus 1": "error: --quaternionic does not read --rank-minus",
-    "{'rank_minus': 0} amw --quaternionic --type E6 --genus 2": "error: --quaternionic does not read --rank-minus",
+    "amw --genus 2 --type E6 --depth 3": "error: --type does not read --depth",
+    "amw --quaternionic --type E6 --genus 3": "error: amw takes no flag --quaternionic",
+    "{'quaternionic': True} amw --type E6 --genus 3": "error: amw takes no field 'quaternionic'",
+    "amw --type C3 --genus 2 --rank-minus 1": "error: --type does not read --rank-minus",
+    "{'rank_minus': 0} amw --type E6 --genus 2": "error: --type does not read --rank-minus",
+    "amw --genus 2 --rank-minus -1 --depth 3": "error: ranks must be non-negative",
 }
 
 

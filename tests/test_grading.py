@@ -273,17 +273,23 @@ def test_bar_pieces_partition(name, labels):
 
 
 @pytest.mark.parametrize(
-    "name,labels", [("A2", [1, 1]), ("A3", [1, 0, 1]), ("B3", [0, 1, 0]), ("G2", [0, 1])]
+    "name,labels",
+    [("A2", [1, 1]), ("A3", [1, 0, 1]), ("B3", [0, 1, 0]), ("G2", [0, 1])]
+    + [pytest.param(name, None, id=f"{name}-all") for name in ("A2", "A3", "B3", "C3", "D4", "G2", "F4", "E6")],
 )
 def test_round_trip_with_kac(name, labels):
-    alg = build_algebra(LieType.parse(name))
-    zg = z_grading_from_labels(alg, labels)
-    m = zg.depth
-    marks = alg.rs.affine_marks
-    p0 = m - sum(n * p for n, p in zip(marks[1:], labels))
-    assert p0 >= 1
-    zm = zm_from_kac(alg.rs, kac_labels(alg.rs, [p0] + list(labels)))
-    assert bar_pieces(zg).pieces == zm.pieces
+    """The Kac labels (p_0, p) of order m, the depth of the Z-grading p, give its
+    degrees mod m; the residue-1 piece is the paper's g_1 + g_{1-m}.  Labels None
+    take every p in {0,1,2}^r, each of which has p_0 = 1."""
+    rs = build_root_system(LieType.parse(name))
+    for p in [labels] if labels else [list(v) for v in product(range(3), repeat=rs.rank) if any(v)]:
+        g = root_grading(rs, p)
+        m = g.depth
+        p0 = m - sum(n * x for n, x in zip(rs.affine_marks[1:], p))
+        assert p0 >= 1
+        zm = zm_from_kac(rs, kac_labels(rs, [p0] + p))
+        assert bar_pieces(g).pieces == zm.pieces, p
+        assert zm.pieces[1] == tuple(sorted(g.piece(1) + g.piece(1 - m))), p
 
 
 def test_lift_witness_reproduces_dimensions(sl3):

@@ -266,10 +266,7 @@ CAYLEY_DIMS = [(1, 1), (2, 2), (1, 1, 1), (1, 2, 1), (2, 2, 2), (1, 1, 1, 1), (1
 # (a needed switch is on): a draw keeps to one mode, so that a report is in reach
 MODES = {
     "cayley": [({"--type", "--labels"}, {"--dims"})] * 4 + [({"--dims"}, {"--type", "--labels"})],
-    "amw": [
-        ({*cli.AMW_UNREAD[None], "--quaternionic"}, set()),
-        (set(cli.AMW_UNREAD["--quaternionic"]), {"--quaternionic", "--type"}),
-    ],
+    "amw": [({"--type"}, set()), (set(cli.AMW_UNREAD), {"--type"})],
 }
 
 

@@ -13,6 +13,7 @@ from gradedlie.quaternionic import (
     amw_interval,
     build_quaternionic,
     extremes_regular,
+    kappa,
     kappa_rule,
     quaternionic_labels,
     quaternionic_ranks,
@@ -26,30 +27,30 @@ from gradedlie.vinberg import dual_toledo_factor, jm_regular, normalized_form
 
 @pytest.mark.parametrize("name", TYPE_LIST)
 def test_piece_structure(name):
-    qd = build_quaternionic(LieType.parse(name))
-    dims = qd.grading.dims()
+    grading = build_quaternionic(LieType.parse(name))[1].grading
+    dims = grading.dims()
     assert sorted(dims) == [-2, -1, 0, 1, 2]
     assert dims[2] == dims[-2] == 1
     assert dims[1] == dims[-1]
-    assert sum(dims.values()) == qd.grading.algebra.dim
+    assert sum(dims.values()) == grading.algebra.dim
 
 
 def test_a2_piece_dims(sl3):
-    assert build_quaternionic(LieType.parse("A2")).grading.dims() == {
+    assert build_quaternionic(LieType.parse("A2"))[1].grading.dims() == {
         -2: 1, -1: 2, 0: 2, 1: 2, 2: 1
     }
 
 
 def test_c2_piece_dims():
-    qd = build_quaternionic(LieType.parse("C2"))
-    assert list(qd.grading.dims()[j] for j in (-2, -1, 0, 1, 2)) == [1, 2, 4, 2, 1]
+    grading = build_quaternionic(LieType.parse("C2"))[1].grading
+    assert list(grading.dims()[j] for j in (-2, -1, 0, 1, 2)) == [1, 2, 4, 2, 1]
 
 
 @pytest.mark.parametrize("name", TYPE_LIST)
 def test_grading_element_is_highest_coroot(name):
-    qd = build_quaternionic(LieType.parse(name))
-    alg = qd.grading.algebra
-    assert qd.grading.zeta == alg.coroot(alg.rs.highest_root)
+    grading = build_quaternionic(LieType.parse(name))[1].grading
+    alg = grading.algebra
+    assert grading.zeta == alg.coroot(alg.rs.highest_root)
 
 
 def test_non_integral_kappa_raises_where_it_arises(monkeypatch):
@@ -88,17 +89,17 @@ def test_kappa_against_the_wrong_family_rule_is_refused(monkeypatch):
 
 @pytest.mark.parametrize("name", TYPE_LIST)
 def test_pairs_built_with_the_grading(name):
-    qd = build_quaternionic(LieType.parse(name))
-    assert set(qd.pairs) == {1, 2, -2}
-    for j, pair in qd.pairs.items():
-        assert pair.grading.piece(1) == qd.grading.piece(j)
-    assert [len(qd.pairs[j].grading.piece(1)) for j in (2, -2)] == [1, 1]
+    pairs = build_quaternionic(LieType.parse(name))
+    assert set(pairs) == {1, 2, -2}
+    for j, pair in pairs.items():
+        assert pair.grading.piece(1) == pairs[1].grading.piece(j)
+    assert [len(pairs[j].grading.piece(1)) for j in (2, -2)] == [1, 1]
 
 
 @pytest.mark.parametrize("name", TYPE_LIST)
 def test_t_beta_norm(name):
-    qd = build_quaternionic(LieType.parse(name))
-    assert normalized_form(qd.grading.algebra, qd.grading.zeta, qd.grading.zeta) == 2
+    grading = build_quaternionic(LieType.parse(name))[1].grading
+    assert normalized_form(grading.algebra, grading.zeta, grading.zeta) == 2
 
 
 @pytest.mark.parametrize(
@@ -106,7 +107,7 @@ def test_t_beta_norm(name):
 )
 def test_kappa(name, expected):
     t = LieType.parse(name)
-    assert build_quaternionic(t).kappa == expected == kappa_rule(t)
+    assert kappa(build_quaternionic(t)[1]) == expected == kappa_rule(t)
 
 
 @pytest.mark.parametrize("name", TYPE_LIST)
@@ -128,35 +129,33 @@ def test_amw_interval_is_the_kappa_formula(name):
     """The interval from the computed pair equals the closed form at the computed kappa:
     zeta-pairing 2 kappa, dual factor -1/kappa, and the rank table's ranks."""
     t = LieType.parse(name)
-    qd = build_quaternionic(t)
-    kappa = qd.kappa
-    assert qd.pairs[1].zeta_pairing() == 2 * kappa
-    assert dual_toledo_factor(qd.pairs[1]) == Q(-1, kappa)
-    ranks = quaternionic_ranks(qd)
+    pairs = build_quaternionic(t)
+    k = kappa(pairs[1])
+    assert pairs[1].zeta_pairing() == 2 * k
+    assert dual_toledo_factor(pairs[1]) == Q(-1, k)
+    ranks = quaternionic_ranks(pairs)
     assert q_list(ranks) == expected_ranks(t)
     for genus in range(2, 6):
         for lam in (Q(0), Q(1, 2)):
-            assert amw_interval(qd, genus, lam) == quaternionic_bounds(genus, lam, *ranks, kappa), (genus, lam)
+            assert amw_interval(pairs, genus, lam) == quaternionic_bounds(genus, lam, *ranks, k), (genus, lam)
 
 
 @pytest.mark.parametrize("name", TYPE_LIST)
 def test_extreme_pieces_jm_regular(name):
-    qd = build_quaternionic(LieType.parse(name))
-    assert jm_regular(qd.pairs[2]) and jm_regular(qd.pairs[-2]) and extremes_regular(qd)
-    for pair in (qd.pairs[2], qd.pairs[-2]):
+    pairs = build_quaternionic(LieType.parse(name))
+    assert jm_regular(pairs[2]) and jm_regular(pairs[-2]) and extremes_regular(pairs)
+    for pair in (pairs[2], pairs[-2]):
         assert pair.triple().f is not None and pair.triple().h == 2 * pair.grading.zeta
 
 
 @pytest.mark.parametrize("name", ["C2", "C3"])
 def test_symplectic_degree_one_not_regular(name):
-    qd = build_quaternionic(LieType.parse(name))
-    assert not jm_regular(qd.pairs[1])
+    assert not jm_regular(build_quaternionic(LieType.parse(name))[1])
 
 
 @pytest.mark.parametrize("name", ["A2", "A3", "B3", "D4", "G2", "F4", "E6"])
 def test_non_symplectic_degree_one_regular(name):
-    qd = build_quaternionic(LieType.parse(name))
-    assert jm_regular(qd.pairs[1])
+    assert jm_regular(build_quaternionic(LieType.parse(name))[1])
 
 
 def test_labels_are_adjacency_indicators(sl3):
@@ -191,13 +190,13 @@ def test_labels_match_form_oracle(name):
 def test_family_a_matches_quiver(n):
     from conftest import quiver_grading
 
-    qd = build_quaternionic(LieType.parse(f"A{n-1}"))
+    pairs = build_quaternionic(LieType.parse(f"A{n-1}"))
     dims = QuiverDims((1, n - 2, 1))
     assert quiver_jm_regular(dims)
-    assert quiver_grading(dims).dims() == qd.grading.dims()
-    assert [qd.grading.dims()[j] for j in (-1, 1)] == [2 * (n - 2)] * 2
+    assert quiver_grading(dims).dims() == pairs[1].grading.dims()
+    assert [pairs[1].grading.dims()[j] for j in (-1, 1)] == [2 * (n - 2)] * 2
     # Toledo ranks agree between the two constructions
-    rank_plus, _ = quaternionic_ranks(qd)
+    rank_plus, _ = quaternionic_ranks(pairs)
     assert orbit_toledo_rank(dims, maximal_rank_tuple(dims)) == rank_plus
 
 
@@ -246,7 +245,7 @@ def test_quaternionic_pairs_take_the_root_set_route(monkeypatch, name):
         raise AssertionError(f"dense open-orbit search on {name}")
 
     monkeypatch.setattr(vinberg, "generic_element", dense_spy)
-    zg = build_quaternionic(LieType.parse(name)).grading
+    zg = build_quaternionic(LieType.parse(name))[1].grading
     for j in (1, 2, -2):
         pair = vinberg.vinberg_pair(vinberg.regrade(zg, j))  # a fresh pair: nothing cached
         assert vinberg.root_set_triple(pair) is not None, j

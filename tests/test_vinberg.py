@@ -350,8 +350,7 @@ def test_jm_regular_matches_block_solve(name):
     its e has an open orbit, and its h is not 2 zeta.  The block solve on the dense e of
     seeds 0 and 1 gives the same verdict."""
     if name.startswith("quaternionic-"):
-        qd = build_quaternionic(LieType.parse(name.partition("-")[2]))
-        cases = qd.pairs.items()
+        cases = build_quaternionic(LieType.parse(name.partition("-")[2])).items()
     else:
         cases = census_pairs(name)
     for key, pair in cases:
