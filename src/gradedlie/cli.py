@@ -1,8 +1,11 @@
 """Command-line interface.
 
 Subcommands cover the main pipelines (grading, kac, quiver, toledo, amw,
-quaternionic, cayley) plus ``verify-paper``, which runs the full table of
-numeric cross-checks and fails loudly on any mismatch.  Reports are emitted
+quaternionic, cayley) plus ``verify-paper``, which runs the table of paper
+checks and exits 1 on any mismatch.  Each row of that table names the argvs
+of the other commands that reproduce its claim; ``verify-paper`` runs each
+distinct argv once, through the same tokenizer, typed fields and handler as
+the command line, so any row can be rerun by hand.  Reports are emitted
 as JSON (default) or text; every rational is serialized as an exact "p/q"
 string, never as a float.  Input takes one path: ``FIELDS`` gives each flag
 its config key, parser and default (None where the handler must tell an
@@ -25,8 +28,8 @@ from typing import Any, Callable, Dict, List, Optional
 
 from . import __version__
 from .amw import bounds as amw_bounds
-from .cayley import bracket_projection_test, cayley_pair
-from .checks import expected_ranks, kappa_table, paper_checks, q_list, q_str, witness_222, witness_json
+from .cayley import BracketProjection, bracket_projection_test, cayley_pair
+from .checks import expected_ranks, paper_checks, quaternionic_types
 from .chevalley import build_algebra
 from .grading import check_labels, kac_labels, kac_lift_check, root_grading, z_grading_from_labels, zm_from_kac
 from .quaternionic import amw_interval, build_quaternionic, extremes_regular, kappa, quaternionic_ranks
@@ -48,6 +51,15 @@ from .vinberg import jm_regular
 SCHEMA_VERSION = 1
 VERSION = __version__
 FORMATS = ("json", "text")
+
+
+def q_str(x) -> str:
+    q = Q(x)
+    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+
+
+def q_list(xs) -> List[str]:
+    return [q_str(x) for x in xs]
 
 
 def _int_text(text: str) -> Optional[int]:
@@ -245,18 +257,22 @@ def cmd_amw(
         lower, upper = amw_bounds(genus, lam, zeta_pairing or Q(0), rank_plus or Q(0), rank_minus or Q(0))
         if depth < 2:
             raise ValueError("depth must be at least 2")
-        return make_report("amw", inputs, {
-            "lower_bound": q_str(lower),
-            # tau_U only at depth 2 or when the back component vanishes
-            "upper_bound": q_str(upper) if depth == 2 or phi_minus_zero else None,
-        })
-    given = (rank_plus, rank_minus, zeta_pairing, depth, phi_minus_zero or None)
-    unread = [flag for flag, value in zip(AMW_UNREAD, given) if value is not None]
-    if unread:
-        raise ValueError(f"--type does not read {unread[0]}")
-    pairs = build_quaternionic(lie_type)
-    inputs["lie_type"] = str(lie_type)
-    return make_report("amw", inputs, {"bounds": q_list(amw_interval(pairs, genus, lam)), "kappa": kappa(pairs[1])})
+        # tau_U only at depth 2 or when the back component vanishes
+        upper = upper if depth == 2 or phi_minus_zero else None
+        results = {"lower_bound": q_str(lower), "upper_bound": None if upper is None else q_str(upper)}
+    else:
+        given = (rank_plus, rank_minus, zeta_pairing, depth, phi_minus_zero or None)
+        unread = [flag for flag, value in zip(AMW_UNREAD, given) if value is not None]
+        if unread:
+            raise ValueError(f"--type does not read {unread[0]}")
+        pairs = build_quaternionic(lie_type)
+        inputs["lie_type"] = str(lie_type)
+        lower, upper = amw_interval(pairs, genus, lam)
+        results = {"bounds": q_list((lower, upper)), "kappa": kappa(pairs[1])}
+    report = make_report("amw", inputs, results)
+    if upper is not None and lower > upper:  # the formula's lambda hypothesis fails: no tau satisfies both
+        report["warnings"].append(f"empty interval: lower bound {q_str(lower)} exceeds upper bound {q_str(upper)}")
+    return report
 
 
 def cmd_quaternionic(lie_type: LieType, seed: int, **_) -> Dict[str, Any]:
@@ -280,6 +296,16 @@ def cmd_quaternionic(lie_type: LieType, seed: int, **_) -> Dict[str, Any]:
             (f"extremes-{lie_type}", "extreme pieces JM-regular", True, extremes),
         ],
     )
+
+
+def witness_json(w: BracketProjection, dim: int) -> Dict[str, Any]:
+    """The witness with every part as its ``dim`` coordinates."""
+    return {
+        "pair": [w.v_index, w.v_prime_index],
+        "c_part": q_list(w.c_part.dense(dim)),
+        "v_part": q_list(w.v_part.dense(dim)),
+        "rest_part": q_list(w.rest_part.dense(dim)),
+    }
 
 
 def cmd_cayley(
@@ -316,12 +342,25 @@ def cmd_cayley(
 
 
 def cmd_verify_paper(seed: int, extended: bool, **_) -> Dict[str, Any]:
+    runs: Dict[tuple, Dict[str, Any]] = {}  # argv -> the results of its report; each argv runs once
+
+    def results_of(argv: tuple) -> Dict[str, Any]:
+        if argv not in runs:
+            _, command, flags = parse_argv(list(argv))
+            runs[argv] = COMMANDS[command][0](**typed_fields(command, {}, flags))["results"]
+        return runs[argv]
+
+    rows = {row.id: row for row in paper_checks(extended, seed)}
     checks = sorted(
-        ((row.id, row.paper_ref, row.expected, row.actual(seed)) for row in paper_checks(extended)),
-        key=lambda check: check[0],
+        (row.id, row.paper_ref, row.expected, row.read([results_of(argv) for argv in row.argvs]))
+        for row in rows.values()
     )
-    results = {"kappa_table": kappa_table(extended)}
-    witness = witness_222(seed)
+    # the kappa table and the witness are read off the runs of the rows that check them
+    results = {"kappa_table": {
+        name: results_of(rows[f"quaternionic-ranks-{name}"].argvs[0])["kappa"]
+        for name in quaternionic_types(extended)
+    }}
+    witness = results_of(rows["cayley-222"].argvs[0]).get("witness")
     if witness is not None:
         results["witness_222"] = witness
     return make_report("verify-paper", {"seed": seed, "extended": extended}, results, checks)
@@ -342,11 +381,16 @@ COMMANDS = {
     "verify-paper": (cmd_verify_paper, "--extended --seed"),
 }
 COMMON_FLAGS = ["--format", "--output"]
+# each command's flags, in usage order and the common ones last, each mapped to whether it is required
+_COMMAND_FLAGS = {
+    command: {flag.rstrip("!"): flag.endswith("!") for flag in flags.split() + COMMON_FLAGS}
+    for command, (_, flags) in COMMANDS.items()
+}
 
 
 def command_flags(command: str) -> Dict[str, bool]:
     """The command's flags, in usage order and the common ones last, each mapped to whether it is required."""
-    return {flag.rstrip("!"): flag.endswith("!") for flag in COMMANDS[command][1].split() + COMMON_FLAGS}
+    return _COMMAND_FLAGS[command]
 
 
 def usage() -> str:

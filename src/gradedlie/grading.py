@@ -23,6 +23,7 @@ needed.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import gcd
 from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -204,8 +205,10 @@ def zm_from_kac(rs: RootSystem, kac: KacLabels) -> ZmGrading:
     return ZmGrading(m=kac.order, pieces=_pieces(rs, kac.labels[1:], kac.order))
 
 
-def _affine_automorphisms(affine: List[List[int]]) -> List[Tuple[int, ...]]:
-    """All permutations of the affine nodes preserving the Cartan matrix."""
+@lru_cache(maxsize=None)  # keyed by the root system, which build_root_system caches
+def _affine_automorphisms(rs: RootSystem) -> Tuple[Tuple[int, ...], ...]:
+    """All permutations of the affine nodes preserving the affine Cartan matrix."""
+    affine = affine_cartan_matrix(rs)
     n = len(affine)
     results: List[Tuple[int, ...]] = []
     perm: List[int] = []
@@ -235,7 +238,7 @@ def _affine_automorphisms(affine: List[List[int]]) -> List[Tuple[int, ...]]:
                 used[c] = False
 
     backtrack()
-    return results
+    return tuple(results)
 
 
 class LiftVerdict:
@@ -259,8 +262,7 @@ def kac_lift_check(rs: RootSystem, kac: KacLabels) -> LiftVerdict:
     """
     if kac.labels[0] > 0:
         return LiftVerdict(True, "directly")
-    affine = affine_cartan_matrix(rs)
-    for sigma in _affine_automorphisms(affine):
+    for sigma in _affine_automorphisms(rs):
         # sigma[i] = image node; relabeled q_{sigma[i]} = p_i
         source = sigma.index(0)
         if kac.labels[source] > 0 and kac.marks[source] == 1:

@@ -276,10 +276,10 @@ class QuiverHiggsTopology:
 
 
 def toledo_invariant(top: QuiverHiggsTopology) -> Q:
-    """tau = 2 sum (j - alpha) deg E_j."""
-    dims = QuiverDims(top.ranks)
-    alpha = dims.alpha
-    return 2 * sum(((Q(j) - alpha) * d for j, d in enumerate(top.degrees)), Q(0))
+    """tau = 2 sum (j - alpha) deg E_j = 2 sum j deg E_j: the alpha term is
+    2 alpha sum deg E_j, and the degrees sum to zero (``QuiverHiggsTopology``
+    enforces it), so tau does not depend on the ranks."""
+    return Q(2 * sum(j * d for j, d in enumerate(top.degrees)))
 
 
 # -- bridge to the Chevalley-side grading of sl_n -------------------------

@@ -6,6 +6,7 @@ from hypothesis import settings
 
 from gradedlie.checks import paper_checks
 from gradedlie.chevalley import build_algebra
+from gradedlie.cli import cmd_verify_paper
 from gradedlie.grading import z_grading_from_labels
 from gradedlie.quiver import QuiverDims, labels_for_dims
 from gradedlie.rootsystem import LieType
@@ -17,13 +18,17 @@ settings.register_profile("tier1", derandomize=True, database=None, deadline=Non
 settings.load_profile("tier1")
 
 
-PAPER_CHECKS = {row.id: row for row in paper_checks(extended=True)}
+PAPER_CHECKS = {row.id: row for row in paper_checks(extended=True, seed=0)}
 
 
 @lru_cache(maxsize=None)
+def paper_check_actuals():
+    """Each row's value as one ``verify-paper --extended`` run at seed 0 reports it, run once per session."""
+    return {check["id"]: check["actual"] for check in cmd_verify_paper(seed=0, extended=True)["checks"]}
+
+
 def paper_check_actual(check_id: str):
-    """A paper-check row's value at seed 0, computed once per session."""
-    return PAPER_CHECKS[check_id].actual(0)
+    return paper_check_actuals()[check_id]
 
 
 def assert_paper_check(check_id: str):

@@ -2,16 +2,21 @@
 
 The paper's numeric claims are the rows of ``gradedlie.checks.paper_checks``,
 the table ``verify-paper`` runs: ``test_paper_check[<id>]`` asserts each row
-at seed 0, and ``test_1``, ``test_3``, ``test_4`` and ``test_6`` name the rows
-of the rank table, the symplectic exception, the coarse bound interval and
-the two chain examples.  The other tests check more than a row states:
+at seed 0, ``test_row_argvs_reproduce_the_reported_value`` reruns each row's
+CLI invocations, and ``test_1``, ``test_3``, ``test_4`` and ``test_6`` name the
+rows of the rank table, the symplectic exception, the coarse bound interval
+and the two chain examples.  The other tests check more than a row states:
 certificates of the extreme pieces, the quiver Toledo formulas re-derived
 over a wider range, the lift modes, the cross-cutting exactness properties,
 and agreement between the quiver and Chevalley pipelines.
 """
 
+import io
+import json
 import random
+from contextlib import redirect_stdout
 from fractions import Fraction as Q
+from functools import lru_cache
 
 import pytest
 
@@ -21,6 +26,7 @@ from oracles import chi_t_killing, dims_for_labels, orbit_toledo_rank, string_re
 from gradedlie.cayley import cayley_pair
 from gradedlie.checks import paper_checks
 from gradedlie.chevalley import build_algebra
+from gradedlie.cli import main
 from gradedlie.grading import kac_labels, kac_lift_check, z_grading_from_labels
 from gradedlie.linalg import independent_subset
 from gradedlie.quaternionic import build_quaternionic, extremes_regular
@@ -67,10 +73,39 @@ def test_paper_check(check_id):
 
 
 def test_paper_check_ids():
-    default = [row.id for row in paper_checks(extended=False)]
+    default = [row.id for row in paper_checks(extended=False, seed=0)]
     assert len(default) == len(set(default)) == 28
     assert set(default) == DEFAULT_IDS
     assert len(EXTENDED_IDS) == 32 and set(PAPER_CHECKS) >= EXTENDED_IDS
+
+
+def cli_results(argv):
+    """The results block of ``gradedlie <argv>``, which must exit 0, read back from its JSON."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(list(argv)) == 0, argv
+    return json.loads(out.getvalue())["results"]
+
+
+@lru_cache(maxsize=None)
+def reported_actuals(seed: int):
+    """Each row's value as ``verify-paper --seed <seed>`` prints it."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["verify-paper", "--seed", str(seed)]) == 0
+    return {check["id"]: check["actual"] for check in json.loads(out.getvalue())["checks"]}
+
+
+# every default row at seed 0, and the rows that read the seed at seed 3
+ROW_RUNS = [(0, row) for row in paper_checks(extended=False, seed=0)] + [
+    (3, row) for row in paper_checks(extended=False, seed=3) if row.id.startswith("cayley-")
+]
+
+
+@pytest.mark.parametrize("seed, row", ROW_RUNS, ids=[f"{row.id}-seed{seed}" for seed, row in ROW_RUNS])
+def test_row_argvs_reproduce_the_reported_value(seed, row):
+    """A user who reruns a row's argvs and applies its reader gets the value verify-paper reports."""
+    assert row.read([cli_results(argv) for argv in row.argvs]) == reported_actuals(seed)[row.id]
 
 
 @pytest.mark.parametrize("name", QUATERNIONIC_TYPES)

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from gradedlie import cli
 from gradedlie.cli import COMMANDS, command_flags, main, q_str, to_rational, usage
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -70,6 +71,30 @@ def test_amw_upper_absent(capsys):
     assert code == 0
     assert report["results"]["lower_bound"] == "-8"
     assert report["results"]["upper_bound"] is None
+
+
+@pytest.mark.parametrize(
+    "argv, lower, upper",
+    [
+        # the computed r_+, r_- and zeta-pairing of A3 (1,2,1), at a lambda outside the formula's range
+        (["--genus", "2", "--lambda", "-1/2", "--rank-plus", "2", "--rank-minus", "4", "--zeta-pairing", "20",
+          "--depth", "2"], "5", "0"),
+        (["--type", "C3", "--genus", "2", "--lambda", "-4"], "2", "-2"),
+    ],
+)
+def test_amw_empty_interval_warns(capsys, argv, lower, upper):
+    """An interval with lower > upper is still reported, with exit 0, and one warning names both bounds."""
+    code, report = run_json(capsys, "amw", *argv)
+    assert code == 0
+    (warning,) = report["warnings"]
+    assert f"lower bound {lower} " in warning and warning.endswith(f"upper bound {upper}")
+
+
+def test_amw_no_warning_without_upper_bound(capsys):
+    # tau_U is not reported at depth 3, so no interval is printed to be empty
+    code, report = run_json(capsys, "amw", "--genus", "2", "--lambda", "-1/2", "--rank-plus", "2",
+                            "--rank-minus", "4", "--zeta-pairing", "20", "--depth", "3")
+    assert code == 0 and report["results"]["upper_bound"] is None and report["warnings"] == []
 
 
 def test_kac_command(capsys):
@@ -138,6 +163,24 @@ def test_verify_paper(capsys):
     assert set(report["results"]["kappa_table"]) == {
         "A2", "A3", "B3", "C2", "C3", "D4", "G2", "F4", "E6"
     }
+
+
+def test_failed_paper_check_exits_1(monkeypatch, capsys):
+    """A row whose value misses its expectation fails alone, and verify-paper exits 1."""
+    table = cli.paper_checks
+
+    def one_wrong_expectation(extended, seed):
+        rows = table(extended, seed)
+        (row,) = [row for row in rows if row.id == "quiver-toledo-111"]
+        row.expected = "4"  # the paper's value is -4
+        return rows
+
+    monkeypatch.setattr(cli, "paper_checks", one_wrong_expectation)
+    code, report = run_json(capsys, "verify-paper")
+    assert code == 1
+    verdicts = {check["id"]: check["pass"] for check in report["checks"]}
+    assert verdicts.pop("quiver-toledo-111") is False
+    assert len(verdicts) == 27 and all(verdicts.values())
 
 
 def test_text_format(capsys):

@@ -7,8 +7,8 @@ from conftest import TYPE_LIST, assert_paper_check
 from oracles import form_quaternionic_labels, orbit_toledo_rank, quaternionic_bounds
 
 from gradedlie import cayley, checks, quaternionic, vinberg
-from gradedlie.checks import QUATERNIONIC_TYPES, expected_ranks, q_list
-from gradedlie.cli import main
+from gradedlie.checks import QUATERNIONIC_TYPES, expected_ranks
+from gradedlie.cli import main, q_list
 from gradedlie.quaternionic import (
     amw_interval,
     build_quaternionic,
@@ -258,8 +258,7 @@ def test_quaternionic_pairs_take_the_root_set_route(monkeypatch, name):
 def test_verify_paper_searches_each_pair_once_per_seed(monkeypatch, capsys, argv):
     searched = []  # keeps every pair alive, so that no id is reused
     searches = _spy_searches(monkeypatch, lambda pair: searched.append(pair) or id(pair))
-    build_quaternionic.cache_clear()  # cached pairs would search nothing
-    checks._chain_example.cache_clear()
+    build_quaternionic.cache_clear()  # cached pairs would search nothing; each run builds its chain examples afresh
     assert main(argv) == 0
     assert set(searches.values()) == {1}
     # three pairs per quaternionic type, one per chain example
