@@ -325,12 +325,11 @@ class ChevalleyAlgebra:
         = L / ell(alpha), and every other pair of basis vectors is orthogonal; each
         value is certified an integer.
         """
-        rs, r, index = self.rs, self.rank, self.constants.index
+        rs, index = self.rs, self.constants.index
         L, ell = rs.long_class, rs.lengths
-        simple = [rs.length_class(tuple(int(k == i) for k in range(r))) for i in range(r)]
         rows = [
             tuple((j, exact_div(L * c, ell_i)) for j, c in enumerate(row) if c)
-            for row, ell_i in zip(rs.cartan, simple)
+            for row, ell_i in zip(rs.cartan, rs.simple_classes)
         ]
         return rows + [((index[-c], exact_div(L, ell[c])),) for c in rs.codes.values()]
 

@@ -24,13 +24,14 @@ from __future__ import annotations
 import json
 import sys
 from fractions import Fraction as Q
+from math import gcd
 from typing import Any, Callable, Dict, List, Optional
 
 from . import __version__
 from .amw import bounds as amw_bounds
 from .cayley import BracketProjection, bracket_projection_test, cayley_pair
 from .checks import expected_ranks, paper_checks, quaternionic_types
-from .chevalley import build_algebra
+from .chevalley import Element, build_algebra
 from .grading import check_labels, kac_labels, kac_lift_check, root_grading, z_grading_from_labels, zm_from_kac
 from .quaternionic import amw_interval, build_quaternionic, extremes_regular, kappa, quaternionic_ranks
 from .quiver import (
@@ -54,12 +55,20 @@ FORMATS = ("json", "text")
 
 
 def q_str(x) -> str:
-    q = Q(x)
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    return str(x if type(x) is int else Q(x))
 
 
 def q_list(xs) -> List[str]:
     return [q_str(x) for x in xs]
+
+
+def element_strs(e: Element, dim: int) -> List[str]:
+    """The ``dim`` coordinates of e as "p/q" strings, from its numerators."""
+    out = ["0"] * dim
+    for i, n in e.num.items():
+        g = gcd(n, e.den)
+        out[i] = str(n // g) if g == e.den else f"{n // g}/{e.den // g}"
+    return out
 
 
 def _int_text(text: str) -> Optional[int]:
@@ -186,7 +195,7 @@ def cmd_grading(lie_type: LieType, labels: List[int], **_) -> Dict[str, Any]:
         "grading",
         {"lie_type": str(lie_type), "labels": labels},
         {"piece_dims": {str(j): d for j, d in g.dims().items()}, "depth": g.depth,
-         "zeta": q_list(g.zeta.dense(rs.dim_algebra))},
+         "zeta": element_strs(g.zeta, rs.dim_algebra)},
     )
 
 
@@ -302,9 +311,9 @@ def witness_json(w: BracketProjection, dim: int) -> Dict[str, Any]:
     """The witness with every part as its ``dim`` coordinates."""
     return {
         "pair": [w.v_index, w.v_prime_index],
-        "c_part": q_list(w.c_part.dense(dim)),
-        "v_part": q_list(w.v_part.dense(dim)),
-        "rest_part": q_list(w.rest_part.dense(dim)),
+        "c_part": element_strs(w.c_part, dim),
+        "v_part": element_strs(w.v_part, dim),
+        "rest_part": element_strs(w.rest_part, dim),
     }
 
 

@@ -80,24 +80,14 @@ class ZGrading(RootGrading):
 class KacLabels:
     """Affine-diagram labels with the marks of their nodes, checked by the label rule."""
 
-    __slots__ = ("labels", "marks")
+    __slots__ = ("labels", "marks", "order", "reduced_order")
 
     def __init__(self, labels: Tuple[int, ...], marks: Tuple[int, ...]):
         check_labels(labels, len(marks) - 1, affine=True)
         self.labels = labels  # p_0 .. p_r
         self.marks = marks  # n_0 = 1, n_1 .. n_r
-
-    @property
-    def order(self) -> int:
-        return sum(n * p for n, p in zip(self.marks, self.labels))
-
-    @property
-    def reduced_order(self) -> int:
-        g = 0
-        for p in self.labels:
-            g = gcd(g, p)
-        g = gcd(g, self.order)
-        return self.order // g if g else 1
+        self.order = sum(map(mul, marks, labels))  # m = sum n_k p_k
+        self.reduced_order = self.order // gcd(self.order, *labels)  # labels not all zero: gcd > 0
 
     @property
     def order_warning(self) -> Optional[str]:

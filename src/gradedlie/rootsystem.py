@@ -4,25 +4,25 @@ Roots are stored as integer coordinate vectors in the simple-root basis,
 ordered by Bourbaki numbering of the simple roots, and as one code each,
 sum_k a_k 64^k with signed digits.  No coefficient of a root, or of a sum or
 difference of two roots, exceeds 12 in absolute value, so codes add and negate
-like the roots and have their sign: root-lattice steps after the reflection
-closure are Python-int arithmetic.  Root lengths are integer length classes
-ell(alpha) = |alpha|^2 / |shortest root|^2 in {1, 2, 3}, keyed by code, and L,
-the class of the long roots; the highest root is long (certified).  They come
-from the reflection closure: each root has the class of the simple root whose
-Weyl orbit it was reached in, so no root needs a form evaluation.  The
-invariant form, normalised so that the highest root has squared length 2, is
-read off them: (alpha_i, alpha_j) = c_ij ell_j / L, so a root's norm is
-2 ell(alpha) / L, and ``form_value`` and ``norm`` build one Fraction each.  The
-classes and the integer coroot coefficients are computed once per root system;
-``coroots`` maps each root alpha to the coefficients of alpha^vee in the simple
-coroot basis.
+like the roots and have their sign.  One pass raises the simple roots to every
+positive root; the negative roots are their negatives, and a closure check
+certifies the set.  Root lengths are integer length classes ell(alpha) =
+|alpha|^2 / |shortest root|^2 in {1, 2, 3}, and L, the class of the long roots,
+which holds the highest root (certified); a root has the class of the simple
+root in whose Weyl orbit the pass reached it.  The invariant form, normalised
+so that the highest root has squared length 2, is read off them:
+(alpha_i, alpha_j) = c_ij ell_j / L, so a root's norm is 2 ell(alpha) / L, and
+``form_value`` and ``norm`` build one Fraction each.  The per-root maps
+``codes``, ``lengths`` and ``coroots`` are filled on first read.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction as Q
 from functools import lru_cache
-from typing import Dict, List, Tuple
+from math import gcd
+from operator import neg
+from typing import List, Tuple
 
 Root = Tuple[int, ...]
 
@@ -121,29 +121,36 @@ def cartan_matrix(t: LieType) -> List[List[int]]:
 
 
 class RootSystem:
-    """The roots of one type, with their codes, length classes and coroots."""
+    """The roots of one type.  ``root_data`` holds (code, length class) of each positive
+    root in root order; ``codes``, ``lengths`` and ``coroots`` are filled from it."""
 
     __slots__ = (
         "lie_type", "cartan", "roots", "positive_roots", "highest_root", "affine_marks", "long_class",
-        "codes", "lengths", "coroots",
+        "simple_classes", "root_data", "codes", "lengths", "coroots",
     )
 
     def __init__(
-        self,
-        lie_type: LieType,
-        cartan: Tuple[Tuple[int, ...], ...],
-        roots: Tuple[Root, ...],
-        positive_roots: Tuple[Root, ...],
-        highest_root: Root,
-        affine_marks: Tuple[int, ...],  # (n_0, n_1, ..., n_r) with n_0 = 1
-        long_class: int,  # L, the length class of the long roots and of the highest root
-        codes: Dict[Root, int],  # sum_k a_k 64^k, in root order
-        lengths: Dict[int, int],  # root code -> norm / shortest norm
-        coroots: Dict[Root, Tuple[int, ...]],
+        self, lie_type: LieType, cartan: Tuple[Tuple[int, ...], ...], roots: Tuple[Root, ...],
+        positive_roots: Tuple[Root, ...], highest_root: Root, long_class: int,
+        simple_classes: Tuple[int, ...], root_data: Tuple[Tuple[int, int], ...],
     ):
         self.lie_type, self.cartan, self.roots, self.positive_roots = lie_type, cartan, roots, positive_roots
-        self.highest_root, self.affine_marks, self.long_class = highest_root, affine_marks, long_class
-        self.codes, self.lengths, self.coroots = codes, lengths, coroots
+        self.highest_root, self.affine_marks = highest_root, (1,) + highest_root  # (n_0, n_1, ..., n_r)
+        self.long_class, self.simple_classes, self.root_data = long_class, simple_classes, root_data
+
+    def __getattr__(self, name: str):
+        """Runs only while a slot is unset: the first read of a per-root map fills all three."""
+        if name not in ("codes", "lengths", "coroots"):
+            raise AttributeError(name)
+        # (code, class) in root order: the negative roots come first, in reverse order
+        data = [(-c, e) for c, e in reversed(self.root_data)] + list(self.root_data)
+        self.codes = {a: c for a, (c, _) in zip(self.roots, data)}
+        self.lengths = dict(data)
+        ell = self.simple_classes  # alpha^vee = sum_i a_i ell(alpha_i) / ell(alpha) alpha_i^vee
+        self.coroots = {
+            a: tuple(exact_div(x * e, c) if x else 0 for x, e in zip(a, ell)) for a, (_, c) in zip(self.roots, data)
+        }
+        return getattr(self, name)
 
     @property
     def rank(self) -> int:
@@ -163,8 +170,8 @@ class RootSystem:
 
     def form_value(self, alpha: Root, beta: Root) -> Q:
         """B*(alpha, beta) = sum_ij alpha_i beta_j c_ij ell_j / L for lattice vectors in
-        simple-root coordinates (simple root j has code 64^j)."""
-        total = sum(b * self.lengths[1 << 6 * j] * self.pairing(alpha, j) for j, b in enumerate(beta) if b)
+        simple-root coordinates."""
+        total = sum(b * self.simple_classes[j] * self.pairing(alpha, j) for j, b in enumerate(beta) if b)
         return Q(total, self.long_class)
 
     def norm(self, alpha: Root) -> Q:
@@ -180,98 +187,76 @@ def exact_div(n, d) -> int:
     return q
 
 
-def _reflection_closure(cartan: List[List[int]], r: int) -> Tuple[List[Root], Dict[Root, int]]:
-    """All roots, sorted, and for each root the simple root its reflection chain starts from.
-
-    Each root is reached from one simple root alpha_j by simple reflections, so
-    it lies in the Weyl orbit of alpha_j and has the norm of alpha_j.
-    """
-    simple = [tuple(int(i == j) for i in range(r)) for j in range(r)]
-    origin = {alpha: j for j, alpha in enumerate(simple)}
-    seen = {1 << 6 * j for j in range(r)}  # root codes, as in build_root_system
-    # each root with its code and pairings <alpha, alpha_k^vee>; s_j alpha = alpha - p alpha_j
-    # has pairings <alpha, alpha_k^vee> - p c[j][k], so a tuple is built only for a new root
-    frontier = [(alpha, 1 << 6 * j, cartan[j]) for j, alpha in enumerate(simple)]
-    while frontier:
-        new = []
-        for alpha, code, pairing in frontier:
-            for j, p in enumerate(pairing):
-                refl_code = code - (p << 6 * j)
-                if p and refl_code not in seen:
-                    seen.add(refl_code)
-                    refl = alpha[:j] + (alpha[j] - p,) + alpha[j + 1 :]
-                    origin[refl] = origin[alpha]
-                    new.append((refl, refl_code, [x - p * c for x, c in zip(pairing, cartan[j])]))
-        frontier = new
-    return sorted(origin), origin
-
-
-def _symmetrizer(cartan: List[List[int]], r: int) -> List[Q]:
-    """d_i with d_j * c[i][j] = d_i * c[j][i], connected propagation from node 0."""
-    d: List[Q] = [Q(0)] * r
-    d[0] = Q(1)
-    pending = [0]
-    seen = {0}
+def _length_classes(cartan: List[List[int]], r: int) -> List[int]:
+    """ell_j, proportional to |alpha_j|^2, in ints with gcd 1: c_ij ell_j = c_ji ell_i on
+    each edge of the diagram, propagated from node 0."""
+    ell, pending = [1] + [0] * (r - 1), [0]
     while pending:
         i = pending.pop()
         for j in range(r):
-            if i != j and cartan[i][j] != 0 and j not in seen:
-                # d_i c[j][i] = d_j c[i][j]
-                d[j] = d[i] * cartan[j][i] / cartan[i][j]
-                seen.add(j)
+            if cartan[i][j] and not ell[j]:
+                ell = [x * -cartan[i][j] for x in ell]  # so that ell_j = ell_i c_ji / c_ij is whole
+                ell[j] = ell[i] * cartan[j][i] // cartan[i][j]
                 pending.append(j)
-    return d
+    g = gcd(*ell)
+    return [x // g for x in ell]
+
+
+def _positive_pass(cartan: List[List[int]], r: int) -> List[Tuple[Root, int, int, List[int]]]:
+    """The positive roots as (root, code, origin, pairings <alpha, alpha_k^vee>).
+
+    Each simple root is raised by the simple reflections s_j with a negative pairing p
+    (s_j alpha = alpha - p alpha_j has the pairings of alpha less p c[j]), which reaches
+    every positive root (Humphreys, *Introduction to Lie Algebras*, 10.2) in the Weyl
+    orbit of its origin simple root.
+    """
+    found = [(tuple(int(i == j) for i in range(r)), 1 << 6 * j, j, cartan[j]) for j in range(r)]
+    seen = {code for _, code, _, _ in found}
+    for alpha, code, origin, pairing in found:  # the list grows while it is read
+        for j, p in enumerate(pairing):
+            if p < 0 and (raised := code - (p << 6 * j)) not in seen:
+                seen.add(raised)
+                pairs = [x - p * c for x, c in zip(pairing, cartan[j])]
+                found.append((alpha[:j] + (alpha[j] - p,) + alpha[j + 1 :], raised, origin, pairs))
+    return found
 
 
 @lru_cache(maxsize=None)
 def build_root_system(t: LieType) -> RootSystem:
-    """Generate the full root system by reflection closure from the simple roots."""
+    """The positive roots in one pass, the negative ones by negation, certified."""
     r = t.rank
     cartan = cartan_matrix(t)
-    roots, origin = _reflection_closure(cartan, r)
-    positive = sorted(
-        (a for a in roots if sum(a) > 0), key=lambda a: (sum(a), a)
-    )
-    if 2 * len(positive) != len(roots):
-        raise AssertionError("root system not closed under negation")
-
-    # Highest root: the unique root beta with beta + alpha_k never a root.
-    codes = {a: sum(x << 6 * k for k, x in enumerate(a)) for a in roots}
-    code_set = set(codes.values())
+    ell = _length_classes(cartan, r)
+    if len(set(ell)) > 2:
+        raise AssertionError("more than two root lengths")
+    found = _positive_pass(cartan, r)
+    codes = {code for _, code, _, _ in found}
     units = [1 << 6 * k for k in range(r)]
-    candidates = [b for b in positive if all(codes[b] + u not in code_set for u in units)]
+    # Closure: each falling reflection of a positive root is a positive root or -alpha_j,
+    # so the roots are Weyl-closed, and only a dominant root can be the highest one.
+    candidates = []
+    for alpha, code, origin, pairing in found:
+        for j, p in enumerate(pairing):
+            if p > 0 and code - (p << 6 * j) not in codes and code != units[j]:
+                raise AssertionError("positive roots not closed under falling reflections")
+        if min(pairing) >= 0 and all(code + u not in codes for u in units):
+            candidates.append((alpha, ell[origin]))
     if len(candidates) != 1:
         raise AssertionError("highest root is not unique")
-    highest = candidates[0]
-
-    # Length classes, computed once.  A root has the class of the simple root its
-    # reflection chain starts from (Weyl invariance); at most two values occur, and
-    # the symmetrizer d_j is proportional to |alpha_j|^2.
-    # alpha^vee = sum_i a_i ell(alpha_i) / ell(alpha) alpha_i^vee.
-    d = _symmetrizer(cartan, r)
-    if len(set(d)) > 2:
-        raise AssertionError("more than two root lengths")
-    ell = [exact_div(dj, min(d)) for dj in d]
-    long_class = max(ell)
-    lengths = {codes[a]: ell[j] for a, j in origin.items()}
-    if lengths[codes[highest]] != long_class:
+    (highest, highest_class), long_class = candidates[0], max(ell)
+    if highest_class != long_class:
         raise AssertionError("the highest root is not long")
-    coroots = {
-        a: tuple(exact_div(x * ell[i], ell[origin[a]]) if x else 0 for i, x in enumerate(a))
-        for a in roots
-    }
-
+    found.sort()  # root order; a negative root precedes every positive one
+    positive = [alpha for alpha, _, _, _ in found]
     return RootSystem(
         lie_type=t,
         cartan=tuple(tuple(row) for row in cartan),
-        roots=tuple(roots),
-        positive_roots=tuple(positive),
+        roots=tuple(tuple(map(neg, a)) for a in reversed(positive)) + tuple(positive),
+        positive_roots=tuple(sorted(positive, key=sum)),  # by height, then root order
         highest_root=highest,
-        affine_marks=(1,) + highest,
         long_class=long_class,
-        codes=codes,
-        lengths=lengths,
-        coroots=coroots,
+        simple_classes=tuple(ell),
+        root_data=tuple((code, ell[j]) for _, code, j, _ in found),
     )
 
 
@@ -279,9 +264,10 @@ def affine_cartan_matrix(rs: RootSystem) -> List[List[int]]:
     """Cartan matrix on nodes 0..r with alpha_0 = -highest root, in integers.
 
     Row a holds <a, alpha_j^vee> = ``pairing(a, j)`` on the simple nodes, and
-    <a, alpha_0^vee> = -<a, beta^vee> = -sum_k beta^vee_k <a, alpha_k^vee>.
+    <a, alpha_0^vee> = -<a, beta^vee> = -sum_k beta^vee_k <a, alpha_k^vee>, where
+    beta^vee_k = beta_k ell(alpha_k) / L since beta is long.
     """
-    beta_vee = rs.coroots[rs.highest_root]
+    beta_vee = [exact_div(x * e, rs.long_class) for x, e in zip(rs.highest_root, rs.simple_classes)]
     alpha0 = tuple(-x for x in rs.highest_root)
     rows = [[rs.pairing(alpha0, j) for j in range(rs.rank)]] + [list(row) for row in rs.cartan]
     return [[-sum(t * p for t, p in zip(beta_vee, row))] + row for row in rows]

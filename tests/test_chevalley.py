@@ -1,5 +1,6 @@
 import ast
 import copy
+import inspect
 import os
 import random
 import re
@@ -295,7 +296,7 @@ CERTIFICATE_TESTS = {
         ["test_quiver.py::test_rank_tuples_that_collide_are_refused"],
     ("rootsystem", "exact_div", "{}/{} is not an integer"):
         ["test_quaternionic.py::test_non_integral_kappa_raises_where_it_arises"],
-    ("rootsystem", "build_root_system", "root system not closed under negation"):
+    ("rootsystem", "build_root_system", "positive roots not closed under falling reflections"):
         ["test_rootsystem.py::test_missing_negative_root_fails_the_build"],
     ("rootsystem", "build_root_system", "highest root is not unique"):
         ["test_rootsystem.py::test_missing_highest_root_fails_the_build"],
@@ -383,7 +384,8 @@ def test_no_dataclasses_in_src():
 
 def rebuilt(rs: RootSystem, **changes) -> RootSystem:
     """A copy of a root system with some fields changed, built by its constructor."""
-    return RootSystem(**{**{name: getattr(rs, name) for name in RootSystem.__slots__}, **changes})
+    params = list(inspect.signature(RootSystem).parameters)
+    return RootSystem(**{**{name: getattr(rs, name) for name in params}, **changes})
 
 
 @pytest.mark.parametrize("name", ["D4", "F4"])

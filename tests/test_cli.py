@@ -1,3 +1,4 @@
+import fractions
 import json
 import os
 import subprocess
@@ -7,7 +8,8 @@ from pathlib import Path
 import pytest
 
 from gradedlie import cli
-from gradedlie.cli import COMMANDS, command_flags, main, q_str, to_rational, usage
+from gradedlie.cli import COMMANDS, cmd_grading, cmd_kac, command_flags, main, q_str, to_rational, usage
+from gradedlie.rootsystem import LieType, RootSystem, build_root_system
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -28,6 +30,7 @@ def test_q_str():
 
     assert q_str(Q(3)) == "3"
     assert q_str(Q(-1, 2)) == "-1/2"
+    assert q_str(-7) == "-7" and q_str(True) == "1"
     assert to_rational("-1/2", "lam") == Q(-1, 2)
     assert to_rational("4", "lam") == 4
 
@@ -520,6 +523,42 @@ def test_kac_job_builds_no_chevalley_algebra(monkeypatch, capsys):
     code, report = run_json(capsys, "kac", "--type", "E8", "--labels", "0,0,0,0,0,0,0,0,1")
     assert code == 0
     assert report["results"]["lift"] == "none"
+
+
+ROOT_LEVEL_JOBS = [
+    (cmd_grading, "A20", [1, 1] + [0] * 17 + [1]),  # zeta has denominator 21
+    (cmd_grading, "B7", [1, 1, 0, 0, 0, 0, 0]),  # and 2
+    (cmd_kac, "C7", [0, 1, 0, 0, 0, 0, 0, 1]),  # p_0 = 0: the lift reads the affine diagram
+    (cmd_kac, "A12", [1, 0, 0, 1, 0, 0, 0, 0, 2, 0, 0, 0, 1]),
+]
+
+
+@pytest.mark.parametrize(
+    "handler, lie_type, labels", ROOT_LEVEL_JOBS, ids=[f"{h.__name__}-{t}" for h, t, _ in ROOT_LEVEL_JOBS]
+)
+def test_root_level_reports_build_no_fraction(monkeypatch, handler, lie_type, labels):
+    """``grading`` and ``kac`` report from a fresh root system with ``Fraction`` unable to
+    build, the same report as with it, and leave the per-root maps unfilled."""
+    expected = handler(lie_type=LieType.parse(lie_type), labels=labels)
+    built = []
+
+    def fresh(t):  # a cached root system would hide the build
+        built.append(build_root_system.__wrapped__(t))
+        return built[-1]
+
+    def no_fraction(cls, *args, **kwargs):
+        raise AssertionError("a Fraction was built")
+
+    monkeypatch.setattr("gradedlie.cli.build_root_system", fresh)
+    monkeypatch.setattr(fractions.Fraction, "__new__", no_fraction)
+    report = handler(lie_type=LieType.parse(lie_type), labels=labels)
+    monkeypatch.undo()
+    assert report == expected
+    assert handler is cmd_kac or any("/" in x for x in report["results"]["zeta"])
+    assert len(built) == 1
+    for name in ("codes", "lengths", "coroots"):
+        with pytest.raises(AttributeError):
+            getattr(RootSystem, name).__get__(built[0])  # the slot itself, not __getattr__
 
 
 def test_grading_job_builds_no_chevalley_algebra(monkeypatch, capsys):

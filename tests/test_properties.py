@@ -86,6 +86,17 @@ def naive_pivots(m: RationalMatrix):
     return pivots
 
 
+@settings(max_examples=60)
+@given(st.dictionaries(st.integers(0, 9), st.integers(-40, 40)), st.integers(2, 30), st.integers(10, 14))
+def test_element_strs_match_the_dense_coordinates(num, den, dim):
+    """The report formatter reads the integer numerators; ``Element.dense`` is its oracle.
+    Coordinate 0 is 1/den, so the denominator stays above 1; negative numerators and
+    zero coordinates come from the draw."""
+    e = Element({**num, 0: 1}, den)
+    assert e.den == den
+    assert cli.element_strs(e, dim) == cli.q_list(e.dense(dim))
+
+
 @settings(max_examples=40)
 @given(st.data())
 def test_solve_residual_is_zero(data):

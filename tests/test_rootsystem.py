@@ -7,7 +7,8 @@ from oracles import classical_root_count, dense_reflection_closure, form_affine_
 from gradedlie import rootsystem
 from gradedlie.rootsystem import (
     LieType,
-    _reflection_closure,
+    RootSystem,
+    _positive_pass,
     affine_cartan_matrix,
     build_root_system,
     cartan_matrix,
@@ -16,7 +17,7 @@ from gradedlie.rootsystem import (
 SMALL_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "C2", "C3", "D4", "G2", "F4", "E6"]
 
 
-@pytest.mark.parametrize("name", SMALL_TYPES)
+@pytest.mark.parametrize("name", SMALL_TYPES + ["A20", "B12", "C12", "D12", "E7", "E8"])
 def test_root_counts(name):
     rs = build_root_system(LieType.parse(name))
     expected = classical_root_count(rs.lie_type)
@@ -130,46 +131,75 @@ def test_form_symmetric_positive_definite(name):
 @pytest.mark.parametrize("name", ["B3", "C3"])
 def test_swapped_length_classes_fail_the_build(monkeypatch, name):
     """With the long and short classes swapped, the highest root is short: the build refuses."""
-    symmetrizer = rootsystem._symmetrizer
-    monkeypatch.setattr(rootsystem, "_symmetrizer", lambda cartan, r: [1 / d for d in symmetrizer(cartan, r)])
+    classes = rootsystem._length_classes
+
+    def swapped(cartan, r):
+        ell = classes(cartan, r)
+        return [max(ell) * min(ell) // e for e in ell]
+
+    monkeypatch.setattr(rootsystem, "_length_classes", swapped)
     with pytest.raises(AssertionError, match="highest root is not long"):
         build_root_system.__wrapped__(LieType.parse(name))
 
 
-def _closure_without(drop):
-    """``_reflection_closure`` with the roots that ``drop(roots)`` names left out."""
-    closure = rootsystem._reflection_closure
+def _pass_without(drop):
+    """``_positive_pass`` with the roots that ``drop(positive roots)`` names left out."""
+    positive_pass = rootsystem._positive_pass
 
     def patched(cartan, r):
-        roots, origin = closure(cartan, r)
-        gone = set(drop(roots))
-        return [a for a in roots if a not in gone], {a: j for a, j in origin.items() if a not in gone}
+        found = positive_pass(cartan, r)
+        gone = set(drop([alpha for alpha, _, _, _ in found]))
+        return [entry for entry in found if entry[0] not in gone]
 
     return patched
 
 
 def test_missing_negative_root_fails_the_build(monkeypatch):
-    monkeypatch.setattr(rootsystem, "_reflection_closure", _closure_without(lambda roots: [min(roots)]))
-    with pytest.raises(AssertionError, match="^root system not closed under negation$"):
+    """The negative roots are the positive ones negated, so -alpha goes missing with
+    alpha = alpha_1 + alpha_2 of B3; s_3 raises alpha to alpha + 2 alpha_3, whose
+    falling reflection s_3 then lands on no root: the closure check refuses."""
+    monkeypatch.setattr(rootsystem, "_positive_pass", _pass_without(lambda roots: [(1, 1, 0)]))
+    with pytest.raises(AssertionError, match="^positive roots not closed under falling reflections$"):
         build_root_system.__wrapped__(LieType.parse("B3"))
 
 
 def test_missing_highest_root_fails_the_build(monkeypatch):
-    """Without +-theta, every root just below theta has no root above it."""
-
-    def theta_pair(roots):
-        theta = max(roots, key=sum)
-        return [theta, tuple(-x for x in theta)]
-
-    monkeypatch.setattr(rootsystem, "_reflection_closure", _closure_without(theta_pair))
+    """Without theta, every root just below theta has no root above it, and none of
+    them is dominant."""
+    monkeypatch.setattr(rootsystem, "_positive_pass", _pass_without(lambda roots: [max(roots, key=sum)]))
     with pytest.raises(AssertionError, match="^highest root is not unique$"):
         build_root_system.__wrapped__(LieType.parse("A3"))
 
 
 def test_three_root_lengths_fail_the_build(monkeypatch):
-    monkeypatch.setattr(rootsystem, "_symmetrizer", lambda cartan, r: [Q(k + 1) for k in range(r)])
+    monkeypatch.setattr(rootsystem, "_length_classes", lambda cartan, r: [k + 1 for k in range(r)])
     with pytest.raises(AssertionError, match="^more than two root lengths$"):
         build_root_system.__wrapped__(LieType.parse("A3"))
+
+
+@pytest.mark.parametrize("name", ["A1", "B2", "C3", "G2", "F4", "E6"])
+def test_length_classes_are_whole_with_gcd_one(name):
+    """The simple-root classes are ints, the short ones 1, and the long ones 2 or 3
+    times that exactly when the diagram has a double or triple bond."""
+    t = LieType.parse(name)
+    ell = rootsystem._length_classes(cartan_matrix(t), t.rank)
+    assert all(type(e) is int for e in ell) and min(ell) == 1
+    assert max(ell) == {"A": 1, "E": 1, "G": 3}.get(t.family, 2)
+
+
+def test_per_root_maps_are_filled_on_first_read():
+    """A fresh build leaves ``codes``, ``lengths`` and ``coroots`` unset; the first read
+    of one fills all three, and later reads are plain slot reads."""
+    rs = build_root_system.__wrapped__(LieType.parse("C3"))
+    for name in ("codes", "lengths", "coroots"):
+        with pytest.raises(AttributeError):
+            getattr(RootSystem, name).__get__(rs)  # the slot itself, not __getattr__
+    assert rs.norm(rs.highest_root) == 2  # reads codes and lengths
+    for name in ("codes", "lengths", "coroots"):
+        assert getattr(RootSystem, name).__get__(rs) is getattr(rs, name)
+    assert list(rs.codes) == list(rs.coroots) == list(rs.roots)
+    with pytest.raises(AttributeError, match="^no_such_field$"):
+        rs.no_such_field
 
 
 def test_equal_types_share_one_cache_entry():
@@ -256,10 +286,14 @@ CLOSURE_TYPES = (
 
 @pytest.mark.parametrize("name", CLOSURE_TYPES)
 def test_sparse_reflection_closure_matches_dense(name):
+    """The pass finds the positive roots of the dense closure, each with the same origin
+    simple root, compared without order."""
     t = LieType.parse(name)
     cartan = cartan_matrix(t)
-    roots, origin = _reflection_closure(cartan, t.rank)
-    dense_roots, dense_origin = dense_reflection_closure(cartan, t.rank)
-    assert roots == dense_roots
-    assert origin == dense_origin
-    assert list(origin) == list(dense_origin)  # the same discovery order
+    found = _positive_pass(cartan, t.rank)
+    _, dense_origin = dense_reflection_closure(cartan, t.rank)
+    assert len(found) == len({alpha for alpha, _, _, _ in found})  # each root once
+    assert {alpha: j for alpha, _, j, _ in found} == {a: j for a, j in dense_origin.items() if sum(a) > 0}
+    for alpha, code, _, pairing in found:
+        assert code == sum(x << 6 * k for k, x in enumerate(alpha))
+        assert list(pairing) == [sum(alpha[i] * cartan[i][j] for i in range(t.rank)) for j in range(t.rank)]
