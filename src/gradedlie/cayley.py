@@ -21,7 +21,7 @@ form is rescaled, so both use the integer sums of ``vinberg.form_numerator``.
 c, V, the triple and each projection's parts are ``chevalley.Element``s: the
 parts are sums of scaled basis numerators, and the remainder is the bracket
 minus both, all in integer numerators over one denominator.  Rank checks read
-an element's numerators (``dense_num``); reports read ``dense``.
+an element's numerators (``dense_num``), and so do reports (``cli.element_strs``).
 """
 
 from __future__ import annotations

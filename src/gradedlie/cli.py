@@ -7,10 +7,12 @@ of the other commands that reproduce its claim; ``verify-paper`` runs each
 distinct argv once, through the same tokenizer, typed fields and handler as
 the command line, so any row can be rerun by hand.  Reports are emitted
 as JSON (default) or text; every rational is serialized as an exact "p/q"
-string, never as a float.  Input takes one path: ``FIELDS`` gives each flag
-its config key, parser and default (None where the handler must tell an
-absent value from a given one), and ``COMMANDS`` each command its handler
-and flags.  Flags override a JSON config file; every value, from either,
+string, never as a float.  One writer, ``report_json``, emits every JSON report
+with the bytes of ``json.dumps(report, indent=2, sort_keys=True)`` but none of
+its pure-Python encoder, and refuses a float.  Input takes one path: ``FIELDS``
+gives each flag its config key, parser and default (None where the handler
+must tell an absent value from a given one), and ``COMMANDS`` each command its
+handler and flags.  Flags override a JSON config file; every value, from either,
 goes through its field's parser, and each handler receives typed values.
 There is no ``argparse``, so a job pays for no parser construction.
 
@@ -24,28 +26,19 @@ from __future__ import annotations
 import json
 import sys
 from fractions import Fraction as Q
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from math import gcd
 from typing import Any, Callable, Dict, List, Optional
 
 from . import __version__
 from .amw import bounds as amw_bounds
-from .cayley import BracketProjection, bracket_projection_test, cayley_pair
+from .cayley import bracket_projection_test, cayley_pair
 from .checks import expected_ranks, paper_checks, quaternionic_types
 from .chevalley import Element, build_algebra
 from .grading import check_labels, kac_labels, kac_lift_check, root_grading, z_grading_from_labels, zm_from_kac
 from .quaternionic import amw_interval, build_quaternionic, extremes_regular, kappa, quaternionic_ranks
-from .quiver import (
-    ORBIT_BOUND,
-    QuiverDims,
-    QuiverHiggsTopology,
-    enumerate_orbits,
-    interval_toledo_rank,
-    labels_for_dims,
-    maximal_rank_tuple,
-    orbit_count,
-    quiver_jm_regular,
-    toledo_invariant,
-)
+from .quiver import (ORBIT_BOUND, QuiverDims, QuiverHiggsTopology, enumerate_orbits, labels_for_dims,
+                     maximal_rank_tuple, orbit_count, quiver_jm_regular, rank_pairs, toledo_invariant, toledo_numerator)
 from .rootsystem import LieType, build_root_system
 from .vinberg import jm_regular
 
@@ -62,13 +55,15 @@ def q_list(xs) -> List[str]:
     return [q_str(x) for x in xs]
 
 
+def ratio_str(num: int, den: int) -> str:
+    """num/den (den > 0) as a "p/q" string in lowest terms, with no Fraction built."""
+    g = gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
+
+
 def element_strs(e: Element, dim: int) -> List[str]:
     """The ``dim`` coordinates of e as "p/q" strings, from its numerators."""
-    out = ["0"] * dim
-    for i, n in e.num.items():
-        g = gcd(n, e.den)
-        out[i] = str(n // g) if g == e.den else f"{n // g}/{e.den // g}"
-    return out
+    return [ratio_str(e.num[i], e.den) if i in e.num else "0" for i in range(dim)]
 
 
 def _int_text(text: str) -> Optional[int]:
@@ -226,18 +221,18 @@ def cmd_quiver(dims: List[int], **_) -> Dict[str, Any]:
     if count > ORBIT_BOUND:
         raise ValueError(f"the dimension vector has at least {count} orbits; a report lists at most {ORBIT_BOUND}")
     orbits = enumerate_orbits(quiver)
-    top = maximal_rank_tuple(quiver)
-    keys = [f"{i},{j}" for (i, j), _ in top]
+    top, n = maximal_rank_tuple(quiver), quiver.n
+    keys = [f"{i},{j}" for i, j in rank_pairs(quiver)]
     return make_report(
         "quiver",
         {"dims": dims},
         {
             "jm_regular": quiver_jm_regular(quiver),
-            "alpha": q_str(quiver.alpha),
+            "alpha": ratio_str(quiver.moment, n),
             "orbits": [
                 {
-                    "ranks": dict(zip(keys, (r for _, r in rt))),
-                    "toledo_rank": q_str(interval_toledo_rank(quiver, mult)),
+                    "ranks": dict(zip(keys, rt)),
+                    "toledo_rank": ratio_str(toledo_numerator(quiver, mult), n),
                     "open": rt == top,
                 }
                 for rt, mult in orbits
@@ -307,16 +302,6 @@ def cmd_quaternionic(lie_type: LieType, seed: int, **_) -> Dict[str, Any]:
     )
 
 
-def witness_json(w: BracketProjection, dim: int) -> Dict[str, Any]:
-    """The witness with every part as its ``dim`` coordinates."""
-    return {
-        "pair": [w.v_index, w.v_prime_index],
-        "c_part": element_strs(w.c_part, dim),
-        "v_part": element_strs(w.v_part, dim),
-        "rest_part": element_strs(w.rest_part, dim),
-    }
-
-
 def cmd_cayley(
     lie_type: Optional[LieType], labels: Optional[List[int]], dims: Optional[List[int]], seed: int, **_
 ) -> Dict[str, Any]:
@@ -342,8 +327,10 @@ def cmd_cayley(
         "chi_t_vanishes_on_c": cd.chi_vanishes,
         "theta_pair_candidate": witness is None,
     }
-    if witness is not None:
-        results["witness"] = witness_json(witness, cd.algebra.dim)
+    if witness is not None:  # each part as its coordinates
+        dim = cd.algebra.dim
+        parts = {part: element_strs(getattr(witness, part), dim) for part in ("c_part", "v_part", "rest_part")}
+        results["witness"] = {"pair": [witness.v_index, witness.v_prime_index], **parts}
     return make_report("cayley", inputs, results, [
         ("cayley-iso", "transport map invertible", True, results["iso_invertible"]),
         ("cayley-chi", "character vanishes on centralizer", True, results["chi_t_vanishes_on_c"]),
@@ -492,6 +479,46 @@ def typed_fields(command: str, config: Dict[str, Any], flags: Dict[str, Any]) ->
     return values
 
 
+_SCALARS = {  # the text of each scalar type a report holds
+    str: encode_basestring_ascii, int: int.__repr__, bool: ("false", "true").__getitem__, type(None): lambda _: "null",
+}
+_KEYS, _SCALAR_TYPES, _CONTAINERS = frozenset((str,)), frozenset(_SCALARS), frozenset((dict, list, tuple))
+
+
+def _encode(value, depth: int, out: List[str]) -> None:
+    """Append the chunks of ``value`` at ``depth`` to ``out``.  A container of scalars is
+    one call of json's C encoder, which puts each item after the first on a new line."""
+    kind = type(value)
+    if kind in _SCALARS:
+        out.append(_SCALARS[kind](value))
+    elif kind not in _CONTAINERS:
+        raise TypeError(f"a report holds no {kind.__name__}")
+    elif kind is dict and not _KEYS.issuperset(map(type, value)):
+        raise TypeError("a report key must be a str")
+    else:
+        inner, end = "\n" + "  " * (depth + 1), "\n" + "  " * depth
+        if _SCALAR_TYPES.issuperset(map(type, value.values() if kind is dict else value)):  # or no item
+            encoder = c_make_encoder(None, None, encode_basestring_ascii, None, ": ", "," + inner, True, False, True)
+            text = "".join(encoder(value, 0))
+            out += (text[0], inner, text[1:-1], end, text[-1]) if value else (text,)
+        else:
+            sep = ("{" if kind is dict else "[") + inner
+            for key in sorted(value) if kind is dict else range(len(value)):
+                out.append(sep + encode_basestring_ascii(key) + ": " if kind is dict else sep)
+                _encode(value[key], depth + 1, out)
+                sep = "," + inner
+            out.append(end + ("}" if kind is dict else "]"))
+
+
+def report_json(value) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte, on dicts with str keys,
+    lists, tuples, str, int, bool and None; anything else raises TypeError.  ``indent`` sends
+    ``json.dumps`` to its pure-Python encoder; this writer sends it no value."""
+    out: List[str] = []
+    _encode(value, 0, out)
+    return "".join(out)
+
+
 def render_text(report: Dict[str, Any]) -> str:
     lines = [f"command: {report['command']}"]
     for k, v in report["inputs"].items():
@@ -538,7 +565,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if fields["output_format"] == "text":
         payload = render_text(report)
     else:
-        payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        payload = report_json(report) + "\n"
     path = fields["output_path"]
     if path is not None:
         try:

@@ -10,9 +10,9 @@ n_k of the highest root and n_0 = 1.
 Both read only the root system, so neither needs a bracket table:
 ``root_grading`` gives a Z-grading's pieces and zeta and certifies
 alpha(zeta) = deg alpha on every root (ad zeta acts on g_alpha by alpha(zeta)),
-and ``zm_from_kac`` gives a Z/mZ-grading's pieces; the pieces of both come from
-one loop over the roots.  ``z_grading_from_labels`` puts the root-level grading
-on an algebra and checks ad zeta once more on the bracket table.
+and ``zm_from_kac`` gives a Z/mZ-grading's pieces; the pieces, and the
+certificate, each take one walk over the positive roots.  ``z_grading_from_labels``
+puts the root-level grading on an algebra and checks ad zeta once more.
 
 The lift question — does the order-m automorphism defined by the labels come
 from a Z-grading — is decided by the node-0 label, up to a symmetry of the
@@ -110,12 +110,17 @@ class ZmGrading:
     dims = RootGrading.dims  # degree -> piece dimension, the same rule
 
 
+def _root_values(rs: RootSystem, p: Sequence[int]) -> List[int]:
+    """sum a_k p_k at each root position, from one walk over the positive roots (negatives first, mirrored)."""
+    positive = [sum(map(mul, alpha, p)) for alpha in rs.roots[len(rs.roots) // 2 :]]
+    return [-v for v in reversed(positive)] + positive
+
+
 def _pieces(rs: RootSystem, p: Sequence[int], m: int = 0) -> Dict[int, Tuple[int, ...]]:
     """Degree (mod m when m > 0) -> basis indices: the Cartan in degree 0, then
     the root at position i as basis index rank + i in degree sum a_k p_k."""
     pieces: Dict[int, List[int]] = {0: list(range(rs.rank))}
-    for idx, alpha in enumerate(rs.roots, rs.rank):
-        deg = sum(map(mul, alpha, p))
+    for idx, deg in enumerate(_root_values(rs, p), rs.rank):
         pieces.setdefault(deg % m if m else deg, []).append(idx)
     return {j: tuple(idx) for j, idx in pieces.items()}
 
@@ -145,14 +150,15 @@ def _verify_root_grading(rs: RootSystem, g: RootGrading):
     num, den = g.zeta.num, g.zeta.den
     if any(i >= r for i in num):
         raise AssertionError("the grading element is not in the Cartan")
-    if sorted(i for idx in g.pieces.values() for i in idx) != list(range(rs.dim_algebra)):
+    placed = [i for idx in g.pieces.values() for i in idx]
+    if len(placed) != rs.dim_algebra or not set(placed).issuperset(range(rs.dim_algebra)):
         raise AssertionError("the pieces do not hold each basis index once")
     # alpha_k(D zeta) = sum_i n_i <alpha_k, alpha_i^vee> for each simple root alpha_k
     simple = [sum(n * rs.cartan[k][i] for i, n in num.items()) for k in range(r)]
+    values = [0] * r + _root_values(rs, simple)  # alpha(D zeta) at each basis index
     for j, idx in g.pieces.items():
         for i in idx:
-            value = sum(map(mul, rs.roots[i - r], simple)) if i >= r else 0
-            if value != j * den:
+            if values[i] != j * den:
                 raise AssertionError(f"grading element eigenvalue check failed at degree {j}")
 
 

@@ -8,13 +8,17 @@ interval modules, the sl2-completion h is read off the Jordan strings, and
 the Toledo data reduces to trace arithmetic against
 zeta|_{V_j} = (j - alpha) Id with alpha = (sum j d_j)/n.  Rank tuples,
 Toledo ranks of orbits and JM-regularity are closed forms in the strings'
-intervals, so no orbit representative is built.
+intervals, so no orbit representative is built.  A rank tuple is a flat tuple
+of ints, r_ij in (i, j) order (``rank_pairs``), and an orbit's Toledo rank is an
+int numerator over n (``toledo_numerator``), so a report builds no Fraction.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from fractions import Fraction as Q
+from functools import lru_cache
+from itertools import accumulate
+from operator import mul
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .linalg import RationalMatrix, rank
@@ -53,8 +57,12 @@ class QuiverDims:
         return sum(self.dims)
 
     @property
+    def moment(self) -> int:  # sum_j j d_j, so alpha = moment / n
+        return sum(j * d for j, d in enumerate(self.dims))
+
+    @property
     def alpha(self) -> Q:
-        return Q(sum(j * d for j, d in enumerate(self.dims)), self.n)
+        return Q(self.moment, self.n)
 
     def block_start(self, j: int) -> int:
         return sum(self.dims[:j])
@@ -62,7 +70,7 @@ class QuiverDims:
 
 QuiverElement = Tuple[RationalMatrix, ...]  # maps f_j : V_j -> V_{j+1}
 
-RankTuple = Tuple[Tuple[Tuple[int, int], int], ...]  # sorted ((i,j) -> r_ij)
+RankTuple = Tuple[int, ...]  # r_ij for the (i, j) of ``rank_pairs``, in their order
 
 Multiplicities = Dict[Tuple[int, int], int]  # (a, b) -> copies of the interval module [a, b]
 
@@ -75,28 +83,23 @@ def _check_shapes(dims: QuiverDims, elem: Sequence[RationalMatrix]):
             raise ValueError(f"map {j} has shape {f.rows}x{f.cols}")
 
 
+def rank_pairs(dims: QuiverDims) -> List[Tuple[int, int]]:
+    """Every (i, j) with 0 <= i < j <= m-1, in order: the index of each entry of a rank tuple."""
+    return [(i, j) for i in range(dims.m - 1) for j in range(i + 1, dims.m)]
+
+
 def rank_tuple(dims: QuiverDims, elem: Sequence[RationalMatrix]) -> RankTuple:
-    """r_ij = rank of f_{j-1} ... f_i for all 0 <= i < j <= m-1."""
+    """r_ij = rank of f_{j-1} ... f_i for all 0 <= i < j <= m-1, in (i, j) order."""
     _check_shapes(dims, elem)
-    out: Dict[Tuple[int, int], int] = {}
-    for i in range(dims.m - 1):
-        comp = elem[i]
-        out[(i, i + 1)] = rank(comp)
-        for j in range(i + 2, dims.m):
-            comp = elem[j - 1].matmul(comp)
-            out[(i, j)] = rank(comp)
-    return tuple(sorted(out.items()))
+    chains = (accumulate(elem[i + 1 :], lambda comp, f: f.matmul(comp), initial=elem[i]) for i in range(dims.m - 1))
+    return tuple(rank(comp) for chain in chains for comp in chain)
 
 
 def maximal_rank_tuple(dims: QuiverDims) -> RankTuple:
-    out = {}
-    for i in range(dims.m - 1):
-        for j in range(i + 1, dims.m):
-            out[(i, j)] = min(dims.dims[i : j + 1])
-    return tuple(sorted(out.items()))
+    return tuple(min(dims.dims[i : j + 1]) for i, j in rank_pairs(dims))
 
 
-def _interval_multiplicities(dims: QuiverDims) -> Iterator[Multiplicities]:
+def _interval_multiplicities(dims: QuiverDims) -> List[Multiplicities]:
     """Every m_ij >= 0 with sum_{i <= k <= j} m_ij = d_k for each vertex k.
 
     Intervals starting at i are chosen longest first; the length-one interval
@@ -105,24 +108,25 @@ def _interval_multiplicities(dims: QuiverDims) -> Iterator[Multiplicities]:
     m = dims.m
     left = list(dims.dims)
     chosen: Multiplicities = {}
+    found: List[Multiplicities] = []
 
-    def extend(i: int, j: int) -> Iterator[Multiplicities]:
+    def extend(i: int, j: int) -> None:
         if i == m:
-            yield dict(chosen)
-            return
-        if j == i:
+            found.append(dict(chosen))
+        elif j == i:
             chosen[(i, i)] = left[i]
-            yield from extend(i + 1, m - 1)
-            return
-        for c in range(min(left[i : j + 1]) + 1):
-            chosen[(i, j)] = c
-            for k in range(i, j + 1):
-                left[k] -= c
-            yield from extend(i, j - 1)
-            for k in range(i, j + 1):
-                left[k] += c
+            extend(i + 1, m - 1)
+        else:
+            for c in range(min(left[i : j + 1]) + 1):
+                chosen[(i, j)] = c
+                for k in range(i, j + 1):
+                    left[k] -= c
+                extend(i, j - 1)
+                for k in range(i, j + 1):
+                    left[k] += c
 
-    return extend(0, m - 1)
+    extend(0, m - 1)
+    return found
 
 
 # The most orbits one quiver report lists; ``cli.cmd_quiver`` refuses a vector past it.
@@ -150,9 +154,9 @@ def orbit_count(dims: QuiverDims) -> int:
     vector with 17 or more vertices.  The count also grows with d: d + e_k adds a
     string [k, k] to every orbit of d, so count(d + e_k) >= count(d), and m vertices
     carry at least the 2^(m-1) orbits of m ones.  A vector within ``ORBIT_BOUND`` thus
-    has at most 16 vertices, and ``_interval_multiplicities`` nests at most
-    16 * 17 / 2 = 136 generators; 44 vertices, the first to nest 990 and reach the
-    interpreter's recursion limit, have at least 2^43 orbits.
+    has at most 16 vertices, and ``_interval_multiplicities`` recurses at most
+    16 * 17 / 2 + 1 = 137 calls deep, far inside the interpreter's default recursion
+    limit of 1000.
     """
     sizes = dims.dims + (0,)
     states: Dict[Tuple[int, ...], int] = {(): 1}
@@ -185,16 +189,14 @@ def interval_rank_tuple(dims: QuiverDims, mult: Multiplicities) -> RankTuple:
     vertex gives every rank.
     """
     m = dims.m
-    above = [0] * m  # above[j] = r_{i-1,j} while row i is filled
+    above = [0] * m  # above[j] = r_{i-1,j} while row i is filled, r_ij after
     out = []
     for i in range(m - 1):
         tail = 0
-        row = []
         for j in range(m - 1, i, -1):
             tail += mult.get((i, j), 0)
             above[j] += tail
-            row.append(((i, j), above[j]))
-        out.extend(reversed(row))
+        out += above[i + 1 :]
     return tuple(out)
 
 
@@ -206,13 +208,11 @@ def enumerate_orbits(dims: QuiverDims) -> List[Tuple[RankTuple, Multiplicities]]
     tuple is read off the multiplicities (``interval_rank_tuple``), and no
     two multiplicity vectors may share one.
     """
-    seen: Dict[RankTuple, Multiplicities] = {}
-    for mult in _interval_multiplicities(dims):
-        rt = interval_rank_tuple(dims, mult)
-        if rt in seen:
-            raise AssertionError("two interval multiplicity vectors share a rank tuple")
-        seen[rt] = mult
-    return sorted(seen.items())
+    mults = _interval_multiplicities(dims)
+    orbits = {interval_rank_tuple(dims, mult): mult for mult in mults}
+    if len(orbits) != len(mults):
+        raise AssertionError("two interval multiplicity vectors share a rank tuple")
+    return sorted(orbits.items())
 
 
 def quiver_jm_regular(dims: QuiverDims) -> bool:
@@ -223,7 +223,7 @@ def quiver_jm_regular(dims: QuiverDims) -> bool:
     2k - a - b at vertex k, and 2 zeta = 2k - 2 sum_j j d_j / n, so the two
     agree iff n (a + b) = 2 sum_j j d_j on every run.
     """
-    n, twice = dims.n, 2 * sum(j * d for j, d in enumerate(dims.dims))
+    n, twice = dims.n, 2 * dims.moment
     for t in range(max(dims.dims)):
         start = None
         for k, d in enumerate(dims.dims + (0,)):
@@ -242,7 +242,7 @@ def _toledo_weights(dims: QuiverDims) -> Dict[Tuple[int, int], int]:
 
     On the string, zeta = (n k - sum_j j d_j)/n and h = 2k - a - b at vertex k.
     """
-    n, shift = dims.n, sum(j * d for j, d in enumerate(dims.dims))
+    n, shift = dims.n, dims.moment
     return {
         (a, b): sum((n * k - shift) * (2 * k - a - b) for k in range(a, b + 1))
         for a in range(dims.m)
@@ -250,10 +250,14 @@ def _toledo_weights(dims: QuiverDims) -> Dict[Tuple[int, int], int]:
     }
 
 
+def toledo_numerator(dims: QuiverDims, mult: Multiplicities) -> int:
+    """n rank_T of an orbit: n tr(zeta h) summed over its strings."""
+    return sum(map(mul, map(_toledo_weights(dims).__getitem__, mult), mult.values()))
+
+
 def interval_toledo_rank(dims: QuiverDims, mult: Multiplicities) -> Q:
     """rank_T of an orbit: tr(zeta h) summed over its strings."""
-    weights = _toledo_weights(dims)
-    return Q(sum(c * weights[ab] for ab, c in mult.items()), dims.n)
+    return Q(toledo_numerator(dims, mult), dims.n)
 
 
 class QuiverHiggsTopology:

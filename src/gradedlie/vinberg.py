@@ -82,14 +82,15 @@ def normalized_form(alg: ChevalleyAlgebra, a: Element, b: Element) -> Q:
 
 
 class VinbergPair:
-    """The pair (G_0, g_1) of a grading, with gamma, and its verified triple once found."""
+    """The pair (G_0, g_1) of a grading, with gamma, and its verified triple and Toledo rank once found."""
 
-    __slots__ = ("grading", "gamma", "_triple")
+    __slots__ = ("grading", "gamma", "_triple", "_rank")
 
     def __init__(self, grading: ZGrading, gamma: tuple):
         self.grading = grading
         self.gamma = gamma  # longest root with root space in degree 1
         self._triple: Optional[Sl2Triple] = None
+        self._rank: Optional[Q] = None  # ``pair_rank``
 
     @property
     def algebra(self) -> ChevalleyAlgebra:
@@ -253,8 +254,10 @@ def root_set_triple(pair: VinbergPair) -> Optional[Sl2Triple]:
 
 
 def pair_rank(pair: VinbergPair) -> Q:
-    """rank_T of the pair: chi_T(h)/2 on its triple."""
-    return pair.chi_t(pair.triple().h) / 2
+    """rank_T of the pair: chi_T(h)/2 on its triple, computed once and cached in ``_rank``."""
+    if pair._rank is None:
+        pair._rank = pair.chi_t(pair.triple().h) / 2
+    return pair._rank
 
 
 def jm_regular(pair: VinbergPair) -> bool:

@@ -17,6 +17,7 @@ from gradedlie.quiver import (
     interval_toledo_rank,
     maximal_rank_tuple,
     quiver_jm_regular,
+    rank_pairs,
     rank_tuple,
 )
 from gradedlie.rootsystem import LieType, Root, RootSystem
@@ -158,7 +159,7 @@ def orbit_toledo_rank(dims: QuiverDims, rt: RankTuple) -> Q:
     The string multiplicities are m_ij = r_ij - r_{i-1,j} - r_{i,j+1} +
     r_{i-1,j+1} (with r_ii = d_i and out-of-range ranks 0).
     """
-    r = dict(rt)
+    r = dict(zip(rank_pairs(dims), rt))
 
     def rr(i: int, j: int) -> int:
         if i < 0 or j >= dims.m:

@@ -7,8 +7,13 @@ from pathlib import Path
 
 import pytest
 
+from conftest import SMALL_DIMS
+from test_golden import EXAMPLES, GOLDEN, slug
+
 from gradedlie import cli
-from gradedlie.cli import COMMANDS, cmd_grading, cmd_kac, command_flags, main, q_str, to_rational, usage
+from gradedlie.cli import (
+    COMMANDS, cmd_grading, cmd_kac, cmd_quiver, command_flags, main, q_str, report_json, to_rational, usage,
+)
 from gradedlie.rootsystem import LieType, RootSystem, build_root_system
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -570,3 +575,40 @@ def test_grading_job_builds_no_chevalley_algebra(monkeypatch, capsys):
         assert code == 0
         assert report["results"]["depth"] == 3
         assert report["results"]["piece_dims"]["2"] == 1  # the highest root alone
+
+
+@pytest.mark.parametrize("value", [0.5, {"a": [1, 2.0]}, {1: "a"}, {"a": {2: 3}}, {1, 2}, [{"a": frozenset()}]],
+                         ids=["float", "nested-float", "int-key", "nested-int-key", "set", "nested-frozenset"])
+def test_report_json_refuses_what_json_dumps_would_coerce(value):
+    """``json.dumps`` writes a float, turns an int key into a string and refuses a set; a
+    report holds none of them, so the writer refuses all three, at any depth."""
+    with pytest.raises(TypeError):
+        report_json(value)
+
+
+@pytest.mark.parametrize("argv", EXAMPLES, ids=slug)
+def test_readme_examples_take_no_json_dumps(monkeypatch, capsys, argv):
+    """Every README command writes its golden report with ``json.dumps`` unable to run."""
+
+    def no_dumps(*args, **kwargs):
+        raise AssertionError("json.dumps was called")
+
+    monkeypatch.setattr(json, "dumps", no_dumps)
+    main(argv)
+    assert capsys.readouterr().out == (GOLDEN / f"{slug(argv)}.out").read_text()
+
+
+@pytest.mark.parametrize("dims", SMALL_DIMS + [(1, 1, 2, 2, 1, 1)], ids=lambda dims: ",".join(map(str, dims)))
+def test_quiver_report_builds_no_fraction(monkeypatch, dims):
+    """``quiver`` reports alpha and every Toledo rank from int numerators over n, with
+    ``Fraction`` unable to build, the same report as with it."""
+    expected = cmd_quiver(dims=list(dims))
+
+    def no_fraction(cls, *args, **kwargs):
+        raise AssertionError("a Fraction was built")
+
+    monkeypatch.setattr(fractions.Fraction, "__new__", no_fraction)
+    report = cmd_quiver(dims=list(dims))
+    monkeypatch.undo()
+    assert report == expected
+    assert report_json(report) == json.dumps(expected, indent=2, sort_keys=True)

@@ -97,6 +97,31 @@ def test_element_strs_match_the_dense_coordinates(num, den, dim):
     assert cli.element_strs(e, dim) == cli.q_list(e.dense(dim))
 
 
+# report-shaped values: str keys in any order ("0,10" sorts before "0,2"), text with
+# non-ASCII, quotes, backslashes and control characters, ints past 64 bits, tuples
+report_keys = st.one_of(st.sampled_from(["0,10", "0,2", "0,1", "10,11", "", "é", '"', "\\", "\x00"]), st.text())
+report_scalars = st.one_of(st.none(), st.booleans(), st.integers(-(2**70), 2**70), st.text())
+report_values = st.recursive(
+    report_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(report_keys, inner, max_size=4),
+    ),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=150)
+@given(report_values)
+def test_report_json_matches_json_dumps(value):
+    assert cli.report_json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@given(st.integers(-(2**70), 2**70), st.integers(1, 2**40))
+def test_ratio_str_matches_fraction(num, den):
+    assert cli.ratio_str(num, den) == str(Q(num, den))
+
+
 @settings(max_examples=40)
 @given(st.data())
 def test_solve_residual_is_zero(data):

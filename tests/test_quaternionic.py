@@ -263,3 +263,23 @@ def test_verify_paper_searches_each_pair_once_per_seed(monkeypatch, capsys, argv
     assert set(searches.values()) == {1}
     # three pairs per quaternionic type, one per chain example
     assert len({pair for pair, _ in searches}) == 3 * len(checks.quaternionic_types("--extended" in argv)) + 2
+
+
+@pytest.mark.parametrize("argv", [["verify-paper"], ["verify-paper", "--extended"]])
+def test_verify_paper_evaluates_each_pair_rank_once(monkeypatch, capsys, argv):
+    """``quaternionic`` and ``amw --type`` read the same pairs' ranks (E6 and C3 in both
+    runs); each rank is chi_T(h)/2 on the pair's triple, evaluated once per pair."""
+    evaluated = Counter()
+    chi_t = vinberg.VinbergPair.chi_t
+
+    def spy(pair, x):
+        if pair._triple is not None and x == pair._triple.h:
+            evaluated[pair] += 1  # the Counter keeps every pair alive, so none is confused with another
+        return chi_t(pair, x)
+
+    monkeypatch.setattr(vinberg.VinbergPair, "chi_t", spy)
+    build_quaternionic.cache_clear()  # cached pairs would hold their ranks already
+    assert main(argv) == 0
+    # the pairs of g_1 and g_{-2} of every quaternionic type
+    assert len(evaluated) == 2 * len(checks.quaternionic_types("--extended" in argv))
+    assert set(evaluated.values()) == {1}

@@ -36,9 +36,15 @@ from gradedlie.quiver import (
     maximal_rank_tuple,
     orbit_count,
     quiver_jm_regular,
+    rank_pairs,
     rank_tuple,
     toledo_invariant,
 )
+
+
+def by_pair(d, rt):
+    """A rank tuple as (i, j) -> r_ij."""
+    return dict(zip(rank_pairs(d), rt))
 
 
 def test_dims_validation():
@@ -56,7 +62,7 @@ def test_alpha():
 def test_rank_tuple_zero_element():
     d = QuiverDims((1, 1, 1))
     zero = tuple(RationalMatrix([[0]]) for _ in range(2))
-    assert all(r == 0 for _, r in rank_tuple(d, zero))
+    assert all(r == 0 for r in rank_tuple(d, zero))
 
 
 def test_rank_tuple_canonical_is_maximal():
@@ -69,7 +75,7 @@ def test_rank_tuple_212():
     d = QuiverDims((2, 1, 2))
     f0 = RationalMatrix([[1, 0]])
     f1 = RationalMatrix([[1], [0]])
-    assert dict(rank_tuple(d, (f0, f1))) == {(0, 1): 1, (1, 2): 1, (0, 2): 1}
+    assert by_pair(d, rank_tuple(d, (f0, f1))) == {(0, 1): 1, (1, 2): 1, (0, 2): 1}
 
 
 def test_canonical_element_shapes():
@@ -80,20 +86,20 @@ def test_canonical_element_shapes():
 
 
 def test_enumerate_orbits_11():
-    orbits = enumerate_orbits(QuiverDims((1, 1)))
-    assert [dict(rt)[(0, 1)] for rt, _ in orbits] == [0, 1]
+    d = QuiverDims((1, 1))
+    assert [by_pair(d, rt)[(0, 1)] for rt, _ in enumerate_orbits(d)] == [0, 1]
 
 
 def test_enumerate_orbits_21():
-    orbits = enumerate_orbits(QuiverDims((2, 1)))
-    assert [dict(rt)[(0, 1)] for rt, _ in orbits] == [0, 1]
+    d = QuiverDims((2, 1))
+    assert [by_pair(d, rt)[(0, 1)] for rt, _ in enumerate_orbits(d)] == [0, 1]
 
 
 def test_enumerate_orbits_111():
     # rank of a composition through a 1-dimensional middle space is forced,
     # so (r01, r12, r02) = (1, 1, 0) is infeasible: 4 orbits
     d = QuiverDims((1, 1, 1))
-    orbits = {tuple(dict(rt)[k] for k in ((0, 1), (1, 2), (0, 2))) for rt, _ in enumerate_orbits(d)}
+    orbits = {tuple(by_pair(d, rt)[k] for k in ((0, 1), (1, 2), (0, 2))) for rt, _ in enumerate_orbits(d)}
     assert orbits == {(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 1)}
 
 
