@@ -8,6 +8,8 @@ smallest first member, and its constant is +(p+1) where p is the length of the
 descending alpha-string through beta.  The other positive-pair constants follow
 from the Jacobi identity in height order, and ``StructureConstants._set`` writes
 each into the bracket table once, with the eleven constants its sign rules fix.
+``StructureConstants`` is the table's one writer: it adds the Cartan action and
+the coroots [e_alpha, e_-alpha] = h_alpha, so the table's layout lives here.
 
 Roots enter as their integer codes (``RootSystem.codes``), so the constants,
 the table and its certificate add, negate and compare ints, not root tuples.
@@ -28,11 +30,12 @@ This follows the sparse structure-constant computations of de Graaf, *Lie
 Algebras: Theory and Algorithms* (2000).  ``bracket`` is the oracle for
 ``ad_block``; the Killing Gram matrix, a test oracle, has int rows too.
 
-The build verifies |N| = p+1 on every special pair and certifies the Jacobi
-identity on the whole table, at every dimension, before returning: ad_g is a
-derivation for each generator g in {e_1, ..., e_r, f_theta}, and iterated
-brackets of those generators reach every basis vector (see
-``ChevalleyAlgebra._verify_jacobi``).
+The build certifies the table before returning, at every dimension: |N| = p+1 on
+every special pair; the Jacobi identity, as ad_g is a derivation for each generator
+g in {e_1, ..., e_r, f_theta} and iterated brackets of those generators reach every
+basis vector (``ChevalleyAlgebra._verify_jacobi``); then the Cartan action, row h_i
+against column i of the Cartan matrix (``_verify_cartan_action``), here once per
+algebra, so a grading on the algebra reads nothing of its table.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from collections import defaultdict
 from fractions import Fraction as Q
 from functools import cached_property, lru_cache
 from math import gcd, lcm
+from operator import mul
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .linalg import RationalMatrix, kernel_basis
@@ -125,7 +129,8 @@ class Element:
 
 class StructureConstants:
     """N_{alpha,beta} (Python ints) for all root pairs with alpha+beta a root, on root codes,
-    written into ``rows``: rows[i][j] = [b_i, b_j] on basis indices, absent when zero."""
+    and every entry of the bracket table ``rows``: rows[i][j] = [b_i, b_j] on basis
+    indices, absent when zero."""
 
     def __init__(self, rs: RootSystem):
         self.rs = rs
@@ -136,6 +141,8 @@ class StructureConstants:
         # N_{a,b} once per pair of positive codes with a root sum, a before b in order
         self.table: Dict[Tuple[int, int], int] = {}
         self._fill()
+        self._fill_cartan()
+        self._shared.clear()  # the table is complete
 
     def _string_down(self, a: int, b: int) -> int:
         """p = max k with b - k*a a root, on codes."""
@@ -165,6 +172,23 @@ class StructureConstants:
                 t1 = value(b, -a1) * value(a, b - a1)
                 t2 = value(-a1, a) * value(b, a - a1)
                 self._set(a, b, exact_div(-(t1 + t2), n_neg))
+
+    def _fill_cartan(self):
+        """Write [h_i, e_alpha] = <alpha, alpha_i^vee> e_alpha, from the nonzero Cartan
+        entries, and [e_alpha, e_-alpha] = h_alpha."""
+        rs, index, put = self.rs, self.index, self._put
+        cartan = [[(i, c) for i, c in enumerate(row) if c] for row in rs.cartan]
+        for col, alpha in enumerate(rs.roots, rs.rank):
+            pairing = [0] * rs.rank
+            for k, a in enumerate(alpha):
+                for i, c in cartan[k] if a else ():
+                    pairing[i] += a * c
+            for i, c in enumerate(pairing):
+                if c:
+                    put(i, col, ((col, c),))
+        for alpha in rs.positive_roots:
+            coroot = tuple((k, c) for k, c in enumerate(rs.coroots[alpha]) if c)
+            put(index[rs.codes[alpha]], index[-rs.codes[alpha]], coroot)
 
     def _set(self, a: int, b: int, n: int):
         """Write N_{a,b} = n of a positive pair and the eleven constants it fixes (Carter
@@ -232,10 +256,10 @@ class ChevalleyAlgebra:
         self.constants = StructureConstants(rs)
         # _rows[i][j] = [b_i, b_j]; absent when the bracket is zero
         self._rows = self.constants.rows
-        self._build_table()
         self._killing_gram: Optional[RationalMatrix] = None
         self.constants.verify_string_lengths()
         self._verify_jacobi()
+        self._verify_cartan_action()
 
     # -- basis bookkeeping ------------------------------------------------
 
@@ -259,28 +283,6 @@ class ChevalleyAlgebra:
         return self.cartan_element(self.rs.coroots[alpha])
 
     # -- bracket ----------------------------------------------------------
-
-    def _build_table(self):
-        """Add the Cartan and coroot entries to the rows, which hold every root pair."""
-        rs, r = self.rs, self.rank
-        index, put = self.constants.index, self.constants._put
-        # [h_i, e_alpha] = <alpha, alpha_i^vee> e_alpha, from the nonzero Cartan entries
-        cartan = [[(i, c) for i, c in enumerate(row) if c] for row in rs.cartan]
-        for col, alpha in enumerate(rs.roots, r):
-            pairing = [0] * r
-            for k, a in enumerate(alpha):
-                for i, c in cartan[k] if a else ():
-                    pairing[i] += a * c
-            for i, c in enumerate(pairing):
-                if c:
-                    put(i, col, ((col, c),))
-        for alpha in rs.positive_roots:  # [e_alpha, e_-alpha] = h_alpha
-            coroot = tuple((k, c) for k, c in enumerate(rs.coroots[alpha]) if c)
-            put(self.root_index[alpha], index[-rs.codes[alpha]], coroot)
-        self.constants._shared.clear()  # the table is complete
-
-    def basis_bracket(self, i: int, j: int) -> Dict[int, int]:
-        return dict(self._rows[i].get(j, ()))
 
     def bracket(self, a: Element, b: Element) -> Element:
         """[a, b], summed in Python ints over the product of the denominators."""
@@ -453,6 +455,16 @@ class ChevalleyAlgebra:
             raise AssertionError(
                 f"the generators reach only {len(reached)} of {self.dim} basis vectors"
             )
+
+    def _verify_cartan_action(self):
+        """Row h_i is {e_alpha: <alpha, alpha_i^vee> e_alpha} over the nonzero pairings, with
+        no Cartan key, each pairing read off column i of the Cartan matrix (the writer walks
+        its sparse rows).  On the alternating table this fixes ad h for h in the Cartan."""
+        roots, r = self.rs.roots, self.rank
+        for i, column in enumerate(zip(*self.rs.cartan)):
+            pairings = [sum(map(mul, alpha, column)) for alpha in roots]
+            if self._rows[i] != {col: ((col, c),) for col, c in enumerate(pairings, r) if c}:
+                raise AssertionError(f"the Cartan action on h_{i} differs from the Cartan matrix")
 
 
 @lru_cache(maxsize=None)

@@ -224,11 +224,10 @@ def complete_triple(pair: VinbergPair, e: Element, h: Element) -> Optional[Sl2Tr
 
 
 def root_set_triple(pair: VinbergPair) -> Optional[Sl2Triple]:
-    """The verified triple (h, e, f) with e = sum of e_beta over a set S of degree-1 roots
-    in an open orbit, no beta - beta' a root; None when greedy passes (highest root first,
-    each starting one root later) find no S.  S is independent: its roots lie in one degree
-    with pairwise products <= 0.  So sum_beta c_beta <beta', beta^vee> = 2 on S has one
-    solution, h = sum c_beta h_beta and f = sum c_beta e_{-beta}."""
+    """The verified triple of ``set_triple`` on a set S of degree-1 roots in an open orbit,
+    no beta - beta' a root; None when greedy passes (highest root first, each starting one
+    root later) find no S.  S is independent: its roots lie in one degree with pairwise
+    products <= 0."""
     alg, rs = pair.algebra, pair.algebra.rs
     roots = sorted(map(alg.basis_root, pair.grading.piece(1)), key=lambda a: (sum(a), a), reverse=True)
     target = len(roots)
@@ -236,21 +235,26 @@ def root_set_triple(pair: VinbergPair) -> Optional[Sl2Triple]:
         chosen, dim = [], 0
         for beta in roots[start:] + roots[:start]:
             if dim < target and all(rs.codes[beta] - rs.codes[b] not in rs.lengths for b in chosen):
-                e = Element({alg.root_index[b]: 1 for b in chosen + [beta]})
-                d = orbit_dimension(pair, e)
+                d = orbit_dimension(pair, Element({alg.root_index[b]: 1 for b in chosen + [beta]}))
                 if d > dim:
-                    chosen, dim, e_s = chosen + [beta], d, e
+                    chosen, dim = chosen + [beta], d
         if dim == target:
-            break
-    else:
-        return None
-    coroots = [rs.coroots[b] for b in chosen]
-    pairings = [[rs.pairing(b, j) for j in range(alg.rank)] for b in chosen]  # <beta', alpha_j^vee>
-    # nonsingular, as S is independent
-    num, den = solve(RationalMatrix([sum(map(mul, v, p)) for v in coroots] for p in pairings), [2] * len(chosen))
+            return set_triple(alg, chosen)
+    return None
+
+
+def set_triple(alg: ChevalleyAlgebra, roots: list) -> Sl2Triple:
+    """The verified triple (h, e, f) with e = sum of e_beta over an independent root set S:
+    sum_beta c_beta <beta', beta^vee> = 2 on S is nonsingular, and its one solution gives
+    h = sum c_beta h_beta and f = sum c_beta e_{-beta}."""
+    rs = alg.rs
+    coroots = [rs.coroots[b] for b in roots]
+    pairings = [[rs.pairing(b, j) for j in range(alg.rank)] for b in roots]  # <beta', alpha_j^vee>
+    num, den = solve(RationalMatrix([sum(map(mul, v, p)) for v in coroots] for p in pairings), [2] * len(roots))
+    e = Element({alg.root_index[b]: 1 for b in roots})
     h = Element({k: sum(n * v[k] for n, v in zip(num, coroots)) for k in range(alg.rank)}, den)
-    f = Element({alg.root_index[tuple(-x for x in b)]: n for b, n in zip(chosen, num)}, den)
-    return Sl2Triple(h=h, e=e_s, f=f).verify(alg)
+    f = Element({alg.root_index[tuple(-x for x in b)]: n for b, n in zip(roots, num)}, den)
+    return Sl2Triple(h=h, e=e, f=f).verify(alg)
 
 
 def pair_rank(pair: VinbergPair) -> Q:

@@ -40,6 +40,25 @@ def chain_root(i: int, j: int, rank: int):
     return tuple(int(i <= k + 1 < j) for k in range(rank))
 
 
+# Dynkin diagram automorphisms, as node -> image node (0-based, Bourbaki numbering)
+DIAGRAM_AUTOMORPHISMS = {
+    "A2": (1, 0),
+    "A3": (2, 1, 0),
+    "A4": (3, 2, 1, 0),
+    "A5": (4, 3, 2, 1, 0),
+    "D4": (2, 1, 3, 0),  # triality: 1 -> 3 -> 4 -> 1, the centre 2 fixed
+    "E6": (5, 1, 4, 3, 2, 0),  # 1 <-> 6, 3 <-> 5
+}
+
+
+def moved_labels(sigma, labels):
+    """The labels moved by the diagram automorphism sigma: label i lands on node sigma[i]."""
+    moved = [0] * len(labels)
+    for i, target in enumerate(sigma):
+        moved[target] = labels[i]
+    return moved
+
+
 # types whose highest-root (quaternionic) gradings the tests build
 TYPE_LIST = ["A2", "A3", "B3", "C2", "C3", "D4", "G2", "F4", "E6"]
 

@@ -81,6 +81,32 @@ def string_representative(dims: QuiverDims, mult: Multiplicities) -> QuiverEleme
     return maps
 
 
+def interval_end_dimension(mult: Multiplicities) -> int:
+    """dim End(M) of M = sum m_I I over interval modules: sum m_I m_J over the pairs with
+    Hom(I, J) != 0, each such Hom one-dimensional.  With the arrows V_k -> V_{k+1}, the
+    submodules of [a, b] are the [e, b] and its quotients the [a, e], so a map
+    [a, b] -> [c, d] is nonzero iff c <= a <= d <= b."""
+    return sum(x * y for (a, b), x in mult.items() for (c, d), y in mult.items() if c <= a <= d <= b)
+
+
+def quiver_end_dimension(dims: QuiverDims, elem: QuiverElement) -> int:
+    """dim End(M) of the representation elem, densely: the kernel dimension of
+    (phi_k) -> (phi_{k+1} f_k - f_k phi_k) on the block tuples phi_k in gl(d_k)."""
+    d = dims.dims
+    offset = [sum(x * x for x in d[:k]) for k in range(dims.m + 1)]
+    rows = []
+    for k, f in enumerate(elem):
+        for a in range(d[k + 1]):
+            for c in range(d[k]):
+                row = [0] * offset[-1]
+                for b in range(d[k + 1]):  # (phi_{k+1} f_k)[a][c]
+                    row[offset[k + 1] + a * d[k + 1] + b] += f[b][c]
+                for b in range(d[k]):  # -(f_k phi_k)[a][c]
+                    row[offset[k] + b * d[k] + c] -= f[a][b]
+                rows.append(row)
+    return offset[-1] - rank(RationalMatrix(rows, offset[-1]))
+
+
 def canonical_open_element(dims: QuiverDims) -> QuiverElement:
     """Identity-block maps; realizes the maximal rank tuple."""
     return tuple(
@@ -408,6 +434,11 @@ def bareiss_solve(m: RationalMatrix, b: Sequence) -> Optional[Vector]:
 # -- dense Fraction bracket and form, projections, basis vectors, root counts --
 
 
+def basis_bracket(alg: ChevalleyAlgebra, i: int, j: int) -> Dict[int, int]:
+    """[b_i, b_j] as basis index -> coefficient, read straight off the bracket table."""
+    return dict(alg._rows[i].get(j, ()))
+
+
 def fraction_bracket(alg: ChevalleyAlgebra, a: Sequence, b: Sequence) -> Vector:
     """[a, b] accumulated coordinate by coordinate in Fractions."""
     if len(a) != alg.dim or len(b) != alg.dim:
@@ -419,7 +450,7 @@ def fraction_bracket(alg: ChevalleyAlgebra, a: Sequence, b: Sequence) -> Vector:
             continue
         ai = Q(ai)
         for j, bj in b_support:
-            for k, c in alg.basis_bracket(i, j).items():
+            for k, c in basis_bracket(alg, i, j).items():
                 out[k] = out.get(k, Q(0)) + ai * bj * c
     return tuple(out.get(i, Q(0)) for i in range(alg.dim))
 

@@ -10,10 +10,10 @@ import pytest
 
 from gradedlie.chevalley import Element, build_algebra
 from gradedlie.linalg import RationalMatrix, solve
-from oracles import bar_pieces, fractions_of
+from conftest import DIAGRAM_AUTOMORPHISMS, moved_labels
+from oracles import bar_pieces, basis_bracket, fractions_of
 
 from gradedlie.grading import (
-    _verify_grading_element,
     _verify_root_grading,
     kac_labels,
     kac_lift_check,
@@ -64,7 +64,7 @@ def test_grading_closure(name, labels):
         for k, idy in zg.pieces.items():
             for i in idx:
                 for l in idy:
-                    for target, c in alg.basis_bracket(i, l).items():
+                    for target, c in basis_bracket(alg, i, l).items():
                         if c:
                             assert degree[target] == j + k
 
@@ -80,17 +80,6 @@ def test_zeta_eigenvalues(name, labels):
 
 
 @pytest.mark.parametrize(
-    "name,labels,other", [("A2", [1, 0], [0, 1]), ("G2", [0, 1], [1, 1]), ("A3", [1, 0, 1], [1, 1, 1])]
-)
-def test_grading_element_check_rejects_other_zeta(name, labels, other):
-    alg = build_algebra(LieType.parse(name))
-    zg = z_grading_from_labels(alg, labels)
-    zg.zeta = z_grading_from_labels(alg, other).zeta
-    with pytest.raises(AssertionError, match=r"^grading element eigenvalue check failed at degree -?\d+$"):
-        _verify_grading_element(zg)
-
-
-@pytest.mark.parametrize(
     "name", ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "G2", "F4"]
 )
 def test_root_level_grading_matches_the_bracket_table(name):
@@ -100,7 +89,7 @@ def test_root_level_grading_matches_the_bracket_table(name):
     alg = build_algebra(LieType.parse(name))
     r = alg.rank
     simple = [alg.root_index[tuple(int(k == l) for l in range(r))] for k in range(r)]
-    ad_simple = RationalMatrix([[alg.basis_bracket(i, e).get(e, 0) for i in range(r)] for e in simple])
+    ad_simple = RationalMatrix([[basis_bracket(alg, i, e).get(e, 0) for i in range(r)] for e in simple])
     basis = [alg.from_sparse({i: 1}) for i in range(alg.dim)]
     for labels in product((0, 1), repeat=r):
         if not any(labels):
@@ -117,7 +106,6 @@ def test_root_level_grading_matches_the_bracket_table(name):
         assert g.zeta.dense(alg.dim) == zeta.dense(alg.dim), labels
         zg = z_grading_from_labels(alg, labels)
         assert (zg.pieces, zg.zeta) == (g.pieces, g.zeta)
-        _verify_grading_element(zg)
 
 
 @pytest.mark.parametrize(
@@ -179,17 +167,6 @@ def test_grading_element_off_the_cartan_is_refused():
         _verify_root_grading(rs, g)
 
 
-# Dynkin diagram automorphisms, as node -> image node (0-based, Bourbaki numbering)
-DIAGRAM_AUTOMORPHISMS = {
-    "A2": (1, 0),
-    "A3": (2, 1, 0),
-    "A4": (3, 2, 1, 0),
-    "A5": (4, 3, 2, 1, 0),
-    "D4": (2, 1, 3, 0),  # triality: 1 -> 3 -> 4 -> 1, the centre 2 fixed
-    "E6": (5, 1, 4, 3, 2, 0),  # 1 <-> 6, 3 <-> 5
-}
-
-
 @pytest.mark.parametrize("name", sorted(DIAGRAM_AUTOMORPHISMS))
 def test_labels_moved_by_a_diagram_automorphism(name):
     """Metamorphic: on labels in {0, 1, 2}, moving the labels by a diagram
@@ -202,10 +179,7 @@ def test_labels_moved_by_a_diagram_automorphism(name):
     for labels in product((0, 1, 2), repeat=r):
         if not any(labels):
             continue
-        moved = [0] * r
-        for i, target in enumerate(sigma):
-            moved[target] = labels[i]
-        g, h = root_grading(rs, labels), root_grading(rs, moved)
+        g, h = root_grading(rs, labels), root_grading(rs, moved_labels(sigma, labels))
         assert h.dims() == g.dims(), labels
         assert [h.zeta[sigma[i]] for i in range(r)] == [g.zeta[i] for i in range(r)], labels
 

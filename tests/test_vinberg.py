@@ -9,16 +9,27 @@ from operator import sub
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import SMALL_DIMS, TYPE_LIST, embed_quiver_element, quiver_grading
+from conftest import (
+    DIAGRAM_AUTOMORPHISMS,
+    SMALL_DIMS,
+    TYPE_LIST,
+    embed_quiver_element,
+    moved_labels,
+    quiver_grading,
+)
 from oracles import (
     block_jm_regular,
     chi_t_killing,
     fraction_bracket,
     fraction_normalized_form,
+    interval_end_dimension,
     is_normalised,
     orbit_toledo_rank,
     project,
+    quiver_end_dimension,
     root_vector,
     string_representative,
     toledo_rank,
@@ -32,10 +43,12 @@ from gradedlie.quaternionic import build_quaternionic
 from gradedlie.quiver import (
     QuiverDims,
     enumerate_orbits,
+    interval_toledo_rank,
     maximal_rank_tuple,
 )
 from gradedlie.rootsystem import LieType
 from gradedlie.vinberg import (
+    Sl2Triple,
     complete_triple,
     dual_toledo_factor,
     generic_element,
@@ -47,6 +60,7 @@ from gradedlie.vinberg import (
     pair_rank,
     regrade,
     root_set_triple,
+    set_triple,
     vinberg_pair,
 )
 
@@ -508,3 +522,69 @@ def test_rank_monotonicity_on_orbits(dims):
         is_open = orbit_dimension(pair, e) == len(pair.grading.piece(1))
         assert (r == open_rank) == is_open
         assert is_open == (rt == maximal)
+
+
+# -- diagram automorphisms ---------------------------------------------------
+
+
+def pair_verdicts(alg, labels):
+    """(rank_T, JM verdict) of the grading's degree-1 pair; None when it has no degree-1 piece."""
+    zg = z_grading_from_labels(alg, list(labels))
+    if not zg.piece(1):
+        return None
+    pair = vinberg_pair(zg)
+    return pair_rank(pair), jm_regular(pair)
+
+
+@pytest.mark.parametrize("name", ["A2", "A3", "A4"])
+def test_diagram_automorphism_keeps_rank_and_jm_verdict(name):
+    """rank_T and the JM verdict on every label vector in {0, 1, 2} equal those of the
+    labels reversed."""
+    alg = build_algebra(LieType.parse(name))
+    verdicts = {labels: pair_verdicts(alg, labels) for labels in product((0, 1, 2), repeat=alg.rank) if any(labels)}
+    assert sum(v is not None for v in verdicts.values()) > len(verdicts) // 2
+    for labels, verdict in verdicts.items():
+        assert verdicts[tuple(moved_labels(DIAGRAM_AUTOMORPHISMS[name], labels))] == verdict, labels
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_diagram_automorphism_keeps_rank_and_jm_verdict_drawn(data):
+    """The same on drawn labels of A5 (reversal), D4 (triality) and E6 (1 <-> 6, 3 <-> 5)."""
+    name = data.draw(st.sampled_from(["A5", "D4", "E6"]))
+    alg = build_algebra(LieType.parse(name))
+    labels = data.draw(st.lists(st.integers(0, 2), min_size=alg.rank, max_size=alg.rank).filter(any))
+    moved = moved_labels(DIAGRAM_AUTOMORPHISMS[name], labels)
+    assert pair_verdicts(alg, moved) == pair_verdicts(alg, labels), (name, labels)
+
+
+# -- every quiver orbit against the Chevalley side ---------------------------
+
+
+@pytest.mark.parametrize("dims", SMALL_DIMS)
+def test_hom_rule_matches_a_dense_centralizer(dims):
+    """dim End(M) by the Hom rule on intervals equals the dense kernel of phi -> phi f - f phi
+    on every orbit's string representative."""
+    qd = QuiverDims(dims)
+    for _, mult in enumerate_orbits(qd):
+        assert interval_end_dimension(mult) == quiver_end_dimension(qd, string_representative(qd, mult)), mult
+
+
+@pytest.mark.parametrize("dims", SMALL_DIMS + [(2, 2, 2), (2, 2, 3), (1, 2, 3, 2, 1)])
+def test_every_quiver_orbit_on_its_root_set_triple(dims):
+    """Each orbit's string representative, embedded in the block grading of sl_n, is the sum
+    of e_beta over its support S, a partial permutation and so difference-free.  The explicit
+    triple on S has chi_T(h)/2 = interval_toledo_rank, and the orbit dimension is
+    sum d_j^2 - dim End(M)."""
+    qd = QuiverDims(dims)
+    pair = vinberg_pair(quiver_grading(qd))
+    alg, rs = pair.algebra, pair.algebra.rs
+    squares = sum(d * d for d in dims)
+    for _, mult in enumerate_orbits(qd):
+        e = embed_quiver_element(pair.grading, qd, string_representative(qd, mult))
+        roots = [alg.basis_root(i) for i in e.num]
+        assert all(rs.codes[a] - rs.codes[b] not in rs.lengths for a in roots for b in roots)
+        triple = set_triple(alg, roots) if roots else Sl2Triple(e, e, e)  # the zero orbit: e = 0
+        assert triple.e == e
+        assert pair.chi_t(triple.h) / 2 == interval_toledo_rank(qd, mult), mult
+        assert orbit_dimension(pair, e) == squares - interval_end_dimension(mult), mult
