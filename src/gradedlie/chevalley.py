@@ -7,9 +7,10 @@ fixed by the extraspecial-pair convention: positive roots are ordered by
 smallest first member, and its constant is +(p+1) where p is the length of the
 descending alpha-string through beta.  The other positive-pair constants follow
 from the Jacobi identity in height order, and ``StructureConstants._set`` writes
-each into the bracket table once, with the eleven constants its sign rules fix.
-``StructureConstants`` is the table's one writer: it adds the Cartan action and
-the coroots [e_alpha, e_-alpha] = h_alpha, so the table's layout lives here.
+each into the bracket table once, with the eleven constants its sign rules fix;
+the rows are the constants' only record.  ``StructureConstants``, the table's one
+writer, adds the Cartan action from the root pass's pairing vectors and the
+coroots [e_alpha, e_-alpha] = h_alpha, so the table's layout lives here.
 
 Roots enter as their integer codes (``RootSystem.codes``), so the constants,
 the table and its certificate add, negate and compare ints, not root tuples.
@@ -31,11 +32,11 @@ Algebras: Theory and Algorithms* (2000).  ``bracket`` is the oracle for
 ``ad_block``; the Killing Gram matrix, a test oracle, has int rows too.
 
 The build certifies the table before returning, at every dimension: |N| = p+1 on
-every special pair; the Jacobi identity, as ad_g is a derivation for each generator
-g in {e_1, ..., e_r, f_theta} and iterated brackets of those generators reach every
-basis vector (``ChevalleyAlgebra._verify_jacobi``); then the Cartan action, row h_i
-against column i of the Cartan matrix (``_verify_cartan_action``), here once per
-algebra, so a grading on the algebra reads nothing of its table.
+every special pair of the rows; the Jacobi identity, as ad_g is a derivation for each
+generator g in {e_1, ..., e_r, f_theta} and iterated brackets of those generators reach
+every basis vector (``ChevalleyAlgebra._verify_jacobi``); then the Cartan action, row h_i
+against column i of the Cartan matrix, not the writer's pass (``_verify_cartan_action``),
+here once per algebra, so a grading on the algebra reads nothing of its table.
 """
 
 from __future__ import annotations
@@ -128,9 +129,8 @@ class Element:
 
 
 class StructureConstants:
-    """N_{alpha,beta} (Python ints) for all root pairs with alpha+beta a root, on root codes,
-    and every entry of the bracket table ``rows``: rows[i][j] = [b_i, b_j] on basis
-    indices, absent when zero."""
+    """The bracket table ``rows``, rows[i][j] = [b_i, b_j] on basis indices (absent when zero),
+    the one record of each N_{alpha,beta}; ``_value`` reads one back on root codes."""
 
     def __init__(self, rs: RootSystem):
         self.rs = rs
@@ -138,8 +138,6 @@ class StructureConstants:
         self.index = {c: i for i, c in enumerate(rs.codes.values(), rs.rank)}  # root code -> basis index
         self.rows: List[Dict[int, Terms]] = [{} for _ in range(rs.dim_algebra)]
         self._shared: Dict[Terms, Tuple[Terms, Terms]] = {}  # equal brackets share one tuple
-        # N_{a,b} once per pair of positive codes with a root sum, a before b in order
-        self.table: Dict[Tuple[int, int], int] = {}
         self._fill()
         self._fill_cartan()
         self._shared.clear()  # the table is complete
@@ -174,18 +172,14 @@ class StructureConstants:
                 self._set(a, b, exact_div(-(t1 + t2), n_neg))
 
     def _fill_cartan(self):
-        """Write [h_i, e_alpha] = <alpha, alpha_i^vee> e_alpha, from the nonzero Cartan
-        entries, and [e_alpha, e_-alpha] = h_alpha."""
+        """Write [h_i, e_alpha] = <alpha, alpha_i^vee> e_alpha in root order, from the root pass's
+        pairing vectors (negated for a negative root), and [e_alpha, e_-alpha] = h_alpha."""
         rs, index, put = self.rs, self.index, self._put
-        cartan = [[(i, c) for i, c in enumerate(row) if c] for row in rs.cartan]
-        for col, alpha in enumerate(rs.roots, rs.rank):
-            pairing = [0] * rs.rank
-            for k, a in enumerate(alpha):
-                for i, c in cartan[k] if a else ():
-                    pairing[i] += a * c
+        pos = [pairing for _, _, pairing in rs.root_data]
+        for col, (sign, pairing) in enumerate([(-1, p) for p in reversed(pos)] + [(1, p) for p in pos], rs.rank):
             for i, c in enumerate(pairing):
                 if c:
-                    put(i, col, ((col, c),))
+                    put(i, col, ((col, sign * c),))
         for alpha in rs.positive_roots:
             coroot = tuple((k, c) for k, c in enumerate(rs.coroots[alpha]) if c)
             put(index[rs.codes[alpha]], index[-rs.codes[alpha]], coroot)
@@ -195,7 +189,6 @@ class StructureConstants:
         1972, 4.1): N_{x,y} / |z|^2 is one value on the rotations (x, y, z) of the
         zero-sum triple (a, b, -a-b), N_{y,x} = -N_{x,y} and N_{-x,-y} = -N_{x,y}."""
         ell, index, put = self._ell, self.index, self._put
-        self.table[a, b] = n
         c = -a - b
         for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
             n_xy = exact_div(n * ell[z], ell[c])
@@ -225,20 +218,19 @@ class StructureConstants:
             raise AssertionError(f"N({self._root(a)},{self._root(b)}) is read before it is written")
         return terms[0][1]
 
-    def value(self, a: Root, b: Root) -> int:
-        """N_{a,b} of two root tuples; zero when a+b is not a root."""
-        codes = self.rs.codes
-        return self._value(codes[a], codes[b]) if a in codes and b in codes else 0
-
     def _root(self, code: int) -> Root:
         return next(a for a, c in self.rs.codes.items() if c == code)
 
     def verify_string_lengths(self):
-        """|N_{alpha,beta}| = p+1 on every positive special pair."""
-        for (a, b), n in self.table.items():
-            p = self._string_down(a, b)
-            if abs(n) != p + 1:
-                raise AssertionError(f"bad constant N({self._root(a)},{self._root(b)}) = {n}, p = {p}")
+        """|N_{alpha,beta}| = p+1 on each entry [e_alpha, e_beta] = N e_{alpha+beta} of the rows with
+        0 < alpha before beta in basis order: once per positive special pair (p is symmetric)."""
+        code = dict(zip(self.index.values(), self.index))  # basis index -> root code
+        for y, a in code.items():
+            for z, terms in self.rows[y].items() if a > 0 else ():
+                if z > y:
+                    n, p = terms[0][1], self._string_down(a, code[z])
+                    if abs(n) != p + 1:
+                        raise AssertionError(f"bad constant N({self._root(a)},{self._root(code[z])}) = {n}, p = {p}")
 
 
 class ChevalleyAlgebra:
@@ -458,8 +450,8 @@ class ChevalleyAlgebra:
 
     def _verify_cartan_action(self):
         """Row h_i is {e_alpha: <alpha, alpha_i^vee> e_alpha} over the nonzero pairings, with
-        no Cartan key, each pairing read off column i of the Cartan matrix (the writer walks
-        its sparse rows).  On the alternating table this fixes ad h for h in the Cartan."""
+        no Cartan key, each pairing read off column i of the Cartan matrix (the writer reads
+        the root pass's pairing vectors).  On the alternating table this fixes ad h for h in the Cartan."""
         roots, r = self.rs.roots, self.rank
         for i, column in enumerate(zip(*self.rs.cartan)):
             pairings = [sum(map(mul, alpha, column)) for alpha in roots]

@@ -5,9 +5,9 @@ quaternionic, cayley) plus ``verify-paper``, which runs the table of paper
 checks and exits 1 on any mismatch.  Each row of that table names the argvs
 of the other commands that reproduce its claim; ``verify-paper`` runs each
 distinct argv once, through the same tokenizer, typed fields and handler as
-the command line, so any row can be rerun by hand.  Reports are emitted
-as JSON (default) or text; every rational is serialized as an exact "p/q"
-string, never as a float.  One writer, ``report_json``, emits every JSON report
+the command line, and writes a failing row's argvs to stderr, so any row can
+be rerun by hand.  Reports are JSON (default) or text; every rational is an
+exact "p/q" string, never a float.  One writer, ``report_json``, emits every JSON report
 with the bytes of ``json.dumps(report, indent=2, sort_keys=True)`` but none of
 its pure-Python encoder, and refuses a float.  Input takes one path: ``FIELDS``
 gives each flag its config key, parser and default (None where the handler
@@ -359,6 +359,10 @@ def cmd_verify_paper(seed: int, extended: bool, **_) -> Dict[str, Any]:
     witness = results_of(rows["cayley-222"].argvs[0]).get("witness")
     if witness is not None:
         results["witness_222"] = witness
+    for row_id, _, expected, actual in checks:
+        if expected != actual:
+            reruns = "; ".join("gradedlie " + " ".join(argv) for argv in rows[row_id].argvs)
+            print(f"[FAIL] {row_id}: {reruns}", file=sys.stderr)
     return make_report("verify-paper", {"seed": seed, "extended": extended}, results, checks)
 
 
@@ -420,8 +424,8 @@ def parse_argv(argv: List[str]):
 
     The grammar is ``[--config PATH] COMMAND [--flag VALUE | --flag=VALUE |
     --switch]...``; a flag's separate value may be any token that does not
-    start with ``--``, and a switch's value is True.  The command is None when
-    argv names none.
+    start with ``--``, a switch's value is True, and no flag is given twice.
+    The command is None when argv names none.
     """
 
     def flag_value(flag: str, inline: Optional[str], rest: List[str]) -> str:
@@ -453,6 +457,8 @@ def parse_argv(argv: List[str]):
                 raise ValueError(f"unexpected argument {token!r}")
             raise ValueError(f"{command} takes no flag {flag}")
         field = FIELDS[flag]
+        if field.key in flags:
+            raise ValueError(f"{flag} given twice")
         if field.parse is to_switch:
             if eq:
                 raise ValueError(f"{flag} takes no value")

@@ -13,7 +13,8 @@ root in whose Weyl orbit the pass reached it.  The invariant form, normalised
 so that the highest root has squared length 2, is read off them:
 (alpha_i, alpha_j) = c_ij ell_j / L, so a root's norm is 2 ell(alpha) / L, and
 ``form_value`` and ``norm`` build one Fraction each.  The per-root maps
-``codes``, ``lengths`` and ``coroots`` are filled on first read.
+``codes``, ``lengths`` and ``coroots`` are filled on first read; the Chevalley
+writer takes its Cartan rows from the pairing vectors that the pass keeps.
 """
 
 from __future__ import annotations
@@ -121,8 +122,8 @@ def cartan_matrix(t: LieType) -> List[List[int]]:
 
 
 class RootSystem:
-    """The roots of one type.  ``root_data`` holds (code, length class) of each positive
-    root in root order; ``codes``, ``lengths`` and ``coroots`` are filled from it."""
+    """The roots of one type.  ``root_data`` holds (code, length class, (<alpha, alpha_k^vee>)_k)
+    of each positive root in root order; ``codes``, ``lengths`` and ``coroots`` are filled from it."""
 
     __slots__ = (
         "lie_type", "cartan", "roots", "positive_roots", "highest_root", "affine_marks", "long_class",
@@ -132,7 +133,7 @@ class RootSystem:
     def __init__(
         self, lie_type: LieType, cartan: Tuple[Tuple[int, ...], ...], roots: Tuple[Root, ...],
         positive_roots: Tuple[Root, ...], highest_root: Root, long_class: int,
-        simple_classes: Tuple[int, ...], root_data: Tuple[Tuple[int, int], ...],
+        simple_classes: Tuple[int, ...], root_data: Tuple[Tuple[int, int, List[int]], ...],
     ):
         self.lie_type, self.cartan, self.roots, self.positive_roots = lie_type, cartan, roots, positive_roots
         self.highest_root, self.affine_marks = highest_root, (1,) + highest_root  # (n_0, n_1, ..., n_r)
@@ -143,7 +144,7 @@ class RootSystem:
         if name not in ("codes", "lengths", "coroots"):
             raise AttributeError(name)
         # (code, class) in root order: the negative roots come first, in reverse order
-        data = [(-c, e) for c, e in reversed(self.root_data)] + list(self.root_data)
+        data = [(-c, e) for c, e, _ in reversed(self.root_data)] + [(c, e) for c, e, _ in self.root_data]
         self.codes = {a: c for a, (c, _) in zip(self.roots, data)}
         self.lengths = dict(data)
         ell = self.simple_classes  # alpha^vee = sum_i a_i ell(alpha_i) / ell(alpha) alpha_i^vee
@@ -256,7 +257,7 @@ def build_root_system(t: LieType) -> RootSystem:
         highest_root=highest,
         long_class=long_class,
         simple_classes=tuple(ell),
-        root_data=tuple((code, ell[j]) for _, code, j, _ in found),
+        root_data=tuple((code, ell[j], pairing) for _, code, j, pairing in found),
     )
 
 

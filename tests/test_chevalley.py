@@ -231,9 +231,27 @@ def test_relabelled_root_vectors_fail_the_cartan_certificate(name):
     alg._verify_cartan_action()  # the copy left the cached table alone
 
 
+@pytest.mark.parametrize("name", ["B3", "G2", "F4"])
+def test_cartan_rows_come_from_the_pass_not_the_matrix(name):
+    """The writer reads the pairing vectors of the root pass, and the certificate reads the
+    Cartan matrix: with the matrix transposed the table is unchanged, and the certificate fails."""
+    rs = build_root_system(LieType.parse(name))
+    transposed = rebuilt(rs, cartan=tuple(zip(*rs.cartan)))
+    assert StructureConstants(transposed).rows == StructureConstants(rs).rows
+    with pytest.raises(AssertionError, match=r"^the Cartan action on h_\d differs from the Cartan matrix$"):
+        ChevalleyAlgebra(transposed)
+
+
+def positive_constants(constants: StructureConstants) -> dict:
+    """N_{a,b} read off the rows on root codes, once per pair of positive roots a, b with a
+    root sum, a before b in basis order."""
+    pos = [c for c in constants.index if c > 0]
+    return {(a, b): constants._value(a, b) for i, a in enumerate(pos) for b in pos[i + 1 :] if a + b in constants._ell}
+
+
 def test_non_integral_constant_is_rejected(monkeypatch):
     rs = build_root_system(LieType.parse("B2"))
-    halves = [(pair, Q(n, 2)) for pair, n in StructureConstants(rs).table.items()]
+    halves = [(pair, Q(n, 2)) for pair, n in positive_constants(StructureConstants(rs)).items()]
     monkeypatch.setattr(StructureConstants, "_fill", lambda self: [self._set(a, b, n) for (a, b), n in halves])
     with pytest.raises(AssertionError, match="not an integer"):
         ChevalleyAlgebra(rs)
@@ -246,8 +264,10 @@ def test_non_integral_constant_is_rejected_under_python_dash_o():
         "from gradedlie import LieType, build_root_system\n"
         "from gradedlie.chevalley import ChevalleyAlgebra, StructureConstants\n"
         "rs = build_root_system(LieType.parse('B2'))\n"
-        "halves = [(pair, Fraction(n, 2)) for pair, n in StructureConstants(rs).table.items()]\n"
-        "StructureConstants._fill = lambda self: [self._set(a, b, n) for (a, b), n in halves]\n"
+        "c = StructureConstants(rs)\n"
+        "pos = [a for a in c.index if a > 0]\n"
+        "halves = [(a, b, Fraction(c._value(a, b), 2)) for a in pos for b in pos if a < b and a + b in c._ell]\n"
+        "StructureConstants._fill = lambda self: [self._set(a, b, n) for a, b, n in halves]\n"
         "try:\n"
         "    ChevalleyAlgebra(rs)\n"
         "except AssertionError as exc:\n"
@@ -439,10 +459,15 @@ def test_fractional_constant_is_refused(monkeypatch):
 
 @pytest.mark.parametrize("name", ["B3", "G2"])
 def test_doubled_constant_fails_the_string_check(name):
+    """One positive constant doubled in the rows, in both orientations and nowhere else,
+    fails the string check: it reads the rows every bracket reads."""
     constants = StructureConstants(build_root_system(LieType.parse(name)))
     constants.verify_string_lengths()
-    pair = max(constants.table, key=lambda ab: abs(constants.table[ab]))
-    constants.table[pair] *= 2
+    table = positive_constants(constants)
+    a, b = max(table, key=lambda ab: abs(table[ab]))
+    y, z = constants.index[a], constants.index[b]
+    ((k, n),) = constants.rows[y][z]
+    constants.rows[y][z], constants.rows[z][y] = ((k, 2 * n),), ((k, -2 * n),)
     with pytest.raises(AssertionError, match=r"^bad constant N\(\(.*\),\(.*\)\) = -?\d+, p = [1-3]$"):
         constants.verify_string_lengths()
 
@@ -459,7 +484,7 @@ def test_table_matches_structure_constants(name):
             if not any(s):
                 expected = {k: c for k, c in enumerate(rs.coroots[alpha]) if c}
             elif s in alg.root_index:
-                expected = {alg.root_index[s]: alg.constants.value(alpha, beta)}
+                expected = {alg.root_index[s]: alg.constants._value(rs.codes[alpha], rs.codes[beta])}
             else:
                 expected = {}
             got = basis_bracket(alg, r + i, r + j)
@@ -481,15 +506,16 @@ def test_integer_constants_match_fraction_oracle(name):
     rs = build_root_system(LieType.parse(name))
     constants, oracle = StructureConstants(rs), FractionConstants(rs)
     root = {c: a for a, c in rs.codes.items()}
-    table = {(root[a], root[b]): n for (a, b), n in constants.table.items()}
-    assert table == oracle._table
+    table = {(root[a], root[b]): n for (a, b), n in positive_constants(constants).items()}
+    assert {frozenset(ab) for ab in table} == {frozenset(ab) for ab in oracle._table}
+    assert table == {(a, b): oracle.value(a, b) for a, b in table}
     assert all(type(n) is int for n in table.values())
     for alpha in rs.roots:
         coroot = rs.coroots[alpha]
         assert coroot == fraction_coroot(rs, alpha)
         assert all(type(c) is int for c in coroot)
         for beta in rs.roots:
-            n = constants.value(alpha, beta)
+            n = constants._value(rs.codes[alpha], rs.codes[beta])
             assert type(n) is int and n == oracle.value(alpha, beta)
 
 

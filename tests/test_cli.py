@@ -184,11 +184,16 @@ def test_failed_paper_check_exits_1(monkeypatch, capsys):
         return rows
 
     monkeypatch.setattr(cli, "paper_checks", one_wrong_expectation)
-    code, report = run_json(capsys, "verify-paper")
+    code = main(["verify-paper"])
+    captured = capsys.readouterr()
     assert code == 1
-    verdicts = {check["id"]: check["pass"] for check in report["checks"]}
+    verdicts = {check["id"]: check["pass"] for check in json.loads(captured.out)["checks"]}
     assert verdicts.pop("quiver-toledo-111") is False
     assert len(verdicts) == 27 and all(verdicts.values())
+    # the failing row, and only it, says how to reproduce it
+    assert captured.err.splitlines() == [
+        "[FAIL] quiver-toledo-111: gradedlie toledo --dims 1,1,1 --degrees=1,0,-1 --genus 2"
+    ]
 
 
 def test_text_format(capsys):
@@ -328,6 +333,12 @@ def test_config_integer_strings_accepted(tmp_path, capsys):
         [{"quaternionic": True}, "amw", "--type", "E6", "--genus", "3"],
         # r_- is checked where the typed mode reports no tau_U too
         ["amw", "--genus", "2", "--rank-minus", "-1", "--depth", "3"],
+        # a flag given twice, in either form, a switch and a common flag too
+        ["grading", "--type", "A2", "--type", "G2", "--labels", "1,0"],
+        ["grading", "--type", "A2", "--labels=1,1", "--labels", "1,0"],
+        ["verify-paper", "--extended", "--extended"],
+        ["quiver", "--dims", "2,2", "--format", "json", "--format=text"],
+        ["cayley", "--dims", "2,2", "--seed", "1", "--seed", "1"],
     ],
 )
 def test_rejected_input_is_one_line(tmp_path, capsys, argv):
@@ -358,6 +369,9 @@ REJECTED_LINES = {
     "amw --type C3 --genus 2 --rank-minus 1": "error: --type does not read --rank-minus",
     "{'rank_minus': 0} amw --type E6 --genus 2": "error: --type does not read --rank-minus",
     "amw --genus 2 --rank-minus -1 --depth 3": "error: ranks must be non-negative",
+    "grading --type A2 --type G2 --labels 1,0": "error: --type given twice",
+    "grading --type A2 --labels=1,1 --labels 1,0": "error: --labels given twice",
+    "verify-paper --extended --extended": "error: --extended given twice",
 }
 
 
