@@ -44,8 +44,9 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction as Q
 from functools import cached_property, lru_cache
+from itertools import repeat
 from math import gcd, lcm
-from operator import mul
+from operator import add, mul
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .linalg import RationalMatrix, kernel_basis
@@ -451,10 +452,16 @@ class ChevalleyAlgebra:
     def _verify_cartan_action(self):
         """Row h_i is {e_alpha: <alpha, alpha_i^vee> e_alpha} over the nonzero pairings, with
         no Cartan key, each pairing read off column i of the Cartan matrix (the writer reads
-        the root pass's pairing vectors).  On the alternating table this fixes ad h for h in the Cartan."""
+        the root pass's pairing vectors).  On the alternating table this fixes ad h for h in the Cartan.
+        Each pairing sums only the column's nonzero entries c_ki, at most four: c_ki times
+        coordinate k, added over all roots at once."""
         roots, r = self.rs.roots, self.rank
+        coords = list(zip(*roots))  # coords[k]: coordinate k of every root
         for i, column in enumerate(zip(*self.rs.cartan)):
-            pairings = [sum(map(mul, alpha, column)) for alpha in roots]
+            pairings = [0] * len(roots)
+            for k, c in enumerate(column):
+                if c:
+                    pairings = list(map(add, pairings, map(mul, coords[k], repeat(c))))
             if self._rows[i] != {col: ((col, c),) for col, c in enumerate(pairings, r) if c}:
                 raise AssertionError(f"the Cartan action on h_{i} differs from the Cartan matrix")
 

@@ -18,17 +18,16 @@ alpha(zeta), and this module's certificate fixes alpha(zeta).
 
 The lift question — does the order-m automorphism defined by the labels come
 from a Z-grading — is decided by the node-0 label, up to a symmetry of the
-affine diagram.  Diagram symmetries are found by exhaustive backtracking over
+affine diagram.  Diagram symmetries are generated by backtracking over
 permutations preserving the affine Cartan matrix, so no per-family table is
-needed.
+needed; the search stops at the first one that moves a positive label onto node 0.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import gcd
 from operator import mul
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .chevalley import ChevalleyAlgebra, Element
 from .linalg import RationalMatrix, solve
@@ -183,12 +182,11 @@ def zm_from_kac(rs: RootSystem, kac: KacLabels) -> ZmGrading:
     return ZmGrading(m=kac.order, pieces=_pieces(rs, kac.labels[1:], kac.order))
 
 
-@lru_cache(maxsize=None)  # keyed by the root system, which build_root_system caches
-def _affine_automorphisms(rs: RootSystem) -> Tuple[Tuple[int, ...], ...]:
-    """All permutations of the affine nodes preserving the affine Cartan matrix."""
+def _affine_automorphisms(rs: RootSystem) -> Iterator[Tuple[int, ...]]:
+    """The permutations of the affine nodes preserving the affine Cartan matrix, generated
+    one at a time in lexicographic order by backtracking."""
     affine = affine_cartan_matrix(rs)
     n = len(affine)
-    results: List[Tuple[int, ...]] = []
     perm: List[int] = []
     used = [False] * n
 
@@ -203,20 +201,19 @@ def _affine_automorphisms(rs: RootSystem) -> Tuple[Tuple[int, ...], ...]:
                 return False
         return True
 
-    def backtrack():
+    def backtrack() -> Iterator[Tuple[int, ...]]:
         if len(perm) == n:
-            results.append(tuple(perm))
+            yield tuple(perm)
             return
         for c in range(n):
             if not used[c] and compatible(c):
                 used[c] = True
                 perm.append(c)
-                backtrack()
+                yield from backtrack()
                 perm.pop()
                 used[c] = False
 
-    backtrack()
-    return tuple(results)
+    return backtrack()
 
 
 class LiftVerdict:

@@ -5,8 +5,8 @@ prehomogeneous G_0-space.  Each pair has one verified sl2-triple through an
 open-orbit e (``VinbergPair.triple``), found once: a root-set triple
 (``root_set_triple``), or else the default dense e of ``generic_element``,
 which ``jm_triple`` completes.  The Toledo rank and JM-regularity are
-invariants of the pair, so they are read off that one triple, and it
-witnesses both verdicts.  It evaluates the Toledo
+invariants of the pair, so they are read off that one triple, the only
+thing a pair caches, and it witnesses both verdicts.  It evaluates the Toledo
 character chi_T(x) = B(zeta, x) B*(gamma, gamma), where gamma is a longest
 root in degree 1; that factor makes chi_T independent of the invariant form.
 The production route is ``normalized_form``, the form with B*(highest root,
@@ -82,15 +82,14 @@ def normalized_form(alg: ChevalleyAlgebra, a: Element, b: Element) -> Q:
 
 
 class VinbergPair:
-    """The pair (G_0, g_1) of a grading, with gamma, and its verified triple and Toledo rank once found."""
+    """The pair (G_0, g_1) of a grading, with gamma, and its verified triple once found."""
 
-    __slots__ = ("grading", "gamma", "_triple", "_rank")
+    __slots__ = ("grading", "gamma", "_triple")
 
     def __init__(self, grading: ZGrading, gamma: tuple):
         self.grading = grading
         self.gamma = gamma  # longest root with root space in degree 1
         self._triple: Optional[Sl2Triple] = None
-        self._rank: Optional[Q] = None  # ``pair_rank``
 
     @property
     def algebra(self) -> ChevalleyAlgebra:
@@ -258,10 +257,8 @@ def set_triple(alg: ChevalleyAlgebra, roots: list) -> Sl2Triple:
 
 
 def pair_rank(pair: VinbergPair) -> Q:
-    """rank_T of the pair: chi_T(h)/2 on its triple, computed once and cached in ``_rank``."""
-    if pair._rank is None:
-        pair._rank = pair.chi_t(pair.triple().h) / 2
-    return pair._rank
+    """rank_T of the pair: chi_T(h)/2 on its triple, which the pair caches."""
+    return pair.chi_t(pair.triple().h) / 2
 
 
 def jm_regular(pair: VinbergPair) -> bool:

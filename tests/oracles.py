@@ -5,7 +5,7 @@ from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from gradedlie.cayley import CayleyData
-from gradedlie.chevalley import ChevalleyAlgebra, Element
+from gradedlie.chevalley import ChevalleyAlgebra, Element, StructureConstants, Terms
 from gradedlie.grading import ZGrading, ZmGrading
 from gradedlie.linalg import RationalMatrix, Solution, rank, solve
 from gradedlie.quiver import (
@@ -20,7 +20,7 @@ from gradedlie.quiver import (
     rank_pairs,
     rank_tuple,
 )
-from gradedlie.rootsystem import LieType, Root, RootSystem
+from gradedlie.rootsystem import LieType, Root, RootSystem, affine_cartan_matrix
 from gradedlie.vinberg import VinbergPair, jm_triple, killing_dual_norm, normalized_form
 
 Vector = Tuple[Q, ...]
@@ -282,6 +282,67 @@ def fraction_coroot(rs: RootSystem, alpha: Root) -> Tuple[Q, ...]:
     return tuple(a * rs.form_value(s, s) / norm for s, a in zip(simple, alpha))
 
 
+# -- the Frenkel-Kac cocycle: a second route to the simply-laced tables -------
+
+
+def cocycle_signs(
+    rs: RootSystem, rows: Optional[List[Dict[int, Terms]]] = None, bonds: Optional[Sequence[Tuple[int, int]]] = None
+) -> Optional[Dict[Root, int]]:
+    """Signs s_alpha = +-1 with N_{alpha,beta} = eps(alpha, beta) s_alpha s_beta s_{alpha+beta} on every
+    ordered pair of roots with a root sum, and s_alpha s_{-alpha} = eps(alpha, -alpha); None when
+    there are none.  For a simply-laced type they exist iff the bracket ``rows`` (default: those
+    of ``StructureConstants(rs)``) are the Frenkel-Kac table [E_a, E_b] = eps(a, b) E_{a+b} up to
+    the basis change e_a = s_a E_a (Frenkel-Kac, Invent. Math. 62 (1980); Kac,
+    *Infinite-dimensional Lie algebras*, 7.8).
+
+    eps is bimultiplicative on the root lattice with eps(alpha_i, alpha_j) = -1 iff i = j, or
+    i < j and (i, j) is in ``bonds`` (default: the joined nodes), so it is (-1)^(a M b) over F_2
+    with M upper triangular.  With s_alpha = (-1)^x_alpha each condition is one equation over F_2,
+    an int bit mask with its right-hand side in bit 0 and x_alpha in bit 1 + alpha's position.
+    Elimination keeps one row per leading bit; free unknowns are 0.
+    """
+    r, roots = rs.rank, rs.roots
+    position = {alpha: p for p, alpha in enumerate(roots)}
+    if rows is None:
+        rows = StructureConstants(rs).rows
+    if bonds is None:
+        bonds = [(i, j) for i in range(r) for j in range(i + 1, r) if rs.cartan[i][j]]
+    upper = [1 << i for i in range(r)]  # row i of M
+    for i, j in bonds:
+        upper[i] |= 1 << j
+    odd = [sum(1 << k for k, a in enumerate(alpha) if a % 2) for alpha in roots]  # alpha mod 2
+    m_odd = [sum(1 << i for i in range(r) if bin(upper[i] & b).count("1") % 2) for b in odd]  # M beta mod 2
+
+    def eps_bit(p: int, q: int) -> int:
+        return bin(odd[p] & m_odd[q]).count("1") % 2
+
+    equations = []
+    for p, alpha in enumerate(roots):
+        minus = position[tuple(-a for a in alpha)]
+        equations.append((1 << 1 + p) ^ (1 << 1 + minus) ^ eps_bit(p, minus))
+        for col, ((k, c), *_) in rows[r + p].items():
+            if col >= r and k >= r:  # [e_alpha, e_beta] = c e_{alpha+beta}
+                q = col - r
+                equations.append((1 << 1 + p) ^ (1 << 1 + q) ^ (1 << 1 + k - r) ^ (c < 0) ^ eps_bit(p, q))
+    pivots: Dict[int, int] = {}
+    for eq in equations:
+        while eq > 1:
+            lead = eq.bit_length() - 1
+            if lead not in pivots:
+                pivots[lead] = eq
+                break
+            eq ^= pivots[lead]
+        else:
+            if eq:  # 0 = 1
+                return None
+    x = 0
+    for lead in sorted(pivots):  # every other unknown of a row is lower: solved, or free
+        row = pivots[lead]
+        if (bin(row & x).count("1") + row) % 2:
+            x |= 1 << lead
+    return {alpha: -1 if x >> 1 + p & 1 else 1 for p, alpha in enumerate(roots)}
+
+
 # -- the trace-of-ad Killing form route to chi_T ------------------------------
 
 
@@ -350,6 +411,62 @@ def form_quaternionic_labels(alg: ChevalleyAlgebra) -> Tuple[int, ...]:
     beta = rs.highest_root
     simple = [tuple(int(i == k) for i in range(alg.rank)) for k in range(alg.rank)]
     return tuple(int(2 * rs.form_value(a, beta) / rs.norm(beta)) for a in simple)
+
+
+# -- diagram symmetries by full enumeration ----------------------------------
+
+
+def affine_automorphisms(rs: RootSystem) -> Tuple[Tuple[int, ...], ...]:
+    """All permutations of the affine nodes preserving the affine Cartan matrix, in the
+    backtracking order of ``grading._affine_automorphisms``, enumerated to the end."""
+    affine = affine_cartan_matrix(rs)
+    n = len(affine)
+    results: List[Tuple[int, ...]] = []
+    perm: List[int] = []
+    used = [False] * n
+
+    def compatible(candidate: int) -> bool:
+        k = len(perm)
+        if affine[candidate][candidate] != affine[k][k]:
+            return False
+        for i, pi in enumerate(perm):
+            if affine[pi][candidate] != affine[i][k]:
+                return False
+            if affine[candidate][pi] != affine[k][i]:
+                return False
+        return True
+
+    def backtrack():
+        if len(perm) == n:
+            results.append(tuple(perm))
+            return
+        for c in range(n):
+            if not used[c] and compatible(c):
+                used[c] = True
+                perm.append(c)
+                backtrack()
+                perm.pop()
+                used[c] = False
+
+    backtrack()
+    return tuple(results)
+
+
+def enumerated_lift(
+    automorphisms: Sequence[Tuple[int, ...]], marks: Sequence[int], labels: Sequence[int]
+) -> Tuple[bool, str, Optional[Tuple[int, ...]]]:
+    """The lift verdict (lifts, mode, witness) read off the full list of ``affine_automorphisms``:
+    node 0 positive, else the first symmetry moving a positive mark-1 label onto node 0."""
+    if labels[0] > 0:
+        return True, "directly", None
+    for sigma in automorphisms:
+        source = sigma.index(0)
+        if labels[source] > 0 and marks[source] == 1:
+            q = [0] * len(labels)
+            for i, target in enumerate(sigma):
+                q[target] = labels[i]
+            return True, "after automorphism", tuple(q)
+    return False, "none", None
 
 
 # -- Bareiss elimination with a Fraction back-substitution -------------------

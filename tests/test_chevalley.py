@@ -8,13 +8,14 @@ import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction as Q
+from operator import add, mul
 from pathlib import Path
 
 import pytest
 
 import gradedlie
 from conftest import quiver_grading
-from oracles import FractionConstants, basis_bracket, fraction_coroot, root_vector
+from oracles import FractionConstants, basis_bracket, cocycle_signs, fraction_coroot, root_vector
 
 from gradedlie import chevalley
 from gradedlie.cayley import cayley_pair
@@ -242,6 +243,60 @@ def test_cartan_rows_come_from_the_pass_not_the_matrix(name):
         ChevalleyAlgebra(transposed)
 
 
+SIMPLY_LACED = [f"A{n}" for n in range(1, 9)] + [f"D{n}" for n in range(4, 9)] + ["E6", "E7", "E8"]
+
+
+def joined_nodes(rs: RootSystem) -> list:
+    return [(i, j) for i in range(rs.rank) for j in range(i + 1, rs.rank) if rs.cartan[i][j]]
+
+
+@pytest.mark.parametrize("name", SIMPLY_LACED)
+def test_simply_laced_table_is_the_cocycle_table(name):
+    """Up to the signs s_alpha of ``cocycle_signs``, every root-root entry of the table is the
+    Frenkel-Kac bracket [E_a, E_b] = eps(a, b) E_{a+b}, with E_0 = h_a at b = -a, and the entry is
+    absent otherwise.  eps is recomputed here on integer coordinates, not bit masks."""
+    alg = build_algebra(LieType.parse(name))
+    rs, r = alg.rs, alg.rank
+    signs = cocycle_signs(rs)  # on a table built afresh, compared below with the cached algebra's
+    assert signs is not None
+    bonds = joined_nodes(rs)
+
+    def eps(a, b) -> int:
+        return (-1) ** (sum(map(mul, a, b)) + sum(a[i] * b[j] for i, j in bonds))
+
+    for alpha in rs.roots:
+        expected = {}
+        for beta in rs.roots:
+            total = tuple(map(add, alpha, beta))
+            sign = eps(alpha, beta) * signs[alpha] * signs[beta]
+            if total in alg.root_index:
+                expected[alg.root_index[beta]] = ((alg.root_index[total], sign * signs[total]),)
+            elif not any(total):
+                expected[alg.root_index[beta]] = tuple((k, sign * c) for k, c in enumerate(rs.coroots[alpha]) if c)
+        row = alg.constants.rows[alg.root_index[alpha]]
+        assert {col: terms for col, terms in row.items() if col >= r} == expected, alpha
+
+
+@pytest.mark.parametrize("name", ["A2", "D4", "E6", "E8"])
+def test_flipped_constant_has_no_cocycle_signs(name):
+    """N_{alpha_i, alpha_j} of the first joined pair negated, in both orientations and nowhere else."""
+    alg = build_algebra(LieType.parse(name))
+    r = alg.rank
+    a, b = (alg.root_index[tuple(int(k == n) for k in range(r))] for n in joined_nodes(alg.rs)[0])
+    rows = [dict(row) for row in alg.constants.rows]
+    ((target, n),) = rows[a][b]
+    rows[a][b], rows[b][a] = ((target, -n),), ((target, n),)
+    assert cocycle_signs(alg.rs, rows) is None
+
+
+@pytest.mark.parametrize("name", ["A2", "D4", "E6", "E8"])
+def test_cocycle_with_a_dropped_bond_has_no_signs(name):
+    alg = build_algebra(LieType.parse(name))
+    bonds = joined_nodes(alg.rs)
+    for dropped in range(len(bonds)):
+        assert cocycle_signs(alg.rs, alg.constants.rows, bonds[:dropped] + bonds[dropped + 1 :]) is None
+
+
 def positive_constants(constants: StructureConstants) -> dict:
     """N_{a,b} read off the rows on root codes, once per pair of positive roots a, b with a
     root sum, a before b in basis order."""
@@ -261,8 +316,8 @@ def test_non_integral_constant_is_rejected_under_python_dash_o():
     """Under ``python -O`` a half-integer constant through ``_set`` still raises AssertionError."""
     script = (
         "from fractions import Fraction\n"
-        "from gradedlie import LieType, build_root_system\n"
         "from gradedlie.chevalley import ChevalleyAlgebra, StructureConstants\n"
+        "from gradedlie.rootsystem import LieType, build_root_system\n"
         "rs = build_root_system(LieType.parse('B2'))\n"
         "c = StructureConstants(rs)\n"
         "pos = [a for a in c.index if a > 0]\n"
@@ -290,6 +345,13 @@ def test_no_assert_statement_in_src():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_src_parses_as_python_3_10():
+    """``requires-python`` is >=3.10: no module uses syntax added after it."""
+    package = Path(gradedlie.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        ast.parse(path.read_text(), filename=path.name, feature_version=(3, 10))
 
 
 # Every certificate in src/, as (module, function, message), and the tests that

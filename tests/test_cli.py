@@ -474,6 +474,25 @@ def test_quiver_job_imports_no_parser():
     assert done.stdout.splitlines()[-1] == "[]"
 
 
+def modules_after(statement: str) -> str:
+    """The ``gradedlie`` modules loaded by one statement in a fresh interpreter, as a sorted list."""
+    script = f"import sys\n{statement}\nprint(sorted(m for m in sys.modules if m.partition('.')[0] == 'gradedlie'))\n"
+    src = str(ROOT / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()[-1]
+
+
+def test_package_import_loads_no_module():
+    assert modules_after("import gradedlie") == "['gradedlie']"
+
+
+def test_quiver_import_loads_only_quiver_and_linalg():
+    """A quiver job's modules: no root system, Chevalley algebra or parser of the other commands."""
+    assert modules_after("import gradedlie.quiver") == "['gradedlie', 'gradedlie.linalg', 'gradedlie.quiver']"
+
+
 def _no_build(*_args, **_kwargs):
     raise AssertionError("built before the label count was checked")
 

@@ -11,9 +11,10 @@ import pytest
 from gradedlie.chevalley import Element, build_algebra
 from gradedlie.linalg import RationalMatrix, solve
 from conftest import DIAGRAM_AUTOMORPHISMS, moved_labels
-from oracles import bar_pieces, basis_bracket, fractions_of
+from oracles import affine_automorphisms, bar_pieces, basis_bracket, enumerated_lift, fractions_of
 
 from gradedlie.grading import (
+    _affine_automorphisms,
     _verify_root_grading,
     kac_labels,
     kac_lift_check,
@@ -122,8 +123,8 @@ def test_root_grading_check_rejects_other_zeta(name, labels, other):
 def test_root_grading_check_survives_python_dash_o():
     """Under ``python -O`` a zeta taken from other labels still raises AssertionError."""
     script = (
-        "from gradedlie import LieType, build_root_system, root_grading\n"
-        "from gradedlie.grading import _verify_root_grading\n"
+        "from gradedlie.grading import _verify_root_grading, root_grading\n"
+        "from gradedlie.rootsystem import LieType, build_root_system\n"
         "rs = build_root_system(LieType.parse('A2'))\n"
         "g = root_grading(rs, [1, 0])\n"
         "g.zeta = root_grading(rs, [0, 1]).zeta\n"
@@ -219,6 +220,28 @@ def test_no_lift_g2():
     g2 = build_root_system(LieType.parse("G2"))
     verdict = kac_lift_check(g2, kac_labels(g2, [0, 1, 0]))
     assert not verdict.lifts
+
+
+LIFT_TYPES = (
+    [f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 9)] + [f"C{n}" for n in range(2, 9)]
+    + [f"D{n}" for n in range(4, 9)] + ["E6", "E7", "E8", "F4", "G2"]
+)
+
+
+@pytest.mark.parametrize("name", LIFT_TYPES)
+def test_first_witness_lift_matches_the_full_enumeration(name):
+    """The lift check stops at the first symmetry that certifies a lift; on every 0/1/2 label
+    vector up to rank 5 and every 0/1 vector above, its verdict and witness are those read off
+    the full enumeration, which the generator yields in the same order."""
+    rs = build_root_system(LieType.parse(name))
+    automorphisms = affine_automorphisms(rs)
+    assert tuple(_affine_automorphisms(rs)) == automorphisms
+    digits = (0, 1, 2) if rs.rank <= 5 else (0, 1)
+    for labels in product(digits, repeat=rs.rank + 1):
+        if any(labels):
+            verdict = kac_lift_check(rs, kac_labels(rs, labels))
+            expected = enumerated_lift(automorphisms, rs.affine_marks, labels)
+            assert (verdict.lifts, verdict.mode, verdict.witness) == expected, labels
 
 
 def test_bar_pieces_a2(sl3):

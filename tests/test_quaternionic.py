@@ -266,9 +266,10 @@ def test_verify_paper_searches_each_pair_once_per_seed(monkeypatch, capsys, argv
 
 
 @pytest.mark.parametrize("argv", [["verify-paper"], ["verify-paper", "--extended"]])
-def test_verify_paper_evaluates_each_pair_rank_once(monkeypatch, capsys, argv):
-    """``quaternionic`` and ``amw --type`` read the same pairs' ranks (E6 and C3 in both
-    runs); each rank is chi_T(h)/2 on the pair's triple, evaluated once per pair."""
+def test_verify_paper_reads_each_pair_rank_off_its_triple(monkeypatch, capsys, argv):
+    """Each rank is chi_T(h)/2 on the pair's one cached triple, evaluated once per command that
+    reads it: ``quaternionic`` reads the pairs of g_1 and g_{-2} of every quaternionic type, and
+    ``amw --type`` reads them again on E6 and C3 (in both runs); no rank is cached beside the triple."""
     evaluated = Counter()
     chi_t = vinberg.VinbergPair.chi_t
 
@@ -278,8 +279,9 @@ def test_verify_paper_evaluates_each_pair_rank_once(monkeypatch, capsys, argv):
         return chi_t(pair, x)
 
     monkeypatch.setattr(vinberg.VinbergPair, "chi_t", spy)
-    build_quaternionic.cache_clear()  # cached pairs would hold their ranks already
+    build_quaternionic.cache_clear()  # the run builds its pairs afresh
     assert main(argv) == 0
     # the pairs of g_1 and g_{-2} of every quaternionic type
     assert len(evaluated) == 2 * len(checks.quaternionic_types("--extended" in argv))
-    assert set(evaluated.values()) == {1}
+    assert sorted(str(pair.algebra.rs.lie_type) for pair, n in evaluated.items() if n > 1) == ["C3", "C3", "E6", "E6"]
+    assert set(evaluated.values()) == {1, 2}

@@ -230,7 +230,8 @@ def test_form_and_bracket_match_fraction_oracles(name):
 def test_sl2_certificate_survives_python_dash_o():
     """Under ``python -O`` a triple with one wrong f coordinate still raises AssertionError."""
     script = (
-        "from gradedlie import LieType, build_algebra\n"
+        "from gradedlie.chevalley import build_algebra\n"
+        "from gradedlie.rootsystem import LieType\n"
         "from gradedlie.vinberg import Sl2Triple\n"
         "alg = build_algebra(LieType.parse('A1'))\n"
         "e, f = (alg.from_sparse({alg.root_index[a]: c}) for a, c in (((1,), 1), ((-1,), 2)))\n"
