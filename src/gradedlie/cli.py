@@ -35,10 +35,11 @@ from .amw import bounds as amw_bounds
 from .cayley import bracket_projection_test, cayley_pair
 from .checks import expected_ranks, paper_checks, quaternionic_types
 from .chevalley import Element, build_algebra
-from .grading import check_labels, kac_labels, kac_lift_check, root_grading, z_grading_from_labels, zm_from_kac
+from .grading import ZmGrading, check_labels, kac_lift_check, root_grading, z_grading_from_labels
 from .quaternionic import amw_interval, build_quaternionic, extremes_regular, kappa, quaternionic_ranks
 from .quiver import (ORBIT_BOUND, QuiverDims, QuiverHiggsTopology, enumerate_orbits, labels_for_dims,
-                     maximal_rank_tuple, orbit_count, quiver_jm_regular, rank_pairs, toledo_invariant, toledo_numerator)
+                     maximal_rank_tuple, orbit_count, quiver_jm_regular, rank_pairs, toledo_invariant, toledo_numerator,
+                     toledo_weights)
 from .rootsystem import LieType, build_root_system
 from .vinberg import jm_regular
 
@@ -197,21 +198,20 @@ def cmd_grading(lie_type: LieType, labels: List[int], **_) -> Dict[str, Any]:
 def cmd_kac(lie_type: LieType, labels: List[int], **_) -> Dict[str, Any]:
     check_labels(labels, lie_type.rank, affine=True)
     rs = build_root_system(lie_type)
-    kac = kac_labels(rs, labels)
-    zm = zm_from_kac(rs, kac)
-    verdict = kac_lift_check(rs, kac)
+    zm = ZmGrading(rs, labels)
+    verdict = kac_lift_check(rs, zm)
     report = make_report(
         "kac",
         {"lie_type": str(lie_type), "labels": labels},
         {
-            "order": kac.order,
+            "order": zm.m,
             "residue_dims": {str(j): d for j, d in zm.dims().items()},
             "lift": verdict.mode,
             "witness_labels": list(verdict.witness) if verdict.witness else None,
         },
     )
-    if kac.order_warning:
-        report["warnings"].append(kac.order_warning)
+    if zm.order_warning:
+        report["warnings"].append(zm.order_warning)
     return report
 
 
@@ -221,7 +221,7 @@ def cmd_quiver(dims: List[int], **_) -> Dict[str, Any]:
     if count > ORBIT_BOUND:
         raise ValueError(f"the dimension vector has at least {count} orbits; a report lists at most {ORBIT_BOUND}")
     orbits = enumerate_orbits(quiver)
-    top, n = maximal_rank_tuple(quiver), quiver.n
+    top, n, weights = maximal_rank_tuple(quiver), quiver.n, toledo_weights(quiver)
     keys = [f"{i},{j}" for i, j in rank_pairs(quiver)]
     return make_report(
         "quiver",
@@ -232,7 +232,7 @@ def cmd_quiver(dims: List[int], **_) -> Dict[str, Any]:
             "orbits": [
                 {
                     "ranks": dict(zip(keys, rt)),
-                    "toledo_rank": ratio_str(toledo_numerator(quiver, mult), n),
+                    "toledo_rank": ratio_str(toledo_numerator(weights, mult), n),
                     "open": rt == top,
                 }
                 for rt, mult in orbits

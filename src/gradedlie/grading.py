@@ -9,12 +9,13 @@ n_k of the highest root and n_0 = 1.
 
 Both read only the root system, so neither needs a bracket table:
 ``root_grading`` gives a Z-grading's pieces and zeta and certifies
-alpha(zeta) = deg alpha on every root, and ``zm_from_kac`` gives a Z/mZ-grading's
-pieces; the pieces, and the certificate, each take one walk over the positive
-roots.  ``z_grading_from_labels`` puts the root-level grading on an algebra and
-reads nothing of its table: the algebra's build certifies the Cartan action
-(``ChevalleyAlgebra._verify_cartan_action``), so ad zeta acts on g_alpha by
-alpha(zeta), and this module's certificate fixes alpha(zeta).
+alpha(zeta) = deg alpha on every root, and ``ZmGrading`` is a Z/mZ-grading's one
+record: its labels, m, pieces and order warning; the pieces, and the certificate,
+each take one walk over the positive roots.  ``z_grading_from_labels`` puts the
+root-level grading on an algebra and reads nothing of its table: the algebra's
+build certifies the Cartan action (``ChevalleyAlgebra._verify_cartan_action``),
+so ad zeta acts on g_alpha by alpha(zeta), and this module's certificate fixes
+alpha(zeta).
 
 The lift question — does the order-m automorphism defined by the labels come
 from a Z-grading — is decided by the node-0 label, up to a symmetry of the
@@ -78,39 +79,6 @@ class ZGrading(RootGrading):
         self.algebra = algebra
 
 
-class KacLabels:
-    """Affine-diagram labels with the marks of their nodes, checked by the label rule."""
-
-    __slots__ = ("labels", "marks", "order", "reduced_order")
-
-    def __init__(self, labels: Tuple[int, ...], marks: Tuple[int, ...]):
-        check_labels(labels, len(marks) - 1, affine=True)
-        self.labels = labels  # p_0 .. p_r
-        self.marks = marks  # n_0 = 1, n_1 .. n_r
-        self.order = sum(map(mul, marks, labels))  # m = sum n_k p_k
-        self.reduced_order = self.order // gcd(self.order, *labels)  # labels not all zero: gcd > 0
-
-    @property
-    def order_warning(self) -> Optional[str]:
-        if self.reduced_order != self.order:
-            return (
-                f"automorphism order is {self.reduced_order}, "
-                f"a proper divisor of the declared m = {self.order}"
-            )
-        return None
-
-
-class ZmGrading:
-    """A Z/mZ-grading: residue -> basis indices."""
-
-    __slots__ = ("m", "pieces")
-
-    def __init__(self, m: int, pieces: Dict[int, Tuple[int, ...]]):
-        self.m, self.pieces = m, pieces
-
-    dims = RootGrading.dims  # degree -> piece dimension, the same rule
-
-
 def _root_values(rs: RootSystem, p: Sequence[int]) -> List[int]:
     """sum a_k p_k at each root position, from one walk over the positive roots (negatives first, mirrored)."""
     positive = [sum(map(mul, alpha, p)) for alpha in rs.roots[len(rs.roots) // 2 :]]
@@ -170,30 +138,39 @@ def z_grading_from_labels(alg: ChevalleyAlgebra, p: Sequence[int]) -> ZGrading:
     return ZGrading(pieces=g.pieces, zeta=g.zeta, algebra=alg)
 
 
-def kac_labels(rs: RootSystem, labels: Sequence[int]) -> KacLabels:
-    return KacLabels(tuple(labels), rs.affine_marks)
+class ZmGrading:
+    """A Z/mZ-grading from affine-diagram labels p_0..p_r, checked by the label rule:
+    m = sum n_k p_k, residue -> basis indices (those of the Chevalley basis), and the
+    warning when the automorphism's order is a proper divisor of m."""
 
+    __slots__ = ("labels", "m", "pieces", "order_warning")
 
-def zm_from_kac(rs: RootSystem, kac: KacLabels) -> ZmGrading:
-    """Z/mZ-grading of the automorphism defined by affine-diagram labels.
+    def __init__(self, rs: RootSystem, labels: Sequence[int]):
+        check_labels(labels, rs.rank, affine=True)
+        self.labels = tuple(labels)
+        self.m = m = sum(map(mul, rs.affine_marks, labels))
+        self.pieces = _pieces(rs, labels[1:], m)
+        reduced = m // gcd(m, *labels)  # labels not all zero: gcd > 0
+        self.order_warning = (
+            None if reduced == m else f"automorphism order is {reduced}, a proper divisor of the declared m = {m}"
+        )
 
-    Basis indices are those of the Chevalley basis: rank + the root's position.
-    """
-    return ZmGrading(m=kac.order, pieces=_pieces(rs, kac.labels[1:], kac.order))
+    dims = RootGrading.dims  # degree -> piece dimension, the same rule
 
 
 def _affine_automorphisms(rs: RootSystem) -> Iterator[Tuple[int, ...]]:
     """The permutations of the affine nodes preserving the affine Cartan matrix, generated
-    one at a time in lexicographic order by backtracking."""
+    one at a time in lexicographic order by backtracking.  A symmetry maps each node's row
+    onto a row with the same entries, so node k tries only the nodes whose sorted row is its own."""
     affine = affine_cartan_matrix(rs)
     n = len(affine)
+    rows = [sorted(row) for row in affine]
+    candidates = [[c for c in range(n) if rows[c] == row] for row in rows]
     perm: List[int] = []
     used = [False] * n
 
-    def compatible(candidate: int) -> bool:
+    def compatible(candidate: int) -> bool:  # every diagonal entry is 2, so only placed pairs are compared
         k = len(perm)
-        if affine[candidate][candidate] != affine[k][k]:
-            return False
         for i, pi in enumerate(perm):
             if affine[pi][candidate] != affine[i][k]:
                 return False
@@ -205,7 +182,7 @@ def _affine_automorphisms(rs: RootSystem) -> Iterator[Tuple[int, ...]]:
         if len(perm) == n:
             yield tuple(perm)
             return
-        for c in range(n):
+        for c in candidates[len(perm)]:
             if not used[c] and compatible(c):
                 used[c] = True
                 perm.append(c)
@@ -217,17 +194,17 @@ def _affine_automorphisms(rs: RootSystem) -> Iterator[Tuple[int, ...]]:
 
 
 class LiftVerdict:
-    """Whether a Z/mZ-grading lifts, how, and the relabeled witness of a lift after automorphism."""
+    """How a Z/mZ-grading lifts ("directly", "after automorphism" or "none"), and the
+    relabeled witness of a lift after automorphism."""
 
-    __slots__ = ("lifts", "mode", "witness")
+    __slots__ = ("mode", "witness")
 
-    def __init__(self, lifts: bool, mode: str, witness: Optional[Tuple[int, ...]] = None):
-        self.lifts = lifts
-        self.mode = mode  # "directly", "after automorphism", "none"
+    def __init__(self, mode: str, witness: Optional[Tuple[int, ...]] = None):
+        self.mode = mode
         self.witness = witness  # relabeled vector with node 0 positive
 
 
-def kac_lift_check(rs: RootSystem, kac: KacLabels) -> LiftVerdict:
+def kac_lift_check(rs: RootSystem, zm: ZmGrading) -> LiftVerdict:
     """Decide whether the Z/mZ-grading lifts to a Z-grading.
 
     It lifts directly iff the node-0 label is positive; otherwise a symmetry of
@@ -235,14 +212,15 @@ def kac_lift_check(rs: RootSystem, kac: KacLabels) -> LiftVerdict:
     The moved node necessarily has mark 1, since diagram symmetries preserve
     marks and node 0 has mark 1.
     """
-    if kac.labels[0] > 0:
-        return LiftVerdict(True, "directly")
+    labels = zm.labels
+    if labels[0] > 0:
+        return LiftVerdict("directly")
     for sigma in _affine_automorphisms(rs):
         # sigma[i] = image node; relabeled q_{sigma[i]} = p_i
         source = sigma.index(0)
-        if kac.labels[source] > 0 and kac.marks[source] == 1:
-            q = [0] * len(kac.labels)
+        if labels[source] > 0:
+            q = [0] * len(labels)
             for i, target in enumerate(sigma):
-                q[target] = kac.labels[i]
-            return LiftVerdict(True, "after automorphism", tuple(q))
-    return LiftVerdict(False, "none")
+                q[target] = labels[i]
+            return LiftVerdict("after automorphism", tuple(q))
+    return LiftVerdict("none")

@@ -16,7 +16,6 @@ int numerator over n (``toledo_numerator``), so a report builds no Fraction.
 from __future__ import annotations
 
 from fractions import Fraction as Q
-from functools import lru_cache
 from itertools import accumulate
 from operator import mul
 from typing import Dict, Iterator, List, Sequence, Tuple
@@ -26,7 +25,7 @@ from .linalg import RationalMatrix, rank
 
 class QuiverDims:
     """A dimension vector: positive entries with total at least 2.  Equal vectors
-    hash alike, so a vector keys the per-vector cache of ``_toledo_weights``."""
+    compare and hash alike."""
 
     __slots__ = ("dims",)
 
@@ -236,9 +235,9 @@ def quiver_jm_regular(dims: QuiverDims) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
-def _toledo_weights(dims: QuiverDims) -> Dict[Tuple[int, int], int]:
-    """n * tr(zeta h) on one string [a, b], for every interval.
+def toledo_weights(dims: QuiverDims) -> Dict[Tuple[int, int], int]:
+    """n * tr(zeta h) on one string [a, b], for every interval: one table per vector,
+    built by its caller and passed to ``toledo_numerator`` for each orbit.
 
     On the string, zeta = (n k - sum_j j d_j)/n and h = 2k - a - b at vertex k.
     """
@@ -250,14 +249,14 @@ def _toledo_weights(dims: QuiverDims) -> Dict[Tuple[int, int], int]:
     }
 
 
-def toledo_numerator(dims: QuiverDims, mult: Multiplicities) -> int:
-    """n rank_T of an orbit: n tr(zeta h) summed over its strings."""
-    return sum(map(mul, map(_toledo_weights(dims).__getitem__, mult), mult.values()))
+def toledo_numerator(weights: Dict[Tuple[int, int], int], mult: Multiplicities) -> int:
+    """n rank_T of an orbit: n tr(zeta h) summed over its strings, from ``toledo_weights``."""
+    return sum(map(mul, map(weights.__getitem__, mult), mult.values()))
 
 
 def interval_toledo_rank(dims: QuiverDims, mult: Multiplicities) -> Q:
     """rank_T of an orbit: tr(zeta h) summed over its strings."""
-    return Q(toledo_numerator(dims, mult), dims.n)
+    return Q(toledo_numerator(toledo_weights(dims), mult), dims.n)
 
 
 class QuiverHiggsTopology:

@@ -2,11 +2,11 @@
 
 from fractions import Fraction as Q
 from math import gcd
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from gradedlie.cayley import CayleyData
 from gradedlie.chevalley import ChevalleyAlgebra, Element, StructureConstants, Terms
-from gradedlie.grading import ZGrading, ZmGrading
+from gradedlie.grading import ZGrading
 from gradedlie.linalg import RationalMatrix, Solution, rank, solve
 from gradedlie.quiver import (
     Multiplicities,
@@ -454,19 +454,19 @@ def affine_automorphisms(rs: RootSystem) -> Tuple[Tuple[int, ...], ...]:
 
 def enumerated_lift(
     automorphisms: Sequence[Tuple[int, ...]], marks: Sequence[int], labels: Sequence[int]
-) -> Tuple[bool, str, Optional[Tuple[int, ...]]]:
-    """The lift verdict (lifts, mode, witness) read off the full list of ``affine_automorphisms``:
+) -> Tuple[str, Optional[Tuple[int, ...]]]:
+    """The lift verdict (mode, witness) read off the full list of ``affine_automorphisms``:
     node 0 positive, else the first symmetry moving a positive mark-1 label onto node 0."""
     if labels[0] > 0:
-        return True, "directly", None
+        return "directly", None
     for sigma in automorphisms:
         source = sigma.index(0)
         if labels[source] > 0 and marks[source] == 1:
             q = [0] * len(labels)
             for i, target in enumerate(sigma):
                 q[target] = labels[i]
-            return True, "after automorphism", tuple(q)
-    return False, "none", None
+            return "after automorphism", tuple(q)
+    return "none", None
 
 
 # -- Bareiss elimination with a Fraction back-substitution -------------------
@@ -661,7 +661,17 @@ def dense_reflection_closure(cartan: List[List[int]], r: int) -> Tuple[List[Root
 # -- Z/mZ collapse of a Z-grading, Cayley-side oracles -------------------------
 
 
-def bar_pieces(zg: ZGrading) -> ZmGrading:
+class CollapsedGrading(NamedTuple):
+    """A Z-grading's degrees mod m: residue -> basis indices."""
+
+    m: int
+    pieces: Dict[int, Tuple[int, ...]]
+
+    def dims(self) -> Dict[int, int]:
+        return {j: len(idx) for j, idx in sorted(self.pieces.items())}
+
+
+def bar_pieces(zg: ZGrading) -> CollapsedGrading:
     """Collapse a Z-grading of depth m to its Z/mZ-grading.
 
     The residue-j piece is g_j + g_{j-m} for 1 <= j <= m-1, and g_0 stays.
@@ -670,7 +680,7 @@ def bar_pieces(zg: ZGrading) -> ZmGrading:
     pieces: Dict[int, List[int]] = {}
     for j, idx in zg.pieces.items():
         pieces.setdefault(j % m, []).extend(idx)
-    return ZmGrading(m=m, pieces={j: tuple(sorted(idx)) for j, idx in pieces.items()})
+    return CollapsedGrading(m=m, pieces={j: tuple(sorted(idx)) for j, idx in pieces.items()})
 
 
 def iso_character_all_pass(cd: CayleyData) -> bool:

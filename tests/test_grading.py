@@ -14,13 +14,12 @@ from conftest import DIAGRAM_AUTOMORPHISMS, moved_labels
 from oracles import affine_automorphisms, bar_pieces, basis_bracket, enumerated_lift, fractions_of
 
 from gradedlie.grading import (
+    ZmGrading,
     _affine_automorphisms,
     _verify_root_grading,
-    kac_labels,
     kac_lift_check,
     root_grading,
     z_grading_from_labels,
-    zm_from_kac,
 )
 from gradedlie.rootsystem import LieType, build_root_system
 
@@ -186,40 +185,50 @@ def test_labels_moved_by_a_diagram_automorphism(name):
 
 
 def test_zm_a1(sl2):
-    zm = zm_from_kac(sl2.rs, kac_labels(sl2.rs, [1, 1]))
+    zm = ZmGrading(sl2.rs, [1, 1])
     assert zm.m == 2
     assert zm.dims() == {0: 1, 1: 2}
 
 
 def test_zm_trivial(sl3):
-    kac = kac_labels(sl3.rs, [3, 0, 0])
-    zm = zm_from_kac(sl3.rs, kac)
+    zm = ZmGrading(sl3.rs, [3, 0, 0])
     assert zm.dims() == {0: sl3.dim}
-    assert kac.reduced_order == 1
-    assert kac.order_warning is not None
+    assert zm.order_warning is not None
+    assert zm.order_warning == "automorphism order is 1, a proper divisor of the declared m = 3"
 
 
 def test_zm_a2_three_pieces(sl3):
-    zm = zm_from_kac(sl3.rs, kac_labels(sl3.rs, [1, 1, 1]))
+    zm = ZmGrading(sl3.rs, [1, 1, 1])
     assert zm.m == 3
     assert zm.dims() == {0: 2, 1: 3, 2: 3}
+    assert zm.labels == (1, 1, 1) and zm.order_warning is None
+
+
+@pytest.mark.parametrize(
+    "labels,message",
+    [([1, 1], "label count must match node count"), ([1, -1, 1], "labels must be non-negative"),
+     ([0, 0, 0], "labels must not all be zero")],
+)
+def test_zm_record_checks_the_label_rule(sl3, labels, message):
+    with pytest.raises(ValueError, match=message):
+        ZmGrading(sl3.rs, labels)
 
 
 def test_lift_direct(sl3):
-    assert kac_lift_check(sl3.rs, kac_labels(sl3.rs, [1, 1, 1])).mode == "directly"
+    assert kac_lift_check(sl3.rs, ZmGrading(sl3.rs, [1, 1, 1])).mode == "directly"
 
 
 def test_lift_after_automorphism(sl3):
-    verdict = kac_lift_check(sl3.rs, kac_labels(sl3.rs, [0, 1, 1]))
-    assert verdict.lifts and verdict.mode == "after automorphism"
+    verdict = kac_lift_check(sl3.rs, ZmGrading(sl3.rs, [0, 1, 1]))
+    assert verdict.mode == "after automorphism"
     assert verdict.witness[0] > 0
     assert sorted(verdict.witness) == [0, 1, 1]
 
 
 def test_no_lift_g2():
     g2 = build_root_system(LieType.parse("G2"))
-    verdict = kac_lift_check(g2, kac_labels(g2, [0, 1, 0]))
-    assert not verdict.lifts
+    verdict = kac_lift_check(g2, ZmGrading(g2, [0, 1, 0]))
+    assert verdict.mode == "none" and verdict.witness is None
 
 
 LIFT_TYPES = (
@@ -229,19 +238,32 @@ LIFT_TYPES = (
 
 
 @pytest.mark.parametrize("name", LIFT_TYPES)
+def test_pruned_search_yields_the_full_enumeration(name):
+    """The search, which lets a node take only nodes with its sorted affine-Cartan row, yields
+    the unpruned enumeration element by element, and every symmetry it yields maps a mark-1
+    node onto node 0 (a symmetry preserves marks, and n_0 = 1), so the lift check needs no
+    mark test."""
+    rs = build_root_system(LieType.parse(name))
+    yielded, automorphisms = tuple(_affine_automorphisms(rs)), affine_automorphisms(rs)
+    assert len(yielded) == len(automorphisms)
+    for sigma, expected in zip(yielded, automorphisms):
+        assert sigma == expected
+        assert rs.affine_marks[sigma.index(0)] == 1, sigma
+
+
+@pytest.mark.parametrize("name", LIFT_TYPES)
 def test_first_witness_lift_matches_the_full_enumeration(name):
     """The lift check stops at the first symmetry that certifies a lift; on every 0/1/2 label
     vector up to rank 5 and every 0/1 vector above, its verdict and witness are those read off
     the full enumeration, which the generator yields in the same order."""
     rs = build_root_system(LieType.parse(name))
     automorphisms = affine_automorphisms(rs)
-    assert tuple(_affine_automorphisms(rs)) == automorphisms
     digits = (0, 1, 2) if rs.rank <= 5 else (0, 1)
     for labels in product(digits, repeat=rs.rank + 1):
         if any(labels):
-            verdict = kac_lift_check(rs, kac_labels(rs, labels))
+            verdict = kac_lift_check(rs, ZmGrading(rs, labels))
             expected = enumerated_lift(automorphisms, rs.affine_marks, labels)
-            assert (verdict.lifts, verdict.mode, verdict.witness) == expected, labels
+            assert (verdict.mode, verdict.witness) == expected, labels
 
 
 def test_bar_pieces_a2(sl3):
@@ -284,17 +306,15 @@ def test_round_trip_with_kac(name, labels):
         m = g.depth
         p0 = m - sum(n * x for n, x in zip(rs.affine_marks[1:], p))
         assert p0 >= 1
-        zm = zm_from_kac(rs, kac_labels(rs, [p0] + p))
+        zm = ZmGrading(rs, [p0] + p)
         assert bar_pieces(g).pieces == zm.pieces, p
         assert zm.pieces[1] == tuple(sorted(g.piece(1) + g.piece(1 - m))), p
 
 
 def test_lift_witness_reproduces_dimensions(sl3):
-    kac = kac_labels(sl3.rs, [0, 1, 1])
-    verdict = kac_lift_check(sl3.rs, kac)
+    zm = ZmGrading(sl3.rs, [0, 1, 1])
+    verdict = kac_lift_check(sl3.rs, zm)
     witness_labels = list(verdict.witness[1:])
     zg = z_grading_from_labels(sl3, witness_labels)
-    assert zg.depth <= kac.order
-    assert sorted(bar_pieces(zg).dims().values()) == sorted(
-        zm_from_kac(sl3.rs, kac).dims().values()
-    )
+    assert zg.depth <= zm.m
+    assert sorted(bar_pieces(zg).dims().values()) == sorted(zm.dims().values())
