@@ -61,8 +61,7 @@ class Element:
     """An element of g: basis index -> nonzero integer numerator, over one
     positive denominator, kept in lowest terms, so ``==`` compares structure.
 
-    No method changes ``num`` or ``den`` after construction.  Coordinates read
-    back as ints when the denominator is 1 and as Fractions otherwise.
+    No method changes ``num`` or ``den`` after construction.
     """
 
     __slots__ = ("num", "den")
@@ -86,18 +85,8 @@ class Element:
     def __repr__(self) -> str:
         return f"Element({self.num}, {self.den})"
 
-    __iter__ = None  # indexing reads one coordinate; there is no end to iterate to
-
-    def __getitem__(self, i: int) -> Rational:
-        n = self.num.get(i, 0)
-        return n if self.den == 1 else Q(n, self.den)
-
-    def dense(self, dim: int) -> Tuple[Rational, ...]:
-        """All ``dim`` coordinates, for reports."""
-        return tuple(self[i] for i in range(dim))
-
     def dense_num(self, dim: int) -> List[int]:
-        """``dense`` times ``den``: all ``dim`` integer numerators, for rank checks."""
+        """All ``dim`` integer numerators over ``den``, for rank checks."""
         return [self.num.get(i, 0) for i in range(dim)]
 
     def __mul__(self, c: Rational) -> "Element":
@@ -120,13 +109,6 @@ class Element:
 
     def __sub__(self, other: "Element") -> "Element":
         return self + -1 * other if isinstance(other, Element) else NotImplemented
-
-    @classmethod
-    def of(cls, coords: Mapping[int, Rational]) -> "Element":
-        """The element with the given coordinates (ints or Fractions), over the lcm of
-        their denominators."""
-        den = lcm(*(x.denominator for x in coords.values() if x))
-        return cls({i: x.numerator * (den // x.denominator) for i, x in coords.items() if x}, den)
 
 
 class StructureConstants:
@@ -262,18 +244,9 @@ class ChevalleyAlgebra:
             return None
         return self.rs.roots[index - self.rank]
 
-    def from_sparse(self, coords: Mapping[int, Rational]) -> Element:
-        """``Element.of`` the coordinates, whose indices must be basis indices."""
-        if any(not 0 <= i < self.dim for i in coords):
-            raise ValueError("basis index out of range")
-        return Element.of(coords)
-
-    def cartan_element(self, coroot_coeffs: Sequence[Rational]) -> Element:
-        return self.from_sparse(dict(enumerate(coroot_coeffs)))
-
     def coroot(self, alpha: Root) -> Element:
-        """h_alpha = alpha^vee expressed in the basis."""
-        return self.cartan_element(self.rs.coroots[alpha])
+        """h_alpha = alpha^vee expressed in the basis: its integer simple-coroot coordinates."""
+        return Element(dict(enumerate(self.rs.coroots[alpha])))
 
     # -- bracket ----------------------------------------------------------
 

@@ -38,8 +38,7 @@ from .chevalley import Element, build_algebra
 from .grading import ZmGrading, check_labels, kac_lift_check, root_grading, z_grading_from_labels
 from .quaternionic import amw_interval, build_quaternionic, extremes_regular, kappa, quaternionic_ranks
 from .quiver import (ORBIT_BOUND, QuiverDims, QuiverHiggsTopology, enumerate_orbits, labels_for_dims,
-                     maximal_rank_tuple, orbit_count, quiver_jm_regular, rank_pairs, toledo_invariant, toledo_numerator,
-                     toledo_weights)
+                     maximal_rank_tuple, orbit_count, quiver_jm_regular, rank_pairs, toledo_invariant, toledo_rank)
 from .rootsystem import LieType, build_root_system
 from .vinberg import jm_regular
 
@@ -48,18 +47,15 @@ VERSION = __version__
 FORMATS = ("json", "text")
 
 
-def q_str(x) -> str:
-    return str(x if type(x) is int else Q(x))
-
-
-def q_list(xs) -> List[str]:
-    return [q_str(x) for x in xs]
-
-
 def ratio_str(num: int, den: int) -> str:
     """num/den (den > 0) as a "p/q" string in lowest terms, with no Fraction built."""
     g = gcd(num, den)
     return str(num // g) if g == den else f"{num // g}/{den // g}"
+
+
+def q_str(x) -> str:
+    """An int or a Fraction as a "p/q" string."""
+    return ratio_str(x.numerator, x.denominator)
 
 
 def element_strs(e: Element, dim: int) -> List[str]:
@@ -221,18 +217,18 @@ def cmd_quiver(dims: List[int], **_) -> Dict[str, Any]:
     if count > ORBIT_BOUND:
         raise ValueError(f"the dimension vector has at least {count} orbits; a report lists at most {ORBIT_BOUND}")
     orbits = enumerate_orbits(quiver)
-    top, n, weights = maximal_rank_tuple(quiver), quiver.n, toledo_weights(quiver)
+    top = maximal_rank_tuple(quiver)
     keys = [f"{i},{j}" for i, j in rank_pairs(quiver)]
     return make_report(
         "quiver",
         {"dims": dims},
         {
             "jm_regular": quiver_jm_regular(quiver),
-            "alpha": ratio_str(quiver.moment, n),
+            "alpha": ratio_str(quiver.moment, quiver.n),
             "orbits": [
                 {
                     "ranks": dict(zip(keys, rt)),
-                    "toledo_rank": ratio_str(toledo_numerator(weights, mult), n),
+                    "toledo_rank": str(toledo_rank(mult)),
                     "open": rt == top,
                 }
                 for rt, mult in orbits
@@ -244,7 +240,7 @@ def cmd_quiver(dims: List[int], **_) -> Dict[str, Any]:
 def cmd_toledo(dims: List[int], degrees: List[int], genus: int, **_) -> Dict[str, Any]:
     top = QuiverHiggsTopology(tuple(dims), tuple(degrees), genus)
     inputs = {"dims": dims, "degrees": degrees, "genus": top.genus}
-    return make_report("toledo", inputs, {"tau": q_str(toledo_invariant(top))})
+    return make_report("toledo", inputs, {"tau": str(toledo_invariant(top))})
 
 
 # the amw flags that --type computes: given with it, each exits 2
@@ -272,7 +268,7 @@ def cmd_amw(
         pairs = build_quaternionic(lie_type)
         inputs["lie_type"] = str(lie_type)
         lower, upper = amw_interval(pairs, genus, lam)
-        results = {"bounds": q_list((lower, upper)), "kappa": kappa(pairs[1])}
+        results = {"bounds": [q_str(lower), q_str(upper)], "kappa": kappa(pairs[1])}
     report = make_report("amw", inputs, results)
     if upper is not None and lower > upper:  # the formula's lambda hypothesis fails: no tau satisfies both
         report["warnings"].append(f"empty interval: lower bound {q_str(lower)} exceeds upper bound {q_str(upper)}")

@@ -4,19 +4,23 @@ A dimension vector (d_0, ..., d_{m-1}) with n = sum d_j splits C^n into
 blocks V_j; a degree-1 element of the corresponding sl_n grading is a chain of
 maps f_j : V_j -> V_{j+1}.  Orbits are classified by the ranks of the
 consecutive compositions and enumerated from the multiplicities of the
-interval modules, the sl2-completion h is read off the Jordan strings, and
-the Toledo data reduces to trace arithmetic against
-zeta|_{V_j} = (j - alpha) Id with alpha = (sum j d_j)/n.  Rank tuples,
-Toledo ranks of orbits and JM-regularity are closed forms in the strings'
-intervals, so no orbit representative is built.  A rank tuple is a flat tuple
-of ints, r_ij in (i, j) order (``rank_pairs``), and an orbit's Toledo rank is an
-int numerator over n (``toledo_numerator``), so a report builds no Fraction.
+interval modules, and the sl2-completion h is read off the Jordan strings.
+Rank tuples, Toledo ranks of orbits and JM-regularity are closed forms in the
+strings' intervals, so no orbit representative is built.  A rank tuple is a flat
+tuple of ints, r_ij in (i, j) order (``rank_pairs``).
+
+An orbit's Toledo rank is tr(zeta h) summed over its strings, with
+zeta|_{V_j} = (j - alpha) Id and alpha = (sum j d_j)/n.  On a string [a, b],
+h = 2k - a - b at vertex k sums to zero, so the shift alpha drops out and the
+string contributes sum_k k (2k - a - b) = C(L + 1, 3) for its L = b - a + 1
+vertices: an int, whatever the vector (``toledo_rank``).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction as Q
+from functools import lru_cache
 from itertools import accumulate
+from math import comb
 from operator import mul
 from typing import Dict, Iterator, List, Sequence, Tuple
 
@@ -24,8 +28,7 @@ from .linalg import RationalMatrix, rank
 
 
 class QuiverDims:
-    """A dimension vector: positive entries with total at least 2.  Equal vectors
-    compare and hash alike."""
+    """A dimension vector: positive entries with total at least 2."""
 
     __slots__ = ("dims",)
 
@@ -35,14 +38,6 @@ class QuiverDims:
         self.dims = dims
         if self.n < 2:
             raise ValueError("total dimension must be at least 2")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, QuiverDims):
-            return NotImplemented
-        return self.dims == other.dims
-
-    def __hash__(self) -> int:
-        return hash(self.dims)
 
     def __repr__(self):
         return f"QuiverDims(dims={self.dims!r})"
@@ -58,10 +53,6 @@ class QuiverDims:
     @property
     def moment(self) -> int:  # sum_j j d_j, so alpha = moment / n
         return sum(j * d for j, d in enumerate(self.dims))
-
-    @property
-    def alpha(self) -> Q:
-        return Q(self.moment, self.n)
 
     def block_start(self, j: int) -> int:
         return sum(self.dims[:j])
@@ -235,28 +226,16 @@ def quiver_jm_regular(dims: QuiverDims) -> bool:
     return True
 
 
-def toledo_weights(dims: QuiverDims) -> Dict[Tuple[int, int], int]:
-    """n * tr(zeta h) on one string [a, b], for every interval: one table per vector,
-    built by its caller and passed to ``toledo_numerator`` for each orbit.
-
-    On the string, zeta = (n k - sum_j j d_j)/n and h = 2k - a - b at vertex k.
-    """
-    n, shift = dims.n, dims.moment
-    return {
-        (a, b): sum((n * k - shift) * (2 * k - a - b) for k in range(a, b + 1))
-        for a in range(dims.m)
-        for b in range(a, dims.m)
-    }
+@lru_cache(maxsize=None)
+def _string_weight(ab: Tuple[int, int]) -> int:
+    """tr(zeta h) on one string [a, b]: C(b - a + 2, 3), whatever the vector."""
+    a, b = ab
+    return comb(b - a + 2, 3)
 
 
-def toledo_numerator(weights: Dict[Tuple[int, int], int], mult: Multiplicities) -> int:
-    """n rank_T of an orbit: n tr(zeta h) summed over its strings, from ``toledo_weights``."""
-    return sum(map(mul, map(weights.__getitem__, mult), mult.values()))
-
-
-def interval_toledo_rank(dims: QuiverDims, mult: Multiplicities) -> Q:
-    """rank_T of an orbit: tr(zeta h) summed over its strings."""
-    return Q(toledo_numerator(toledo_weights(dims), mult), dims.n)
+def toledo_rank(mult: Multiplicities) -> int:
+    """rank_T of an orbit: sum m_ab C(b - a + 2, 3) over its strings [a, b]."""
+    return sum(map(mul, map(_string_weight, mult), mult.values()))
 
 
 class QuiverHiggsTopology:
@@ -278,11 +257,11 @@ class QuiverHiggsTopology:
         self.ranks, self.degrees, self.genus = ranks, degrees, genus
 
 
-def toledo_invariant(top: QuiverHiggsTopology) -> Q:
+def toledo_invariant(top: QuiverHiggsTopology) -> int:
     """tau = 2 sum (j - alpha) deg E_j = 2 sum j deg E_j: the alpha term is
     2 alpha sum deg E_j, and the degrees sum to zero (``QuiverHiggsTopology``
     enforces it), so tau does not depend on the ranks."""
-    return Q(2 * sum(j * d for j, d in enumerate(top.degrees)))
+    return 2 * sum(j * d for j, d in enumerate(top.degrees))
 
 
 # -- bridge to the Chevalley-side grading of sl_n -------------------------

@@ -150,17 +150,12 @@ def generic_element(pair: VinbergPair, seed: int = 0) -> Element:
 
 
 class Sl2Triple:
-    """(h, e, f); ``verify`` certifies the sl2 relations.  Equal triples have equal elements."""
+    """(h, e, f); ``verify`` certifies the sl2 relations."""
 
     __slots__ = ("h", "e", "f")
 
     def __init__(self, h: Element, e: Element, f: Element):
         self.h, self.e, self.f = h, e, f
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Sl2Triple):
-            return NotImplemented
-        return self.h == other.h and self.e == other.e and self.f == other.f
 
     def verify(self, alg: ChevalleyAlgebra) -> "Sl2Triple":
         """[h, e] = 2e, [h, f] = -2f and [e, f] = h, exactly, then the triple; a failure

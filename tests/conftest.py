@@ -10,7 +10,7 @@ from gradedlie.cli import cmd_verify_paper
 from gradedlie.grading import z_grading_from_labels
 from gradedlie.quiver import QuiverDims, labels_for_dims
 from gradedlie.rootsystem import LieType
-from oracles import dims_for_labels
+from oracles import dims_for_labels, from_sparse
 
 # Property tests draw the same examples on every run and write no example
 # database; CLI examples can take a second, so there is no per-example deadline.
@@ -93,7 +93,7 @@ def embed_quiver_element(zg, dims: QuiverDims, elem):
                     j = dims.block_start(b + 1) + a + 1
                     root = chain_root(i, j, alg.rank)
                     coords[alg.root_index[root]] = Q(f[a][c])
-    return alg.from_sparse(coords)
+    return from_sparse(alg, coords)
 
 
 @pytest.fixture(scope="session")

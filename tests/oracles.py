@@ -1,11 +1,11 @@
 """Test-only helpers and oracles that no command of the package calls."""
 
 from fractions import Fraction as Q
-from math import gcd
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from math import gcd, lcm
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from gradedlie.cayley import CayleyData
-from gradedlie.chevalley import ChevalleyAlgebra, Element, StructureConstants, Terms
+from gradedlie.chevalley import ChevalleyAlgebra, Element, Rational, StructureConstants, Terms
 from gradedlie.grading import ZGrading
 from gradedlie.linalg import RationalMatrix, Solution, rank, solve
 from gradedlie.quiver import (
@@ -14,14 +14,13 @@ from gradedlie.quiver import (
     QuiverElement,
     RankTuple,
     _check_shapes,
-    interval_toledo_rank,
     maximal_rank_tuple,
     quiver_jm_regular,
     rank_pairs,
     rank_tuple,
 )
 from gradedlie.rootsystem import LieType, Root, RootSystem, affine_cartan_matrix
-from gradedlie.vinberg import VinbergPair, jm_triple, killing_dual_norm, normalized_form
+from gradedlie.vinberg import Sl2Triple, VinbergPair, jm_triple, killing_dual_norm, normalized_form
 
 Vector = Tuple[Q, ...]
 
@@ -37,6 +36,55 @@ def fractions_of(solution: Optional[Solution]) -> Optional[Vector]:
         return None
     num, den = solution
     return tuple(Q(n, den) for n in num)
+
+
+# -- elements by their coordinates ---------------------------------------------
+
+
+def from_sparse(alg: ChevalleyAlgebra, coords: Mapping[int, Rational]) -> Element:
+    """The element of ``alg`` with the given coordinates (ints or Fractions) on basis
+    indices, over the lcm of their denominators."""
+    if any(not 0 <= i < alg.dim for i in coords):
+        raise ValueError("basis index out of range")
+    den = lcm(*(x.denominator for x in coords.values() if x))
+    return Element({i: x.numerator * (den // x.denominator) for i, x in coords.items() if x}, den)
+
+
+def cartan_element(alg: ChevalleyAlgebra, coroot_coeffs: Sequence[Rational]) -> Element:
+    """The Cartan element with these simple-coroot coordinates."""
+    return from_sparse(alg, dict(enumerate(coroot_coeffs)))
+
+
+def coordinate(e: Element, i: int) -> Rational:
+    """Coordinate i of e: an int when the denominator is 1, else a Fraction."""
+    n = e.num.get(i, 0)
+    return n if e.den == 1 else Q(n, e.den)
+
+
+def dense(e: Element, dim: int) -> Tuple[Rational, ...]:
+    """All ``dim`` coordinates of e."""
+    return tuple(coordinate(e, i) for i in range(dim))
+
+
+def triple_parts(triple: Sl2Triple) -> Tuple[Element, Element, Element]:
+    """(h, e, f): two triples are equal when these are."""
+    return triple.h, triple.e, triple.f
+
+
+# -- the quiver side by definition ---------------------------------------------
+
+
+def quiver_alpha(dims: QuiverDims) -> Q:
+    """alpha = sum_j j d_j / n, so zeta|_{V_j} = (j - alpha) Id."""
+    return Q(dims.moment, dims.n)
+
+
+def interval_toledo_rank(dims: QuiverDims, mult: Multiplicities) -> Q:
+    """rank_T of an orbit by definition: tr(zeta h) summed over its strings, where a string
+    [a, b] has zeta = k - alpha and h = 2k - a - b at vertex k; the shift alpha is kept."""
+    n, shift = dims.n, dims.moment
+    total = sum(c * sum((n * k - shift) * (2 * k - a - b) for k in range(a, b + 1)) for (a, b), c in mult.items())
+    return Q(total, n)
 
 
 def pointwise_maximality(dims: QuiverDims, elem: Sequence[RationalMatrix]) -> bool:
@@ -170,7 +218,7 @@ def jordan_h(dims: QuiverDims, elem: Sequence[RationalMatrix]) -> Tuple[Q, ...]:
 
 def zeta_matrix(dims: QuiverDims) -> Tuple[Q, ...]:
     """Diagonal of zeta: (j - alpha) on the block V_j."""
-    return tuple(Q(j) - dims.alpha for j, d in enumerate(dims.dims) for _ in range(d))
+    return tuple(Q(j) - quiver_alpha(dims) for j, d in enumerate(dims.dims) for _ in range(d))
 
 
 def jordan_jm_regular(dims: QuiverDims) -> bool:
@@ -614,7 +662,7 @@ def project(zg: ZGrading, v: Element, j: int) -> Element:
 
 def root_vector(alg: ChevalleyAlgebra, alpha: Root) -> Element:
     """The basis vector e_alpha."""
-    return alg.from_sparse({alg.root_index[alpha]: Q(1)})
+    return from_sparse(alg, {alg.root_index[alpha]: Q(1)})
 
 
 ROOT_COUNTS = {
@@ -695,7 +743,7 @@ def verify_intertwining(cd: CayleyData) -> bool:
     """ad(e)^{m-1}([c, x]) = [c, ad(e)^{m-1}(x)] for all c and lowest-piece x."""
     alg = cd.algebra
     zg = cd.pair.grading
-    low = [alg.from_sparse({i: Q(1)}) for i in zg.piece(1 - cd.depth)]
+    low = [from_sparse(alg, {i: Q(1)}) for i in zg.piece(1 - cd.depth)]
 
     def transport(x):
         v = x

@@ -25,6 +25,7 @@ from oracles import (
     basis_bracket,
     chi_t_killing,
     dims_for_labels,
+    from_sparse,
     orbit_toledo_rank,
     string_representative,
     toledo_rank,
@@ -193,7 +194,7 @@ def test_8_property_suites():
                         assert degree[target] == degree[i] + degree[l]
         pair = vinberg_pair(zg)
         for _ in range(50):
-            x = alg.from_sparse({i: rng.randint(-3, 3) for i in range(alg.dim)})
+            x = from_sparse(alg, {i: rng.randint(-3, 3) for i in range(alg.dim)})
             assert pair.chi_t(x) == chi_t_killing(pair, x)
         # triple relations on the jm output
         triple = jm_triple(pair, generic_element(pair, 0))

@@ -1,8 +1,11 @@
 import fractions
+import importlib.util
+import inspect
 import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -428,6 +431,98 @@ def test_python_dash_m_runs_the_cli():
     assert done.stdout == (ROOT / "tests" / "golden" / "grading_type_A2_labels_1_1.out").read_text()
 
 
+def src_functions():
+    """Every function defined in src/gradedlie, nested ones included, keyed by (module, first
+    line, name) as its code object is, mapped to its qualified name.  Code objects, not
+    attributes, so that properties and decorated functions count."""
+    found = {}
+
+    def walk(code, module, prefix):
+        for const in code.co_consts:
+            if not isinstance(const, types.CodeType):
+                continue
+            if const.co_name.startswith("<"):  # a lambda or a comprehension
+                walk(const, module, prefix)
+            elif const.co_flags & inspect.CO_OPTIMIZED:  # a function
+                found[(module, const.co_firstlineno, const.co_name)] = f"{module}.{prefix}{const.co_name}"
+                walk(const, module, f"{prefix}{const.co_name}.<locals>.")
+            else:  # a class body
+                walk(const, module, f"{prefix}{const.co_name}.")
+
+    for path in sorted((ROOT / "src" / "gradedlie").glob("*.py")):
+        walk(compile(path.read_text(), str(path), "exec"), path.stem, "")
+    return found
+
+
+# The one pass of the guard below: the README commands (verify-paper --extended among
+# them), then one --config and one --output argv; it prints the (module, first line, name)
+# of every src function it enters.
+SWEEP = """
+import io, json, sys
+from contextlib import redirect_stdout
+from pathlib import Path
+from gradedlie import cli
+
+package = str(Path(cli.__file__).parent)
+entered = set()
+
+def profile(frame, event, arg):
+    if event == "call":
+        entered.add(frame.f_code)
+
+sys.setprofile(profile)
+for argv in json.loads(sys.argv[1]):
+    with redirect_stdout(io.StringIO()):
+        cli.main(argv)
+sys.setprofile(None)
+print(json.dumps(sorted(
+    (Path(c.co_filename).stem, c.co_firstlineno, c.co_name) for c in entered if str(Path(c.co_filename).parent) == package
+)))
+"""
+
+# Functions no command enters, each for a stated reason.  bench/tracer.py wraps these
+# test oracles by name, so they stay until its TARGETS let them go:
+TRACER_ONLY = {
+    "chevalley.ChevalleyAlgebra.killing_gram",
+    "chevalley.ChevalleyAlgebra.killing_form",
+    "rootsystem.RootSystem.form_value",
+    "vinberg.killing_dual_norm",
+    "vinberg.jm_triple",
+    "quiver.rank_tuple",
+}
+NEVER_ENTERED = TRACER_ONLY | {
+    "quiver._check_shapes",  # only rank_tuple calls it
+    "chevalley.Element.__repr__",  # the three reprs, for a reader at a prompt
+    "quiver.QuiverDims.__repr__",
+    "rootsystem.LieType.__repr__",
+    "chevalley.StructureConstants._root",  # it only builds failure messages
+    "cli.Field.__init__",  # it runs at import time, before the pass starts
+}
+
+
+def test_every_src_function_runs_in_a_command(tmp_path):
+    """Every src function outside ``NEVER_ENTERED`` runs in a README command or in a
+    --config or --output job, and none inside it does: src holds what a command runs."""
+    tracer = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
+    targets = importlib.util.module_from_spec(tracer)
+    tracer.loader.exec_module(targets)
+    assert TRACER_ONLY <= {f"{module}.{path}" for module, path, _ in targets.TARGETS}
+    config = tmp_path / "job.json"
+    config.write_text(json.dumps({"lie_type": "A2", "labels": [1, 0]}))
+    argvs = EXAMPLES + [
+        ["--config", str(config), "grading", "--labels", "1,1"],
+        ["toledo", "--dims", "1,1", "--degrees", "1,-1", "--genus", "2", "--output", str(tmp_path / "r.json")],
+    ]
+    src = str(ROOT / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", SWEEP, json.dumps(argvs)], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    functions = src_functions()
+    entered = {functions.get(tuple(key)) for key in json.loads(done.stdout)}  # None: a comprehension
+    assert (tmp_path / "r.json").exists()
+    assert sorted(set(functions.values()) - entered) == sorted(NEVER_ENTERED)
+
+
 @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["quiver", "--help"], ["--config", "x", "amw", "-h"]])
 def test_help_lists_every_command(capsys, argv):
     assert main(argv) == 0
@@ -633,8 +728,8 @@ def test_readme_examples_take_no_json_dumps(monkeypatch, capsys, argv):
 
 @pytest.mark.parametrize("dims", SMALL_DIMS + [(1, 1, 2, 2, 1, 1)], ids=lambda dims: ",".join(map(str, dims)))
 def test_quiver_report_builds_no_fraction(monkeypatch, dims):
-    """``quiver`` reports alpha and every Toledo rank from int numerators over n, with
-    ``Fraction`` unable to build, the same report as with it."""
+    """``quiver`` reports alpha from an int numerator over n and every Toledo rank as an int,
+    with ``Fraction`` unable to build, the same report as with it."""
     expected = cmd_quiver(dims=list(dims))
 
     def no_fraction(cls, *args, **kwargs):

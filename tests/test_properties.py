@@ -19,8 +19,10 @@ from oracles import (
     bareiss_kernel_basis,
     bareiss_rank,
     bareiss_solve,
+    dense,
     fraction_bracket,
     fractions_of,
+    from_sparse,
     is_normalised,
 )
 
@@ -89,12 +91,13 @@ def naive_pivots(m: RationalMatrix):
 @settings(max_examples=60)
 @given(st.dictionaries(st.integers(0, 9), st.integers(-40, 40)), st.integers(2, 30), st.integers(10, 14))
 def test_element_strs_match_the_dense_coordinates(num, den, dim):
-    """The report formatter reads the integer numerators; ``Element.dense`` is its oracle.
+    """The report formatter reads the integer numerators; ``str`` of the coordinates that
+    ``oracles.dense`` reads back as ints or Fractions is its oracle.
     Coordinate 0 is 1/den, so the denominator stays above 1; negative numerators and
     zero coordinates come from the draw."""
     e = Element({**num, 0: 1}, den)
     assert e.den == den
-    assert cli.element_strs(e, dim) == cli.q_list(e.dense(dim))
+    assert cli.element_strs(e, dim) == [str(x) for x in dense(e, dim)]
 
 
 # report-shaped values: str keys in any order ("0,10" sorts before "0,2"), text with
@@ -269,10 +272,10 @@ def test_bracket_matches_fraction_oracle(data):
     alg = build_algebra(LieType.parse(data.draw(st.sampled_from(BRACKET_TYPES))))
     element = st.lists(coordinates, min_size=alg.dim, max_size=alg.dim)
     a, b = data.draw(element), data.draw(element)
-    out = alg.bracket(alg.from_sparse(dict(enumerate(a))), alg.from_sparse(dict(enumerate(b))))
+    out = alg.bracket(from_sparse(alg, dict(enumerate(a))), from_sparse(alg, dict(enumerate(b))))
     assert type(out) is Element and is_normalised(out)
     assert all(0 <= i < alg.dim for i in out.num)
-    assert out.dense(alg.dim) == fraction_bracket(alg, a, b)
+    assert dense(out, alg.dim) == fraction_bracket(alg, a, b)
 
 
 # -- CLI fuzz: every argv or config gives exit code 0, 1 or 2 and never raises --

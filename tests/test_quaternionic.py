@@ -8,7 +8,7 @@ from oracles import form_quaternionic_labels, orbit_toledo_rank, quaternionic_bo
 
 from gradedlie import cayley, checks, quaternionic, vinberg
 from gradedlie.checks import QUATERNIONIC_TYPES, expected_ranks
-from gradedlie.cli import main, q_list
+from gradedlie.cli import main, q_str
 from gradedlie.quaternionic import (
     amw_interval,
     build_quaternionic,
@@ -113,7 +113,7 @@ def test_kappa(name, expected):
 @pytest.mark.parametrize("name", TYPE_LIST)
 def test_ranks(name):
     t = LieType.parse(name)
-    assert q_list(quaternionic_ranks(build_quaternionic(t))) == expected_ranks(t)
+    assert [q_str(x) for x in quaternionic_ranks(build_quaternionic(t))] == expected_ranks(t)
 
 
 IDENTITY_TYPES = (
@@ -134,7 +134,7 @@ def test_amw_interval_is_the_kappa_formula(name):
     assert pairs[1].zeta_pairing() == 2 * k
     assert dual_toledo_factor(pairs[1]) == Q(-1, k)
     ranks = quaternionic_ranks(pairs)
-    assert q_list(ranks) == expected_ranks(t)
+    assert [q_str(x) for x in ranks] == expected_ranks(t)
     for genus in range(2, 6):
         for lam in (Q(0), Q(1, 2)):
             assert amw_interval(pairs, genus, lam) == quaternionic_bounds(genus, lam, *ranks, k), (genus, lam)

@@ -3,6 +3,7 @@ import json
 import random
 import time
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,11 +14,13 @@ from oracles import (
     _total_matrix,
     canonical_open_element,
     dims_for_labels,
+    interval_toledo_rank,
     jordan_h,
     jordan_jm_regular,
     jordan_strings,
     orbit_toledo_rank,
     pointwise_maximality,
+    quiver_alpha,
     string_representative,
     zeta_matrix,
 )
@@ -30,7 +33,6 @@ from gradedlie.quiver import (
     QuiverDims,
     QuiverHiggsTopology,
     enumerate_orbits,
-    interval_toledo_rank,
     labels_for_dims,
     maximal_rank_tuple,
     orbit_count,
@@ -38,7 +40,7 @@ from gradedlie.quiver import (
     rank_pairs,
     rank_tuple,
     toledo_invariant,
-    toledo_weights,
+    toledo_rank,
 )
 
 
@@ -55,8 +57,8 @@ def test_dims_validation():
 
 
 def test_alpha():
-    assert QuiverDims((1, 1, 1)).alpha == 1
-    assert QuiverDims((2, 1)).alpha == Q(1, 3)
+    assert quiver_alpha(QuiverDims((1, 1, 1))) == 1
+    assert quiver_alpha(QuiverDims((2, 1))) == Q(1, 3)
 
 
 def test_rank_tuple_zero_element():
@@ -164,7 +166,7 @@ def test_enumerate_orbits_representatives(dims):
         strings = jordan_strings(d, rep)
         assert sorted(k for chain in strings for k in chain) == list(range(d.n))
         trace = sum((z * h for z, h in zip(zeta, jordan_h(d, rep))), Q(0))
-        assert interval_toledo_rank(d, mult) == trace
+        assert toledo_rank(mult) == trace
         assert orbit_toledo_rank(d, rt) == trace
 
 
@@ -231,16 +233,26 @@ def test_quiver_command_refuses_past_the_bound(capsys, ones):
     assert elapsed < 1
 
 
+# every quiver vector of the benchmark pools, each of which has a reference report
+POOL_DIMS = [
+    tuple(map(int, job.split()[-1].split(",")))
+    for job in json.loads((Path(__file__).resolve().parents[1] / "bench" / "references.json").read_text())
+    if job.startswith("quiver --dims ")
+]
+
+
 def test_toledo_weights_match_the_closed_form():
-    """n tr(zeta h) on a string of L vertices is n (L^3 - L)/6 wherever it sits: h sums to
-    zero on the string, so the shift in zeta drops out, and h = 2t on the centred vertices t.
-    Equal vectors compare and hash alike."""
-    for dims in [(1, 1), (2, 3, 2), (1, 2, 3, 2, 1), (3, 1, 4, 1, 5), (4,)]:
+    """The closed form C(L + 1, 3) per string of L vertices against tr(zeta h) with the shift
+    alpha kept (``interval_toledo_rank``), on every orbit of every small and pool vector and on
+    each single string: h sums to zero on a string, so the shift drops out."""
+    assert len(POOL_DIMS) == 12
+    for dims in SMALL_DIMS + POOL_DIMS:
         d = QuiverDims(dims)
-        lengths = {(a, b): b - a + 1 for a in range(d.m) for b in range(a, d.m)}
-        assert toledo_weights(d) == {ab: d.n * (k**3 - k) // 6 for ab, k in lengths.items()}, dims
-    assert QuiverDims((2, 3, 2)) == QuiverDims(tuple([2, 3, 2]))
-    assert hash(QuiverDims((2, 3, 2))) == hash(QuiverDims(tuple([2, 3, 2])))
+        for a in range(d.m):
+            for b in range(a, d.m):
+                assert toledo_rank({(a, b): 1}) == interval_toledo_rank(d, {(a, b): 1}), (dims, a, b)
+        for _, mult in enumerate_orbits(d):
+            assert toledo_rank(mult) == interval_toledo_rank(d, mult), (dims, mult)
 
 
 def test_jordan_h_11():
