@@ -22,9 +22,9 @@ def bounds(genus: int, lam: Q, zeta_pairing: Q, rank_plus: Q, rank_minus: Q) -> 
 
     Whether tau_U bounds tau is the caller's to decide, and the two callers
     decide differently at depth 3: ``cli.cmd_amw`` drops it unless the depth
-    is 2 or ``--phi-minus-zero`` is given, while
-    ``quaternionic.amw_interval``, on the depth-3 pair (G_0, g_1 + g_{-2}),
-    always keeps it.  Which rule the paper supports is open.
+    is 2 or ``--phi-minus-zero`` is given, while ``vinberg.GradedPair.interval``
+    always keeps it, as ``amw --type`` reports on the depth-3 pair
+    (G_0, g_1 + g_{-2}).  Which rule the paper supports is open.
     """
     if genus < 2:
         raise ValueError("genus must be at least 2")

@@ -36,7 +36,7 @@ from .cayley import bracket_projection_test, cayley_pair
 from .checks import expected_ranks, paper_checks, quaternionic_types
 from .chevalley import Element, build_algebra
 from .grading import ZmGrading, check_labels, kac_lift_check, root_grading, z_grading_from_labels
-from .quaternionic import amw_interval, build_quaternionic, extremes_regular, kappa, quaternionic_ranks
+from .quaternionic import build_quaternionic, kappa
 from .quiver import (ORBIT_BOUND, QuiverDims, QuiverHiggsTopology, enumerate_orbits, labels_for_dims,
                      maximal_rank_tuple, orbit_count, quiver_jm_regular, rank_pairs, toledo_invariant, toledo_rank)
 from .rootsystem import LieType, build_root_system
@@ -265,10 +265,10 @@ def cmd_amw(
         unread = [flag for flag, value in zip(AMW_UNREAD, given) if value is not None]
         if unread:
             raise ValueError(f"--type does not read {unread[0]}")
-        pairs = build_quaternionic(lie_type)
+        graded = build_quaternionic(lie_type)
         inputs["lie_type"] = str(lie_type)
-        lower, upper = amw_interval(pairs, genus, lam)
-        results = {"bounds": [q_str(lower), q_str(upper)], "kappa": kappa(pairs[1])}
+        lower, upper = graded.interval(genus, lam)
+        results = {"bounds": [q_str(lower), q_str(upper)], "kappa": kappa(graded.one)}
     report = make_report("amw", inputs, results)
     if upper is not None and lower > upper:  # the formula's lambda hypothesis fails: no tau satisfies both
         report["warnings"].append(f"empty interval: lower bound {q_str(lower)} exceeds upper bound {q_str(upper)}")
@@ -276,19 +276,19 @@ def cmd_amw(
 
 
 def cmd_quaternionic(lie_type: LieType, seed: int, **_) -> Dict[str, Any]:
-    pairs = build_quaternionic(lie_type)
-    rp, rm = quaternionic_ranks(pairs)
-    extremes = extremes_regular(pairs)
+    graded = build_quaternionic(lie_type)
+    rp, rm = graded.ranks()
+    extremes = jm_regular(graded.top) and jm_regular(graded.low)
     return make_report(
         "quaternionic",
         # no value reads the seed: it is echoed because the reference digests in bench/references.json pin it
         {"lie_type": str(lie_type), "seed": seed},
         {
-            "piece_dims": list(pairs[1].grading.dims().values()),  # degrees -2..2
-            "kappa": kappa(pairs[1]),
+            "piece_dims": list(graded.grading.dims().values()),  # degrees -2..2
+            "kappa": kappa(graded.one),
             "rank_plus": q_str(rp),
             "rank_minus": q_str(rm),
-            "degree1_jm_regular": jm_regular(pairs[1]),
+            "degree1_jm_regular": jm_regular(graded.one),
             "extreme_pieces_jm_regular": extremes,
         },
         [

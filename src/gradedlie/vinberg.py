@@ -17,6 +17,9 @@ and B*(gamma, gamma) and the dual factor are read, by the integer length
 classes.  The trace-of-ad Killing form's dual norm (``killing_dual_norm``) is
 kept as an independent oracle, so tests can assert that independence exactly.
 
+``GradedPair`` is the one record of a depth-m grading's (G_0, g_1 + g_{1-m}) pair: the pairs
+of degrees 1, m-1 and 1-m, off which its Toledo ranks, dual factor and AMW interval are read.
+
 Elements are ``chevalley.Element``s (sparse integer numerators over one
 denominator): open-orbit samples are built from ints, linear systems run on
 integer ``ad_block``s, and every sl2 relation is compared structurally.
@@ -30,8 +33,9 @@ import random
 from fractions import Fraction as Q
 from itertools import chain
 from operator import mul
-from typing import Optional
+from typing import Optional, Tuple
 
+from .amw import bounds
 from .chevalley import ChevalleyAlgebra, Element
 from .grading import ZGrading
 from .linalg import RationalMatrix, rank, solve
@@ -262,19 +266,32 @@ def jm_regular(pair: VinbergPair) -> bool:
     return pair.triple().h == 2 * pair.grading.zeta
 
 
-def dual_toledo_factor(pair: VinbergPair) -> Q:
-    """Ratio between the Toledo data of (G_0, g_1) and of (G_0, g_{1-m}).
+class GradedPair:
+    """The (G_0, g_1 + g_{1-m}) pair of a Z-grading of depth m, read off three pairs, each
+    with its own longest root and triple: ``one`` = (G_0, g_1), ``top`` = (G_0, g_{m-1})
+    (``one`` itself when m = 2) and ``low`` = (G_0, g_{1-m})."""
 
-    Equals 1/(1-m) * B*(gamma', gamma')/B*(gamma, gamma) = ell(gamma') / ((1-m) ell(gamma))
-    with gamma' a longest root in the lowest piece and ell the length class; always negative.
-    """
-    zg = pair.grading
-    m = zg.depth
-    if m < 2:
-        raise ValueError("depth must be at least 2")
-    low = zg.piece(1 - m)
-    if not low:
-        raise ValueError("lowest piece is empty")
-    alg = pair.algebra
-    ell_prime = max(alg.rs.length_class(alg.basis_root(i)) for i in low)
-    return Q(ell_prime, (1 - m) * alg.rs.length_class(pair.gamma))
+    __slots__ = ("grading", "one", "top", "low")
+
+    def __init__(self, zg: ZGrading):
+        m = zg.depth
+        self.grading = zg
+        self.one = vinberg_pair(zg)
+        self.top = self.one if m == 2 else vinberg_pair(regrade(zg, m - 1))
+        self.low = vinberg_pair(regrade(zg, 1 - m))
+
+    def ranks(self) -> Tuple[Q, Q]:
+        """(rank_T(G_0, g_1), rank_T(G_0, g_{1-m})), each off its pair's triple."""
+        return pair_rank(self.one), pair_rank(self.low)
+
+    def dual_factor(self) -> Q:
+        """The ratio between the Toledo data of the degree-1 and the lowest pair:
+        B*(gamma', gamma') / ((1-m) B*(gamma, gamma)) = ell(gamma') / ((1-m) ell(gamma)), with
+        gamma' the lowest pair's longest root and ell the length class; always negative."""
+        ell = self.grading.algebra.rs.length_class
+        return Q(ell(self.low.gamma), (1 - self.grading.depth) * ell(self.one.gamma))
+
+    def interval(self, genus: int, lam: Q) -> Tuple[Q, Q]:
+        """``amw.bounds`` at the degree-1 pair's zeta-pairing, r_+ and -r_-/d."""
+        rank_plus, rank_minus = self.ranks()
+        return bounds(genus, lam, self.one.zeta_pairing(), rank_plus, -rank_minus / self.dual_factor())

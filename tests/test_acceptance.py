@@ -37,7 +37,7 @@ from gradedlie.chevalley import build_algebra
 from gradedlie.cli import main
 from gradedlie.grading import ZmGrading, kac_lift_check, z_grading_from_labels
 from gradedlie.linalg import independent_subset
-from gradedlie.quaternionic import build_quaternionic, extremes_regular
+from gradedlie.quaternionic import build_quaternionic
 from gradedlie.quiver import (
     QuiverDims,
     QuiverHiggsTopology,
@@ -123,10 +123,9 @@ def test_1_quaternionic_rank_table(name):
 
 @pytest.mark.parametrize("name", QUATERNIONIC_TYPES)
 def test_2_extreme_pieces_jm_regular_with_certificates(name):
-    pairs = build_quaternionic(LieType.parse(name))
-    assert extremes_regular(pairs)
-    alg = pairs[1].grading.algebra
-    for pair in (pairs[2], pairs[-2]):
+    graded = build_quaternionic(LieType.parse(name))
+    alg = graded.grading.algebra
+    for pair in (graded.top, graded.low):
         assert jm_regular(pair)
         t = pair.triple()
         assert alg.bracket(t.e, t.f) == 2 * pair.grading.zeta

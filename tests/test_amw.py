@@ -5,10 +5,10 @@ import pytest
 
 from oracles import quaternionic_bounds
 
-from gradedlie import quaternionic
+from gradedlie import vinberg
 from gradedlie.amw import bounds
 from gradedlie.cli import cmd_amw
-from gradedlie.quaternionic import amw_interval, build_quaternionic
+from gradedlie.quaternionic import build_quaternionic
 from gradedlie.rootsystem import LieType
 
 
@@ -67,7 +67,7 @@ def test_coarse():
 
 def coarse(genus: int, name: str):
     """The interval at lambda = 0 of a type with kappa 2 (E6) or 1 (C3)."""
-    return amw_interval(build_quaternionic(LieType.parse(name)), genus)
+    return build_quaternionic(LieType.parse(name)).interval(genus, Q(0))
 
 
 def test_quaternionic_coarse_endpoints():
@@ -80,9 +80,9 @@ def test_quaternionic_coarse_endpoints():
 
 def test_quaternionic_bounds_trivial(monkeypatch):
     # zero Toledo ranks at lambda = 0 give the zero interval, whatever the pairing
-    monkeypatch.setattr(quaternionic, "quaternionic_ranks", lambda pairs: (Q(0), Q(0)))
+    monkeypatch.setattr(vinberg.GradedPair, "ranks", lambda self: (Q(0), Q(0)))
     for name in ("E6", "C3"):
-        assert amw_interval(build_quaternionic(LieType.parse(name)), 2) == (0, 0)
+        assert build_quaternionic(LieType.parse(name)).interval(2, Q(0)) == (0, 0)
 
 
 HALVES = [Q(k, 2) for k in range(-4, 5)]
@@ -92,12 +92,12 @@ def test_quaternionic_interval_matches_closed_form(monkeypatch):
     # at any Toledo ranks, a type's pairing and dual factor give the closed form at its kappa
     ranks = [x for x in HALVES if x >= 0]
     for name, kappa in (("A2", 2), ("C2", 1)):
-        pairs = build_quaternionic(LieType.parse(name))
+        graded = build_quaternionic(LieType.parse(name))
         for rank_plus, rank_minus in itertools.product(ranks, ranks):
-            monkeypatch.setattr(quaternionic, "quaternionic_ranks", lambda pairs: (rank_plus, rank_minus))
+            monkeypatch.setattr(vinberg.GradedPair, "ranks", lambda self: (rank_plus, rank_minus))
             for g, lam in itertools.product(range(2, 6), HALVES):
                 expected = quaternionic_bounds(g, lam, rank_plus, rank_minus, kappa)
-                assert amw_interval(pairs, g, lam) == expected, (name, g, lam, rank_plus, rank_minus)
+                assert graded.interval(g, lam) == expected, (name, g, lam, rank_plus, rank_minus)
 
 
 def test_lower_monotone_in_rank_plus():

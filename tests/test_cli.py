@@ -420,15 +420,18 @@ def test_absent_rational_fields_default_to_zero(capsys):
     assert report["inputs"]["lambda"] == "0"
 
 
-def test_python_dash_m_runs_the_cli():
-    argv = ["grading", "--type", "A2", "--labels", "1,1"]
+def run_src(*args: str) -> str:
+    """The stdout of ``python *args`` in a fresh interpreter on this checkout's src, which must exit 0."""
     src = str(ROOT / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run(
-        [sys.executable, "-m", "gradedlie"] + argv, capture_output=True, text=True, env=env
-    )
-    assert done.returncode == 0
-    assert done.stdout == (ROOT / "tests" / "golden" / "grading_type_A2_labels_1_1.out").read_text()
+    done = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_python_dash_m_runs_the_cli():
+    argv = ["grading", "--type", "A2", "--labels", "1,1"]
+    assert run_src("-m", "gradedlie", *argv) == (GOLDEN / "grading_type_A2_labels_1_1.out").read_text()
 
 
 def src_functions():
@@ -513,12 +516,9 @@ def test_every_src_function_runs_in_a_command(tmp_path):
         ["--config", str(config), "grading", "--labels", "1,1"],
         ["toledo", "--dims", "1,1", "--degrees", "1,-1", "--genus", "2", "--output", str(tmp_path / "r.json")],
     ]
-    src = str(ROOT / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", SWEEP, json.dumps(argvs)], capture_output=True, text=True, env=env)
-    assert done.returncode == 0, done.stderr
+    swept = json.loads(run_src("-c", SWEEP, json.dumps(argvs)))
     functions = src_functions()
-    entered = {functions.get(tuple(key)) for key in json.loads(done.stdout)}  # None: a comprehension
+    entered = {functions.get(tuple(key)) for key in swept}  # None: a comprehension
     assert (tmp_path / "r.json").exists()
     assert sorted(set(functions.values()) - entered) == sorted(NEVER_ENTERED)
 
@@ -562,21 +562,20 @@ def test_quiver_job_imports_no_parser():
         "assert cli.main(['quiver', '--dims', '2,2']) == 0\n"
         "print(sorted(m for m in ('argparse', 'locale', 'dataclasses', 'inspect') if m in sys.modules))\n"
     )
-    src = str(ROOT / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "[]"
+    assert run_src("-c", script).splitlines()[-1] == "[]"
 
 
 def modules_after(statement: str) -> str:
     """The ``gradedlie`` modules loaded by one statement in a fresh interpreter, as a sorted list."""
     script = f"import sys\n{statement}\nprint(sorted(m for m in sys.modules if m.partition('.')[0] == 'gradedlie'))\n"
-    src = str(ROOT / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
-    assert done.returncode == 0, done.stderr
-    return done.stdout.splitlines()[-1]
+    return run_src("-c", script).splitlines()[-1]
+
+
+def test_readme_library_block_runs_as_written():
+    """The Python block of the README's Library section, run verbatim in a fresh interpreter."""
+    section = (ROOT / "README.md").read_text().split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    assert run_src("-c", block) == "4\n-8 4\n"
 
 
 def test_package_import_loads_no_module():

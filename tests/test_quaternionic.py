@@ -9,25 +9,17 @@ from oracles import form_quaternionic_labels, orbit_toledo_rank, quaternionic_bo
 from gradedlie import cayley, checks, quaternionic, vinberg
 from gradedlie.checks import QUATERNIONIC_TYPES, expected_ranks
 from gradedlie.cli import main, q_str
-from gradedlie.quaternionic import (
-    amw_interval,
-    build_quaternionic,
-    extremes_regular,
-    kappa,
-    kappa_rule,
-    quaternionic_labels,
-    quaternionic_ranks,
-)
+from gradedlie.quaternionic import build_quaternionic, kappa, kappa_rule, quaternionic_labels
 from gradedlie.chevalley import build_algebra
 from gradedlie.grading import ZGrading
 from gradedlie.quiver import QuiverDims, maximal_rank_tuple, quiver_jm_regular
 from gradedlie.rootsystem import LieType
-from gradedlie.vinberg import dual_toledo_factor, jm_regular, normalized_form
+from gradedlie.vinberg import jm_regular, normalized_form
 
 
 @pytest.mark.parametrize("name", TYPE_LIST)
 def test_piece_structure(name):
-    grading = build_quaternionic(LieType.parse(name))[1].grading
+    grading = build_quaternionic(LieType.parse(name)).grading
     dims = grading.dims()
     assert sorted(dims) == [-2, -1, 0, 1, 2]
     assert dims[2] == dims[-2] == 1
@@ -36,33 +28,33 @@ def test_piece_structure(name):
 
 
 def test_a2_piece_dims(sl3):
-    assert build_quaternionic(LieType.parse("A2"))[1].grading.dims() == {
+    assert build_quaternionic(LieType.parse("A2")).grading.dims() == {
         -2: 1, -1: 2, 0: 2, 1: 2, 2: 1
     }
 
 
 def test_c2_piece_dims():
-    grading = build_quaternionic(LieType.parse("C2"))[1].grading
+    grading = build_quaternionic(LieType.parse("C2")).grading
     assert list(grading.dims()[j] for j in (-2, -1, 0, 1, 2)) == [1, 2, 4, 2, 1]
 
 
 @pytest.mark.parametrize("name", TYPE_LIST)
 def test_grading_element_is_highest_coroot(name):
-    grading = build_quaternionic(LieType.parse(name))[1].grading
+    grading = build_quaternionic(LieType.parse(name)).grading
     alg = grading.algebra
     assert grading.zeta == alg.coroot(alg.rs.highest_root)
 
 
 def test_non_integral_kappa_raises_where_it_arises(monkeypatch):
     """A short gamma of G2 has B*(gamma, gamma) = 2/3: kappa refuses it, not truncated to 0."""
-    pair_of = quaternionic.vinberg_pair
+    pair_of = vinberg.vinberg_pair
 
     def short_gamma(zg):
         pair = pair_of(zg)
         pair.gamma = next(a for a in zg.algebra.rs.roots if zg.algebra.rs.length_class(a) == 1)
         return pair
 
-    monkeypatch.setattr(quaternionic, "vinberg_pair", short_gamma)
+    monkeypatch.setattr(vinberg, "vinberg_pair", short_gamma)
     with pytest.raises(AssertionError, match="2/3 is not an integer"):
         build_quaternionic.__wrapped__(LieType.parse("G2"))
 
@@ -89,16 +81,16 @@ def test_kappa_against_the_wrong_family_rule_is_refused(monkeypatch):
 
 @pytest.mark.parametrize("name", TYPE_LIST)
 def test_pairs_built_with_the_grading(name):
-    pairs = build_quaternionic(LieType.parse(name))
-    assert set(pairs) == {1, 2, -2}
-    for j, pair in pairs.items():
-        assert pair.grading.piece(1) == pairs[1].grading.piece(j)
-    assert [len(pairs[j].grading.piece(1)) for j in (2, -2)] == [1, 1]
+    graded = build_quaternionic(LieType.parse(name))
+    assert graded.grading.depth == 3 and graded.one.grading is graded.grading
+    for j, pair in zip((1, 2, -2), (graded.one, graded.top, graded.low)):
+        assert pair.grading.piece(1) == graded.grading.piece(j)
+    assert [len(pair.grading.piece(1)) for pair in (graded.top, graded.low)] == [1, 1]
 
 
 @pytest.mark.parametrize("name", TYPE_LIST)
 def test_t_beta_norm(name):
-    grading = build_quaternionic(LieType.parse(name))[1].grading
+    grading = build_quaternionic(LieType.parse(name)).grading
     assert normalized_form(grading.algebra, grading.zeta, grading.zeta) == 2
 
 
@@ -107,13 +99,13 @@ def test_t_beta_norm(name):
 )
 def test_kappa(name, expected):
     t = LieType.parse(name)
-    assert kappa(build_quaternionic(t)[1]) == expected == kappa_rule(t)
+    assert kappa(build_quaternionic(t).one) == expected == kappa_rule(t)
 
 
 @pytest.mark.parametrize("name", TYPE_LIST)
 def test_ranks(name):
     t = LieType.parse(name)
-    assert [q_str(x) for x in quaternionic_ranks(build_quaternionic(t))] == expected_ranks(t)
+    assert [q_str(x) for x in build_quaternionic(t).ranks()] == expected_ranks(t)
 
 
 IDENTITY_TYPES = (
@@ -129,33 +121,33 @@ def test_amw_interval_is_the_kappa_formula(name):
     """The interval from the computed pair equals the closed form at the computed kappa:
     zeta-pairing 2 kappa, dual factor -1/kappa, and the rank table's ranks."""
     t = LieType.parse(name)
-    pairs = build_quaternionic(t)
-    k = kappa(pairs[1])
-    assert pairs[1].zeta_pairing() == 2 * k
-    assert dual_toledo_factor(pairs[1]) == Q(-1, k)
-    ranks = quaternionic_ranks(pairs)
+    graded = build_quaternionic(t)
+    k = kappa(graded.one)
+    assert graded.one.zeta_pairing() == 2 * k
+    assert graded.dual_factor() == Q(-1, k)
+    ranks = graded.ranks()
     assert [q_str(x) for x in ranks] == expected_ranks(t)
     for genus in range(2, 6):
         for lam in (Q(0), Q(1, 2)):
-            assert amw_interval(pairs, genus, lam) == quaternionic_bounds(genus, lam, *ranks, k), (genus, lam)
+            assert graded.interval(genus, lam) == quaternionic_bounds(genus, lam, *ranks, k), (genus, lam)
 
 
 @pytest.mark.parametrize("name", TYPE_LIST)
 def test_extreme_pieces_jm_regular(name):
-    pairs = build_quaternionic(LieType.parse(name))
-    assert jm_regular(pairs[2]) and jm_regular(pairs[-2]) and extremes_regular(pairs)
-    for pair in (pairs[2], pairs[-2]):
+    graded = build_quaternionic(LieType.parse(name))
+    for pair in (graded.top, graded.low):
+        assert jm_regular(pair)
         assert pair.triple().f is not None and pair.triple().h == 2 * pair.grading.zeta
 
 
 @pytest.mark.parametrize("name", ["C2", "C3"])
 def test_symplectic_degree_one_not_regular(name):
-    assert not jm_regular(build_quaternionic(LieType.parse(name))[1])
+    assert not jm_regular(build_quaternionic(LieType.parse(name)).one)
 
 
 @pytest.mark.parametrize("name", ["A2", "A3", "B3", "D4", "G2", "F4", "E6"])
 def test_non_symplectic_degree_one_regular(name):
-    assert jm_regular(build_quaternionic(LieType.parse(name))[1])
+    assert jm_regular(build_quaternionic(LieType.parse(name)).one)
 
 
 def test_labels_are_adjacency_indicators(sl3):
@@ -190,13 +182,13 @@ def test_labels_match_form_oracle(name):
 def test_family_a_matches_quiver(n):
     from conftest import quiver_grading
 
-    pairs = build_quaternionic(LieType.parse(f"A{n-1}"))
+    graded = build_quaternionic(LieType.parse(f"A{n-1}"))
     dims = QuiverDims((1, n - 2, 1))
     assert quiver_jm_regular(dims)
-    assert quiver_grading(dims).dims() == pairs[1].grading.dims()
-    assert [pairs[1].grading.dims()[j] for j in (-1, 1)] == [2 * (n - 2)] * 2
+    assert quiver_grading(dims).dims() == graded.grading.dims()
+    assert [graded.grading.dims()[j] for j in (-1, 1)] == [2 * (n - 2)] * 2
     # Toledo ranks agree between the two constructions
-    rank_plus, _ = quaternionic_ranks(pairs)
+    rank_plus, _ = graded.ranks()
     assert orbit_toledo_rank(dims, maximal_rank_tuple(dims)) == rank_plus
 
 
@@ -236,22 +228,31 @@ def test_one_open_orbit_search_per_pair_and_seed(monkeypatch, capsys, name):
     assert len({piece for piece, _ in searches}) == 3
 
 
-@pytest.mark.parametrize("name", TYPE_LIST)
+# the paper-check types (verify-paper --extended) and the classical ones up to A12 and B9-D9
+CLI_TYPES = (
+    [f"A{r}" for r in range(2, 13)]
+    + [f"{f}{r}" for f in "BC" for r in range(2, 10)]
+    + [f"D{r}" for r in range(4, 10)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
+
+
+@pytest.mark.parametrize("name", CLI_TYPES)
 def test_quaternionic_pairs_take_the_root_set_route(monkeypatch, name):
-    """The pairs of degrees 1, 2 and -2 find a root set S, so the ranks and verdicts
-    run no dense open-orbit search."""
+    """The record's pairs one, top and low (of degrees 1, 2 and -2) find a root set S, so the
+    ranks and verdicts run no dense open-orbit search: the dense fallback of
+    ``VinbergPair.triple`` serves only library gradings."""
 
     def dense_spy(pair, seed=0):
         raise AssertionError(f"dense open-orbit search on {name}")
 
     monkeypatch.setattr(vinberg, "generic_element", dense_spy)
-    zg = build_quaternionic(LieType.parse(name))[1].grading
-    for j in (1, 2, -2):
-        pair = vinberg.vinberg_pair(vinberg.regrade(zg, j))  # a fresh pair: nothing cached
-        assert vinberg.root_set_triple(pair) is not None, j
+    graded = vinberg.GradedPair(build_quaternionic(LieType.parse(name)).grading)  # fresh pairs: nothing cached
+    for key, pair in (("one", graded.one), ("top", graded.top), ("low", graded.low)):
+        assert vinberg.root_set_triple(pair) is not None, key
         vinberg.pair_rank(pair)
         jm_regular(pair)
-        assert pair.triple().e == vinberg.root_set_triple(pair).e, j
+        assert pair.triple().e == vinberg.root_set_triple(pair).e, key
 
 
 @pytest.mark.parametrize("argv", [["verify-paper"], ["verify-paper", "--extended", "--seed", "3"]])

@@ -42,6 +42,7 @@ from oracles import (
 
 from gradedlie import quiver, vinberg
 from gradedlie.chevalley import ChevalleyAlgebra, Element, build_algebra
+from gradedlie.cli import cmd_amw
 from gradedlie.grading import z_grading_from_labels
 from gradedlie.linalg import RationalMatrix, rank, solve
 from gradedlie.quaternionic import build_quaternionic
@@ -52,9 +53,9 @@ from gradedlie.quiver import (
 )
 from gradedlie.rootsystem import LieType
 from gradedlie.vinberg import (
+    GradedPair,
     Sl2Triple,
     complete_triple,
-    dual_toledo_factor,
     generic_element,
     jm_regular,
     jm_triple,
@@ -369,7 +370,8 @@ def test_jm_regular_matches_block_solve(name):
     its e has an open orbit, and its h is not 2 zeta.  The block solve on the dense e of
     seeds 0 and 1 gives the same verdict."""
     if name.startswith("quaternionic-"):
-        cases = build_quaternionic(LieType.parse(name.partition("-")[2])).items()
+        graded = build_quaternionic(LieType.parse(name.partition("-")[2]))
+        cases = [("one", graded.one), ("top", graded.top), ("low", graded.low)]
     else:
         cases = census_pairs(name)
     for key, pair in cases:
@@ -493,12 +495,36 @@ def test_killing_dual_norm_raises_on_a_degenerate_form(monkeypatch):
         killing_dual_norm(alg, alg.rs.highest_root)
 
 
-def test_dual_toledo_factor_values():
-    # depth 2, both extreme roots long
-    assert dual_toledo_factor(_pair("A2", [1, 0])) == -1
+def _graded(name, labels):
+    return GradedPair(z_grading_from_labels(build_algebra(LieType.parse(name)), labels))
+
+
+def test_graded_pair_dual_factor_values():
+    # depth 2, both extreme roots long; the top pair is the degree-1 pair
+    graded = _graded("A2", [1, 0])
+    assert graded.dual_factor() == -1 and graded.top is graded.one
     # five-piece gradings: -1/2 generically, -1 for the symplectic case
-    assert dual_toledo_factor(_pair("A2", [1, 1])) == Q(-1, 2)
-    assert dual_toledo_factor(_pair("C2", [1, 0])) == -1
+    assert _graded("A2", [1, 1]).dual_factor() == Q(-1, 2)
+    assert _graded("C2", [1, 0]).dual_factor() == -1
+
+
+def test_graded_pair_beyond_the_highest_root_grading():
+    """A3 (1,2,1) has depth 5.  Its record's interval at genus 2 and lambda -1/2 is empty,
+    and typed ``amw`` inputs reach the same interval only at the record's computed r_+,
+    -r_-/d and zeta-pairing: 2, 4 and 20."""
+    graded = _graded("A3", [1, 2, 1])
+    assert graded.grading.depth == 5
+    assert [len(pair.grading.piece(1)) for pair in (graded.one, graded.top, graded.low)] == [2, 1, 1]
+    assert graded.ranks() == (2, 1)
+    assert graded.one.zeta_pairing() == 20
+    assert graded.dual_factor() == Q(-1, 4)
+    assert graded.interval(2, Q(-1, 2)) == (5, 0)
+    rank_plus, rank_minus = graded.ranks()
+    typed = (rank_plus, -rank_minus / graded.dual_factor(), graded.one.zeta_pairing())
+    assert typed == (2, 4, 20)
+    report = cmd_amw(2, Q(-1, 2), *typed, 2, False, None)
+    assert report["results"] == {"lower_bound": "5", "upper_bound": "0"}
+    assert report["warnings"] == ["empty interval: lower bound 5 exceeds upper bound 0"]
 
 
 def test_gamma_choice_irrelevant():
