@@ -1,7 +1,7 @@
 """Centralizer and transported-subspace data for JM-regular gradings.
 
-For a depth-m grading whose degree-1 pair is JM-regular, the triple (h, e, f)
-is ``vinberg.complete_triple`` at h = 2*zeta for the open-orbit e.  The data
+For a depth-m grading whose degree-1 pair ``vinberg.VinbergPair(zg)`` is JM-regular,
+the triple (h, e, f) is ``complete_triple`` at h = 2*zeta for the open-orbit e.  The data
 of interest is the centralizer c of the triple inside g_0 and the subspace
 V = ad(e)^{m-1}(g_{1-m}) of g_0.  Since every ad(h)-eigenvalue lies in
 [2(1-m), 2(m-1)], each vector of g_{1-m} is a lowest-weight vector of a
@@ -32,7 +32,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 from .chevalley import ChevalleyAlgebra, Element
 from .grading import ZGrading
 from .linalg import RationalMatrix, independent_subset, rank, solve
-from .vinberg import Sl2Triple, VinbergPair, complete_triple, form_numerator, generic_element, vinberg_pair
+from .vinberg import Sl2Triple, VinbergPair, complete_triple, form_numerator, generic_element
 
 
 class CayleyData:
@@ -60,12 +60,12 @@ class CayleyData:
     @property
     def chi_vanishes(self) -> bool:
         """chi_T(c) = 0 on the centralizer, read off B(zeta, c)."""
-        return all(form_numerator(self.algebra, self.pair.grading.zeta, c) == 0 for c in self.c_basis)
+        return all(form_numerator(self.algebra, self.pair.zeta, c) == 0 for c in self.c_basis)
 
 
 def cayley_pair(zg: ZGrading, seed: int = 0) -> CayleyData:
     alg = zg.algebra
-    pair = vinberg_pair(zg)
+    pair = VinbergPair(zg)
     triple = complete_triple(pair, generic_element(pair, seed), 2 * zg.zeta)
     if triple is None:
         raise ValueError("degree-1 pair is not JM-regular; no Cayley data")

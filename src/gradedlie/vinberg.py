@@ -1,24 +1,24 @@
 """Analysis of the G_0-action on a graded piece.
 
-For a Z-grading with grading element zeta, the degree-1 piece is a
-prehomogeneous G_0-space.  Each pair has one verified sl2-triple through an
-open-orbit e (``VinbergPair.triple``), found once: a root-set triple
-(``root_set_triple``), or else the default dense e of ``generic_element``,
-which ``jm_triple`` completes.  The Toledo rank and JM-regularity are
-invariants of the pair, so they are read off that one triple, the only
-thing a pair caches, and it witnesses both verdicts.  It evaluates the Toledo
-character chi_T(x) = B(zeta, x) B*(gamma, gamma), where gamma is a longest
-root in degree 1; that factor makes chi_T independent of the invariant form.
-The production route is ``normalized_form``, the form with B*(highest root,
-highest root) = 2 read off the root length classes in closed form, with no
-trace of ad: an integer table of B(b_i, b_j) (``ChevalleyAlgebra.form_table``),
-built once per algebra and summed over the sparse supports.  gamma is chosen,
-and B*(gamma, gamma) and the dual factor are read, by the integer length
-classes.  The trace-of-ad Killing form's dual norm (``killing_dual_norm``) is
-kept as an independent oracle, so tests can assert that independence exactly.
+For a Z-grading with grading element zeta, each nonzero degree k gives a prehomogeneous
+G_0-space g_k, the pair ``VinbergPair(zg, k)``: the one grading read at degree k, with
+pieces g_{jk} and grading element zeta/k, so the pair's degree-1 piece is g_k.  Each pair
+has one verified sl2-triple through an open-orbit e (``VinbergPair.triple``), found once:
+a root-set triple (``root_set_triple``), or else the default dense e of
+``generic_element``, which ``jm_triple`` completes.  The Toledo rank and JM-regularity
+are invariants of the pair, so they are read off that one triple, the only thing a pair
+caches, and it witnesses both verdicts.  It evaluates the Toledo character
+chi_T(x) = B(zeta/k, x) B*(gamma, gamma), where gamma is a longest root of g_k; that
+factor makes chi_T independent of the invariant form.  The production route is
+``normalized_form``, the form with B*(highest root, highest root) = 2 read off the root
+length classes in closed form, with no trace of ad: an integer table of B(b_i, b_j)
+(``ChevalleyAlgebra.form_table``), built once per algebra and summed over the sparse
+supports.  gamma is chosen, and B*(gamma, gamma) and the dual factor are read, by the
+integer length classes.  The trace-of-ad Killing form's dual norm (``killing_dual_norm``)
+is kept as an independent oracle, so tests can assert that independence exactly.
 
-``GradedPair`` is the one record of a depth-m grading's (G_0, g_1 + g_{1-m}) pair: the pairs
-of degrees 1, m-1 and 1-m, off which its Toledo ranks, dual factor and AMW interval are read.
+``GradedPair`` is the one record of a depth-m grading's (G_0, g_1 + g_{1-m}) pair: the grading
+read at degrees 1, m-1 and 1-m, off which its Toledo ranks, dual factor and AMW interval are read.
 
 Elements are ``chevalley.Element``s (sparse integer numerators over one
 denominator): open-orbit samples are built from ints, linear systems run on
@@ -39,20 +39,6 @@ from .amw import bounds
 from .chevalley import ChevalleyAlgebra, Element
 from .grading import ZGrading
 from .linalg import RationalMatrix, rank, solve
-
-
-def regrade(zg: ZGrading, j: int) -> ZGrading:
-    """Grading with k-th piece the old (k*j)-th piece and element zeta/j.
-
-    Pieces at degrees not divisible by j are dropped: the result grades the
-    subalgebra spanned by the surviving pieces.
-    """
-    if j == 0:
-        raise ValueError("regrading index must be nonzero")
-    pieces = {
-        deg // j: idx for deg, idx in zg.pieces.items() if deg % j == 0
-    }
-    return ZGrading(algebra=zg.algebra, pieces=pieces, zeta=zg.zeta * Q(1, j))
 
 
 def killing_dual_norm(alg: ChevalleyAlgebra, gamma) -> Q:
@@ -86,14 +72,25 @@ def normalized_form(alg: ChevalleyAlgebra, a: Element, b: Element) -> Q:
 
 
 class VinbergPair:
-    """The pair (G_0, g_1) of a grading, with gamma, and its verified triple once found."""
+    """The pair (G_0, g_k) of a grading read at degree k: ``piece(j)`` is g_{jk}, ``zeta`` is
+    zeta/k, gamma is the first longest root of g_k, and its verified triple once found."""
 
-    __slots__ = ("grading", "gamma", "_triple")
+    __slots__ = ("grading", "degree", "zeta", "gamma", "_triple")
 
-    def __init__(self, grading: ZGrading, gamma: tuple):
-        self.grading = grading
-        self.gamma = gamma  # longest root with root space in degree 1
+    def __init__(self, grading: ZGrading, degree: int = 1):
+        if degree == 0:
+            raise ValueError("pair degree must be nonzero")
+        if not grading.piece(degree):
+            raise ValueError(f"grading has no degree-{degree} piece")
+        alg = grading.algebra
+        self.grading, self.degree = grading, degree
+        self.zeta = grading.zeta if degree == 1 else grading.zeta * Q(1, degree)
+        self.gamma = max(map(alg.basis_root, self.piece(1)), key=alg.rs.length_class)  # the first longest
         self._triple: Optional[Sl2Triple] = None
+
+    def piece(self, j: int) -> Tuple[int, ...]:
+        """The pair's degree-j piece, g_{jk}."""
+        return self.grading.piece(j * self.degree)
 
     @property
     def algebra(self) -> ChevalleyAlgebra:
@@ -108,30 +105,20 @@ class VinbergPair:
         return self._triple
 
     def chi_t(self, x: Element) -> Q:
-        return normalized_form(self.algebra, self.grading.zeta, x) * self.algebra.rs.norm(self.gamma)
+        return normalized_form(self.algebra, self.zeta, x) * self.algebra.rs.norm(self.gamma)
 
     def zeta_pairing(self) -> Q:
-        return self.chi_t(self.grading.zeta)
-
-
-def vinberg_pair(zg: ZGrading) -> VinbergPair:
-    alg = zg.algebra
-    degree_one = zg.piece(1)
-    if not degree_one:
-        raise ValueError("grading has no degree-1 piece")
-    gamma = max((alg.basis_root(i) for i in degree_one), key=alg.rs.length_class)  # the first longest
-    return VinbergPair(grading=zg, gamma=gamma)
+        return self.chi_t(self.zeta)
 
 
 def orbit_dimension(pair: VinbergPair, e: Element) -> int:
     """Dimension of the G_0-orbit of e: rank of x -> [x, e] = -[e, x] on g_0."""
     _require_in_piece(pair, e)
-    zg = pair.grading
-    return rank(pair.algebra.ad_block(e, zg.piece(0), zg.piece(1)))
+    return rank(pair.algebra.ad_block(e, pair.piece(0), pair.piece(1)))
 
 
 def _require_in_piece(pair: VinbergPair, e: Element):
-    keep = set(pair.grading.piece(1))
+    keep = set(pair.piece(1))
     if any(i not in keep for i in e.num):
         raise ValueError("element does not lie in the degree-1 piece")
 
@@ -142,7 +129,7 @@ def generic_element(pair: VinbergPair, seed: int = 0) -> Element:
     Deterministic per seed: the all-ones vector is tried first, then seeded
     small-integer samples, each certified by the orbit-dimension check.
     """
-    indices = pair.grading.piece(1)
+    indices = pair.piece(1)
     target = len(indices)
     rng = random.Random(seed)
     samples = ([rng.choice([-3, -2, -1, 1, 2, 3]) for _ in indices] for _ in range(200))
@@ -182,11 +169,10 @@ def jm_triple(pair: VinbergPair, e: Element) -> Sl2Triple:
     verified exactly before returning.
     """
     alg = pair.algebra
-    zg = pair.grading
     if not e:
         raise ValueError("cannot complete the zero element")
     _require_in_piece(pair, e)
-    neg, g0, pos = zg.piece(-1), zg.piece(0), zg.piece(1)
+    neg, g0, pos = pair.piece(-1), pair.piece(0), pair.piece(1)
     # Stage 1: f0 in g_{-1} with [[e, f0], e] = 2e, so h := [e, f0] has [h,e] = 2e.
     # [[e, b], e] = -ad_e(ad_e(b)) through g_0, so solve ad_e ad_e f0 = -2e (for f0 / e.den).
     c0 = solve(alg.ad_block(e, g0, pos).matmul(alg.ad_block(e, neg, g0)), [-2 * e.num.get(k, 0) for k in pos])
@@ -209,7 +195,7 @@ def complete_triple(pair: VinbergPair, e: Element, h: Element) -> Optional[Sl2Tr
     stacked over the nonzero rows of h.den (ad_h + 2) on g_{-1} for f h.den / e.den.
     """
     alg = pair.algebra
-    neg, g0 = pair.grading.piece(-1), pair.grading.piece(0)
+    neg, g0 = pair.piece(-1), pair.piece(0)
     ad_h = alg.ad_block(h, neg, neg)
     for j, row in enumerate(ad_h):
         row[j] += 2 * h.den
@@ -227,7 +213,7 @@ def root_set_triple(pair: VinbergPair) -> Optional[Sl2Triple]:
     root later) find no S.  S is independent: its roots lie in one degree with pairwise
     products <= 0."""
     alg, rs = pair.algebra, pair.algebra.rs
-    roots = sorted(map(alg.basis_root, pair.grading.piece(1)), key=lambda a: (sum(a), a), reverse=True)
+    roots = sorted(map(alg.basis_root, pair.piece(1)), key=lambda a: (sum(a), a), reverse=True)
     target = len(roots)
     for start in range(target):
         chosen, dim = [], 0
@@ -263,22 +249,22 @@ def pair_rank(pair: VinbergPair) -> Q:
 def jm_regular(pair: VinbergPair) -> bool:
     """Whether the pair's triple has h = 2*zeta.  Triples through e with h in g_0 are conjugate
     under G_0^e, which fixes zeta, so that one triple decides and witnesses either verdict."""
-    return pair.triple().h == 2 * pair.grading.zeta
+    return pair.triple().h == 2 * pair.zeta
 
 
 class GradedPair:
-    """The (G_0, g_1 + g_{1-m}) pair of a Z-grading of depth m, read off three pairs, each
-    with its own longest root and triple: ``one`` = (G_0, g_1), ``top`` = (G_0, g_{m-1})
-    (``one`` itself when m = 2) and ``low`` = (G_0, g_{1-m})."""
+    """The (G_0, g_1 + g_{1-m}) pair of a Z-grading of depth m, read off the grading at three
+    degrees, each pair with its own longest root and triple: ``one`` = (G_0, g_1), ``top`` =
+    (G_0, g_{m-1}) (``one`` itself when m = 2) and ``low`` = (G_0, g_{1-m})."""
 
     __slots__ = ("grading", "one", "top", "low")
 
     def __init__(self, zg: ZGrading):
         m = zg.depth
         self.grading = zg
-        self.one = vinberg_pair(zg)
-        self.top = self.one if m == 2 else vinberg_pair(regrade(zg, m - 1))
-        self.low = vinberg_pair(regrade(zg, 1 - m))
+        self.one = VinbergPair(zg)
+        self.top = self.one if m == 2 else VinbergPair(zg, m - 1)
+        self.low = VinbergPair(zg, 1 - m)
 
     def ranks(self) -> Tuple[Q, Q]:
         """(rank_T(G_0, g_1), rank_T(G_0, g_{1-m})), each off its pair's triple."""
@@ -289,7 +275,7 @@ class GradedPair:
         B*(gamma', gamma') / ((1-m) B*(gamma, gamma)) = ell(gamma') / ((1-m) ell(gamma)), with
         gamma' the lowest pair's longest root and ell the length class; always negative."""
         ell = self.grading.algebra.rs.length_class
-        return Q(ell(self.low.gamma), (1 - self.grading.depth) * ell(self.one.gamma))
+        return Q(ell(self.low.gamma), self.low.degree * ell(self.one.gamma))
 
     def interval(self, genus: int, lam: Q) -> Tuple[Q, Q]:
         """``amw.bounds`` at the degree-1 pair's zeta-pairing, r_+ and -r_-/d."""

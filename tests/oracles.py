@@ -397,7 +397,7 @@ def cocycle_signs(
 def chi_t_killing(pair: VinbergPair, x: Element) -> Q:
     """chi_T evaluated with the raw Killing form and its own dual norm."""
     alg = pair.algebra
-    return alg.killing_form(pair.grading.zeta, x) * killing_dual_norm(alg, pair.gamma)
+    return alg.killing_form(pair.zeta, x) * killing_dual_norm(alg, pair.gamma)
 
 
 # -- the Toledo rank of any degree-1 element ----------------------------------
@@ -415,10 +415,9 @@ def block_jm_regular(pair: VinbergPair, e: Element) -> Tuple[bool, Optional[Elem
     """(regular, f) from the block solve [e, f] = 2 zeta alone, f in g_{-1}, with
     e an open-orbit element of the pair and f checked on that one relation."""
     alg = pair.algebra
-    zg = pair.grading
-    neg = zg.piece(-1)
-    target = 2 * zg.zeta
-    g0 = zg.piece(0)
+    neg = pair.piece(-1)
+    target = 2 * pair.zeta
+    g0 = pair.piece(0)
     # solve for f target.den / e.den in the integer block
     c = solve(alg.ad_block(e, neg, g0), [target.num.get(k, 0) for k in g0])
     if c is None:
@@ -733,7 +732,7 @@ def bar_pieces(zg: ZGrading) -> CollapsedGrading:
 
 def iso_character_all_pass(cd: CayleyData) -> bool:
     """Transport map invertible, chi_T(c) = 0 and B(c, h) = 0 for every c in the centralizer."""
-    low = cd.pair.grading.piece(1 - cd.depth)
+    low = cd.pair.piece(1 - cd.depth)
     return rank([v.dense_num(cd.algebra.dim) for v in cd.v_basis]) == len(low) and cd.chi_vanishes and all(
         normalized_form(cd.algebra, c, cd.triple.h) == 0 for c in cd.c_basis
     )

@@ -48,12 +48,12 @@ from gradedlie.quiver import (
 )
 from gradedlie.rootsystem import LieType, build_root_system
 from gradedlie.vinberg import (
+    VinbergPair,
     generic_element,
     jm_regular,
     jm_triple,
     orbit_dimension,
     pair_rank,
-    vinberg_pair,
 )
 
 QUATERNIONIC_TYPES = ["A2", "A3", "B3", "C2", "C3", "D4", "G2", "F4", "E6"]
@@ -85,6 +85,15 @@ def test_paper_check_ids():
     assert len(default) == len(set(default)) == 28
     assert set(default) == DEFAULT_IDS
     assert len(EXTENDED_IDS) == 32 and set(PAPER_CHECKS) >= EXTENDED_IDS
+
+
+def test_two_block_row_is_its_whole_box():
+    """The two-block Toledo row runs every (p, q, a) with p, q in 1..3 and a in -2..2 once,
+    at every seed: a complete certificate, not a sample."""
+    box = {(f"{p},{q}", f"--degrees={a},{-a}") for p in range(1, 4) for q in range(1, 4) for a in range(-2, 3)}
+    for seed in (0, 5):
+        row = next(row for row in paper_checks(extended=False, seed=seed) if row.id == "quiver-toledo-two-vertex")
+        assert len(row.argvs) == len(box) == 45 and {argv[2:4] for argv in row.argvs} == box
 
 
 def cli_results(argv):
@@ -128,7 +137,7 @@ def test_2_extreme_pieces_jm_regular_with_certificates(name):
     for pair in (graded.top, graded.low):
         assert jm_regular(pair)
         t = pair.triple()
-        assert alg.bracket(t.e, t.f) == 2 * pair.grading.zeta
+        assert alg.bracket(t.e, t.f) == 2 * pair.zeta
 
 
 @pytest.mark.parametrize("name", ["C2", "C3"])
@@ -191,7 +200,7 @@ def test_8_property_suites():
                 for target, c in basis_bracket(alg, i, l).items():
                     if c:
                         assert degree[target] == degree[i] + degree[l]
-        pair = vinberg_pair(zg)
+        pair = VinbergPair(zg)
         for _ in range(50):
             x = from_sparse(alg, {i: rng.randint(-3, 3) for i in range(alg.dim)})
             assert pair.chi_t(x) == chi_t_killing(pair, x)
@@ -202,14 +211,14 @@ def test_8_property_suites():
     # transported subspace has full dimension under JM-regularity
     for dims in [(1, 1), (1, 1, 1), (1, 2, 1), (2, 2, 2)]:
         cd = cayley_pair(quiver_grading(QuiverDims(dims)))
-        assert cd.dim_v == len(cd.pair.grading.piece(1 - cd.depth))
+        assert cd.dim_v == len(cd.pair.piece(1 - cd.depth))
         assert len(independent_subset([v.dense_num(cd.algebra.dim) for v in cd.v_basis])) == cd.dim_v
 
     # rank monotonicity with the open-orbit equality characterization
     for dims in [(1, 1), (2, 1), (1, 1, 1), (2, 1, 1)]:
         qd = QuiverDims(dims)
         zg = quiver_grading(qd)
-        pair = vinberg_pair(zg)
+        pair = VinbergPair(zg)
         top_rank = pair_rank(pair)
         for rt, mult in enumerate_orbits(qd):
             e = embed_quiver_element(zg, qd, string_representative(qd, mult))
@@ -217,7 +226,7 @@ def test_8_property_suites():
                 continue
             r = toledo_rank(pair, e)
             assert 0 <= r <= top_rank
-            assert (r == top_rank) == (orbit_dimension(pair, e) == len(pair.grading.piece(1)))
+            assert (r == top_rank) == (orbit_dimension(pair, e) == len(pair.piece(1)))
 
 
 def test_9_embedding_consistency():
@@ -228,7 +237,7 @@ def test_9_embedding_consistency():
             dims = dims_for_labels(labels)
             alg = build_algebra(LieType.parse(f"A{rank}"))
             zg = z_grading_from_labels(alg, list(labels))
-            pair = vinberg_pair(zg)
+            pair = VinbergPair(zg)
             assert quiver_jm_regular(dims) == jm_regular(pair)
             quiver_rank = orbit_toledo_rank(dims, maximal_rank_tuple(dims))
             assert quiver_rank == pair_rank(pair)
@@ -241,6 +250,6 @@ def test_every_0_1_grading_of_sl_n_agrees_with_its_quiver(rank):
     for bits in range(1, 1 << rank):
         labels = tuple((bits >> k) & 1 for k in range(rank))
         dims = dims_for_labels(labels)
-        pair = vinberg_pair(z_grading_from_labels(alg, list(labels)))
+        pair = VinbergPair(z_grading_from_labels(alg, list(labels)))
         assert quiver_jm_regular(dims) == jm_regular(pair), labels
         assert orbit_toledo_rank(dims, maximal_rank_tuple(dims)) == pair_rank(pair), labels

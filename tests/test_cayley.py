@@ -71,7 +71,7 @@ def test_refuses_non_regular():
 @pytest.mark.parametrize("dims", [(1, 1), (1, 1, 1), (2, 2, 2), (1, 2, 1), (1, 3, 1)])
 def test_dim_v_equals_lowest_piece(dims):
     cd = _cayley(dims)
-    assert cd.dim_v == len(cd.pair.grading.piece(1 - cd.depth))
+    assert cd.dim_v == len(cd.pair.piece(1 - cd.depth))
 
 
 @pytest.mark.parametrize("dims", [(1, 1), (1, 1, 1), (2, 2, 2), (1, 2, 1), (1, 3, 1)])
@@ -79,7 +79,7 @@ def test_ad_powers_chain_spans_the_modules(dims):
     """Each lowest-piece vector starts a (2m-1)-dimensional module, so the chain of
     ad(e) powers has 2m-1 terms, each injective on the lowest piece."""
     cd = _cayley(dims)
-    low = cd.pair.grading.piece(1 - cd.depth)
+    low = cd.pair.piece(1 - cd.depth)
     powers = list(_ad_powers(cd.algebra, cd.triple.e, low))
     assert len(powers) == 2 * cd.depth - 1
     assert all(rank(rows) == len(low) for _, rows in powers)
@@ -134,7 +134,7 @@ def test_centralizer_commutes_with_triple():
 
 def test_triple_uses_twice_zeta():
     cd = _cayley((1, 1, 1))
-    assert cd.triple.h == 2 * cd.pair.grading.zeta
+    assert cd.triple.h == 2 * cd.pair.zeta
 
 
 # Each certificate in ``cayley``, provoked by a wrong input: each test fails once

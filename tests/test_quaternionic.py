@@ -47,14 +47,14 @@ def test_grading_element_is_highest_coroot(name):
 
 def test_non_integral_kappa_raises_where_it_arises(monkeypatch):
     """A short gamma of G2 has B*(gamma, gamma) = 2/3: kappa refuses it, not truncated to 0."""
-    pair_of = vinberg.vinberg_pair
+    pair_of = vinberg.VinbergPair
 
-    def short_gamma(zg):
-        pair = pair_of(zg)
+    def short_gamma(zg, degree=1):
+        pair = pair_of(zg, degree)
         pair.gamma = next(a for a in zg.algebra.rs.roots if zg.algebra.rs.length_class(a) == 1)
         return pair
 
-    monkeypatch.setattr(vinberg, "vinberg_pair", short_gamma)
+    monkeypatch.setattr(vinberg, "VinbergPair", short_gamma)
     with pytest.raises(AssertionError, match="2/3 is not an integer"):
         build_quaternionic.__wrapped__(LieType.parse("G2"))
 
@@ -82,10 +82,11 @@ def test_kappa_against_the_wrong_family_rule_is_refused(monkeypatch):
 @pytest.mark.parametrize("name", TYPE_LIST)
 def test_pairs_built_with_the_grading(name):
     graded = build_quaternionic(LieType.parse(name))
-    assert graded.grading.depth == 3 and graded.one.grading is graded.grading
+    assert graded.grading.depth == 3
     for j, pair in zip((1, 2, -2), (graded.one, graded.top, graded.low)):
-        assert pair.grading.piece(1) == graded.grading.piece(j)
-    assert [len(pair.grading.piece(1)) for pair in (graded.top, graded.low)] == [1, 1]
+        assert pair.grading is graded.grading and pair.degree == j
+        assert pair.piece(1) == graded.grading.piece(j)
+    assert [len(pair.piece(1)) for pair in (graded.top, graded.low)] == [1, 1]
 
 
 @pytest.mark.parametrize("name", TYPE_LIST)
@@ -137,7 +138,7 @@ def test_extreme_pieces_jm_regular(name):
     graded = build_quaternionic(LieType.parse(name))
     for pair in (graded.top, graded.low):
         assert jm_regular(pair)
-        assert pair.triple().f is not None and pair.triple().h == 2 * pair.grading.zeta
+        assert pair.triple().f is not None and pair.triple().h == 2 * pair.zeta
 
 
 @pytest.mark.parametrize("name", ["C2", "C3"])
@@ -220,7 +221,7 @@ def _spy_searches(monkeypatch, key):
 
 @pytest.mark.parametrize("name", ["F4", "C3"])
 def test_one_open_orbit_search_per_pair_and_seed(monkeypatch, capsys, name):
-    searches = _spy_searches(monkeypatch, lambda pair: pair.grading.piece(1))
+    searches = _spy_searches(monkeypatch, lambda pair: pair.piece(1))
     build_quaternionic.cache_clear()  # a cached job would search nothing
     assert main(["quaternionic", "--type", name]) == 0
     # the pairs of g_1, g_2 and g_{-2}, each searched once

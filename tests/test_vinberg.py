@@ -45,7 +45,7 @@ from gradedlie.chevalley import ChevalleyAlgebra, Element, build_algebra
 from gradedlie.cli import cmd_amw
 from gradedlie.grading import z_grading_from_labels
 from gradedlie.linalg import RationalMatrix, rank, solve
-from gradedlie.quaternionic import build_quaternionic
+from gradedlie.quaternionic import build_quaternionic, quaternionic_labels
 from gradedlie.quiver import (
     QuiverDims,
     enumerate_orbits,
@@ -55,6 +55,7 @@ from gradedlie.rootsystem import LieType
 from gradedlie.vinberg import (
     GradedPair,
     Sl2Triple,
+    VinbergPair,
     complete_triple,
     generic_element,
     jm_regular,
@@ -63,41 +64,40 @@ from gradedlie.vinberg import (
     normalized_form,
     orbit_dimension,
     pair_rank,
-    regrade,
     root_set_triple,
     set_triple,
-    vinberg_pair,
 )
 
 
 def _pair(name, labels):
     alg = build_algebra(LieType.parse(name))
-    return vinberg_pair(z_grading_from_labels(alg, labels))
+    return VinbergPair(z_grading_from_labels(alg, labels))
 
 
 def test_regrade_identity(sl3):
+    """The pair at degree 1 reads the grading as it is."""
     zg = z_grading_from_labels(sl3, [1, 1])
-    assert regrade(zg, 1).pieces == zg.pieces
+    pair = VinbergPair(zg)
+    assert pair.grading is zg and pair.degree == 1 and pair.zeta == zg.zeta
+    assert [pair.piece(j) for j in range(-2, 3)] == [zg.piece(j) for j in range(-2, 3)]
 
 
 def test_regrade_minus_two(sl3):
     zg = z_grading_from_labels(sl3, [1, 1])
-    rg = regrade(zg, -2)
-    assert rg.dims() == {-1: 1, 0: 2, 1: 1}
-    assert rg.depth == 2
-    assert rg.piece(1) == zg.piece(-2)
-    assert dense(rg.zeta, sl3.dim) == tuple(-x / 2 for x in dense(zg.zeta, sl3.dim))
+    pair = VinbergPair(zg, -2)
+    assert [pair.piece(j) for j in (-1, 0, 1)] == [zg.piece(2), zg.piece(0), zg.piece(-2)]
+    assert dense(pair.zeta, sl3.dim) == tuple(-x / 2 for x in dense(zg.zeta, sl3.dim))
 
 
 def test_regrade_zero_rejected(sl3):
-    with pytest.raises(ValueError):
-        regrade(z_grading_from_labels(sl3, [1, 1]), 0)
+    with pytest.raises(ValueError, match="^pair degree must be nonzero$"):
+        VinbergPair(z_grading_from_labels(sl3, [1, 1]), 0)
 
 
 def test_regrade_to_lowest_piece(sl3):
     zg = z_grading_from_labels(sl3, [1, 1])
-    rg = regrade(zg, 1 - zg.depth)
-    assert rg.piece(1) == zg.piece(1 - zg.depth)
+    pair = VinbergPair(zg, 1 - zg.depth)
+    assert pair.piece(1) == zg.piece(1 - zg.depth)
 
 
 def test_orbit_dimension_zero(sl3):
@@ -109,7 +109,7 @@ def test_orbit_dimension_open_and_degenerate(sl3):
     pair = _pair("A2", [1, 1])
     alg = pair.algebra
     e_open = root_vector(alg, (1, 0)) + root_vector(alg, (0, 1))
-    assert orbit_dimension(pair, e_open) == 2 == len(pair.grading.piece(1))
+    assert orbit_dimension(pair, e_open) == 2 == len(pair.piece(1))
     assert orbit_dimension(pair, root_vector(alg, (1, 0))) == 1
 
 
@@ -124,8 +124,8 @@ def test_generic_element_certified_and_deterministic():
     e1 = generic_element(pair, 7)
     e2 = generic_element(pair, 7)
     assert e1 == e2
-    assert orbit_dimension(pair, e1) == len(pair.grading.piece(1))
-    idx = pair.grading.piece(1)
+    assert orbit_dimension(pair, e1) == len(pair.piece(1))
+    idx = pair.piece(1)
     assert all(coordinate(e1, i) != 0 for i in idx)
 
 
@@ -135,7 +135,7 @@ def test_jm_triple_sl2(sl2):
     triple = jm_triple(pair, e)
     assert triple.h == cartan_element(sl2, [1])
     assert triple.f == root_vector(sl2, (-1,))
-    assert triple.h == 2 * pair.grading.zeta
+    assert triple.h == 2 * pair.zeta
 
 
 def test_jm_triple_relations_many():
@@ -163,14 +163,14 @@ def test_open_triple_has_h_twice_zeta():
     pair = _pair("A2", [1, 1])
     e = generic_element(pair, 0)
     triple = jm_triple(pair, e)
-    assert triple.h == 2 * pair.grading.zeta
+    assert triple.h == 2 * pair.zeta
 
 
 def test_chi_t_is_a_character():
     pair = _pair("A2", [1, 1])
     alg = pair.algebra
     rng = random.Random(4)
-    g0 = pair.grading.piece(0)
+    g0 = pair.piece(0)
     for _ in range(50):
         x = from_sparse(alg, {i: Q(rng.randint(-3, 3)) for i in g0})
         y = from_sparse(alg, {i: Q(rng.randint(-3, 3)) for i in g0})
@@ -264,13 +264,13 @@ def test_killing_dual_norm_scaling(sl2):
 @pytest.mark.parametrize("name,labels", [("C2", [1, 0]), ("C3", [1, 0, 0]), ("G2", [1, 0])])
 def test_complete_triple_at_twice_zeta_inconsistent(name, labels):
     pair = _pair(name, labels)
-    assert complete_triple(pair, generic_element(pair, 0), 2 * pair.grading.zeta) is None
+    assert complete_triple(pair, generic_element(pair, 0), 2 * pair.zeta) is None
 
 
 @pytest.mark.parametrize("name,labels", [("A2", [1, 1]), ("A5", [0, 1, 0, 1, 0])])
 def test_complete_triple_at_twice_zeta_verified(name, labels):
     pair = _pair(name, labels)
-    e, two_zeta = generic_element(pair, 0), 2 * pair.grading.zeta
+    e, two_zeta = generic_element(pair, 0), 2 * pair.zeta
     triple = complete_triple(pair, e, two_zeta)
     assert (triple.h, triple.e) == (two_zeta, e)
     assert project(pair.grading, triple.f, -1) == triple.f
@@ -288,7 +288,7 @@ def test_complete_triple_verifies_its_solution(monkeypatch):
     monkeypatch.setattr(vinberg, "solve", off_by_one)
     pair = _pair("A2", [1, 1])
     with pytest.raises(AssertionError, match="sl2 relation"):
-        complete_triple(pair, generic_element(pair, 0), 2 * pair.grading.zeta)
+        complete_triple(pair, generic_element(pair, 0), 2 * pair.zeta)
 
 
 def test_complete_triple_picks_f_in_the_minus_two_eigenspace():
@@ -334,7 +334,7 @@ def test_jm_regular_scales_with_a_non_integral_open_element():
         pair = _pair(name, labels)
         t = pair.triple()
         for c in (Q(1, 2), Q(-3, 2), Q(2, 3)):
-            scaled = complete_triple(pair, c * t.e, 2 * pair.grading.zeta)
+            scaled = complete_triple(pair, c * t.e, 2 * pair.zeta)
             assert jm_regular(pair) and (scaled.e, scaled.f) == (c * t.e, t.f * (1 / c))
 
 
@@ -346,7 +346,7 @@ def census_pairs(name):
     alg = build_algebra(LieType.parse(name))
     for labels in product((0, 1, 2), repeat=alg.rank):
         if 1 in labels:  # a degree-1 root has one simple root of label 1
-            yield labels, vinberg_pair(z_grading_from_labels(alg, list(labels)))
+            yield labels, VinbergPair(z_grading_from_labels(alg, list(labels)))
 
 
 @pytest.mark.parametrize("name", CENSUS)
@@ -359,7 +359,7 @@ def test_jm_verdict_is_h_equal_to_twice_zeta(name):
     for labels, pair in census_pairs(name):
         for seed in (0, 1):
             h = jm_triple(pair, generic_element(pair, seed)).h
-            assert (h == 2 * pair.grading.zeta) == jm_regular(pair), (labels, seed)
+            assert (h == 2 * pair.zeta) == jm_regular(pair), (labels, seed)
             assert pair.chi_t(h) / 2 == pair_rank(pair), (labels, seed)
 
 
@@ -378,8 +378,8 @@ def test_jm_regular_matches_block_solve(name):
         t, regular = pair.triple(), jm_regular(pair)
         assert (regular, t.f if regular else None) == block_jm_regular(pair, t.e), key
         if not regular:
-            assert t.verify(pair.algebra).h != 2 * pair.grading.zeta, key
-            assert orbit_dimension(pair, t.e) == len(pair.grading.piece(1)), key
+            assert t.verify(pair.algebra).h != 2 * pair.zeta, key
+            assert orbit_dimension(pair, t.e) == len(pair.piece(1)), key
         for seed in (0, 1):
             assert block_jm_regular(pair, generic_element(pair, seed))[0] == regular, (key, seed)
 
@@ -399,7 +399,7 @@ def test_root_set_triple_is_explicit(name):
         assert set(triple.e.num.values()) == {1} and triple.e.den == 1, labels
         assert rank(RationalMatrix(roots)) == len(roots), labels
         assert not any(tuple(map(sub, a, b)) in alg.root_index for a in roots for b in roots), labels
-        assert orbit_dimension(pair, triple.e) == len(pair.grading.piece(1)), labels
+        assert orbit_dimension(pair, triple.e) == len(pair.piece(1)), labels
         c = {a: coordinate(triple.f, alg.root_index[tuple(-x for x in a)]) for a in roots}
         assert len(triple.f.num) == len(roots), labels
         assert triple.h == sum((c[a] * alg.coroot(a) for a in roots), Element()), labels
@@ -415,7 +415,7 @@ def test_root_set_route_matches_the_dense_route(name):
         triple = root_set_triple(pair)
         if triple is None:
             continue
-        e, two_zeta = generic_element(pair, 0), 2 * pair.grading.zeta
+        e, two_zeta = generic_element(pair, 0), 2 * pair.zeta
         assert pair_rank(pair) == pair.chi_t(triple.h) / 2 == toledo_rank(pair, e), labels
         dense_regular = complete_triple(pair, e, two_zeta) is not None
         assert jm_regular(pair) == (triple.h == two_zeta) == dense_regular, labels
@@ -514,7 +514,7 @@ def test_graded_pair_beyond_the_highest_root_grading():
     -r_-/d and zeta-pairing: 2, 4 and 20."""
     graded = _graded("A3", [1, 2, 1])
     assert graded.grading.depth == 5
-    assert [len(pair.grading.piece(1)) for pair in (graded.one, graded.top, graded.low)] == [2, 1, 1]
+    assert [len(pair.piece(1)) for pair in (graded.one, graded.top, graded.low)] == [2, 1, 1]
     assert graded.ranks() == (2, 1)
     assert graded.one.zeta_pairing() == 20
     assert graded.dual_factor() == Q(-1, 4)
@@ -527,10 +527,38 @@ def test_graded_pair_beyond_the_highest_root_grading():
     assert report["warnings"] == ["empty interval: lower bound 5 exceeds upper bound 0"]
 
 
+@pytest.mark.parametrize(
+    "name,labels",
+    [("A2", (1, 1)), ("A3", (1, 2, 1)), ("C3", "highest root"), ("E6", "highest root"), ("B3", (1, 0, 0))],
+)
+def test_graded_pair_reads_one_grading_at_each_degree(name, labels):
+    """Each pair of the record is the one grading read at its degree k = 1, m-1, 1-m: its
+    piece j is g_{jk}, its zeta is zeta/k, and gamma is a longest root of g_k.  B3 (1,0,0)
+    has depth 2, where ``top`` is ``one``."""
+    alg = build_algebra(LieType.parse(name))
+    zg = z_grading_from_labels(alg, list(quaternionic_labels(alg) if labels == "highest root" else labels))
+    graded, m = GradedPair(zg), zg.depth
+    assert [pair.degree for pair in (graded.one, graded.top, graded.low)] == [1, m - 1, 1 - m]
+    for pair in (graded.one, graded.top, graded.low):
+        assert pair.grading is zg
+        assert all(pair.piece(j) == zg.piece(j * pair.degree) for j in range(-m, m + 1))
+        assert pair.zeta * pair.degree == zg.zeta
+        assert alg.root_index[pair.gamma] in pair.piece(1)
+        assert all(alg.rs.length_class(alg.basis_root(i)) <= alg.rs.length_class(pair.gamma) for i in pair.piece(1))
+
+
+def test_vinberg_pair_at_a_degree_with_no_piece_is_refused(sl3):
+    """A2 (1,1) has depth 3, and A2 (2,0) has no odd degree."""
+    with pytest.raises(ValueError, match="^grading has no degree-3 piece$"):
+        VinbergPair(z_grading_from_labels(sl3, [1, 1]), 3)
+    with pytest.raises(ValueError, match="^grading has no degree-1 piece$"):
+        VinbergPair(z_grading_from_labels(sl3, [2, 0]))
+
+
 def test_gamma_choice_irrelevant():
     pair = _pair("A2", [1, 1])
     alg = pair.algebra
-    norms = {alg.rs.norm(alg.basis_root(i)) for i in pair.grading.piece(1)}
+    norms = {alg.rs.norm(alg.basis_root(i)) for i in pair.piece(1)}
     assert norms == {alg.rs.norm(pair.gamma)}
 
 
@@ -540,7 +568,7 @@ def test_rank_monotonicity_on_orbits(dims):
     # side (embedded element -> Toledo rank in the block grading of sl_n)
     qd = QuiverDims(dims)
     zg = quiver_grading(qd)
-    pair = vinberg_pair(zg)
+    pair = VinbergPair(zg)
     open_rank = pair_rank(pair)
     maximal = maximal_rank_tuple(qd)
     for rt, mult in enumerate_orbits(qd):
@@ -550,7 +578,7 @@ def test_rank_monotonicity_on_orbits(dims):
         r = toledo_rank(pair, e)
         assert r == orbit_toledo_rank(qd, rt)
         assert 0 <= r <= open_rank
-        is_open = orbit_dimension(pair, e) == len(pair.grading.piece(1))
+        is_open = orbit_dimension(pair, e) == len(pair.piece(1))
         assert (r == open_rank) == is_open
         assert is_open == (rt == maximal)
 
@@ -563,7 +591,7 @@ def pair_verdicts(alg, labels):
     zg = z_grading_from_labels(alg, list(labels))
     if not zg.piece(1):
         return None
-    pair = vinberg_pair(zg)
+    pair = VinbergPair(zg)
     return pair_rank(pair), jm_regular(pair)
 
 
@@ -608,7 +636,7 @@ def test_every_quiver_orbit_on_its_root_set_triple(dims):
     triple on S has chi_T(h)/2 = the closed form ``quiver.toledo_rank``, and the orbit dimension is
     sum d_j^2 - dim End(M)."""
     qd = QuiverDims(dims)
-    pair = vinberg_pair(quiver_grading(qd))
+    pair = VinbergPair(quiver_grading(qd))
     alg, rs = pair.algebra, pair.algebra.rs
     squares = sum(d * d for d in dims)
     for _, mult in enumerate_orbits(qd):
