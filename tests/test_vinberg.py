@@ -528,15 +528,15 @@ def test_graded_pair_beyond_the_highest_root_grading():
 
 
 @pytest.mark.parametrize(
-    "name,labels",
-    [("A2", (1, 1)), ("A3", (1, 2, 1)), ("C3", "highest root"), ("E6", "highest root"), ("B3", (1, 0, 0))],
+    "name,labels", [("A2", "1,1"), ("A3", "1,2,1"), ("C3", "highest"), ("E6", "highest"), ("B3", "1,0,0")]
 )
 def test_graded_pair_reads_one_grading_at_each_degree(name, labels):
     """Each pair of the record is the one grading read at its degree k = 1, m-1, 1-m: its
-    piece j is g_{jk}, its zeta is zeta/k, and gamma is a longest root of g_k.  B3 (1,0,0)
-    has depth 2, where ``top`` is ``one``."""
+    piece j is g_{jk}, its zeta is zeta/k, and gamma is a longest root of g_k.  "highest" is
+    the highest-root grading; B3 (1,0,0) has depth 2, where ``top`` is ``one``."""
     alg = build_algebra(LieType.parse(name))
-    zg = z_grading_from_labels(alg, list(quaternionic_labels(alg) if labels == "highest root" else labels))
+    p = quaternionic_labels(alg) if labels == "highest" else map(int, labels.split(","))
+    zg = z_grading_from_labels(alg, list(p))
     graded, m = GradedPair(zg), zg.depth
     assert [pair.degree for pair in (graded.one, graded.top, graded.low)] == [1, m - 1, 1 - m]
     for pair in (graded.one, graded.top, graded.low):
