@@ -71,7 +71,9 @@ def _chain_222(results: list) -> list:
 
 def paper_checks(extended: bool, seed: int) -> List[PaperCheck]:
     """Every paper check at ``seed``; ``extended`` adds the E7 and E8 rows of the rank table."""
-    box = list(product(range(1, 4), range(1, 4), range(-2, 3)))  # every (p, q, a) of the two-block row
+    # Every (p, q, a) of the two-block row: the paper claim is checked on this box only;
+    # test_quiver::test_toledo_invariant_two_blocks reaches p, q <= 5 and |a| <= 4 in the library.
+    box = list(product(range(1, 4), range(1, 4), range(-2, 3)))
     two_block = [("toledo", "--dims", f"{p},{q}", f"--degrees={a},{-a}", "--genus", "2") for p, q, a in box]
     a2_labels = [f"{p0},{p1},{3 - p0 - p1}" for p0 in range(4) for p1 in range(4 - p0)]
     return [row for name in quaternionic_types(extended) for row in _quaternionic_rows(name)] + [

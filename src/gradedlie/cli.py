@@ -284,7 +284,7 @@ def cmd_quaternionic(lie_type: LieType, seed: int, **_) -> Dict[str, Any]:
         # no value reads the seed: it is echoed because the reference digests in bench/references.json pin it
         {"lie_type": str(lie_type), "seed": seed},
         {
-            "piece_dims": list(graded.grading.dims().values()),  # degrees -2..2
+            "piece_dims": list(graded.one.grading.dims().values()),  # degrees -2..2
             "kappa": kappa(graded.one),
             "rank_plus": q_str(rp),
             "rank_minus": q_str(rm),

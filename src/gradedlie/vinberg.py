@@ -84,7 +84,7 @@ class VinbergPair:
             raise ValueError(f"grading has no degree-{degree} piece")
         alg = grading.algebra
         self.grading, self.degree = grading, degree
-        self.zeta = grading.zeta if degree == 1 else grading.zeta * Q(1, degree)
+        self.zeta = grading.zeta * Q(1, degree)
         self.gamma = max(map(alg.basis_root, self.piece(1)), key=alg.rs.length_class)  # the first longest
         self._triple: Optional[Sl2Triple] = None
 
@@ -254,14 +254,13 @@ def jm_regular(pair: VinbergPair) -> bool:
 
 class GradedPair:
     """The (G_0, g_1 + g_{1-m}) pair of a Z-grading of depth m, read off the grading at three
-    degrees, each pair with its own longest root and triple: ``one`` = (G_0, g_1), ``top`` =
-    (G_0, g_{m-1}) (``one`` itself when m = 2) and ``low`` = (G_0, g_{1-m})."""
+    degrees, each pair holding it as ``grading``, with its own longest root and triple: ``one`` =
+    (G_0, g_1), ``top`` = (G_0, g_{m-1}) (``one`` itself when m = 2), ``low`` = (G_0, g_{1-m})."""
 
-    __slots__ = ("grading", "one", "top", "low")
+    __slots__ = ("one", "top", "low")
 
     def __init__(self, zg: ZGrading):
         m = zg.depth
-        self.grading = zg
         self.one = VinbergPair(zg)
         self.top = self.one if m == 2 else VinbergPair(zg, m - 1)
         self.low = VinbergPair(zg, 1 - m)
@@ -274,7 +273,7 @@ class GradedPair:
         """The ratio between the Toledo data of the degree-1 and the lowest pair:
         B*(gamma', gamma') / ((1-m) B*(gamma, gamma)) = ell(gamma') / ((1-m) ell(gamma)), with
         gamma' the lowest pair's longest root and ell the length class; always negative."""
-        ell = self.grading.algebra.rs.length_class
+        ell = self.one.algebra.rs.length_class
         return Q(ell(self.low.gamma), self.low.degree * ell(self.one.gamma))
 
     def interval(self, genus: int, lam: Q) -> Tuple[Q, Q]:

@@ -133,7 +133,7 @@ def test_1_quaternionic_rank_table(name):
 @pytest.mark.parametrize("name", QUATERNIONIC_TYPES)
 def test_2_extreme_pieces_jm_regular_with_certificates(name):
     graded = build_quaternionic(LieType.parse(name))
-    alg = graded.grading.algebra
+    alg = graded.one.grading.algebra
     for pair in (graded.top, graded.low):
         assert jm_regular(pair)
         t = pair.triple()

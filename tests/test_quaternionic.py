@@ -19,7 +19,7 @@ from gradedlie.vinberg import jm_regular, normalized_form
 
 @pytest.mark.parametrize("name", TYPE_LIST)
 def test_piece_structure(name):
-    grading = build_quaternionic(LieType.parse(name)).grading
+    grading = build_quaternionic(LieType.parse(name)).one.grading
     dims = grading.dims()
     assert sorted(dims) == [-2, -1, 0, 1, 2]
     assert dims[2] == dims[-2] == 1
@@ -28,19 +28,19 @@ def test_piece_structure(name):
 
 
 def test_a2_piece_dims(sl3):
-    assert build_quaternionic(LieType.parse("A2")).grading.dims() == {
+    assert build_quaternionic(LieType.parse("A2")).one.grading.dims() == {
         -2: 1, -1: 2, 0: 2, 1: 2, 2: 1
     }
 
 
 def test_c2_piece_dims():
-    grading = build_quaternionic(LieType.parse("C2")).grading
+    grading = build_quaternionic(LieType.parse("C2")).one.grading
     assert list(grading.dims()[j] for j in (-2, -1, 0, 1, 2)) == [1, 2, 4, 2, 1]
 
 
 @pytest.mark.parametrize("name", TYPE_LIST)
 def test_grading_element_is_highest_coroot(name):
-    grading = build_quaternionic(LieType.parse(name)).grading
+    grading = build_quaternionic(LieType.parse(name)).one.grading
     alg = grading.algebra
     assert grading.zeta == alg.coroot(alg.rs.highest_root)
 
@@ -82,16 +82,17 @@ def test_kappa_against_the_wrong_family_rule_is_refused(monkeypatch):
 @pytest.mark.parametrize("name", TYPE_LIST)
 def test_pairs_built_with_the_grading(name):
     graded = build_quaternionic(LieType.parse(name))
-    assert graded.grading.depth == 3
+    grading = graded.one.grading
+    assert grading.depth == 3
     for j, pair in zip((1, 2, -2), (graded.one, graded.top, graded.low)):
-        assert pair.grading is graded.grading and pair.degree == j
-        assert pair.piece(1) == graded.grading.piece(j)
+        assert pair.grading is grading and pair.degree == j
+        assert pair.piece(1) == grading.piece(j)
     assert [len(pair.piece(1)) for pair in (graded.top, graded.low)] == [1, 1]
 
 
 @pytest.mark.parametrize("name", TYPE_LIST)
 def test_t_beta_norm(name):
-    grading = build_quaternionic(LieType.parse(name)).grading
+    grading = build_quaternionic(LieType.parse(name)).one.grading
     assert normalized_form(grading.algebra, grading.zeta, grading.zeta) == 2
 
 
@@ -186,8 +187,8 @@ def test_family_a_matches_quiver(n):
     graded = build_quaternionic(LieType.parse(f"A{n-1}"))
     dims = QuiverDims((1, n - 2, 1))
     assert quiver_jm_regular(dims)
-    assert quiver_grading(dims).dims() == graded.grading.dims()
-    assert [graded.grading.dims()[j] for j in (-1, 1)] == [2 * (n - 2)] * 2
+    assert quiver_grading(dims).dims() == graded.one.grading.dims()
+    assert [graded.one.grading.dims()[j] for j in (-1, 1)] == [2 * (n - 2)] * 2
     # Toledo ranks agree between the two constructions
     rank_plus, _ = graded.ranks()
     assert orbit_toledo_rank(dims, maximal_rank_tuple(dims)) == rank_plus
@@ -248,7 +249,7 @@ def test_quaternionic_pairs_take_the_root_set_route(monkeypatch, name):
         raise AssertionError(f"dense open-orbit search on {name}")
 
     monkeypatch.setattr(vinberg, "generic_element", dense_spy)
-    graded = vinberg.GradedPair(build_quaternionic(LieType.parse(name)).grading)  # fresh pairs: nothing cached
+    graded = vinberg.GradedPair(build_quaternionic(LieType.parse(name)).one.grading)  # fresh pairs: nothing cached
     for key, pair in (("one", graded.one), ("top", graded.top), ("low", graded.low)):
         assert vinberg.root_set_triple(pair) is not None, key
         vinberg.pair_rank(pair)

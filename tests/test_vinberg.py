@@ -513,7 +513,7 @@ def test_graded_pair_beyond_the_highest_root_grading():
     and typed ``amw`` inputs reach the same interval only at the record's computed r_+,
     -r_-/d and zeta-pairing: 2, 4 and 20."""
     graded = _graded("A3", [1, 2, 1])
-    assert graded.grading.depth == 5
+    assert graded.one.grading.depth == 5
     assert [len(pair.piece(1)) for pair in (graded.one, graded.top, graded.low)] == [2, 1, 1]
     assert graded.ranks() == (2, 1)
     assert graded.one.zeta_pairing() == 20

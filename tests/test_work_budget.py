@@ -5,7 +5,9 @@ A count is exact and the same under every hash seed, so it resolves changes that
 timed run cannot.  It is comparable only on one interpreter version, so budgets are
 keyed by minor version and other versions skip.  Each budget was the job's count when
 it was recorded plus 1 %; a change that lowers a count may lower its budget, and
-raising one is a bound change.
+raising one is a bound change.  The 3.11 counts were taken on 3.11.7 and agree exactly
+on 3.11.2; other 3.11 patch releases are unchecked, and the stdlib code a job runs
+(``fractions``, ``json``'s indenting encoder) could differ there.
 """
 
 import json
