@@ -20,11 +20,9 @@ def tau(genus: int, lam: Q, zeta_pairing: Q, rank: Q) -> Q:
 def bounds(genus: int, lam: Q, zeta_pairing: Q, rank_plus: Q, rank_minus: Q) -> Tuple[Q, Q]:
     """(-tau_L, tau_U), with the genus and the ranks checked.
 
-    Whether tau_U bounds tau is the caller's to decide, and the two callers
-    decide differently at depth 3: ``cli.cmd_amw`` drops it unless the depth
-    is 2 or ``--phi-minus-zero`` is given, while ``vinberg.GradedPair.interval``
-    always keeps it, as ``amw --type`` reports on the depth-3 pair
-    (G_0, g_1 + g_{-2}).  Which rule the paper supports is open.
+    Its one caller, ``vinberg.GradedPair.interval``, always keeps tau_U, also
+    at depth 3 (``amw --type`` on the pair (G_0, g_1 + g_{-2})).  Whether the
+    paper's tau_U needs depth 2 or phi_- = 0 is open.
     """
     if genus < 2:
         raise ValueError("genus must be at least 2")

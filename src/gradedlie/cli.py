@@ -31,7 +31,6 @@ from math import gcd
 from typing import Any, Callable, Dict, List, Optional
 
 from . import __version__
-from .amw import bounds as amw_bounds
 from .cayley import bracket_projection_test, cayley_pair
 from .checks import expected_ranks, paper_checks, quaternionic_types
 from .chevalley import Element, build_algebra
@@ -147,11 +146,6 @@ FIELDS = {
     "--degrees": Field("degrees", to_ints),
     "--genus": Field("genus", to_int),
     "--lambda": Field("lam", to_rational, Q(0)),
-    "--rank-plus": Field("rank_plus", to_rational),
-    "--rank-minus": Field("rank_minus", to_rational),
-    "--zeta-pairing": Field("zeta_pairing", to_rational),
-    "--depth": Field("depth", to_int),
-    "--phi-minus-zero": Field("phi_minus_zero", to_switch, False),
     "--extended": Field("extended", to_switch, False),
     "--format": Field("output_format", to_format, "json"),
     "--output": Field("output_path", to_path),
@@ -243,34 +237,15 @@ def cmd_toledo(dims: List[int], degrees: List[int], genus: int, **_) -> Dict[str
     return make_report("toledo", inputs, {"tau": str(toledo_invariant(top))})
 
 
-# the amw flags that --type computes: given with it, each exits 2
-AMW_UNREAD = ("--rank-plus", "--rank-minus", "--zeta-pairing", "--depth", "--phi-minus-zero")
-
-
-def cmd_amw(
-    genus: int, lam: Q, rank_plus: Optional[Q], rank_minus: Optional[Q], zeta_pairing: Optional[Q],
-    depth: Optional[int], phi_minus_zero: bool, lie_type: Optional[LieType], **_,
-) -> Dict[str, Any]:
-    inputs = {"genus": genus, "lambda": q_str(lam)}
-    if lie_type is None:  # typed inputs: an absent rank or pairing is 0, an absent depth 2
-        depth = 2 if depth is None else depth
-        lower, upper = amw_bounds(genus, lam, zeta_pairing or Q(0), rank_plus or Q(0), rank_minus or Q(0))
-        if depth < 2:
-            raise ValueError("depth must be at least 2")
-        # tau_U only at depth 2 or when the back component vanishes
-        upper = upper if depth == 2 or phi_minus_zero else None
-        results = {"lower_bound": q_str(lower), "upper_bound": None if upper is None else q_str(upper)}
-    else:
-        given = (rank_plus, rank_minus, zeta_pairing, depth, phi_minus_zero or None)
-        unread = [flag for flag, value in zip(AMW_UNREAD, given) if value is not None]
-        if unread:
-            raise ValueError(f"--type does not read {unread[0]}")
-        graded = build_quaternionic(lie_type)
-        inputs["lie_type"] = str(lie_type)
-        lower, upper = graded.interval(genus, lam)
-        results = {"bounds": [q_str(lower), q_str(upper)], "kappa": kappa(graded.one)}
-    report = make_report("amw", inputs, results)
-    if upper is not None and lower > upper:  # the formula's lambda hypothesis fails: no tau satisfies both
+def cmd_amw(lie_type: LieType, genus: int, lam: Q, **_) -> Dict[str, Any]:
+    graded = build_quaternionic(lie_type)
+    lower, upper = graded.interval(genus, lam)
+    report = make_report(
+        "amw",
+        {"genus": genus, "lambda": q_str(lam), "lie_type": str(lie_type)},
+        {"bounds": [q_str(lower), q_str(upper)], "kappa": kappa(graded.one)},
+    )
+    if lower > upper:  # the formula's lambda hypothesis fails: no tau satisfies both
         report["warnings"].append(f"empty interval: lower bound {q_str(lower)} exceeds upper bound {q_str(upper)}")
     return report
 
@@ -371,22 +346,17 @@ COMMANDS = {
     "kac": (cmd_kac, "--type! --labels!"),
     "quiver": (cmd_quiver, "--dims!"),
     "toledo": (cmd_toledo, "--dims! --degrees! --genus!"),
-    "amw": (cmd_amw, "--genus! --lambda --rank-plus --rank-minus --zeta-pairing --depth --phi-minus-zero --type"),
+    "amw": (cmd_amw, "--type! --genus! --lambda"),
     "quaternionic": (cmd_quaternionic, "--type! --seed"),
     "cayley": (cmd_cayley, "--type --labels --dims --seed"),
     "verify-paper": (cmd_verify_paper, "--extended --seed"),
 }
 COMMON_FLAGS = ["--format", "--output"]
 # each command's flags, in usage order and the common ones last, each mapped to whether it is required
-_COMMAND_FLAGS = {
+COMMAND_FLAGS = {
     command: {flag.rstrip("!"): flag.endswith("!") for flag in flags.split() + COMMON_FLAGS}
     for command, (_, flags) in COMMANDS.items()
 }
-
-
-def command_flags(command: str) -> Dict[str, bool]:
-    """The command's flags, in usage order and the common ones last, each mapped to whether it is required."""
-    return _COMMAND_FLAGS[command]
 
 
 def usage() -> str:
@@ -441,7 +411,7 @@ def parse_argv(argv: List[str]):
     command = rest.pop(0)
     if command not in COMMANDS:
         raise ValueError(f"unknown command {command!r}")
-    allowed = command_flags(command)
+    allowed = COMMAND_FLAGS[command]
     flags: Dict[str, Any] = {}
     while rest:
         token = rest.pop(0)
@@ -468,7 +438,7 @@ def typed_fields(command: str, config: Dict[str, Any], flags: Dict[str, Any]) ->
     """Every field of the command, typed: the flags laid over the config, each
     present value parsed by its field's parser, each absent one its default."""
     raw = {**config, **flags}
-    own = command_flags(command)
+    own = COMMAND_FLAGS[command]
     unknown = sorted(raw.keys() - {FIELDS[flag].key for flag in own})
     if unknown:
         raise ValueError(f"{command} takes no field {unknown[0]!r}")

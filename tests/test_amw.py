@@ -7,14 +7,11 @@ from oracles import quaternionic_bounds
 
 from gradedlie import vinberg
 from gradedlie.amw import bounds
-from gradedlie.cli import cmd_amw
+from gradedlie.chevalley import build_algebra
+from gradedlie.grading import z_grading_from_labels
 from gradedlie.quaternionic import build_quaternionic
+from gradedlie.quiver import QuiverHiggsTopology, toledo_invariant
 from gradedlie.rootsystem import LieType
-
-
-def reported_upper(rank_minus, depth, phi_minus_zero=False):
-    """The tau_U that the typed mode of ``amw`` reports at genus 2 and lambda 0."""
-    return cmd_amw(2, Q(0), None, rank_minus, None, depth, phi_minus_zero, None)["results"]["upper_bound"]
 
 
 def test_input_validation():
@@ -24,9 +21,6 @@ def test_input_validation():
         bounds(2, Q(0), Q(0), Q(-1), Q(0))
     with pytest.raises(ValueError, match="^ranks must be non-negative$"):
         bounds(2, Q(0), Q(0), Q(0), Q(-1))
-    for depth in (0, 1):
-        with pytest.raises(ValueError, match="^depth must be at least 2$"):
-            reported_upper(None, depth, True)
 
 
 def test_lower_basic():
@@ -43,17 +37,10 @@ def test_lower_with_lambda():
 
 def test_upper_depth_two():
     assert bounds(2, Q(0), Q(0), Q(0), Q(1))[1] == 2
-    assert reported_upper(Q(1), 2) == reported_upper(Q(1), None) == "2"
-
-
-def test_upper_absent_outside_regime():
-    assert reported_upper(Q(1), 3) is None
-    assert reported_upper(Q(1), 3, True) == "2"
 
 
 def test_upper_trivial():
     assert bounds(2, Q(0), Q(0), Q(0), Q(0))[1] == 0
-    assert reported_upper(None, 2) == "0"
 
 
 def test_coarse():
@@ -115,12 +102,10 @@ def test_lower_monotone_in_rank_plus():
 
 
 def test_two_block_values_fill_depth_two_interval():
-    # dims (1,1) at genus 2: the interval is [-2, 2] and the degree vectors
-    # (a, -a) with |a| <= 1 land inside it, hitting both endpoints
-    from gradedlie.quiver import QuiverHiggsTopology, toledo_invariant
-
-    lower, upper = bounds(2, Q(0), Q(0), Q(1), Q(1))
-    assert reported_upper(Q(1), 2) == str(upper)
+    # dims (1,1) at genus 2: the computed pair of A1 (1), U(1,1), has the interval [-2, 2],
+    # and the degree vectors (a, -a) with |a| <= 1 land inside it, hitting both endpoints
+    graded = vinberg.GradedPair(z_grading_from_labels(build_algebra(LieType.parse("A1")), [1]))
+    lower, upper = graded.interval(2, Q(0))
     assert (lower, upper) == (-2, 2)
     values = {
         toledo_invariant(QuiverHiggsTopology((1, 1), (a, -a), 2)) for a in (-1, 0, 1)

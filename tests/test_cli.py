@@ -3,6 +3,7 @@ import importlib.util
 import inspect
 import json
 import os
+import shlex
 import subprocess
 import sys
 import types
@@ -11,11 +12,11 @@ from pathlib import Path
 import pytest
 
 from conftest import SMALL_DIMS
-from test_golden import EXAMPLES, GOLDEN, slug
+from replay import EXAMPLES, GOLDEN, slug
 
 from gradedlie import cli
 from gradedlie.cli import (
-    COMMANDS, cmd_grading, cmd_kac, cmd_quiver, command_flags, main, q_str, report_json, to_rational, usage,
+    COMMAND_FLAGS, COMMANDS, cmd_grading, cmd_kac, cmd_quiver, main, q_str, report_json, to_rational, usage,
 )
 from gradedlie.rootsystem import LieType, RootSystem, build_root_system
 
@@ -75,37 +76,13 @@ def test_amw_quaternionic_coarse(capsys):
     assert report["results"] == {"bounds": ["-2", "2"], "kappa": 1}
 
 
-def test_amw_upper_absent(capsys):
-    code, report = run_json(
-        capsys, "amw", "--genus", "2", "--rank-plus", "4", "--depth", "3"
-    )
+def test_amw_empty_interval_warns(capsys):
+    """An interval with lower > upper (C3 at a lambda outside the formula's range) is still
+    reported, with exit 0, and one warning names both bounds."""
+    code, report = run_json(capsys, "amw", "--type", "C3", "--genus", "2", "--lambda", "-4")
     assert code == 0
-    assert report["results"]["lower_bound"] == "-8"
-    assert report["results"]["upper_bound"] is None
-
-
-@pytest.mark.parametrize(
-    "argv, lower, upper",
-    [
-        # the computed r_+, r_- and zeta-pairing of A3 (1,2,1), at a lambda outside the formula's range
-        (["--genus", "2", "--lambda", "-1/2", "--rank-plus", "2", "--rank-minus", "4", "--zeta-pairing", "20",
-          "--depth", "2"], "5", "0"),
-        (["--type", "C3", "--genus", "2", "--lambda", "-4"], "2", "-2"),
-    ],
-)
-def test_amw_empty_interval_warns(capsys, argv, lower, upper):
-    """An interval with lower > upper is still reported, with exit 0, and one warning names both bounds."""
-    code, report = run_json(capsys, "amw", *argv)
-    assert code == 0
-    (warning,) = report["warnings"]
-    assert f"lower bound {lower} " in warning and warning.endswith(f"upper bound {upper}")
-
-
-def test_amw_no_warning_without_upper_bound(capsys):
-    # tau_U is not reported at depth 3, so no interval is printed to be empty
-    code, report = run_json(capsys, "amw", "--genus", "2", "--lambda", "-1/2", "--rank-plus", "2",
-                            "--rank-minus", "4", "--zeta-pairing", "20", "--depth", "3")
-    assert code == 0 and report["results"]["upper_bound"] is None and report["warnings"] == []
+    assert report["results"]["bounds"] == ["2", "-2"]
+    assert report["warnings"] == ["empty interval: lower bound 2 exceeds upper bound -2"]
 
 
 def test_kac_command(capsys):
@@ -212,7 +189,7 @@ def test_text_format(capsys):
         ({"seed": "abc"}, ["quaternionic", "--type", "A2"]),
         ({"seed": "abc"}, ["cayley", "--dims", "1,1,1"]),
         ({"seed": "abc"}, ["verify-paper"]),
-        ({"genus": "x"}, ["amw"]),
+        ({"genus": "x"}, ["amw", "--type", "E6"]),
         ({"lie_type": 5}, ["grading", "--labels", "1"]),
         ({"labels": 5}, ["grading", "--type", "A1"]),
         ({"labels": [1, "a"]}, ["grading", "--type", "A2"]),
@@ -240,6 +217,12 @@ def test_config_integer_strings_accepted(tmp_path, capsys):
     assert report["inputs"]["labels"] == [1, 1]
 
 
+def case_id(argv) -> str:
+    """An argv as its shell line, with a leading config dict written as its JSON."""
+    config = [json.dumps(argv[0])] if isinstance(argv[0], dict) else []
+    return " ".join(config + [shlex.join(argv[len(config):])])
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -247,6 +230,8 @@ def test_config_integer_strings_accepted(tmp_path, capsys):
         ["cayley", "--dims", "0,1"],
         ["quaternionic", "--type", "A1"],
         ["amw", "--type", "A1", "--genus", "2"],
+        # amw's one mode needs --type
+        ["amw", "--genus", "2"],
         ["amw", "--genus", "2", "--depth", "0"],
         ["amw", "--genus", "2", "--depth", "1"],
         ["toledo", "--dims=", "--degrees=", "--genus=2"],
@@ -256,10 +241,10 @@ def test_config_integer_strings_accepted(tmp_path, capsys):
         ["quiver", "--dims", ",2,1,"],
         # a leading dict is a config file: a present null, list or boolean is rejected
         [{"seed": [], "lam": False}, "amw", "--genus", "2"],
-        [{"lam": None}, "amw", "--genus", "2"],
-        [{"rank_plus": []}, "amw", "--genus", "2"],
-        [{"rank_minus": False}, "amw", "--genus", "2"],
-        [{"zeta_pairing": None}, "amw", "--genus", "2"],
+        [{"lam": None}, "amw", "--type", "E6", "--genus", "2"],
+        [{"genus": []}, "amw", "--type", "E6"],
+        [{"lam": False}, "amw", "--type", "E6", "--genus", "2"],
+        [{"lie_type": None}, "amw", "--genus", "2"],
         [{"seed": []}, "quaternionic", "--type", "A2"],
         [{"seed": False}, "cayley", "--dims", "2,2,2"],
         [{"seed": None}, "verify-paper"],
@@ -268,8 +253,8 @@ def test_config_integer_strings_accepted(tmp_path, capsys):
         ["grading", "--type", "A2", "--labels", "1_0,1"],
         ["grading", "--type", "A2", "--labels", "1 0,1"],
         ["quaternionic", "--type", "A2", "--seed", "\u0663"],
-        ["amw", "--genus", " 2"],
-        ["amw", "--genus", "2", "--lambda", "1/\u0662"],
+        ["amw", "--type", "E6", "--genus", " 2"],
+        ["amw", "--type", "E6", "--genus", "2", "--lambda", "1/\u0662"],
         [{"seed": "\u0663"}, "quaternionic", "--type", "A2"],
         # usage errors: one line, never a SystemExit
         ["quiver", "--seed", "x", "--dims", "2,2"],
@@ -289,9 +274,9 @@ def test_config_integer_strings_accepted(tmp_path, capsys):
         ["quiver", "--dims", "1,1", "--output", ""],
         [{"output_path": ""}, "quiver", "--dims", "1,1"],
         # a switch in a config file is a JSON boolean
-        [{"phi_minus_zero": "no"}, "amw", "--genus", "2", "--depth", "3"],
+        [{"extended": "no"}, "verify-paper"],
         [{"extended": "false"}, "verify-paper"],
-        [{"phi_minus_zero": 1}, "amw", "--genus", "2"],
+        [{"extended": 1}, "verify-paper"],
         # a config key is a field of the command, as a flag is
         [{"extended": True}, "quiver", "--dims", "2,2"],
         # only the commands that read or echo the seed take one
@@ -306,7 +291,7 @@ def test_config_integer_strings_accepted(tmp_path, capsys):
         ["quaternionic", "--type", "a+3"],
         ["quaternionic", "--type", "E 8"],
         ["quaternionic", "--type", "A", "--rank", "2"],
-        # a valid flag that the chosen mode would not read
+        # a flag of amw's deleted typed mode, and a valid flag that the chosen cayley mode would not read
         ["amw", "--genus", "2", "--type", "E6", "--depth", "3"],
         ["cayley", "--dims", "2,2", "--type", "A5", "--labels", "1,0,0,0,0"],
         ["cayley", "--dims", "2,2", "--labels", "1"],
@@ -314,7 +299,7 @@ def test_config_integer_strings_accepted(tmp_path, capsys):
         ["cayley", "--type", "C3", "--labels", "1,0,0"],
         ["quiver", "--dims", "1"],
         ["toledo", "--dims", "1,1", "--degrees", "1,-1", "--genus", "1"],
-        # a valid flag that the chosen mode would not read, even at the library's default
+        # every flag and config key of amw's deleted typed mode, and flags amw never had
         ["amw", "--type", "E6", "--genus", "2", "--depth", "3", "--zeta-pairing", "5", "--phi-minus-zero"],
         ["amw", "--type", "E6", "--genus", "2", "--depth", "2"],
         ["amw", "--type", "E6", "--genus", "2", "--zeta-pairing", "4"],
@@ -322,7 +307,6 @@ def test_config_integer_strings_accepted(tmp_path, capsys):
         ["amw", "--type", "E6", "--genus", "2", "--lambda", "1/2", "--rank-plus", "3"],
         ["amw", "--type", "E6", "--coarse", "--genus", "2", "--lambda", "0"],
         ["amw", "--type", "C3", "--genus", "2", "--rank-minus", "1"],
-        # --type alone picks the computed mode: there is no --quaternionic switch
         ["amw", "--quaternionic", "--type", "E6", "--genus", "3"],
         ["amw", "--genus", "2", "--kappa", "2"],
         [{"depth": 3}, "amw", "--type", "E6", "--genus", "2"],
@@ -334,7 +318,7 @@ def test_config_integer_strings_accepted(tmp_path, capsys):
         # a one-block dimension vector has no degree-1 piece
         ["cayley", "--dims", "3"],
         [{"quaternionic": True}, "amw", "--type", "E6", "--genus", "3"],
-        # r_- is checked where the typed mode reports no tau_U too
+        # a removed flag is refused before its value is read
         ["amw", "--genus", "2", "--rank-minus", "-1", "--depth", "3"],
         # a flag given twice, in either form, a switch and a common flag too
         ["grading", "--type", "A2", "--type", "G2", "--labels", "1,0"],
@@ -343,9 +327,10 @@ def test_config_integer_strings_accepted(tmp_path, capsys):
         ["quiver", "--dims", "2,2", "--format", "json", "--format=text"],
         ["cayley", "--dims", "2,2", "--seed", "1", "--seed", "1"],
     ],
+    ids=case_id,
 )
 def test_rejected_input_is_one_line(tmp_path, capsys, argv):
-    expected = REJECTED_LINES.get(" ".join(map(str, argv)))
+    expected = REJECTED_LINES.get(case_id(argv))
     if isinstance(argv[0], dict):
         cfg = tmp_path / "job.json"
         cfg.write_text(json.dumps(argv[0]))
@@ -360,18 +345,27 @@ def test_rejected_input_is_one_line(tmp_path, capsys, argv):
         assert line == expected
 
 
-# the whole error line of a rejected argv whose message is itself under test
+# the whole error line of a rejected argv whose message is itself under test, keyed by its case id
 REJECTED_LINES = {
     "cayley --dims 3": "error: --dims needs at least two blocks",
-    "amw --type E6 --genus 2 --depth 2": "error: --type does not read --depth",
+    "amw --genus 2": "error: --type is required",
+    "amw --type E6 --genus 2 --depth 2": "error: amw takes no flag --depth",
+    "amw --type E6 --genus 2 --zeta-pairing 4": "error: amw takes no flag --zeta-pairing",
+    "amw --type E6 --genus 2 --phi-minus-zero": "error: amw takes no flag --phi-minus-zero",
+    "amw --type E6 --genus 2 --lambda 1/2 --rank-plus 3": "error: amw takes no flag --rank-plus",
+    "amw --type C3 --genus 2 --rank-minus 1": "error: amw takes no flag --rank-minus",
+    "amw --genus 2 --type E6 --depth 3": "error: amw takes no flag --depth",
+    "amw --genus 2 --rank-minus -1 --depth 3": "error: amw takes no flag --rank-minus",
     "amw --type E6 --coarse --genus 2 --lambda 0": "error: amw takes no flag --coarse",
     "amw --genus 2 --kappa 2": "error: amw takes no flag --kappa",
-    "amw --genus 2 --type E6 --depth 3": "error: --type does not read --depth",
     "amw --quaternionic --type E6 --genus 3": "error: amw takes no flag --quaternionic",
-    "{'quaternionic': True} amw --type E6 --genus 3": "error: amw takes no field 'quaternionic'",
-    "amw --type C3 --genus 2 --rank-minus 1": "error: --type does not read --rank-minus",
-    "{'rank_minus': 0} amw --type E6 --genus 2": "error: --type does not read --rank-minus",
-    "amw --genus 2 --rank-minus -1 --depth 3": "error: ranks must be non-negative",
+    '{"depth": 3} amw --type E6 --genus 2': "error: amw takes no field 'depth'",
+    '{"zeta_pairing": "5"} amw --type E6 --genus 2': "error: amw takes no field 'zeta_pairing'",
+    '{"phi_minus_zero": true} amw --type E6 --genus 2': "error: amw takes no field 'phi_minus_zero'",
+    '{"lam": "1/2", "rank_plus": 3} amw --type E6 --genus 2': "error: amw takes no field 'rank_plus'",
+    '{"rank_minus": 0} amw --type E6 --genus 2': "error: amw takes no field 'rank_minus'",
+    '{"quaternionic": true} amw --type E6 --genus 3': "error: amw takes no field 'quaternionic'",
+    '{"lam": null} amw --type E6 --genus 2': "error: lam must be a rational, got None",
     "grading --type A2 --type G2 --labels 1,0": "error: --type given twice",
     "grading --type A2 --labels=1,1 --labels 1,0": "error: --labels given twice",
     "verify-paper --extended --extended": "error: --extended given twice",
@@ -415,7 +409,7 @@ def test_unwritable_output_is_one_line(tmp_path, capsys):
 
 
 def test_absent_rational_fields_default_to_zero(capsys):
-    code, report = run_json(capsys, "amw", "--genus", "2")
+    code, report = run_json(capsys, "amw", "--type", "A2", "--genus", "2")
     assert code == 0
     assert report["inputs"]["lambda"] == "0"
 
@@ -530,7 +524,7 @@ def test_help_lists_every_command(capsys, argv):
     assert captured.out == usage() and captured.err == ""
     for command in COMMANDS:
         assert f"  {command} " in captured.out
-        assert all(flag in captured.out for flag in command_flags(command))
+        assert all(flag in captured.out for flag in COMMAND_FLAGS[command])
 
 
 def test_no_command_prints_usage(capsys):
@@ -548,7 +542,7 @@ def test_negative_list_as_separate_token(capsys):
 
 
 def test_signed_integers_accepted(capsys):
-    code, report = run_json(capsys, "amw", "--genus", "+2", "--lambda", "-1/+2", "--depth=+3")
+    code, report = run_json(capsys, "amw", "--type", "A2", "--genus=+2", "--lambda", "-1/+2")
     assert code == 0
     assert (report["inputs"]["genus"], report["inputs"]["lambda"]) == (2, "-1/2")
 

@@ -28,7 +28,7 @@ from oracles import (
 
 from gradedlie.chevalley import Element, build_algebra
 from gradedlie import cli
-from gradedlie.cli import COMMANDS, FIELDS, command_flags, main
+from gradedlie.cli import COMMAND_FLAGS, COMMANDS, FIELDS, main
 from gradedlie.linalg import RationalMatrix, independent_subset, kernel_basis, rank, solve
 from gradedlie.quiver import QuiverDims, labels_for_dims
 from gradedlie.rootsystem import LieType
@@ -301,11 +301,10 @@ INT_POOLS = {"seed": ([0, 1, 3], ["x", "1_0"])}
 # dimension vectors whose block grading has Cayley data (a JM-regular degree-1 pair)
 CAYLEY_DIMS = [(1, 1), (2, 2), (1, 1, 1), (1, 2, 1), (2, 2, 2), (1, 1, 1, 1), (1, 2, 2, 1)]
 
-# the flags each mode of a command leaves out, and the optional flags it needs
-# (a needed switch is on): a draw keeps to one mode, so that a report is in reach
+# the flags each mode of a command leaves out, and the optional flags it needs:
+# a draw keeps to one mode, so that a report is in reach
 MODES = {
     "cayley": [({"--type", "--labels"}, {"--dims"})] * 4 + [({"--dims"}, {"--type", "--labels"})],
-    "amw": [({"--type"}, set()), (set(cli.AMW_UNREAD), {"--type"})],
 }
 
 
@@ -349,7 +348,7 @@ def field_values(draw, command: str, folder):
         cli.to_format: st.just("xml"),
         cli.to_path: st.sampled_from([str(folder / "no-such-dir" / "r.json"), ""]),
     }
-    own = {flag: required or flag in needed for flag, required in command_flags(command).items()
+    own = {flag: required or flag in needed for flag, required in COMMAND_FLAGS[command].items()
            if flag not in left_out}
     broken = draw(st.sampled_from([FIELDS[flag].key for flag in own])) if draw(st.booleans()) else None
     values = {}
@@ -359,9 +358,7 @@ def field_values(draw, command: str, folder):
             not required and not draw(st.integers(0, 4))
         ):
             continue
-        if field.parse is cli.to_switch and flag in needed and field.key != broken:
-            values[field.key] = True
-        elif field.key in INT_POOLS:
+        if field.key in INT_POOLS:
             values[field.key] = draw(st.sampled_from(INT_POOLS[field.key][field.key == broken]))
         elif field.parse is not cli.to_ints:
             pools = rejected if field.key == broken else accepted
@@ -391,7 +388,7 @@ def argvs(draw, command: str, folder):
     """The subcommand with the drawn fields."""
     values, _ = draw(field_values(command, folder))
     argv = [command]
-    for flag in command_flags(command):
+    for flag in COMMAND_FLAGS[command]:
         field = FIELDS[flag]
         if field.key not in values:
             continue
@@ -420,7 +417,7 @@ def configs(draw, command: str, folder):
     hold an int, float, bool, null or list."""
     values, broken = draw(field_values(command, folder))
     config = {}
-    for flag in command_flags(command):
+    for flag in COMMAND_FLAGS[command]:
         field = FIELDS[flag]
         if field.key not in values:
             continue
@@ -469,7 +466,7 @@ SWITCH_FLAGS = sorted(flag for flag, field in FIELDS.items() if field.parse is c
 def malformed_argvs(draw, command: str, folder):
     """A drawn argv of the command with one malformed token (or pair) put in."""
     argv = draw(argvs(command, folder))
-    own = list(command_flags(command))
+    own = list(COMMAND_FLAGS[command])
     value_flags = [flag for flag in own if FIELDS[flag].parse is not cli.to_switch]
     kind = draw(st.sampled_from(
         ["unknown", "foreign", "bare", "empty", "switch=", "command", "config", "help"]

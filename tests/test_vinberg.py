@@ -42,7 +42,6 @@ from oracles import (
 
 from gradedlie import quiver, vinberg
 from gradedlie.chevalley import ChevalleyAlgebra, Element, build_algebra
-from gradedlie.cli import cmd_amw
 from gradedlie.grading import z_grading_from_labels
 from gradedlie.linalg import RationalMatrix, rank, solve
 from gradedlie.quaternionic import build_quaternionic, quaternionic_labels
@@ -74,7 +73,7 @@ def _pair(name, labels):
     return VinbergPair(z_grading_from_labels(alg, labels))
 
 
-def test_regrade_identity(sl3):
+def test_pair_at_degree_one_is_the_grading(sl3):
     """The pair at degree 1 reads the grading as it is."""
     zg = z_grading_from_labels(sl3, [1, 1])
     pair = VinbergPair(zg)
@@ -82,19 +81,19 @@ def test_regrade_identity(sl3):
     assert [pair.piece(j) for j in range(-2, 3)] == [zg.piece(j) for j in range(-2, 3)]
 
 
-def test_regrade_minus_two(sl3):
+def test_pair_at_degree_minus_two_scales_pieces_and_zeta(sl3):
     zg = z_grading_from_labels(sl3, [1, 1])
     pair = VinbergPair(zg, -2)
     assert [pair.piece(j) for j in (-1, 0, 1)] == [zg.piece(2), zg.piece(0), zg.piece(-2)]
     assert dense(pair.zeta, sl3.dim) == tuple(-x / 2 for x in dense(zg.zeta, sl3.dim))
 
 
-def test_regrade_zero_rejected(sl3):
+def test_pair_at_degree_zero_is_refused(sl3):
     with pytest.raises(ValueError, match="^pair degree must be nonzero$"):
         VinbergPair(z_grading_from_labels(sl3, [1, 1]), 0)
 
 
-def test_regrade_to_lowest_piece(sl3):
+def test_pair_at_degree_one_minus_m_reads_the_lowest_piece(sl3):
     zg = z_grading_from_labels(sl3, [1, 1])
     pair = VinbergPair(zg, 1 - zg.depth)
     assert pair.piece(1) == zg.piece(1 - zg.depth)
@@ -509,9 +508,8 @@ def test_graded_pair_dual_factor_values():
 
 
 def test_graded_pair_beyond_the_highest_root_grading():
-    """A3 (1,2,1) has depth 5.  Its record's interval at genus 2 and lambda -1/2 is empty,
-    and typed ``amw`` inputs reach the same interval only at the record's computed r_+,
-    -r_-/d and zeta-pairing: 2, 4 and 20."""
+    """A3 (1,2,1) has depth 5.  Its record's interval at genus 2 and lambda -1/2 is empty:
+    lambda lies outside the formula's range at r_+ = 2, -r_-/d = 4 and zeta-pairing 20."""
     graded = _graded("A3", [1, 2, 1])
     assert graded.one.grading.depth == 5
     assert [len(pair.piece(1)) for pair in (graded.one, graded.top, graded.low)] == [2, 1, 1]
@@ -519,12 +517,6 @@ def test_graded_pair_beyond_the_highest_root_grading():
     assert graded.one.zeta_pairing() == 20
     assert graded.dual_factor() == Q(-1, 4)
     assert graded.interval(2, Q(-1, 2)) == (5, 0)
-    rank_plus, rank_minus = graded.ranks()
-    typed = (rank_plus, -rank_minus / graded.dual_factor(), graded.one.zeta_pairing())
-    assert typed == (2, 4, 20)
-    report = cmd_amw(2, Q(-1, 2), *typed, 2, False, None)
-    assert report["results"] == {"lower_bound": "5", "upper_bound": "0"}
-    assert report["warnings"] == ["empty interval: lower bound 5 exceeds upper bound 0"]
 
 
 @pytest.mark.parametrize(
