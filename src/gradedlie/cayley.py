@@ -36,12 +36,12 @@ from .vinberg import Sl2Triple, VinbergPair, complete_triple, form_numerator, ge
 
 
 class CayleyData:
-    """The pair, its triple at h = 2*zeta, bases of c and V, and the depth m."""
+    """The pair, its triple at h = 2*zeta, and bases of c and V."""
 
-    __slots__ = ("pair", "triple", "c_basis", "v_basis", "depth")
+    __slots__ = ("pair", "triple", "c_basis", "v_basis")
 
-    def __init__(self, pair: VinbergPair, triple: Sl2Triple, c_basis: List[Element], v_basis: List[Element], depth: int):
-        self.pair, self.triple, self.depth = pair, triple, depth
+    def __init__(self, pair: VinbergPair, triple: Sl2Triple, c_basis: List[Element], v_basis: List[Element]):
+        self.pair, self.triple = pair, triple
         self.c_basis = c_basis
         self.v_basis = v_basis  # images ad(e)^{m-1} of the g_{1-m} basis
 
@@ -80,7 +80,7 @@ def cayley_pair(zg: ZGrading, seed: int = 0) -> CayleyData:
     support, transport = powers[m - 1]
     den = triple.e.den ** (m - 1)  # transport = (e.den ad_e)^{m-1}
     v_basis = [Element({k: row[j] for k, row in zip(support, transport)}, den) for j in range(len(low))]
-    return CayleyData(pair=pair, triple=triple, c_basis=c_basis, v_basis=v_basis, depth=m)
+    return CayleyData(pair=pair, triple=triple, c_basis=c_basis, v_basis=v_basis)
 
 
 def _ad_powers(

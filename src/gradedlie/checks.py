@@ -4,9 +4,9 @@ Each row states one numeric claim of the paper once: an id, where it comes
 from, its expected value, the CLI invocations (``argvs``) that reproduce it,
 and ``read``, from their ``results`` blocks to the value the row reports.
 ``verify-paper`` runs each distinct argv once; a user can rerun any of them as
-``gradedlie <argv>``.  Expected values are literals or follow from
-``kappa_rule`` and the literature's ``RANK_TABLE``, never from the value under
-test.  Rationals are exact "p/q" strings.
+``gradedlie <argv>``.  Expected values are literals or follow from the literature's
+``kappa_rule`` (which the quaternionic build certifies) and ``RANK_TABLE``, never
+from the value under test.  Rationals are exact "p/q" strings.
 """
 
 from __future__ import annotations
@@ -15,13 +15,19 @@ from fractions import Fraction as Q
 from itertools import product
 from typing import Any, Callable, List, Tuple
 
-from .quaternionic import kappa_rule
 from .rootsystem import LieType
 
 QUATERNIONIC_TYPES = ("A2", "A3", "B3", "C2", "C3", "D4", "G2", "F4", "E6")
 EXTENDED_TYPES = ("E7", "E8")
 # kappa -> (rank_T(G_0, g_1), rank_T(G_0, g_{-2})) of the highest-root grading, from the literature
 RANK_TABLE = {2: ("4", "1"), 1: ("1", "1")}
+
+
+def kappa_rule(t: LieType) -> int:
+    """The highest-root grading's kappa: 1 for the symplectic algebras (family C and B2), 2 otherwise."""
+    if t.family == "C" or (t.family == "B" and t.rank == 2):
+        return 1
+    return 2
 
 
 class PaperCheck:

@@ -35,7 +35,7 @@ from .cayley import bracket_projection_test, cayley_pair
 from .checks import expected_ranks, paper_checks, quaternionic_types
 from .chevalley import Element, build_algebra
 from .grading import ZmGrading, check_labels, kac_lift_check, root_grading, z_grading_from_labels
-from .quaternionic import build_quaternionic, kappa
+from .quaternionic import build_quaternionic
 from .quiver import (ORBIT_BOUND, QuiverDims, QuiverHiggsTopology, enumerate_orbits, labels_for_dims,
                      maximal_rank_tuple, orbit_count, quiver_jm_regular, rank_pairs, toledo_invariant, toledo_rank)
 from .rootsystem import LieType, build_root_system
@@ -243,7 +243,7 @@ def cmd_amw(lie_type: LieType, genus: int, lam: Q, **_) -> Dict[str, Any]:
     report = make_report(
         "amw",
         {"genus": genus, "lambda": q_str(lam), "lie_type": str(lie_type)},
-        {"bounds": [q_str(lower), q_str(upper)], "kappa": kappa(graded.one)},
+        {"bounds": [q_str(lower), q_str(upper)], "kappa": int(graded.one.norm)},
     )
     if lower > upper:  # the formula's lambda hypothesis fails: no tau satisfies both
         report["warnings"].append(f"empty interval: lower bound {q_str(lower)} exceeds upper bound {q_str(upper)}")
@@ -260,7 +260,7 @@ def cmd_quaternionic(lie_type: LieType, seed: int, **_) -> Dict[str, Any]:
         {"lie_type": str(lie_type), "seed": seed},
         {
             "piece_dims": list(graded.one.grading.dims().values()),  # degrees -2..2
-            "kappa": kappa(graded.one),
+            "kappa": int(graded.one.norm),
             "rank_plus": q_str(rp),
             "rank_minus": q_str(rm),
             "degree1_jm_regular": jm_regular(graded.one),

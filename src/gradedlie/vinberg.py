@@ -13,12 +13,14 @@ factor makes chi_T independent of the invariant form.  The production route is
 ``normalized_form``, the form with B*(highest root, highest root) = 2 read off the root
 length classes in closed form, with no trace of ad: an integer table of B(b_i, b_j)
 (``ChevalleyAlgebra.form_table``), built once per algebra and summed over the sparse
-supports.  gamma is chosen, and B*(gamma, gamma) and the dual factor are read, by the
-integer length classes.  The trace-of-ad Killing form's dual norm (``killing_dual_norm``)
-is kept as an independent oracle, so tests can assert that independence exactly.
+supports.  gamma is chosen by the integer length classes, and B*(gamma, gamma) is the pair's
+one ``norm``, which chi_T and the dual factor read.  The trace-of-ad Killing form's dual norm
+(``killing_dual_norm``) is kept as an independent oracle, so tests can assert that independence
+exactly.
 
 ``GradedPair`` is the one record of a depth-m grading's (G_0, g_1 + g_{1-m}) pair: the grading
-read at degrees 1, m-1 and 1-m, off which its Toledo ranks, dual factor and AMW interval are read.
+read at degrees 1, m-1 and 1-m, off which its Toledo ranks, dual factor and AMW interval are read;
+the interval evaluates the bound formula tau itself.
 
 Elements are ``chevalley.Element``s (sparse integer numerators over one
 denominator): open-orbit samples are built from ints, linear systems run on
@@ -35,7 +37,6 @@ from itertools import chain
 from operator import mul
 from typing import Optional, Tuple
 
-from .amw import bounds
 from .chevalley import ChevalleyAlgebra, Element
 from .grading import ZGrading
 from .linalg import RationalMatrix, rank, solve
@@ -104,8 +105,13 @@ class VinbergPair:
             self._triple = root_set_triple(self) or jm_triple(self, generic_element(self))
         return self._triple
 
+    @property
+    def norm(self) -> Q:
+        """B*(gamma, gamma) = 2 ell(gamma) / L, the one dual norm that the pair's Toledo data reads."""
+        return self.algebra.rs.norm(self.gamma)
+
     def chi_t(self, x: Element) -> Q:
-        return normalized_form(self.algebra, self.zeta, x) * self.algebra.rs.norm(self.gamma)
+        return normalized_form(self.algebra, self.zeta, x) * self.norm
 
     def zeta_pairing(self) -> Q:
         return self.chi_t(self.zeta)
@@ -271,12 +277,19 @@ class GradedPair:
 
     def dual_factor(self) -> Q:
         """The ratio between the Toledo data of the degree-1 and the lowest pair:
-        B*(gamma', gamma') / ((1-m) B*(gamma, gamma)) = ell(gamma') / ((1-m) ell(gamma)), with
-        gamma' the lowest pair's longest root and ell the length class; always negative."""
-        ell = self.one.algebra.rs.length_class
-        return Q(ell(self.low.gamma), self.low.degree * ell(self.one.gamma))
+        B*(gamma', gamma') / ((1-m) B*(gamma, gamma)), with gamma' the lowest pair's longest root;
+        always negative."""
+        return self.low.norm / (self.low.degree * self.one.norm)
 
     def interval(self, genus: int, lam: Q) -> Tuple[Q, Q]:
-        """``amw.bounds`` at the degree-1 pair's zeta-pairing, r_+ and -r_-/d."""
+        """(-tau(r_+), tau(-r_-/d)), tau(r) = r (2g - 2) + lambda (zeta-pairing - r).  tau_U is kept at
+        every depth; whether the paper's tau_U needs depth 2 or phi_- = 0 is open."""
+        if genus < 2:
+            raise ValueError("genus must be at least 2")
         rank_plus, rank_minus = self.ranks()
-        return bounds(genus, lam, self.one.zeta_pairing(), rank_plus, -rank_minus / self.dual_factor())
+        pairing = self.one.zeta_pairing()
+
+        def tau(rank: Q) -> Q:
+            return rank * (2 * genus - 2) + lam * (pairing - rank)
+
+        return -tau(rank_plus), tau(-rank_minus / self.dual_factor())

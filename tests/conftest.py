@@ -71,6 +71,11 @@ SMALL_DIMS = [
 ]
 
 
+def dims_id(dims) -> str:
+    """The test id of a dimension vector: its entries joined by commas, such as ``1,2,1``."""
+    return ",".join(map(str, dims))
+
+
 def quiver_grading(dims: QuiverDims):
     """The block grading of sl_n matching a quiver dimension vector."""
     alg = build_algebra(LieType("A", dims.n - 1))

@@ -732,7 +732,7 @@ def bar_pieces(zg: ZGrading) -> CollapsedGrading:
 
 def iso_character_all_pass(cd: CayleyData) -> bool:
     """Transport map invertible, chi_T(c) = 0 and B(c, h) = 0 for every c in the centralizer."""
-    low = cd.pair.piece(1 - cd.depth)
+    low = cd.pair.piece(1 - cd.pair.grading.depth)
     return rank([v.dense_num(cd.algebra.dim) for v in cd.v_basis]) == len(low) and cd.chi_vanishes and all(
         normalized_form(cd.algebra, c, cd.triple.h) == 0 for c in cd.c_basis
     )
@@ -742,11 +742,11 @@ def verify_intertwining(cd: CayleyData) -> bool:
     """ad(e)^{m-1}([c, x]) = [c, ad(e)^{m-1}(x)] for all c and lowest-piece x."""
     alg = cd.algebra
     zg = cd.pair.grading
-    low = [from_sparse(alg, {i: Q(1)}) for i in zg.piece(1 - cd.depth)]
+    low = [from_sparse(alg, {i: Q(1)}) for i in zg.piece(1 - zg.depth)]
 
     def transport(x):
         v = x
-        for _ in range(cd.depth - 1):
+        for _ in range(zg.depth - 1):
             v = alg.bracket(cd.triple.e, v)
         return v
 

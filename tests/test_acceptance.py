@@ -211,7 +211,7 @@ def test_8_property_suites():
     # transported subspace has full dimension under JM-regularity
     for dims in [(1, 1), (1, 1, 1), (1, 2, 1), (2, 2, 2)]:
         cd = cayley_pair(quiver_grading(QuiverDims(dims)))
-        assert cd.dim_v == len(cd.pair.piece(1 - cd.depth))
+        assert cd.dim_v == len(cd.pair.piece(1 - cd.pair.grading.depth))
         assert len(independent_subset([v.dense_num(cd.algebra.dim) for v in cd.v_basis])) == cd.dim_v
 
     # rank monotonicity with the open-orbit equality characterization

@@ -6,7 +6,6 @@ import pytest
 from oracles import quaternionic_bounds
 
 from gradedlie import vinberg
-from gradedlie.amw import bounds
 from gradedlie.chevalley import build_algebra
 from gradedlie.grading import z_grading_from_labels
 from gradedlie.quaternionic import build_quaternionic
@@ -14,42 +13,57 @@ from gradedlie.quiver import QuiverHiggsTopology, toledo_invariant
 from gradedlie.rootsystem import LieType
 
 
+def u11():
+    """The depth-2 pair of A1 (1), U(1,1): zeta-pairing 1 and dual factor -1, so tau_U is read at r_-."""
+    return vinberg.GradedPair(z_grading_from_labels(build_algebra(LieType.parse("A1")), [1]))
+
+
+def a2():
+    """The highest-root pair of A2: zeta-pairing 4."""
+    return build_quaternionic(LieType.parse("A2"))
+
+
+def interval(monkeypatch, graded, genus, lam, rank_plus, rank_minus):
+    """``graded.interval(genus, lam)`` with the Toledo ranks (rank_plus, rank_minus)."""
+    monkeypatch.setattr(vinberg.GradedPair, "ranks", lambda self: (Q(rank_plus), Q(rank_minus)))
+    return graded.interval(genus, Q(lam))
+
+
 def test_input_validation():
-    with pytest.raises(ValueError, match="^genus must be at least 2$"):
-        bounds(1, Q(0), Q(0), Q(0), Q(0))
-    with pytest.raises(ValueError, match="^ranks must be non-negative$"):
-        bounds(2, Q(0), Q(0), Q(-1), Q(0))
-    with pytest.raises(ValueError, match="^ranks must be non-negative$"):
-        bounds(2, Q(0), Q(0), Q(0), Q(-1))
+    # the genus is outside input; the ranks are computed, and positive on every computed pair
+    for graded in (u11(), a2()):
+        with pytest.raises(ValueError, match="^genus must be at least 2$"):
+            graded.interval(1, Q(0))
+        assert min(graded.ranks()) > 0 > graded.dual_factor()
 
 
-def test_lower_basic():
-    assert bounds(2, Q(0), Q(0), Q(4), Q(0))[0] == -8
+def test_lower_basic(monkeypatch):
+    assert interval(monkeypatch, u11(), 2, 0, 4, 0)[0] == -8
 
 
-def test_lower_trivial():
-    assert bounds(2, Q(0), Q(0), Q(0), Q(0))[0] == 0
+def test_lower_trivial(monkeypatch):
+    assert interval(monkeypatch, u11(), 2, 0, 0, 0)[0] == 0
 
 
-def test_lower_with_lambda():
-    assert bounds(2, Q(1), Q(4), Q(4), Q(0))[0] == -8
+def test_lower_with_lambda(monkeypatch):
+    assert interval(monkeypatch, a2(), 2, 1, 4, 0)[0] == -8
 
 
-def test_upper_depth_two():
-    assert bounds(2, Q(0), Q(0), Q(0), Q(1))[1] == 2
+def test_upper_depth_two(monkeypatch):
+    assert interval(monkeypatch, u11(), 2, 0, 0, 1)[1] == 2
 
 
-def test_upper_trivial():
-    assert bounds(2, Q(0), Q(0), Q(0), Q(0))[1] == 0
+def test_upper_trivial(monkeypatch):
+    assert interval(monkeypatch, u11(), 2, 0, 0, 0)[1] == 0
 
 
-def test_coarse():
+def test_coarse(monkeypatch):
     # the crude lower bound -(2g-2) rank_T(G_0, g_1) <= tau is -tau_L at lambda = 0
-    assert bounds(2, Q(0), Q(0), Q(4), Q(0))[0] == -8
-    assert bounds(2, Q(0), Q(0), Q(0), Q(0))[0] == 0
-    assert bounds(3, Q(0), Q(0), Q(1), Q(0))[0] == -4
+    assert interval(monkeypatch, u11(), 2, 0, 4, 0)[0] == -8
+    assert interval(monkeypatch, u11(), 2, 0, 0, 0)[0] == 0
+    assert interval(monkeypatch, u11(), 3, 0, 1, 0)[0] == -4
     with pytest.raises(ValueError):
-        bounds(1, Q(0), Q(0), Q(1), Q(0))
+        interval(monkeypatch, u11(), 1, 0, 1, 0)
 
 
 def coarse(genus: int, name: str):
@@ -87,7 +101,8 @@ def test_quaternionic_interval_matches_closed_form(monkeypatch):
                 assert graded.interval(g, lam) == expected, (name, g, lam, rank_plus, rank_minus)
 
 
-def test_lower_monotone_in_rank_plus():
+def test_lower_monotone_in_rank_plus(monkeypatch):
+    graded = a2()
     for g in (2, 3):
         for lam_num in range(-4, 2 * (2 * g - 2) + 1):
             lam = Q(lam_num)
@@ -95,7 +110,7 @@ def test_lower_monotone_in_rank_plus():
                 continue
             prev = None
             for rp in range(0, 6):
-                v = -bounds(g, lam, Q(4), Q(rp), Q(0))[0]  # tau_L
+                v = -interval(monkeypatch, graded, g, lam, rp, 0)[0]  # tau_L
                 if prev is not None:
                     assert v >= prev
                 prev = v
@@ -104,8 +119,7 @@ def test_lower_monotone_in_rank_plus():
 def test_two_block_values_fill_depth_two_interval():
     # dims (1,1) at genus 2: the computed pair of A1 (1), U(1,1), has the interval [-2, 2],
     # and the degree vectors (a, -a) with |a| <= 1 land inside it, hitting both endpoints
-    graded = vinberg.GradedPair(z_grading_from_labels(build_algebra(LieType.parse("A1")), [1]))
-    lower, upper = graded.interval(2, Q(0))
+    lower, upper = u11().interval(2, Q(0))
     assert (lower, upper) == (-2, 2)
     values = {
         toledo_invariant(QuiverHiggsTopology((1, 1), (a, -a), 2)) for a in (-1, 0, 1)

@@ -50,7 +50,7 @@ def test_chain_222():
 def test_hermitian_sl2():
     alg = build_algebra(LieType.parse("A1"))
     cd = cayley_pair(z_grading_from_labels(alg, [1]))
-    assert cd.depth == 2
+    assert cd.pair.grading.depth == 2
     assert cd.dim_c == 0
     assert cd.dim_v == 1
     assert bracket_projection_test(cd) is None
@@ -71,7 +71,7 @@ def test_refuses_non_regular():
 @pytest.mark.parametrize("dims", [(1, 1), (1, 1, 1), (2, 2, 2), (1, 2, 1), (1, 3, 1)])
 def test_dim_v_equals_lowest_piece(dims):
     cd = _cayley(dims)
-    assert cd.dim_v == len(cd.pair.piece(1 - cd.depth))
+    assert cd.dim_v == len(cd.pair.piece(1 - cd.pair.grading.depth))
 
 
 @pytest.mark.parametrize("dims", [(1, 1), (1, 1, 1), (2, 2, 2), (1, 2, 1), (1, 3, 1)])
@@ -79,9 +79,9 @@ def test_ad_powers_chain_spans_the_modules(dims):
     """Each lowest-piece vector starts a (2m-1)-dimensional module, so the chain of
     ad(e) powers has 2m-1 terms, each injective on the lowest piece."""
     cd = _cayley(dims)
-    low = cd.pair.piece(1 - cd.depth)
+    low = cd.pair.piece(1 - cd.pair.grading.depth)
     powers = list(_ad_powers(cd.algebra, cd.triple.e, low))
-    assert len(powers) == 2 * cd.depth - 1
+    assert len(powers) == 2 * cd.pair.grading.depth - 1
     assert all(rank(rows) == len(low) for _, rows in powers)
 
 

@@ -400,7 +400,7 @@ CERTIFICATE_TESTS = {
     ("quiver", "enumerate_orbits", "two interval multiplicity vectors share a rank tuple"):
         ["test_quiver.py::test_rank_tuples_that_collide_are_refused"],
     ("rootsystem", "exact_div", "{}/{} is not an integer"):
-        ["test_quaternionic.py::test_non_integral_kappa_raises_where_it_arises"],
+        ["test_rootsystem.py::test_exact_div_refuses_a_remainder"],
     ("rootsystem", "build_root_system", "positive roots not closed under falling reflections"):
         ["test_rootsystem.py::test_missing_negative_root_fails_the_build"],
     ("rootsystem", "build_root_system", "highest root is not unique"):

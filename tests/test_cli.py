@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import SMALL_DIMS
+from conftest import SMALL_DIMS, dims_id
 from replay import EXAMPLES, GOLDEN, slug
 
 from gradedlie import cli
@@ -572,6 +572,14 @@ def test_readme_library_block_runs_as_written():
     assert run_src("-c", block) == "4\n-8 4\n"
 
 
+def test_readme_layout_has_one_row_per_module():
+    """The Layout table names each module of the package once, and nothing else."""
+    section = (ROOT / "README.md").read_text().split("\n## Layout\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("`")[1] for line in section.splitlines() if line.startswith("| `")]
+    modules = [path.stem for path in (ROOT / "src" / "gradedlie").glob("*.py")]
+    assert sorted(rows) == sorted(set(modules) - {"__init__", "__main__"})
+
+
 def test_package_import_loads_no_module():
     assert modules_after("import gradedlie") == "['gradedlie']"
 
@@ -719,7 +727,7 @@ def test_readme_examples_take_no_json_dumps(monkeypatch, capsys, argv):
     assert capsys.readouterr().out == (GOLDEN / f"{slug(argv)}.out").read_text()
 
 
-@pytest.mark.parametrize("dims", SMALL_DIMS + [(1, 1, 2, 2, 1, 1)], ids=lambda dims: ",".join(map(str, dims)))
+@pytest.mark.parametrize("dims", SMALL_DIMS + [(1, 1, 2, 2, 1, 1)], ids=dims_id)
 def test_quiver_report_builds_no_fraction(monkeypatch, dims):
     """``quiver`` reports alpha from an int numerator over n and every Toledo rank as an int,
     with ``Fraction`` unable to build, the same report as with it."""

@@ -7,9 +7,9 @@ from conftest import TYPE_LIST, assert_paper_check
 from oracles import form_quaternionic_labels, orbit_toledo_rank, quaternionic_bounds
 
 from gradedlie import cayley, checks, quaternionic, vinberg
-from gradedlie.checks import QUATERNIONIC_TYPES, expected_ranks
+from gradedlie.checks import QUATERNIONIC_TYPES, expected_ranks, kappa_rule
 from gradedlie.cli import main, q_str
-from gradedlie.quaternionic import build_quaternionic, kappa, kappa_rule, quaternionic_labels
+from gradedlie.quaternionic import build_quaternionic, quaternionic_labels
 from gradedlie.chevalley import build_algebra
 from gradedlie.grading import ZGrading
 from gradedlie.quiver import QuiverDims, maximal_rank_tuple, quiver_jm_regular
@@ -46,7 +46,8 @@ def test_grading_element_is_highest_coroot(name):
 
 
 def test_non_integral_kappa_raises_where_it_arises(monkeypatch):
-    """A short gamma of G2 has B*(gamma, gamma) = 2/3: kappa refuses it, not truncated to 0."""
+    """A short gamma of G2 has B*(gamma, gamma) = 2/3: the family-rule certificate refuses it,
+    so a kappa that is no integer never reaches a report."""
     pair_of = vinberg.VinbergPair
 
     def short_gamma(zg, degree=1):
@@ -55,7 +56,7 @@ def test_non_integral_kappa_raises_where_it_arises(monkeypatch):
         return pair
 
     monkeypatch.setattr(vinberg, "VinbergPair", short_gamma)
-    with pytest.raises(AssertionError, match="2/3 is not an integer"):
+    with pytest.raises(AssertionError, match="^kappa = 2/3 contradicts the family rule for G2$"):
         build_quaternionic.__wrapped__(LieType.parse("G2"))
 
 
@@ -101,7 +102,7 @@ def test_t_beta_norm(name):
 )
 def test_kappa(name, expected):
     t = LieType.parse(name)
-    assert kappa(build_quaternionic(t).one) == expected == kappa_rule(t)
+    assert build_quaternionic(t).one.norm == expected == kappa_rule(t)
 
 
 @pytest.mark.parametrize("name", TYPE_LIST)
@@ -124,7 +125,7 @@ def test_amw_interval_is_the_kappa_formula(name):
     zeta-pairing 2 kappa, dual factor -1/kappa, and the rank table's ranks."""
     t = LieType.parse(name)
     graded = build_quaternionic(t)
-    k = kappa(graded.one)
+    k = graded.one.norm
     assert graded.one.zeta_pairing() == 2 * k
     assert graded.dual_factor() == Q(-1, k)
     ranks = graded.ranks()

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SMALL_DIMS
+from conftest import SMALL_DIMS, dims_id
 from oracles import (
     _total_matrix,
     canonical_open_element,
@@ -117,10 +117,6 @@ def test_enumerate_orbits_certified_and_unique_maximum():
 
 
 ORACLE_DIMS = SMALL_DIMS + [(2, 2, 2), (1, 2, 2, 1), (2, 2, 3)]
-
-
-def dims_id(dims):
-    return ",".join(map(str, dims))
 
 
 def _search_rank_tuples(d):

@@ -229,6 +229,14 @@ def test_coroot_coefficients_integral(name):
             assert c.denominator == 1
 
 
+def test_exact_div_refuses_a_remainder():
+    """Each quotient that must be an integer (coroots, structure constants, form entries) is
+    certified one: a remainder raises rather than truncating."""
+    assert rootsystem.exact_div(-6, 3) == -2
+    with pytest.raises(AssertionError, match="^2/3 is not an integer$"):
+        rootsystem.exact_div(2, 3)
+
+
 def test_affine_marks():
     expect = {
         "A2": (1, 1, 1),

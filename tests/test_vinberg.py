@@ -16,6 +16,7 @@ from conftest import (
     DIAGRAM_AUTOMORPHISMS,
     SMALL_DIMS,
     TYPE_LIST,
+    dims_id,
     embed_quiver_element,
     moved_labels,
     quiver_grading,
@@ -554,7 +555,7 @@ def test_gamma_choice_irrelevant():
     assert norms == {alg.rs.norm(pair.gamma)}
 
 
-@pytest.mark.parametrize("dims", SMALL_DIMS)
+@pytest.mark.parametrize("dims", SMALL_DIMS, ids=dims_id)
 def test_rank_monotonicity_on_orbits(dims):
     # the quiver side (rank tuple -> strings -> trace) against the Chevalley
     # side (embedded element -> Toledo rank in the block grading of sl_n)
@@ -612,7 +613,7 @@ def test_diagram_automorphism_keeps_rank_and_jm_verdict_drawn(data):
 # -- every quiver orbit against the Chevalley side ---------------------------
 
 
-@pytest.mark.parametrize("dims", SMALL_DIMS)
+@pytest.mark.parametrize("dims", SMALL_DIMS, ids=dims_id)
 def test_hom_rule_matches_a_dense_centralizer(dims):
     """dim End(M) by the Hom rule on intervals equals the dense kernel of phi -> phi f - f phi
     on every orbit's string representative."""
@@ -621,7 +622,7 @@ def test_hom_rule_matches_a_dense_centralizer(dims):
         assert interval_end_dimension(mult) == quiver_end_dimension(qd, string_representative(qd, mult)), mult
 
 
-@pytest.mark.parametrize("dims", SMALL_DIMS + [(2, 2, 2), (2, 2, 3), (1, 2, 3, 2, 1)])
+@pytest.mark.parametrize("dims", SMALL_DIMS + [(2, 2, 2), (2, 2, 3), (1, 2, 3, 2, 1)], ids=dims_id)
 def test_every_quiver_orbit_on_its_root_set_triple(dims):
     """Each orbit's string representative, embedded in the block grading of sl_n, is the sum
     of e_beta over its support S, a partial permutation and so difference-free.  The explicit
