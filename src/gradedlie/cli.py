@@ -36,7 +36,7 @@ from .checks import expected_ranks, paper_checks, quaternionic_types
 from .chevalley import Element, build_algebra
 from .grading import ZmGrading, check_labels, kac_lift_check, root_grading, z_grading_from_labels
 from .quaternionic import build_quaternionic
-from .quiver import (ORBIT_BOUND, QuiverDims, QuiverHiggsTopology, enumerate_orbits, labels_for_dims,
+from .quiver import (ORBIT_BOUND, QuiverDims, enumerate_orbits, labels_for_dims,
                      maximal_rank_tuple, orbit_count, quiver_jm_regular, rank_pairs, toledo_invariant, toledo_rank)
 from .rootsystem import LieType, build_root_system
 from .vinberg import jm_regular
@@ -232,9 +232,8 @@ def cmd_quiver(dims: List[int], **_) -> Dict[str, Any]:
 
 
 def cmd_toledo(dims: List[int], degrees: List[int], genus: int, **_) -> Dict[str, Any]:
-    top = QuiverHiggsTopology(tuple(dims), tuple(degrees), genus)
-    inputs = {"dims": dims, "degrees": degrees, "genus": top.genus}
-    return make_report("toledo", inputs, {"tau": str(toledo_invariant(top))})
+    tau = toledo_invariant(QuiverDims(tuple(dims)), tuple(degrees), genus)
+    return make_report("toledo", {"dims": dims, "degrees": degrees, "genus": genus}, {"tau": str(tau)})
 
 
 def cmd_amw(lie_type: LieType, genus: int, lam: Q, **_) -> Dict[str, Any]:

@@ -5,9 +5,10 @@ blocks V_j; a degree-1 element of the corresponding sl_n grading is a chain of
 maps f_j : V_j -> V_{j+1}.  Orbits are classified by the ranks of the
 consecutive compositions and enumerated from the multiplicities of the
 interval modules, and the sl2-completion h is read off the Jordan strings.
-Rank tuples, Toledo ranks of orbits and JM-regularity are closed forms in the
-strings' intervals, so no orbit representative is built.  A rank tuple is a flat
-tuple of ints, r_ij in (i, j) order (``rank_pairs``).
+Rank tuples and Toledo ranks of orbits are closed forms in the strings' intervals,
+and JM-regularity is a palindrome test on d, so no orbit representative is built.
+``QuiverDims`` is the one check of a vector.  A rank tuple is a flat tuple of ints,
+r_ij in (i, j) order (``rank_pairs``).
 
 An orbit's Toledo rank is tr(zeta h) summed over its strings, with
 zeta|_{V_j} = (j - alpha) Id and alpha = (sum j d_j)/n.  On a string [a, b],
@@ -206,24 +207,17 @@ def enumerate_orbits(dims: QuiverDims) -> List[Tuple[RankTuple, Multiplicities]]
 
 
 def quiver_jm_regular(dims: QuiverDims) -> bool:
-    """True when the open orbit's h equals 2*zeta.
+    """True when the open orbit's h equals 2*zeta: d is a palindrome, non-decreasing up to its middle.
 
-    The identity-block maps span the open orbit; their strings are the maximal
-    runs [a, b] of {k : d_k > t}, one set for each t < max d.  On a string h =
-    2k - a - b at vertex k, and 2 zeta = 2k - 2 sum_j j d_j / n, so the two
-    agree iff n (a + b) = 2 sum_j j d_j on every run.
+    The identity-block maps span the open orbit; their strings are the maximal runs [a, b] of
+    {k : d_k > t}, t < max d.  On a string h = 2k - a - b at vertex k and 2 zeta = 2k - 2 alpha, so
+    h = 2 zeta exactly when every run is centred at alpha.  The run at t = 0 is every vertex, so
+    alpha = (m - 1)/2; two runs cannot share a centre, so each level set is one interval centred at
+    the middle.  Conversely such a d has alpha = (m - 1)/2, the centre of every run.
     """
-    n, twice = dims.n, 2 * dims.moment
-    for t in range(max(dims.dims)):
-        start = None
-        for k, d in enumerate(dims.dims + (0,)):
-            if d > t and start is None:
-                start = k
-            elif d <= t and start is not None:
-                if n * (start + k - 1) != twice:
-                    return False
-                start = None
-    return True
+    d = dims.dims
+    half = d[: (len(d) + 1) // 2]
+    return d == d[::-1] and half == tuple(sorted(half))
 
 
 @lru_cache(maxsize=None)
@@ -238,30 +232,17 @@ def toledo_rank(mult: Multiplicities) -> int:
     return sum(map(mul, map(_string_weight, mult), mult.values()))
 
 
-class QuiverHiggsTopology:
-    """Ranks and degrees of the bundles E_j, and the genus of the curve."""
-
-    __slots__ = ("ranks", "degrees", "genus")
-
-    def __init__(self, ranks: Tuple[int, ...], degrees: Tuple[int, ...], genus: int):
-        if len(ranks) != len(degrees):
-            raise ValueError("ranks and degrees must have equal length")
-        if any(r < 1 for r in ranks):
-            raise ValueError("ranks must be positive")
-        if sum(ranks) < 2:
-            raise ValueError("total rank must be at least 2")
-        if sum(degrees) != 0:
-            raise ValueError("degrees must sum to zero")
-        if genus < 2:
-            raise ValueError("genus must be at least 2")
-        self.ranks, self.degrees, self.genus = ranks, degrees, genus
-
-
-def toledo_invariant(top: QuiverHiggsTopology) -> int:
-    """tau = 2 sum (j - alpha) deg E_j = 2 sum j deg E_j: the alpha term is
-    2 alpha sum deg E_j, and the degrees sum to zero (``QuiverHiggsTopology``
-    enforces it), so tau does not depend on the ranks."""
-    return 2 * sum(j * d for j, d in enumerate(top.degrees))
+def toledo_invariant(dims: QuiverDims, degrees: Tuple[int, ...], genus: int) -> int:
+    """tau = 2 sum (j - alpha) deg E_j = 2 sum j deg E_j for ranks ``dims``: the alpha
+    term is 2 alpha sum deg E_j, and the degrees sum to zero (checked here), so tau
+    does not depend on the ranks."""
+    if len(degrees) != dims.m:
+        raise ValueError("ranks and degrees must have equal length")
+    if sum(degrees) != 0:
+        raise ValueError("degrees must sum to zero")
+    if genus < 2:
+        raise ValueError("genus must be at least 2")
+    return 2 * sum(j * d for j, d in enumerate(degrees))
 
 
 # -- bridge to the Chevalley-side grading of sl_n -------------------------

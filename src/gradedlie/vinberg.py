@@ -76,7 +76,7 @@ class VinbergPair:
     """The pair (G_0, g_k) of a grading read at degree k: ``piece(j)`` is g_{jk}, ``zeta`` is
     zeta/k, gamma is the first longest root of g_k, and its verified triple once found."""
 
-    __slots__ = ("grading", "degree", "zeta", "gamma", "_triple")
+    __slots__ = ("grading", "degree", "zeta", "gamma", "norm", "_triple")
 
     def __init__(self, grading: ZGrading, degree: int = 1):
         if degree == 0:
@@ -87,6 +87,7 @@ class VinbergPair:
         self.grading, self.degree = grading, degree
         self.zeta = grading.zeta * Q(1, degree)
         self.gamma = max(map(alg.basis_root, self.piece(1)), key=alg.rs.length_class)  # the first longest
+        self.norm = alg.rs.norm(self.gamma)  # B*(gamma, gamma) = 2 ell(gamma) / L, read by the Toledo data
         self._triple: Optional[Sl2Triple] = None
 
     def piece(self, j: int) -> Tuple[int, ...]:
@@ -104,11 +105,6 @@ class VinbergPair:
         if self._triple is None:
             self._triple = root_set_triple(self) or jm_triple(self, generic_element(self))
         return self._triple
-
-    @property
-    def norm(self) -> Q:
-        """B*(gamma, gamma) = 2 ell(gamma) / L, the one dual norm that the pair's Toledo data reads."""
-        return self.algebra.rs.norm(self.gamma)
 
     def chi_t(self, x: Element) -> Q:
         return normalized_form(self.algebra, self.zeta, x) * self.norm

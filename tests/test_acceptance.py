@@ -40,7 +40,6 @@ from gradedlie.linalg import independent_subset
 from gradedlie.quaternionic import build_quaternionic
 from gradedlie.quiver import (
     QuiverDims,
-    QuiverHiggsTopology,
     enumerate_orbits,
     maximal_rank_tuple,
     quiver_jm_regular,
@@ -154,13 +153,13 @@ def test_5_quiver_toledo_formulas():
     rng = random.Random(0)
     for _ in range(50):
         p, q, a = rng.randint(1, 7), rng.randint(1, 7), rng.randint(-6, 6)
-        tau = toledo_invariant(QuiverHiggsTopology((p, q), (a, -a), 2))
+        tau = toledo_invariant(QuiverDims((p, q)), (a, -a), 2)
         assert tau == 2 * Q(p * (-a) - q * a, p + q)
     # independent re-derivation of the three-block value
     ranks, degrees = (1, 1, 1), (1, 0, -1)
     alpha = Q(sum(j * d for j, d in enumerate(ranks)), sum(ranks))
     oracle = 2 * sum((Q(j) - alpha) * d for j, d in enumerate(degrees))
-    tau = toledo_invariant(QuiverHiggsTopology(ranks, degrees, 2))
+    tau = toledo_invariant(QuiverDims(ranks), degrees, 2)
     assert tau == oracle == -4
 
 

@@ -9,7 +9,7 @@ from gradedlie import vinberg
 from gradedlie.chevalley import build_algebra
 from gradedlie.grading import z_grading_from_labels
 from gradedlie.quaternionic import build_quaternionic
-from gradedlie.quiver import QuiverHiggsTopology, toledo_invariant
+from gradedlie.quiver import QuiverDims, toledo_invariant
 from gradedlie.rootsystem import LieType
 
 
@@ -122,7 +122,7 @@ def test_two_block_values_fill_depth_two_interval():
     lower, upper = u11().interval(2, Q(0))
     assert (lower, upper) == (-2, 2)
     values = {
-        toledo_invariant(QuiverHiggsTopology((1, 1), (a, -a), 2)) for a in (-1, 0, 1)
+        toledo_invariant(QuiverDims((1, 1)), (a, -a), 2) for a in (-1, 0, 1)
     }
     assert values == {-2, 0, 2}
     assert all(lower <= v <= upper for v in values)

@@ -228,6 +228,9 @@ def case_id(argv) -> str:
     [
         ["cayley", "--dims", "1"],
         ["cayley", "--dims", "0,1"],
+        # every --dims is checked by one rule, with one wording
+        ["quiver", "--dims", "0,1"],
+        ["toledo", "--dims", "0,1", "--degrees", "0,0", "--genus", "2"],
         ["quaternionic", "--type", "A1"],
         ["amw", "--type", "A1", "--genus", "2"],
         # amw's one mode needs --type
@@ -348,6 +351,10 @@ def test_rejected_input_is_one_line(tmp_path, capsys, argv):
 # the whole error line of a rejected argv whose message is itself under test, keyed by its case id
 REJECTED_LINES = {
     "cayley --dims 3": "error: --dims needs at least two blocks",
+    "cayley --dims 0,1": "error: dimensions must be positive",
+    "quiver --dims 0,1": "error: dimensions must be positive",
+    "toledo --dims 0,1 --degrees 0,0 --genus 2": "error: dimensions must be positive",
+    "toledo --dims=1 --degrees=0 --genus=2": "error: total dimension must be at least 2",
     "amw --genus 2": "error: --type is required",
     "amw --type E6 --genus 2 --depth 2": "error: amw takes no flag --depth",
     "amw --type E6 --genus 2 --zeta-pairing 4": "error: amw takes no flag --zeta-pairing",

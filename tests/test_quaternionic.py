@@ -52,7 +52,9 @@ def test_non_integral_kappa_raises_where_it_arises(monkeypatch):
 
     def short_gamma(zg, degree=1):
         pair = pair_of(zg, degree)
-        pair.gamma = next(a for a in zg.algebra.rs.roots if zg.algebra.rs.length_class(a) == 1)
+        rs = zg.algebra.rs
+        pair.gamma = next(a for a in rs.roots if rs.length_class(a) == 1)
+        pair.norm = rs.norm(pair.gamma)
         return pair
 
     monkeypatch.setattr(vinberg, "VinbergPair", short_gamma)

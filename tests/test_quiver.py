@@ -31,7 +31,6 @@ from gradedlie.linalg import RationalMatrix
 from gradedlie.quiver import (
     ORBIT_BOUND,
     QuiverDims,
-    QuiverHiggsTopology,
     enumerate_orbits,
     labels_for_dims,
     maximal_rank_tuple,
@@ -329,24 +328,24 @@ def test_pointwise_maximality():
 
 
 def test_toledo_invariant_zero_degrees():
-    assert toledo_invariant(QuiverHiggsTopology((2, 3), (0, 0), 2)) == 0
+    assert toledo_invariant(QuiverDims((2, 3)), (0, 0), 2) == 0
 
 
 def test_toledo_invariant_two_blocks():
     rng = random.Random(21)
     for _ in range(50):
         p, q, a = rng.randint(1, 5), rng.randint(1, 5), rng.randint(-4, 4)
-        tau = toledo_invariant(QuiverHiggsTopology((p, q), (a, -a), 2))
+        tau = toledo_invariant(QuiverDims((p, q)), (a, -a), 2)
         assert tau == 2 * Q(p * (-a) - q * a, p + q)
 
 
 def test_toledo_invariant_111():
-    assert toledo_invariant(QuiverHiggsTopology((1, 1, 1), (1, 0, -1), 2)) == -4
+    assert toledo_invariant(QuiverDims((1, 1, 1)), (1, 0, -1), 2) == -4
 
 
 def test_toledo_invariant_degree_sum_enforced():
-    with pytest.raises(ValueError):
-        QuiverHiggsTopology((1, 1), (1, 1), 2)
+    with pytest.raises(ValueError, match="^degrees must sum to zero$"):
+        toledo_invariant(QuiverDims((1, 1)), (1, 1), 2)
 
 
 def test_toledo_reversal_symmetry():
@@ -356,11 +355,9 @@ def test_toledo_reversal_symmetry():
         ranks = tuple(rng.randint(1, 4) for _ in range(m))
         degs = [rng.randint(-3, 3) for _ in range(m - 1)]
         degs.append(-sum(degs))
-        top = QuiverHiggsTopology(ranks, tuple(degs), 2)
-        rev = QuiverHiggsTopology(
-            ranks[::-1], tuple(-d for d in degs[::-1]), 2
-        )
-        assert toledo_invariant(top) == toledo_invariant(rev)
+        top = toledo_invariant(QuiverDims(ranks), tuple(degs), 2)
+        rev = toledo_invariant(QuiverDims(ranks[::-1]), tuple(-d for d in degs[::-1]), 2)
+        assert top == rev
 
 
 def test_zeta_matrix_trace_free():
