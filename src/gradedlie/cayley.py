@@ -30,7 +30,7 @@ from operator import mul
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .chevalley import ChevalleyAlgebra, Element
-from .grading import ZGrading
+from .grading import RootGrading
 from .linalg import RationalMatrix, independent_subset, rank, solve
 from .vinberg import Sl2Triple, VinbergPair, complete_triple, form_numerator, generic_element
 
@@ -60,12 +60,12 @@ class CayleyData:
     @property
     def chi_vanishes(self) -> bool:
         """chi_T(c) = 0 on the centralizer, read off B(zeta, c)."""
-        return all(form_numerator(self.algebra, self.pair.zeta, c) == 0 for c in self.c_basis)
+        return all(form_numerator(self.algebra.rs, self.pair.zeta, c) == 0 for c in self.c_basis)
 
 
-def cayley_pair(zg: ZGrading, seed: int = 0) -> CayleyData:
-    alg = zg.algebra
+def cayley_pair(zg: RootGrading, seed: int = 0) -> CayleyData:
     pair = VinbergPair(zg)
+    alg = pair.algebra
     triple = complete_triple(pair, generic_element(pair, seed), 2 * zg.zeta)
     if triple is None:
         raise ValueError("degree-1 pair is not JM-regular; no Cayley data")
@@ -120,7 +120,7 @@ def bracket_projection_test(cd: CayleyData) -> Optional[BracketProjection]:
     basis = cd.c_basis + cd.v_basis
     if basis and len(independent_subset([b.dense_num(alg.dim) for b in basis])) != len(basis):
         raise AssertionError("c and V overlap")
-    gram = RationalMatrix([[form_numerator(alg, a, b) for b in basis] for a in basis])
+    gram = RationalMatrix([[form_numerator(alg.rs, a, b) for b in basis] for a in basis])
     if rank(gram) != len(basis):
         raise AssertionError("invariant form degenerate on c + V")
     numerators = [Element(b.num) for b in basis]
@@ -128,7 +128,7 @@ def bracket_projection_test(cd: CayleyData) -> Optional[BracketProjection]:
         for j in range(i + 1, len(cd.v_basis)):
             x = alg.bracket(cd.v_basis[i], cd.v_basis[j])
             # one solution, as the Gram is nonsingular; the part along b is y_b b.num / x.den
-            num, den = solve(gram, [form_numerator(alg, u, x) for u in basis])
+            num, den = solve(gram, [form_numerator(alg.rs, u, x) for u in basis])
             c_sum = sum(map(mul, num[: cd.dim_c], numerators[: cd.dim_c]), Element())
             v_sum = sum(map(mul, num[cd.dim_c :], numerators[cd.dim_c :]), Element())
             c_part, v_part = Element(c_sum.num, den * x.den), Element(v_sum.num, den * x.den)

@@ -35,15 +35,16 @@ The build certifies the table before returning, at every dimension: |N| = p+1 on
 every special pair of the rows; the Jacobi identity, as ad_g is a derivation for each
 generator g in {e_1, ..., e_r, f_theta} and iterated brackets of those generators reach
 every basis vector (``ChevalleyAlgebra._verify_jacobi``); then the Cartan action, row h_i
-against column i of the Cartan matrix, not the writer's pass (``_verify_cartan_action``),
-here once per algebra, so a grading on the algebra reads nothing of its table.
+against column i of the Cartan matrix, not the writer's pass (``_verify_cartan_action``).
+The string certificate holds N != 0 exactly when alpha + beta is a root, as
+``vinberg.certified_rank`` trusts.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction as Q
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import repeat
 from math import gcd, lcm
 from operator import add, mul
@@ -236,18 +237,6 @@ class ChevalleyAlgebra:
         self._verify_jacobi()
         self._verify_cartan_action()
 
-    # -- basis bookkeeping ------------------------------------------------
-
-    def basis_root(self, index: int) -> Optional[Root]:
-        """Root of basis vector ``index``, or None for a Cartan generator."""
-        if index < self.rank:
-            return None
-        return self.rs.roots[index - self.rank]
-
-    def coroot(self, alpha: Root) -> Element:
-        """h_alpha = alpha^vee expressed in the basis: its integer simple-coroot coordinates."""
-        return Element(dict(enumerate(self.rs.coroots[alpha])))
-
     # -- bracket ----------------------------------------------------------
 
     def bracket(self, a: Element, b: Element) -> Element:
@@ -283,26 +272,8 @@ class ChevalleyAlgebra:
 
     # -- invariant forms --------------------------------------------------
 
-    @cached_property
-    def form_table(self) -> List[Terms]:
-        """Rows of the form B with B*(highest root, highest root) = 2, in Python ints:
-        rows[i] lists (j, B(b_i, b_j)) over the j with B(b_i, b_j) != 0.
-
-        With ell the root length classes and L that of the long roots,
-        B(h_i, h_j) = L c_ij / ell(alpha_i) on simple coroots, B(e_alpha, e_{-alpha})
-        = L / ell(alpha), and every other pair of basis vectors is orthogonal; each
-        value is certified an integer.
-        """
-        rs, index = self.rs, self.constants.index
-        L, ell = rs.long_class, rs.lengths
-        rows = [
-            tuple((j, exact_div(L * c, ell_i)) for j, c in enumerate(row) if c)
-            for row, ell_i in zip(rs.cartan, rs.simple_classes)
-        ]
-        return rows + [((index[-c], exact_div(L, ell[c])),) for c in rs.codes.values()]
-
     # The Killing form tr(ad a ad b) over the basis, O(dim^3).  Production code
-    # uses the closed form above; this is its independent test oracle.
+    # uses the closed form ``rootsystem.form_table``; this is its independent test oracle.
 
     def killing_gram(self) -> RationalMatrix:
         if self._killing_gram is None:

@@ -33,8 +33,8 @@ from typing import Any, Callable, Dict, List, Optional
 from . import __version__
 from .cayley import bracket_projection_test, cayley_pair
 from .checks import expected_ranks, paper_checks, quaternionic_types
-from .chevalley import Element, build_algebra
-from .grading import ZmGrading, check_labels, kac_lift_check, root_grading, z_grading_from_labels
+from .chevalley import Element
+from .grading import ZmGrading, check_labels, kac_lift_check, root_grading
 from .quaternionic import build_quaternionic
 from .quiver import (ORBIT_BOUND, QuiverDims, enumerate_orbits, labels_for_dims,
                      maximal_rank_tuple, orbit_count, quiver_jm_regular, rank_pairs, toledo_invariant, toledo_rank)
@@ -288,7 +288,7 @@ def cmd_cayley(
     else:
         check_labels(labels, lie_type.rank)
         inputs = {"lie_type": str(lie_type), "labels": labels}
-    cd = cayley_pair(z_grading_from_labels(build_algebra(lie_type), labels), seed)
+    cd = cayley_pair(root_grading(build_root_system(lie_type), labels), seed)
     witness = bracket_projection_test(cd)
     results = {
         "dim_c": cd.dim_c,

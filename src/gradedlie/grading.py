@@ -1,4 +1,4 @@
-"""Gradings of a Chevalley algebra.
+"""Gradings read off the root system.
 
 A Z-grading is encoded by non-negative degree labels on the simple roots: the
 root space for alpha = sum a_k alpha_k sits in degree sum a_k p_k and the
@@ -8,14 +8,12 @@ diagram (node 0 carries the lowest root), with m = sum n_k p_k over the marks
 n_k of the highest root and n_0 = 1.
 
 Both read only the root system, so neither needs a bracket table:
-``root_grading`` gives a Z-grading's pieces and zeta and certifies
+``root_grading`` gives a Z-grading's pieces, zeta and root system, and certifies
 alpha(zeta) = deg alpha on every root, and ``ZmGrading`` is a Z/mZ-grading's one
 record: its labels, m, pieces and order warning; the pieces, and the certificate,
-each take one walk over the positive roots.  ``z_grading_from_labels`` puts the
-root-level grading on an algebra and reads nothing of its table: the algebra's
-build certifies the Cartan action (``ChevalleyAlgebra._verify_cartan_action``),
-so ad zeta acts on g_alpha by alpha(zeta), and this module's certificate fixes
-alpha(zeta).
+each take one walk over the positive roots.  The pieces hold Chevalley basis
+indices, so an algebra of the root system reads the grading as it is: its build
+certifies the Cartan action, so ad zeta acts on g_alpha by alpha(zeta).
 
 The lift question — does the order-m automorphism defined by the labels come
 from a Z-grading — is decided by the node-0 label, up to a symmetry of the
@@ -50,13 +48,13 @@ def check_labels(labels: Sequence[int], rank: int, affine: bool = False) -> None
 
 
 class RootGrading:
-    """A Z-grading as root data: degree -> basis indices, and its grading element."""
+    """A Z-grading as root data: degree -> basis indices, its grading element and its root system."""
 
-    __slots__ = ("pieces", "zeta")
+    __slots__ = ("pieces", "zeta", "rs")
 
-    def __init__(self, pieces: Dict[int, Tuple[int, ...]], zeta: Element):
+    def __init__(self, pieces: Dict[int, Tuple[int, ...]], zeta: Element, rs: RootSystem):
         self.pieces = pieces  # degree -> basis indices
-        self.zeta = zeta
+        self.zeta, self.rs = zeta, rs
 
     @property
     def depth(self) -> int:
@@ -67,16 +65,6 @@ class RootGrading:
 
     def dims(self) -> Dict[int, int]:
         return {j: len(idx) for j, idx in sorted(self.pieces.items())}
-
-
-class ZGrading(RootGrading):
-    """A Z-grading on a Chevalley algebra."""
-
-    __slots__ = ("algebra",)
-
-    def __init__(self, pieces: Dict[int, Tuple[int, ...]], zeta: Element, algebra: ChevalleyAlgebra):
-        super().__init__(pieces, zeta)
-        self.algebra = algebra
 
 
 def _root_values(rs: RootSystem, p: Sequence[int]) -> List[int]:
@@ -103,7 +91,7 @@ def root_grading(rs: RootSystem, p: Sequence[int]) -> RootGrading:
         raise AssertionError("the Cartan matrix is singular")
     num, den = coeffs
     zeta = Element(dict(enumerate(num)), den)
-    g = RootGrading(pieces=_pieces(rs, p), zeta=zeta)
+    g = RootGrading(pieces=_pieces(rs, p), zeta=zeta, rs=rs)
     _verify_root_grading(rs, g)
     return g
 
@@ -131,11 +119,9 @@ def _verify_root_grading(rs: RootSystem, g: RootGrading):
                 raise AssertionError(f"grading element eigenvalue check failed at degree {j}")
 
 
-def z_grading_from_labels(alg: ChevalleyAlgebra, p: Sequence[int]) -> ZGrading:
-    """Z-grading from non-negative simple-root degree labels: the root-level grading, put
-    on the algebra, whose build certified the Cartan action, so ad zeta needs no check."""
-    g = root_grading(alg.rs, p)
-    return ZGrading(pieces=g.pieces, zeta=g.zeta, algebra=alg)
+def z_grading_from_labels(alg: ChevalleyAlgebra, p: Sequence[int]) -> RootGrading:
+    """``root_grading`` on the algebra's root system (the name ``bench/tracer.py`` binds)."""
+    return root_grading(alg.rs, p)
 
 
 class ZmGrading:

@@ -7,10 +7,10 @@ longest degree-1 root gamma: 2 for most types, 1 when every degree-1 root is
 short, exactly for the symplectic algebras (family C, and B2, the same algebra).
 The build certifies kappa, and so its integrality, against ``checks.kappa_rule``.
 
-The build returns the grading's ``vinberg.GradedPair``: the pairs of g_1, g_2 and
-g_{-2} that kappa, the Toledo ranks and the extreme-piece JM-regularity read, each
-searched once, for a root set.  The AMW interval of the depth-3 pair
-(G_0, g_1 + g_{-2}) is the record's ``interval``, read on that computed data alone.
+The build reads the root system alone and returns the grading's ``vinberg.GradedPair``:
+the pairs of g_1, g_2 and g_{-2} that kappa, the Toledo ranks and the extreme-piece
+JM-regularity read, each searched once, at root level, for a root set.  The AMW interval
+of the depth-3 pair (G_0, g_1 + g_{-2}) is the record's ``interval``, read on that data.
 """
 
 from __future__ import annotations
@@ -19,25 +19,25 @@ from functools import lru_cache
 from typing import Tuple
 
 from .checks import kappa_rule
-from .chevalley import ChevalleyAlgebra, build_algebra
-from .grading import z_grading_from_labels
-from .rootsystem import LieType
+from .chevalley import Element
+from .grading import root_grading
+from .rootsystem import LieType, RootSystem, build_root_system
 from .vinberg import GradedPair
 
 
-def quaternionic_labels(alg: ChevalleyAlgebra) -> Tuple[int, ...]:
+def quaternionic_labels(rs: RootSystem) -> Tuple[int, ...]:
     """Degree labels <alpha_k, beta^vee> = sum_j beta^vee_j c[k][j] of the highest-root grading."""
-    beta_vee = alg.rs.coroots[alg.rs.highest_root]
-    return tuple(sum(t * c for t, c in zip(beta_vee, row)) for row in alg.rs.cartan)
+    beta_vee = rs.coroots[rs.highest_root]
+    return tuple(sum(t * c for t, c in zip(beta_vee, row)) for row in rs.cartan)
 
 
 @lru_cache(maxsize=None)
 def build_quaternionic(t: LieType) -> GradedPair:
     """The graded pair of the highest-root grading, whose grading element is the coroot of
     the highest root: depth 3, so ``top`` is the pair of g_2 and ``low`` that of g_{-2}."""
-    alg = build_algebra(t)
-    zg = z_grading_from_labels(alg, list(quaternionic_labels(alg)))
-    if zg.zeta != alg.coroot(alg.rs.highest_root):
+    rs = build_root_system(t)
+    zg = root_grading(rs, list(quaternionic_labels(rs)))
+    if zg.zeta != Element(dict(enumerate(rs.coroots[rs.highest_root]))):
         raise AssertionError("grading element differs from the highest-root coroot")
     dims = zg.dims()
     if 1 not in dims:

@@ -237,7 +237,7 @@ def toledo_invariant(dims: QuiverDims, degrees: Tuple[int, ...], genus: int) -> 
     term is 2 alpha sum deg E_j, and the degrees sum to zero (checked here), so tau
     does not depend on the ranks."""
     if len(degrees) != dims.m:
-        raise ValueError("ranks and degrees must have equal length")
+        raise ValueError("one degree per dimension required")
     if sum(degrees) != 0:
         raise ValueError("degrees must sum to zero")
     if genus < 2:

@@ -261,6 +261,20 @@ def build_root_system(t: LieType) -> RootSystem:
     )
 
 
+@lru_cache(maxsize=None)
+def form_table(rs: RootSystem) -> List[Tuple[Tuple[int, int], ...]]:
+    """Rows of the form B with B*(highest root, highest root) = 2 on the basis h_1..h_r, e_alpha
+    (root order), in Python ints: rows[i] lists each (j, B(b_i, b_j) != 0).  B(h_i, h_j) =
+    L c_ij / ell(alpha_i), B(e_alpha, e_{-alpha}) = L / ell(alpha) (-alpha at the mirrored
+    position), every other pair is orthogonal, and each value is certified an integer."""
+    L, r, n = rs.long_class, rs.rank, len(rs.roots)
+    rows = [
+        tuple((j, exact_div(L * c, ell_i)) for j, c in enumerate(row) if c)
+        for row, ell_i in zip(rs.cartan, rs.simple_classes)
+    ]
+    return rows + [((r + n - 1 - i, exact_div(L, rs.lengths[c])),) for i, c in enumerate(rs.codes.values())]
+
+
 def affine_cartan_matrix(rs: RootSystem) -> List[List[int]]:
     """Cartan matrix on nodes 0..r with alpha_0 = -highest root, in integers.
 

@@ -1,22 +1,27 @@
 """Analysis of the G_0-action on a graded piece.
 
 For a Z-grading with grading element zeta, each nonzero degree k gives a prehomogeneous
-G_0-space g_k, the pair ``VinbergPair(zg, k)``: the one grading read at degree k, with
-pieces g_{jk} and grading element zeta/k, so the pair's degree-1 piece is g_k.  Each pair
-has one verified sl2-triple through an open-orbit e (``VinbergPair.triple``), found once:
-a root-set triple (``root_set_triple``), or else the default dense e of
-``generic_element``, which ``jm_triple`` completes.  The Toledo rank and JM-regularity
-are invariants of the pair, so they are read off that one triple, the only thing a pair
-caches, and it witnesses both verdicts.  It evaluates the Toledo character
-chi_T(x) = B(zeta/k, x) B*(gamma, gamma), where gamma is a longest root of g_k; that
-factor makes chi_T independent of the invariant form.  The production route is
-``normalized_form``, the form with B*(highest root, highest root) = 2 read off the root
-length classes in closed form, with no trace of ad: an integer table of B(b_i, b_j)
-(``ChevalleyAlgebra.form_table``), built once per algebra and summed over the sparse
-supports.  gamma is chosen by the integer length classes, and B*(gamma, gamma) is the pair's
-one ``norm``, which chi_T and the dual factor read.  The trace-of-ad Killing form's dual norm
-(``killing_dual_norm``) is kept as an independent oracle, so tests can assert that independence
-exactly.
+G_0-space g_k, the pair ``VinbergPair(zg, k)``: the root-level grading (``grading.root_grading``)
+read at degree k, with pieces g_{jk} and grading element zeta/k, so the pair's degree-1 piece
+is g_k.  Each pair has one sl2-triple through an open-orbit e
+(``VinbergPair.triple``), found once: from root data on a root set (``root_set_triple``), or
+else on the default dense e of ``generic_element``, which ``jm_triple`` completes and verifies
+on the pair's algebra, built only then (``VinbergPair.algebra``).  The Toledo rank and
+JM-regularity are invariants of the pair, so they are read off that one triple, the only thing
+a pair caches, and it witnesses both verdicts.  It evaluates the Toledo character
+chi_T(x) = B(zeta/k, x) B*(gamma, gamma), where gamma is a longest root of g_k; that factor
+makes chi_T independent of the invariant form.  The production route is ``normalized_form``,
+the form with B*(highest root, highest root) = 2 in closed form (``rootsystem.form_table``),
+with no trace of ad, summed over the sparse supports.  gamma is chosen by the integer length
+classes, and B*(gamma, gamma) is the pair's one ``norm``, which chi_T and the dual factor read.
+The trace-of-ad Killing form's dual norm (``killing_dual_norm``) is kept as an independent
+oracle, so tests can assert that independence exactly.
+
+A root-set triple reads no bracket table, and its openness certificate reads no sign: it
+trusts that N_{alpha,beta} != 0 exactly when alpha + beta is a root, in a Chevalley basis
+(Chevalley's theorem, |N| = p + 1; Humphreys, *Introduction to Lie Algebras*, 25.2).  Every
+built table's |N| = p + 1 certificate holds that fact there, and the tests hold the tables'
+nonzero patterns to it on A2-E8.
 
 ``GradedPair`` is the one record of a depth-m grading's (G_0, g_1 + g_{1-m}) pair: the grading
 read at degrees 1, m-1 and 1-m, off which its Toledo ranks, dual factor and AMW interval are read;
@@ -35,11 +40,12 @@ import random
 from fractions import Fraction as Q
 from itertools import chain
 from operator import mul
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
-from .chevalley import ChevalleyAlgebra, Element
-from .grading import ZGrading
+from .chevalley import ChevalleyAlgebra, Element, build_algebra
+from .grading import RootGrading
 from .linalg import RationalMatrix, rank, solve
+from .rootsystem import RootSystem, form_table
 
 
 def killing_dual_norm(alg: ChevalleyAlgebra, gamma) -> Q:
@@ -54,9 +60,9 @@ def killing_dual_norm(alg: ChevalleyAlgebra, gamma) -> Q:
     return Q(sum(map(mul, g, num)), den)
 
 
-def form_numerator(alg: ChevalleyAlgebra, a: Element, b: Element) -> int:
-    """a.den b.den B(a, b): ``alg.form_table`` summed over numerators."""
-    rows = alg.form_table
+def form_numerator(rs: RootSystem, a: Element, b: Element) -> int:
+    """a.den b.den B(a, b): ``form_table`` summed over numerators."""
+    rows = form_table(rs)
     b_num = b.num
     total = 0
     for i, ai in a.num.items():
@@ -67,27 +73,27 @@ def form_numerator(alg: ChevalleyAlgebra, a: Element, b: Element) -> int:
     return total
 
 
-def normalized_form(alg: ChevalleyAlgebra, a: Element, b: Element) -> Q:
+def normalized_form(rs: RootSystem, a: Element, b: Element) -> Q:
     """Invariant form scaled so the highest root has dual norm 2; one Fraction per call."""
-    return Q(form_numerator(alg, a, b), a.den * b.den)
+    return Q(form_numerator(rs, a, b), a.den * b.den)
 
 
 class VinbergPair:
     """The pair (G_0, g_k) of a grading read at degree k: ``piece(j)`` is g_{jk}, ``zeta`` is
-    zeta/k, gamma is the first longest root of g_k, and its verified triple once found."""
+    zeta/k, gamma is the first longest root of g_k, and its triple once found."""
 
     __slots__ = ("grading", "degree", "zeta", "gamma", "norm", "_triple")
 
-    def __init__(self, grading: ZGrading, degree: int = 1):
+    def __init__(self, grading: RootGrading, degree: int = 1):
         if degree == 0:
             raise ValueError("pair degree must be nonzero")
         if not grading.piece(degree):
             raise ValueError(f"grading has no degree-{degree} piece")
-        alg = grading.algebra
+        rs = grading.rs
         self.grading, self.degree = grading, degree
         self.zeta = grading.zeta * Q(1, degree)
-        self.gamma = max(map(alg.basis_root, self.piece(1)), key=alg.rs.length_class)  # the first longest
-        self.norm = alg.rs.norm(self.gamma)  # B*(gamma, gamma) = 2 ell(gamma) / L, read by the Toledo data
+        self.gamma = max((rs.roots[i - rs.rank] for i in self.piece(1)), key=rs.length_class)  # the first longest
+        self.norm = rs.norm(self.gamma)  # B*(gamma, gamma) = 2 ell(gamma) / L, read by the Toledo data
         self._triple: Optional[Sl2Triple] = None
 
     def piece(self, j: int) -> Tuple[int, ...]:
@@ -96,10 +102,11 @@ class VinbergPair:
 
     @property
     def algebra(self) -> ChevalleyAlgebra:
-        return self.grading.algebra
+        """Built on first read, once per type."""
+        return build_algebra(self.grading.rs.lie_type)
 
     def triple(self) -> Sl2Triple:
-        """The verified triple through an open-orbit e, found once and cached in ``_triple``:
+        """The triple through an open-orbit e, found once and cached in ``_triple``:
         ``root_set_triple``, else ``jm_triple`` on ``generic_element(self)``.  Which open-orbit
         e it takes changes neither the Toledo rank nor the JM verdict (see ``jm_regular``)."""
         if self._triple is None:
@@ -107,7 +114,7 @@ class VinbergPair:
         return self._triple
 
     def chi_t(self, x: Element) -> Q:
-        return normalized_form(self.algebra, self.zeta, x) * self.norm
+        return normalized_form(self.grading.rs, self.zeta, x) * self.norm
 
     def zeta_pairing(self) -> Q:
         return self.chi_t(self.zeta)
@@ -210,37 +217,68 @@ def complete_triple(pair: VinbergPair, e: Element, h: Element) -> Optional[Sl2Tr
 
 
 def root_set_triple(pair: VinbergPair) -> Optional[Sl2Triple]:
-    """The verified triple of ``set_triple`` on a set S of degree-1 roots in an open orbit,
-    no beta - beta' a root; None when greedy passes (highest root first, each starting one
-    root later) find no S.  S is independent: its roots lie in one degree with pairwise
-    products <= 0."""
-    alg, rs = pair.algebra, pair.algebra.rs
-    roots = sorted(map(alg.basis_root, pair.piece(1)), key=lambda a: (sum(a), a), reverse=True)
-    target = len(roots)
-    for start in range(target):
+    """``set_triple`` on a set S of degree-1 roots, no difference a root, whose unit sum
+    ``certified_rank`` shows open, else None.  Pass s takes the s-th root in descending
+    (height, root) order, then the others from the lowest up, keeping each that is no root
+    away from those kept and raises the certified rank."""
+    rs = pair.grading.rs
+    code, r = rs.codes, rs.rank
+    top = sorted(pair.piece(1), key=lambda i: (sum(rs.roots[i - r]), rs.roots[i - r]), reverse=True)
+    target = len(top)
+    for first in top:
         chosen, dim = [], 0
-        for beta in roots[start:] + roots[:start]:
-            if dim < target and all(rs.codes[beta] - rs.codes[b] not in rs.lengths for b in chosen):
-                d = orbit_dimension(pair, Element({alg.root_index[b]: 1 for b in chosen + [beta]}))
+        for i in [first] + [i for i in reversed(top) if i != first]:
+            beta = code[rs.roots[i - r]]
+            if dim < target and all(beta - code[rs.roots[j - r]] not in rs.lengths for j in chosen):
+                d = certified_rank(pair, chosen + [i])
                 if d > dim:
-                    chosen, dim = chosen + [beta], d
+                    chosen, dim = chosen + [i], d
         if dim == target:
-            return set_triple(alg, chosen)
+            return set_triple(rs, chosen)
     return None
 
 
-def set_triple(alg: ChevalleyAlgebra, roots: list) -> Sl2Triple:
-    """The verified triple (h, e, f) with e = sum of e_beta over an independent root set S:
-    sum_beta c_beta <beta', beta^vee> = 2 on S is nonsingular, and its one solution gives
-    h = sum c_beta h_beta and f = sum c_beta e_{-beta}."""
-    rs = alg.rs
+def ad_support(pair: VinbergPair, S: Sequence[int]) -> list:
+    """Nonzero pattern of ad e on the degree-0 root vectors, e the unit sum over degree-1 basis
+    indices S: per degree-0 root alpha, the codes of the roots beta + alpha, beta in S (N != 0)."""
+    rs = pair.grading.rs
+    code, roots, r = rs.codes, rs.roots, rs.rank
+    s = [code[roots[i - r]] for i in S]
+    return [{b + a for b in s if b + a in rs.lengths} for a in (code[roots[i - r]] for i in pair.piece(0)[r:])]
+
+
+def certified_rank(pair: VinbergPair, S: Sequence[int]) -> int:
+    """A lower bound on rank(ad e: g_0 -> g_1), e the unit sum over degree-1 basis indices S: dim g_1
+    certifies e open.  Each root column (``ad_support``) with one nonzero among the rows left takes
+    its row and adds one; then the Cartan block of the rows left in S, -<beta, alpha_i^vee>, adds
+    its rank, that of their roots."""
+    rs = pair.grading.rs
+    code, r = rs.codes, rs.rank
+    left = {code[rs.roots[i - r]] for i in pair.piece(1)}
+    columns, found, more = ad_support(pair, S), 0, True
+    while more:
+        more = False
+        for hit in columns:
+            hit &= left
+            if len(hit) == 1:
+                left -= hit
+                found, more = found + 1, True
+    s = {code[rs.roots[i - r]]: rs.roots[i - r] for i in S}
+    return found + rank(RationalMatrix([s[b] for b in left if b in s]))
+
+
+def set_triple(rs: RootSystem, S: Sequence[int]) -> Sl2Triple:
+    """(h, e, f) on a root set S (basis indices) in one degree, no difference a root, so independent:
+    sum c_beta <beta', beta^vee> = 2 on S gives h = sum c_beta h_beta, e = sum e_beta and f = sum
+    c_beta e_{-beta}, so [h, e] = 2e, [h, f] = -2f, and [e, f] = h as [e_beta, e_{-beta'}] is
+    h_beta at beta = beta', else 0."""
+    r, n = rs.rank, len(rs.roots) + 2 * rs.rank - 1  # e_{-beta} at n - i for e_beta at i
+    roots = [rs.roots[i - r] for i in S]
     coroots = [rs.coroots[b] for b in roots]
-    pairings = [[rs.pairing(b, j) for j in range(alg.rank)] for b in roots]  # <beta', alpha_j^vee>
-    num, den = solve(RationalMatrix([sum(map(mul, v, p)) for v in coroots] for p in pairings), [2] * len(roots))
-    e = Element({alg.root_index[b]: 1 for b in roots})
-    h = Element({k: sum(n * v[k] for n, v in zip(num, coroots)) for k in range(alg.rank)}, den)
-    f = Element({alg.root_index[tuple(-x for x in b)]: n for b, n in zip(roots, num)}, den)
-    return Sl2Triple(h=h, e=e, f=f).verify(alg)
+    pairings = [[rs.pairing(b, j) for j in range(r)] for b in roots]  # <beta', alpha_j^vee>
+    num, den = solve(RationalMatrix([sum(map(mul, v, p)) for v in coroots] for p in pairings), [2] * len(S))
+    h = Element({k: sum(x * v[k] for x, v in zip(num, coroots)) for k in range(r)}, den)
+    return Sl2Triple(h=h, e=Element(dict.fromkeys(S, 1)), f=Element({n - i: x for i, x in zip(S, num)}, den))
 
 
 def pair_rank(pair: VinbergPair) -> Q:
@@ -261,7 +299,7 @@ class GradedPair:
 
     __slots__ = ("one", "top", "low")
 
-    def __init__(self, zg: ZGrading):
+    def __init__(self, zg: RootGrading):
         m = zg.depth
         self.one = VinbergPair(zg)
         self.top = self.one if m == 2 else VinbergPair(zg, m - 1)

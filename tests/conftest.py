@@ -61,6 +61,13 @@ def moved_labels(sigma, labels):
 
 # types whose highest-root (quaternionic) gradings the tests build
 TYPE_LIST = ["A2", "A3", "B3", "C2", "C3", "D4", "G2", "F4", "E6"]
+# the paper-check types (verify-paper --extended) and the classical ones up to A12 and B9-D9
+CLI_TYPES = (
+    [f"A{r}" for r in range(2, 13)]
+    + [f"{f}{r}" for f in "BC" for r in range(2, 10)]
+    + [f"D{r}" for r in range(4, 10)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
 
 
 # every dimension vector with total n <= 5 and at least two blocks
@@ -88,7 +95,7 @@ def embed_quiver_element(zg, dims: QuiverDims, elem):
     The entry f_b[a][c] (vertex-b basis c to vertex-(b+1) basis a) goes onto
     the root vector joining position c of block b to position a of block b+1.
     """
-    alg = zg.algebra
+    alg = build_algebra(zg.rs.lie_type)
     coords = {}
     for b, f in enumerate(elem):
         for a in range(f.rows):

@@ -6,7 +6,7 @@ from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from gradedlie.cayley import CayleyData
 from gradedlie.chevalley import ChevalleyAlgebra, Element, Rational, StructureConstants, Terms
-from gradedlie.grading import ZGrading
+from gradedlie.grading import RootGrading
 from gradedlie.linalg import RationalMatrix, Solution, rank, solve
 from gradedlie.quiver import (
     Multiplicities,
@@ -452,11 +452,10 @@ def form_affine_cartan_matrix(rs: RootSystem) -> List[List[int]]:
     return [[int(2 * rs.form_value(a, b) / rs.norm(b)) for b in nodes] for a in nodes]
 
 
-def form_quaternionic_labels(alg: ChevalleyAlgebra) -> Tuple[int, ...]:
+def form_quaternionic_labels(rs: RootSystem) -> Tuple[int, ...]:
     """Degree labels <alpha_k, beta^vee> = 2 B*(alpha_k, beta) / B*(beta, beta), beta the highest root."""
-    rs = alg.rs
     beta = rs.highest_root
-    simple = [tuple(int(i == k) for i in range(alg.rank)) for k in range(alg.rank)]
+    simple = [tuple(int(i == k) for i in range(rs.rank)) for k in range(rs.rank)]
     return tuple(int(2 * rs.form_value(a, beta) / rs.norm(beta)) for a in simple)
 
 
@@ -653,7 +652,7 @@ def fraction_normalized_form(alg: ChevalleyAlgebra, a: Sequence, b: Sequence) ->
     return total
 
 
-def project(zg: ZGrading, v: Element, j: int) -> Element:
+def project(zg: RootGrading, v: Element, j: int) -> Element:
     """The coordinates of v in the degree-j piece; zero elsewhere."""
     keep = set(zg.piece(j))
     return Element({i: n for i, n in v.num.items() if i in keep}, v.den)
@@ -662,6 +661,16 @@ def project(zg: ZGrading, v: Element, j: int) -> Element:
 def root_vector(alg: ChevalleyAlgebra, alpha: Root) -> Element:
     """The basis vector e_alpha."""
     return from_sparse(alg, {alg.root_index[alpha]: Q(1)})
+
+
+def basis_root(rs: RootSystem, index: int) -> Root:
+    """The root of basis vector ``index`` (h_1..h_r come first)."""
+    return rs.roots[index - rs.rank]
+
+
+def coroot(rs: RootSystem, alpha: Root) -> Element:
+    """h_alpha = alpha^vee in the basis: its integer simple-coroot coordinates."""
+    return Element(dict(enumerate(rs.coroots[alpha])))
 
 
 ROOT_COUNTS = {
@@ -718,7 +727,7 @@ class CollapsedGrading(NamedTuple):
         return {j: len(idx) for j, idx in sorted(self.pieces.items())}
 
 
-def bar_pieces(zg: ZGrading) -> CollapsedGrading:
+def bar_pieces(zg: RootGrading) -> CollapsedGrading:
     """Collapse a Z-grading of depth m to its Z/mZ-grading.
 
     The residue-j piece is g_j + g_{j-m} for 1 <= j <= m-1, and g_0 stays.
@@ -734,7 +743,7 @@ def iso_character_all_pass(cd: CayleyData) -> bool:
     """Transport map invertible, chi_T(c) = 0 and B(c, h) = 0 for every c in the centralizer."""
     low = cd.pair.piece(1 - cd.pair.grading.depth)
     return rank([v.dense_num(cd.algebra.dim) for v in cd.v_basis]) == len(low) and cd.chi_vanishes and all(
-        normalized_form(cd.algebra, c, cd.triple.h) == 0 for c in cd.c_basis
+        normalized_form(cd.algebra.rs, c, cd.triple.h) == 0 for c in cd.c_basis
     )
 
 

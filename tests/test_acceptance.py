@@ -132,7 +132,7 @@ def test_1_quaternionic_rank_table(name):
 @pytest.mark.parametrize("name", QUATERNIONIC_TYPES)
 def test_2_extreme_pieces_jm_regular_with_certificates(name):
     graded = build_quaternionic(LieType.parse(name))
-    alg = graded.one.grading.algebra
+    alg = graded.one.algebra
     for pair in (graded.top, graded.low):
         assert jm_regular(pair)
         t = pair.triple()

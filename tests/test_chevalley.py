@@ -16,7 +16,8 @@ import pytest
 import gradedlie
 from conftest import quiver_grading
 from oracles import (
-    FractionConstants, basis_bracket, cartan_element, cocycle_signs, dense, fraction_coroot, from_sparse, root_vector,
+    FractionConstants, basis_bracket, cartan_element, cocycle_signs, coroot, dense, fraction_coroot, from_sparse,
+    root_vector,
 )
 
 from gradedlie import chevalley
@@ -24,7 +25,7 @@ from gradedlie.cayley import cayley_pair
 from gradedlie.chevalley import ChevalleyAlgebra, Element, StructureConstants, build_algebra
 from gradedlie.linalg import rank
 from gradedlie.quiver import QuiverDims
-from gradedlie.rootsystem import LieType, RootSystem, build_root_system
+from gradedlie.rootsystem import LieType, RootSystem, build_root_system, form_table
 from gradedlie.vinberg import normalized_form
 
 BUILT_TYPES = ["A1", "A2", "A3", "B2", "B3", "C2", "C3", "D4", "G2", "F4", "E6"]
@@ -112,7 +113,7 @@ def test_coroot_brackets(sl3):
         e = root_vector(sl3, alpha)
         f = root_vector(sl3, tuple(-x for x in alpha))
         h = sl3.bracket(e, f)
-        assert h == sl3.coroot(alpha)
+        assert h == coroot(sl3.rs, alpha)
         assert sl3.bracket(h, e) == 2 * e
 
 
@@ -583,6 +584,32 @@ def test_integer_constants_match_fraction_oracle(name):
             assert type(n) is int and n == oracle.value(alpha, beta)
 
 
+PATTERN_TYPES = (
+    [f"A{r}" for r in range(2, 9)] + [f"B{r}" for r in range(2, 6)] + [f"C{r}" for r in range(2, 6)]
+    + ["D4", "D5", "D6", "G2", "F4", "E6", "E7", "E8"]
+)
+
+
+@pytest.mark.parametrize("name", PATTERN_TYPES)
+def test_nonzero_pattern_is_the_root_sums(name):
+    """The fact the root-level pair code trusts, held to the built table: [e_alpha, e_beta] is
+    N e_{alpha+beta} with N != 0 exactly when alpha + beta is a root, h_alpha when beta = -alpha
+    (its integer coroot), and zero otherwise."""
+    alg = build_algebra(LieType.parse(name))
+    rs, index = alg.rs, alg.constants.index
+    for a, c in rs.codes.items():
+        row = alg._rows[index[c]]
+        for d in rs.codes.values():
+            terms = row.get(index[d])
+            if c + d == 0:
+                assert terms == tuple((k, x) for k, x in enumerate(rs.coroots[a]) if x), a
+            elif c + d in rs.lengths:
+                (k, n), = terms
+                assert k == index[c + d] and n != 0, (a, d)
+            else:
+                assert terms is None, (a, d)
+
+
 AD_BLOCK_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "G2", "F4", "E6", "E7", "E8"]
 
 
@@ -591,12 +618,13 @@ def test_form_table_is_an_integer_symmetric_table(name):
     """Every form_table entry is a nonzero Python int, B(b_i, b_j) = B(b_j, b_i), and
     the coroot of the highest root has B(theta^vee, theta^vee) = 4 / B*(theta, theta) = 2."""
     alg = build_algebra(LieType.parse(name))
-    assert len(alg.form_table) == alg.dim
-    entries = {(i, j): t for i, row in enumerate(alg.form_table) for j, t in row}
+    assert len(form_table(alg.rs)) == alg.dim
+    entries = {(i, j): t for i, row in enumerate(form_table(alg.rs)) for j, t in row}
     assert all(type(t) is int and t for t in entries.values())
     assert all(entries.get((j, i)) == t for (i, j), t in entries.items())
-    theta_vee = alg.coroot(alg.rs.highest_root)
-    assert normalized_form(alg, theta_vee, theta_vee) == 2
+    assert all((alg.root_index[a], alg.root_index[tuple(-x for x in a)]) in entries for a in alg.rs.roots)
+    theta_vee = coroot(alg.rs, alg.rs.highest_root)
+    assert normalized_form(alg.rs, theta_vee, theta_vee) == 2
 
 
 @pytest.mark.parametrize("name", AD_BLOCK_TYPES)

@@ -239,6 +239,7 @@ def case_id(argv) -> str:
         ["amw", "--genus", "2", "--depth", "1"],
         ["toledo", "--dims=", "--degrees=", "--genus=2"],
         ["toledo", "--dims=1", "--degrees=0", "--genus=2"],
+        ["toledo", "--dims", "1,1", "--degrees", "0", "--genus", "2"],
         # an empty item in an integer list is rejected, not dropped
         ["grading", "--type", "A2", "--labels", "1,,1"],
         ["quiver", "--dims", ",2,1,"],
@@ -355,6 +356,7 @@ REJECTED_LINES = {
     "quiver --dims 0,1": "error: dimensions must be positive",
     "toledo --dims 0,1 --degrees 0,0 --genus 2": "error: dimensions must be positive",
     "toledo --dims=1 --degrees=0 --genus=2": "error: total dimension must be at least 2",
+    "toledo --dims 1,1 --degrees 0 --genus 2": "error: one degree per dimension required",
     "amw --genus 2": "error: --type is required",
     "amw --type E6 --genus 2 --depth 2": "error: amw takes no flag --depth",
     "amw --type E6 --genus 2 --zeta-pairing 4": "error: amw takes no flag --zeta-pairing",
@@ -485,9 +487,10 @@ print(json.dumps(sorted(
 """
 
 # Functions no command enters, each for a stated reason.  bench/tracer.py wraps these
-# test oracles by name, so they stay until its TARGETS let them go:
+# test oracles and aliases by name, so they stay until its TARGETS let them go:
 TRACER_ONLY = {
     "chevalley.ChevalleyAlgebra.killing_gram",
+    "grading.z_grading_from_labels",  # root_grading on an algebra's root system
     "chevalley.ChevalleyAlgebra.killing_form",
     "rootsystem.RootSystem.form_value",
     "vinberg.killing_dual_norm",
@@ -627,7 +630,7 @@ NEGATIVE_A61 = ",".join(["1"] * 60 + ["-1"])
 )
 def test_label_count_is_checked_before_any_build(monkeypatch, capsys, argv, message):
     monkeypatch.setattr("gradedlie.cli.build_root_system", _no_build)
-    monkeypatch.setattr("gradedlie.cli.build_algebra", _no_build)
+    monkeypatch.setattr("gradedlie.vinberg.build_algebra", _no_build)
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 2
@@ -660,7 +663,7 @@ def test_job_evaluates_no_form_value(monkeypatch, capsys, argv):
 
 def test_kac_job_builds_no_chevalley_algebra(monkeypatch, capsys):
     monkeypatch.setattr("gradedlie.chevalley.ChevalleyAlgebra.__init__", _no_build)
-    monkeypatch.setattr("gradedlie.cli.build_algebra", _no_build)  # a cached algebra would hide a build
+    monkeypatch.setattr("gradedlie.vinberg.build_algebra", _no_build)  # a cached algebra would hide a build
     code, report = run_json(capsys, "kac", "--type", "E8", "--labels", "0,0,0,0,0,0,0,0,1")
     assert code == 0
     assert report["results"]["lift"] == "none"
@@ -704,7 +707,7 @@ def test_root_level_reports_build_no_fraction(monkeypatch, handler, lie_type, la
 
 def test_grading_job_builds_no_chevalley_algebra(monkeypatch, capsys):
     monkeypatch.setattr("gradedlie.chevalley.ChevalleyAlgebra.__init__", _no_build)
-    monkeypatch.setattr("gradedlie.cli.build_algebra", _no_build)  # a cached algebra would hide a build
+    monkeypatch.setattr("gradedlie.vinberg.build_algebra", _no_build)  # a cached algebra would hide a build
     a20 = ",".join(["1"] + ["0"] * 18 + ["1"])  # the README's A20 line
     for lie_type, labels in (("E8", "0,0,0,0,0,0,0,1"), ("A20", a20)):
         code, report = run_json(capsys, "grading", "--type", lie_type, "--labels", labels)

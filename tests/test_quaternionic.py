@@ -1,19 +1,22 @@
+import contextlib
+import io
 from collections import Counter
 from fractions import Fraction as Q
 
 import pytest
 
-from conftest import TYPE_LIST, assert_paper_check
-from oracles import form_quaternionic_labels, orbit_toledo_rank, quaternionic_bounds
+from conftest import CLI_TYPES, TYPE_LIST, assert_paper_check
+from replay import EXAMPLES, GOLDEN, slug
+from oracles import coroot, form_quaternionic_labels, orbit_toledo_rank, quaternionic_bounds
 
 from gradedlie import cayley, checks, quaternionic, vinberg
 from gradedlie.checks import QUATERNIONIC_TYPES, expected_ranks, kappa_rule
 from gradedlie.cli import main, q_str
 from gradedlie.quaternionic import build_quaternionic, quaternionic_labels
-from gradedlie.chevalley import build_algebra
-from gradedlie.grading import ZGrading
+from gradedlie.chevalley import ChevalleyAlgebra, build_algebra
+from gradedlie.grading import RootGrading
 from gradedlie.quiver import QuiverDims, maximal_rank_tuple, quiver_jm_regular
-from gradedlie.rootsystem import LieType
+from gradedlie.rootsystem import LieType, build_root_system
 from gradedlie.vinberg import jm_regular, normalized_form
 
 
@@ -24,7 +27,7 @@ def test_piece_structure(name):
     assert sorted(dims) == [-2, -1, 0, 1, 2]
     assert dims[2] == dims[-2] == 1
     assert dims[1] == dims[-1]
-    assert sum(dims.values()) == grading.algebra.dim
+    assert sum(dims.values()) == grading.rs.dim_algebra
 
 
 def test_a2_piece_dims(sl3):
@@ -41,8 +44,7 @@ def test_c2_piece_dims():
 @pytest.mark.parametrize("name", TYPE_LIST)
 def test_grading_element_is_highest_coroot(name):
     grading = build_quaternionic(LieType.parse(name)).one.grading
-    alg = grading.algebra
-    assert grading.zeta == alg.coroot(alg.rs.highest_root)
+    assert grading.zeta == coroot(grading.rs, grading.rs.highest_root)
 
 
 def test_non_integral_kappa_raises_where_it_arises(monkeypatch):
@@ -52,7 +54,7 @@ def test_non_integral_kappa_raises_where_it_arises(monkeypatch):
 
     def short_gamma(zg, degree=1):
         pair = pair_of(zg, degree)
-        rs = zg.algebra.rs
+        rs = zg.rs
         pair.gamma = next(a for a in rs.roots if rs.length_class(a) == 1)
         pair.norm = rs.norm(pair.gamma)
         return pair
@@ -64,14 +66,14 @@ def test_non_integral_kappa_raises_where_it_arises(monkeypatch):
 
 def test_grading_element_other_than_the_highest_coroot_is_refused(monkeypatch):
     """Labels (1, 1, 1) on A3, where the highest root gives (1, 0, 1)."""
-    monkeypatch.setattr(quaternionic, "quaternionic_labels", lambda alg: (1, 1, 1))
+    monkeypatch.setattr(quaternionic, "quaternionic_labels", lambda rs: (1, 1, 1))
     with pytest.raises(AssertionError, match="^grading element differs from the highest-root coroot$"):
         build_quaternionic.__wrapped__(LieType.parse("A3"))
 
 
 def test_two_dimensional_extreme_piece_is_refused(monkeypatch):
-    dims = ZGrading.dims
-    monkeypatch.setattr(ZGrading, "dims", lambda self: {**dims(self), 2: 2})
+    dims = RootGrading.dims
+    monkeypatch.setattr(RootGrading, "dims", lambda self: {**dims(self), 2: 2})
     with pytest.raises(AssertionError, match=r"^unexpected piece structure \{.*2: 2.*\}$"):
         build_quaternionic.__wrapped__(LieType.parse("A3"))
 
@@ -96,7 +98,7 @@ def test_pairs_built_with_the_grading(name):
 @pytest.mark.parametrize("name", TYPE_LIST)
 def test_t_beta_norm(name):
     grading = build_quaternionic(LieType.parse(name)).one.grading
-    assert normalized_form(grading.algebra, grading.zeta, grading.zeta) == 2
+    assert normalized_form(grading.rs, grading.zeta, grading.zeta) == 2
 
 
 @pytest.mark.parametrize(
@@ -159,7 +161,7 @@ def test_labels_are_adjacency_indicators(sl3):
     # only the simple roots not orthogonal to the highest root get label 1
     for name in TYPE_LIST:
         alg = build_algebra(LieType.parse(name))
-        labels = quaternionic_labels(alg)
+        labels = quaternionic_labels(alg.rs)
         beta = alg.rs.highest_root
         for k, p in enumerate(labels):
             simple = tuple(int(i == k) for i in range(alg.rank))
@@ -177,9 +179,9 @@ QUATERNIONIC_LABEL_TYPES = (
 @pytest.mark.parametrize("name", QUATERNIONIC_LABEL_TYPES)
 def test_labels_match_form_oracle(name):
     """<alpha_k, beta^vee> from the Cartan matrix and the coroot equals the form-value route."""
-    alg = build_algebra(LieType.parse(name))
-    labels = quaternionic_labels(alg)
-    assert labels == form_quaternionic_labels(alg)
+    rs = build_root_system(LieType.parse(name))
+    labels = quaternionic_labels(rs)
+    assert labels == form_quaternionic_labels(rs)
     assert all(type(p) is int for p in labels)
 
 
@@ -233,15 +235,6 @@ def test_one_open_orbit_search_per_pair_and_seed(monkeypatch, capsys, name):
     assert len({piece for piece, _ in searches}) == 3
 
 
-# the paper-check types (verify-paper --extended) and the classical ones up to A12 and B9-D9
-CLI_TYPES = (
-    [f"A{r}" for r in range(2, 13)]
-    + [f"{f}{r}" for f in "BC" for r in range(2, 10)]
-    + [f"D{r}" for r in range(4, 10)]
-    + ["E6", "E7", "E8", "F4", "G2"]
-)
-
-
 @pytest.mark.parametrize("name", CLI_TYPES)
 def test_quaternionic_pairs_take_the_root_set_route(monkeypatch, name):
     """The record's pairs one, top and low (of degrees 1, 2 and -2) find a root set S, so the
@@ -252,12 +245,51 @@ def test_quaternionic_pairs_take_the_root_set_route(monkeypatch, name):
         raise AssertionError(f"dense open-orbit search on {name}")
 
     monkeypatch.setattr(vinberg, "generic_element", dense_spy)
+    monkeypatch.setattr(vinberg, "build_algebra", _no_build)  # the root-level route reads no table
     graded = vinberg.GradedPair(build_quaternionic(LieType.parse(name)).one.grading)  # fresh pairs: nothing cached
     for key, pair in (("one", graded.one), ("top", graded.top), ("low", graded.low)):
         assert vinberg.root_set_triple(pair) is not None, key
         vinberg.pair_rank(pair)
         jm_regular(pair)
         assert pair.triple().e == vinberg.root_set_triple(pair).e, key
+
+
+def _no_build(*args):
+    raise AssertionError("a Chevalley algebra was built")
+
+
+NO_TABLE_TYPES = ["A2", "A3", "B3", "C2", "C3", "D4", "G2", "F4", "E6", "E7", "E8"]
+
+
+def _report(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def test_quaternionic_and_amw_build_no_table(monkeypatch):
+    """With no algebra able to build and no cached record, ``quaternionic --type T`` and ``amw --type
+    E6 --genus 3`` exit 0 with their reference reports: the README golden where there is one, else
+    the report of the table route (every pair's triple completed densely on the built algebra)."""
+    jobs = [["quaternionic", "--type", name] for name in NO_TABLE_TYPES] + [["amw", "--type", "E6", "--genus", "3"]]
+    goldens = {slug(argv): argv for argv in EXAMPLES}
+    reference = {}
+    with monkeypatch.context() as table_route:
+        table_route.setattr(vinberg, "root_set_triple", lambda pair: None)
+        for argv in jobs:
+            if slug(argv) not in goldens:
+                build_quaternionic.cache_clear()
+                reference[slug(argv)] = _report(argv)
+    for argv in jobs:
+        if slug(argv) in goldens:
+            reference[slug(argv)] = (0, (GOLDEN / f"{slug(argv)}.out").read_text())
+    build_quaternionic.cache_clear()
+    monkeypatch.setattr(ChevalleyAlgebra, "__init__", _no_build)
+    monkeypatch.setattr(vinberg, "build_algebra", build_algebra.__wrapped__)  # a cached algebra would hide a build
+    for argv in jobs:
+        assert _report(argv) == reference[slug(argv)], argv
+    build_quaternionic.cache_clear()  # drop the records built here
 
 
 @pytest.mark.parametrize("argv", [["verify-paper"], ["verify-paper", "--extended", "--seed", "3"]])

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    CLI_TYPES,
     DIAGRAM_AUTOMORPHISMS,
     SMALL_DIMS,
     TYPE_LIST,
@@ -22,10 +23,12 @@ from conftest import (
     quiver_grading,
 )
 from oracles import (
+    basis_root,
     block_jm_regular,
     cartan_element,
     chi_t_killing,
     coordinate,
+    coroot,
     dense,
     fraction_bracket,
     fraction_normalized_form,
@@ -43,7 +46,7 @@ from oracles import (
 
 from gradedlie import quiver, vinberg
 from gradedlie.chevalley import ChevalleyAlgebra, Element, build_algebra
-from gradedlie.grading import z_grading_from_labels
+from gradedlie.grading import root_grading, z_grading_from_labels
 from gradedlie.linalg import RationalMatrix, rank, solve
 from gradedlie.quaternionic import build_quaternionic, quaternionic_labels
 from gradedlie.quiver import (
@@ -51,7 +54,7 @@ from gradedlie.quiver import (
     enumerate_orbits,
     maximal_rank_tuple,
 )
-from gradedlie.rootsystem import LieType
+from gradedlie.rootsystem import LieType, build_root_system
 from gradedlie.vinberg import (
     GradedPair,
     Sl2Triple,
@@ -192,8 +195,8 @@ def test_chi_t_form_independence(name, labels):
 def test_normalized_form_highest_root():
     for name in ["A2", "C2", "G2", "B3"]:
         alg = build_algebra(LieType.parse(name))
-        t = alg.coroot(alg.rs.highest_root)
-        assert normalized_form(alg, t, t) == 2
+        t = coroot(alg.rs, alg.rs.highest_root)
+        assert normalized_form(alg.rs, t, t) == 2
 
 
 @pytest.mark.parametrize(
@@ -207,7 +210,7 @@ def test_normalized_form_matches_scaled_killing_gram(name):
     basis = [from_sparse(alg, {i: Q(1)}) for i in range(alg.dim)]
     for i, a in enumerate(basis):
         for j, b in enumerate(basis):
-            assert normalized_form(alg, a, b) == scale * gram[i][j]
+            assert normalized_form(alg.rs, a, b) == scale * gram[i][j]
 
 
 @pytest.mark.parametrize("name", ["A2", "G2", "B3", "C3", "D4", "F4"])
@@ -225,11 +228,11 @@ def test_form_and_bracket_match_fraction_oracles(name):
         a, b = draw(), draw()
         assert is_normalised(a) and is_normalised(b)
         dense_a, dense_b = dense(a, alg.dim), dense(b, alg.dim)
-        assert normalized_form(alg, a, b) == fraction_normalized_form(alg, dense_a, dense_b)
+        assert normalized_form(alg.rs, a, b) == fraction_normalized_form(alg, dense_a, dense_b)
         out = alg.bracket(a, b)
         assert is_normalised(out)
         assert dense(out, alg.dim) == fraction_bracket(alg, dense_a, dense_b)
-        assert normalized_form(alg, out, a) == fraction_normalized_form(alg, dense(out, alg.dim), dense_a)
+        assert normalized_form(alg.rs, out, a) == fraction_normalized_form(alg, dense(out, alg.dim), dense_a)
 
 
 def test_sl2_certificate_survives_python_dash_o():
@@ -241,7 +244,7 @@ def test_sl2_certificate_survives_python_dash_o():
         "alg = build_algebra(LieType.parse('A1'))\n"
         "e, f = (Element({alg.root_index[a]: c}) for a, c in (((1,), 1), ((-1,), 2)))\n"
         "try:\n"
-        "    Sl2Triple(h=alg.coroot((1,)), e=e, f=f).verify(alg)\n"
+        "    Sl2Triple(h=Element({0: 1}), e=e, f=f).verify(alg)\n"
         "except AssertionError as exc:\n"
         "    print('AssertionError', exc)\n"
     )
@@ -395,14 +398,14 @@ def test_root_set_triple_is_explicit(name):
             continue
         found += 1
         alg = pair.algebra
-        roots = [alg.basis_root(i) for i in triple.e.num]
+        roots = [basis_root(alg.rs, i) for i in triple.e.num]
         assert set(triple.e.num.values()) == {1} and triple.e.den == 1, labels
         assert rank(RationalMatrix(roots)) == len(roots), labels
         assert not any(tuple(map(sub, a, b)) in alg.root_index for a in roots for b in roots), labels
         assert orbit_dimension(pair, triple.e) == len(pair.piece(1)), labels
         c = {a: coordinate(triple.f, alg.root_index[tuple(-x for x in a)]) for a in roots}
         assert len(triple.f.num) == len(roots), labels
-        assert triple.h == sum((c[a] * alg.coroot(a) for a in roots), Element()), labels
+        assert triple.h == sum((c[a] * coroot(alg.rs, a) for a in roots), Element()), labels
         triple.verify(alg)
     assert found
 
@@ -450,19 +453,21 @@ def _count_calls(monkeypatch, names):
 
 
 def test_triple_searches_the_root_set_once_and_densely_once_per_seed(monkeypatch):
-    """Ranks and verdicts, asked twice: D4 (1,0,1,1) has no root set, so the pair takes one
-    dense search and one completion in all; A2 (1,1) has one and never searches densely."""
-    calls = _count_calls(monkeypatch, ["root_set_triple", "generic_element", "jm_triple"])
+    """Ranks and verdicts, asked twice: D4 (1,0,1,1) has no root set, so the pair builds its
+    algebra and takes one dense search and one completion in all; A2 (1,1) has one, found at
+    root level, and builds no algebra."""
+    calls = _count_calls(monkeypatch, ["root_set_triple", "build_algebra", "generic_element", "jm_triple"])
     for name, labels, expected in [
-        ("D4", [1, 0, 1, 1], {"root_set_triple": 1, "generic_element": 1, "jm_triple": 1}),
-        ("A2", [1, 1], {"root_set_triple": 1}),
+        ("D4", [1, 0, 1, 1], ({"root_set_triple": 1, "generic_element": 1, "jm_triple": 1}, True)),
+        ("A2", [1, 1], ({"root_set_triple": 1}, False)),
     ]:
         calls.clear()
-        pair = _pair(name, labels)
+        pair = VinbergPair(root_grading(build_root_system(LieType.parse(name)), labels))
         for _ in range(2):
             pair_rank(pair)
             jm_regular(pair)
-        assert dict(calls) == expected, name
+        built = calls.pop("build_algebra", 0) > 0
+        assert (dict(calls), built) == expected, name
 
 
 def test_generic_element_raises_when_no_sample_is_open(monkeypatch):
@@ -528,7 +533,7 @@ def test_graded_pair_reads_one_grading_at_each_degree(name, labels):
     piece j is g_{jk}, its zeta is zeta/k, and gamma is a longest root of g_k.  "highest" is
     the highest-root grading; B3 (1,0,0) has depth 2, where ``top`` is ``one``."""
     alg = build_algebra(LieType.parse(name))
-    p = quaternionic_labels(alg) if labels == "highest" else map(int, labels.split(","))
+    p = quaternionic_labels(alg.rs) if labels == "highest" else map(int, labels.split(","))
     zg = z_grading_from_labels(alg, list(p))
     graded, m = GradedPair(zg), zg.depth
     assert [pair.degree for pair in (graded.one, graded.top, graded.low)] == [1, m - 1, 1 - m]
@@ -537,7 +542,7 @@ def test_graded_pair_reads_one_grading_at_each_degree(name, labels):
         assert all(pair.piece(j) == zg.piece(j * pair.degree) for j in range(-m, m + 1))
         assert pair.zeta * pair.degree == zg.zeta
         assert alg.root_index[pair.gamma] in pair.piece(1)
-        assert all(alg.rs.length_class(alg.basis_root(i)) <= alg.rs.length_class(pair.gamma) for i in pair.piece(1))
+        assert all(alg.rs.length_class(basis_root(alg.rs, i)) <= alg.rs.length_class(pair.gamma) for i in pair.piece(1))
 
 
 def test_vinberg_pair_at_a_degree_with_no_piece_is_refused(sl3):
@@ -551,7 +556,7 @@ def test_vinberg_pair_at_a_degree_with_no_piece_is_refused(sl3):
 def test_gamma_choice_irrelevant():
     pair = _pair("A2", [1, 1])
     alg = pair.algebra
-    norms = {alg.rs.norm(alg.basis_root(i)) for i in pair.piece(1)}
+    norms = {alg.rs.norm(basis_root(alg.rs, i)) for i in pair.piece(1)}
     assert norms == {alg.rs.norm(pair.gamma)}
 
 
@@ -634,9 +639,165 @@ def test_every_quiver_orbit_on_its_root_set_triple(dims):
     squares = sum(d * d for d in dims)
     for _, mult in enumerate_orbits(qd):
         e = embed_quiver_element(pair.grading, qd, string_representative(qd, mult))
-        roots = [alg.basis_root(i) for i in e.num]
+        roots = [basis_root(rs, i) for i in e.num]
         assert all(rs.codes[a] - rs.codes[b] not in rs.lengths for a in roots for b in roots)
-        triple = set_triple(alg, roots) if roots else Sl2Triple(e, e, e)  # the zero orbit: e = 0
+        triple = set_triple(rs, list(e.num)).verify(alg) if roots else Sl2Triple(e, e, e)  # the zero orbit: e = 0
         assert triple.e == e
         assert pair.chi_t(triple.h) / 2 == quiver.toledo_rank(mult), mult
         assert orbit_dimension(pair, e) == squares - interval_end_dimension(mult), mult
+
+
+# -- the root-level route against the table route ------------------------------
+
+ROOT_LEVEL_CENSUS = ["A2", "A3", "A4", "A5", "B2", "B3", "B4", "C3", "D4", "G2", "F4"]
+
+
+def graded_pairs(rs, labels):
+    """The one, top and low pairs of a grading (top is one at depth 2), keyed by labels and name."""
+    graded = GradedPair(root_grading(rs, list(labels)))
+    return [((tuple(labels), key), getattr(graded, key)) for key in ("one", "top", "low")]
+
+
+def census_01(name):
+    """The pairs of every grading of the type with labels in {0, 1} and a degree-1 piece."""
+    rs = build_root_system(LieType.parse(name))
+    return [kp for labels in product((0, 1), repeat=rs.rank) if any(labels) for kp in graded_pairs(rs, labels)]
+
+
+def root_level_answer(pair):
+    """(triple, certified rank) of the root-level route on the pair, or None when it finds no root set."""
+    triple = vinberg.root_set_triple(pair)
+    return triple and (triple, vinberg.certified_rank(pair, list(triple.e.num)))
+
+
+def table_agrees(pair, answer) -> bool:
+    """The table route's view of a root-level answer: the triple verifies on the built table,
+    its certified rank is at most ``orbit_dimension``, which is dim g_1, and rank_T and the JM
+    verdict equal those of the dense route's triple."""
+    if answer is None:
+        return False
+    triple, certified = answer
+    alg = pair.algebra
+    try:
+        triple.verify(alg)
+    except AssertionError:
+        return False
+    dense_h = jm_triple(pair, generic_element(pair)).h
+    return (
+        certified <= orbit_dimension(pair, triple.e) == len(pair.piece(1))
+        and pair.chi_t(triple.h) == pair.chi_t(dense_h)
+        and (triple.h == 2 * pair.zeta) == (dense_h == 2 * pair.zeta)
+    )
+
+
+def table_support(pair, S):
+    """The nonzero pattern of the built table's ad e on the degree-0 root vectors, as ``ad_support``
+    reads it: per degree-0 root, the codes of the degree-1 rows its column reaches."""
+    alg = pair.algebra
+    rs, g1, zero = alg.rs, pair.piece(1), pair.piece(0)[alg.rank:]
+    block = alg.ad_block(Element(dict.fromkeys(S, 1)), zero, g1)
+    return [{rs.codes[basis_root(rs, g1[k])] for k, row in enumerate(block) if row[c]} for c in range(len(zero))]
+
+
+@pytest.mark.parametrize("name", ROOT_LEVEL_CENSUS + [f"quaternionic-{t}" for t in CLI_TYPES])
+def test_root_level_route_matches_the_table_route(name):
+    """Every pair of the census takes the root-level route, and the table agrees with it: see
+    ``table_agrees``; its root set's ``ad_support`` is the table's nonzero pattern.  The one
+    exception is D4 (1,0,1,1), which has no root set (the dense fallback)."""
+    if name.startswith("quaternionic-"):
+        rs = build_root_system(LieType.parse(name.partition("-")[2]))
+        cases = graded_pairs(rs, quaternionic_labels(rs))
+    else:
+        cases = census_01(name)
+    for key, pair in cases:
+        answer = root_level_answer(pair)
+        if name == "D4" and key == ((1, 0, 1, 1), "one"):
+            assert answer is None
+            continue
+        assert table_agrees(pair, answer), key
+        S = list(answer[0].e.num)
+        assert vinberg.ad_support(pair, S) == table_support(pair, S), key
+
+
+def test_uncertified_root_set_takes_the_fallback():
+    """D5 (1,0,1,0,0) has an open root set that the sign-free certificate cannot confirm: the
+    pair builds its algebra and completes the dense e, whose verdicts the block solve shares."""
+    pair = VinbergPair(root_grading(build_root_system(LieType.parse("D5")), [1, 0, 1, 0, 0]))
+    assert root_set_triple(pair) is None
+    t, regular = pair.triple(), jm_regular(pair)
+    assert t.e == generic_element(pair)
+    assert (regular, t.f if regular else None) == block_jm_regular(pair, t.e)
+
+
+MUTANT_CENSUS = ["A3", "B3", "C3", "G2"]
+
+
+def mutant_is_rejected() -> bool:
+    """Whether the census check refuses the root-level route, as it is now, on some pair of
+    MUTANT_CENSUS: the route finds no root set, or the table disagrees with its answer."""
+    return not all(table_agrees(pair, root_level_answer(pair)) for name in MUTANT_CENSUS for _, pair in census_01(name))
+
+
+def test_mutant_reading_an_extra_entry_is_rejected(monkeypatch):
+    """One extra entry read as nonzero: the first empty root column reaches the lowest row."""
+    real = vinberg.ad_support
+
+    def extra(pair, S):
+        columns = real(pair, S)
+        rs = pair.grading.rs
+        empty = next((hit for hit in columns if not hit), None)
+        if empty is not None:
+            empty.add(min(rs.codes[basis_root(rs, i)] for i in pair.piece(1)))
+        return columns
+
+    assert not mutant_is_rejected()
+    monkeypatch.setattr(vinberg, "ad_support", extra)
+    assert mutant_is_rejected()
+
+
+class _DifferencesHidden(dict):
+    """Root codes -> length classes whose ``in`` is false on ``hidden``."""
+
+    def __init__(self, lengths, hidden):
+        super().__init__(lengths)
+        self.hidden = hidden
+
+    def __contains__(self, code):
+        return code not in self.hidden and dict.__contains__(self, code)
+
+
+def test_mutant_allowing_a_root_difference_in_s_is_rejected():
+    """With the degree-0 roots hidden from the search's root test, S may hold a root difference.
+    Adding e_{beta+alpha} to e_beta stays in its G_0-orbit, so the greedy seldom keeps one; on A6
+    (0,1,0,1,0,1) it does, certifies the set, and the table refuses the triple ([e, f] != h)."""
+    t, labels = LieType.parse("A6"), [0, 1, 0, 1, 0, 1]
+    pair = VinbergPair(root_grading(build_root_system(t), labels))
+    assert table_agrees(pair, root_level_answer(pair))
+    rs = build_root_system.__wrapped__(t)  # a fresh root system, whose root test the mutant changes
+    zg = root_grading(rs, labels)
+    rs.lengths = _DifferencesHidden(rs.lengths, {rs.codes[basis_root(rs, i)] for i in zg.piece(0)[rs.rank:]})
+    answer = root_level_answer(VinbergPair(zg))
+    roots = [basis_root(rs, i) for i in answer[0].e.num]
+    assert any(tuple(map(sub, a, b)) in rs.codes for a in roots for b in roots)
+    assert not table_agrees(pair, answer)
+
+
+def test_mutant_solving_h_without_one_row_is_rejected(monkeypatch):
+    """set_triple's Cartan system with its last row dropped, so one c_beta is left free."""
+    real = vinberg.solve
+
+    def short(m, b):
+        if m.rows == m.cols and list(b) == [2] * m.rows:  # set_triple's square system
+            return real(RationalMatrix(list(m)[:-1], m.cols), list(b)[:-1])
+        return real(m, b)
+
+    monkeypatch.setattr(vinberg, "solve", short)
+    assert mutant_is_rejected()
+
+
+def test_mutant_skipping_the_cartan_block_is_rejected(monkeypatch):
+    """certified_rank without the Cartan block's rank: A2 (1,1), whose g_0 is the Cartan alone,
+    is certified no more, and the route pin of every such pair fails."""
+    monkeypatch.setattr(vinberg, "rank", lambda m: 0)
+    assert root_set_triple(VinbergPair(root_grading(build_root_system(LieType.parse("A2")), [1, 1]))) is None
+    assert mutant_is_rejected()
