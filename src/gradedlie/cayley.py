@@ -10,7 +10,9 @@ of the span of those modules and ad(e)^{m-1} is injective on g_{1-m}.  One
 chain of ad(e) powers on g_{1-m} gives the transport and the module bound;
 ``cayley_pair`` raises unless the transport has rank dim g_{1-m}, so every
 ``CayleyData`` maps g_{1-m} onto V invertibly.  ``CayleyData.chi_vanishes``
-says whether the character chi_T vanishes on c.
+says whether chi_T vanishes on c.  It cannot be False on a correct build, as
+h = 2*zeta and B(h, x) = B(e, [f, x]) = 0 for x in c; it stays as a certificate
+of the code.
 
 The projection test decomposes [v, v'] for v, v' in V along
 c + V + (orthogonal complement in g_0), and returns the first projection

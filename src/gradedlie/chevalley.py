@@ -10,15 +10,15 @@ from the Jacobi identity in height order, and ``StructureConstants._set`` writes
 each into the bracket table once, with the eleven constants its sign rules fix;
 the rows are the constants' only record.  ``StructureConstants``, the table's one
 writer, adds the Cartan action from the root pass's pairing vectors and the
-coroots [e_alpha, e_-alpha] = h_alpha, so the table's layout lives here.
+coroots [e_alpha, e_-alpha] = h_alpha.
 
-Roots enter as their integer codes (``RootSystem.codes``), so the constants,
-the table and its certificate add, negate and compare ints, not root tuples.
-Constants, norm ratios (of the root system's length classes) and coroots are
-Python ints by Chevalley's theorem; a division with a remainder raises
-AssertionError.  The bracket table stores [b_i, b_j] for both orientations of
-every pair with a nonzero bracket, as (target, coefficient) pairs of Python
-ints; each constant is checked to be an int as it goes in.
+Roots enter as their integer codes, so the constants, the table and its
+certificate add, negate and compare ints, not root tuples; a code reaches its
+row through ``RootSystem.basis_index``, the root system's basis layout.
+Constants, norm ratios and coroots are Python ints by Chevalley's theorem; a
+division with a remainder raises AssertionError.  The bracket table stores
+[b_i, b_j] for both orientations of every pair with a nonzero bracket, as
+(target, coefficient) pairs of Python ints, each checked as it goes in.
 
 An element of g is an ``Element``: a map from basis index to a nonzero
 integer numerator over one positive denominator, in lowest terms, so equal
@@ -118,8 +118,6 @@ class StructureConstants:
 
     def __init__(self, rs: RootSystem):
         self.rs = rs
-        self._ell = rs.lengths  # root code -> length class, and the set of root codes
-        self.index = {c: i for i, c in enumerate(rs.codes.values(), rs.rank)}  # root code -> basis index
         self.rows: List[Dict[int, Terms]] = [{} for _ in range(rs.dim_algebra)]
         self._shared: Dict[Terms, Tuple[Terms, Terms]] = {}  # equal brackets share one tuple
         self._fill()
@@ -128,8 +126,8 @@ class StructureConstants:
 
     def _string_down(self, a: int, b: int) -> int:
         """p = max k with b - k*a a root, on codes."""
-        p, cur = 0, b - a
-        while cur in self._ell:
+        ell, p, cur = self.rs.lengths, 0, b - a
+        while cur in ell:
             p, cur = p + 1, cur - a
         return p
 
@@ -158,21 +156,20 @@ class StructureConstants:
     def _fill_cartan(self):
         """Write [h_i, e_alpha] = <alpha, alpha_i^vee> e_alpha in root order, from the root pass's
         pairing vectors (negated for a negative root), and [e_alpha, e_-alpha] = h_alpha."""
-        rs, index, put = self.rs, self.index, self._put
+        rs, index, put = self.rs, self.rs.basis_index, self._put
         pos = [pairing for _, _, pairing in rs.root_data]
         for col, (sign, pairing) in enumerate([(-1, p) for p in reversed(pos)] + [(1, p) for p in pos], rs.rank):
             for i, c in enumerate(pairing):
                 if c:
                     put(i, col, ((col, sign * c),))
         for alpha in rs.positive_roots:
-            coroot = tuple((k, c) for k, c in enumerate(rs.coroots[alpha]) if c)
-            put(index[rs.codes[alpha]], index[-rs.codes[alpha]], coroot)
+            put(index[c := rs.codes[alpha]], index[-c], tuple((k, x) for k, x in enumerate(rs.coroot(alpha)) if x))
 
     def _set(self, a: int, b: int, n: int):
         """Write N_{a,b} = n of a positive pair and the eleven constants it fixes (Carter
         1972, 4.1): N_{x,y} / |z|^2 is one value on the rotations (x, y, z) of the
         zero-sum triple (a, b, -a-b), N_{y,x} = -N_{x,y} and N_{-x,-y} = -N_{x,y}."""
-        ell, index, put = self._ell, self.index, self._put
+        ell, index, put = self.rs.lengths, self.rs.basis_index, self._put
         c = -a - b
         for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
             n_xy = exact_div(n * ell[z], ell[c])
@@ -194,22 +191,22 @@ class StructureConstants:
 
     def _value(self, a: int, b: int) -> int:
         """N_{a,b} on root codes, read from the rows; zero when a+b is not a root."""
-        ell = self._ell
+        ell, index = self.rs.lengths, self.rs.basis_index
         if a not in ell or b not in ell or a + b not in ell:
             return 0
-        terms = self.rows[self.index[a]].get(self.index[b])
+        terms = self.rows[index[a]].get(index[b])
         if terms is None:
             raise AssertionError(f"N({self._root(a)},{self._root(b)}) is read before it is written")
         return terms[0][1]
 
     def _root(self, code: int) -> Root:
-        return next(a for a, c in self.rs.codes.items() if c == code)
+        return self.rs.roots[self.rs.basis_index[code] - self.rs.rank]
 
     def verify_string_lengths(self):
         """|N_{alpha,beta}| = p+1 on each entry [e_alpha, e_beta] = N e_{alpha+beta} of the rows with
         0 < alpha before beta in basis order: once per positive special pair (p is symmetric)."""
-        code = dict(zip(self.index.values(), self.index))  # basis index -> root code
-        for y, a in code.items():
+        code = self.rs.basis_codes
+        for y, a in enumerate(code):
             for z, terms in self.rows[y].items() if a > 0 else ():
                 if z > y:
                     n, p = terms[0][1], self._string_down(a, code[z])
@@ -218,19 +215,13 @@ class StructureConstants:
 
 
 class ChevalleyAlgebra:
-    """Simple Lie algebra with exact rational structure constants.
-
-    Elements are ``Element``s on the basis indices 0..dim-1 of
-    (h_1..h_r, e_alpha for alpha in root order).
-    """
+    """Simple Lie algebra with exact structure constants, on ``Element``s of the basis ``rs.basis_codes``."""
 
     def __init__(self, rs: RootSystem):
         self.rs = rs
         self.rank = rs.rank
         self.dim = rs.dim_algebra
-        self.root_index = {a: self.rank + i for i, a in enumerate(rs.roots)}
         self.constants = StructureConstants(rs)
-        # _rows[i][j] = [b_i, b_j]; absent when the bracket is zero
         self._rows = self.constants.rows
         self._killing_gram: Optional[RationalMatrix] = None
         self.constants.verify_string_lengths()
@@ -342,10 +333,10 @@ class ChevalleyAlgebra:
         in the generated subalgebra and is reached (h_i as [e_i, f_i] once f_i
         is).  All ``dim`` basis vectors must be reached.
         """
-        rows = self._rows
+        rows, index, codes = self._rows, self.rs.basis_index, self.rs.codes
         r, n = self.rank, self.dim
-        gens = [self.root_index[tuple(int(k == i) for k in range(r))] for i in range(r)]
-        gens.append(self.root_index[tuple(-x for x in self.rs.highest_root)])
+        gens = [index[codes[tuple(int(k == i) for k in range(r))]] for i in range(r)]
+        gens.append(index[-codes[self.rs.highest_root]])
         negated: Dict[Terms, Terms] = {}  # each shared term tuple negated once
         # through[k]: ((y * n + z) * n, c) for y < z with c b_k a term of [b_y, b_z]
         through: List[List[Tuple[int, int]]] = [[] for _ in range(n)]

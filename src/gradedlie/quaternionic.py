@@ -27,7 +27,7 @@ from .vinberg import GradedPair
 
 def quaternionic_labels(rs: RootSystem) -> Tuple[int, ...]:
     """Degree labels <alpha_k, beta^vee> = sum_j beta^vee_j c[k][j] of the highest-root grading."""
-    beta_vee = rs.coroots[rs.highest_root]
+    beta_vee = rs.coroot(rs.highest_root)
     return tuple(sum(t * c for t, c in zip(beta_vee, row)) for row in rs.cartan)
 
 
@@ -37,7 +37,7 @@ def build_quaternionic(t: LieType) -> GradedPair:
     the highest root: depth 3, so ``top`` is the pair of g_2 and ``low`` that of g_{-2}."""
     rs = build_root_system(t)
     zg = root_grading(rs, list(quaternionic_labels(rs)))
-    if zg.zeta != Element(dict(enumerate(rs.coroots[rs.highest_root]))):
+    if zg.zeta != Element(dict(enumerate(rs.coroot(rs.highest_root)))):
         raise AssertionError("grading element differs from the highest-root coroot")
     dims = zg.dims()
     if 1 not in dims:

@@ -12,18 +12,18 @@ which holds the highest root (certified); a root has the class of the simple
 root in whose Weyl orbit the pass reached it.  The invariant form, normalised
 so that the highest root has squared length 2, is read off them:
 (alpha_i, alpha_j) = c_ij ell_j / L, so a root's norm is 2 ell(alpha) / L, and
-``form_value`` and ``norm`` build one Fraction each.  The per-root maps
-``codes``, ``lengths`` and ``coroots`` are filled on first read; the Chevalley
-writer takes its Cartan rows from the pairing vectors that the pass keeps.
+``form_value`` and ``norm`` build one Fraction each, and ``coroot`` one coroot.
+The Chevalley basis layout (h_1..h_r, then e_alpha in root order) lives only in
+``RootSystem.basis_codes`` and ``basis_index``; each per-root map is built on its first read.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction as Q
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 from operator import neg
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 Root = Tuple[int, ...]
 
@@ -122,13 +122,9 @@ def cartan_matrix(t: LieType) -> List[List[int]]:
 
 
 class RootSystem:
-    """The roots of one type.  ``root_data`` holds (code, length class, (<alpha, alpha_k^vee>)_k)
-    of each positive root in root order; ``codes``, ``lengths`` and ``coroots`` are filled from it."""
-
-    __slots__ = (
-        "lie_type", "cartan", "roots", "positive_roots", "highest_root", "affine_marks", "long_class",
-        "simple_classes", "root_data", "codes", "lengths", "coroots",
-    )
+    """The roots of one type.  ``root_data`` holds (code, length class, (<alpha, alpha_k^vee>)_k) of each
+    positive root in root order; from it come ``basis_codes`` (basis index -> root code, 0 on h_1..h_r),
+    its inverse ``basis_index``, ``codes`` (root -> code) and ``lengths`` (code -> length class)."""
 
     def __init__(
         self, lie_type: LieType, cartan: Tuple[Tuple[int, ...], ...], roots: Tuple[Root, ...],
@@ -139,19 +135,22 @@ class RootSystem:
         self.highest_root, self.affine_marks = highest_root, (1,) + highest_root  # (n_0, n_1, ..., n_r)
         self.long_class, self.simple_classes, self.root_data = long_class, simple_classes, root_data
 
-    def __getattr__(self, name: str):
-        """Runs only while a slot is unset: the first read of a per-root map fills all three."""
-        if name not in ("codes", "lengths", "coroots"):
-            raise AttributeError(name)
-        # (code, class) in root order: the negative roots come first, in reverse order
-        data = [(-c, e) for c, e, _ in reversed(self.root_data)] + [(c, e) for c, e, _ in self.root_data]
-        self.codes = {a: c for a, (c, _) in zip(self.roots, data)}
-        self.lengths = dict(data)
-        ell = self.simple_classes  # alpha^vee = sum_i a_i ell(alpha_i) / ell(alpha) alpha_i^vee
-        self.coroots = {
-            a: tuple(exact_div(x * e, c) if x else 0 for x, e in zip(a, ell)) for a, (_, c) in zip(self.roots, data)
-        }
-        return getattr(self, name)
+    @cached_property
+    def basis_codes(self) -> Tuple[int, ...]:
+        positive = [c for c, _, _ in self.root_data]  # root order puts the negatives first, mirrored
+        return (0,) * self.rank + tuple(map(neg, reversed(positive))) + tuple(positive)
+
+    @cached_property
+    def basis_index(self) -> Dict[int, int]:
+        return {c: i for i, c in enumerate(self.basis_codes[self.rank :], self.rank)}
+
+    @cached_property
+    def codes(self) -> Dict[Root, int]:
+        return dict(zip(self.roots, self.basis_codes[self.rank :]))
+
+    @cached_property
+    def lengths(self) -> Dict[int, int]:
+        return {x: e for c, e, _ in self.root_data for x in (c, -c)}
 
     @property
     def rank(self) -> int:
@@ -178,6 +177,11 @@ class RootSystem:
     def norm(self, alpha: Root) -> Q:
         """B*(alpha, alpha) = 2 ell(alpha) / L of a root."""
         return Q(2 * self.length_class(alpha), self.long_class)
+
+    def coroot(self, alpha: Root) -> Tuple[int, ...]:
+        """alpha^vee = sum_i a_i ell(alpha_i) / ell(alpha) alpha_i^vee of a root, certified integral."""
+        c = self.length_class(alpha)
+        return tuple(exact_div(x * e, c) if x else 0 for x, e in zip(alpha, self.simple_classes))
 
 
 def exact_div(n, d) -> int:
@@ -265,14 +269,14 @@ def build_root_system(t: LieType) -> RootSystem:
 def form_table(rs: RootSystem) -> List[Tuple[Tuple[int, int], ...]]:
     """Rows of the form B with B*(highest root, highest root) = 2 on the basis h_1..h_r, e_alpha
     (root order), in Python ints: rows[i] lists each (j, B(b_i, b_j) != 0).  B(h_i, h_j) =
-    L c_ij / ell(alpha_i), B(e_alpha, e_{-alpha}) = L / ell(alpha) (-alpha at the mirrored
-    position), every other pair is orthogonal, and each value is certified an integer."""
-    L, r, n = rs.long_class, rs.rank, len(rs.roots)
+    L c_ij / ell(alpha_i), B(e_alpha, e_{-alpha}) = L / ell(alpha) (-alpha at its
+    ``basis_index``), every other pair is orthogonal, and each value is certified an integer."""
+    L, index = rs.long_class, rs.basis_index
     rows = [
         tuple((j, exact_div(L * c, ell_i)) for j, c in enumerate(row) if c)
         for row, ell_i in zip(rs.cartan, rs.simple_classes)
     ]
-    return rows + [((r + n - 1 - i, exact_div(L, rs.lengths[c])),) for i, c in enumerate(rs.codes.values())]
+    return rows + [((index[-c], exact_div(L, rs.lengths[c])),) for c in rs.basis_codes[rs.rank :]]
 
 
 def affine_cartan_matrix(rs: RootSystem) -> List[List[int]]:

@@ -222,14 +222,14 @@ def root_set_triple(pair: VinbergPair) -> Optional[Sl2Triple]:
     (height, root) order, then the others from the lowest up, keeping each that is no root
     away from those kept and raises the certified rank."""
     rs = pair.grading.rs
-    code, r = rs.codes, rs.rank
+    code, r = rs.basis_codes, rs.rank
     top = sorted(pair.piece(1), key=lambda i: (sum(rs.roots[i - r]), rs.roots[i - r]), reverse=True)
     target = len(top)
     for first in top:
         chosen, dim = [], 0
         for i in [first] + [i for i in reversed(top) if i != first]:
-            beta = code[rs.roots[i - r]]
-            if dim < target and all(beta - code[rs.roots[j - r]] not in rs.lengths for j in chosen):
+            beta = code[i]
+            if dim < target and all(beta - code[j] not in rs.lengths for j in chosen):
                 d = certified_rank(pair, chosen + [i])
                 if d > dim:
                     chosen, dim = chosen + [i], d
@@ -242,9 +242,9 @@ def ad_support(pair: VinbergPair, S: Sequence[int]) -> list:
     """Nonzero pattern of ad e on the degree-0 root vectors, e the unit sum over degree-1 basis
     indices S: per degree-0 root alpha, the codes of the roots beta + alpha, beta in S (N != 0)."""
     rs = pair.grading.rs
-    code, roots, r = rs.codes, rs.roots, rs.rank
-    s = [code[roots[i - r]] for i in S]
-    return [{b + a for b in s if b + a in rs.lengths} for a in (code[roots[i - r]] for i in pair.piece(0)[r:])]
+    code = rs.basis_codes
+    s = [code[i] for i in S]
+    return [{b + a for b in s if b + a in rs.lengths} for a in (code[i] for i in pair.piece(0)[rs.rank :])]
 
 
 def certified_rank(pair: VinbergPair, S: Sequence[int]) -> int:
@@ -253,8 +253,8 @@ def certified_rank(pair: VinbergPair, S: Sequence[int]) -> int:
     its row and adds one; then the Cartan block of the rows left in S, -<beta, alpha_i^vee>, adds
     its rank, that of their roots."""
     rs = pair.grading.rs
-    code, r = rs.codes, rs.rank
-    left = {code[rs.roots[i - r]] for i in pair.piece(1)}
+    code, r = rs.basis_codes, rs.rank
+    left = {code[i] for i in pair.piece(1)}
     columns, found, more = ad_support(pair, S), 0, True
     while more:
         more = False
@@ -263,7 +263,7 @@ def certified_rank(pair: VinbergPair, S: Sequence[int]) -> int:
             if len(hit) == 1:
                 left -= hit
                 found, more = found + 1, True
-    s = {code[rs.roots[i - r]]: rs.roots[i - r] for i in S}
+    s = {code[i]: rs.roots[i - r] for i in S}
     return found + rank(RationalMatrix([s[b] for b in left if b in s]))
 
 
@@ -272,13 +272,13 @@ def set_triple(rs: RootSystem, S: Sequence[int]) -> Sl2Triple:
     sum c_beta <beta', beta^vee> = 2 on S gives h = sum c_beta h_beta, e = sum e_beta and f = sum
     c_beta e_{-beta}, so [h, e] = 2e, [h, f] = -2f, and [e, f] = h as [e_beta, e_{-beta'}] is
     h_beta at beta = beta', else 0."""
-    r, n = rs.rank, len(rs.roots) + 2 * rs.rank - 1  # e_{-beta} at n - i for e_beta at i
+    r, code, index = rs.rank, rs.basis_codes, rs.basis_index
     roots = [rs.roots[i - r] for i in S]
-    coroots = [rs.coroots[b] for b in roots]
+    coroots = [rs.coroot(b) for b in roots]
     pairings = [[rs.pairing(b, j) for j in range(r)] for b in roots]  # <beta', alpha_j^vee>
     num, den = solve(RationalMatrix([sum(map(mul, v, p)) for v in coroots] for p in pairings), [2] * len(S))
     h = Element({k: sum(x * v[k] for x, v in zip(num, coroots)) for k in range(r)}, den)
-    return Sl2Triple(h=h, e=Element(dict.fromkeys(S, 1)), f=Element({n - i: x for i, x in zip(S, num)}, den))
+    return Sl2Triple(h=h, e=Element(dict.fromkeys(S, 1)), f=Element({index[-code[i]]: x for i, x in zip(S, num)}, den))
 
 
 def pair_rank(pair: VinbergPair) -> Q:
@@ -288,7 +288,9 @@ def pair_rank(pair: VinbergPair) -> Q:
 
 def jm_regular(pair: VinbergPair) -> bool:
     """Whether the pair's triple has h = 2*zeta.  Triples through e with h in g_0 are conjugate
-    under G_0^e, which fixes zeta, so that one triple decides and witnesses either verdict."""
+    under G_0^e, which fixes zeta, so that one triple decides and witnesses either verdict.  The gap:
+    zeta' = zeta - h/2 commutes with e, so B(zeta', h) = B([zeta', e], f) = 0 and zeta-pairing -
+    rank_T = B*(gamma, gamma) B(zeta', zeta') >= 0, zero exactly when h = 2*zeta."""
     return pair.triple().h == 2 * pair.zeta
 
 

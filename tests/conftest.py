@@ -10,7 +10,7 @@ from gradedlie.cli import cmd_verify_paper
 from gradedlie.grading import z_grading_from_labels
 from gradedlie.quiver import QuiverDims, labels_for_dims
 from gradedlie.rootsystem import LieType
-from oracles import dims_for_labels, from_sparse
+from oracles import basis_index, dims_for_labels, from_sparse
 
 # Property tests draw the same examples on every run and write no example
 # database; CLI examples can take a second, so there is no per-example deadline.
@@ -104,7 +104,7 @@ def embed_quiver_element(zg, dims: QuiverDims, elem):
                     i = dims.block_start(b) + c + 1
                     j = dims.block_start(b + 1) + a + 1
                     root = chain_root(i, j, alg.rank)
-                    coords[alg.root_index[root]] = Q(f[a][c])
+                    coords[basis_index(alg.rs, root)] = Q(f[a][c])
     return from_sparse(alg, coords)
 
 

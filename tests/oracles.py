@@ -1,12 +1,13 @@
 """Test-only helpers and oracles that no command of the package calls."""
 
 from fractions import Fraction as Q
+from itertools import product
 from math import gcd, lcm
-from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from gradedlie.cayley import CayleyData
 from gradedlie.chevalley import ChevalleyAlgebra, Element, Rational, StructureConstants, Terms
-from gradedlie.grading import RootGrading
+from gradedlie.grading import RootGrading, root_grading
 from gradedlie.linalg import RationalMatrix, Solution, rank, solve
 from gradedlie.quiver import (
     Multiplicities,
@@ -408,6 +409,21 @@ def toledo_rank(pair: VinbergPair, e: Element) -> Q:
     return pair.chi_t(jm_triple(pair, e).h) / 2
 
 
+# -- the Toledo gap in closed form (ROADMAP item 38) ------------------------------
+
+
+def zero_one_gradings(rs: RootSystem) -> Iterator[RootGrading]:
+    """The root-level grading of every nonzero {0,1}-labelling of the simple roots."""
+    return (root_grading(rs, labels) for labels in product((0, 1), repeat=rs.rank) if any(labels))
+
+
+def zeta_prime_norm(pair: VinbergPair, h: Element, norm: Q) -> Q:
+    """norm B(zeta', zeta') with zeta' = zeta - h/2 and zeta the pair's grading element: the
+    Toledo gap, zeta-pairing - rank_T, when h is the pair's triple's and norm is B*(gamma, gamma)."""
+    zeta_prime = pair.zeta - Q(1, 2) * h
+    return norm * normalized_form(pair.grading.rs, zeta_prime, zeta_prime)
+
+
 # -- the block-solve route to JM-regularity --------------------------------------
 
 
@@ -646,7 +662,7 @@ def fraction_normalized_form(alg: ChevalleyAlgebra, a: Sequence, b: Sequence) ->
     for i in range(r, alg.dim):
         if a[i]:
             alpha = rs.roots[i - r]
-            y = b[alg.root_index[tuple(-x for x in alpha)]]
+            y = b[basis_index(alg.rs, tuple(-x for x in alpha))]
             if y:
                 total += 2 * Q(a[i]) * y / rs.form_value(alpha, alpha)
     return total
@@ -660,7 +676,7 @@ def project(zg: RootGrading, v: Element, j: int) -> Element:
 
 def root_vector(alg: ChevalleyAlgebra, alpha: Root) -> Element:
     """The basis vector e_alpha."""
-    return from_sparse(alg, {alg.root_index[alpha]: Q(1)})
+    return from_sparse(alg, {basis_index(alg.rs, alpha): Q(1)})
 
 
 def basis_root(rs: RootSystem, index: int) -> Root:
@@ -668,9 +684,19 @@ def basis_root(rs: RootSystem, index: int) -> Root:
     return rs.roots[index - rs.rank]
 
 
+# The maps a RootSystem builds on first read; a root-level grading or kac job builds none.
+PER_ROOT_MAPS = ("basis_codes", "basis_index", "codes", "lengths")
+
+
+def basis_index(rs: RootSystem, alpha: Root) -> int:
+    """The basis index of e_alpha, the inverse of ``basis_root``: its position in ``rs.roots``
+    after h_1..h_r."""
+    return rs.rank + rs.roots.index(alpha)
+
+
 def coroot(rs: RootSystem, alpha: Root) -> Element:
     """h_alpha = alpha^vee in the basis: its integer simple-coroot coordinates."""
-    return Element(dict(enumerate(rs.coroots[alpha])))
+    return Element(dict(enumerate(rs.coroot(alpha))))
 
 
 ROOT_COUNTS = {

@@ -5,7 +5,7 @@ from fractions import Fraction as Q
 import pytest
 
 from conftest import quiver_grading
-from oracles import coordinate, dense, iso_character_all_pass, verify_intertwining
+from oracles import coordinate, dense, iso_character_all_pass, verify_intertwining, zero_one_gradings
 
 from gradedlie import cayley
 from gradedlie.cayley import _ad_powers, bracket_projection_test, cayley_pair
@@ -13,7 +13,8 @@ from gradedlie.chevalley import build_algebra
 from gradedlie.grading import z_grading_from_labels
 from gradedlie.linalg import independent_subset, rank
 from gradedlie.quiver import QuiverDims
-from gradedlie.rootsystem import LieType
+from gradedlie.rootsystem import LieType, build_root_system
+from gradedlie.vinberg import VinbergPair, jm_regular
 
 
 def _cayley(dims):
@@ -181,3 +182,19 @@ def test_degenerate_form_on_c_plus_v_is_refused():
     cd.c_basis = [cd.triple.e]
     with pytest.raises(AssertionError, match="^invariant form degenerate on c \\+ V$"):
         bracket_projection_test(cd)
+
+
+def test_cayley_dimensions_on_the_jm_regular_zero_one_gradings():
+    """On each JM-regular {0,1}-grading, dim c = dim g_0 - dim g_1, dim V = dim g_{1-m} and chi_T
+    vanishes on c (ROADMAP item 25): ad h = 2 ad zeta is 0 on g_0, so c is the kernel of ad e on g_0,
+    whose image is g_1 as the orbit is open; ad(e)^{m-1} is injective on g_{1-m}; and
+    B(h, x) = B(e, [f, x]) = 0 for x in c."""
+    regular = 0
+    for name in ["A2", "A3", "A4", "B2", "B3", "C3", "D4", "G2"]:
+        for zg in zero_one_gradings(build_root_system(LieType.parse(name))):
+            if jm_regular(VinbergPair(zg)):
+                cd, dims = cayley_pair(zg), zg.dims()
+                assert (cd.dim_c, cd.dim_v) == (dims[0] - dims[1], dims[1 - zg.depth]), (name, dims)
+                assert cd.chi_vanishes, (name, dims)
+                regular += 1
+    assert regular == 27

@@ -16,8 +16,8 @@ import pytest
 import gradedlie
 from conftest import quiver_grading
 from oracles import (
-    FractionConstants, basis_bracket, cartan_element, cocycle_signs, coroot, dense, fraction_coroot, from_sparse,
-    root_vector,
+    FractionConstants, basis_bracket, basis_index, cartan_element, cocycle_signs, coroot, dense, fraction_coroot,
+    from_sparse, root_vector,
 )
 
 from gradedlie import chevalley
@@ -56,7 +56,7 @@ def test_bracket_antisymmetry(sl3):
 
 def test_simple_root_bracket_unit(sl3):
     out = dense(sl3.bracket(root_vector(sl3, (1, 0)), root_vector(sl3, (0, 1))), sl3.dim)
-    idx = sl3.root_index[(1, 1)]
+    idx = basis_index(sl3.rs, (1, 1))
     assert out[idx] in (Q(1), Q(-1))
     assert all(v == 0 for i, v in enumerate(out) if i != idx)
 
@@ -193,7 +193,7 @@ def test_certificate_agrees_with_all_triples(name):
 
 
 def test_certificate_needs_an_alternating_table(sl3):
-    i, j = 0, sl3.root_index[(1, 0)]
+    i, j = 0, basis_index(sl3.rs, (1, 0))
     bad = with_entry(sl3, i, j, sl3._rows[i][j])
     bad._rows[i][j] = tuple((k, 2 * c) for k, c in bad._rows[i][j])  # one orientation only
     with pytest.raises(AssertionError, match="not alternating"):
@@ -202,7 +202,7 @@ def test_certificate_needs_an_alternating_table(sl3):
 
 def test_certificate_rejects_generators_that_do_not_span(sl2):
     # [e, f] = 0 leaves the solvable algebra h + <e, f>: Jacobi holds, h is never reached
-    e, f = sl2.root_index[(1,)], sl2.root_index[(-1,)]
+    e, f = basis_index(sl2.rs, (1,)), basis_index(sl2.rs, (-1,))
     bad = with_entry(sl2, e, f, [])
     assert all_triples_hold(bad)
     with pytest.raises(AssertionError, match="reach only 2 of 3"):
@@ -221,7 +221,7 @@ def test_relabelled_root_vectors_fail_the_cartan_certificate(name):
     longer matches the Cartan matrix."""
     alg = build_algebra(LieType.parse(name))
     r = alg.rank
-    p, q = (alg.root_index[tuple(-int(k == i) for k in range(r))] for i in (0, 1))
+    p, q = (basis_index(alg.rs, tuple(-int(k == i) for k in range(r))) for i in (0, 1))
     perm = list(range(alg.dim))
     perm[p], perm[q] = q, p
     bad = copy.copy(alg)
@@ -272,11 +272,11 @@ def test_simply_laced_table_is_the_cocycle_table(name):
         for beta in rs.roots:
             total = tuple(map(add, alpha, beta))
             sign = eps(alpha, beta) * signs[alpha] * signs[beta]
-            if total in alg.root_index:
-                expected[alg.root_index[beta]] = ((alg.root_index[total], sign * signs[total]),)
+            if total in alg.rs.codes:
+                expected[basis_index(alg.rs, beta)] = ((basis_index(alg.rs, total), sign * signs[total]),)
             elif not any(total):
-                expected[alg.root_index[beta]] = tuple((k, sign * c) for k, c in enumerate(rs.coroots[alpha]) if c)
-        row = alg.constants.rows[alg.root_index[alpha]]
+                expected[basis_index(alg.rs, beta)] = tuple((k, sign * c) for k, c in enumerate(rs.coroot(alpha)) if c)
+        row = alg.constants.rows[basis_index(alg.rs, alpha)]
         assert {col: terms for col, terms in row.items() if col >= r} == expected, alpha
 
 
@@ -285,7 +285,7 @@ def test_flipped_constant_has_no_cocycle_signs(name):
     """N_{alpha_i, alpha_j} of the first joined pair negated, in both orientations and nowhere else."""
     alg = build_algebra(LieType.parse(name))
     r = alg.rank
-    a, b = (alg.root_index[tuple(int(k == n) for k in range(r))] for n in joined_nodes(alg.rs)[0])
+    a, b = (basis_index(alg.rs, tuple(int(k == n) for k in range(r))) for n in joined_nodes(alg.rs)[0])
     rows = [dict(row) for row in alg.constants.rows]
     ((target, n),) = rows[a][b]
     rows[a][b], rows[b][a] = ((target, -n),), ((target, n),)
@@ -303,8 +303,8 @@ def test_cocycle_with_a_dropped_bond_has_no_signs(name):
 def positive_constants(constants: StructureConstants) -> dict:
     """N_{a,b} read off the rows on root codes, once per pair of positive roots a, b with a
     root sum, a before b in basis order."""
-    pos = [c for c in constants.index if c > 0]
-    return {(a, b): constants._value(a, b) for i, a in enumerate(pos) for b in pos[i + 1 :] if a + b in constants._ell}
+    pos, roots = [c for c in constants.rs.basis_codes if c > 0], constants.rs.lengths
+    return {(a, b): constants._value(a, b) for i, a in enumerate(pos) for b in pos[i + 1 :] if a + b in roots}
 
 
 def test_non_integral_constant_is_rejected(monkeypatch):
@@ -323,8 +323,8 @@ def test_non_integral_constant_is_rejected_under_python_dash_o():
         "from gradedlie.rootsystem import LieType, build_root_system\n"
         "rs = build_root_system(LieType.parse('B2'))\n"
         "c = StructureConstants(rs)\n"
-        "pos = [a for a in c.index if a > 0]\n"
-        "halves = [(a, b, Fraction(c._value(a, b), 2)) for a in pos for b in pos if a < b and a + b in c._ell]\n"
+        "pos = [a for a in rs.basis_codes if a > 0]\n"
+        "halves = [(a, b, Fraction(c._value(a, b), 2)) for a in pos for b in pos if a < b and a + b in rs.lengths]\n"
         "StructureConstants._fill = lambda self: [self._set(a, b, n) for a, b, n in halves]\n"
         "try:\n"
         "    ChevalleyAlgebra(rs)\n"
@@ -475,7 +475,7 @@ def _generates_record_code(node) -> bool:
 
 
 def test_no_dataclasses_in_src():
-    """Records are classes with ``__slots__`` and a written ``__init__``: importing the CLI
+    """Records are classes with a written ``__init__``: importing the CLI
     generates no code (a dataclass or a NamedTuple compiles methods or annotations as it is
     defined) and loads neither ``dataclasses`` nor ``inspect``."""
     package = Path(gradedlie.__file__).parent
@@ -530,7 +530,7 @@ def test_doubled_constant_fails_the_string_check(name):
     constants.verify_string_lengths()
     table = positive_constants(constants)
     a, b = max(table, key=lambda ab: abs(table[ab]))
-    y, z = constants.index[a], constants.index[b]
+    y, z = constants.rs.basis_index[a], constants.rs.basis_index[b]
     ((k, n),) = constants.rows[y][z]
     constants.rows[y][z], constants.rows[z][y] = ((k, 2 * n),), ((k, -2 * n),)
     with pytest.raises(AssertionError, match=r"^bad constant N\(\(.*\),\(.*\)\) = -?\d+, p = [1-3]$"):
@@ -547,9 +547,9 @@ def test_table_matches_structure_constants(name):
         for j, beta in enumerate(rs.roots):
             s = tuple(a + b for a, b in zip(alpha, beta))
             if not any(s):
-                expected = {k: c for k, c in enumerate(rs.coroots[alpha]) if c}
-            elif s in alg.root_index:
-                expected = {alg.root_index[s]: alg.constants._value(rs.codes[alpha], rs.codes[beta])}
+                expected = {k: c for k, c in enumerate(rs.coroot(alpha)) if c}
+            elif s in alg.rs.codes:
+                expected = {basis_index(alg.rs, s): alg.constants._value(rs.codes[alpha], rs.codes[beta])}
             else:
                 expected = {}
             got = basis_bracket(alg, r + i, r + j)
@@ -576,7 +576,7 @@ def test_integer_constants_match_fraction_oracle(name):
     assert table == {(a, b): oracle.value(a, b) for a, b in table}
     assert all(type(n) is int for n in table.values())
     for alpha in rs.roots:
-        coroot = rs.coroots[alpha]
+        coroot = rs.coroot(alpha)
         assert coroot == fraction_coroot(rs, alpha)
         assert all(type(c) is int for c in coroot)
         for beta in rs.roots:
@@ -596,13 +596,13 @@ def test_nonzero_pattern_is_the_root_sums(name):
     N e_{alpha+beta} with N != 0 exactly when alpha + beta is a root, h_alpha when beta = -alpha
     (its integer coroot), and zero otherwise."""
     alg = build_algebra(LieType.parse(name))
-    rs, index = alg.rs, alg.constants.index
+    rs, index = alg.rs, alg.rs.basis_index
     for a, c in rs.codes.items():
         row = alg._rows[index[c]]
         for d in rs.codes.values():
             terms = row.get(index[d])
             if c + d == 0:
-                assert terms == tuple((k, x) for k, x in enumerate(rs.coroots[a]) if x), a
+                assert terms == tuple((k, x) for k, x in enumerate(rs.coroot(a)) if x), a
             elif c + d in rs.lengths:
                 (k, n), = terms
                 assert k == index[c + d] and n != 0, (a, d)
@@ -622,7 +622,7 @@ def test_form_table_is_an_integer_symmetric_table(name):
     entries = {(i, j): t for i, row in enumerate(form_table(alg.rs)) for j, t in row}
     assert all(type(t) is int and t for t in entries.values())
     assert all(entries.get((j, i)) == t for (i, j), t in entries.items())
-    assert all((alg.root_index[a], alg.root_index[tuple(-x for x in a)]) in entries for a in alg.rs.roots)
+    assert all((basis_index(alg.rs, a), basis_index(alg.rs, tuple(-x for x in a))) in entries for a in alg.rs.roots)
     theta_vee = coroot(alg.rs, alg.rs.highest_root)
     assert normalized_form(alg.rs, theta_vee, theta_vee) == 2
 

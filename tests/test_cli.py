@@ -12,13 +12,14 @@ from pathlib import Path
 import pytest
 
 from conftest import SMALL_DIMS, dims_id
+from oracles import PER_ROOT_MAPS
 from replay import EXAMPLES, GOLDEN, slug
 
 from gradedlie import cli
 from gradedlie.cli import (
     COMMAND_FLAGS, COMMANDS, cmd_grading, cmd_kac, cmd_quiver, main, q_str, report_json, to_rational, usage,
 )
-from gradedlie.rootsystem import LieType, RootSystem, build_root_system
+from gradedlie.rootsystem import LieType, build_root_system
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -700,9 +701,7 @@ def test_root_level_reports_build_no_fraction(monkeypatch, handler, lie_type, la
     assert report == expected
     assert handler is cmd_kac or any("/" in x for x in report["results"]["zeta"])
     assert len(built) == 1
-    for name in ("codes", "lengths", "coroots"):
-        with pytest.raises(AttributeError):
-            getattr(RootSystem, name).__get__(built[0])  # the slot itself, not __getattr__
+    assert not set(PER_ROOT_MAPS) & set(vars(built[0]))
 
 
 def test_grading_job_builds_no_chevalley_algebra(monkeypatch, capsys):

@@ -12,8 +12,8 @@ from gradedlie.chevalley import Element, build_algebra
 from gradedlie.linalg import RationalMatrix, solve
 from conftest import DIAGRAM_AUTOMORPHISMS, moved_labels
 from oracles import (
-    affine_automorphisms, bar_pieces, basis_bracket, cartan_element, coordinate, dense, enumerated_lift, fractions_of,
-    from_sparse,
+    affine_automorphisms, bar_pieces, basis_bracket, basis_index, cartan_element, coordinate, dense, enumerated_lift,
+    fractions_of, from_sparse,
 )
 
 from gradedlie.grading import (
@@ -91,7 +91,7 @@ def test_root_level_grading_matches_the_bracket_table(name):
     eigenvalues of ad zeta on every basis vector, against ``root_grading``."""
     alg = build_algebra(LieType.parse(name))
     r = alg.rank
-    simple = [alg.root_index[tuple(int(k == l) for l in range(r))] for k in range(r)]
+    simple = [basis_index(alg.rs, tuple(int(k == l) for l in range(r))) for k in range(r)]
     ad_simple = RationalMatrix([[basis_bracket(alg, i, e).get(e, 0) for i in range(r)] for e in simple])
     basis = [from_sparse(alg, {i: 1}) for i in range(alg.dim)]
     for labels in product((0, 1), repeat=r):

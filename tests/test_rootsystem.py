@@ -2,17 +2,24 @@ from fractions import Fraction as Q
 
 import pytest
 
-from oracles import classical_root_count, dense_reflection_closure, form_affine_cartan_matrix
+from oracles import (
+    PER_ROOT_MAPS, classical_root_count, dense_reflection_closure, form_affine_cartan_matrix, fraction_coroot,
+    triple_parts,
+)
 
 from gradedlie import rootsystem
+from gradedlie.chevalley import ChevalleyAlgebra, build_algebra
+from gradedlie.cli import main
+from gradedlie.quaternionic import build_quaternionic
 from gradedlie.rootsystem import (
     LieType,
-    RootSystem,
     _positive_pass,
     affine_cartan_matrix,
     build_root_system,
     cartan_matrix,
+    form_table,
 )
+from gradedlie.vinberg import set_triple
 
 SMALL_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "C2", "C3", "D4", "G2", "F4", "E6"]
 
@@ -96,7 +103,7 @@ def test_coroot_table_pairs_roots(name):
     # <alpha_k, alpha^vee> = 2 (alpha_k, alpha) / (alpha, alpha) on simple roots
     rs = build_root_system(LieType.parse(name))
     for alpha in rs.roots:
-        coeffs = rs.coroots[alpha]
+        coeffs = rs.coroot(alpha)
         for k in range(rs.rank):
             simple = tuple(int(i == k) for i in range(rs.rank))
             lhs = sum(c * rs.pairing(simple, j) for j, c in enumerate(coeffs))
@@ -188,18 +195,75 @@ def test_length_classes_are_whole_with_gcd_one(name):
 
 
 def test_per_root_maps_are_filled_on_first_read():
-    """A fresh build leaves ``codes``, ``lengths`` and ``coroots`` unset; the first read
-    of one fills all three, and later reads are plain slot reads."""
+    """A fresh build holds none of the per-root maps; each is built on its own first read,
+    not with the others, and later reads find it in the instance."""
     rs = build_root_system.__wrapped__(LieType.parse("C3"))
-    for name in ("codes", "lengths", "coroots"):
-        with pytest.raises(AttributeError):
-            getattr(RootSystem, name).__get__(rs)  # the slot itself, not __getattr__
+    assert not set(PER_ROOT_MAPS) & set(vars(rs))
     assert rs.norm(rs.highest_root) == 2  # reads codes and lengths
-    for name in ("codes", "lengths", "coroots"):
-        assert getattr(RootSystem, name).__get__(rs) is getattr(rs, name)
-    assert list(rs.codes) == list(rs.coroots) == list(rs.roots)
-    with pytest.raises(AttributeError, match="^no_such_field$"):
+    assert {"codes", "lengths"} <= set(vars(rs)) and "basis_index" not in vars(rs)
+    for name in PER_ROOT_MAPS:
+        assert getattr(rs, name) is vars(rs)[name]
+    assert list(rs.codes) == list(rs.roots) == [rs.roots[i - rs.rank] for i in rs.basis_index.values()]
+    with pytest.raises(AttributeError, match="no_such_field"):
         rs.no_such_field
+
+
+LAYOUT_TYPES = (
+    [f"A{r}" for r in range(1, 9)]
+    + [f"{f}{r}" for f in "BC" for r in range(2, 9)]
+    + [f"D{r}" for r in range(4, 9)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
+
+
+@pytest.mark.parametrize("name", LAYOUT_TYPES)
+def test_basis_layout_has_one_owner(name):
+    """``basis_codes`` is h_1..h_r (code 0), then the codes in root order, each sum_k a_k 64^k;
+    ``basis_index`` inverts it and mirrors e_{-alpha} from e_alpha; each root row of the form
+    pairs i with ``basis_index[-basis_codes[i]]``; and ``coroot`` is the Fraction coroot."""
+    rs = build_root_system(LieType.parse(name))
+    r, n = rs.rank, len(rs.roots)
+    assert rs.basis_codes[:r] == (0,) * r
+    assert list(rs.basis_codes[r:]) == [rs.codes[a] for a in rs.roots]
+    assert list(rs.basis_codes[r:]) == [sum(x << 6 * k for k, x in enumerate(a)) for a in rs.roots]
+    assert sorted(rs.basis_index.items(), key=lambda item: item[1]) == list(zip(rs.basis_codes[r:], range(r, r + n)))
+    assert all(rs.basis_index[c] + rs.basis_index[-c] == 2 * r + n - 1 for c in rs.basis_codes[r:])
+    rows = form_table(rs)
+    assert all([j for j, _ in rows[i]] == [rs.basis_index[-rs.basis_codes[i]]] for i in range(r, r + n))
+    assert all(rs.coroot(a) == fraction_coroot(rs, a) for a in rs.roots)
+
+
+def reversed_codes(t: LieType):
+    """A fresh root system whose ``codes`` dict is filled in reversed insertion order before
+    any other map is built."""
+    mutant = build_root_system.__wrapped__(t)
+    mutant.codes = dict(reversed(build_root_system(t).codes.items()))
+    assert list(mutant.codes) != list(mutant.roots) and not {"basis_codes", "basis_index"} & set(vars(mutant))
+    return mutant
+
+
+@pytest.mark.parametrize("name", ["A2", "B3", "G2", "F4", "E6"])
+def test_codes_insertion_order_moves_no_basis_position(name):
+    """No basis position is read off the order of the ``codes`` dict: the table rows, the form
+    rows and each one-root triple of a root system whose ``codes`` run backwards are those of
+    the cached one."""
+    t = LieType.parse(name)
+    mutant, rs = reversed_codes(t), build_root_system(t)
+    assert ChevalleyAlgebra(mutant).constants.rows == build_algebra(t).constants.rows
+    assert form_table(mutant) == form_table(rs)
+    for i in range(rs.rank, rs.dim_algebra):
+        assert triple_parts(set_triple(mutant, [i])) == triple_parts(set_triple(rs, [i])), i
+
+
+def test_codes_insertion_order_leaves_the_quaternionic_report(monkeypatch, capsys):
+    assert main(["quaternionic", "--type", "F4"]) == 0
+    expected = capsys.readouterr().out
+    mutant = reversed_codes(LieType.parse("F4"))
+    monkeypatch.setattr("gradedlie.quaternionic.build_root_system", lambda t: mutant)
+    monkeypatch.setattr("gradedlie.cli.build_quaternionic", build_quaternionic.__wrapped__)
+    assert main(["quaternionic", "--type", "F4"]) == 0
+    assert capsys.readouterr().out == expected
+    assert "basis_index" in vars(mutant)  # the report was read off the mutant
 
 
 def test_equal_types_share_one_cache_entry():
@@ -225,7 +289,7 @@ def test_short_root_norms():
 def test_coroot_coefficients_integral(name):
     rs = build_root_system(LieType.parse(name))
     for alpha in rs.roots:
-        for c in rs.coroots[alpha]:
+        for c in rs.coroot(alpha):
             assert c.denominator == 1
 
 

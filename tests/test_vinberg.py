@@ -23,6 +23,7 @@ from conftest import (
     quiver_grading,
 )
 from oracles import (
+    basis_index,
     basis_root,
     block_jm_regular,
     cartan_element,
@@ -42,6 +43,8 @@ from oracles import (
     string_representative,
     toledo_rank,
     triple_parts,
+    zero_one_gradings,
+    zeta_prime_norm,
 )
 
 from gradedlie import quiver, vinberg
@@ -242,7 +245,7 @@ def test_sl2_certificate_survives_python_dash_o():
         "from gradedlie.rootsystem import LieType\n"
         "from gradedlie.vinberg import Sl2Triple\n"
         "alg = build_algebra(LieType.parse('A1'))\n"
-        "e, f = (Element({alg.root_index[a]: c}) for a, c in (((1,), 1), ((-1,), 2)))\n"
+        "e, f = (Element({alg.rank + alg.rs.roots.index(a): c}) for a, c in (((1,), 1), ((-1,), 2)))\n"
         "try:\n"
         "    Sl2Triple(h=Element({0: 1}), e=e, f=f).verify(alg)\n"
         "except AssertionError as exc:\n"
@@ -401,9 +404,9 @@ def test_root_set_triple_is_explicit(name):
         roots = [basis_root(alg.rs, i) for i in triple.e.num]
         assert set(triple.e.num.values()) == {1} and triple.e.den == 1, labels
         assert rank(RationalMatrix(roots)) == len(roots), labels
-        assert not any(tuple(map(sub, a, b)) in alg.root_index for a in roots for b in roots), labels
+        assert not any(tuple(map(sub, a, b)) in alg.rs.codes for a in roots for b in roots), labels
         assert orbit_dimension(pair, triple.e) == len(pair.piece(1)), labels
-        c = {a: coordinate(triple.f, alg.root_index[tuple(-x for x in a)]) for a in roots}
+        c = {a: coordinate(triple.f, basis_index(alg.rs, tuple(-x for x in a))) for a in roots}
         assert len(triple.f.num) == len(roots), labels
         assert triple.h == sum((c[a] * coroot(alg.rs, a) for a in roots), Element()), labels
         triple.verify(alg)
@@ -541,7 +544,7 @@ def test_graded_pair_reads_one_grading_at_each_degree(name, labels):
         assert pair.grading is zg
         assert all(pair.piece(j) == zg.piece(j * pair.degree) for j in range(-m, m + 1))
         assert pair.zeta * pair.degree == zg.zeta
-        assert alg.root_index[pair.gamma] in pair.piece(1)
+        assert basis_index(alg.rs, pair.gamma) in pair.piece(1)
         assert all(alg.rs.length_class(basis_root(alg.rs, i)) <= alg.rs.length_class(pair.gamma) for i in pair.piece(1))
 
 
@@ -801,3 +804,31 @@ def test_mutant_skipping_the_cartan_block_is_rejected(monkeypatch):
     monkeypatch.setattr(vinberg, "rank", lambda m: 0)
     assert root_set_triple(VinbergPair(root_grading(build_root_system(LieType.parse("A2")), [1, 1]))) is None
     assert mutant_is_rejected()
+
+
+GAP_TYPES = ["A2", "A3", "A4", "A5", "B2", "B3", "B4", "C3", "D4", "G2", "F4"]
+
+
+def test_toledo_gap_is_the_norm_of_zeta_prime():
+    """On every one/top/low pair of the {0,1}-gradings, zeta-pairing - rank_T = B*(gamma, gamma)
+    B(zeta', zeta') >= 0 with zeta' = zeta - h/2, and it is zero exactly on the JM-regular pairs
+    (ROADMAP item 38).  B*(gamma, gamma) is held to the form on the piece's roots, and the identity
+    must fail with gamma taken short and with h taken from the triple of another degree's pair."""
+    pairs = regular = short_fails = swapped_fails = 0
+    for name in GAP_TYPES:
+        rs = build_root_system(LieType.parse(name))
+        shortest = min(rs.norm(a) for a in rs.roots)
+        for zg in zero_one_gradings(rs):
+            graded = GradedPair(zg)
+            degrees = [graded.one] + ([graded.top] if graded.top is not graded.one else []) + [graded.low]
+            for pair, other in zip(degrees, degrees[1:] + degrees[:1]):
+                at = (name, zg.dims(), pair.degree)
+                assert pair.norm == max(rs.form_value(a, a) for a in (basis_root(rs, i) for i in pair.piece(1)))
+                h, gap = pair.triple().h, pair.zeta_pairing() - pair_rank(pair)
+                assert gap == zeta_prime_norm(pair, h, pair.norm) >= 0, at
+                assert (gap == 0) == jm_regular(pair), at
+                pairs, regular = pairs + 1, regular + (gap == 0)
+                short_fails += gap != zeta_prime_norm(pair, h, shortest)
+                swapped_fails += gap != zeta_prime_norm(pair, other.triple().h, pair.norm)
+    assert (pairs, regular) == (342, 88)
+    assert short_fails and swapped_fails

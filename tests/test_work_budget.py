@@ -3,11 +3,14 @@ job, each in a fresh interpreter (``work_count.py``), held to ``work_budget.json
 
 A count is exact and the same under every hash seed, so it resolves changes that a
 timed run cannot.  It is comparable only on one interpreter version, so budgets are
-keyed by minor version and other versions skip; 3.11 counts ``sys.settrace`` opcode
-events, 3.12 and 3.13 ``sys.monitoring`` instruction events.  Each budget was the
+keyed by minor version and other versions skip; 3.10 and 3.11 count ``sys.settrace``
+opcode events, 3.12 and 3.13 ``sys.monitoring`` instruction events.  Each budget was the
 job's count when it was recorded plus 1 %; a change that lowers a count may lower its
 budget, and raising one is a bound change.  The 3.11 counts were taken on 3.11.7 and
-agree exactly on 3.11.2; the 3.12 and 3.13 counts were taken on 3.12.1 and 3.13.0.
+agree exactly on 3.11.2; the 3.12 and 3.13 counts were taken on 3.12.1 and 3.13.0.  The
+3.10 counts were taken on 3.10.13 by running ``work_count.py`` directly: pytest could not
+start on that interpreter, which lacked its ``exceptiongroup`` dependency, so the two tests
+below were called there as plain functions (with a stand-in ``pytest`` module) and passed.
 Other patch releases are unchecked, and the stdlib code a job runs (``fractions``,
 ``json``'s indenting encoder) could differ there.
 """
