@@ -13,8 +13,8 @@ writer, adds the Cartan action from the root pass's pairing vectors and the
 coroots [e_alpha, e_-alpha] = h_alpha.
 
 Roots enter as their integer codes, so the constants, the table and its
-certificate add, negate and compare ints, not root tuples; a code reaches its
-row through ``RootSystem.basis_index``, the root system's basis layout.
+certificate add, negate and compare ints, not root tuples; a code reaches its row through
+``RootSystem.basis_index`` and a row its root through ``basis_roots``, the basis layout's owner.
 Constants, norm ratios and coroots are Python ints by Chevalley's theorem; a
 division with a remainder raises AssertionError.  The bracket table stores
 [b_i, b_j] for both orientations of every pair with a nonzero bracket, as
@@ -35,9 +35,9 @@ The build certifies the table before returning, at every dimension: |N| = p+1 on
 every special pair of the rows; the Jacobi identity, as ad_g is a derivation for each
 generator g in {e_1, ..., e_r, f_theta} and iterated brackets of those generators reach
 every basis vector (``ChevalleyAlgebra._verify_jacobi``); then the Cartan action, row h_i
-against column i of the Cartan matrix, not the writer's pass (``_verify_cartan_action``).
-The string certificate holds N != 0 exactly when alpha + beta is a root, as
-``vinberg.certified_rank`` trusts.
+against ``RootSystem.basis_values`` of column i of the Cartan matrix, not the writer's pass
+(``_verify_cartan_action``).  The string certificate holds N != 0 exactly when alpha + beta
+is a root, as ``vinberg.certified_rank`` trusts.
 """
 
 from __future__ import annotations
@@ -45,9 +45,7 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction as Q
 from functools import lru_cache
-from itertools import repeat
 from math import gcd, lcm
-from operator import add, mul
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .linalg import RationalMatrix, kernel_basis
@@ -154,14 +152,15 @@ class StructureConstants:
                 self._set(a, b, exact_div(-(t1 + t2), n_neg))
 
     def _fill_cartan(self):
-        """Write [h_i, e_alpha] = <alpha, alpha_i^vee> e_alpha in root order, from the root pass's
-        pairing vectors (negated for a negative root), and [e_alpha, e_-alpha] = h_alpha."""
+        """Write [h_i, e_alpha] = <alpha, alpha_i^vee> e_alpha and its mirror at e_-alpha for each positive
+        root, from the root pass's pairing vectors, and [e_alpha, e_-alpha] = h_alpha."""
         rs, index, put = self.rs, self.rs.basis_index, self._put
-        pos = [pairing for _, _, pairing in rs.root_data]
-        for col, (sign, pairing) in enumerate([(-1, p) for p in reversed(pos)] + [(1, p) for p in pos], rs.rank):
+        for code, _, pairing in rs.root_data:
+            col, mirror = index[code], index[-code]
             for i, c in enumerate(pairing):
                 if c:
-                    put(i, col, ((col, sign * c),))
+                    put(i, col, ((col, c),))
+                    put(i, mirror, ((mirror, -c),))
         for alpha in rs.positive_roots:
             put(index[c := rs.codes[alpha]], index[-c], tuple((k, x) for k, x in enumerate(rs.coroot(alpha)) if x))
 
@@ -200,7 +199,7 @@ class StructureConstants:
         return terms[0][1]
 
     def _root(self, code: int) -> Root:
-        return self.rs.roots[self.rs.basis_index[code] - self.rs.rank]
+        return self.rs.basis_roots[self.rs.basis_index[code]]
 
     def verify_string_lengths(self):
         """|N_{alpha,beta}| = p+1 on each entry [e_alpha, e_beta] = N e_{alpha+beta} of the rows with
@@ -386,18 +385,11 @@ class ChevalleyAlgebra:
 
     def _verify_cartan_action(self):
         """Row h_i is {e_alpha: <alpha, alpha_i^vee> e_alpha} over the nonzero pairings, with
-        no Cartan key, each pairing read off column i of the Cartan matrix (the writer reads
-        the root pass's pairing vectors).  On the alternating table this fixes ad h for h in the Cartan.
-        Each pairing sums only the column's nonzero entries c_ki, at most four: c_ki times
-        coordinate k, added over all roots at once."""
-        roots, r = self.rs.roots, self.rank
-        coords = list(zip(*roots))  # coords[k]: coordinate k of every root
+        no Cartan key, each pairing sum_k a_k c_ki read off column i of the Cartan matrix by
+        ``RootSystem.basis_values`` (the writer reads the root pass's pairing vectors).  On the
+        alternating table this fixes ad h for h in the Cartan."""
         for i, column in enumerate(zip(*self.rs.cartan)):
-            pairings = [0] * len(roots)
-            for k, c in enumerate(column):
-                if c:
-                    pairings = list(map(add, pairings, map(mul, coords[k], repeat(c))))
-            if self._rows[i] != {col: ((col, c),) for col, c in enumerate(pairings, r) if c}:
+            if self._rows[i] != {col: ((col, c),) for col, c in enumerate(self.rs.basis_values(column)) if c}:
                 raise AssertionError(f"the Cartan action on h_{i} differs from the Cartan matrix")
 
 

@@ -10,8 +10,8 @@ n_k of the highest root and n_0 = 1.
 Both read only the root system, so neither needs a bracket table:
 ``root_grading`` gives a Z-grading's pieces, zeta and root system, and certifies
 alpha(zeta) = deg alpha on every root, and ``ZmGrading`` is a Z/mZ-grading's one
-record: its labels, m, pieces and order warning; the pieces, and the certificate,
-each take one walk over the positive roots.  The pieces hold Chevalley basis
+record: its labels, m, pieces and order warning; the pieces, and the certificate, read
+the basis's degrees off ``RootSystem.basis_values``.  The pieces hold Chevalley basis
 indices, so an algebra of the root system reads the grading as it is: its build
 certifies the Cartan action, so ad zeta acts on g_alpha by alpha(zeta).
 
@@ -67,17 +67,10 @@ class RootGrading:
         return {j: len(idx) for j, idx in sorted(self.pieces.items())}
 
 
-def _root_values(rs: RootSystem, p: Sequence[int]) -> List[int]:
-    """sum a_k p_k at each root position, from one walk over the positive roots (negatives first, mirrored)."""
-    positive = [sum(map(mul, alpha, p)) for alpha in rs.roots[len(rs.roots) // 2 :]]
-    return [-v for v in reversed(positive)] + positive
-
-
 def _pieces(rs: RootSystem, p: Sequence[int], m: int = 0) -> Dict[int, Tuple[int, ...]]:
-    """Degree (mod m when m > 0) -> basis indices: the Cartan in degree 0, then
-    the root at position i as basis index rank + i in degree sum a_k p_k."""
-    pieces: Dict[int, List[int]] = {0: list(range(rs.rank))}
-    for idx, deg in enumerate(_root_values(rs, p), rs.rank):
+    """Degree (mod m when m > 0) -> basis indices, by ``RootSystem.basis_values``: the Cartan in degree 0."""
+    pieces: Dict[int, List[int]] = {}
+    for idx, deg in enumerate(rs.basis_values(p)):
         pieces.setdefault(deg % m if m else deg, []).append(idx)
     return {j: tuple(idx) for j, idx in pieces.items()}
 
@@ -112,7 +105,7 @@ def _verify_root_grading(rs: RootSystem, g: RootGrading):
         raise AssertionError("the pieces do not hold each basis index once")
     # alpha_k(D zeta) = sum_i n_i <alpha_k, alpha_i^vee> for each simple root alpha_k
     simple = [sum(n * rs.cartan[k][i] for i, n in num.items()) for k in range(r)]
-    values = [0] * r + _root_values(rs, simple)  # alpha(D zeta) at each basis index
+    values = rs.basis_values(simple)  # alpha(D zeta) at each basis index
     for j, idx in g.pieces.items():
         for i in idx:
             if values[i] != j * den:

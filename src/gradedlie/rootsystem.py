@@ -13,8 +13,9 @@ root in whose Weyl orbit the pass reached it.  The invariant form, normalised
 so that the highest root has squared length 2, is read off them:
 (alpha_i, alpha_j) = c_ij ell_j / L, so a root's norm is 2 ell(alpha) / L, and
 ``form_value`` and ``norm`` build one Fraction each, and ``coroot`` one coroot.
-The Chevalley basis layout (h_1..h_r, then e_alpha in root order) lives only in
-``RootSystem.basis_codes`` and ``basis_index``; each per-root map is built on its first read.
+The Chevalley basis layout (h_1..h_r, then e_alpha in root order) lives only in ``RootSystem``: in
+``basis_codes``, ``basis_roots``, ``basis_index`` and ``basis_values(p)``, the one evaluation of
+sum_k a_k p_k on the basis; each per-root map is built on its first read.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from __future__ import annotations
 from fractions import Fraction as Q
 from functools import cached_property, lru_cache
 from math import gcd
-from operator import neg
-from typing import Dict, List, Tuple
+from operator import mul, neg
+from typing import Dict, List, Sequence, Tuple
 
 Root = Tuple[int, ...]
 
@@ -123,8 +124,8 @@ def cartan_matrix(t: LieType) -> List[List[int]]:
 
 class RootSystem:
     """The roots of one type.  ``root_data`` holds (code, length class, (<alpha, alpha_k^vee>)_k) of each
-    positive root in root order; from it come ``basis_codes`` (basis index -> root code, 0 on h_1..h_r),
-    its inverse ``basis_index``, ``codes`` (root -> code) and ``lengths`` (code -> length class)."""
+    positive root in root order; from it come ``basis_codes`` (basis index -> root code, 0 on h_1..h_r), its
+    inverse ``basis_index``, ``codes`` (root -> code), ``lengths`` (code -> class); ``basis_roots`` reads ``roots``."""
 
     def __init__(
         self, lie_type: LieType, cartan: Tuple[Tuple[int, ...], ...], roots: Tuple[Root, ...],
@@ -139,6 +140,10 @@ class RootSystem:
     def basis_codes(self) -> Tuple[int, ...]:
         positive = [c for c, _, _ in self.root_data]  # root order puts the negatives first, mirrored
         return (0,) * self.rank + tuple(map(neg, reversed(positive))) + tuple(positive)
+
+    @cached_property
+    def basis_roots(self) -> Tuple[Root, ...]:
+        return ((),) * self.rank + self.roots
 
     @cached_property
     def basis_index(self) -> Dict[int, int]:
@@ -160,6 +165,11 @@ class RootSystem:
     def dim_algebra(self) -> int:
         return self.rank + len(self.roots)
 
+    def basis_values(self, p: Sequence[int]) -> List[int]:
+        """sum_k a_k p_k at each basis index, 0 on the Cartan: one walk over the positive roots, mirrored."""
+        positive = [sum(map(mul, alpha, p)) for alpha in self.roots[len(self.roots) // 2 :]]
+        return [0] * self.rank + [-v for v in reversed(positive)] + positive
+
     def pairing(self, alpha: Root, j: int) -> int:
         """Integer pairing <alpha, alpha_j^vee>."""
         return sum(alpha[i] * self.cartan[i][j] for i in range(self.rank))
@@ -179,8 +189,8 @@ class RootSystem:
         return Q(2 * self.length_class(alpha), self.long_class)
 
     def coroot(self, alpha: Root) -> Tuple[int, ...]:
-        """alpha^vee = sum_i a_i ell(alpha_i) / ell(alpha) alpha_i^vee of a root, certified integral."""
-        c = self.length_class(alpha)
+        """alpha^vee = sum_i a_i ell_i / ell(alpha) alpha_i^vee, certified integral (ell = L at the highest root)."""
+        c = self.long_class if alpha == self.highest_root else self.length_class(alpha)
         return tuple(exact_div(x * e, c) if x else 0 for x, e in zip(alpha, self.simple_classes))
 
 
@@ -283,10 +293,10 @@ def affine_cartan_matrix(rs: RootSystem) -> List[List[int]]:
     """Cartan matrix on nodes 0..r with alpha_0 = -highest root, in integers.
 
     Row a holds <a, alpha_j^vee> = ``pairing(a, j)`` on the simple nodes, and
-    <a, alpha_0^vee> = -<a, beta^vee> = -sum_k beta^vee_k <a, alpha_k^vee>, where
-    beta^vee_k = beta_k ell(alpha_k) / L since beta is long.
+    <a, alpha_0^vee> = -<a, beta^vee> = -sum_k beta^vee_k <a, alpha_k^vee>, with beta^vee
+    the ``coroot`` of the highest root beta.
     """
-    beta_vee = [exact_div(x * e, rs.long_class) for x, e in zip(rs.highest_root, rs.simple_classes)]
+    beta_vee = rs.coroot(rs.highest_root)
     alpha0 = tuple(-x for x in rs.highest_root)
     rows = [[rs.pairing(alpha0, j) for j in range(rs.rank)]] + [list(row) for row in rs.cartan]
     return [[-sum(t * p for t, p in zip(beta_vee, row))] + row for row in rows]

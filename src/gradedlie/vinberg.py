@@ -17,11 +17,11 @@ classes, and B*(gamma, gamma) is the pair's one ``norm``, which chi_T and the du
 The trace-of-ad Killing form's dual norm (``killing_dual_norm``) is kept as an independent
 oracle, so tests can assert that independence exactly.
 
-A root-set triple reads no bracket table, and its openness certificate reads no sign: it
-trusts that N_{alpha,beta} != 0 exactly when alpha + beta is a root, in a Chevalley basis
-(Chevalley's theorem, |N| = p + 1; Humphreys, *Introduction to Lie Algebras*, 25.2).  Every
-built table's |N| = p + 1 certificate holds that fact there, and the tests hold the tables'
-nonzero patterns to it on A2-E8.
+A root-set triple reads no bracket table, only ``RootSystem``'s basis layout, and its openness
+certificate reads no sign: it trusts that N_{alpha,beta} != 0 exactly when alpha + beta is a root,
+in a Chevalley basis (Chevalley's theorem, |N| = p + 1; Humphreys, *Introduction to Lie Algebras*,
+25.2).  Every built table's |N| = p + 1 certificate holds that fact there, and the tests hold the
+tables' nonzero patterns to it on A2-E8.
 
 ``GradedPair`` is the one record of a depth-m grading's (G_0, g_1 + g_{1-m}) pair: the grading
 read at degrees 1, m-1 and 1-m, off which its Toledo ranks, dual factor and AMW interval are read;
@@ -92,7 +92,7 @@ class VinbergPair:
         rs = grading.rs
         self.grading, self.degree = grading, degree
         self.zeta = grading.zeta * Q(1, degree)
-        self.gamma = max((rs.roots[i - rs.rank] for i in self.piece(1)), key=rs.length_class)  # the first longest
+        self.gamma = max((rs.basis_roots[i] for i in self.piece(1)), key=rs.length_class)  # the first longest
         self.norm = rs.norm(self.gamma)  # B*(gamma, gamma) = 2 ell(gamma) / L, read by the Toledo data
         self._triple: Optional[Sl2Triple] = None
 
@@ -222,8 +222,8 @@ def root_set_triple(pair: VinbergPair) -> Optional[Sl2Triple]:
     (height, root) order, then the others from the lowest up, keeping each that is no root
     away from those kept and raises the certified rank."""
     rs = pair.grading.rs
-    code, r = rs.basis_codes, rs.rank
-    top = sorted(pair.piece(1), key=lambda i: (sum(rs.roots[i - r]), rs.roots[i - r]), reverse=True)
+    code, roots = rs.basis_codes, rs.basis_roots
+    top = sorted(pair.piece(1), key=lambda i: (sum(roots[i]), roots[i]), reverse=True)
     target = len(top)
     for first in top:
         chosen, dim = [], 0
@@ -244,7 +244,7 @@ def ad_support(pair: VinbergPair, S: Sequence[int]) -> list:
     rs = pair.grading.rs
     code = rs.basis_codes
     s = [code[i] for i in S]
-    return [{b + a for b in s if b + a in rs.lengths} for a in (code[i] for i in pair.piece(0)[rs.rank :])]
+    return [{b + a for b in s if b + a in rs.lengths} for a in filter(None, map(code.__getitem__, pair.piece(0)))]
 
 
 def certified_rank(pair: VinbergPair, S: Sequence[int]) -> int:
@@ -253,7 +253,7 @@ def certified_rank(pair: VinbergPair, S: Sequence[int]) -> int:
     its row and adds one; then the Cartan block of the rows left in S, -<beta, alpha_i^vee>, adds
     its rank, that of their roots."""
     rs = pair.grading.rs
-    code, r = rs.basis_codes, rs.rank
+    code = rs.basis_codes
     left = {code[i] for i in pair.piece(1)}
     columns, found, more = ad_support(pair, S), 0, True
     while more:
@@ -263,7 +263,7 @@ def certified_rank(pair: VinbergPair, S: Sequence[int]) -> int:
             if len(hit) == 1:
                 left -= hit
                 found, more = found + 1, True
-    s = {code[i]: rs.roots[i - r] for i in S}
+    s = {code[i]: rs.basis_roots[i] for i in S}
     return found + rank(RationalMatrix([s[b] for b in left if b in s]))
 
 
@@ -273,7 +273,7 @@ def set_triple(rs: RootSystem, S: Sequence[int]) -> Sl2Triple:
     c_beta e_{-beta}, so [h, e] = 2e, [h, f] = -2f, and [e, f] = h as [e_beta, e_{-beta'}] is
     h_beta at beta = beta', else 0."""
     r, code, index = rs.rank, rs.basis_codes, rs.basis_index
-    roots = [rs.roots[i - r] for i in S]
+    roots = [rs.basis_roots[i] for i in S]
     coroots = [rs.coroot(b) for b in roots]
     pairings = [[rs.pairing(b, j) for j in range(r)] for b in roots]  # <beta', alpha_j^vee>
     num, den = solve(RationalMatrix([sum(map(mul, v, p)) for v in coroots] for p in pairings), [2] * len(S))
@@ -290,7 +290,11 @@ def jm_regular(pair: VinbergPair) -> bool:
     """Whether the pair's triple has h = 2*zeta.  Triples through e with h in g_0 are conjugate
     under G_0^e, which fixes zeta, so that one triple decides and witnesses either verdict.  The gap:
     zeta' = zeta - h/2 commutes with e, so B(zeta', h) = B([zeta', e], f) = 0 and zeta-pairing -
-    rank_T = B*(gamma, gamma) B(zeta', zeta') >= 0, zero exactly when h = 2*zeta."""
+    rank_T = B*(gamma, gamma) B(zeta', zeta') >= 0, zero exactly when h = 2*zeta.  The classification:
+    h = 2*zeta makes twice the labels the weighted Dynkin diagram of G.e, with labels in {0, 1, 2}; a halved
+    even diagram's g_1 is its g_2, which G.e meets in the open G_0-orbit.  So the JM-regular degree-1 gradings
+    are exactly the halved nonzero even weighted Dynkin diagrams, and none has a label >= 2
+    (Collingwood-McGovern, *Nilpotent Orbits in Semisimple Lie Algebras*, 1993, chs. 3 and 5)."""
     return pair.triple().h == 2 * pair.zeta
 
 

@@ -424,6 +424,60 @@ def zeta_prime_norm(pair: VinbergPair, h: Element, norm: Q) -> Q:
     return norm * normalized_form(pair.grading.rs, zeta_prime, zeta_prime)
 
 
+# -- even nilpotent orbits from partitions (ROADMAP item 38) -------------------------------
+# Collingwood-McGovern, *Nilpotent Orbits in Semisimple Lie Algebras* (1993), ch. 5: the
+# nilpotent orbits of a classical algebra on C^N are the partitions of N under the family's
+# multiplicity rule, and an orbit's weighted Dynkin diagram is read off the sorted eigenvalues
+# of h, k - 1, k - 3, ..., 1 - k on each part k.
+
+
+def partitions(n: int, largest: Optional[int] = None) -> Iterator[Tuple[int, ...]]:
+    """The partitions of n, parts non-increasing and at most ``largest``."""
+    if n == 0:
+        yield ()
+    for k in range(min(n, largest or n), 0, -1):
+        for rest in partitions(n - k, k):
+            yield (k,) + rest
+
+
+def multiplicity_rule(family: str, parts: Tuple[int, ...]) -> bool:
+    """In so_N (B, D) each even part, in sp_N (C) each odd part, has even multiplicity; A has no rule."""
+    parity = {"B": 0, "D": 0, "C": 1}.get(family)
+    return parity is None or all(parts.count(k) % 2 == 0 for k in set(parts) if k % 2 == parity)
+
+
+def very_even(family: str, parts: Tuple[int, ...]) -> bool:
+    """A D partition with every part even: two orbits, swapped by the diagram symmetry alpha_{r-1} <-> alpha_r."""
+    return family == "D" and all(k % 2 == 0 for k in parts)
+
+
+def even_diagrams(t: LieType) -> set:
+    """The nonzero even weighted Dynkin diagrams of a type in A-D, as Bourbaki labels: with
+    h_1 >= h_2 >= ... the sorted eigenvalues of h, alpha_i = h_i - h_{i+1}, and the last label
+    is h_r in B, 2 h_r in C and h_{r-1} + h_r in D (h_{r-1} - h_r on a very even partition's
+    second orbit)."""
+    r, family = t.rank, t.family
+    size = {"A": r + 1, "B": 2 * r + 1, "C": 2 * r, "D": 2 * r}[family]
+    found = set()
+    for parts in partitions(size):
+        if not multiplicity_rule(family, parts):
+            continue
+        h = sorted((k - 1 - 2 * j for k in parts for j in range(k)), reverse=True)
+        steps = [a - b for a, b in zip(h, h[1:])]
+        if family == "A":
+            diagrams = [steps]
+        elif family == "B":
+            diagrams = [steps[: r - 1] + [h[r - 1]]]
+        elif family == "C":
+            diagrams = [steps[: r - 1] + [2 * h[r - 1]]]
+        else:
+            diagrams = [steps[: r - 1] + [h[r - 2] + h[r - 1]]]
+            if very_even(family, parts):
+                diagrams.append(steps[: r - 2] + [h[r - 2] + h[r - 1], steps[r - 2]])
+        found.update(tuple(d) for d in diagrams if any(d) and all(x % 2 == 0 for x in d))
+    return found
+
+
 # -- the block-solve route to JM-regularity --------------------------------------
 
 
@@ -685,7 +739,7 @@ def basis_root(rs: RootSystem, index: int) -> Root:
 
 
 # The maps a RootSystem builds on first read; a root-level grading or kac job builds none.
-PER_ROOT_MAPS = ("basis_codes", "basis_index", "codes", "lengths")
+PER_ROOT_MAPS = ("basis_codes", "basis_roots", "basis_index", "codes", "lengths")
 
 
 def basis_index(rs: RootSystem, alpha: Root) -> int:

@@ -1,10 +1,15 @@
+import ast
+import random
 from fractions import Fraction as Q
+from operator import mul
+from pathlib import Path
+from typing import List
 
 import pytest
 
 from oracles import (
     PER_ROOT_MAPS, classical_root_count, dense_reflection_closure, form_affine_cartan_matrix, fraction_coroot,
-    triple_parts,
+    basis_root, triple_parts,
 )
 
 from gradedlie import rootsystem
@@ -220,7 +225,10 @@ LAYOUT_TYPES = (
 def test_basis_layout_has_one_owner(name):
     """``basis_codes`` is h_1..h_r (code 0), then the codes in root order, each sum_k a_k 64^k;
     ``basis_index`` inverts it and mirrors e_{-alpha} from e_alpha; each root row of the form
-    pairs i with ``basis_index[-basis_codes[i]]``; and ``coroot`` is the Fraction coroot."""
+    pairs i with ``basis_index[-basis_codes[i]]``; ``coroot`` is the Fraction coroot;
+    ``basis_roots`` is () on h_1..h_r and inverts ``basis_index`` on the roots; and
+    ``basis_values(p)`` is sum_k a_k p_k through ``oracles.basis_root`` (0 on the Cartan), on
+    each Cartan column and on three seeded random label vectors."""
     rs = build_root_system(LieType.parse(name))
     r, n = rs.rank, len(rs.roots)
     assert rs.basis_codes[:r] == (0,) * r
@@ -231,6 +239,68 @@ def test_basis_layout_has_one_owner(name):
     rows = form_table(rs)
     assert all([j for j, _ in rows[i]] == [rs.basis_index[-rs.basis_codes[i]]] for i in range(r, r + n))
     assert all(rs.coroot(a) == fraction_coroot(rs, a) for a in rs.roots)
+    assert rs.basis_roots[:r] == ((),) * r
+    assert all(rs.basis_index[rs.codes[a]] == i for i, a in enumerate(rs.basis_roots) if a)
+    rng = random.Random(name)
+    for p in list(zip(*rs.cartan)) + [[rng.randint(-3, 3) for _ in range(r)] for _ in range(3)]:
+        expected = [sum(map(mul, basis_root(rs, i), p)) if i >= r else 0 for i in range(r + n)]
+        assert rs.basis_values(p) == expected, p
+
+
+def _layout_reads(source: str) -> List[int]:
+    """The lines of Python source that work out the basis layout themselves: a ``.roots[...]``
+    subscript, a ``[rank:]`` slice or an ``enumerate(..., rank)``, where rank is ``rank``, ``r``
+    or ``name.rank`` (``rs.rank``, ``self.rank``).  ``chevalley``'s ``pos[self.rs.rank :]`` is
+    not one: it skips the simple roots of the positive roots in height order, not the Cartan."""
+
+    def is_rank(node) -> bool:
+        return (isinstance(node, ast.Name) and node.id in ("rank", "r")) or (
+            isinstance(node, ast.Attribute) and node.attr == "rank" and isinstance(node.value, ast.Name)
+        )
+
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Subscript):
+            sl = node.slice
+            if (isinstance(node.value, ast.Attribute) and node.value.attr == "roots") or (
+                isinstance(sl, ast.Slice) and is_rank(sl.lower) and sl.upper is None
+            ):
+                lines.add(node.lineno)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "enumerate":
+            start = node.args[1:] + [k.value for k in node.keywords if k.arg == "start"]
+            if any(map(is_rank, start)):
+                lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_no_module_but_rootsystem_works_out_the_basis_layout():
+    """Basis index -> root, and the root values on the basis, are read from ``RootSystem``
+    (``basis_roots``, ``basis_codes``, ``basis_index``, ``basis_values``) in every other module."""
+    package = Path(rootsystem.__file__).parent
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "rootsystem.py"
+        for line in _layout_reads(path.read_text())
+    ]
+    assert found == []
+
+
+def test_layout_reads_are_found():
+    """The source test finds each form it looks for, and nothing in code that reads the layout
+    from ``RootSystem``."""
+    sample = (
+        "a = rs.roots[i - r]\n"
+        "b = piece[rs.rank :]\n"
+        "c = codes[rank:]\n"
+        "for i, x in enumerate(values, r): pass\n"
+        "for i, x in enumerate(values, start=self.rank): pass\n"
+        "d = rs.basis_roots[i]\n"
+        "for g in pos[self.rs.rank :]: pass\n"
+        "e = gram[:r]\n"
+        "for i, x in enumerate(values): pass\n"
+    )
+    assert _layout_reads(sample) == [1, 2, 3, 4, 5]
 
 
 def reversed_codes(t: LieType):

@@ -22,6 +22,7 @@ from conftest import (
     moved_labels,
     quiver_grading,
 )
+import oracles
 from oracles import (
     basis_index,
     basis_root,
@@ -31,6 +32,7 @@ from oracles import (
     coordinate,
     coroot,
     dense,
+    even_diagrams,
     fraction_bracket,
     fraction_normalized_form,
     from_sparse,
@@ -832,3 +834,37 @@ def test_toledo_gap_is_the_norm_of_zeta_prime():
                 swapped_fails += gap != zeta_prime_norm(pair, other.triple().h, pair.norm)
     assert (pairs, regular) == (342, 88)
     assert short_fails and swapped_fails
+
+
+EVEN_TYPES = [f"A{r}" for r in range(1, 8)] + [f"{f}{r}" for f in "BC" for r in range(2, 6)] + ["D4", "D5", "D6"]
+
+
+def jm_regular_zero_one_labels(name: str) -> set:
+    """The nonzero {0,1}-labels whose degree-1 pair is JM-regular."""
+    rs = build_root_system(LieType.parse(name))
+    zero_one = (p for p in product((0, 1), repeat=rs.rank) if any(p))
+    return {p for p in zero_one if jm_regular(VinbergPair(root_grading(rs, p)))}
+
+
+def halved_even_diagrams(name: str) -> set:
+    return {tuple(x // 2 for x in d) for d in even_diagrams(LieType.parse(name))}
+
+
+def test_jm_regular_zero_one_gradings_are_the_halved_even_diagrams(monkeypatch):
+    """The JM-regular {0,1}-gradings are exactly the halved nonzero even weighted Dynkin diagrams
+    (ROADMAP item 38), counted from partitions by ``oracles.even_diagrams``; the counts are the
+    ROADMAP's.  Without the very even doubling (D4, D6), or without the orthogonal (B, D)
+    even-multiplicity rule (D4-D6), the partitions give another set.  On B that rule changes no
+    even diagram: a partition of 2r + 1 it rejects has an odd part too, and so odd labels."""
+    regular = {name: jm_regular_zero_one_labels(name) for name in EVEN_TYPES}
+    for name in EVEN_TYPES:
+        assert regular[name] == halved_even_diagrams(name), name
+    counts = [len(regular[n]) for n in ["A2", "A3", "A4", "A5", "A6", "B2", "B3", "B4", "C3", "C4", "D4", "D5"]]
+    assert counts == [1, 3, 2, 6, 4, 2, 4, 7, 4, 6, 9, 9]
+    with monkeypatch.context() as m:
+        m.setattr(oracles, "very_even", lambda family, parts: False)
+        assert any(regular[name] != halved_even_diagrams(name) for name in EVEN_TYPES)
+    with monkeypatch.context() as m:
+        rule = oracles.multiplicity_rule
+        m.setattr(oracles, "multiplicity_rule", lambda family, parts: family in "BD" or rule(family, parts))
+        assert any(regular[name] != halved_even_diagrams(name) for name in EVEN_TYPES)
