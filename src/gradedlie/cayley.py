@@ -6,13 +6,14 @@ of interest is the centralizer c of the triple inside g_0 and the subspace
 V = ad(e)^{m-1}(g_{1-m}) of g_0.  Since every ad(h)-eigenvalue lies in
 [2(1-m), 2(m-1)], each vector of g_{1-m} is a lowest-weight vector of a
 (2m-1)-dimensional irreducible sl2-module, so V is exactly the degree-0 slice
-of the span of those modules and ad(e)^{m-1} is injective on g_{1-m}.  One
-chain of ad(e) powers on g_{1-m} gives the transport and the module bound;
-``cayley_pair`` raises unless the transport has rank dim g_{1-m}, so every
-``CayleyData`` maps g_{1-m} onto V invertibly.  ``CayleyData.chi_vanishes``
-says whether chi_T vanishes on c.  It cannot be False on a correct build, as
-h = 2*zeta and B(h, x) = B(e, [f, x]) = 0 for x in c; it stays as a certificate
-of the code.
+of the span of those modules and ad(e)^{m-1} is injective on g_{1-m}.  Each
+basis vector b of g_{1-m} starts one chain b, [e, b], [e, [e, b]], ... of
+exactly 2m - 1 ``bracket`` calls: a nonzero ad(e)^{2m-1} b breaks the module
+bound, and ad(e)^{m-1} b is b's vector of V.  ``cayley_pair`` raises unless
+those vectors have rank dim g_{1-m}, so every ``CayleyData`` maps g_{1-m} onto
+V invertibly.  ``CayleyData.chi_vanishes`` says whether chi_T vanishes on c.
+It cannot be False on a correct build, as h = 2*zeta and B(h, x) =
+B(e, [f, x]) = 0 for x in c; it stays as a certificate of the code.
 
 The projection test decomposes [v, v'] for v, v' in V along
 c + V + (orthogonal complement in g_0), and returns the first projection
@@ -29,7 +30,7 @@ an element's numerators (``dense_num``), and so do reports (``cli.element_strs``
 from __future__ import annotations
 
 from operator import mul
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional
 
 from .chevalley import ChevalleyAlgebra, Element
 from .grading import RootGrading
@@ -73,34 +74,17 @@ def cayley_pair(zg: RootGrading, seed: int = 0) -> CayleyData:
         raise ValueError("degree-1 pair is not JM-regular; no Cayley data")
     m = zg.depth
     c_basis = alg.centralizer([triple.h, triple.e, triple.f], zg.piece(0))
-    low = zg.piece(1 - m)
-    powers = list(_ad_powers(alg, triple.e, low))  # finite: ad(e) raises the degree by one
-    if len(powers) > 2 * m - 1:  # module-dimension bound: ad(e)^{2m-1} kills the lowest piece
-        raise AssertionError("sl2-module longer than 2m-1 detected")
-    if len(powers) < m or rank(powers[m - 1][1]) != len(low):
+    v_basis: List[Element] = []
+    for b in zg.piece(1 - m):
+        chain = [Element({b: 1})]
+        for _ in range(2 * m - 1):  # bounded, so a faulty table cannot make it run forever
+            chain.append(alg.bracket(triple.e, chain[-1]))
+        if chain[-1]:  # module-dimension bound: ad(e)^{2m-1} kills the lowest piece
+            raise AssertionError("sl2-module longer than 2m-1 detected")
+        v_basis.append(chain[m - 1])
+    if rank(RationalMatrix([v.dense_num(alg.dim) for v in v_basis], alg.dim)) != len(v_basis):
         raise AssertionError("transport map is not injective on the lowest piece")
-    support, transport = powers[m - 1]
-    den = triple.e.den ** (m - 1)  # transport = (e.den ad_e)^{m-1}
-    v_basis = [Element({k: row[j] for k, row in zip(support, transport)}, den) for j in range(len(low))]
     return CayleyData(pair=pair, triple=triple, c_basis=c_basis, v_basis=v_basis)
-
-
-def _ad_powers(
-    alg: ChevalleyAlgebra, e: Element, domain: Sequence[int]
-) -> Iterator[Tuple[List[int], RationalMatrix]]:
-    """(e.den ad(e))^n on span(domain), over all of g, for n = 0, 1, ... while it
-    is nonzero, each one ``ad_block`` step from the last: (support, integer rows).
-
-    Row r is the coordinate of b_{support[r]}; basis vectors outside the
-    support have zero coordinates in every image.
-    """
-    support = list(domain)
-    power = RationalMatrix([int(i == j) for j in range(len(domain))] for i in range(len(domain)))
-    while support:
-        yield support, power
-        power = alg.ad_block(e, support, range(alg.dim)).matmul(power)
-        support = [k for k, row in enumerate(power) if any(row)]
-        power = RationalMatrix((power[k] for k in support), len(domain))
 
 
 class BracketProjection:

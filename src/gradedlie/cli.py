@@ -44,6 +44,12 @@ from .vinberg import jm_regular
 SCHEMA_VERSION = 1
 VERSION = __version__
 FORMATS = ("json", "text")
+# Size bounds, read off (family, rank) before anything is built; times in process, Python 3.11.7
+# on 2 shared cores.  Root-level jobs: grading --type A200 (40 200 roots) 1.80 s, quaternionic
+# --type A200 1.73 s, amw 1.44 s, kac 1.00 s.
+ROOT_BOUND = 40_200
+# cayley builds the bracket table: cayley --type A20 (dim 440) 1.08 s, A30 (dim 960) 13 s.
+TABLE_BOUND = 440
 
 
 def ratio_str(num: int, den: int) -> str:
@@ -170,10 +176,22 @@ def make_report(command: str, inputs: Dict[str, Any], results: Dict[str, Any], c
     }
 
 
+def check_size(lie_type: LieType, table: bool = False) -> None:
+    """Refuse a type past its job's size bound: TABLE_BOUND on dim g for a job that builds
+    the bracket table, else ROOT_BOUND on the number of roots."""
+    roots = lie_type.root_count
+    dim = roots + lie_type.rank
+    if table and dim > TABLE_BOUND:
+        raise ValueError(f"{lie_type} has dimension {dim}, past the bracket table's bound of {TABLE_BOUND}")
+    if roots > ROOT_BOUND:
+        raise ValueError(f"{lie_type} has {roots} roots, past the bound of {ROOT_BOUND} roots")
+
+
 # -- command handlers: typed fields as keyword arguments ----------------------
 
 
 def cmd_grading(lie_type: LieType, labels: List[int], **_) -> Dict[str, Any]:
+    check_size(lie_type)
     check_labels(labels, lie_type.rank)
     rs = build_root_system(lie_type)
     g = root_grading(rs, labels)
@@ -186,6 +204,7 @@ def cmd_grading(lie_type: LieType, labels: List[int], **_) -> Dict[str, Any]:
 
 
 def cmd_kac(lie_type: LieType, labels: List[int], **_) -> Dict[str, Any]:
+    check_size(lie_type)
     check_labels(labels, lie_type.rank, affine=True)
     rs = build_root_system(lie_type)
     zm = ZmGrading(rs, labels)
@@ -237,6 +256,7 @@ def cmd_toledo(dims: List[int], degrees: List[int], genus: int, **_) -> Dict[str
 
 
 def cmd_amw(lie_type: LieType, genus: int, lam: Q, **_) -> Dict[str, Any]:
+    check_size(lie_type)
     graded = build_quaternionic(lie_type)
     lower, upper = graded.interval(genus, lam)
     report = make_report(
@@ -250,6 +270,7 @@ def cmd_amw(lie_type: LieType, genus: int, lam: Q, **_) -> Dict[str, Any]:
 
 
 def cmd_quaternionic(lie_type: LieType, seed: int, **_) -> Dict[str, Any]:
+    check_size(lie_type)
     graded = build_quaternionic(lie_type)
     rp, rm = graded.ranks()
     extremes = jm_regular(graded.top) and jm_regular(graded.low)
@@ -288,6 +309,7 @@ def cmd_cayley(
     else:
         check_labels(labels, lie_type.rank)
         inputs = {"lie_type": str(lie_type), "labels": labels}
+    check_size(lie_type, table=True)
     cd = cayley_pair(root_grading(build_root_system(lie_type), labels), seed)
     witness = bracket_projection_test(cd)
     results = {

@@ -69,6 +69,13 @@ class LieType:
     def __str__(self):
         return f"{self.family}{self.rank}"
 
+    @property
+    def root_count(self) -> int:
+        """|Phi| = rank * Coxeter number, in closed form, so a size bound needs no root built."""
+        n = self.rank
+        coxeter = {"A": n + 1, "B": 2 * n, "C": 2 * n, "D": 2 * n - 2, "F": 12, "G": 6}.get(self.family)
+        return n * (coxeter or (12, 18, 30)[n - 6])  # E6, E7, E8
+
     @classmethod
     def parse(cls, text: str) -> "LieType":
         """A family letter, either case, followed by ASCII digits and nothing else."""

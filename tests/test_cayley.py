@@ -8,10 +8,10 @@ from conftest import quiver_grading
 from oracles import coordinate, dense, iso_character_all_pass, verify_intertwining, zero_one_gradings
 
 from gradedlie import cayley
-from gradedlie.cayley import _ad_powers, bracket_projection_test, cayley_pair
-from gradedlie.chevalley import build_algebra
+from gradedlie.cayley import bracket_projection_test, cayley_pair
+from gradedlie.chevalley import ChevalleyAlgebra, Element, build_algebra
 from gradedlie.grading import z_grading_from_labels
-from gradedlie.linalg import independent_subset, rank
+from gradedlie.linalg import RationalMatrix, independent_subset, rank
 from gradedlie.quiver import QuiverDims
 from gradedlie.rootsystem import LieType, build_root_system
 from gradedlie.vinberg import VinbergPair, jm_regular
@@ -77,13 +77,21 @@ def test_dim_v_equals_lowest_piece(dims):
 
 @pytest.mark.parametrize("dims", [(1, 1), (1, 1, 1), (2, 2, 2), (1, 2, 1), (1, 3, 1)])
 def test_ad_powers_chain_spans_the_modules(dims):
-    """Each lowest-piece vector starts a (2m-1)-dimensional module, so the chain of
-    ad(e) powers has 2m-1 terms, each injective on the lowest piece."""
+    """Each lowest-piece vector b starts a (2m-1)-dimensional module: its chain b, [e, b], ...
+    is nonzero up to ad(e)^{2m-2} b and zero at ad(e)^{2m-1} b, each power is injective on
+    the lowest piece, and V's vector for b is ad(e)^{m-1} b."""
     cd = _cayley(dims)
-    low = cd.pair.piece(1 - cd.pair.grading.depth)
-    powers = list(_ad_powers(cd.algebra, cd.triple.e, low))
-    assert len(powers) == 2 * cd.pair.grading.depth - 1
-    assert all(rank(rows) == len(low) for _, rows in powers)
+    alg, e, m = cd.algebra, cd.triple.e, cd.pair.grading.depth
+    chains = []
+    for b in cd.pair.piece(1 - m):
+        chain = [Element({b: 1})]
+        for _ in range(2 * m - 1):
+            chain.append(alg.bracket(e, chain[-1]))
+        chains.append(chain)
+    assert all(all(chain[:-1]) and not chain[-1] for chain in chains)
+    for n in range(2 * m - 1):
+        assert rank(RationalMatrix([chain[n].dense_num(alg.dim) for chain in chains])) == len(chains)
+    assert cd.v_basis == [chain[m - 1] for chain in chains]
 
 
 @pytest.mark.parametrize("dims", [(1, 1, 1), (2, 2, 2), (1, 2, 1)])
@@ -142,15 +150,23 @@ def test_triple_uses_twice_zeta():
 # the raise it provokes is removed.
 
 
+def fault_after_triple(monkeypatch, fault):
+    """Once ``cayley_pair`` has its triple, ``bracket`` returns ``fault([a, b], b)``; only the
+    ad(e) chains bracket after that, as the centralizer solves on ``ad_block``."""
+    complete, bracket = cayley.complete_triple, ChevalleyAlgebra.bracket
+
+    def complete_then_fault(*args):
+        triple = complete(*args)
+        monkeypatch.setattr(ChevalleyAlgebra, "bracket", lambda alg, a, b: fault(bracket(alg, a, b), b))
+        return triple
+
+    monkeypatch.setattr(cayley, "complete_triple", complete_then_fault)
+
+
 def test_module_longer_than_2m_minus_1_fails_the_bound(monkeypatch):
-    """A chain of ad(e) powers with one term past ad(e)^{2m-2}."""
-    powers = cayley._ad_powers
-
-    def one_power_too_many(alg, e, domain):
-        chain = list(powers(alg, e, domain))
-        return chain + chain[-1:]
-
-    monkeypatch.setattr(cayley, "_ad_powers", one_power_too_many)
+    """A table on which ad(e) kills nothing: a zero bracket [e, x] comes back as x, so
+    ad(e)^{2m-1} of a lowest-piece vector is not zero."""
+    fault_after_triple(monkeypatch, lambda x, b: x or b)
     with pytest.raises(AssertionError, match="^sl2-module longer than 2m-1 detected$"):
         _cayley((1, 1, 1))
 
@@ -158,12 +174,12 @@ def test_module_longer_than_2m_minus_1_fails_the_bound(monkeypatch):
 @pytest.mark.parametrize("fault", ["rank one short", "chain stops before ad(e)^(m-1)"])
 def test_transport_that_is_not_injective_is_refused(monkeypatch, fault):
     """The check behind the report's ``iso_invertible``: a transport of rank below
-    dim g_{1-m}, or no ad(e)^{m-1} at all, raises."""
+    dim g_{1-m}, or a chain that dies after one bracket at m = 3, raises."""
     if fault == "rank one short":
         monkeypatch.setattr(cayley, "rank", lambda rows: rank(rows) - 1)
     else:
-        powers = cayley._ad_powers
-        monkeypatch.setattr(cayley, "_ad_powers", lambda alg, e, domain: list(powers(alg, e, domain))[:1])
+        low = set(quiver_grading(QuiverDims((2, 2, 2))).piece(-2))
+        fault_after_triple(monkeypatch, lambda x, b: x if b.num.keys() <= low else Element())
     with pytest.raises(AssertionError, match="^transport map is not injective on the lowest piece$"):
         _cayley((2, 2, 2))
 

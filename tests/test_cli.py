@@ -15,7 +15,7 @@ from conftest import SMALL_DIMS, dims_id
 from oracles import PER_ROOT_MAPS
 from replay import EXAMPLES, GOLDEN, slug
 
-from gradedlie import cli
+from gradedlie import cli, quaternionic
 from gradedlie.cli import (
     COMMAND_FLAGS, COMMANDS, cmd_grading, cmd_kac, cmd_quiver, main, q_str, report_json, to_rational, usage,
 )
@@ -331,6 +331,13 @@ def case_id(argv) -> str:
         ["verify-paper", "--extended", "--extended"],
         ["quiver", "--dims", "2,2", "--format", "json", "--format=text"],
         ["cayley", "--dims", "2,2", "--seed", "1", "--seed", "1"],
+        # past a size bound, refused before the label count is checked
+        ["grading", "--type", "A201", "--labels", "1"],
+        ["kac", "--type", "B142", "--labels", "1"],
+        ["quaternionic", "--type", "C142"],
+        ["amw", "--type", "D143", "--genus", "2"],
+        ["cayley", "--dims", "11,11"],
+        ["cayley", "--type", "B15", "--labels", "1,0,0,0,0,0,0,0,0,0,0,0,0,0,0"],
     ],
     ids=case_id,
 )
@@ -379,7 +386,32 @@ REJECTED_LINES = {
     "grading --type A2 --type G2 --labels 1,0": "error: --type given twice",
     "grading --type A2 --labels=1,1 --labels 1,0": "error: --labels given twice",
     "verify-paper --extended --extended": "error: --extended given twice",
+    "grading --type A201 --labels 1": "error: A201 has 40602 roots, past the bound of 40200 roots",
+    "kac --type B142 --labels 1": "error: B142 has 40328 roots, past the bound of 40200 roots",
+    "quaternionic --type C142": "error: C142 has 40328 roots, past the bound of 40200 roots",
+    "amw --type D143 --genus 2": "error: D143 has 40612 roots, past the bound of 40200 roots",
+    "cayley --dims 11,11": "error: A21 has dimension 483, past the bracket table's bound of 440",
+    "cayley --type B15 --labels 1,0,0,0,0,0,0,0,0,0,0,0,0,0,0":
+        "error: B15 has dimension 465, past the bracket table's bound of 440",
 }
+
+
+@pytest.mark.parametrize(
+    "argv", [case.split() for case in REJECTED_LINES if "bound of" in REJECTED_LINES[case]], ids=case_id
+)
+def test_size_bound_refuses_before_any_root_is_built(monkeypatch, capsys, argv):
+    def no_build(*_):
+        raise AssertionError("build_root_system ran")
+
+    for module in (cli, quaternionic):
+        monkeypatch.setattr(module, "build_root_system", no_build)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == REJECTED_LINES[" ".join(argv)] + "\n"
+
+
+def test_the_largest_admitted_types_have_their_bound():
+    assert LieType("A", 200).root_count == cli.ROOT_BOUND
+    assert LieType("A", 20).root_count + 20 == cli.TABLE_BOUND
 
 
 @pytest.mark.parametrize("command", ["amw", "grading", "kac", "quiver", "toledo"])
@@ -497,6 +529,7 @@ TRACER_ONLY = {
     "vinberg.killing_dual_norm",
     "vinberg.jm_triple",
     "quiver.rank_tuple",
+    "linalg.RationalMatrix.matmul",  # only jm_triple and rank_tuple call it
 }
 NEVER_ENTERED = TRACER_ONLY | {
     "quiver._check_shapes",  # only rank_tuple calls it
