@@ -15,11 +15,12 @@ V invertibly.  ``CayleyData.chi_vanishes`` says whether chi_T vanishes on c.
 It cannot be False on a correct build, as h = 2*zeta and B(h, x) =
 B(e, [f, x]) = 0 for x in c; it stays as a certificate of the code.
 
-The projection test decomposes [v, v'] for v, v' in V along
-c + V + (orthogonal complement in g_0), and returns the first projection
-that is not inside c; the pair (c, V) is a theta-pair candidate when there
-is none.  Orthogonality and the projection do not change when the invariant
-form is rescaled, so both use the integer sums of ``vinberg.form_numerator``.
+c is the kernel of ad e on g_0: h = 2*zeta is 0 on g_0, so a vector there killed by
+e is a highest-weight vector of weight 0, which f kills too.  So the theta-pair test
+takes two brackets, x = [v, v'] and [e, x], per pair of V: (c, V) is a candidate when
+every [e, x] is 0, else the first x outside c, split along c + V + (orthogonal
+complement in g_0) by the test's one Gram solve, is the witness.  The split does not
+change when the form is rescaled, so it uses the sums of ``vinberg.form_numerator``.
 
 c, V, the triple and each projection's parts are ``chevalley.Element``s: the
 parts are sums of scaled basis numerators, and the remainder is the bracket
@@ -29,6 +30,7 @@ an element's numerators (``dense_num``), and so do reports (``cli.element_strs``
 
 from __future__ import annotations
 
+from itertools import combinations
 from operator import mul
 from typing import List, Optional
 
@@ -73,7 +75,7 @@ def cayley_pair(zg: RootGrading, seed: int = 0) -> CayleyData:
     if triple is None:
         raise ValueError("degree-1 pair is not JM-regular; no Cayley data")
     m = zg.depth
-    c_basis = alg.centralizer([triple.h, triple.e, triple.f], zg.piece(0))
+    c_basis = alg.centralizer([triple.e], zg.piece(0))
     v_basis: List[Element] = []
     for b in zg.piece(1 - m):
         chain = [Element({b: 1})]
@@ -98,10 +100,10 @@ class BracketProjection:
 
 
 def bracket_projection_test(cd: CayleyData) -> Optional[BracketProjection]:
-    """Decompose each [v, v'] in turn over c + V + orthogonal complement in g_0; the first
-    projection that is not inside c, or None when (c, V) is a theta-pair candidate.
-    The decomposition is unique only where the form is nondegenerate on c + V, so a
-    singular Gram raises AssertionError before any bracket is taken."""
+    """The split over c + V + orthogonal complement in g_0 of the first [v, v'] outside c,
+    that is with [e, [v, v']] != 0, or None when (c, V) is a theta-pair candidate.  The
+    split is unique, so its V-part or remainder is nonzero; it is unique only where the form
+    is nondegenerate on c + V, so a singular Gram raises before any bracket is taken."""
     alg = cd.algebra
     basis = cd.c_basis + cd.v_basis
     if basis and len(independent_subset([b.dense_num(alg.dim) for b in basis])) != len(basis):
@@ -109,16 +111,13 @@ def bracket_projection_test(cd: CayleyData) -> Optional[BracketProjection]:
     gram = RationalMatrix([[form_numerator(alg.rs, a, b) for b in basis] for a in basis])
     if rank(gram) != len(basis):
         raise AssertionError("invariant form degenerate on c + V")
-    numerators = [Element(b.num) for b in basis]
-    for i in range(len(cd.v_basis)):
-        for j in range(i + 1, len(cd.v_basis)):
-            x = alg.bracket(cd.v_basis[i], cd.v_basis[j])
+    for i, j in combinations(range(cd.dim_v), 2):
+        x = alg.bracket(cd.v_basis[i], cd.v_basis[j])
+        if alg.bracket(cd.triple.e, x):
             # one solution, as the Gram is nonsingular; the part along b is y_b b.num / x.den
             num, den = solve(gram, [form_numerator(alg.rs, u, x) for u in basis])
-            c_sum = sum(map(mul, num[: cd.dim_c], numerators[: cd.dim_c]), Element())
-            v_sum = sum(map(mul, num[cd.dim_c :], numerators[cd.dim_c :]), Element())
+            c_sum = sum(map(mul, num[: cd.dim_c], [Element(b.num) for b in cd.c_basis]), Element())
+            v_sum = sum(map(mul, num[cd.dim_c :], [Element(b.num) for b in cd.v_basis]), Element())
             c_part, v_part = Element(c_sum.num, den * x.den), Element(v_sum.num, den * x.den)
-            proj = BracketProjection(i, j, c_part, v_part, x - c_part - v_part)
-            if proj.v_part or proj.rest_part:
-                return proj
+            return BracketProjection(i, j, c_part, v_part, x - c_part - v_part)
     return None

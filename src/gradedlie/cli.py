@@ -50,6 +50,10 @@ FORMATS = ("json", "text")
 ROOT_BOUND = 40_200
 # cayley builds the bracket table: cayley --type A20 (dim 440) 1.08 s, A30 (dim 960) 13 s.
 TABLE_BOUND = 440
+# cayley's theta-pair test brackets each pair of V, whose dimension is that of g_{1-m}: cayley
+# --dims 9,9 (81) 2.1-2.3 s, --type C12 --labels 0,...,0,1 (78) 1.4-1.9 s; past the bound,
+# --dims 10,10 (100) 4.4-4.9 s, C14 (105) 3.0-3.9 s.
+LOWEST_PIECE_BOUND = 81
 
 
 def ratio_str(num: int, den: int) -> str:
@@ -310,7 +314,11 @@ def cmd_cayley(
         check_labels(labels, lie_type.rank)
         inputs = {"lie_type": str(lie_type), "labels": labels}
     check_size(lie_type, table=True)
-    cd = cayley_pair(root_grading(build_root_system(lie_type), labels), seed)
+    zg = root_grading(build_root_system(lie_type), labels)
+    lowest = len(zg.piece(1 - zg.depth))
+    if lowest > LOWEST_PIECE_BOUND:
+        raise ValueError(f"the lowest piece has dimension {lowest}, past the theta-pair bound of {LOWEST_PIECE_BOUND}")
+    cd = cayley_pair(zg, seed)
     witness = bracket_projection_test(cd)
     results = {
         "dim_c": cd.dim_c,

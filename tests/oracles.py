@@ -2,10 +2,11 @@
 
 from fractions import Fraction as Q
 from itertools import product
+from operator import mul
 from math import gcd, lcm
 from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from gradedlie.cayley import CayleyData
+from gradedlie.cayley import BracketProjection, CayleyData
 from gradedlie.chevalley import ChevalleyAlgebra, Element, Rational, StructureConstants, Terms
 from gradedlie.grading import RootGrading, root_grading
 from gradedlie.linalg import RationalMatrix, Solution, rank, solve
@@ -21,7 +22,7 @@ from gradedlie.quiver import (
     rank_tuple,
 )
 from gradedlie.rootsystem import LieType, Root, RootSystem, affine_cartan_matrix
-from gradedlie.vinberg import Sl2Triple, VinbergPair, jm_triple, killing_dual_norm, normalized_form
+from gradedlie.vinberg import Sl2Triple, VinbergPair, form_numerator, jm_triple, killing_dual_norm, normalized_form
 
 Vector = Tuple[Q, ...]
 
@@ -844,3 +845,25 @@ def verify_intertwining(cd: CayleyData) -> bool:
             if transport(alg.bracket(c, x)) != alg.bracket(c, transport(x)):
                 return False
     return True
+
+
+def per_pair_projection_test(cd: CayleyData) -> Optional[BracketProjection]:
+    """The theta-pair test by a fresh solve per pair: each [v, v'] in turn is split over
+    c + V + orthogonal complement in g_0 by the Gram system of c + V, and the first split
+    with a nonzero V-part or remainder is returned; None when every bracket lies in c.
+    ``cayley.bracket_projection_test`` decides membership in c by [e, [v, v']] = 0 and
+    solves only for the witness.  The Gram must be nonsingular (that function's check)."""
+    alg = cd.algebra
+    basis = cd.c_basis + cd.v_basis
+    gram = RationalMatrix([[form_numerator(alg.rs, a, b) for b in basis] for a in basis])
+    numerators = [Element(b.num) for b in basis]
+    for i in range(cd.dim_v):
+        for j in range(i + 1, cd.dim_v):
+            x = alg.bracket(cd.v_basis[i], cd.v_basis[j])
+            num, den = solve(gram, [form_numerator(alg.rs, u, x) for u in basis])
+            c_sum = sum(map(mul, num[: cd.dim_c], numerators[: cd.dim_c]), Element())
+            v_sum = sum(map(mul, num[cd.dim_c :], numerators[cd.dim_c :]), Element())
+            c_part, v_part = Element(c_sum.num, den * x.den), Element(v_sum.num, den * x.den)
+            if v_part or x - c_part - v_part:
+                return BracketProjection(i, j, c_part, v_part, x - c_part - v_part)
+    return None

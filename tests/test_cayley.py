@@ -1,18 +1,21 @@
 import fractions
 import sys
 from fractions import Fraction as Q
+from functools import lru_cache
 
 import pytest
 
-from conftest import quiver_grading
-from oracles import coordinate, dense, iso_character_all_pass, verify_intertwining, zero_one_gradings
+from conftest import SMALL_DIMS, dims_id, quiver_grading
+from oracles import (coordinate, dense, iso_character_all_pass, per_pair_projection_test, verify_intertwining,
+                     zero_one_gradings)
 
 from gradedlie import cayley
 from gradedlie.cayley import bracket_projection_test, cayley_pair
+from gradedlie.checks import _chain_222
 from gradedlie.chevalley import ChevalleyAlgebra, Element, build_algebra
 from gradedlie.grading import z_grading_from_labels
 from gradedlie.linalg import RationalMatrix, independent_subset, rank
-from gradedlie.quiver import QuiverDims
+from gradedlie.quiver import QuiverDims, quiver_jm_regular
 from gradedlie.rootsystem import LieType, build_root_system
 from gradedlie.vinberg import VinbergPair, jm_regular
 
@@ -214,3 +217,71 @@ def test_cayley_dimensions_on_the_jm_regular_zero_one_gradings():
                 assert cd.chi_vanishes, (name, dims)
                 regular += 1
     assert regular == 27
+
+
+# The theta-pair test against its per-pair oracle.  Mutants of ``bracket_projection_test`` that
+# these tests kill: the membership test inverted (``not alg.bracket(e, x)``), [h, x] tested in
+# place of [e, x] (h = 2*zeta is 0 on g_0, so every pair would pass), and the witness returned
+# with zero parts.  Testing [f, x], or [e, x] and [f, x] both, is no fault but the same test:
+# on g_0 the kernels of ad e, of ad f and of both are c.
+CENSUS = ["A2", "A3", "A4", "A5", "B2", "B3", "B4", "C3", "D4", "G2", "F4"]
+
+
+@lru_cache(maxsize=None)
+def census_pairs():
+    """The Cayley data of every JM-regular {0,1}-grading of the census types."""
+    return [
+        (name, cayley_pair(zg))
+        for name in CENSUS
+        for zg in zero_one_gradings(build_root_system(LieType.parse(name)))
+        if jm_regular(VinbergPair(zg))
+    ]
+
+
+def _verdict(proj):
+    """A projection as comparable data: the pair and its three parts, or None."""
+    return proj and (proj.v_index, proj.v_prime_index, proj.c_part, proj.v_part, proj.rest_part)
+
+
+def test_projection_test_agrees_with_its_oracle_on_the_census():
+    """Same verdict and same witness, pair and parts, as the fresh solve per pair."""
+    tested_pairs = {True: 0, False: 0}  # pairs of V walked, by whether a witness was found
+    for name, cd in census_pairs():
+        verdict = _verdict(bracket_projection_test(cd))
+        assert verdict == _verdict(per_pair_projection_test(cd)), name
+        tested_pairs[verdict is not None] += cd.dim_v * (cd.dim_v - 1) // 2
+    assert all(tested_pairs.values())  # both verdicts occur, on pairs that the test brackets
+
+
+@pytest.mark.parametrize("dims", [d for d in SMALL_DIMS if quiver_jm_regular(QuiverDims(d))], ids=dims_id)
+def test_projection_test_agrees_with_its_oracle_on_small_dims(dims):
+    cd = _cayley(dims)
+    assert _verdict(bracket_projection_test(cd)) == _verdict(per_pair_projection_test(cd))
+
+
+def test_centralizer_of_e_is_the_centralizer_of_the_triple():
+    """On g_0, [e, x] = 0 already gives [h, x] = [f, x] = 0: h = 2*zeta is 0 there, and a
+    weight-0 vector that e kills is a highest-weight vector, which f kills too."""
+    for name, cd in census_pairs():
+        t, g0 = cd.triple, cd.pair.grading.piece(0)
+        assert cd.algebra.centralizer([t.h, t.e, t.f], g0) == cd.algebra.centralizer([t.e], g0) == cd.c_basis, name
+
+
+@pytest.mark.parametrize("dims", [(1, 1), (1, 1, 1), (2, 2, 2), (1, 2, 1), (1, 2, 2, 1)], ids=dims_id)
+def test_chains_take_exactly_2m_minus_1_brackets(monkeypatch, dims):
+    """After its triple, ``cayley_pair`` brackets only on the ad(e) chains: dim g_{1-m} of them,
+    of 2m - 1 brackets each."""
+    calls = []
+    fault_after_triple(monkeypatch, lambda x, b: calls.append(b) or x)
+    cd = _cayley(dims)
+    m = cd.pair.grading.depth
+    assert len(calls) == len(cd.pair.piece(1 - m)) * (2 * m - 1)
+
+
+def test_chain_222_reading_requires_a_nonzero_c_part():
+    """``verify-paper``'s cayley-222 row reads a witness with a zero c-part as a failure."""
+    nonzero = ["0", "1/2", "0", "-1"]
+    witness = {"pair": [0, 1], "c_part": nonzero, "v_part": nonzero, "rest_part": ["0"] * 4}
+    results = {"dim_c": 3, "dim_v": 4, "theta_pair_candidate": False, "witness": witness}
+    assert _chain_222([results]) == [3, 4, False, True]
+    assert _chain_222([{**results, "witness": {**witness, "c_part": ["0"] * 4}}]) == [3, 4, False, False]

@@ -15,7 +15,7 @@ from conftest import SMALL_DIMS, dims_id
 from oracles import PER_ROOT_MAPS
 from replay import EXAMPLES, GOLDEN, slug
 
-from gradedlie import cli, quaternionic
+from gradedlie import cli, quaternionic, vinberg
 from gradedlie.cli import (
     COMMAND_FLAGS, COMMANDS, cmd_grading, cmd_kac, cmd_quiver, main, q_str, report_json, to_rational, usage,
 )
@@ -338,6 +338,8 @@ def case_id(argv) -> str:
         ["amw", "--type", "D143", "--genus", "2"],
         ["cayley", "--dims", "11,11"],
         ["cayley", "--type", "B15", "--labels", "1,0,0,0,0,0,0,0,0,0,0,0,0,0,0"],
+        # past the lowest-piece bound, refused before the bracket table is built
+        ["cayley", "--dims", "10,10"],
     ],
     ids=case_id,
 )
@@ -393,12 +395,15 @@ REJECTED_LINES = {
     "cayley --dims 11,11": "error: A21 has dimension 483, past the bracket table's bound of 440",
     "cayley --type B15 --labels 1,0,0,0,0,0,0,0,0,0,0,0,0,0,0":
         "error: B15 has dimension 465, past the bracket table's bound of 440",
+    "cayley --dims 10,10": "error: the lowest piece has dimension 100, past the theta-pair bound of 81",
 }
 
 
-@pytest.mark.parametrize(
-    "argv", [case.split() for case in REJECTED_LINES if "bound of" in REJECTED_LINES[case]], ids=case_id
-)
+# the cases that ``cli.check_size`` refuses, off the type alone; the lowest-piece bound reads the grading
+TYPE_BOUND_CASES = [case for case, line in REJECTED_LINES.items() if "bound of" in line and "lowest piece" not in line]
+
+
+@pytest.mark.parametrize("argv", [case.split() for case in TYPE_BOUND_CASES], ids=case_id)
 def test_size_bound_refuses_before_any_root_is_built(monkeypatch, capsys, argv):
     def no_build(*_):
         raise AssertionError("build_root_system ran")
@@ -412,6 +417,35 @@ def test_size_bound_refuses_before_any_root_is_built(monkeypatch, capsys, argv):
 def test_the_largest_admitted_types_have_their_bound():
     assert LieType("A", 200).root_count == cli.ROOT_BOUND
     assert LieType("A", 20).root_count + 20 == cli.TABLE_BOUND
+
+
+def test_a_type_at_its_bound_is_admitted():
+    """Each bound is inclusive: A200's 40 200 roots and A20's dimension 440 pass ``check_size``."""
+    cli.check_size(LieType("A", 200))
+    cli.check_size(LieType("A", 20), table=True)
+
+
+def test_lowest_piece_bound_refuses_before_the_table_is_built(monkeypatch, capsys):
+    def no_build(*_):
+        raise AssertionError("build_algebra ran")
+
+    monkeypatch.setattr(vinberg, "build_algebra", no_build)
+    assert main(["cayley", "--dims", "10,10"]) == 2
+    assert capsys.readouterr().err == REJECTED_LINES["cayley --dims 10,10"] + "\n"
+
+
+def test_a_lowest_piece_at_its_bound_is_admitted(monkeypatch):
+    """``cayley --dims 9,9`` has a lowest piece of dimension 81, the bound, and reaches ``cayley_pair``."""
+    class Reached(Exception):
+        pass
+
+    def reached(zg, seed):
+        assert len(zg.piece(1 - zg.depth)) == cli.LOWEST_PIECE_BOUND
+        raise Reached
+
+    monkeypatch.setattr(cli, "cayley_pair", reached)
+    with pytest.raises(Reached):
+        main(["cayley", "--dims", "9,9"])
 
 
 @pytest.mark.parametrize("command", ["amw", "grading", "kac", "quiver", "toledo"])
