@@ -385,11 +385,13 @@ class ChevalleyAlgebra:
 
     def _verify_cartan_action(self):
         """Row h_i is {e_alpha: <alpha, alpha_i^vee> e_alpha} over the nonzero pairings, with
-        no Cartan key, each pairing sum_k a_k c_ki read off column i of the Cartan matrix by
-        ``RootSystem.basis_values`` (the writer reads the root pass's pairing vectors).  On the
+        no Cartan key, each pairing alpha(h_i) read off the Cartan matrix by ``RootSystem.simple_values``
+        and ``basis_values`` (the writer reads the root pass's pairing vectors).  On the
         alternating table this fixes ad h for h in the Cartan."""
-        for i, column in enumerate(zip(*self.rs.cartan)):
-            if self._rows[i] != {col: ((col, c),) for col, c in enumerate(self.rs.basis_values(column)) if c}:
+        rs, r = self.rs, self.rank
+        for i in range(r):
+            values = rs.basis_values(rs.simple_values([0] * i + [1] + [0] * (r - 1 - i)))  # alpha(h_i)
+            if self._rows[i] != {col: ((col, c),) for col, c in enumerate(values) if c}:
                 raise AssertionError(f"the Cartan action on h_{i} differs from the Cartan matrix")
 
 

@@ -29,7 +29,6 @@ from operator import mul
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .chevalley import ChevalleyAlgebra, Element
-from .linalg import RationalMatrix, solve
 from .rootsystem import RootSystem, affine_cartan_matrix
 
 
@@ -78,11 +77,7 @@ def _pieces(rs: RootSystem, p: Sequence[int], m: int = 0) -> Dict[int, Tuple[int
 def root_grading(rs: RootSystem, p: Sequence[int]) -> RootGrading:
     """Z-grading from non-negative simple-root degree labels, from the root system alone."""
     check_labels(p, rs.rank)
-    # zeta in the Cartan: alpha_k(zeta) = p_k, pairing matrix is the Cartan matrix
-    coeffs = solve(RationalMatrix(rs.cartan), p)
-    if coeffs is None:
-        raise AssertionError("the Cartan matrix is singular")
-    num, den = coeffs
+    num, den = rs.grading_element(p)  # zeta in the Cartan: alpha_k(zeta) = p_k
     zeta = Element(dict(enumerate(num)), den)
     g = RootGrading(pieces=_pieces(rs, p), zeta=zeta, rs=rs)
     _verify_root_grading(rs, g)
@@ -103,9 +98,7 @@ def _verify_root_grading(rs: RootSystem, g: RootGrading):
     placed = [i for idx in g.pieces.values() for i in idx]
     if len(placed) != rs.dim_algebra or not set(placed).issuperset(range(rs.dim_algebra)):
         raise AssertionError("the pieces do not hold each basis index once")
-    # alpha_k(D zeta) = sum_i n_i <alpha_k, alpha_i^vee> for each simple root alpha_k
-    simple = [sum(n * rs.cartan[k][i] for i, n in num.items()) for k in range(r)]
-    values = rs.basis_values(simple)  # alpha(D zeta) at each basis index
+    values = rs.basis_values(rs.simple_values([num.get(i, 0) for i in range(r)]))  # alpha(D zeta) on the basis
     for j, idx in g.pieces.items():
         for i in idx:
             if values[i] != j * den:

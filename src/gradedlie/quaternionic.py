@@ -26,9 +26,8 @@ from .vinberg import GradedPair
 
 
 def quaternionic_labels(rs: RootSystem) -> Tuple[int, ...]:
-    """Degree labels <alpha_k, beta^vee> = sum_j beta^vee_j c[k][j] of the highest-root grading."""
-    beta_vee = rs.coroot(rs.highest_root)
-    return tuple(sum(t * c for t, c in zip(beta_vee, row)) for row in rs.cartan)
+    """Degree labels alpha_k(beta^vee) of the highest-root grading, beta^vee the highest coroot."""
+    return tuple(rs.simple_values(rs.coroot(rs.highest_root)))
 
 
 @lru_cache(maxsize=None)

@@ -15,7 +15,9 @@ so that the highest root has squared length 2, is read off them:
 ``form_value`` and ``norm`` build one Fraction each, and ``coroot`` one coroot.
 The Chevalley basis layout (h_1..h_r, then e_alpha in root order) lives only in ``RootSystem``: in
 ``basis_codes``, ``basis_roots``, ``basis_index`` and ``basis_values(p)``, the one evaluation of
-sum_k a_k p_k on the basis; each per-root map is built on its first read.
+sum_k a_k p_k on the basis; each per-root map is built on its first read.  So do a Cartan element's
+simple-root labels: ``simple_values(h)`` is alpha_k(h) = sum_i h_i c_ki for h in coroot coordinates,
+and ``grading_element(p)`` solves for the h with labels p; no other module reads the Cartan matrix.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ from functools import cached_property, lru_cache
 from math import gcd
 from operator import mul, neg
 from typing import Dict, List, Sequence, Tuple
+
+from .linalg import RationalMatrix, Solution, solve
 
 Root = Tuple[int, ...]
 
@@ -177,6 +181,17 @@ class RootSystem:
         positive = [sum(map(mul, alpha, p)) for alpha in self.roots[len(self.roots) // 2 :]]
         return [0] * self.rank + [-v for v in reversed(positive)] + positive
 
+    def simple_values(self, h: Sequence[int]) -> List[int]:
+        """alpha_k(h) = sum_i h_i c_ki for each simple root alpha_k, h in coroot coordinates."""
+        return [sum(map(mul, row, h)) for row in self.cartan]
+
+    def grading_element(self, p: Sequence[int]) -> Solution:
+        """The h in coroot coordinates with ``simple_values(h)`` = p, as numerators over a denominator."""
+        h = solve(RationalMatrix(self.cartan), p)
+        if h is None:
+            raise AssertionError("the Cartan matrix is singular")
+        return h
+
     def pairing(self, alpha: Root, j: int) -> int:
         """Integer pairing <alpha, alpha_j^vee>."""
         return sum(alpha[i] * self.cartan[i][j] for i in range(self.rank))
@@ -300,10 +315,10 @@ def affine_cartan_matrix(rs: RootSystem) -> List[List[int]]:
     """Cartan matrix on nodes 0..r with alpha_0 = -highest root, in integers.
 
     Row a holds <a, alpha_j^vee> = ``pairing(a, j)`` on the simple nodes, and
-    <a, alpha_0^vee> = -<a, beta^vee> = -sum_k beta^vee_k <a, alpha_k^vee>, with beta^vee
-    the ``coroot`` of the highest root beta.
+    <a, alpha_0^vee> = -<a, beta^vee>, with beta^vee the ``coroot`` of the highest root beta:
+    -alpha_k(beta^vee) at a simple node, and <beta, beta^vee> = 2 at node 0.
     """
-    beta_vee = rs.coroot(rs.highest_root)
-    alpha0 = tuple(-x for x in rs.highest_root)
-    rows = [[rs.pairing(alpha0, j) for j in range(rs.rank)]] + [list(row) for row in rs.cartan]
-    return [[-sum(t * p for t, p in zip(beta_vee, row))] + row for row in rows]
+    beta = rs.highest_root
+    labels = rs.simple_values(rs.coroot(beta))
+    top = [sum(map(mul, beta, labels))] + [-rs.pairing(beta, j) for j in range(rs.rank)]
+    return [top] + [[-x] + list(row) for x, row in zip(labels, rs.cartan)]

@@ -275,8 +275,8 @@ def set_triple(rs: RootSystem, S: Sequence[int]) -> Sl2Triple:
     r, code, index = rs.rank, rs.basis_codes, rs.basis_index
     roots = [rs.basis_roots[i] for i in S]
     coroots = [rs.coroot(b) for b in roots]
-    pairings = [[rs.pairing(b, j) for j in range(r)] for b in roots]  # <beta', alpha_j^vee>
-    num, den = solve(RationalMatrix([sum(map(mul, v, p)) for v in coroots] for p in pairings), [2] * len(S))
+    labels = [rs.simple_values(v) for v in coroots]  # <beta', beta^vee> = beta' . labels of beta^vee
+    num, den = solve(RationalMatrix([sum(map(mul, b, v)) for v in labels] for b in roots), [2] * len(S))
     h = Element({k: sum(x * v[k] for x, v in zip(num, coroots)) for k in range(r)}, den)
     return Sl2Triple(h=h, e=Element(dict.fromkeys(S, 1)), f=Element({index[-code[i]]: x for i, x in zip(S, num)}, den))
 

@@ -95,6 +95,14 @@ def test_two_block_row_is_its_whole_box():
         assert len(row.argvs) == len(box) == 45 and {argv[2:4] for argv in row.argvs} == box
 
 
+def test_a2_lift_row_runs_every_labelling():
+    """The A2 lift row runs each of the ten affine labellings (p0, p1, p2) >= 0 with sum 3 once."""
+    labellings = [(p0, p1, p2) for p0 in range(4) for p1 in range(4) for p2 in range(4) if p0 + p1 + p2 == 3]
+    row = PAPER_CHECKS["kac-a2-all-lift"]
+    assert len(labellings) == 10
+    assert sorted(row.argvs) == sorted(("kac", "--type", "A2", "--labels", ",".join(map(str, p))) for p in labellings)
+
+
 def cli_results(argv):
     """The results block of ``gradedlie <argv>``, which must exit 0, read back from its JSON."""
     out = io.StringIO()

@@ -19,6 +19,7 @@ from gradedlie import cli, quaternionic, vinberg
 from gradedlie.cli import (
     COMMAND_FLAGS, COMMANDS, cmd_grading, cmd_kac, cmd_quiver, main, q_str, report_json, to_rational, usage,
 )
+from gradedlie.quiver import QuiverDims, orbit_count
 from gradedlie.rootsystem import LieType, build_root_system
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -86,6 +87,19 @@ def test_amw_empty_interval_warns(capsys):
     assert report["warnings"] == ["empty interval: lower bound 2 exceeds upper bound -2"]
 
 
+def test_amw_interval_closed_to_a_point_does_not_warn(capsys):
+    """At the lambda where C3's genus-2 interval closes to a point, solved from lower = upper on
+    the pair's affine ``interval``, the report exits 0 with one bound twice and no warning."""
+    graded = quaternionic.build_quaternionic(LieType.parse("C3"))
+    (lo0, up0), (lo1, up1) = graded.interval(2, fractions.Fraction(0)), graded.interval(2, fractions.Fraction(1))
+    lam = (lo0 - up0) / ((up1 - up0) - (lo1 - lo0))
+    code, report = run_json(capsys, "amw", "--type", "C3", "--genus", "2", f"--lambda={q_str(lam)}")
+    assert code == 0
+    lower, upper = report["results"]["bounds"]
+    assert lower == upper == q_str(graded.interval(2, lam)[0])
+    assert report["warnings"] == []
+
+
 def test_kac_command(capsys):
     code, report = run_json(capsys, "kac", "--type", "A2", "--labels", "0,1,1")
     assert code == 0
@@ -98,6 +112,22 @@ def test_quiver_command(capsys):
     assert report["results"]["jm_regular"] is True
     opens = [o for o in report["results"]["orbits"] if o["open"]]
     assert len(opens) == 1 and opens[0]["toledo_rank"] == "4"
+
+
+def test_quiver_admits_a_vector_at_the_orbit_bound_and_refuses_one_past_it(monkeypatch, capsys):
+    """With ``cli.ORBIT_BOUND`` set to the orbit count of 1,1,1 the vector is reported in full;
+    with the bound one lower its count is one past it, and it is refused with exit 2."""
+    count = orbit_count(QuiverDims((1, 1, 1)))
+    monkeypatch.setattr(cli, "ORBIT_BOUND", count)
+    code, report = run_json(capsys, "quiver", "--dims", "1,1,1")
+    assert code == 0 and len(report["results"]["orbits"]) == count
+    monkeypatch.setattr(cli, "ORBIT_BOUND", count - 1)
+    assert main(["quiver", "--dims", "1,1,1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: the dimension vector has at least {count} orbits; a report lists at most {count - 1}\n"
+    )
 
 
 def test_cayley_command(capsys):

@@ -274,17 +274,21 @@ def _layout_reads(source: str) -> List[int]:
     return sorted(lines)
 
 
-def test_no_module_but_rootsystem_works_out_the_basis_layout():
-    """Basis index -> root, and the root values on the basis, are read from ``RootSystem``
-    (``basis_roots``, ``basis_codes``, ``basis_index``, ``basis_values``) in every other module."""
+def _outside_rootsystem(reads) -> List[str]:
+    """``module:line`` of every line that ``reads`` finds in a package module other than ``rootsystem``."""
     package = Path(rootsystem.__file__).parent
-    found = [
+    return [
         f"{path.name}:{line}"
         for path in sorted(package.glob("*.py"))
         if path.name != "rootsystem.py"
-        for line in _layout_reads(path.read_text())
+        for line in reads(path.read_text())
     ]
-    assert found == []
+
+
+def test_no_module_but_rootsystem_works_out_the_basis_layout():
+    """Basis index -> root, and the root values on the basis, are read from ``RootSystem``
+    (``basis_roots``, ``basis_codes``, ``basis_index``, ``basis_values``) in every other module."""
+    assert _outside_rootsystem(_layout_reads) == []
 
 
 def test_layout_reads_are_found():
@@ -302,6 +306,50 @@ def test_layout_reads_are_found():
         "for i, x in enumerate(values): pass\n"
     )
     assert _layout_reads(sample) == [1, 2, 3, 4, 5]
+
+
+def _cartan_reads(source: str) -> List[int]:
+    """The lines of Python source that read or write an attribute named ``cartan``."""
+    tree = ast.parse(source)
+    return sorted({node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "cartan"})
+
+
+def test_no_module_but_rootsystem_reads_the_cartan_matrix():
+    """A Cartan element's simple-root labels, and the element with given labels, come from
+    ``RootSystem.simple_values`` and ``RootSystem.grading_element`` in every other module."""
+    assert _outside_rootsystem(_cartan_reads) == []
+
+
+def test_cartan_reads_are_found():
+    """The source test finds a ``.cartan`` read however it is reached, and nothing else."""
+    sample = (
+        "a = rs.cartan[k][i]\n"
+        "for column in zip(*self.rs.cartan): pass\n"
+        "b = solve(RationalMatrix(rs.cartan), p)\n"
+        "c = rs.grading_element(p)\n"
+        "d = cartan_matrix(t)\n"
+        "e = rs.simple_values(h)\n"
+    )
+    assert _cartan_reads(sample) == [1, 2, 3]
+
+
+@pytest.mark.parametrize("name", LAYOUT_TYPES)
+def test_simple_values_are_the_labels_and_grading_element_inverts_them(name):
+    """``simple_values(beta^vee)`` is <alpha_k, beta^vee> = 2 B*(alpha_k, beta) / B*(beta, beta) from
+    form values at the coroot of every positive root, the simple coroots among them, so at every h
+    by linearity; ``grading_element`` gives back each such coroot over 1, and on seeded random
+    labels p a positive denominator D and numerators whose labels are D p."""
+    rs = build_root_system(LieType.parse(name))
+    r = rs.rank
+    simple = [tuple(int(i == k) for i in range(r)) for k in range(r)]
+    for beta in rs.positive_roots:
+        labels = rs.simple_values(rs.coroot(beta))
+        assert labels == [2 * rs.form_value(a, beta) / rs.norm(beta) for a in simple], beta
+        assert rs.grading_element(labels) == (list(rs.coroot(beta)), 1), beta
+    rng = random.Random(name)
+    for p in [[rng.randint(0, 3) for _ in range(r)] for _ in range(3)]:
+        num, den = rs.grading_element(p)
+        assert den > 0 and rs.simple_values(num) == [den * x for x in p], p
 
 
 def reversed_codes(t: LieType):
