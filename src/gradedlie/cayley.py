@@ -9,23 +9,24 @@ V = ad(e)^{m-1}(g_{1-m}) of g_0.  Since every ad(h)-eigenvalue lies in
 of the span of those modules and ad(e)^{m-1} is injective on g_{1-m}.  Each
 basis vector b of g_{1-m} starts one chain b, [e, b], [e, [e, b]], ... of
 exactly 2m - 1 ``bracket`` calls: a nonzero ad(e)^{2m-1} b breaks the module
-bound, and ad(e)^{m-1} b is b's vector of V.  ``cayley_pair`` raises unless
-those vectors have rank dim g_{1-m}, so every ``CayleyData`` maps g_{1-m} onto
-V invertibly.  ``CayleyData.chi_vanishes`` says whether chi_T vanishes on c.
-It cannot be False on a correct build, as h = 2*zeta and B(h, x) =
-B(e, [f, x]) = 0 for x in c; it stays as a certificate of the code.
+bound, and ad(e)^{m-1} b is b's vector of V.  c is the kernel of ad e on g_0: h = 2*zeta
+is 0 on g_0, so a vector there killed by e is a highest-weight vector of weight 0, which
+f kills too.
 
-c is the kernel of ad e on g_0: h = 2*zeta is 0 on g_0, so a vector there killed by
-e is a highest-weight vector of weight 0, which f kills too.  So the theta-pair test
+One certificate covers c + V: the Gram of the invariant form on their bases is
+nonsingular (``cayley_pair``), in the sums of ``vinberg.form_numerator``, as a rescaled
+form changes no rank or split.  So every ``CayleyData`` maps g_{1-m} onto V invertibly
+and splits g_0 in one way along c + V + (orthogonal complement).  The theta-pair test
 takes two brackets, x = [v, v'] and [e, x], per pair of V: (c, V) is a candidate when
-every [e, x] is 0, else the first x outside c, split along c + V + (orthogonal
-complement in g_0) by the test's one Gram solve, is the witness.  The split does not
-change when the form is rescaled, so it uses the sums of ``vinberg.form_numerator``.
+every [e, x] is 0, else the first x outside c, split by one solve of that Gram, is the
+witness.  ``CayleyData.chi_vanishes`` says whether chi_T vanishes on c.  It cannot be
+False on a correct build, as h = 2*zeta and B(h, x) = B(e, [f, x]) = 0 for x in c; it
+stays as a certificate of the code.
 
 c, V, the triple and each projection's parts are ``chevalley.Element``s: the
 parts are sums of scaled basis numerators, and the remainder is the bracket
-minus both, all in integer numerators over one denominator.  Rank checks read
-an element's numerators (``dense_num``), and so do reports (``cli.element_strs``).
+minus both, all in integer numerators over one denominator.  The Gram reads an
+element's numerators, and so do reports (``cli.element_strs``).
 """
 
 from __future__ import annotations
@@ -36,17 +37,18 @@ from typing import List, Optional
 
 from .chevalley import ChevalleyAlgebra, Element
 from .grading import RootGrading
-from .linalg import RationalMatrix, independent_subset, rank, solve
+from .linalg import RationalMatrix, rank, solve
 from .vinberg import Sl2Triple, VinbergPair, complete_triple, form_numerator, generic_element
 
 
 class CayleyData:
-    """The pair, its triple at h = 2*zeta, and bases of c and V."""
+    """The pair, its triple at h = 2*zeta, bases of c and V, and the certified Gram of c + V."""
 
-    __slots__ = ("pair", "triple", "c_basis", "v_basis")
+    __slots__ = ("pair", "triple", "c_basis", "v_basis", "gram")
 
-    def __init__(self, pair: VinbergPair, triple: Sl2Triple, c_basis: List[Element], v_basis: List[Element]):
-        self.pair, self.triple = pair, triple
+    def __init__(self, pair: VinbergPair, triple: Sl2Triple, c_basis: List[Element], v_basis: List[Element],
+                 gram: RationalMatrix):
+        self.pair, self.triple, self.gram = pair, triple, gram  # gram: form_numerator on c + V, nonsingular
         self.c_basis = c_basis
         self.v_basis = v_basis  # images ad(e)^{m-1} of the g_{1-m} basis
 
@@ -69,6 +71,9 @@ class CayleyData:
 
 
 def cayley_pair(zg: RootGrading, seed: int = 0) -> CayleyData:
+    """The Cayley data, certified by one rank: a relation among the bases of c and V is a
+    kernel vector of their Gram, so a transport of rank below dim g_{1-m}, a vector shared by
+    c and V and a form degenerate on c + V each raise the one message."""
     pair = VinbergPair(zg)
     alg = pair.algebra
     triple = complete_triple(pair, generic_element(pair, seed), 2 * zg.zeta)
@@ -84,9 +89,11 @@ def cayley_pair(zg: RootGrading, seed: int = 0) -> CayleyData:
         if chain[-1]:  # module-dimension bound: ad(e)^{2m-1} kills the lowest piece
             raise AssertionError("sl2-module longer than 2m-1 detected")
         v_basis.append(chain[m - 1])
-    if rank(RationalMatrix([v.dense_num(alg.dim) for v in v_basis], alg.dim)) != len(v_basis):
-        raise AssertionError("transport map is not injective on the lowest piece")
-    return CayleyData(pair=pair, triple=triple, c_basis=c_basis, v_basis=v_basis)
+    basis = c_basis + v_basis
+    gram = RationalMatrix([[form_numerator(alg.rs, a, b) for b in basis] for a in basis])
+    if rank(gram) != len(basis):
+        raise AssertionError("invariant form degenerate on c + V")
+    return CayleyData(pair=pair, triple=triple, c_basis=c_basis, v_basis=v_basis, gram=gram)
 
 
 class BracketProjection:
@@ -102,20 +109,14 @@ class BracketProjection:
 def bracket_projection_test(cd: CayleyData) -> Optional[BracketProjection]:
     """The split over c + V + orthogonal complement in g_0 of the first [v, v'] outside c,
     that is with [e, [v, v']] != 0, or None when (c, V) is a theta-pair candidate.  The
-    split is unique, so its V-part or remainder is nonzero; it is unique only where the form
-    is nondegenerate on c + V, so a singular Gram raises before any bracket is taken."""
+    split is one solve of ``cd.gram``, which ``cayley_pair`` certified nonsingular, so it is
+    unique and its V-part or remainder is nonzero."""
     alg = cd.algebra
-    basis = cd.c_basis + cd.v_basis
-    if basis and len(independent_subset([b.dense_num(alg.dim) for b in basis])) != len(basis):
-        raise AssertionError("c and V overlap")
-    gram = RationalMatrix([[form_numerator(alg.rs, a, b) for b in basis] for a in basis])
-    if rank(gram) != len(basis):
-        raise AssertionError("invariant form degenerate on c + V")
     for i, j in combinations(range(cd.dim_v), 2):
         x = alg.bracket(cd.v_basis[i], cd.v_basis[j])
         if alg.bracket(cd.triple.e, x):
             # one solution, as the Gram is nonsingular; the part along b is y_b b.num / x.den
-            num, den = solve(gram, [form_numerator(alg.rs, u, x) for u in basis])
+            num, den = solve(cd.gram, [form_numerator(alg.rs, u, x) for u in cd.c_basis + cd.v_basis])
             c_sum = sum(map(mul, num[: cd.dim_c], [Element(b.num) for b in cd.c_basis]), Element())
             v_sum = sum(map(mul, num[cd.dim_c :], [Element(b.num) for b in cd.v_basis]), Element())
             c_part, v_part = Element(c_sum.num, den * x.den), Element(v_sum.num, den * x.den)

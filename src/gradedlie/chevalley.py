@@ -84,10 +84,6 @@ class Element:
     def __repr__(self) -> str:
         return f"Element({self.num}, {self.den})"
 
-    def dense_num(self, dim: int) -> List[int]:
-        """All ``dim`` integer numerators over ``den``, for rank checks."""
-        return [self.num.get(i, 0) for i in range(dim)]
-
     def __mul__(self, c: Rational) -> "Element":
         if not isinstance(c, (int, Q)):
             return NotImplemented

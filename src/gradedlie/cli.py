@@ -51,8 +51,8 @@ ROOT_BOUND = 40_200
 # cayley builds the bracket table: cayley --type A20 (dim 440) 1.08 s, A30 (dim 960) 13 s.
 TABLE_BOUND = 440
 # cayley's theta-pair test brackets each pair of V, whose dimension is that of g_{1-m}: cayley
-# --dims 9,9 (81) 2.1-2.3 s, --type C12 --labels 0,...,0,1 (78) 1.4-1.9 s; past the bound,
-# --dims 10,10 (100) 4.4-4.9 s, C14 (105) 3.0-3.9 s.
+# --dims 9,9 (81) 1.6-1.8 s, --type C12 --labels 0,...,0,1 (78) 0.95-0.97 s; past the bound,
+# --dims 10,10 (100) 2.9-3.0 s, C14 (105) 2.4-2.7 s.
 LOWEST_PIECE_BOUND = 81
 
 
@@ -323,7 +323,7 @@ def cmd_cayley(
     results = {
         "dim_c": cd.dim_c,
         "dim_v": cd.dim_v,
-        "iso_invertible": True,  # cayley_pair raised unless the transport has rank dim g_{1-m}
+        "iso_invertible": True,  # cayley_pair raised unless the Gram of c + V, so V, has full rank
         "chi_t_vanishes_on_c": cd.chi_vanishes,
         "theta_pair_candidate": witness is None,
     }

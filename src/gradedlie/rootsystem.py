@@ -32,8 +32,6 @@ from .linalg import RationalMatrix, Solution, solve
 
 Root = Tuple[int, ...]
 
-FAMILIES = "ABCDEFG"
-
 _RANK_RANGE = {
     "A": (1, None),
     "B": (2, None),
@@ -52,7 +50,7 @@ class LieType:
     __slots__ = ("family", "rank")
 
     def __init__(self, family: str, rank: int):
-        if family not in _RANK_RANGE:  # one letter: "" and "AB" are substrings of FAMILIES, not keys
+        if family not in _RANK_RANGE:  # a key lookup, so "" and "AB" are no family
             raise ValueError(f"unknown family {family!r}")
         lo, hi = _RANK_RANGE[family]
         if rank < lo or (hi is not None and rank > hi):
@@ -84,7 +82,7 @@ class LieType:
     def parse(cls, text: str) -> "LieType":
         """A family letter, either case, followed by ASCII digits and nothing else."""
         family, digits = text[:1].upper(), text[1:]
-        if not (family and family in FAMILIES and digits.isascii() and digits.isdigit()):
+        if not (family in _RANK_RANGE and digits.isascii() and digits.isdigit()):
             raise ValueError(f"cannot parse Lie type {text!r}")
         return cls(family, int(digits))
 

@@ -68,6 +68,11 @@ def dense(e: Element, dim: int) -> Tuple[Rational, ...]:
     return tuple(coordinate(e, i) for i in range(dim))
 
 
+def dense_num(e: Element, dim: int) -> List[int]:
+    """All ``dim`` integer numerators of e over ``e.den``, for rank checks."""
+    return [e.num.get(i, 0) for i in range(dim)]
+
+
 def triple_parts(triple: Sl2Triple) -> Tuple[Element, Element, Element]:
     """(h, e, f): two triples are equal when these are."""
     return triple.h, triple.e, triple.f
@@ -823,7 +828,7 @@ def bar_pieces(zg: RootGrading) -> CollapsedGrading:
 def iso_character_all_pass(cd: CayleyData) -> bool:
     """Transport map invertible, chi_T(c) = 0 and B(c, h) = 0 for every c in the centralizer."""
     low = cd.pair.piece(1 - cd.pair.grading.depth)
-    return rank([v.dense_num(cd.algebra.dim) for v in cd.v_basis]) == len(low) and cd.chi_vanishes and all(
+    return rank([dense_num(v, cd.algebra.dim) for v in cd.v_basis]) == len(low) and cd.chi_vanishes and all(
         normalized_form(cd.algebra.rs, c, cd.triple.h) == 0 for c in cd.c_basis
     )
 
@@ -852,7 +857,7 @@ def per_pair_projection_test(cd: CayleyData) -> Optional[BracketProjection]:
     c + V + orthogonal complement in g_0 by the Gram system of c + V, and the first split
     with a nonzero V-part or remainder is returned; None when every bracket lies in c.
     ``cayley.bracket_projection_test`` decides membership in c by [e, [v, v']] = 0 and
-    solves only for the witness.  The Gram must be nonsingular (that function's check)."""
+    solves only for the witness.  The Gram must be nonsingular (``cayley_pair``'s certificate)."""
     alg = cd.algebra
     basis = cd.c_basis + cd.v_basis
     gram = RationalMatrix([[form_numerator(alg.rs, a, b) for b in basis] for a in basis])

@@ -24,6 +24,7 @@ from conftest import PAPER_CHECKS, assert_paper_check, embed_quiver_element, qui
 from oracles import (
     basis_bracket,
     chi_t_killing,
+    dense_num,
     dims_for_labels,
     from_sparse,
     orbit_toledo_rank,
@@ -219,7 +220,7 @@ def test_8_property_suites():
     for dims in [(1, 1), (1, 1, 1), (1, 2, 1), (2, 2, 2)]:
         cd = cayley_pair(quiver_grading(QuiverDims(dims)))
         assert cd.dim_v == len(cd.pair.piece(1 - cd.pair.grading.depth))
-        assert len(independent_subset([v.dense_num(cd.algebra.dim) for v in cd.v_basis])) == cd.dim_v
+        assert len(independent_subset([dense_num(v, cd.algebra.dim) for v in cd.v_basis])) == cd.dim_v
 
     # rank monotonicity with the open-orbit equality characterization
     for dims in [(1, 1), (2, 1), (1, 1, 1), (2, 1, 1)]:

@@ -6,8 +6,8 @@ from functools import lru_cache
 import pytest
 
 from conftest import SMALL_DIMS, dims_id, quiver_grading
-from oracles import (coordinate, dense, iso_character_all_pass, per_pair_projection_test, verify_intertwining,
-                     zero_one_gradings)
+from oracles import (coordinate, dense, dense_num, iso_character_all_pass, per_pair_projection_test,
+                     verify_intertwining, zero_one_gradings)
 
 from gradedlie import cayley
 from gradedlie.cayley import bracket_projection_test, cayley_pair
@@ -93,7 +93,7 @@ def test_ad_powers_chain_spans_the_modules(dims):
         chains.append(chain)
     assert all(all(chain[:-1]) and not chain[-1] for chain in chains)
     for n in range(2 * m - 1):
-        assert rank(RationalMatrix([chain[n].dense_num(alg.dim) for chain in chains])) == len(chains)
+        assert rank(RationalMatrix([dense_num(chain[n], alg.dim) for chain in chains])) == len(chains)
     assert cd.v_basis == [chain[m - 1] for chain in chains]
 
 
@@ -104,11 +104,11 @@ def test_c_orthogonal_to_h_and_disjoint_from_v(dims):
     for c in cd.c_basis:
         assert alg.killing_form(c, cd.triple.h) == 0
     basis = cd.c_basis + cd.v_basis
-    assert len(independent_subset([b.dense_num(alg.dim) for b in basis])) == len(basis)
+    assert len(independent_subset([dense_num(b, alg.dim) for b in basis])) == len(basis)
 
 
 def test_checks_build_no_fraction(monkeypatch):
-    """The injectivity, character, overlap and projection checks run on integer
+    """The Gram certificate, character and projection checks run on integer
     numerators: not one Fraction is built, counted at Fraction.__new__."""
     cd = _cayley((2, 2, 2))
     callers = []
@@ -122,11 +122,11 @@ def test_checks_build_no_fraction(monkeypatch):
         return new(cls, *args, **kwargs)
 
     monkeypatch.setattr(Q, "__new__", staticmethod(counting_new))
-    injective = rank([v.dense_num(cd.algebra.dim) for v in cd.v_basis]) == cd.dim_v
+    certified = rank(cd.gram) == cd.dim_c + cd.dim_v
     chi_vanishes = cd.chi_vanishes
     witness = bracket_projection_test(cd)
     assert callers == []
-    assert injective and chi_vanishes and witness is not None
+    assert certified and chi_vanishes and witness is not None
     Q(1, 2)
     assert len(callers) == 1  # the counter sees a Fraction built here
 
@@ -176,31 +176,38 @@ def test_module_longer_than_2m_minus_1_fails_the_bound(monkeypatch):
 
 @pytest.mark.parametrize("fault", ["rank one short", "chain stops before ad(e)^(m-1)"])
 def test_transport_that_is_not_injective_is_refused(monkeypatch, fault):
-    """The check behind the report's ``iso_invertible``: a transport of rank below
-    dim g_{1-m}, or a chain that dies after one bracket at m = 3, raises."""
-    if fault == "rank one short":
-        monkeypatch.setattr(cayley, "rank", lambda rows: rank(rows) - 1)
+    """The certificate behind the report's ``iso_invertible``: a transport of rank below
+    dim g_{1-m}, or a chain that dies after one bracket at m = 3, makes the Gram singular."""
+    low = quiver_grading(QuiverDims((2, 2, 2))).piece(-2)
+    if fault == "rank one short":  # ad(e) sends the last lowest vector where it sends the first
+        cd = _cayley((2, 2, 2))
+        first_image, last = cd.algebra.bracket(cd.triple.e, Element({low[0]: 1})), Element({low[-1]: 1})
+        fault_after_triple(monkeypatch, lambda x, b: first_image if b == last else x)
     else:
-        low = set(quiver_grading(QuiverDims((2, 2, 2))).piece(-2))
-        fault_after_triple(monkeypatch, lambda x, b: x if b.num.keys() <= low else Element())
-    with pytest.raises(AssertionError, match="^transport map is not injective on the lowest piece$"):
+        fault_after_triple(monkeypatch, lambda x, b: x if b.num.keys() <= set(low) else Element())
+    with pytest.raises(AssertionError, match="^invariant form degenerate on c \\+ V$"):
         _cayley((2, 2, 2))
 
 
-def test_c_sharing_a_vector_with_v_is_refused():
-    cd = _cayley((2, 2, 2))
-    cd.c_basis = cd.c_basis + cd.v_basis[:1]
-    with pytest.raises(AssertionError, match="^c and V overlap$"):
-        bracket_projection_test(cd)
+def centralizer_returns(monkeypatch, c_basis):
+    """``cayley_pair``'s c is ``c_basis``, in place of the kernel of ad e on g_0."""
+    monkeypatch.setattr(ChevalleyAlgebra, "centralizer", lambda alg, elements, domain: list(c_basis))
 
 
-def test_degenerate_form_on_c_plus_v_is_refused():
-    """A singular Gram on c + V whose every right side is consistent: e lies in degree 1,
-    so it is orthogonal to itself and to V in degree 0, and no bracket [v, v'] can see it."""
+def test_c_sharing_a_vector_with_v_is_refused(monkeypatch):
     cd = _cayley((2, 2, 2))
-    cd.c_basis = [cd.triple.e]
+    centralizer_returns(monkeypatch, cd.c_basis + cd.v_basis[:1])
     with pytest.raises(AssertionError, match="^invariant form degenerate on c \\+ V$"):
-        bracket_projection_test(cd)
+        _cayley((2, 2, 2))
+
+
+def test_degenerate_form_on_c_plus_v_is_refused(monkeypatch):
+    """A singular Gram on independent vectors: e lies in degree 1, so it is orthogonal to
+    itself and to V in degree 0."""
+    cd = _cayley((2, 2, 2))
+    centralizer_returns(monkeypatch, [cd.triple.e])
+    with pytest.raises(AssertionError, match="^invariant form degenerate on c \\+ V$"):
+        _cayley((2, 2, 2))
 
 
 def test_cayley_dimensions_on_the_jm_regular_zero_one_gradings():

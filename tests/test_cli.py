@@ -594,6 +594,7 @@ TRACER_ONLY = {
     "vinberg.jm_triple",
     "quiver.rank_tuple",
     "linalg.RationalMatrix.matmul",  # only jm_triple and rank_tuple call it
+    "linalg.independent_subset",  # only the tests call it
 }
 NEVER_ENTERED = TRACER_ONLY | {
     "quiver._check_shapes",  # only rank_tuple calls it
