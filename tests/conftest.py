@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction as Q
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
@@ -16,6 +20,30 @@ from oracles import basis_index, dims_for_labels, from_sparse
 # database; CLI examples can take a second, so there is no per-example deadline.
 settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
 settings.load_profile("tier1")
+
+TESTS = Path(__file__).resolve().parent
+
+
+def run_python(*args: str, cwd=None, env=None, exit_code: int = 0) -> subprocess.CompletedProcess:
+    """``python *args`` in a fresh interpreter, which must exit with ``exit_code``: the one way
+    Tier-1 starts ``sys.executable``.  ``env`` overrides entries of ``os.environ``, and the
+    child's ``PYTHONPATH`` is this checkout's ``src`` followed by the one it would otherwise get.
+    A child that hangs fails its test after ten minutes instead of holding the session."""
+    child = {**os.environ, **(env or {})}
+    child["PYTHONPATH"] = os.pathsep.join(filter(None, [str(TESTS.parent / "src"), child.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, *args], cwd=cwd, env=child, capture_output=True, text=True, timeout=600)
+    assert done.returncode == exit_code, done.stdout + done.stderr
+    return done
+
+
+@lru_cache(maxsize=None)
+def isolated_replay() -> str:
+    """The summary line of ``replay.py --trace`` run once per session under ``python -X dev -W
+    error -O -S`` with ``src`` alone on its ``PYTHONPATH``: Tier-1's warnings policy, no
+    ``assert`` statement, no installed package and the benchmark tracer, in one interpreter."""
+    done = run_python("-X", "dev", "-W", "error", "-O", "-S", str(TESTS / "replay.py"), "--trace",
+                      env={"PYTHONPATH": ""})
+    return done.stdout.splitlines()[-1]
 
 
 PAPER_CHECKS = {row.id: row for row in paper_checks(extended=True, seed=0)}

@@ -1,6 +1,6 @@
 """Replay the README goldens and the benchmark references with the standard library alone.
 
-Usage: ``PYTHONPATH=src python tests/replay.py`` replays, in one process:
+Usage: ``PYTHONPATH=src python tests/replay.py [--trace]`` replays, in one process:
 
 - every ``gradedlie ...`` line of the README's CLI block, whose stdout must be its
   golden ``tests/golden/<slug>.out`` byte for byte and whose exit code must be the one
@@ -10,20 +10,29 @@ Usage: ``PYTHONPATH=src python tests/replay.py`` replays, in one process:
   canonical JSON;
 - ``verify-paper --extended``, which must exit 0 with every check passing.
 
-It prints one line per mismatch and a count, and exits 1 on any mismatch, else 0.
-It needs no pytest, so it runs on an interpreter that has none; ``test_golden.py``
-and ``test_references.py`` read their cases through it.
+With ``--trace``, ``bench/tracer.py``'s ``Tracer`` wraps the gradedlie functions first,
+as in a ``bench/run.py --trace 1`` child; that tracer reads ``.rows``/``.cols`` of each
+matrix passed to elimination, so a plain list passed there fails only a traced run.
+
+It prints one line per mismatch and a summary that names the interpreter, its flags and
+whether it was traced, and exits 1 on any mismatch, else 0.  It needs no pytest, so it
+runs on an interpreter that has none.  Tier-1 runs it once per session as ``python -X dev
+-W error -O -S tests/replay.py --trace`` (``conftest.isolated_replay``): the warnings
+policy of pytest.ini_options, ``assert`` statements stripped (every certificate must still
+raise), no site packages, and the tracer installed.  ``test_golden.py``,
+``test_references.py`` and ``test_quaternionic.py`` read their cases and runner from it.
 """
 
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import re
 import sys
 from pathlib import Path
 
-from gradedlie.cli import main
+from gradedlie import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
@@ -45,11 +54,20 @@ def canonical_digest(report: dict) -> str:
     return hashlib.sha256(json.dumps(report, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
 
 
+def load_tracer():
+    """``bench/tracer.py`` as a module (``bench`` is no package)."""
+    spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
+
+
 def run(argv):
-    """(exit code, stdout) of ``cli.main(argv)``; stderr is dropped."""
+    """(exit code, stdout) of ``cli.main(argv)``, the tracer's wrapper when one is installed;
+    stderr is dropped."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = main(argv)
+        code = cli.main(argv)
     return code, out.getvalue()
 
 
@@ -71,10 +89,23 @@ def mismatches():
         yield "verify-paper --extended: a check failed"
 
 
+def conditions(traced: bool) -> str:
+    """The interpreter flags this replay runs under that change what it checks, and the tracer."""
+    named = [("-X dev", sys.flags.dev_mode), ("-W error", "error" in sys.warnoptions),
+             ("-O", sys.flags.optimize), ("-S", sys.flags.no_site), ("traced", traced)]
+    return " ".join(name for name, on in named if on)
+
+
 if __name__ == "__main__":
+    if sys.argv[1:] not in ([], ["--trace"]):
+        print("usage: replay.py [--trace]", file=sys.stderr)
+        sys.exit(2)
+    traced = sys.argv[1:] == ["--trace"]
+    if traced:
+        load_tracer().Tracer(0).install()
     failed = list(mismatches())
     for line in failed:
         print(f"mismatch: {line}")
     print(f"{len(failed)} mismatches: {len(EXAMPLES)} README goldens, {len(REFERENCES)} benchmark references, "
-          f"verify-paper --extended, Python {sys.version.split()[0]}")
+          f"verify-paper --extended, Python {sys.version.split()[0]} {conditions(traced)}".rstrip())
     sys.exit(1 if failed else 0)

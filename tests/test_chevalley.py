@@ -1,11 +1,8 @@
 import ast
 import copy
 import inspect
-import os
 import random
 import re
-import subprocess
-import sys
 from collections import Counter
 from fractions import Fraction as Q
 from operator import add, mul
@@ -14,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import gradedlie
-from conftest import quiver_grading
+from conftest import quiver_grading, run_python
 from oracles import (
     FractionConstants, basis_bracket, basis_index, cartan_element, cocycle_signs, coroot, dense, fraction_coroot,
     from_sparse, root_vector,
@@ -331,11 +328,8 @@ def test_non_integral_constant_is_rejected_under_python_dash_o():
         "except AssertionError as exc:\n"
         "    print('AssertionError', exc)\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    run = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env)
-    assert run.returncode == 0, run.stderr
-    assert run.stdout.startswith("AssertionError") and run.stdout.endswith("is not an integer\n")
+    out = run_python("-O", "-c", script).stdout
+    assert out.startswith("AssertionError") and out.endswith("is not an integer\n")
 
 
 def test_no_assert_statement_in_src():

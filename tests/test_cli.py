@@ -1,19 +1,15 @@
 import fractions
-import importlib.util
 import inspect
 import json
-import os
 import shlex
-import subprocess
-import sys
 import types
 from pathlib import Path
 
 import pytest
 
-from conftest import SMALL_DIMS, dims_id
+from conftest import SMALL_DIMS, dims_id, run_python
 from oracles import PER_ROOT_MAPS
-from replay import EXAMPLES, GOLDEN, slug
+from replay import EXAMPLES, GOLDEN, load_tracer, slug
 
 from gradedlie import cli, quaternionic, vinberg
 from gradedlie.cli import (
@@ -520,18 +516,9 @@ def test_absent_rational_fields_default_to_zero(capsys):
     assert report["inputs"]["lambda"] == "0"
 
 
-def run_src(*args: str) -> str:
-    """The stdout of ``python *args`` in a fresh interpreter on this checkout's src, which must exit 0."""
-    src = str(ROOT / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
-    assert done.returncode == 0, done.stderr
-    return done.stdout
-
-
 def test_python_dash_m_runs_the_cli():
     argv = ["grading", "--type", "A2", "--labels", "1,1"]
-    assert run_src("-m", "gradedlie", *argv) == (GOLDEN / "grading_type_A2_labels_1_1.out").read_text()
+    assert run_python("-m", "gradedlie", *argv).stdout == (GOLDEN / "grading_type_A2_labels_1_1.out").read_text()
 
 
 def src_functions():
@@ -609,17 +596,14 @@ NEVER_ENTERED = TRACER_ONLY | {
 def test_every_src_function_runs_in_a_command(tmp_path):
     """Every src function outside ``NEVER_ENTERED`` runs in a README command or in a
     --config or --output job, and none inside it does: src holds what a command runs."""
-    tracer = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
-    targets = importlib.util.module_from_spec(tracer)
-    tracer.loader.exec_module(targets)
-    assert TRACER_ONLY <= {f"{module}.{path}" for module, path, _ in targets.TARGETS}
+    assert TRACER_ONLY <= {f"{module}.{path}" for module, path, _ in load_tracer().TARGETS}
     config = tmp_path / "job.json"
     config.write_text(json.dumps({"lie_type": "A2", "labels": [1, 0]}))
     argvs = EXAMPLES + [
         ["--config", str(config), "grading", "--labels", "1,1"],
         ["toledo", "--dims", "1,1", "--degrees", "1,-1", "--genus", "2", "--output", str(tmp_path / "r.json")],
     ]
-    swept = json.loads(run_src("-c", SWEEP, json.dumps(argvs)))
+    swept = json.loads(run_python("-c", SWEEP, json.dumps(argvs)).stdout)
     functions = src_functions()
     entered = {functions.get(tuple(key)) for key in swept}  # None: a comprehension
     assert (tmp_path / "r.json").exists()
@@ -658,27 +642,30 @@ def test_signed_integers_accepted(capsys):
 
 def test_quiver_job_imports_no_parser():
     # argparse builds gettext lookups that import locale: milliseconds per job;
-    # dataclasses, with inspect, is as much again before a record is defined
+    # dataclasses, with inspect, is as much again before a record is defined.
+    # Only what the job adds counts: a site-packages .pth file may import inspect at start-up.
     script = (
         "import sys\n"
         "from gradedlie import cli\n"
         "assert cli.main(['quiver', '--dims', '2,2']) == 0\n"
-        "print(sorted(m for m in ('argparse', 'locale', 'dataclasses', 'inspect') if m in sys.modules))\n"
+        "print(*sys.modules)\n"
     )
-    assert run_src("-c", script).splitlines()[-1] == "[]"
+    bare = set(run_python("-c", "import sys; print(*sys.modules)").stdout.split())
+    added = set(run_python("-c", script).stdout.splitlines()[-1].split()) - bare
+    assert sorted(added & {"argparse", "locale", "dataclasses", "inspect"}) == []
 
 
 def modules_after(statement: str) -> str:
     """The ``gradedlie`` modules loaded by one statement in a fresh interpreter, as a sorted list."""
     script = f"import sys\n{statement}\nprint(sorted(m for m in sys.modules if m.partition('.')[0] == 'gradedlie'))\n"
-    return run_src("-c", script).splitlines()[-1]
+    return run_python("-c", script).stdout.splitlines()[-1]
 
 
 def test_readme_library_block_runs_as_written():
     """The Python block of the README's Library section, run verbatim in a fresh interpreter."""
     section = (ROOT / "README.md").read_text().split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
     block = section.split("```python\n", 1)[1].split("```", 1)[0]
-    assert run_src("-c", block) == "4\n-8 4\n"
+    assert run_python("-c", block).stdout == "4\n-8 4\n"
 
 
 def test_readme_layout_has_one_row_per_module():

@@ -5,17 +5,16 @@ Each ``gradedlie ...`` line of the README's CLI block has its stdout in
 where the slug is the argv with every run of non-alphanumerics turned into ``_``.
 The files were written by running each example once; a change that alters any
 report, even by one byte, fails here.  The lines and the slug rule are
-``replay.py``'s, which replays the same goldens without pytest.
+``replay.py``'s, which replays the same goldens without pytest; the session's one
+isolated run of it (``conftest.isolated_replay``) is checked here too.
 """
 
 import json
-import os
-import subprocess
-import sys
 
 import pytest
 
-from replay import EXAMPLES, GOLDEN, ROOT, slug
+from conftest import isolated_replay
+from replay import EXAMPLES, GOLDEN, slug
 
 from gradedlie.cli import main
 
@@ -34,12 +33,8 @@ def test_readme_example_matches_golden(argv, capsys):
 
 
 def test_replay_passes_without_site_packages():
-    """``replay.py`` in a fresh interpreter started with ``-S``, so that no installed
-    package (pytest, hypothesis) can be imported: the goldens, the benchmark references
-    and ``verify-paper --extended`` replay with 0 mismatches."""
-    src = str(ROOT / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-S", str(ROOT / "tests" / "replay.py")],
-                          capture_output=True, text=True, env=env)
-    assert done.returncode == 0, done.stdout + done.stderr
-    assert done.stdout.startswith("0 mismatches: "), done.stdout
+    """``replay.py`` in a fresh interpreter started with ``-S`` and ``src`` alone on its path,
+    so that no installed package (pytest, hypothesis) can be imported: the goldens, the
+    benchmark references and ``verify-paper --extended`` replay with 0 mismatches."""
+    summary = isolated_replay()
+    assert summary.startswith("0 mismatches: ") and "-S" in summary.split(), summary

@@ -1,16 +1,12 @@
 import copy
-import os
-import subprocess
-import sys
 from fractions import Fraction as Q
 from itertools import product
-from pathlib import Path
 
 import pytest
 
 from gradedlie.chevalley import Element, build_algebra
 from gradedlie.linalg import RationalMatrix, solve
-from conftest import DIAGRAM_AUTOMORPHISMS, moved_labels
+from conftest import DIAGRAM_AUTOMORPHISMS, moved_labels, run_python
 from oracles import (
     affine_automorphisms, bar_pieces, basis_bracket, basis_index, cartan_element, coordinate, dense, enumerated_lift,
     fractions_of, from_sparse,
@@ -135,11 +131,7 @@ def test_root_grading_check_survives_python_dash_o():
         "except AssertionError as exc:\n"
         "    print('AssertionError', exc)\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    run = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env)
-    assert run.returncode == 0, run.stderr
-    assert run.stdout.startswith("AssertionError grading element eigenvalue check failed")
+    assert run_python("-O", "-c", script).stdout.startswith("AssertionError grading element eigenvalue check failed")
 
 
 def test_root_grading_check_rejects_moved_or_missing_roots():

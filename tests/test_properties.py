@@ -4,8 +4,6 @@ and the repo's pytest settings reporting a failing property test."""
 import contextlib
 import io
 import json
-import subprocess
-import sys
 from fractions import Fraction as Q
 from math import gcd
 from pathlib import Path
@@ -14,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import run_python
 from oracles import (
     _bareiss_echelon,
     bareiss_kernel_basis,
@@ -520,12 +519,8 @@ def test_fails(x):
 
 def test_failing_property_test_reports_its_falsifying_example(tmp_path):
     (tmp_path / "test_fails.py").write_text(FAILING_PROPERTY)
-    run = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(PYPROJECT),
-         "--rootdir", str(tmp_path), "test_fails.py"],
-        cwd=tmp_path, capture_output=True, text=True, timeout=300,
-    )
+    run = run_python("-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(PYPROJECT),
+                     "--rootdir", str(tmp_path), "test_fails.py", cwd=tmp_path, exit_code=1)
     out = run.stdout + run.stderr
-    assert run.returncode == 1, out
     assert "1 failed" in out and "INTERNALERROR" not in out, out
     assert "Falsifying example: test_fails(" in out, out

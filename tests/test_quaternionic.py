@@ -1,12 +1,10 @@
-import contextlib
-import io
 from collections import Counter
 from fractions import Fraction as Q
 
 import pytest
 
 from conftest import CLI_TYPES, TYPE_LIST, assert_paper_check
-from replay import EXAMPLES, GOLDEN, slug
+from replay import EXAMPLES, GOLDEN, run, slug
 from oracles import coroot, form_quaternionic_labels, orbit_toledo_rank, quaternionic_bounds
 
 from gradedlie import cayley, checks, quaternionic, vinberg
@@ -261,13 +259,6 @@ def _no_build(*args):
 NO_TABLE_TYPES = ["A2", "A3", "B3", "C2", "C3", "D4", "G2", "F4", "E6", "E7", "E8"]
 
 
-def _report(argv):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(argv)
-    return code, out.getvalue()
-
-
 def test_quaternionic_and_amw_build_no_table(monkeypatch):
     """With no algebra able to build and no cached record, ``quaternionic --type T`` and ``amw --type
     E6 --genus 3`` exit 0 with their reference reports: the README golden where there is one, else
@@ -280,7 +271,7 @@ def test_quaternionic_and_amw_build_no_table(monkeypatch):
         for argv in jobs:
             if slug(argv) not in goldens:
                 build_quaternionic.cache_clear()
-                reference[slug(argv)] = _report(argv)
+                reference[slug(argv)] = run(argv)
     for argv in jobs:
         if slug(argv) in goldens:
             reference[slug(argv)] = (0, (GOLDEN / f"{slug(argv)}.out").read_text())
@@ -288,7 +279,7 @@ def test_quaternionic_and_amw_build_no_table(monkeypatch):
     monkeypatch.setattr(ChevalleyAlgebra, "__init__", _no_build)
     monkeypatch.setattr(vinberg, "build_algebra", build_algebra.__wrapped__)  # a cached algebra would hide a build
     for argv in jobs:
-        assert _report(argv) == reference[slug(argv)], argv
+        assert run(argv) == reference[slug(argv)], argv
     build_quaternionic.cache_clear()  # drop the records built here
 
 

@@ -1,12 +1,8 @@
-import os
 import random
-import subprocess
-import sys
 from collections import Counter
 from fractions import Fraction as Q
 from itertools import product
 from operator import sub
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +17,7 @@ from conftest import (
     embed_quiver_element,
     moved_labels,
     quiver_grading,
+    run_python,
 )
 import oracles
 from oracles import (
@@ -253,11 +250,7 @@ def test_sl2_certificate_survives_python_dash_o():
         "except AssertionError as exc:\n"
         "    print('AssertionError', exc)\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    run = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env)
-    assert run.returncode == 0, run.stderr
-    assert run.stdout == "AssertionError sl2 relation [e, f] = h fails\n"
+    assert run_python("-O", "-c", script).stdout == "AssertionError sl2 relation [e, f] = h fails\n"
 
 
 def test_killing_dual_norm_scaling(sl2):
