@@ -38,10 +38,11 @@ def run_python(*args: str, cwd=None, env=None, exit_code: int = 0) -> subprocess
 
 @lru_cache(maxsize=None)
 def isolated_replay() -> str:
-    """The summary line of ``replay.py --trace`` run once per session under ``python -X dev -W
-    error -O -S`` with ``src`` alone on its ``PYTHONPATH``: Tier-1's warnings policy, no
-    ``assert`` statement, no installed package and the benchmark tracer, in one interpreter."""
-    done = run_python("-X", "dev", "-W", "error", "-O", "-S", str(TESTS / "replay.py"), "--trace",
+    """The summary line of ``replay.py`` (which installs the benchmark tracer) run once per
+    session under ``python -X dev -W error -O -S`` with ``src`` alone on its ``PYTHONPATH``:
+    Tier-1's warnings policy, no ``assert`` statement and no installed package, in one
+    interpreter."""
+    done = run_python("-X", "dev", "-W", "error", "-O", "-S", str(TESTS / "replay.py"),
                       env={"PYTHONPATH": ""})
     return done.stdout.splitlines()[-1]
 

@@ -1,6 +1,6 @@
 """Replay the README goldens and the benchmark references with the standard library alone.
 
-Usage: ``PYTHONPATH=src python tests/replay.py [--trace]`` replays, in one process:
+Usage: ``PYTHONPATH=src python tests/replay.py`` replays, in one process:
 
 - every ``gradedlie ...`` line of the README's CLI block, whose stdout must be its
   golden ``tests/golden/<slug>.out`` byte for byte and whose exit code must be the one
@@ -10,17 +10,18 @@ Usage: ``PYTHONPATH=src python tests/replay.py [--trace]`` replays, in one proce
   canonical JSON;
 - ``verify-paper --extended``, which must exit 0 with every check passing.
 
-With ``--trace``, ``bench/tracer.py``'s ``Tracer`` wraps the gradedlie functions first,
-as in a ``bench/run.py --trace 1`` child; that tracer reads ``.rows``/``.cols`` of each
-matrix passed to elimination, so a plain list passed there fails only a traced run.
+Run as a script, it first installs ``bench/tracer.py``'s ``Tracer``, which wraps the
+gradedlie functions as in a ``bench/run.py --trace 1`` child; that tracer reads
+``.rows``/``.cols`` of each matrix passed to elimination, so a plain list passed there
+fails the replay.
 
-It prints one line per mismatch and a summary that names the interpreter, its flags and
-whether it was traced, and exits 1 on any mismatch, else 0.  It needs no pytest, so it
-runs on an interpreter that has none.  Tier-1 runs it once per session as ``python -X dev
--W error -O -S tests/replay.py --trace`` (``conftest.isolated_replay``): the warnings
-policy of pytest.ini_options, ``assert`` statements stripped (every certificate must still
-raise), no site packages, and the tracer installed.  ``test_golden.py``,
-``test_references.py`` and ``test_quaternionic.py`` read their cases and runner from it.
+It prints one line per mismatch and a summary that names the interpreter, and exits 1
+on any mismatch, else 0.  It needs no pytest, so it runs on an interpreter that has
+none.  Tier-1 runs it once per session as ``python -X dev -W error -O -S
+tests/replay.py`` (``conftest.isolated_replay``): the warnings policy of
+pytest.ini_options, ``assert`` statements stripped (every certificate must still raise)
+and no site packages.  ``test_golden.py``, ``test_references.py`` and
+``test_quaternionic.py`` read their cases and runner from it, untraced.
 """
 
 import contextlib
@@ -89,23 +90,11 @@ def mismatches():
         yield "verify-paper --extended: a check failed"
 
 
-def conditions(traced: bool) -> str:
-    """The interpreter flags this replay runs under that change what it checks, and the tracer."""
-    named = [("-X dev", sys.flags.dev_mode), ("-W error", "error" in sys.warnoptions),
-             ("-O", sys.flags.optimize), ("-S", sys.flags.no_site), ("traced", traced)]
-    return " ".join(name for name, on in named if on)
-
-
 if __name__ == "__main__":
-    if sys.argv[1:] not in ([], ["--trace"]):
-        print("usage: replay.py [--trace]", file=sys.stderr)
-        sys.exit(2)
-    traced = sys.argv[1:] == ["--trace"]
-    if traced:
-        load_tracer().Tracer(0).install()
+    load_tracer().Tracer(0).install()
     failed = list(mismatches())
     for line in failed:
         print(f"mismatch: {line}")
     print(f"{len(failed)} mismatches: {len(EXAMPLES)} README goldens, {len(REFERENCES)} benchmark references, "
-          f"verify-paper --extended, Python {sys.version.split()[0]} {conditions(traced)}".rstrip())
+          f"verify-paper --extended, Python {sys.version.split()[0]}")
     sys.exit(1 if failed else 0)
